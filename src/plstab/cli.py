@@ -26,8 +26,8 @@ from pathlib import Path
 from . import batch
 from .generic import GenericityError, GenericPool, _derived_seed
 from .ratmath import format_rational, parse_rational, vec
-from .sections import (cluster_check, component_clusters, compute_components,
-                       eps_disjoint, preimage_polytopes, section_of_image)
+from .sections import (component_clusters, compute_components, eps_disjoint,
+                       preimage_polytopes, section_of_image)
 from .simplicial import (ParseError, certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
 from .transversal import (family_from_json_dict, max_disjoint_stabbed,
@@ -147,10 +147,7 @@ def _witness_json(witness) -> dict:
 
 def _load_certified_map(complex_path: str, map_path: str, inputs: dict):
     k = parse_complex(_read_text(complex_path, inputs))
-    g = parse_map(_read_text(map_path, inputs))
-    if g.m < 1:
-        raise CliError(2, f"{map_path}: ambient dimension must be positive")
-    g = certify_map(k, g)
+    g = certify_map(k, parse_map(_read_text(map_path, inputs)))
     if not g.certified:
         raise GenericityError(
             "map fails genericity certification; regenerate with perturb")
@@ -232,6 +229,8 @@ def _run_stab(args, inputs):
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, f"{args.family}: {exc}") from exc
     sets = _load_sets(args.sets, inputs, family.m)
+    if args.budget < 0:
+        raise CliError(2, "--budget must be >= 0")
     result: dict = {"mode": args.mode, "q": len(sets)}
     if args.mode == "linear":
         try:
@@ -324,7 +323,7 @@ def _run_section(args, inputs):
         "components": len(part.components),
         "max_diameter_sq": format_rational(max_diam),
         "eps_sq": format_rational(eps * eps),
-        "result": eps_disjoint(section, eps),
+        "result": eps_disjoint(part, eps),
     }
     return result, _cert_summary(g.certificate), 0
 
@@ -338,7 +337,7 @@ def _run_cotype(args, inputs):
     polys = preimage_polytopes(k, g, plane)
     part = compute_components(polys)
     try:
-        ok = cluster_check(polys, args.q, eps)
+        clusters = component_clusters(polys, part, args.q, eps)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
     max_diam = max(part.diameters_sq, default=Fraction(0))
@@ -347,15 +346,20 @@ def _run_cotype(args, inputs):
         "components": len(part.components),
         "max_diameter_sq": format_rational(max_diam),
         "eps_sq": format_rational(eps * eps),
-        "result": ok,
+        "result": clusters is not None,
     }
-    if ok:
-        result["clusters"] = component_clusters(polys, args.q, eps)
+    if clusters is not None:
+        result["clusters"] = clusters
     return result, _cert_summary(g.certificate), 0
 
 
 def _run_verify(args, inputs):
     grid = _read_json(args.grid, inputs)
+    if not isinstance(grid, dict) or not any(
+            isinstance(grid.get(key), list) and grid[key]
+            for key in ("suites", "fixtures")):
+        raise CliError(2, f"{args.grid}: grid needs a nonempty suites or "
+                          "fixtures list")
     if args.trials < 0:
         raise CliError(2, "--trials must be >= 0")
     try:

@@ -139,5 +139,6 @@ class GenericPool:
         count = self._counters.get(stream, 0)
         self._counters[stream] = count + 1
         value = q + scale * r / (2 ** count)
-        assert abs(value - target) < eps
+        if not abs(value - target) < eps:
+            raise RuntimeError("drawn value left the eps-neighbourhood of target")
         return value

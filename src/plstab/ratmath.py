@@ -227,14 +227,41 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec
     return tuple(basis)
 
 
+def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a nonempty square matrix by cofactor expansion along row 0.
+
+    Zero entries of the expansion row are skipped; meant for the tiny
+    matrices of simplex and transversal conditions.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    total = _ZERO
+    for j, head in enumerate(rows[0]):
+        if head == 0:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * head * det(minor)
+    return total
+
+
 def independent_subset(vectors: Sequence[Vec]) -> list[int]:
-    """Indices of a maximal independent subset, scanning left to right."""
+    """Indices of a maximal independent subset, scanning left to right.
+
+    Each kept vector is stored reduced against the earlier ones and scaled to
+    1 at its first nonzero entry, so a new vector is independent iff its
+    reduction against the stored rows leaves a nonzero residual.
+    """
     kept: list[int] = []
-    staged: list[list[Fraction]] = []
+    reduced: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
     for idx, v in enumerate(vectors):
-        trial = staged + [list(v)]
-        if len(_rref(trial)[1]) == len(trial):
-            staged = trial
+        row = list(v)
+        for c, basis_row in reduced:
+            if row[c] != 0:
+                f = row[c]
+                row = [x - f * y for x, y in zip(row, basis_row)]
+        pivot = next((c for c, x in enumerate(row) if x != 0), None)
+        if pivot is not None:
+            reduced.append((pivot, [x / row[pivot] for x in row]))
             kept.append(idx)
     return kept
 

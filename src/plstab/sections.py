@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratmath import (Mat, Vec, as_fraction, dist_sq, lp_feasible, solve_affine,
-                      vec, vec_dot)
+from .ratmath import (Mat, Vec, as_fraction, dist_sq, lp_feasible, mat_rank,
+                      solve_affine)
 from .simplicial import PLMap, Simplex, SimplicialComplex
-from .transversal import ConcretePlane
+from .transversal import ConcretePlane, plane_cuts
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -63,9 +63,7 @@ def polytope_vertices(eq_rows: Sequence[Sequence[Fraction]],
     The polytopes here always carry a coefficients-sum-to-one row, so they
     are bounded and every point is a convex combination of these vertices.
     """
-    mat = Mat.from_rows(eq_rows)
-    from .ratmath import mat_rank
-    rank = mat_rank(mat)
+    rank = mat_rank(Mat.from_rows(eq_rows))
     if rank == 0:
         return [tuple(_ZERO for _ in range(nvars))] if all(r == 0 for r in rhs) else []
     out: list[Vec] = []
@@ -110,26 +108,9 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
 def _barycentric_pieces(k: SimplicialComplex, g: PLMap,
                         plane: ConcretePlane) -> list[tuple[Simplex, list[Vec]]]:
     """Per simplex, the vertices of {lambda in the standard simplex : image on plane}."""
-    covs = plane.covectors()
-    value_cache = [{v: vec_dot(c, p) for v, p in g.images.items()}
-                   for c, _ in covs]
     out = []
-    for s in k.sorted_simplexes():
-        skip = False
-        for (c, rhs), cache in zip(covs, value_cache):
-            values = [cache[v] for v in s]
-            if min(values) > rhs or max(values) < rhs:
-                skip = True
-                break
-        if skip:
-            continue
-        nvars = len(s)
-        eq_rows = [[_ONE] * nvars]
-        rhs_col = [_ONE]
-        for (c, rhs), cache in zip(covs, value_cache):
-            eq_rows.append([cache[v] for v in s])
-            rhs_col.append(rhs)
-        verts = polytope_vertices(eq_rows, rhs_col, nvars)
+    for s, rows, rhs in plane_cuts(k, g, plane, k.dim):
+        verts = polytope_vertices(rows, rhs, len(s))
         if verts:
             out.append((s, verts))
     return out
@@ -142,8 +123,6 @@ def section_of_image(k: SimplicialComplex, g: PLMap,
     Each piece is the polytope of image points of one simplex lying on the
     plane, listed by its exact vertices; empty intersections are omitted.
     """
-    if not g.certified:
-        raise ValueError("map must carry an ok genericity certificate")
     pieces = []
     sources = []
     for s, bary_verts in _barycentric_pieces(k, g, plane):
@@ -184,19 +163,19 @@ def compute_components(pieces: Sequence[Polytope]) -> ComponentPartition:
     return ComponentPartition(components, diameters)
 
 
-def eps_disjoint(section: PlanarSection, eps: Fraction) -> bool:
-    """True iff every component of the section has diameter strictly below eps.
+def eps_disjoint(part: ComponentPartition, eps: Fraction) -> bool:
+    """True iff every component of a section has diameter strictly below eps.
 
-    For a compact PL set with finitely many pieces this is equivalent to
-    being coverable by disjoint open sets of diameter below eps: the
-    components are compact, finitely many and positively separated, so they
-    can be fattened into such a cover, and conversely any member of a
-    disjoint open cover contains whole components.
+    part is the section's :func:`compute_components` partition.  For a
+    compact PL set with finitely many pieces this is equivalent to being
+    coverable by disjoint open sets of diameter below eps: the components
+    are compact, finitely many and positively separated, so they can be
+    fattened into such a cover, and conversely any member of a disjoint open
+    cover contains whole components.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    part = compute_components(section.pieces)
     return all(d < eps * eps for d in part.diameters_sq)
 
 
@@ -209,8 +188,6 @@ def preimage_polytopes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     R^{|V|}; a barycentric solution therefore maps to its weight vector
     spread over the positions of its simplex's vertices.
     """
-    if not g.certified:
-        raise ValueError("map must carry an ok genericity certificate")
     order = tuple(vertex_order) if vertex_order is not None else k.vertices
     index = {v: i for i, v in enumerate(order)}
     nv = len(order)
@@ -228,42 +205,37 @@ def preimage_polytopes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     return tuple(out)
 
 
-def cluster_check(preimage: Sequence[Polytope], q: int, eps: Fraction) -> bool:
-    """Can the preimage components be split into <= q clusters of diameter <= eps?
+def component_clusters(preimage: Sequence[Polytope], part: ComponentPartition,
+                       q: int, eps: Fraction) -> Optional[list[list[int]]]:
+    """One split of the components into <= q clusters of diameter <= eps, or None.
 
-    Exact and exhaustive over component assignments (restricted-growth order,
-    pruned by the monotonicity of cluster diameters).  Raises on more than
-    MAX_CLUSTER_COMPONENTS components.
+    part is the preimage's :func:`compute_components` partition; clusters are
+    lists of component indices.  Exact and exhaustive over component
+    assignments (restricted-growth order, pruned by the monotonicity of
+    cluster diameters).  Raises on more than MAX_CLUSTER_COMPONENTS
+    components.
     """
     eps = as_fraction(eps)
     if q < 1 or eps <= 0:
         raise ValueError("need q >= 1 and eps > 0")
-    part = compute_components(preimage)
     ncomp = len(part.components)
     if ncomp > MAX_CLUSTER_COMPONENTS:
         raise ValueError(f"{ncomp} components exceed the exact clusterer limit "
                          f"of {MAX_CLUSTER_COMPONENTS}")
-    if ncomp == 0:
-        return True
     eps_sq = eps * eps
+    if any(d > eps_sq for d in part.diameters_sq):
+        return None
     points = [[v for i in comp for v in preimage[i]] for comp in part.components]
 
     pair_cache: dict[tuple[int, int], Fraction] = {}
 
     def pair_diam_sq(i: int, j: int) -> Fraction:
-        key = (min(i, j), max(i, j))
-        got = pair_cache.get(key)
+        got = pair_cache.get((i, j))
         if got is None:
-            if i == j:
-                got = part.diameters_sq[i]
-            else:
-                got = max(dist_sq(a, b) for a in points[i] for b in points[j])
-            pair_cache[key] = got
+            got = max(dist_sq(a, b) for a in points[i] for b in points[j])
+            pair_cache[(i, j)] = got
         return got
 
-    if any(pair_diam_sq(i, i) > eps_sq for i in range(ncomp)):
-        return False
-
     clusters: list[list[int]] = []
 
     def assign(idx: int) -> bool:
@@ -282,44 +254,10 @@ def cluster_check(preimage: Sequence[Polytope], q: int, eps: Fraction) -> bool:
             clusters.pop()
         return False
 
-    return assign(0)
+    return clusters if assign(0) else None
 
 
-def component_clusters(preimage: Sequence[Polytope], q: int,
-                       eps: Fraction) -> Optional[list[list[int]]]:
-    """One admissible clustering (component index lists), or None."""
-    eps = as_fraction(eps)
-    part = compute_components(preimage)
-    ncomp = len(part.components)
-    if ncomp == 0:
-        return []
-    if not cluster_check(preimage, q, eps):
-        return None
-    eps_sq = eps * eps
-    points = [[v for i in comp for v in preimage[i]] for comp in part.components]
-
-    def pair_diam_sq(i, j):
-        if i == j:
-            return part.diameters_sq[i]
-        return max(dist_sq(a, b) for a in points[i] for b in points[j])
-
-    clusters: list[list[int]] = []
-
-    def assign(idx: int) -> bool:
-        if idx == ncomp:
-            return True
-        for cl in clusters:
-            if all(pair_diam_sq(idx, other) <= eps_sq for other in cl):
-                cl.append(idx)
-                if assign(idx + 1):
-                    return True
-                cl.pop()
-        if len(clusters) < q:
-            clusters.append([idx])
-            if assign(idx + 1):
-                return True
-            clusters.pop()
-        return False
-
-    assign(0)
-    return [list(c) for c in clusters]
+def cluster_check(preimage: Sequence[Polytope], q: int, eps: Fraction) -> bool:
+    """Can the preimage components be split into <= q clusters of diameter <= eps?"""
+    return component_clusters(preimage, compute_components(preimage),
+                              q, eps) is not None

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from .generic import (GenericityCertificate, GenericityError, GenericPool,
                       certify)
-from .ratmath import (Vec, as_fraction, dist_sq, format_rational,
-                      parse_rational, vec, vec_sub)
+from .ratmath import (Vec, as_fraction, det, dist_sq, format_rational,
+                      parse_rational, vec, vec_dot, vec_sub)
 
 Simplex = tuple[str, ...]
 
@@ -72,7 +72,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(len(s) for s in self.simplexes) - 1
+        return max((len(s) for s in self.simplexes), default=0) - 1
 
     def vertex_index(self, v: str) -> int:
         return self.vertices.index(v)
@@ -154,6 +154,8 @@ def parse_map(text: str) -> PLMap:
             if len(args) != 1 or not args[0].isdigit():
                 raise ParseError(lineno, "header needs one count")
             m = int(args[0])
+            if m < 1:
+                raise ParseError(lineno, "ambient dimension must be positive")
         elif kind == "p":
             if m is None:
                 raise ParseError(lineno, "point before header")
@@ -182,21 +184,8 @@ def format_map(g: PLMap) -> str:
 
 def _gram_det(rows: list[Vec]) -> Fraction:
     """det(D D^T); nonzero iff the rows are linearly independent."""
-    from .ratmath import vec_dot
     n = len(rows)
-    gram = [[vec_dot(rows[i], rows[j]) for j in range(n)] for i in range(n)]
-    # cofactor expansion; n stays tiny (simplex size - 1)
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j, head in enumerate(m[0]):
-            if head == 0:
-                continue
-            minor = [r[:j] + r[j + 1:] for r in m[1:]]
-            total += (-1) ** j * head * det(minor)
-        return total
-    return det(gram)
+    return det([[vec_dot(rows[i], rows[j]) for j in range(n)] for i in range(n)])
 
 
 def generic_position_transcript(k: SimplicialComplex,

@@ -30,9 +30,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import GenericPool, _derived_seed
-from .ratmath import (Mat, Poly, Vec, as_fraction, lp_feasible, mat_rank,
-                      nullspace_basis, poly, poly_add, poly_eval, poly_mul,
-                      poly_scale, poly_sub, simplest_between, solve_affine,
+from .ratmath import (Mat, Poly, Vec, as_fraction, det, independent_subset,
+                      lp_feasible, mat_rank, nullspace_basis, poly, poly_add,
+                      poly_eval, poly_mul, poly_scale, poly_sub,
+                      simplest_between, solve_affine,
                       square_free_part, sturm_count, sturm_root_exists,
                       unit_vec, vec, vec_dot, vec_sub, cauchy_root_bound,
                       _rref)
@@ -149,27 +150,21 @@ def plane_through(family: PlaneFamily, basepoint: Sequence,
     """
     block = family.block
     in_T = set(family.s_T)
-    kept: list[list[Fraction]] = []  # restricted to block coordinates
+    need = family.d - family.t
+    spans = []
     for v in span_vectors:
         if any(v[j - 1] != 0 for j in range(1, family.m + 1) if j not in in_T):
             raise ValueError("span vector leaves span(s_T)")
-        restricted = [v[j - 1] for j in block]
-        trial = kept + [restricted]
-        if len(_rref(trial)[1]) == len(trial):
-            kept.append(restricted)
-    for j in range(len(block)):
-        if len(kept) == family.d - family.t:
-            break
-        axis = [_ONE if i == j else _ZERO for i in range(len(block))]
-        trial = kept + [axis]
-        if len(_rref(trial)[1]) == len(trial):
-            kept.append(axis)
-    if len(kept) != family.d - family.t:
+        spans.append(tuple(v[j - 1] for j in block))
+    candidates = spans + [unit_vec(len(block), j)
+                          for j in range(1, len(block) + 1)]
+    chosen = independent_subset(candidates)
+    if sum(i < len(spans) for i in chosen) > need or len(chosen) < need:
         raise ValueError("cannot reach dimension d inside span(s_T)")
     extras = []
-    for restricted in kept:
+    for i in chosen[:need]:
         full = [_ZERO] * family.m
-        for value, j in zip(restricted, block):
+        for value, j in zip(candidates[i], block):
             full[j - 1] = value
         extras.append(tuple(full))
     return ConcretePlane(family, vec(basepoint), tuple(extras))
@@ -595,19 +590,8 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         evaluations += 1
         rows = diff_rows(lambda_at(u))
         n = len(rows)
-        gram = [[sum((rows[i][c] * rows[j][c] for c in range(len(block))), _ZERO)
-                 for j in range(n)] for i in range(n)]
-        def det(mrows):
-            if len(mrows) == 1:
-                return mrows[0][0]
-            acc = _ZERO
-            for j, head in enumerate(mrows[0]):
-                if head == 0:
-                    continue
-                minor = [r[:j] + r[j + 1:] for r in mrows[1:]]
-                acc += (-1) ** j * head * det(minor)
-            return acc
-        return det(gram)
+        return det([[sum((rows[i][c] * rows[j][c] for c in range(len(block))),
+                         _ZERO) for j in range(n)] for i in range(n)])
 
     def try_exact(u) -> Optional[StabWitness]:
         lam = lambda_at(u)
@@ -702,12 +686,20 @@ def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
     return sorted(best)
 
 
-def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-                      nmax: int) -> list[Simplex]:
-    """Simplexes of dimension <= nmax whose convex images meet the plane."""
+def plane_cuts(k: SimplicialComplex, g: PLMap, plane: ConcretePlane, nmax: int):
+    """Membership systems of the simplexes whose images may meet the plane.
+
+    Yields (simplex, rows, rhs) for every simplex of dimension <= nmax whose
+    vertex values under each plane covector bracket that covector's
+    right-hand side; the others cannot meet the plane.  The rows are the
+    sum-to-one row followed by one row of vertex values per covector, so the
+    simplex image meets the plane iff rows . lambda = rhs has a solution
+    lambda >= 0.
+    """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
     covs = plane.covectors()
+    rhs_col = [_ONE] + [rhs for _, rhs in covs]
     value_cache: list[dict[str, Fraction]] = []
     for c, _ in covs:
         nz = [(i, x) for i, x in enumerate(c) if x != 0]
@@ -716,25 +708,25 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
             value_cache.append({v: p[idx] for v, p in g.images.items()})
         else:
             value_cache.append({v: vec_dot(c, p) for v, p in g.images.items()})
-    hits = []
     for s in k.sorted_simplexes():
         if len(s) - 1 > nmax:
             continue
-        rejected = False
-        value_rows = []
-        for (c, rhs), cache in zip(covs, value_cache):
+        rows = [[_ONE] * len(s)]
+        for (_, rhs), cache in zip(covs, value_cache):
             values = [cache[v] for v in s]
             if min(values) > rhs or max(values) < rhs:
-                rejected = True
                 break
-            value_rows.append(values)
-        if rejected:
-            continue
-        rows = [[_ONE] * len(s)] + value_rows
-        rhs_col = [_ONE] + [rhs for _, rhs in covs]
-        if lp_feasible(Mat.from_rows(rows), rhs_col, set(range(len(s)))) is not None:
-            hits.append(s)
-    return hits
+            rows.append(values)
+        else:
+            yield s, rows, rhs_col
+
+
+def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
+                      nmax: int) -> list[Simplex]:
+    """Simplexes of dimension <= nmax whose convex images meet the plane."""
+    return [s for s, rows, rhs in plane_cuts(k, g, plane, nmax)
+            if lp_feasible(Mat.from_rows(rows), rhs, set(range(len(s))))
+            is not None]
 
 
 def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,

@@ -324,7 +324,7 @@ def _eps_disjoint_oracle_pass(rng):
         if any(window_lo < d < window_hi for d in part.diameters_sq):
             continue  # stay outside the resolution window of the oracle
         want = _sampling_grid_oracle(pieces, eps)
-        assert eps_disjoint(section, eps) == want
+        assert eps_disjoint(part, eps) == want
         done += 1
 
 

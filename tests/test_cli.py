@@ -120,6 +120,16 @@ def test_perturb_impossible_dimension_exit_3(capsys, tmp_path):
     assert json.loads(out)["exit_code"] == 3
 
 
+def test_perturb_zero_dimensional_map_exit_2(capsys, tmp_path):
+    cx = write(tmp_path, "k.cx", "v a\n")
+    mp = write(tmp_path, "theta.map", "m 0\np a\n")
+    code, out = run_cli(capsys, ["perturb", "--complex", cx, "--map", mp,
+                                 "--eps", "1", "--seed", "0",
+                                 "--out", str(tmp_path / "g.map")])
+    assert code == 2
+    assert "ambient dimension must be positive" in json.loads(out)["error"]
+
+
 def test_stab_linear_infeasible_certified(capsys, tmp_path):
     fam = write(tmp_path, "f.json", E1_LINE_FAMILY)
     sets = write(tmp_path, "s.json",
@@ -155,6 +165,15 @@ def test_stab_search_finds_fixture(capsys, tmp_path):
     result = json.loads(out)["result"]
     assert result["status"] == "witness"
     assert result["certified"] is True
+
+
+def test_stab_negative_budget_exit_2(capsys, tmp_path):
+    fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
+    sets = write(tmp_path, "s.json", Z_AXIS_SETS)
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
+                                 "--mode", "search", "--budget", "-5"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
 
 
 def test_stab_univariate_no_stab(capsys, tmp_path):
@@ -263,6 +282,16 @@ def test_verify_zero_trials_empty_report(capsys, tmp_path):
     code, out = run_cli(capsys, ["verify", "--grid", grid,
                                  "--trials", "0", "--seed", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize("grid", [{}, [], {"suites": [], "fixtures": []},
+                                  {"suites": {"kind": "linear"}}])
+def test_verify_grid_without_work_exit_2(capsys, tmp_path, grid):
+    path = write(tmp_path, "grid.json", grid)
+    code, out = run_cli(capsys, ["verify", "--grid", path,
+                                 "--trials", "1", "--seed", "0"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
 
 
 def test_verify_expected_witness_fixture_exit_0(capsys, tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from oracles import (feasible_by_basic_solutions, rank_by_minors,
                      root_in_interval_by_grid)
 from plstab.ratmath import (AffineSubspace, Mat, affine_hull, affine_intersect,
-                            cauchy_root_bound, format_rational, lp_feasible,
-                            mat_rank, parse_rational, poly, poly_eval,
+                            cauchy_root_bound, format_rational,
+                            independent_subset, lp_feasible, mat_rank, parse_rational, poly, poly_eval,
                             same_flat, simplest_between, solve_affine,
                             sturm_count, sturm_root_exists, vec, vec_dot)
 
@@ -68,6 +68,20 @@ def test_rank_matches_minor_enumeration():
         rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc)]
                 for _ in range(nr)]
         assert mat_rank(Mat.from_rows(rows)) == rank_by_minors(rows)
+
+
+def test_independent_subset_is_greedy_by_rank():
+    rng = random.Random(8)
+    for _ in range(80):
+        nc = rng.randint(1, 4)
+        vectors = [vec(F(rng.randint(-2, 2), rng.randint(1, 2))
+                       for _ in range(nc)) for _ in range(rng.randint(1, 6))]
+        want = []
+        for i, v in enumerate(vectors):
+            rows = [vectors[j] for j in want] + [v]
+            if rank_by_minors(rows) == len(rows):
+                want.append(i)
+        assert independent_subset(vectors) == want
 
 
 # --- solve_affine ----------------------------------------------------------

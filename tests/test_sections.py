@@ -6,7 +6,7 @@ import pytest
 
 from oracles import clusterable_by_partition_scan
 from plstab.ratmath import dist_sq, vec
-from plstab.sections import (ComponentPartition, PlanarSection, cluster_check,
+from plstab.sections import (ComponentPartition, cluster_check,
                              component_clusters, compute_components,
                              diameter_sq, eps_disjoint, polytopes_intersect,
                              preimage_polytopes, section_of_image)
@@ -33,6 +33,12 @@ def test_section_empty_when_plane_misses():
     k, g = _triangle()
     got = section_of_image(k, g, _vertical_line(F(50)))
     assert got.pieces == ()
+
+
+def test_section_of_empty_complex():
+    k = parse_complex("")
+    g = certify_map(k, PLMap(2, {}))
+    assert section_of_image(k, g, _vertical_line(F(3))).pieces == ()
 
 
 def test_section_triangle_slice_is_segment():
@@ -76,31 +82,25 @@ def test_section_piece_soundness():
 
 # --- components and eps-disjointness ----------------------------------------
 
-def _point_section(*points):
-    pieces = tuple((vec(p),) for p in points)
-    sources = tuple((f"s{i}",) for i in range(len(points)))
-    return PlanarSection(pieces, sources)
-
-
 def test_eps_disjoint_empty_section():
-    assert eps_disjoint(PlanarSection((), ()), F(1)) is True
+    assert eps_disjoint(compute_components(()), F(1)) is True
 
 
 def test_eps_disjoint_isolated_points():
-    section = _point_section([0, 0], [2, 0])
-    assert eps_disjoint(section, F(1)) is True
+    part = compute_components(_singleton_polytopes([0, 0], [2, 0]))
+    assert eps_disjoint(part, F(1)) is True
 
 
 def test_eps_disjoint_long_segment():
-    section = PlanarSection(((vec([0, 0]), vec([2, 0])),), (("e",),))
-    assert eps_disjoint(section, F(1)) is False
-    assert eps_disjoint(section, F(3)) is True
+    part = compute_components(((vec([0, 0]), vec([2, 0])),))
+    assert eps_disjoint(part, F(1)) is False
+    assert eps_disjoint(part, F(3)) is True
 
 
 def test_eps_disjoint_strictness():
-    section = PlanarSection(((vec([0, 0]), vec([1, 0])),), (("e",),))
-    assert eps_disjoint(section, F(1)) is False  # strict comparison
-    assert eps_disjoint(section, F(101, 100)) is True
+    part = compute_components(((vec([0, 0]), vec([1, 0])),))
+    assert eps_disjoint(part, F(1)) is False  # strict comparison
+    assert eps_disjoint(part, F(101, 100)) is True
 
 
 def test_components_chain_through_touching_pieces():
@@ -180,10 +180,11 @@ def test_cluster_component_limit():
 
 def test_component_clusters_witness():
     polys = _singleton_polytopes([0, 0], [10, 0], [F(1, 3), 0])
-    clusters = component_clusters(polys, 2, F(1))
+    part = compute_components(polys)
+    clusters = component_clusters(polys, part, 2, F(1))
     assert clusters is not None
     assert sorted(len(c) for c in clusters) == [1, 2]
-    assert component_clusters(polys, 1, F(1)) is None
+    assert component_clusters(polys, part, 1, F(1)) is None
 
 
 def test_point_preimage_components_within_bound():
@@ -236,3 +237,10 @@ def test_cluster_matches_partition_scan():
         want = clusterable_by_partition_scan(
             list(range(len(part.components))), q, eps * eps, pair_diam_sq)
         assert cluster_check(polys, q, eps) == want
+        if want:
+            clusters = component_clusters(polys, part, q, eps)
+            assert len(clusters) <= q
+            members = sorted(i for cl in clusters for i in cl)
+            assert members == list(range(len(part.components)))
+            assert all(pair_diam_sq(i, j) <= eps * eps
+                       for cl in clusters for i in cl for j in cl)
