@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .generic import GenericityError, GenericPool, _derived_seed, certify
+from .generic import (GenericityError, GenericPool, _derived_seed, certify,
+                      distinctness_transcript)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex
 from .transversal import (ConcretePlane, NonStabCase, PlaneFamily,
@@ -120,7 +121,8 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
     """One point set of n_i + 1 points per entry, every coordinate on its own stream.
 
     The returned certificate records pairwise distinctness of all drawn
-    coordinates.
+    coordinates as the neighbour differences of their sorted order (see
+    :func:`~plstab.generic.distinctness_transcript`).
     """
     stream = itertools.count()
     sets: list[list[Vec]] = []
@@ -136,9 +138,7 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
                 labelled.append((f"set{i}.pt{j}[{s + 1}]", value))
             pts.append(tuple(coords))
         sets.append(pts)
-    transcript = [(f"coord {a} != {b}", va - vb)
-                  for (a, va), (b, vb) in itertools.combinations(labelled, 2)]
-    return sets, certify(transcript)
+    return sets, certify(distinctness_transcript(labelled))
 
 
 def _certified_sets(cell: SweepCell, base_pool: GenericPool, trial: int):

@@ -33,7 +33,8 @@ from .simplicial import (ParseError, certify_map, format_complex, format_map,
 from .transversal import (family_from_json_dict, max_disjoint_stabbed,
                           plane_from_json_dict, plane_to_json_dict, stab_bound,
                           stab_decide_univariate, stab_exists_linear,
-                          stab_search_general, verify_stab_witness)
+                          stab_search_general, verify_interval_certificate,
+                          verify_stab_witness)
 
 
 class CliError(Exception):
@@ -145,9 +146,17 @@ def _witness_json(witness) -> dict:
     }
 
 
+def _require_vertices(k, g, map_path: str) -> None:
+    for v in k.vertices:
+        if v not in g.images:
+            raise CliError(2, f"{map_path}: missing vertex {v!r}")
+
+
 def _load_certified_map(complex_path: str, map_path: str, inputs: dict):
     k = parse_complex(_read_text(complex_path, inputs))
-    g = certify_map(k, parse_map(_read_text(map_path, inputs)))
+    g = parse_map(_read_text(map_path, inputs))
+    _require_vertices(k, g, map_path)
+    g = certify_map(k, g)
     if not g.certified:
         raise GenericityError(
             "map fails genericity certification; regenerate with perturb")
@@ -174,6 +183,8 @@ def _run_gen(args, inputs) -> tuple[dict, dict, int]:
     if args.vertices < 1 or args.dim < 0:
         raise CliError(2, "--vertices must be >= 1 and --dim >= 0")
     density = _rational_arg(args.density, "--density")
+    if not 0 <= density <= 1:
+        raise CliError(2, "--density must lie in [0, 1]")
     rng = random.Random(_derived_seed(args.seed, "gen"))
     k = batch.random_complex(rng, args.vertices, args.dim, density)
     text = format_complex(k)
@@ -194,9 +205,7 @@ def _run_perturb(args, inputs):
     eps = _rational_arg(args.eps, "--eps")
     if eps <= 0:
         raise CliError(2, "--eps must be positive")
-    for v in k.vertices:
-        if v not in theta.images:
-            raise CliError(2, f"{args.map}: missing vertex {v!r}")
+    _require_vertices(k, theta, args.map)
     g = roberts_perturb(k, theta, eps, GenericPool(args.seed))
     text = format_map(g)
     Path(args.out).write_text(text, encoding="utf-8")
@@ -275,7 +284,9 @@ def _run_stab(args, inputs):
                           conditions_checked=checks, **_witness_json(got.witness))
         else:
             lo, hi = got.interval
-            result.update(status="witness", certified=True,
+            result.update(status="witness",
+                          certified=verify_interval_certificate(
+                              got.reduced, got.interval),
                           lambdas=None, plane=None, conditions_checked=0,
                           witness_kind="isolating_interval",
                           interval=[format_rational(lo), format_rational(hi)],

@@ -59,6 +59,20 @@ def certify(transcript: Iterable[tuple[str, Fraction]]) -> GenericityCertificate
     return GenericityCertificate(conditions, failed)
 
 
+def distinctness_transcript(labelled: Iterable[tuple[str, Fraction]]
+                            ) -> list[tuple[str, Fraction]]:
+    """Conditions under which all labelled values are pairwise distinct.
+
+    The (label, value) pairs are stably sorted by exact value and the N-1
+    differences of neighbours are recorded as ``("coord A != B", a - b)``:
+    two equal values always sort next to each other, so the N values are
+    pairwise distinct exactly when no neighbouring difference is zero.
+    """
+    ordered = sorted(labelled, key=lambda item: item[1])
+    return [(f"coord {la} != {lb}", a - b)
+            for (la, a), (lb, b) in zip(ordered, ordered[1:])]
+
+
 def _derived_seed(*parts) -> int:
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")

@@ -231,11 +231,12 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a nonempty square matrix by cofactor expansion along row 0.
 
     Zero entries of the expansion row are skipped; meant for the tiny
-    matrices of simplex and transversal conditions.
+    matrices of simplex and transversal conditions.  The sum starts from
+    the zero of the entries, so an integer matrix has an ``int`` determinant.
     """
     if len(rows) == 1:
         return rows[0][0]
-    total = _ZERO
+    total = rows[0][0] * 0
     for j, head in enumerate(rows[0]):
         if head == 0:
             continue

@@ -18,14 +18,15 @@ File formats (both UTF-8, line oriented, '#' starts a comment):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import (GenericityCertificate, GenericityError, GenericPool,
-                      certify)
+                      certify, distinctness_transcript)
 from .ratmath import (Vec, as_fraction, det, dist_sq, format_rational,
-                      parse_rational, vec, vec_dot, vec_sub)
+                      parse_rational, vec)
 
 Simplex = tuple[str, ...]
 
@@ -182,33 +183,41 @@ def format_map(g: PLMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gram_det(rows: list[Vec]) -> Fraction:
-    """det(D D^T); nonzero iff the rows are linearly independent."""
-    n = len(rows)
-    return det([[vec_dot(rows[i], rows[j]) for j in range(n)] for i in range(n)])
-
-
 def generic_position_transcript(k: SimplicialComplex,
                                 images: dict[str, Vec]) -> list[tuple[str, Fraction]]:
     """Nonvanishing conditions behind the PL map invariants.
 
-    Pairwise differences of all |V|*m coordinates, and the Gram determinant
-    of every simplex's difference matrix (affine independence).
+    First the |V|*m - 1 neighbour differences of all |V|*m coordinates in
+    sorted order, which certify them pairwise distinct (see
+    :func:`~plstab.generic.distinctness_transcript`).  Then the Gram
+    determinant of every simplex's difference matrix (affine independence),
+    in integers: each image p_v is cleared of denominators once, as
+    P_v = D_v p_v with D_v the lcm of its denominators, so a simplex
+    v_0 ... v_k has the integer rows D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0)
+    and its condition is their Gram determinant over prod_i (D_0 D_i)^2,
+    which is the Gram determinant of the rows p_i - p_0.
     """
-    transcript: list[tuple[str, Fraction]] = []
-    flat: list[tuple[str, Fraction]] = []
+    transcript = distinctness_transcript(
+        (f"{v}[{s}]", x)
+        for v in k.vertices for s, x in enumerate(images[v], start=1))
+    cleared: dict[str, tuple[int, list[int]]] = {}
     for v in k.vertices:
-        for s, x in enumerate(images[v], start=1):
-            flat.append((f"{v}[{s}]", x))
-    for (la, a), (lb, b) in itertools.combinations(flat, 2):
-        transcript.append((f"coord {la} != {lb}", a - b))
+        den = math.lcm(*(x.denominator for x in images[v]))
+        cleared[v] = (den, [x.numerator * (den // x.denominator)
+                            for x in images[v]])
     for simplex in k.sorted_simplexes():
         if len(simplex) < 2:
             continue
-        base = images[simplex[0]]
-        diffs = [vec_sub(images[v], base) for v in simplex[1:]]
+        d0, p0 = cleared[simplex[0]]
+        rows = []
+        scale = 1
+        for v in simplex[1:]:
+            di, pi = cleared[v]
+            rows.append([d0 * a - di * b for a, b in zip(pi, p0)])
+            scale *= d0 * di
+        gram = [[sum(a * b for a, b in zip(r, t)) for t in rows] for r in rows]
         transcript.append((f"simplex {' '.join(simplex)} affinely independent",
-                           _gram_det(diffs)))
+                           Fraction(det(gram), scale * scale)))
     return transcript
 
 

@@ -474,6 +474,19 @@ def _rational_root_or_interval(p: Poly):
     return None, (lo, hi)
 
 
+def verify_interval_certificate(reduced: Poly,
+                                interval: tuple[Fraction, Fraction]) -> bool:
+    """Re-check an isolating interval of ``reduced`` exactly.
+
+    Passes when the square-free part of ``reduced`` is nonzero with opposite
+    signs at the two endpoints and has exactly one root between them.
+    """
+    lo, hi = interval
+    ps = square_free_part(poly(reduced))
+    return (lo < hi and poly_eval(ps, lo) * poly_eval(ps, hi) < 0
+            and sturm_count(ps, lo, hi) == 1)
+
+
 def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
                            family: PlaneFamily) -> UnivariateDecision:
     """Exact decision when q = d-t+2 and the constraint flat is one-dimensional.

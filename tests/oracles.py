@@ -1,10 +1,10 @@
 """Brute-force oracles used to cross-check the fast implementations.
 
-Everything here is deliberately naive: cofactor determinants, minor
-enumeration for rank, basic-solution enumeration for LP feasibility,
-subset scans for maximum disjoint families, Bell-number partition scans
-for clustering, and grid sampling for component diameters.  None of it
-shares code with the paths it checks.
+Everything here is deliberately naive: cofactor determinants, all-pairs
+comparison for distinctness, minor enumeration for rank, basic-solution
+enumeration for LP feasibility, subset scans for maximum disjoint families,
+Bell-number partition scans for clustering, and grid sampling for component
+diameters.  None of it shares code with the paths it checks.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ def det_cofactor(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def coords_pairwise_distinct(values):
+    """True iff no two of the values are equal, comparing every pair."""
+    values = list(values)
+    return all(a != b for a, b in itertools.combinations(values, 2))
 
 
 def rank_by_minors(rows):

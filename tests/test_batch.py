@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import coords_pairwise_distinct
 from plstab.batch import (draw_point_sets, linear_cells, random_complex,
                           run_grid, run_linear_cell, run_stab_fixture,
                           sample_plane_adversarial, sample_plane_random,
@@ -39,6 +42,27 @@ def test_draw_point_sets_certified_and_deterministic():
     assert sets_a == sets_b
     assert cert_a.ok
     assert [len(ps) for ps in sets_a] == [2, 1, 3]
+
+
+class _RepeatingPool(GenericPool):
+    """Draws target + (stream mod period) / 16, so values repeat across streams."""
+
+    def __init__(self, seed, period):
+        super().__init__(seed)
+        self.period = period
+
+    def draw_near(self, target, eps, stream):
+        return F(target) + F(stream % self.period, 16)
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_draw_point_sets_certificate_matches_oracle(n_list, m, period):
+    sets, cert = draw_point_sets(_RepeatingPool(0, period), n_list, m)
+    coords = [x for pts in sets for p in pts for x in p]
+    assert len(cert.conditions) == len(coords) - 1
+    assert cert.ok == coords_pairwise_distinct(coords)
 
 
 def test_run_linear_cell_clean():

@@ -94,6 +94,17 @@ def test_gen_writes_complex(capsys, tmp_path):
     assert len(k.vertices) == 6
 
 
+@pytest.mark.parametrize("density", ["-1", "5"])
+def test_gen_density_outside_unit_interval_exit_2(capsys, tmp_path, density):
+    out_path = tmp_path / "k.cx"
+    code, out = run_cli(capsys, ["gen", "--vertices", "4", "--dim", "1",
+                                 "--density", density, "--seed", "5",
+                                 "--out", str(out_path)])
+    assert code == 2
+    assert "--density" in json.loads(out)["error"]
+    assert not out_path.exists()
+
+
 def test_perturb_round_trip(capsys, tmp_path):
     cx = write(tmp_path, "k.cx", "v a\nv b\nv c\ns a b c\n")
     mp = write(tmp_path, "theta.map", "m 3\np a 0 0 0\np b 1 1 1\np c 2 2 2\n")
@@ -236,6 +247,24 @@ def test_count_two_edges(capsys, tmp_path):
     report = json.loads(out)
     assert report["result"]["count"] == 2
     assert report["certificate"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("verb_args", [
+    ["count", "--nmax", "1"],
+    ["section", "--eps", "1"],
+    ["cotype", "--q", "2", "--eps", "1"],
+])
+def test_map_missing_vertex_exit_2(capsys, tmp_path, verb_args):
+    cx = write(tmp_path, "k.cx", "v a\nv b\ns a b\n")
+    mp = write(tmp_path, "g.map", "m 2\np a 1/3 2/5\n")
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    verb, *rest = verb_args
+    code, out = run_cli(capsys, [verb, "--complex", cx, "--map", mp,
+                                 "--plane", pl, *rest])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert "missing vertex 'b'" in report["error"]
 
 
 def test_section_report(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plstab.generic import GenericPool, certify
+from plstab.generic import GenericPool, certify, distinctness_transcript
 
 F = Fraction
 
@@ -100,3 +100,14 @@ def test_certificate_serialization_byte_stable():
     assert payload["conditions"][0] == {
         "description": "d", "value": "1/2", "nonzero": True}
     assert payload["conditions"][1]["nonzero"] is False
+
+
+def test_distinctness_transcript_neighbours_in_sorted_order():
+    got = distinctness_transcript([("a", F(1)), ("b", F(0)), ("c", F(1)),
+                                   ("d", F(-1, 2))])
+    # stable sort: d < b < a == c, with a before c as given
+    assert got == [("coord d != b", F(-1, 2)), ("coord b != a", F(-1)),
+                   ("coord a != c", F(0))]
+    assert certify(got).failed_index == 2
+    assert distinctness_transcript([("x", F(3))]) == []
+    assert distinctness_transcript([]) == []

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (feasible_by_basic_solutions, rank_by_minors,
-                     root_in_interval_by_grid)
+from oracles import (det_cofactor, feasible_by_basic_solutions,
+                     rank_by_minors, root_in_interval_by_grid)
 from plstab.ratmath import (AffineSubspace, Mat, affine_hull, affine_intersect,
-                            cauchy_root_bound, format_rational,
+                            cauchy_root_bound, det, format_rational,
                             independent_subset, lp_feasible, mat_rank, parse_rational, poly, poly_eval,
                             same_flat, simplest_between, solve_affine,
                             sturm_count, sturm_root_exists, vec, vec_dot)
@@ -89,6 +89,17 @@ def test_independent_subset_is_greedy_by_rank():
 def test_solve_identity():
     sol = solve_affine(Mat.identity(2), [3, -5])
     assert sol == (vec([3, -5]), ())
+
+
+def test_det_keeps_the_type_of_its_entries():
+    got = det([[2, 3, 0], [1, 4, 0], [7, 7, 0]])
+    assert got == 0 and type(got) is int
+    got = det([[2, 3], [1, 4]])
+    assert got == 5 and type(got) is int
+    rows = [[F(1, 2), F(3)], [F(-1), F(2, 3)]]
+    got = det(rows)
+    assert got == det_cofactor(rows) and type(got) is Fraction
+    assert type(det([[F(0), F(1)], [F(0), F(2)]])) is Fraction
 
 
 def test_solve_underdetermined():

@@ -3,13 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import coords_pairwise_distinct, det_cofactor
 from plstab.generic import GenericityError, GenericPool
 from plstab.ratmath import Mat, dist_sq, lp_feasible, mat_rank, vec, vec_sub
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
                                certify_map, format_complex, format_map,
-                               image_point, parse_complex, parse_map,
-                               roberts_perturb, simplexes_disjoint)
+                               generic_position_transcript, image_point,
+                               parse_complex, parse_map, roberts_perturb,
+                               simplexes_disjoint)
 
 F = Fraction
 
@@ -156,6 +160,65 @@ def test_certify_map_detects_degeneracy():
     assert not certify_map(k, bad).certified
     good = PLMap(2, {"a": vec([1, 2]), "b": vec([3, 4])})
     assert certify_map(k, good).certified
+
+
+def test_transcript_size_is_linear_in_coordinates():
+    # N - 1 neighbour differences for N = 4 * 3 coordinates, plus one Gram
+    # condition per simplex with at least two vertices: the triangle a b c,
+    # its three edges and the edge c d.
+    k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns c d\n")
+    images = {v: vec([F(3 * i + s, 7 + i + s) for s in range(3)])
+              for i, v in enumerate(k.vertices)}
+    transcript = generic_position_transcript(k, images)
+    assert len(transcript) == (12 - 1) + 5
+    assert certify_map(k, PLMap(3, images)).certified
+
+
+def _oracle_gram(images, simplex):
+    base = images[simplex[0]]
+    diffs = [[x - y for x, y in zip(images[v], base)] for v in simplex[1:]]
+    return det_cofactor([[sum((a * b for a, b in zip(r, t)), F(0)) for t in diffs]
+                         for r in diffs])
+
+
+@st.composite
+def _maps_with_ties(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(n)]
+    simplexes = []
+    if n > 1:
+        simplexes = draw(st.lists(st.lists(st.sampled_from(names), min_size=2,
+                                           max_size=3, unique=True), max_size=4))
+    value = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6))
+    coords = [[draw(value) for _ in range(m)] for _ in names]
+    # copy coordinate (a, s) onto (b, t): a tie across vertices when a != b,
+    # inside one vertex when a == b and s != t
+    ties = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                                   st.integers(0, n - 1), st.integers(0, m - 1)),
+                         max_size=2))
+    for a, s, b, t in ties:
+        coords[b][t] = coords[a][s]
+    k = SimplicialComplex.from_simplexes(names, simplexes)
+    return k, PLMap(m, {v: tuple(c) for v, c in zip(names, coords)})
+
+
+@given(_maps_with_ties())
+@settings(max_examples=200, deadline=None)
+def test_certify_map_matches_oracles(case):
+    k, g = case
+    transcript = generic_position_transcript(k, g.images)
+    grams = {tuple(d.split()[1:-2]): v for d, v in transcript
+             if d.startswith("simplex ")}
+    assert set(grams) == {s for s in k.simplexes if len(s) > 1}
+    for simplex, value in grams.items():
+        assert value == _oracle_gram(g.images, simplex)
+    distinct = coords_pairwise_distinct(x for v in k.vertices
+                                        for x in g.images[v])
+    expected = distinct and all(v != 0 for v in grams.values())
+    assert certify_map(k, g).certified == expected
 
 
 # --- affine extension and disjointness ---------------------------------------

@@ -18,6 +18,7 @@ from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
                                 plane_to_json_dict, stab_bound,
                                 stab_decide_univariate, stab_exists_linear,
                                 stab_search_general, stabbed_simplexes,
+                                verify_interval_certificate,
                                 verify_stab_witness, _rational_root_or_interval)
 
 F = Fraction
@@ -329,6 +330,30 @@ def test_rational_root_helper():
     from plstab.ratmath import square_free_part
     sf = square_free_part(poly([-2, 0, 1]))
     assert poly_eval(sf, lo) * poly_eval(sf, hi) < 0
+
+
+def test_interval_certificate_accepts_isolating_interval():
+    assert verify_interval_certificate(poly([-2, 0, 1]), (F(1), F(2)))
+    # (s^2 - 2)^2 keeps its sign; the check reads the square-free part
+    assert verify_interval_certificate(poly([4, 0, -4, 0, 1]), (F(1), F(2)))
+    root, interval = _rational_root_or_interval(poly([-2, 0, 1]))
+    assert verify_interval_certificate(poly([-2, 0, 1]), interval)
+
+
+def test_interval_certificate_rejects_two_roots():
+    # (s - 1)(s - 2) on [0, 3]: both roots inside, no sign change
+    assert not verify_interval_certificate(poly([2, -3, 1]), (F(0), F(3)))
+
+
+def test_interval_certificate_rejects_sign_change_over_three_roots():
+    # (s - 1)(s - 2)(s - 3) on [0, 4]: the signs differ but three roots lie inside
+    assert not verify_interval_certificate(poly([-6, 11, -6, 1]), (F(0), F(4)))
+
+
+def test_interval_certificate_rejects_root_endpoint_and_empty_interval():
+    assert not verify_interval_certificate(poly([-1, 1]), (F(1), F(2)))
+    assert not verify_interval_certificate(poly([-2, 0, 1]), (F(2), F(1)))
+    assert not verify_interval_certificate(poly([5]), (F(0), F(1)))
 
 
 # --- heuristic search -----------------------------------------------------------
