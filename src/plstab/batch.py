@@ -322,6 +322,15 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
     }
 
 
+def _suite_bound(suite: dict, key: str, default: int, least: int) -> int:
+    """An integer suite bound; a float, a string or a value below `least` is an error."""
+    value = suite.get(key, default)
+    if type(value) is not int or value < least:
+        raise ValueError(f"suite {key} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
 def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
@@ -332,8 +341,8 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     cells_run = []
     for suite in grid.get("suites", []):
         kind = suite["kind"]
-        m_max = int(suite.get("m_max", 4))
-        n_max = int(suite.get("n_max", 2))
+        m_max = _suite_bound(suite, "m_max", 4, least=1)
+        n_max = _suite_bound(suite, "n_max", 2, least=0)
         if kind == "linear":
             cells = linear_cells(m_max, n_max)
             runner = run_linear_cell

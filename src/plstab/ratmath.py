@@ -1,11 +1,16 @@
 """Exact rational linear algebra.
 
 Everything in this package runs on `fractions.Fraction`; no floats enter any
-decision.  This module supplies the substrate: dense matrices with
-fraction-free rank computation, affine solves with nullspace bases, affine
-hulls and intersections, exact linear-programming feasibility (phase-1
-simplex with Bland's rule), and real-root existence for univariate
+decision.  This module supplies the substrate: dense matrices, affine
+solves with nullspace bases, affine hulls and intersections, exact
+linear-programming feasibility, and real-root existence for univariate
 polynomials via Sturm sequences.
+
+Rank, reduced row echelon forms, solves and nullspaces all come from one
+kernel, :func:`_echelon`: fraction-free Gauss-Jordan elimination on
+denominator-cleared integer rows.  :func:`lp_feasible` eliminates first and
+runs its phase-1 simplex (Bland's rule) only when the equality system has a
+nullspace; an inconsistent system or a unique solution decides it directly.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent tasks.
@@ -13,6 +18,7 @@ function, so everything here is safe to use from concurrent tasks.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,59 +132,71 @@ class Mat:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def mat_rank(a: Mat) -> int:
-    """Exact rank over the rationals.
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integers (Bareiss 1968).
 
-    Fraction-free Bareiss elimination with first-nonzero pivoting; the pivot
-    choice is deterministic so repeated runs take identical paths.
+    Each row is scaled once by the lcm of its denominators, which leaves its
+    reduced form unchanged.  A pivot step updates every other row by
+    ``(pv * x - f * y) // prev``.  Each result is, up to sign, a minor of the
+    scaled matrix (Sylvester's identity below the pivot row, Cramer's rule
+    above it), so the division is exact.  Afterwards every
+    pivot row equals its last pivot times its reduced row, and the rows
+    below the rank are zero.  First-nonzero pivoting keeps the path
+    deterministic.  Returns (integer rows, pivot columns).
     """
-    m = a.row_lists()
-    nrows, ncols = a.rows, a.cols
-    prev = _ONE
-    rank = 0
-    r = 0
+    work = []
+    for r in rows:
+        scale = math.lcm(*(x.denominator for x in r))
+        work.append([x.numerator * (scale // x.denominator) for x in r])
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
-            m[i][c] = _ZERO
-        prev = m[r][c]
-        rank += 1
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return rank
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place semantics on a copy; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        work[r], work[pr] = work[pr], work[r]
+        top = work[r]
+        pv = top[c]
+        for i, row in enumerate(work):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+            elif pv != prev:
+                work[i] = [pv * x // prev for x in row]
+        prev = pv
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    return work, pivots
+
+
+def mat_rank(a: Mat) -> int:
+    """Exact rank over the rationals: the pivot count of :func:`_echelon`."""
+    return len(_echelon(a.row_lists())[1])
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a copy; returns (rows, pivot columns).
+
+    Eliminates on integers with :func:`_echelon` and divides each pivot row
+    by its pivot once at the end.
+    """
+    work, pivots = _echelon(rows)
+    ncols = len(work[0]) if work else 0
+    out = []
+    for r, row in enumerate(work):
+        if r < len(pivots):
+            pv = row[pivots[r]]
+            out.append([_ZERO if x == 0 else _ONE if x == pv else Fraction(x, pv)
+                        for x in row])
+        else:
+            out.append([_ZERO] * ncols)
+    return out, pivots
 
 
 def solve_affine(a: Mat, b: Sequence) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
@@ -214,7 +232,7 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec
     """Basis of {x : rows . x = 0}."""
     if not rows:
         return tuple(unit_vec(ncols, j + 1) for j in range(ncols))
-    red, pivots = _rref([list(r) for r in rows])
+    red, pivots = _rref(rows)
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -248,23 +266,13 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 def independent_subset(vectors: Sequence[Vec]) -> list[int]:
     """Indices of a maximal independent subset, scanning left to right.
 
-    Each kept vector is stored reduced against the earlier ones and scaled to
-    1 at its first nonzero entry, so a new vector is independent iff its
-    reduction against the stored rows leaves a nonzero residual.
+    With the vectors as columns, the pivot columns of the echelon form are
+    exactly the vectors outside the span of the earlier ones.
     """
-    kept: list[int] = []
-    reduced: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
-    for idx, v in enumerate(vectors):
-        row = list(v)
-        for c, basis_row in reduced:
-            if row[c] != 0:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, basis_row)]
-        pivot = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot is not None:
-            reduced.append((pivot, [x / row[pivot] for x in row]))
-            kept.append(idx)
-    return kept
+    if not vectors:
+        return []
+    columns = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
+    return _echelon(columns)[1]
 
 
 @dataclass(frozen=True)
@@ -282,8 +290,7 @@ class AffineSubspace:
             if len(d) != self.ambient_dim:
                 raise ValueError("direction has wrong length")
         if self.directions:
-            got = len(_rref([list(d) for d in self.directions])[1])
-            if got != len(self.directions):
+            if len(_echelon(self.directions)[1]) != len(self.directions):
                 raise ValueError("directions are linearly dependent")
 
     @property
@@ -317,7 +324,7 @@ def affine_hull(points: Sequence[Sequence], m: int) -> AffineSubspace:
             raise ValueError("point has wrong length")
     base = pts[0]
     diffs = [vec_sub(p, base) for p in pts[1:]]
-    red, pivots = _rref([list(d) for d in diffs]) if diffs else ([], [])
+    red, pivots = _rref(diffs)
     dirs = tuple(tuple(red[r]) for r in range(len(pivots)))
     return AffineSubspace(m, base, dirs)
 
@@ -348,7 +355,7 @@ def affine_intersect(p: AffineSubspace, q: AffineSubspace) -> Optional[AffineSub
                   for i in range(m))
         dirs.append(d)
     if dirs:
-        red, pivots = _rref([list(d) for d in dirs])
+        red, pivots = _rref(dirs)
         dirs = [tuple(red[r]) for r in range(len(pivots))]
     return AffineSubspace(m, point, tuple(dirs))
 
@@ -357,9 +364,11 @@ def lp_feasible(eq: Mat, eq_rhs: Sequence,
                 nonneg_vars: Iterable[int]) -> Optional[Vec]:
     """Exact feasibility of {x : eq x = rhs, x_i >= 0 for i in nonneg_vars}.
 
-    Phase-1 simplex with Bland's rule; returns a witness satisfying every
-    constraint exactly, or None.  Variables not listed in nonneg_vars are
-    free (internally split into positive and negative parts).
+    Eliminates first: an inconsistent system is infeasible, and a unique
+    solution is the witness exactly when its nonneg coordinates are >= 0.
+    Only a system with a nullspace runs the phase-1 simplex (Bland's rule).
+    Returns a witness satisfying every constraint exactly, or None.
+    Variables not listed in nonneg_vars are free.
     """
     rhs = vec(eq_rhs)
     if len(rhs) != eq.rows:
@@ -369,6 +378,28 @@ def lp_feasible(eq: Mat, eq_rhs: Sequence,
         if not 0 <= i < eq.cols:
             raise ValueError(f"nonneg index {i} out of range")
 
+    sol = solve_affine(eq, rhs)
+    if sol is None:
+        return None
+    witness, basis = sol
+    if basis:
+        witness = _simplex_witness(eq, rhs, nonneg)
+        if witness is None:
+            return None
+    elif any(witness[i] < 0 for i in nonneg):
+        return None
+
+    for r in range(eq.rows):  # exactness is cheap; fail loudly on any bug
+        if vec_dot(eq.row(r), witness) != rhs[r]:
+            raise RuntimeError("LP produced an inexact witness")
+    for i in nonneg:
+        if witness[i] < 0:
+            raise RuntimeError("LP witness violates a sign constraint")
+    return witness
+
+
+def _simplex_witness(eq: Mat, rhs: Vec, nonneg: set[int]) -> Optional[Vec]:
+    """Phase-1 simplex with Bland's rule; free variables are split in two."""
     columns: list[tuple[int, int]] = []  # (original var, sign)
     for i in range(eq.cols):
         columns.append((i, 1))
@@ -432,15 +463,7 @@ def lp_feasible(eq: Mat, eq_rhs: Sequence,
     witness = [_ZERO] * eq.cols
     for k, (i, s) in enumerate(columns):
         witness[i] += s * values[k]
-    witness = tuple(witness)
-
-    for r in range(eq.rows):  # exactness is cheap; fail loudly on any bug
-        if vec_dot(eq.row(r), witness) != rhs[r]:
-            raise RuntimeError("simplex produced an inexact witness")
-    for i in nonneg:
-        if witness[i] < 0:
-            raise RuntimeError("simplex violated a sign constraint")
-    return witness
+    return tuple(witness)
 
 
 # ---------------------------------------------------------------------------

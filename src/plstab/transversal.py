@@ -35,8 +35,7 @@ from .ratmath import (Mat, Poly, Vec, as_fraction, det, independent_subset,
                       poly_eval, poly_mul, poly_scale, poly_sub,
                       simplest_between, solve_affine,
                       square_free_part, sturm_count, sturm_root_exists,
-                      unit_vec, vec, vec_dot, vec_sub, cauchy_root_bound,
-                      _rref)
+                      unit_vec, vec, vec_dot, vec_sub, cauchy_root_bound)
 from .simplicial import PLMap, Simplex, SimplicialComplex
 
 _ZERO = Fraction(0)
@@ -100,7 +99,7 @@ class ConcretePlane:
                 raise ValueError("extra direction leaves span(s_T)")
         block = fam.block
         restricted = [[v[j - 1] for j in block] for v in self.extra_directions]
-        if restricted and len(_rref(restricted)[1]) != len(restricted):
+        if restricted and mat_rank(Mat.from_rows(restricted)) != len(restricted):
             raise ValueError("direction space has dimension below d")
         object.__setattr__(self, "_covectors", self._build_covectors())
 

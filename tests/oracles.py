@@ -1,10 +1,12 @@
 """Brute-force oracles used to cross-check the fast implementations.
 
 Everything here is deliberately naive: cofactor determinants, all-pairs
-comparison for distinctness, minor enumeration for rank, basic-solution
+comparison for distinctness, minor enumeration for rank, textbook Fraction
+Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
 enumeration for LP feasibility, subset scans for maximum disjoint families,
 Bell-number partition scans for clustering, and grid sampling for component
-diameters.  None of it shares code with the paths it checks.
+diameters.  None of it shares code with the paths it checks, and none of it
+imports ``plstab``.
 """
 
 from __future__ import annotations
@@ -48,27 +50,70 @@ def rank_by_minors(rows):
     return 0
 
 
+def rref_naive(rows):
+    """Reduced row echelon form by textbook Fraction Gauss-Jordan.
+
+    First-nonzero pivoting, every row kept (zero rows last); returns
+    (rows, pivot columns).
+    """
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def solve_by_cramer(rows, rhs):
+    """The unique solution of rows . x = rhs, or None when there is none.
+
+    Needs full column rank; picks the first set of rows with a nonzero
+    maximal minor, solves those by Cramer's rule and checks every row.
+    """
+    ncols = len(rows[0])
+    if rank_by_minors(rows) < ncols:
+        return None
+    for ri in itertools.combinations(range(len(rows)), ncols):
+        square = [rows[i] for i in ri]
+        d = det_cofactor(square)
+        if d != 0:
+            break
+    sub_rhs = [rhs[i] for i in ri]
+    x = [det_cofactor([r[:j] + [b] + r[j + 1:] for r, b in zip(square, sub_rhs)]) / d
+         for j in range(ncols)]
+    if any(sum(a * v for a, v in zip(r, x)) != b for r, b in zip(rows, rhs)):
+        return None
+    return tuple(x)
+
+
 def feasible_by_basic_solutions(eq_rows, rhs):
     """Feasibility of {x >= 0 : eq_rows . x = rhs} by basic-solution scan.
 
     Valid for all-nonnegative variables: such a polyhedron is pointed, so it
-    is nonempty iff some basic solution is feasible.
+    is nonempty iff some basic solution is feasible.  A basic solution sets
+    every variable outside a support of rank(eq_rows) columns to zero and
+    solves the support columns uniquely.
     """
-    from plstab.ratmath import Mat, solve_affine, mat_rank
-
+    eq_rows = [[Fraction(x) for x in r] for r in eq_rows]
+    rhs = [Fraction(x) for x in rhs]
     ncols = len(eq_rows[0])
-    rank = mat_rank(Mat.from_rows(eq_rows))
+    rank = rank_by_minors(eq_rows)
     if rank == 0:
         return all(r == 0 for r in rhs)
     for support in itertools.combinations(range(ncols), rank):
-        sub = Mat.from_rows([[row[j] for j in support] for row in eq_rows])
-        sol = solve_affine(sub, rhs)
-        if sol is None:
-            continue
-        particular, basis = sol
-        if basis:
-            continue  # not a basic solution
-        if all(x >= 0 for x in particular):
+        sub = [[row[j] for j in support] for row in eq_rows]
+        point = solve_by_cramer(sub, rhs)
+        if point is not None and all(x >= 0 for x in point):
             return True
     return False
 

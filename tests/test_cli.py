@@ -323,6 +323,24 @@ def test_verify_grid_without_work_exit_2(capsys, tmp_path, grid):
     assert json.loads(out)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("suite", [{"kind": "linear", "m_max": -3},
+                                   {"kind": "linear", "m_max": 0},
+                                   {"kind": "univariate", "n_max": -1},
+                                   {"kind": "linear", "m_max": 2.5},
+                                   {"kind": "linear", "n_max": 1.0},
+                                   {"kind": "linear", "m_max": "2"},
+                                   {"kind": "linear", "m_max": True}])
+def test_verify_suite_bounds_must_be_counting_integers_exit_2(capsys, tmp_path,
+                                                               suite):
+    path = write(tmp_path, "grid.json", {"suites": [suite]})
+    code, out = run_cli(capsys, ["verify", "--grid", path,
+                                 "--trials", "1", "--seed", "0"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert "must be an integer" in report["error"]
+
+
 def test_verify_expected_witness_fixture_exit_0(capsys, tmp_path):
     grid = write(tmp_path, "grid.json", {"fixtures": [{
         "name": "hand-aligned", "mode": "linear",

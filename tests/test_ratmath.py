@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_cofactor, feasible_by_basic_solutions,
-                     rank_by_minors, root_in_interval_by_grid)
-from plstab.ratmath import (AffineSubspace, Mat, affine_hull, affine_intersect,
+                     rank_by_minors, root_in_interval_by_grid, rref_naive)
+from plstab import ratmath
+from plstab.ratmath import (AffineSubspace, Mat, _rref, affine_hull, affine_intersect,
                             cauchy_root_bound, det, format_rational,
-                            independent_subset, lp_feasible, mat_rank, parse_rational, poly, poly_eval,
+                            independent_subset, lp_feasible, mat_rank,
+                            nullspace_basis, parse_rational, poly, poly_eval,
                             same_flat, simplest_between, solve_affine,
                             sturm_count, sturm_root_exists, vec, vec_dot)
 
@@ -82,6 +84,83 @@ def test_independent_subset_is_greedy_by_rank():
             if rank_by_minors(rows) == len(rows):
                 want.append(i)
         assert independent_subset(vectors) == want
+
+
+# --- the integer elimination kernel against textbook Gauss-Jordan ----------
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=5):
+    """Fraction matrices with dependent rows, zero rows and zero columns."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for i in range(1, nrows):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows[i] = [F(0)] * ncols
+        elif kind == "combination":
+            a, b = draw(small_fractions), draw(small_fractions)
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1)):
+        for row in rows:
+            row[c] = F(0)
+    return rows
+
+
+def _solution_from_rref(red, pivots, ncols):
+    """Particular solution and nullspace basis read off an augmented RREF."""
+    if ncols in pivots:
+        return None
+    particular = [F(0)] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = red[r][-1]
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][f]
+            basis.append(tuple(v))
+    return tuple(particular), tuple(basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_naive_gauss_jordan(rows):
+    want, pivots = rref_naive(rows)
+    assert _rref(rows) == (want, pivots)
+    assert mat_rank(Mat.from_rows(rows)) == len(pivots) == rank_by_minors(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_solve_and_nullspace_match_naive_gauss_jordan(rows, data):
+    ncols = len(rows[0])
+    rhs = data.draw(st.lists(small_fractions, min_size=len(rows),
+                             max_size=len(rows)))
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    assert solve_affine(Mat.from_rows(rows), rhs) == _solution_from_rref(
+        *rref_naive(augmented), ncols)
+    zero_rhs = [row + [F(0)] for row in rows]
+    assert nullspace_basis(rows, ncols) == _solution_from_rref(
+        *rref_naive(zero_rhs), ncols)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in rows])
+    red, pivots = m.rref()
+    assert mat_rank(Mat.from_rows(rows)) == m.rank()
+    got, got_pivots = _rref(rows)
+    assert tuple(got_pivots) == pivots
+    assert got == [[F(int(x.p), int(x.q)) for x in red.row(i)]
+                   for i in range(red.rows)]
 
 
 # --- solve_affine ----------------------------------------------------------
@@ -238,6 +317,73 @@ def test_lp_matches_basic_solution_enumeration():
         assert (got is not None) == want
         if got is not None:
             assert all(x >= 0 for x in got)
+
+
+@st.composite
+def count_systems(draw, case):
+    """A membership LP shaped like `count`'s: a sum-to-one row over 1-3
+    vertex columns and 3-5 covector rows, with the rhs built from a chosen
+    lambda.  Returns (rows, rhs, lambda)."""
+    k = draw(st.integers(2 if case == "negative" else 1, 3))
+    ncov = draw(st.integers(3, 5))
+    values = [[draw(small_fractions) for _ in range(k)] for _ in range(ncov)]
+    weights = [draw(st.integers(1, 5)) for _ in range(k)]
+    if case == "negative":
+        weights[draw(st.integers(0, k - 1))] *= -1
+        assume(sum(weights) != 0)
+    lam = [F(w, sum(weights)) for w in weights]
+    if case == "repeated":
+        j = draw(st.integers(0, k - 1))
+        values = [row + [row[j]] for row in values]
+        lam = lam + [F(0)]
+    rows = [[F(1)] * len(lam)] + values
+    rhs = [sum(a * x for a, x in zip(row, lam)) for row in rows]
+    if case == "inconsistent":
+        rhs[draw(st.integers(1, ncov))] += draw(st.sampled_from([F(1), F(-1, 2)]))
+    return rows, rhs, lam
+
+
+@pytest.mark.parametrize("case", ["feasible", "negative", "inconsistent",
+                                  "repeated"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lp_count_shaped_systems_match_oracle(case, data):
+    rows, rhs, lam = data.draw(count_systems(case))
+    unique = rank_by_minors(rows) == len(lam)
+    assume(unique != (case == "repeated"))
+    want = feasible_by_basic_solutions(rows, rhs)
+    if case == "inconsistent":
+        assume(rank_by_minors([r + [b] for r, b in zip(rows, rhs)]) > len(lam))
+    got = lp_feasible(Mat.from_rows(rows), rhs, set(range(len(lam))))
+    assert (got is not None) == want
+    assert want == (case in ("feasible", "repeated"))
+    if got is not None:
+        assert all(vec_dot(vec(r), got) == b for r, b in zip(rows, rhs))
+        assert all(x >= 0 for x in got)
+        if unique:
+            assert got == tuple(lam)
+
+
+def test_lp_runs_the_simplex_only_on_a_nullspace(monkeypatch):
+    calls = []
+    simplex = ratmath._simplex_witness
+
+    def counting(*args):
+        calls.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(ratmath, "_simplex_witness", counting)
+    # segment from (0, 0) to (2, 2) cut at x = 1: unique lambda
+    unique = Mat.from_rows([[1, 1], [0, 2], [0, 2]])
+    assert lp_feasible(unique, [1, 1, 1], {0, 1}) == vec([F(1, 2), F(1, 2)])
+    assert lp_feasible(unique, [1, 3, 3], {0, 1}) is None  # lambda_0 < 0
+    assert lp_feasible(unique, [1, 1, 2], {0, 1}) is None  # inconsistent
+    assert calls == []
+    # the endpoint (2, 2) repeated: a one-dimensional nullspace
+    repeated = Mat.from_rows([[1, 1, 1], [0, 2, 2], [0, 2, 2]])
+    w = lp_feasible(repeated, [1, 1, 1], {0, 1, 2})
+    assert w is not None and w[0] == F(1, 2) and w[1] + w[2] == F(1, 2)
+    assert len(calls) == 1
 
 
 # --- Sturm ------------------------------------------------------------------
