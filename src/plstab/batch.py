@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import (GenericityError, GenericPool, _derived_seed, certify,
-                      distinctness_transcript)
+                      distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex
 from .transversal import (ConcretePlane, NonStabCase, PlaneFamily,
@@ -26,8 +26,6 @@ from .transversal import (ConcretePlane, NonStabCase, PlaneFamily,
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-REGEN_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -142,9 +140,7 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
 
 
 def _certified_sets(cell: SweepCell, base_pool: GenericPool, trial: int):
-    for attempt in range(REGEN_ATTEMPTS):
-        pool = base_pool.derive(trial) if attempt == 0 else \
-            GenericPool(base_pool.derive(trial).seed + attempt)
+    for pool in regeneration_pools(base_pool.derive(trial)):
         sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
         if cert.ok:
             return sets, pool.seed
@@ -175,9 +171,7 @@ def run_univariate_cell(cell: SweepCell, trials: int,
     for trial in range(trials):
         decision = None
         seed = None
-        for attempt in range(REGEN_ATTEMPTS):
-            pool = base_pool.derive(trial) if attempt == 0 else \
-                GenericPool(base_pool.derive(trial).seed + attempt)
+        for pool in regeneration_pools(base_pool.derive(trial)):
             sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
             if not cert.ok:
                 continue

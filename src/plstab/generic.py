@@ -16,11 +16,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .ratmath import format_rational
 
-_ONE = Fraction(1)
+REGEN_ATTEMPTS = 3
 
 
 class GenericityError(RuntimeError):
@@ -131,28 +131,53 @@ class GenericPool:
     def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
         """A value q + s*r_stream within eps of target, exactly.
 
-        q is the dyadic rational nearest target at resolution eps/4 and the
-        offset copy is shrunk below eps/2 (and further by the stream's draw
-        counter, so repeated draws differ).  Advances the counter.
+        q is the dyadic rational nearest target at resolution rho, the
+        largest power of two at most eps/4, and the offset copy is shrunk
+        by the least 2**-j below eps/2 (and further by 2**-count for the
+        stream's draw counter, so repeated draws differ).  Advances the
+        counter.  Everything is integer arithmetic: rho comes from bit
+        lengths, the rounding is one floor division, the shrink is found by
+        shifted comparison, and one Fraction is built at the end.
         """
         target = Fraction(target)
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        rho = _ONE
-        while rho > eps / 4:
-            rho /= 2
-        while rho * 2 <= eps / 4:
-            rho *= 2
-        steps = (target / rho + Fraction(1, 2)).__floor__()
-        q = steps * rho
+        # rho = 2**k is the largest power of two <= eps/4 = en/ed; bit
+        # lengths give k or k + 1
+        en, ed = eps.numerator, 4 * eps.denominator
+        k = en.bit_length() - ed.bit_length()
+        if (ed << k > en) if k >= 0 else (ed > en << -k):
+            k -= 1
+        tn, td = target.numerator, target.denominator
+        # steps = floor(target / rho + 1/2), q = steps * rho = qn / 2**qe
+        if k >= 0:
+            steps = (2 * tn + (td << k)) // (td << (k + 1))
+            qn, qe = steps << k, 0
+        else:
+            qn = ((tn << (1 - k)) + td) // (2 * td)
+            qe = -k
         r = self.offset(stream)
-        scale = _ONE
-        while scale * r >= eps / 2:
-            scale /= 2
+        rn, rd = r.numerator, r.denominator
+        # least j >= 0 with r / 2**j < eps / 2, i.e. big < small * 2**j
+        big, small = 2 * eps.denominator * rn, en * rd
+        j = max(0, big.bit_length() - small.bit_length())
+        if small << j <= big:
+            j += 1
         count = self._counters.get(stream, 0)
         self._counters[stream] = count + 1
-        value = q + scale * r / (2 ** count)
-        if not abs(value - target) < eps:
+        e = j + count  # offset term rn / (rd * 2**e)
+        top = max(qe, e)
+        value = Fraction((qn * rd << (top - qe)) + (rn << (top - e)), rd << top)
+        vn, vd = value.numerator, value.denominator
+        if not abs(vn * td - tn * vd) * eps.denominator < en * vd * td:
             raise RuntimeError("drawn value left the eps-neighbourhood of target")
         return value
+
+
+def regeneration_pools(pool: GenericPool) -> Iterator[GenericPool]:
+    """The pools a certified draw tries in turn: ``pool`` itself, then fresh
+    pools seeded ``pool.seed + 1``, ..., up to ``REGEN_ATTEMPTS`` in all."""
+    yield pool
+    for attempt in range(1, REGEN_ATTEMPTS):
+        yield GenericPool(pool.seed + attempt)

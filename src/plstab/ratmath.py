@@ -12,6 +12,12 @@ denominator-cleared integer rows.  :func:`lp_feasible` eliminates first and
 runs its phase-1 simplex (Bland's rule) only when the equality system has a
 nullspace; an inconsistent system or a unique solution decides it directly.
 
+Sturm chains are integer too: :func:`_sturm_chain` keeps primitive integer
+polynomials (a primitive pseudo-remainder sequence), each a positive
+multiple of the Euclidean chain member, and signs at a rational point come
+from an integer homogeneous Horner sum.  The public polynomial functions
+still take and return ``Fraction`` coefficient tuples.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent tasks.
 """
@@ -558,37 +564,100 @@ def square_free_part(p: Poly) -> Poly:
     return poly_divmod(p, g)[0]
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p]
-    d = poly_deriv(p)
-    if d:
-        chain.append(d)
-        while poly_degree(chain[-1]) > 0:
-            rem = poly_divmod(chain[-2], chain[-1])[1]
+def _primitive(c: list[int]) -> list[int]:
+    """An integer polynomial divided by its positive content."""
+    g = math.gcd(*c)
+    return c if g == 1 else [x // g for x in c]
+
+
+def _negated_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of minus the pseudo-remainder of a by b.
+
+    Each reduction step scales the dividend by ``|lc(b)|``, never by a
+    signed factor, so the result is a positive multiple of ``-(a mod b)``.
+    The zero polynomial comes back as ``[]``.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    mag = abs(b[-1])
+    sgn = 1 if b[-1] > 0 else -1
+    while len(rem) > db:
+        top = rem.pop()
+        if top:
+            shift = len(rem) - db
+            f = sgn * top
+            if mag != 1:
+                rem = [mag * x for x in rem]
+            for i in range(db):
+                rem[shift + i] -= f * b[i]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return _primitive([-x for x in rem])
+
+
+def _sturm_chain(p: Poly) -> list[list[int]]:
+    """Sturm chain of a nonzero p as primitive integer polynomials.
+
+    The chain starts at the primitive integer part of p (denominators
+    cleared once, then divided by the positive content) and its derivative;
+    each next member is the primitive part of the negated pseudo-remainder
+    (a primitive PRS; Collins 1967, Brown-Traub 1971).  Every member is a
+    positive multiple of the member of the Euclidean chain p, p',
+    -rem(p, p'), ..., so the signs at every point and at +-infinity are the
+    same and so is every variation count, while the coefficients stay small.
+    """
+    scale = math.lcm(*(x.denominator for x in p))
+    head = _primitive([x.numerator * (scale // x.denominator) for x in p])
+    chain = [head]
+    if len(head) > 1:
+        chain.append(_primitive([i * head[i] for i in range(1, len(head))]))
+        while len(chain[-1]) > 1:
+            rem = _negated_prem(chain[-2], chain[-1])
             if not rem:
                 break
-            chain.append(poly_scale(-1, rem))
+            chain.append(rem)
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _sign_at(c: list[int], x: Optional[Fraction], end: int) -> int:
+    """Sign of a nonzero integer polynomial at x, or at -inf/+inf when x is
+    None (end = -1 or +1).
+
+    At x = a/b with b > 0 the sign is that of the homogeneous Horner sum
+    ``sum c_i a^i b^(n-i) = b^n c(x)``, computed on integers.
+    """
+    if x is None:
+        lead = 1 if c[-1] > 0 else -1
+        return lead if end > 0 or len(c) % 2 else -lead
+    a, b = x.numerator, x.denominator
+    acc = c[-1]
+    bpow = 1
+    for coeff in reversed(c[:-1]):
+        bpow *= b
+        acc = acc * a + coeff * bpow
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_at(p: Poly, x: Optional[Fraction], end: int) -> int:
-    """Sign of p at x, or at -inf/+inf when x is None (end = -1 or +1)."""
-    if not p:
-        return 0
-    if x is not None:
-        return _sign(poly_eval(p, x))
-    lead = _sign(p[-1])
-    if end > 0:
-        return lead
-    return lead if poly_degree(p) % 2 == 0 else -lead
+def _sign_right_of(c: list[int], x: Fraction) -> int:
+    """Sign of a nonzero integer polynomial just right of x: the sign of its
+    first derivative that is nonzero at x."""
+    while True:
+        s = _sign_at(c, x, +1)
+        if s:
+            return s
+        c = [i * c[i] for i in range(1, len(c))]
 
 
-def _variations(chain: list[Poly], x: Optional[Fraction], end: int) -> int:
-    signs = [s for s in (_sign_at(p, x, end) for p in chain) if s != 0]
+def _variations(chain: list[list[int]], x: Optional[Fraction], end: int) -> int:
+    signs = [_sign_at(c, x, end) for c in chain]
+    if signs[-1] == 0:
+        # x is a root of the last member, the gcd of p and p', so a multiple
+        # root of p and a root of every member.  The chain divided by its last
+        # member is a Sturm chain of the square-free part; at a root its
+        # variations equal those just right of it, where the gcd's sign is
+        # constant and so divides out of every product of neighbours.
+        signs = [_sign_right_of(c, x) for c in chain]
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
@@ -596,8 +665,9 @@ def sturm_root_exists(p: Poly, lo: Optional[Fraction] = None,
                       hi: Optional[Fraction] = None) -> bool:
     """True iff p has a real root in [lo, hi] (side unbounded when None).
 
-    Decided by Sturm's theorem with exact sign counts; multiple roots are
-    handled (the chain terminates at the gcd, counting distinct roots).
+    Decided by Sturm's theorem with exact sign counts on the integer chain
+    of :func:`_sturm_chain`; multiple roots are handled (the chain
+    terminates at the gcd, counting distinct roots).
     """
     p = poly(p)
     if not p:
@@ -608,13 +678,13 @@ def sturm_root_exists(p: Poly, lo: Optional[Fraction] = None,
         return True
     if lo is not None and hi is not None and lo > hi:
         raise ValueError("empty interval")
-    if lo is not None and poly_eval(p, lo) == 0:
-        return True
-    if hi is not None and poly_eval(p, hi) == 0:
-        return True
     if poly_degree(p) == 0:
         return False
     chain = _sturm_chain(p)
+    if lo is not None and _sign_at(chain[0], lo, -1) == 0:
+        return True
+    if hi is not None and _sign_at(chain[0], hi, +1) == 0:
+        return True
     va = _variations(chain, lo, -1)
     vb = _variations(chain, hi, +1)
     return va - vb > 0
@@ -622,7 +692,12 @@ def sturm_root_exists(p: Poly, lo: Optional[Fraction] = None,
 
 def sturm_count(p: Poly, lo: Optional[Fraction] = None,
                 hi: Optional[Fraction] = None) -> int:
-    """Number of distinct real roots in (lo, hi]; endpoints None = unbounded."""
+    """Number of distinct real roots in (lo, hi]; endpoints None = unbounded.
+
+    Counts sign variations of the integer chain of :func:`_sturm_chain`; at
+    an endpoint that is a multiple root of p it counts them just right of
+    the endpoint.
+    """
     p = poly(p)
     if poly_degree(p) < 1:
         return 0

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .generic import (GenericityCertificate, GenericityError, GenericPool,
-                      certify, distinctness_transcript)
+from .generic import (REGEN_ATTEMPTS, GenericityCertificate, GenericityError,
+                      GenericPool, certify, distinctness_transcript,
+                      regeneration_pools)
 from .ratmath import (Vec, as_fraction, det, dist_sq, format_rational,
                       parse_rational, vec)
 
 Simplex = tuple[str, ...]
-
-PERTURB_ATTEMPTS = 3
 
 
 class ParseError(ValueError):
@@ -248,8 +247,7 @@ def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
         if v not in theta.images:
             raise ValueError(f"map lacks vertex {v!r}")
     per_coord = eps / m  # sum of m squares each < (eps/m)^2 stays < eps^2
-    for attempt in range(PERTURB_ATTEMPTS):
-        attempt_pool = pool if attempt == 0 else GenericPool(pool.seed + attempt)
+    for attempt_pool in regeneration_pools(pool):
         images: dict[str, Vec] = {}
         for i, v in enumerate(k.vertices, start=1):
             target = theta.images[v]
@@ -264,7 +262,7 @@ def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
         if cert.ok:
             return PLMap(m, images, cert)
     raise GenericityError(
-        f"certification failed {PERTURB_ATTEMPTS} times from seed {pool.seed}")
+        f"certification failed {REGEN_ATTEMPTS} times from seed {pool.seed}")
 
 
 def image_point(g: PLMap, simplex: Simplex, barycentric: Sequence) -> Vec:

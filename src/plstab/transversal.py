@@ -439,7 +439,13 @@ def _projected_difference_polys(point_sets, family, base_lambda, direction):
 def _rational_root_or_interval(p: Poly):
     """(root, None) for a rational root of p, else (None, isolating interval).
 
-    The interval carries a sign change of the square-free part of p.
+    p must have a real root.  Bisection first narrows the Cauchy bound
+    interval until it holds exactly one root of the square-free part; that
+    terminates because those roots are distinct.  Then at most 80 refinement
+    steps each try the simplest rational in the interval and halve it, so a
+    rational root is found only if it is met within those 80 steps; otherwise
+    the interval, which carries a sign change of the square-free part, is
+    returned.
     """
     ps = square_free_part(p)
     bound = cauchy_root_bound(ps)
@@ -449,9 +455,12 @@ def _rational_root_or_interval(p: Poly):
     if poly_eval(ps, hi) == 0:
         return hi, None
     # narrow to exactly one root, then refine
-    for _ in range(200):
-        if sturm_count(ps, lo, hi) == 1:
+    while True:
+        roots = sturm_count(ps, lo, hi)
+        if roots == 1:
             break
+        if roots == 0:
+            raise ValueError("polynomial has no real root to isolate")
         mid = (lo + hi) / 2
         if poly_eval(ps, mid) == 0:
             return mid, None

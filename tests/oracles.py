@@ -122,6 +122,64 @@ def poly_eval_naive(coeffs, x):
     return sum(c * x ** i for i, c in enumerate(coeffs))
 
 
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _euclid_divmod(f, g):
+    quot = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    rem = list(f)
+    while len(rem) >= len(g):
+        factor = rem[-1] / g[-1]
+        shift = len(rem) - len(g)
+        quot[shift] = factor
+        for i, c in enumerate(g):
+            rem[shift + i] -= factor * c
+        rem = _trim(rem[:-1])
+    return quot, rem
+
+
+def sturm_count_euclid(coeffs, lo=None, hi=None):
+    """Distinct real roots in (lo, hi] (None = unbounded) by the Euclidean
+    Sturm chain p, p', -rem(p, p'), ... on Fraction polynomials.
+
+    The chain ends at gcd(p, p'); every member is divided by it, which gives
+    a Sturm chain of the square-free part, so an endpoint that is a multiple
+    root of p is handled too.  Coefficients ascend by degree; a polynomial
+    of degree below 1 counts 0.
+    """
+    p = _trim(Fraction(c) for c in coeffs)
+    if len(p) < 2:
+        return 0
+    chain = [p, [i * p[i] for i in range(1, len(p))]]
+    while len(chain[-1]) > 1:
+        rem = _euclid_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    gcd = chain[-1]
+    chain = [_euclid_divmod(c, gcd)[0] for c in chain]
+
+    def variations(x, end):
+        signs = []
+        for c in chain:
+            if x is None:
+                s = 1 if c[-1] > 0 else -1
+                if end < 0 and len(c) % 2 == 0:
+                    s = -s
+            else:
+                v = poly_eval_naive(c, x)
+                s = (v > 0) - (v < 0)
+            if s:
+                signs.append(s)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo, -1) - variations(hi, +1)
+
+
 def root_in_interval_by_grid(coeffs, lo, hi, step):
     """Root existence in [lo, hi] for polynomials with simple roots.
 
@@ -154,6 +212,27 @@ def root_in_interval_by_grid(coeffs, lo, hi, step):
                     a, fa = mid, fm
             return True
     return False
+
+
+def draw_near_fraction(target, eps, offset, count):
+    """The value of ``GenericPool.draw_near`` by Fraction halving and doubling.
+
+    ``offset`` is the stream's offset r and ``count`` its draw counter before
+    the draw: rho is halved and doubled to the largest power of two at most
+    eps/4, q = floor(target/rho + 1/2) * rho, the offset is halved until it
+    is below eps/2, and the value is q + scale * r / 2**count.
+    """
+    target, eps = Fraction(target), Fraction(eps)
+    rho = Fraction(1)
+    while rho > eps / 4:
+        rho /= 2
+    while rho * 2 <= eps / 4:
+        rho *= 2
+    q = (target / rho + Fraction(1, 2)).__floor__() * rho
+    scale = Fraction(1)
+    while scale * offset >= eps / 2:
+        scale /= 2
+    return q + scale * offset / (2 ** count)
 
 
 def max_independent_bitmask(conflict_masks):

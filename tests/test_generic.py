@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plstab.generic import GenericPool, certify, distinctness_transcript
+from oracles import draw_near_fraction
+from plstab.generic import (REGEN_ATTEMPTS, GenericPool, certify,
+                            distinctness_transcript, regeneration_pools)
 
 F = Fraction
 
@@ -24,6 +26,69 @@ def test_draw_near_bound_property(target, eps, stream):
     pool = GenericPool(99)
     v = pool.draw_near(target, eps, stream)
     assert abs(v - target) < eps
+
+
+@given(st.integers(min_value=0, max_value=2 ** 64),
+       st.one_of(st.fractions(min_value=-1000, max_value=1000,
+                              max_denominator=10 ** 6),
+                 st.builds(F, st.integers(-2 ** 90, 2 ** 90),
+                           st.integers(1, 2 ** 70))),
+       st.one_of(st.integers(min_value=0, max_value=200).map(lambda k: F(1, 2 ** k)),
+                 st.fractions(min_value=F(1, 10 ** 9), max_value=100,
+                              max_denominator=10 ** 9)),
+       st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_draw_near_matches_fraction_arithmetic(seed, target, eps, stream, earlier):
+    pool = GenericPool(seed)
+    for _ in range(earlier):
+        pool.draw_near(F(0), F(1), stream)
+    want = draw_near_fraction(target, eps, pool.offset(stream), earlier)
+    assert pool.draw_near(target, eps, stream) == want
+
+
+# Values drawn by the Fraction halving-and-doubling implementation that the
+# integer arithmetic replaced: (target, eps, stream) -> first two draws from
+# GenericPool(408), in this order.
+_DRAW_NEAR_GOLDEN = [
+    (F(0), F(1), 3,
+     ["6278425918525628575/15692426580070004757",
+      "6278425918525628575/31384853160140009514"]),
+    (F(-7, 3), F(1, 2), 0,
+     ["-169484236720034178251/77924436894495170792",
+      "-177277387172230104441/77924436894495170792"]),
+    (F(5, 2), F(1, 7), 11,
+     ["193402088476149300275/75865150316752102056",
+      "383064964268029555415/151730300633504204112"]),
+    (F(123456789, 1000), F(1, 2 ** 200), 2,
+     ["12770936463794503039578078130072121348231721671767360840467915151682730"
+      "500455029694319/1034445862980812099331214432449893164500797252370411224"
+      "64864327158686350818934784",
+      "12770936463794503039578078130072121348231721671767360840467915151672588"
+      "485480182697863/1034445862980812099331214432449893164500797252370411224"
+      "64864327158686350818934784"]),
+    (F(-1, 3), F(40), 5,
+     ["319607926533925188/12071165510096192977",
+      "159803963266962594/12071165510096192977"]),
+    (F(17), F(3, 1000), 0,
+     ["339131045940069081249879/19948655844990763722752",
+      "678258195304912064536663/39897311689981527445504"]),
+]
+
+
+def test_draw_near_golden_values():
+    pool = GenericPool(408)
+    for target, eps, stream, want in _DRAW_NEAR_GOLDEN:
+        got = [str(pool.draw_near(target, eps, stream)) for _ in want]
+        assert got == want
+
+
+def test_regeneration_pools_try_the_pool_then_successor_seeds():
+    pool = GenericPool(41)
+    pools = list(regeneration_pools(pool))
+    assert len(pools) == REGEN_ATTEMPTS == 3
+    assert pools[0] is pool
+    assert [p.seed for p in pools] == [41, 42, 43]
 
 
 def test_distinct_streams_distinct_values():

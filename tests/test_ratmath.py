@@ -6,13 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_cofactor, feasible_by_basic_solutions,
-                     rank_by_minors, root_in_interval_by_grid, rref_naive)
+                     poly_eval_naive, rank_by_minors, root_in_interval_by_grid,
+                     rref_naive, sturm_count_euclid)
 from plstab import ratmath
 from plstab.ratmath import (AffineSubspace, Mat, _rref, affine_hull, affine_intersect,
                             cauchy_root_bound, det, format_rational,
                             independent_subset, lp_feasible, mat_rank,
                             nullspace_basis, parse_rational, poly, poly_eval,
-                            same_flat, simplest_between, solve_affine,
+                            poly_mul, same_flat, simplest_between, solve_affine,
                             sturm_count, sturm_root_exists, vec, vec_dot)
 
 F = Fraction
@@ -469,6 +470,78 @@ def test_sturm_count_and_bound():
     assert sturm_count(p) == 1
     b = cauchy_root_bound(p)
     assert sturm_root_exists(p, -b, b)
+
+
+def test_sturm_count_at_a_multiple_root_endpoint():
+    p = poly_mul(poly([1, -2, 1]), poly([-2, 1]))  # (s-1)^2 (s-2)
+    assert sturm_count(p, F(1), F(3)) == 1
+    assert sturm_count(p, F(0), F(1)) == 1
+    assert sturm_count(p, F(0), F(3)) == 2
+    assert sturm_count(p, F(2), F(5)) == 0
+
+
+@st.composite
+def sturm_cases(draw):
+    """(coefficients, lo, hi): random rational or huge integer coefficients,
+    or a product of repeated rational roots, an optional rootless quadratic
+    factor and a scale of up to 1100 bits; endpoints may be unbounded or
+    sit on a root."""
+    roots = []
+    if draw(st.booleans()):
+        coeff = st.one_of(st.fractions(min_value=-30, max_value=30,
+                                       max_denominator=20),
+                          st.integers(-2 ** 1100, 2 ** 1100).map(F))
+        p = poly(draw(st.lists(coeff, min_size=1, max_size=8)))
+    else:
+        roots = draw(st.lists(st.fractions(min_value=-6, max_value=6,
+                                           max_denominator=12), max_size=4))
+        p = poly([1])
+        for r in roots:
+            for _ in range(draw(st.integers(1, 3))):
+                p = poly_mul(p, poly([-r, 1]))
+        if draw(st.booleans()):
+            b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+            c = b * b / 4 + draw(st.fractions(min_value=F(1, 100), max_value=4))
+            p = poly_mul(p, poly([c, b, 1]))  # no real root
+        scale = F(draw(st.one_of(st.integers(1, 9),
+                                 st.integers(2 ** 1000, 2 ** 1100))),
+                  draw(st.integers(1, 9)))
+        p = poly_mul(p, poly([scale if draw(st.booleans()) else -scale]))
+    end = st.one_of(st.none(), st.fractions(min_value=-8, max_value=8,
+                                            max_denominator=8))
+    if roots:
+        end = st.one_of(end, st.sampled_from(roots))
+    lo, hi = draw(end), draw(end)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return p, lo, hi
+
+
+@given(sturm_cases())
+@settings(max_examples=200, deadline=None)
+def test_sturm_matches_euclidean_chain(case):
+    p, lo, hi = case
+    want = sturm_count_euclid(p, lo, hi)
+    assert sturm_count(p, lo, hi) == want
+    if p and (lo is not None or hi is not None):
+        on_lo = lo is not None and poly_eval_naive(p, lo) == 0
+        assert sturm_root_exists(p, lo, hi) == (want > 0 or on_lo)
+
+
+@given(sturm_cases())
+@settings(max_examples=150, deadline=None)
+def test_sturm_count_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, lo, hi = case
+    assume(len(p) > 1)
+    x = sympy.Symbol("x")
+    rat = (lambda v: None if v is None
+           else sympy.Rational(v.numerator, v.denominator))
+    sp = sympy.Poly([rat(c) for c in reversed(p)], x)
+    want = sp.count_roots(rat(lo), rat(hi))  # distinct roots in [lo, hi]
+    if lo is not None and sp.eval(rat(lo)) == 0:
+        want -= 1
+    assert sturm_count(p, lo, hi) == want
 
 
 # --- simplest rational in an interval ---------------------------------------

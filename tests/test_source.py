@@ -27,3 +27,29 @@ def test_oracles_import_nothing_from_plstab():
             if (node.module or "").split(".")[0] == "plstab":
                 found.append(f"oracles.py:{node.lineno}")
     assert found == []
+
+
+# math functions that take and return integers; every other one returns a float
+_INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "prod"}
+
+
+def test_no_float_in_library():
+    # Every decision is exact: no float literal, no float() call and no
+    # float-valued math function anywhere in the library.
+    found = []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{where} float()")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr not in _INTEGER_MATH):
+                found.append(f"{where} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} from math import {alias.name}"
+                          for alias in node.names if alias.name not in _INTEGER_MATH]
+    assert found == []

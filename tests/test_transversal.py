@@ -6,7 +6,7 @@ import pytest
 
 from oracles import max_disjoint_by_subsets
 from plstab.generic import GenericPool
-from plstab.ratmath import poly, poly_eval, vec
+from plstab.ratmath import poly, poly_eval, poly_mul, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
 from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
@@ -330,6 +330,15 @@ def test_rational_root_helper():
     from plstab.ratmath import square_free_part
     sf = square_free_part(poly([-2, 0, 1]))
     assert poly_eval(sf, lo) * poly_eval(sf, hi) < 0
+
+
+def test_rational_root_helper_isolates_roots_closer_than_200_halvings():
+    # sqrt(2) and sqrt(2 + 2^-300) lie about 2^-302 apart, past 200 halvings
+    # of the Cauchy interval; bisection must go on until one root is left
+    p = poly_mul(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
+    root, interval = _rational_root_or_interval(p)
+    assert root is None
+    assert verify_interval_certificate(p, interval)
 
 
 def test_interval_certificate_accepts_isolating_interval():
