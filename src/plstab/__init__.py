@@ -2,20 +2,18 @@
 
 from .generic import (GenericityCertificate, GenericityError, GenericPool,
                       certify)
-from .ratmath import (AffineSubspace, Mat, affine_hull, affine_intersect,
-                      format_rational, lp_feasible, mat_rank, parse_rational,
-                      solve_affine, sturm_root_exists)
-from .sections import (PlanarSection, cluster_check, compute_components,
+from .ratmath import (Mat, format_rational, lp_feasible, mat_rank,
+                      parse_rational, solve_affine, sturm_root_exists)
+from .sections import (PlanarSection, component_clusters, compute_components,
                        eps_disjoint, preimage_polytopes, section_of_image)
 from .simplicial import (PLMap, SimplicialComplex, certify_map, format_complex,
                          format_map, image_point, parse_complex, parse_map,
-                         roberts_perturb, simplexes_disjoint)
+                         roberts_perturb)
 from .transversal import (BoundResult, ConcretePlane, NonStabCase, PlaneFamily,
-                          StabWitness, max_disjoint_stabbed, mesh_budget,
-                          nonstab_case, plane_meets_affine_hull,
-                          plane_meets_simplex_image, plane_through, stab_bound,
-                          stab_decide_univariate, stab_exists_linear,
-                          stab_search_general, verify_stab_witness)
+                          StabWitness, max_disjoint_stabbed, nonstab_case,
+                          plane_through, stab_bound, stab_decide_univariate,
+                          stab_exists_linear, stab_search_general,
+                          verify_stab_witness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,9 +2,8 @@
 
 Everything in this package runs on `fractions.Fraction`; no floats enter any
 decision.  This module supplies the substrate: dense matrices, affine
-solves with nullspace bases, affine hulls and intersections, exact
-linear-programming feasibility, and real-root existence for univariate
-polynomials via Sturm sequences.
+solves with nullspace bases, exact linear-programming feasibility, and
+real-root existence for univariate polynomials via Sturm sequences.
 
 Rank, reduced row echelon forms, solves and nullspaces all come from one
 kernel, :func:`_echelon`: fraction-free Gauss-Jordan elimination on
@@ -73,16 +72,8 @@ def vec(items: Iterable) -> Vec:
     return tuple(as_fraction(x) for x in items)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a: Vec, b: Vec) -> Fraction:
@@ -205,6 +196,31 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], lis
     return out, pivots
 
 
+def _solve_augmented(aug: list[list[Fraction]], ncols: int
+                     ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
+    """(particular solution, nullspace basis) of an augmented system [A | b].
+
+    None when the system is inconsistent.  Free variables are set to zero in
+    the particular solution; the basis is the standard one per free column.
+    """
+    rows, pivots = _rref(aug)
+    if ncols in pivots:
+        return None  # pivot in the augmented column: 0 = nonzero
+    particular = [_ZERO] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = rows[r][-1]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [_ZERO] * ncols
+        v[f] = _ONE
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return tuple(particular), tuple(basis)
+
+
 def solve_affine(a: Mat, b: Sequence) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """Solve a x = b exactly.
 
@@ -216,39 +232,13 @@ def solve_affine(a: Mat, b: Sequence) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     b = vec(b)
     if len(b) != a.rows:
         raise ValueError("rhs length does not match row count")
-    aug = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    rows, pivots = _rref(aug)
-    if a.cols in pivots:
-        return None  # pivot in the augmented column: 0 = nonzero
-    particular = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        particular[c] = rows[r][-1]
-    free_cols = [c for c in range(a.cols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        v = [_ZERO] * a.cols
-        v[f] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return tuple(particular), tuple(basis)
+    return _solve_augmented([list(a.row(i)) + [b[i]] for i in range(a.rows)],
+                            a.cols)
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec, ...]:
-    """Basis of {x : rows . x = 0}."""
-    if not rows:
-        return tuple(unit_vec(ncols, j + 1) for j in range(ncols))
-    red, pivots = _rref(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    """Basis of {x : rows . x = 0}: the solve of a zero right-hand side."""
+    return _solve_augmented([list(r) + [_ZERO] for r in rows], ncols)[1]
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -279,91 +269,6 @@ def independent_subset(vectors: Sequence[Vec]) -> list[int]:
         return []
     columns = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
     return _echelon(columns)[1]
-
-
-@dataclass(frozen=True)
-class AffineSubspace:
-    """Affine flat: basepoint + span(directions), directions independent."""
-
-    ambient_dim: int
-    basepoint: Vec
-    directions: tuple[Vec, ...]
-
-    def __post_init__(self):
-        if len(self.basepoint) != self.ambient_dim:
-            raise ValueError("basepoint has wrong length")
-        for d in self.directions:
-            if len(d) != self.ambient_dim:
-                raise ValueError("direction has wrong length")
-        if self.directions:
-            if len(_echelon(self.directions)[1]) != len(self.directions):
-                raise ValueError("directions are linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.directions)
-
-    def contains(self, point: Sequence) -> bool:
-        point = vec(point)
-        diff = vec_sub(point, self.basepoint)
-        if not self.directions:
-            return all(x == 0 for x in diff)
-        cols = Mat.from_rows([[d[i] for d in self.directions]
-                              for i in range(self.ambient_dim)])
-        return solve_affine(cols, diff) is not None
-
-
-def same_flat(p: AffineSubspace, q: AffineSubspace) -> bool:
-    if p.ambient_dim != q.ambient_dim or p.dim != q.dim:
-        return False
-    return (q.contains(p.basepoint)
-            and all(q.contains(vec_add(p.basepoint, d)) for d in p.directions))
-
-
-def affine_hull(points: Sequence[Sequence], m: int) -> AffineSubspace:
-    """Smallest affine flat containing the points."""
-    if not points:
-        raise ValueError("affine hull of an empty point set is undefined")
-    pts = [vec(p) for p in points]
-    for p in pts:
-        if len(p) != m:
-            raise ValueError("point has wrong length")
-    base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]
-    red, pivots = _rref(diffs)
-    dirs = tuple(tuple(red[r]) for r in range(len(pivots)))
-    return AffineSubspace(m, base, dirs)
-
-
-def affine_intersect(p: AffineSubspace, q: AffineSubspace) -> Optional[AffineSubspace]:
-    """Exact intersection flat of two affine subspaces, or None when empty."""
-    if p.ambient_dim != q.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    m = p.ambient_dim
-    kp, kq = p.dim, q.dim
-    # basepoint_p + D_p u = basepoint_q + D_q v
-    a = Mat.from_rows([
-        [p.directions[j][i] for j in range(kp)] +
-        [-q.directions[j][i] for j in range(kq)]
-        for i in range(m)
-    ])
-    rhs = vec_sub(q.basepoint, p.basepoint)
-    sol = solve_affine(a, rhs)
-    if sol is None:
-        return None
-    particular, basis = sol
-    point = p.basepoint
-    for j in range(kp):
-        point = vec_add(point, vec_scale(particular[j], p.directions[j]))
-    dirs = []
-    for v in basis:
-        d = tuple(sum((v[j] * p.directions[j][i] for j in range(kp)), _ZERO)
-                  for i in range(m))
-        dirs.append(d)
-    if dirs:
-        red, pivots = _rref(dirs)
-        dirs = [tuple(red[r]) for r in range(len(pivots))]
-    return AffineSubspace(m, point, tuple(dirs))
 
 
 def lp_feasible(eq: Mat, eq_rhs: Sequence,
@@ -701,7 +606,12 @@ def sturm_count(p: Poly, lo: Optional[Fraction] = None,
     p = poly(p)
     if poly_degree(p) < 1:
         return 0
-    chain = _sturm_chain(p)
+    return _count_on_chain(_sturm_chain(p), lo, hi)
+
+
+def _count_on_chain(chain: list[list[int]], lo: Optional[Fraction],
+                    hi: Optional[Fraction]) -> int:
+    """Distinct real roots in (lo, hi] of the head of a :func:`_sturm_chain`."""
     return _variations(chain, lo, -1) - _variations(chain, hi, +1)
 
 

@@ -1,7 +1,9 @@
 """Exact plane sections of PL images and their metric predicates.
 
 A section is the list of convex polytopes cut out of each simplex image by a
-plane, each given by its exact vertex list.  Components of the union (pieces
+plane, each given by its exact vertex list.  A vertex of a piece is the
+single point of the piece of one of its faces, so one elimination per face
+that the plane may cut lists every vertex.  Components of the union (pieces
 chained by nonempty intersection, decided by exact LP) make the metric
 predicates decidable: a compact PL set is coverable by disjoint open sets of
 diameter below eps iff every component has diameter below eps, and the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratmath import (Mat, Vec, as_fraction, dist_sq, lp_feasible, mat_rank,
+from .ratmath import (Mat, Vec, as_fraction, dist_sq, lp_feasible,
                       solve_affine)
 from .simplicial import PLMap, Simplex, SimplicialComplex
 from .transversal import ConcretePlane, plane_cuts
@@ -56,34 +58,6 @@ def diameter_sq(points: Sequence[Vec]) -> Fraction:
     return best
 
 
-def polytope_vertices(eq_rows: Sequence[Sequence[Fraction]],
-                      rhs: Sequence[Fraction], nvars: int) -> list[Vec]:
-    """Vertices of {x >= 0 : eq_rows . x = rhs}, by basic-solution enumeration.
-
-    The polytopes here always carry a coefficients-sum-to-one row, so they
-    are bounded and every point is a convex combination of these vertices.
-    """
-    rank = mat_rank(Mat.from_rows(eq_rows))
-    if rank == 0:
-        return [tuple(_ZERO for _ in range(nvars))] if all(r == 0 for r in rhs) else []
-    out: list[Vec] = []
-    for support in itertools.combinations(range(nvars), rank):
-        sub = Mat.from_rows([[row[j] for j in support] for row in eq_rows])
-        sol = solve_affine(sub, rhs)
-        if sol is None or sol[1]:
-            continue  # inconsistent, or not a basic solution
-        values = sol[0]
-        if any(v < 0 for v in values):
-            continue
-        full = [_ZERO] * nvars
-        for j, v in zip(support, values):
-            full[j] = v
-        candidate = tuple(full)
-        if candidate not in out:
-            out.append(candidate)
-    return out
-
-
 def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
     """Exact nonempty-intersection test between two vertex-listed polytopes."""
     if not p or not q:
@@ -107,10 +81,31 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
 
 def _barycentric_pieces(k: SimplicialComplex, g: PLMap,
                         plane: ConcretePlane) -> list[tuple[Simplex, list[Vec]]]:
-    """Per simplex, the vertices of {lambda in the standard simplex : image on plane}."""
+    """Per simplex, the vertices of {lambda in the standard simplex : image on plane}.
+
+    A vertex of such a piece is a basic feasible solution: the single point
+    of the piece of its support face, whose columns are independent.
+    Conversely a face whose system has a unique nonnegative solution gives,
+    with zeros elsewhere, a vertex of the piece of every coface.  So one
+    solve per face finds every vertex: :func:`plane_cuts`, run up to dim K,
+    yields every simplex whose image meets the plane, faces before cofaces.
+    """
+    points: dict[Simplex, Vec] = {}
     out = []
     for s, rows, rhs in plane_cuts(k, g, plane, k.dim):
-        verts = polytope_vertices(rows, rhs, len(s))
+        sol = solve_affine(Mat.from_rows(rows), rhs)
+        if sol is not None and not sol[1] and min(sol[0]) >= 0:
+            points[s] = sol[0]
+        verts: list[Vec] = []
+        for size in range(1, len(s) + 1):
+            for f in itertools.combinations(s, size):
+                lam = points.get(f)
+                if lam is None:
+                    continue
+                weight = dict(zip(f, lam))
+                vertex = tuple(weight.get(v, _ZERO) for v in s)
+                if vertex not in verts:
+                    verts.append(vertex)
         if verts:
             out.append((s, verts))
     return out
@@ -256,8 +251,3 @@ def component_clusters(preimage: Sequence[Polytope], part: ComponentPartition,
 
     return clusters if assign(0) else None
 
-
-def cluster_check(preimage: Sequence[Polytope], q: int, eps: Fraction) -> bool:
-    """Can the preimage components be split into <= q clusters of diameter <= eps?"""
-    return component_clusters(preimage, compute_components(preimage),
-                              q, eps) is not None

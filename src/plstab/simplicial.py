@@ -74,9 +74,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(s) for s in self.simplexes), default=0) - 1
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def sorted_simplexes(self) -> list[Simplex]:
         return sorted(self.simplexes, key=lambda s: (len(s), s))
 
@@ -151,7 +148,7 @@ def parse_map(text: str) -> PLMap:
         if kind == "m":
             if m is not None:
                 raise ParseError(lineno, "duplicate header")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise ParseError(lineno, "header needs one count")
             m = int(args[0])
             if m < 1:
@@ -277,14 +274,3 @@ def image_point(g: PLMap, simplex: Simplex, barycentric: Sequence) -> Vec:
         point = tuple(p + w * c for p, c in zip(point, g.images[v]))
     return point
 
-
-def simplexes_disjoint(k: SimplicialComplex, s1: Simplex, s2: Simplex) -> bool:
-    """Vertex-set disjointness of two simplexes of k.
-
-    For closed geometric simplexes of one complex this coincides with
-    disjointness of the images under any certified PL map.
-    """
-    t1, t2 = tuple(sorted(s1)), tuple(sorted(s2))
-    if t1 not in k.simplexes or t2 not in k.simplexes:
-        raise ValueError("simplex does not belong to the complex")
-    return not set(t1) & set(t2)

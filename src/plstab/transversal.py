@@ -9,8 +9,9 @@ s_T axes.  This module provides:
   can stab, in both counting regimes, with its integer part;
 * the case predicate telling which counting inequality forbids a common
   transversal for given set sizes;
-* exact membership tests of a concrete plane against affine hulls (free
-  coefficients) and simplex images (convex coefficients, by exact LP);
+* the membership systems of simplex images against a concrete plane, one
+  per simplex the covector prefilter keeps (:func:`plane_cuts`), decided by
+  exact LP;
 * the exact stabbing decision in the linear regime (q <= d-t+1), where
   absence is a certificate of nonexistence;
 * the exact univariate decision on one-parameter constraint flats, via a
@@ -30,12 +31,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import GenericPool, _derived_seed
-from .ratmath import (Mat, Poly, Vec, as_fraction, det, independent_subset,
-                      lp_feasible, mat_rank, nullspace_basis, poly, poly_add,
+from .ratmath import (Mat, Poly, Vec, _count_on_chain, _sturm_chain,
+                      cauchy_root_bound, det, format_rational,
+                      independent_subset, lp_feasible, mat_rank,
+                      nullspace_basis, parse_rational, poly, poly_add,
                       poly_eval, poly_mul, poly_scale, poly_sub,
-                      simplest_between, solve_affine,
-                      square_free_part, sturm_count, sturm_root_exists,
-                      unit_vec, vec, vec_dot, vec_sub, cauchy_root_bound)
+                      simplest_between, solve_affine, square_free_part,
+                      sturm_count, sturm_root_exists, unit_vec, vec, vec_dot,
+                      vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex
 
 _ZERO = Fraction(0)
@@ -228,55 +231,6 @@ def nonstab_case(n_list: Sequence[int], m: int, d: int, t: int, T: int) -> NonSt
     return NonStabCase.INCONCLUSIVE
 
 
-def mesh_budget(n: int, m: int, eps: Fraction, delta: Fraction) -> tuple[int, Fraction]:
-    """Disjoint-stab ceiling r = n(m+1-n) and the mesh cap it imposes.
-
-    A mesh below min(delta/10, eps/(9(r+1))) keeps every plane section of an
-    n-dimensional image coverable at scale eps while staying delta-close.
-    """
-    eps = as_fraction(eps)
-    delta = as_fraction(delta)
-    if n < 0 or m < n + 1 or eps <= 0 or delta <= 0:
-        raise ValueError("need n >= 0, m >= n+1, eps > 0, delta > 0")
-    r = n * (m + 1 - n)
-    return r, min(delta / 10, eps / (9 * (r + 1)))
-
-
-# ---------------------------------------------------------------------------
-# Membership of a plane against hulls and simplex images.
-
-def _membership_rows(plane: ConcretePlane, points: Sequence[Vec]):
-    """Implicit-form system: sum-to-one row plus one row per plane covector."""
-    k = len(points)
-    rows: list[list[Fraction]] = [[_ONE] * k]
-    rhs: list[Fraction] = [_ONE]
-    for c, r in plane.covectors():
-        rows.append([vec_dot(c, p) for p in points])
-        rhs.append(r)
-    return rows, rhs
-
-
-def plane_meets_affine_hull(plane: ConcretePlane,
-                            points: Sequence[Vec]) -> Optional[Vec]:
-    """Coefficients lambda (summing to 1) placing a hull point on the plane, or None."""
-    if not points:
-        raise ValueError("empty point set")
-    rows, rhs = _membership_rows(plane, points)
-    sol = solve_affine(Mat.from_rows(rows), rhs)
-    if sol is None:
-        return None
-    return sol[0]
-
-
-def plane_meets_simplex_image(plane: ConcretePlane,
-                              points: Sequence[Vec]) -> Optional[Vec]:
-    """Like the affine-hull test with lambda >= 0 added; decided by exact LP."""
-    if not points:
-        raise ValueError("empty point set")
-    rows, rhs = _membership_rows(plane, points)
-    return lp_feasible(Mat.from_rows(rows), rhs, set(range(len(points))))
-
-
 # ---------------------------------------------------------------------------
 # Witnesses and the linear-regime exact decision.
 
@@ -448,6 +402,7 @@ def _rational_root_or_interval(p: Poly):
     returned.
     """
     ps = square_free_part(p)
+    chain = _sturm_chain(ps)  # one chain serves every count below
     bound = cauchy_root_bound(ps)
     lo, hi = -bound, bound
     if poly_eval(ps, lo) == 0:
@@ -456,7 +411,7 @@ def _rational_root_or_interval(p: Poly):
         return hi, None
     # narrow to exactly one root, then refine
     while True:
-        roots = sturm_count(ps, lo, hi)
+        roots = _count_on_chain(chain, lo, hi)
         if roots == 1:
             break
         if roots == 0:
@@ -464,7 +419,7 @@ def _rational_root_or_interval(p: Poly):
         mid = (lo + hi) / 2
         if poly_eval(ps, mid) == 0:
             return mid, None
-        if sturm_count(ps, lo, mid) > 0:
+        if _count_on_chain(chain, lo, mid) > 0:
             hi = mid
         else:
             lo = mid
@@ -475,7 +430,7 @@ def _rational_root_or_interval(p: Poly):
         mid = (lo + hi) / 2
         if poly_eval(ps, mid) == 0:
             return mid, None
-        if sturm_count(ps, lo, mid) > 0:
+        if _count_on_chain(chain, lo, mid) > 0:
             hi = mid
         else:
             lo = mid
@@ -777,13 +732,21 @@ def family_to_json_dict(f: PlaneFamily) -> dict:
     return {"m": f.m, "St": list(f.s_t), "ST": list(f.s_T), "d": f.d}
 
 
+def _typed(value, kind: type, what: str):
+    """value itself when its type is exactly kind; JSON input is never coerced."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def family_from_json_dict(data: dict) -> PlaneFamily:
-    return PlaneFamily(int(data["m"]), tuple(int(j) for j in data["St"]),
-                       tuple(int(j) for j in data["ST"]), int(data["d"]))
+    m = _typed(data["m"], int, "m")
+    s_t, s_T = (tuple(_typed(j, int, key) for j in _typed(data[key], list, key))
+                for key in ("St", "ST"))
+    return PlaneFamily(m, s_t, s_T, _typed(data["d"], int, "d"))
 
 
 def plane_to_json_dict(p: ConcretePlane) -> dict:
-    from .ratmath import format_rational
     out = family_to_json_dict(p.family)
     out["basepoint"] = [format_rational(x) for x in p.basepoint]
     out["extra_dirs"] = [[format_rational(x) for x in v]
@@ -792,9 +755,10 @@ def plane_to_json_dict(p: ConcretePlane) -> dict:
 
 
 def plane_from_json_dict(data: dict) -> ConcretePlane:
-    from .ratmath import parse_rational
     family = family_from_json_dict(data)
-    basepoint = vec(parse_rational(x) for x in data["basepoint"])
-    extras = tuple(vec(parse_rational(x) for x in row)
-                   for row in data.get("extra_dirs", []))
+    basepoint = vec(parse_rational(x)
+                    for x in _typed(data["basepoint"], list, "basepoint"))
+    extras = tuple(vec(parse_rational(x) for x in _typed(row, list, "extra_dirs"))
+                   for row in _typed(data.get("extra_dirs", []), list,
+                                     "extra_dirs"))
     return ConcretePlane(family, basepoint, extras)

@@ -3,10 +3,10 @@
 Everything here is deliberately naive: cofactor determinants, all-pairs
 comparison for distinctness, minor enumeration for rank, textbook Fraction
 Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
-enumeration for LP feasibility, subset scans for maximum disjoint families,
-Bell-number partition scans for clustering, and grid sampling for component
-diameters.  None of it shares code with the paths it checks, and none of it
-imports ``plstab``.
+enumeration for LP feasibility and polytope vertices, subset scans for
+maximum disjoint families, Bell-number partition scans for clustering, and
+grid sampling for component diameters.  None of it shares code with the
+paths it checks, and none of it imports ``plstab``.
 """
 
 from __future__ import annotations
@@ -96,26 +96,41 @@ def solve_by_cramer(rows, rhs):
     return tuple(x)
 
 
-def feasible_by_basic_solutions(eq_rows, rhs):
-    """Feasibility of {x >= 0 : eq_rows . x = rhs} by basic-solution scan.
+def basic_feasible_solutions(eq_rows, rhs):
+    """The vertices of {x >= 0 : eq_rows . x = rhs}, by basic-solution scan.
 
-    Valid for all-nonnegative variables: such a polyhedron is pointed, so it
-    is nonempty iff some basic solution is feasible.  A basic solution sets
-    every variable outside a support of rank(eq_rows) columns to zero and
-    solves the support columns uniquely.
+    A basic solution sets every variable outside a support of
+    rank(eq_rows) columns to zero and solves the support columns uniquely;
+    the feasible ones are exactly the vertices.  Returned in support order,
+    each once.
     """
     eq_rows = [[Fraction(x) for x in r] for r in eq_rows]
     rhs = [Fraction(x) for x in rhs]
     ncols = len(eq_rows[0])
     rank = rank_by_minors(eq_rows)
     if rank == 0:
-        return all(r == 0 for r in rhs)
+        return [(Fraction(0),) * ncols] if all(r == 0 for r in rhs) else []
+    found = []
     for support in itertools.combinations(range(ncols), rank):
         sub = [[row[j] for j in support] for row in eq_rows]
         point = solve_by_cramer(sub, rhs)
-        if point is not None and all(x >= 0 for x in point):
-            return True
-    return False
+        if point is None or any(x < 0 for x in point):
+            continue
+        full = [Fraction(0)] * ncols
+        for j, x in zip(support, point):
+            full[j] = x
+        if tuple(full) not in found:
+            found.append(tuple(full))
+    return found
+
+
+def feasible_by_basic_solutions(eq_rows, rhs):
+    """Feasibility of {x >= 0 : eq_rows . x = rhs}.
+
+    Valid for all-nonnegative variables: such a polyhedron is pointed, so it
+    is nonempty iff it has a basic feasible solution.
+    """
+    return bool(basic_feasible_solutions(eq_rows, rhs))
 
 
 def poly_eval_naive(coeffs, x):

@@ -22,7 +22,7 @@ from plstab.batch import (linear_cells, random_complex, random_map,
 from plstab.cli import main
 from plstab.generic import GenericPool
 from plstab.ratmath import Mat, dist_sq, mat_rank, vec
-from plstab.sections import (cluster_check, compute_components,
+from plstab.sections import (component_clusters, compute_components,
                              polytopes_intersect, preimage_polytopes,
                              section_of_image)
 from plstab.simplicial import image_point, roberts_perturb
@@ -248,7 +248,7 @@ def _cluster_oracle_pass(rng):
 
         want = clusterable_by_partition_scan(
             list(range(len(part.components))), q, eps * eps, pair_diam_sq)
-        assert cluster_check(polys, q, eps) == want
+        assert (component_clusters(polys, part, q, eps) is not None) == want
 
 
 def _sampling_grid_oracle(pieces, eps):

@@ -267,6 +267,72 @@ def test_map_missing_vertex_exit_2(capsys, tmp_path, verb_args):
     assert "missing vertex 'b'" in report["error"]
 
 
+@pytest.mark.parametrize("verb_args", [
+    ["count", "--plane", "PLANE", "--nmax", "1"],
+    ["section", "--plane", "PLANE", "--eps", "1"],
+    ["cotype", "--plane", "PLANE", "--q", "2", "--eps", "1"],
+    ["perturb", "--eps", "1", "--out", "OUT"],
+])
+def test_map_header_with_non_ascii_digit_exit_2(capsys, tmp_path, verb_args):
+    # "²".isdigit() holds but int("²") raises: the header is a parse error
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", "m \u00b2\n")
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    verb, *rest = verb_args
+    rest = [pl if x == "PLANE" else str(tmp_path / "out.map") if x == "OUT"
+            else x for x in rest]
+    code, out = run_cli(capsys, [verb, "--complex", cx, "--map", mp, *rest])
+    assert code == 2
+    report = json.loads(out)  # exactly one JSON document
+    assert report["exit_code"] == 2
+    assert "header needs one count" in report["error"]
+
+
+# JSON values that int() or iteration used to coerce into a valid family
+PLANE_FAMILY = {"m": 3, "St": [], "ST": [1, 2], "d": 2}
+_BAD_FAMILY_FIELDS = [{"m": 3.0}, {"m": 3.9}, {"d": True}, {"d": "2"},
+                      {"ST": "12"}, {"St": [1.0]}]
+
+
+@pytest.mark.parametrize("bad", _BAD_FAMILY_FIELDS)
+def test_stab_family_needs_json_integers_and_lists_exit_2(capsys, tmp_path, bad):
+    fam = write(tmp_path, "f.json", dict(PLANE_FAMILY, **bad))
+    sets = write(tmp_path, "s.json",
+                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
+                                 "--mode", "linear"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("bad", [{"m": 2.0}, {"d": True}, {"St": "2"},
+                                 {"basepoint": "10"}, {"extra_dirs": ""},
+                                 {"St": [], "extra_dirs": ["01"]}])
+def test_count_plane_needs_json_integers_and_lists_exit_2(capsys, tmp_path, bad):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", dict(VERTICAL_HALF, **bad))
+    code, out = run_cli(capsys, ["count", "--complex", cx, "--map", mp,
+                                 "--plane", pl, "--nmax", "1"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("bad", _BAD_FAMILY_FIELDS)
+def test_verify_fixture_family_needs_json_integers_and_lists_exit_2(
+        capsys, tmp_path, bad):
+    grid = write(tmp_path, "grid.json", {"fixtures": [{
+        "name": "coerced", "mode": "linear",
+        "family": dict(PLANE_FAMILY, **bad),
+        "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
+        "expect": "witness",
+    }]})
+    code, out = run_cli(capsys, ["verify", "--grid", grid,
+                                 "--trials", "1", "--seed", "0"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
+
+
 def test_section_report(capsys, tmp_path):
     cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
     mp = write(tmp_path, "g.map", TWO_EDGES_MAP)

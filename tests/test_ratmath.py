@@ -9,12 +9,12 @@ from oracles import (det_cofactor, feasible_by_basic_solutions,
                      poly_eval_naive, rank_by_minors, root_in_interval_by_grid,
                      rref_naive, sturm_count_euclid)
 from plstab import ratmath
-from plstab.ratmath import (AffineSubspace, Mat, _rref, affine_hull, affine_intersect,
-                            cauchy_root_bound, det, format_rational,
-                            independent_subset, lp_feasible, mat_rank,
-                            nullspace_basis, parse_rational, poly, poly_eval,
-                            poly_mul, same_flat, simplest_between, solve_affine,
-                            sturm_count, sturm_root_exists, vec, vec_dot)
+from plstab.ratmath import (Mat, _rref, cauchy_root_bound, det,
+                            format_rational, independent_subset, lp_feasible,
+                            mat_rank, nullspace_basis, parse_rational, poly,
+                            poly_eval, poly_mul, simplest_between,
+                            solve_affine, sturm_count, sturm_root_exists, vec,
+                            vec_dot)
 
 F = Fraction
 
@@ -182,6 +182,11 @@ def test_det_keeps_the_type_of_its_entries():
     assert type(det([[F(0), F(1)], [F(0), F(2)]])) is Fraction
 
 
+def test_nullspace_of_no_rows_is_the_standard_basis():
+    assert nullspace_basis([], 2) == (vec([1, 0]), vec([0, 1]))
+    assert nullspace_basis([[0, 0]], 2) == (vec([1, 0]), vec([0, 1]))
+
+
 def test_solve_underdetermined():
     sol = solve_affine(Mat.from_rows([[1, 1]]), [1])
     assert sol is not None
@@ -215,60 +220,6 @@ def test_solve_properties_random():
             for r in range(nr):
                 assert vec_dot(a.row(r), v) == 0
         assert len(basis) == nc - mat_rank(a)
-
-
-# --- affine hulls and intersections ----------------------------------------
-
-def test_hull_single_point():
-    h = affine_hull([[7, 7]], 2)
-    assert h.basepoint == vec([7, 7])
-    assert h.dim == 0
-
-
-def test_hull_line():
-    h = affine_hull([[0, 0], [1, 1]], 2)
-    assert h.dim == 1
-    d = h.directions[0]
-    assert d[0] == d[1] != 0
-
-
-def test_hull_collinear_triple():
-    assert affine_hull([[0, 0], [1, 1], [2, 2]], 2).dim == 1
-
-
-def test_hull_contains_inputs_and_dim_permutation_invariant():
-    rng = random.Random(3)
-    for _ in range(60):
-        m = rng.randint(1, 4)
-        pts = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
-               for _ in range(rng.randint(1, 5))]
-        h = affine_hull(pts, m)
-        assert all(h.contains(p) for p in pts)
-        shuffled = pts[:]
-        rng.shuffle(shuffled)
-        assert affine_hull(shuffled, m).dim == h.dim
-
-
-def test_intersect_crossing_lines():
-    line_diag = affine_hull([[0, 0], [1, 1]], 2)
-    line_x5 = AffineSubspace(2, vec([5, 0]), (vec([0, 1]),))
-    got = affine_intersect(line_diag, line_x5)
-    assert got is not None
-    assert got.dim == 0
-    assert got.basepoint == vec([5, 5])
-
-
-def test_intersect_parallel():
-    a = AffineSubspace(2, vec([0, 0]), (vec([1, 0]),))
-    b = AffineSubspace(2, vec([0, 1]), (vec([1, 0]),))
-    assert affine_intersect(a, b) is None
-
-
-def test_intersect_self():
-    p = affine_hull([[0, 0, 1], [1, 2, 1]], 3)
-    got = affine_intersect(p, p)
-    assert got is not None
-    assert same_flat(got, p)
 
 
 # --- exact LP feasibility ---------------------------------------------------

@@ -1,16 +1,16 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import clusterable_by_partition_scan
+from oracles import basic_feasible_solutions, clusterable_by_partition_scan
+from plstab.batch import random_complex, random_map, sample_plane_adversarial
+from plstab.generic import GenericPool
 from plstab.ratmath import dist_sq, vec
-from plstab.sections import (ComponentPartition, cluster_check,
-                             component_clusters, compute_components,
-                             diameter_sq, eps_disjoint, polytopes_intersect,
+from plstab.sections import (component_clusters, compute_components,
+                             eps_disjoint, polytopes_intersect,
                              preimage_polytopes, section_of_image)
-from plstab.simplicial import PLMap, certify_map, parse_complex
+from plstab.simplicial import PLMap, certify_map, parse_complex, roberts_perturb
 from plstab.transversal import ConcretePlane, PlaneFamily, plane_through
 
 F = Fraction
@@ -78,6 +78,58 @@ def test_section_piece_soundness():
             got_lp = lp_feasible(Mat.from_rows(rows), list(v) + [1],
                                  set(range(len(pts))))
             assert got_lp is not None
+
+
+def _random_family(rng, m):
+    d = rng.randint(0, m - 1)
+    s_T = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(d, m))))
+    s_t = tuple(sorted(rng.sample(s_T, rng.randint(0, d))))
+    return PlaneFamily(m, s_t, s_T, d)
+
+
+def test_piece_vertices_match_basic_feasible_solutions():
+    # Each piece lists exactly the vertices of its simplex's membership
+    # polytope {lambda >= 0 : sum 1, image on the plane}, found here by a
+    # basic-solution scan over every simplex.  Planes pass through image
+    # points and through image vertices, where pieces degenerate.
+    rng = random.Random(57)
+    for trial in range(8):
+        m = rng.choice([2, 3, 4])
+        dim = 1 if m == 2 else rng.choice([1, 2])
+        k = random_complex(rng, rng.randint(4, 6), dim, F(1, 3))
+        g = roberts_perturb(k, random_map(rng, k, m), F(1, 2),
+                            GenericPool(300 + trial))
+        index = {v: i for i, v in enumerate(k.vertices)}
+        for turn in range(8):
+            fam = _random_family(rng, m)
+            if turn % 2:
+                plane = plane_through(fam, g.images[rng.choice(k.vertices)])
+            else:
+                plane = sample_plane_adversarial(rng, fam, k, g)
+            covs = plane.covectors()
+            want_image, want_pre = {}, {}
+            for s in k.sorted_simplexes():
+                rows = [[1] * len(s)] + [
+                    [sum(a * b for a, b in zip(c, g.images[v])) for v in s]
+                    for c, _ in covs]
+                rhs = [1] + [r for _, r in covs]
+                bfs = basic_feasible_solutions(rows, rhs)
+                if not bfs:
+                    continue
+                want_image[s] = {
+                    tuple(sum(w * g.images[v][i] for w, v in zip(lam, s))
+                          for i in range(m)) for lam in bfs}
+                want_pre[s] = set()
+                for lam in bfs:
+                    point = [F(0)] * len(k.vertices)
+                    for w, v in zip(lam, s):
+                        point[index[v]] = w
+                    want_pre[s].add(tuple(point))
+            section = section_of_image(k, g, plane)
+            preimage = preimage_polytopes(k, g, plane)
+            assert list(section.sources) == list(want_image)
+            assert [set(p) for p in section.pieces] == list(want_image.values())
+            assert [set(p) for p in preimage] == list(want_pre.values())
 
 
 # --- components and eps-disjointness ----------------------------------------
@@ -152,30 +204,34 @@ def _singleton_polytopes(*points):
     return tuple((vec(p),) for p in points)
 
 
+def _clusterable(polys, q, eps):
+    return component_clusters(polys, compute_components(polys), q, eps) is not None
+
+
 def test_cluster_empty_preimage():
-    assert cluster_check((), 1, F(1)) is True
+    assert _clusterable((), 1, F(1)) is True
 
 
 def test_cluster_three_far_singletons():
     polys = _singleton_polytopes([0, 0], [10, 0], [5, 10])
-    assert cluster_check(polys, 2, F(1)) is False
-    assert cluster_check(polys, 3, F(1)) is True
+    assert _clusterable(polys, 2, F(1)) is False
+    assert _clusterable(polys, 3, F(1)) is True
 
 
 def test_cluster_two_near_singletons():
     polys = _singleton_polytopes([0, 0], [F(1, 2), 0])
-    assert cluster_check(polys, 1, F(1)) is True
+    assert _clusterable(polys, 1, F(1)) is True
 
 
 def test_cluster_non_strict_boundary():
     polys = _singleton_polytopes([0, 0], [1, 0])
-    assert cluster_check(polys, 1, F(1)) is True  # diameter <= eps passes
+    assert _clusterable(polys, 1, F(1)) is True  # diameter <= eps passes
 
 
 def test_cluster_component_limit():
     polys = _singleton_polytopes(*([i * 100, 0] for i in range(13)))
     with pytest.raises(ValueError):
-        cluster_check(polys, 13, F(1))
+        _clusterable(polys, 13, F(1))
 
 
 def test_component_clusters_witness():
@@ -236,7 +292,7 @@ def test_cluster_matches_partition_scan():
 
         want = clusterable_by_partition_scan(
             list(range(len(part.components))), q, eps * eps, pair_diam_sq)
-        assert cluster_check(polys, q, eps) == want
+        assert (component_clusters(polys, part, q, eps) is not None) == want
         if want:
             clusters = component_clusters(polys, part, q, eps)
             assert len(clusters) <= q

@@ -12,8 +12,7 @@ from plstab.ratmath import Mat, dist_sq, lp_feasible, mat_rank, vec, vec_sub
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
                                certify_map, format_complex, format_map,
                                generic_position_transcript, image_point,
-                               parse_complex, parse_map, roberts_perturb,
-                               simplexes_disjoint)
+                               parse_complex, parse_map, roberts_perturb)
 
 F = Fraction
 
@@ -246,15 +245,6 @@ def test_image_point_validates():
         image_point(g, ("a", "b"), [F(1, 2), F(1, 4)])
 
 
-def test_simplexes_disjoint():
-    k = parse_complex("v a\nv b\nv c\nv d\ns a b\ns c d\ns a b c\n")
-    assert simplexes_disjoint(k, ("a", "b"), ("c", "d")) is True
-    assert simplexes_disjoint(k, ("a", "b"), ("b", "c")) is False
-    assert simplexes_disjoint(k, ("a",), ("a", "b", "c")) is False
-    with pytest.raises(ValueError):
-        simplexes_disjoint(k, ("a", "d"), ("b",))
-
-
 def _images_intersect(g, s1, s2):
     k1, k2 = len(s1), len(s2)
     rows = []
@@ -284,5 +274,7 @@ def test_disjointness_matches_geometry_on_random_complexes():
         g = roberts_perturb(k, theta, F(1, 5), GenericPool(trial))
         simp = k.sorted_simplexes()
         for s1, s2 in itertools.combinations(simp, 2):
-            expected = simplexes_disjoint(k, s1, s2)
+            # m = 2 dim + 1: general position keeps the images of
+            # vertex-disjoint simplexes apart
+            expected = not set(s1) & set(s2)
             assert (not _images_intersect(g, s1, s2)) == expected

@@ -53,3 +53,32 @@ def test_no_float_in_library():
                 found += [f"{where} from math import {alias.name}"
                           for alias in node.names if alias.name not in _INTEGER_MATH]
     assert found == []
+
+
+# Entry points README documents; the benchmark and the tests call them.
+_ENTRY_POINTS = {"image_point", "random_map", "sample_plane_random",
+                 "sample_plane_adversarial"}
+
+
+def test_every_public_library_function_has_a_caller():
+    # Code that nothing runs is deleted: every module-level public def or
+    # class must be named somewhere in the library outside its own body.
+    # Imports do not count, and __init__.py only re-exports.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(plstab.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"}
+    uses = [(name, node.lineno,
+             node.id if isinstance(node, ast.Name) else node.attr)
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in _ENTRY_POINTS):
+                continue
+            if not any(used == node.name and not (
+                    where == name and node.lineno <= line <= node.end_lineno)
+                    for where, line, used in uses):
+                found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []

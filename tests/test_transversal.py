@@ -12,10 +12,8 @@ from plstab.simplicial import (PLMap, certify_map, parse_complex,
 from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
                                 PlaneFamily, family_from_json_dict,
                                 family_to_json_dict, max_disjoint_stabbed,
-                                mesh_budget, nonstab_case,
-                                plane_from_json_dict, plane_meets_affine_hull,
-                                plane_meets_simplex_image, plane_through,
-                                plane_to_json_dict, stab_bound,
+                                nonstab_case, plane_from_json_dict,
+                                plane_through, plane_to_json_dict, stab_bound,
                                 stab_decide_univariate, stab_exists_linear,
                                 stab_search_general, stabbed_simplexes,
                                 verify_interval_certificate,
@@ -153,17 +151,6 @@ def test_case_predicate_matches_bound_arithmetic():
                                 is NonStabCase.CASE_I
 
 
-def test_mesh_budget():
-    r, eta = mesh_budget(1, 3, F(36), F(10))
-    assert r == 3
-    assert eta == 1
-    r0, eta0 = mesh_budget(0, 2, F(9), F(20))
-    assert r0 == 0
-    assert eta0 == min(F(2), F(1))
-    with pytest.raises(ValueError):
-        mesh_budget(2, 2, F(1), F(1))
-
-
 # --- membership decisions ----------------------------------------------------
 
 def _vertical_line(x):
@@ -171,47 +158,35 @@ def _vertical_line(x):
     return ConcretePlane(fam, vec([x, 0]), ())
 
 
-def test_hull_membership_single_point():
-    fam = PlaneFamily(2, (), (1,), 1)
-    plane = plane_through(fam, vec([3, 4]))
-    lam = plane_meets_affine_hull(plane, [vec([3, 4])])
-    assert lam == vec([1])
-
-
-def test_hull_membership_crossing():
-    lam = plane_meets_affine_hull(_vertical_line(F(5)),
-                                  [vec([0, 0]), vec([1, 1])])
-    assert lam == vec([-4, 5])
-
-
-def test_hull_membership_parallel():
-    fam = PlaneFamily(3, (1,), (1,), 1)
-    plane = ConcretePlane(fam, vec([0, 1, 0]), ())
-    assert plane_meets_affine_hull(plane, [vec([0, 0, 0]), vec([1, 0, 0])]) is None
+def _one_edge(a, b):
+    k = parse_complex("v a\nv b\ns a b\n")
+    g = certify_map(k, PLMap(len(a), {"a": vec(a), "b": vec(b)}))
+    assert g.certified  # every coordinate differs from every other
+    return k, g
 
 
 def test_image_membership_vertex():
-    plane = _vertical_line(F(0))
-    lam = plane_meets_simplex_image(plane, [vec([0, 5]), vec([3, 1])])
-    assert lam is not None and lam[0] == 1 and lam[1] == 0
+    k, g = _one_edge([0, 5], [3, 1])
+    hits = stabbed_simplexes(k, g, _vertical_line(F(0)), 1)
+    assert hits == [("a",), ("a", "b")]
 
 
 def test_image_membership_outside_segment():
-    pts = [vec([0, 0]), vec([1, 1])]
-    assert plane_meets_affine_hull(_vertical_line(F(5)), pts) is not None
-    assert plane_meets_simplex_image(_vertical_line(F(5)), pts) is None
+    # the line x = 5 meets the affine hull of the edge but not the edge
+    k, g = _one_edge([0, 2], [1, 3])
+    assert stabbed_simplexes(k, g, _vertical_line(F(5)), 1) == []
 
 
 def test_image_membership_midpoint():
-    lam = plane_meets_simplex_image(_vertical_line(F(1, 2)),
-                                    [vec([0, 0]), vec([1, 1])])
-    assert lam == vec([F(1, 2), F(1, 2)])
+    k, g = _one_edge([0, 2], [1, 3])
+    assert stabbed_simplexes(k, g, _vertical_line(F(1, 2)), 1) == [("a", "b")]
 
 
 def test_full_space_plane_meets_everything():
     fam = PlaneFamily(2, (), (1, 2), 2)
     plane = plane_through(fam, vec([100, 100]))
-    assert plane_meets_simplex_image(plane, [vec([0, 0]), vec([1, 0])]) is not None
+    k, g = _one_edge([0, 2], [1, 3])
+    assert stabbed_simplexes(k, g, plane, 1) == [("a",), ("b",), ("a", "b")]
 
 
 # --- exact linear-regime decision ---------------------------------------------
@@ -339,6 +314,24 @@ def test_rational_root_helper_isolates_roots_closer_than_200_halvings():
     root, interval = _rational_root_or_interval(p)
     assert root is None
     assert verify_interval_certificate(p, interval)
+
+
+def test_rational_root_helper_builds_one_sturm_chain(monkeypatch):
+    # every count of one isolation reads the same chain of the square-free part
+    from plstab import ratmath, transversal
+    builds = []
+    build = ratmath._sturm_chain
+
+    def counting(p):
+        builds.append(p)
+        return build(p)
+
+    monkeypatch.setattr(ratmath, "_sturm_chain", counting)
+    monkeypatch.setattr(transversal, "_sturm_chain", counting, raising=False)
+    p = poly_mul(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
+    root, interval = _rational_root_or_interval(p)
+    assert root is None
+    assert len(builds) == 1
 
 
 def test_interval_certificate_accepts_isolating_interval():
