@@ -21,8 +21,9 @@ from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex
 from .transversal import (ConcretePlane, NonStabCase, PlaneFamily,
                           family_from_json_dict, nonstab_case, plane_through,
-                          stab_decide_univariate, stab_exists_linear,
-                          stab_search_general, verify_stab_witness)
+                          sets_from_json, stab_decide_univariate,
+                          stab_exists_linear, stab_search_general,
+                          verify_stab_witness)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -282,17 +283,18 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
 
     Keys: family (JSON dict), sets (list of point lists of rational text),
     mode (linear | search | univariate), expect (witness | infeasible |
-    no_stab | not_found), optional budget.
+    no_stab | not_found), optional budget (a JSON integer >= 0).
     """
     family = family_from_json_dict(fixture["family"])
-    sets = [[vec(p) for p in ps] for ps in fixture["sets"]]
+    sets = sets_from_json(fixture["sets"], family.m)
     mode = fixture.get("mode", "linear")
     if mode == "linear":
         witness = stab_exists_linear(sets, family)
         status = "infeasible" if witness is None else "witness"
     elif mode == "search":
         got = stab_search_general(sets, family,
-                                  int(fixture.get("budget", 500)), base_pool)
+                                  _json_count(fixture, "budget", 500, least=0),
+                                  base_pool)
         status = "witness" if got.found else "not_found"
         witness = got.witness
     elif mode == "univariate":
@@ -316,12 +318,12 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
     }
 
 
-def _suite_bound(suite: dict, key: str, default: int, least: int) -> int:
-    """An integer suite bound; a float, a string or a value below `least` is an error."""
-    value = suite.get(key, default)
+def _json_count(data: dict, key: str, default: int, least: int) -> int:
+    """data[key] (or default) as a JSON integer >= least; a float, a string,
+    a bool or a smaller value is an error."""
+    value = data.get(key, default)
     if type(value) is not int or value < least:
-        raise ValueError(f"suite {key} must be an integer >= {least}, "
-                         f"got {value!r}")
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -335,8 +337,8 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     cells_run = []
     for suite in grid.get("suites", []):
         kind = suite["kind"]
-        m_max = _suite_bound(suite, "m_max", 4, least=1)
-        n_max = _suite_bound(suite, "n_max", 2, least=0)
+        m_max = _json_count(suite, "m_max", 4, least=1)
+        n_max = _json_count(suite, "n_max", 2, least=0)
         if kind == "linear":
             cells = linear_cells(m_max, n_max)
             runner = run_linear_cell

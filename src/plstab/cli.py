@@ -25,16 +25,16 @@ from pathlib import Path
 
 from . import batch
 from .generic import GenericityError, GenericPool, _derived_seed
-from .ratmath import format_rational, parse_rational, vec
+from .ratmath import format_rational, parse_rational
 from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (ParseError, certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
 from .transversal import (family_from_json_dict, max_disjoint_stabbed,
-                          plane_from_json_dict, plane_to_json_dict, stab_bound,
-                          stab_decide_univariate, stab_exists_linear,
-                          stab_search_general, verify_interval_certificate,
-                          verify_stab_witness)
+                          plane_from_json_dict, plane_to_json_dict,
+                          sets_from_json, stab_bound, stab_decide_univariate,
+                          stab_exists_linear, stab_search_general,
+                          verify_interval_certificate, verify_stab_witness)
 
 
 class CliError(Exception):
@@ -43,8 +43,15 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors become a CliError, so they get a JSON report."""
+
+    def error(self, message: str):
+        raise CliError(2, f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plstab",
         description="exact stabbing-bound verification for PL maps")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -166,17 +173,9 @@ def _load_certified_map(complex_path: str, map_path: str, inputs: dict):
 def _load_sets(path: str, inputs: dict, m: int):
     data = _read_json(path, inputs)
     try:
-        sets = [[vec(parse_rational(x) for x in p) for p in ps]
-                for ps in data["sets"]]
+        return sets_from_json(data["sets"], m)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, f"{path}: malformed point sets: {exc}") from exc
-    if not sets or any(not ps for ps in sets):
-        raise CliError(2, f"{path}: need nonempty point sets")
-    for ps in sets:
-        for p in ps:
-            if len(p) != m:
-                raise CliError(2, f"{path}: point of length {len(p)}, expected {m}")
-    return sets
 
 
 def _run_gen(args, inputs) -> tuple[dict, dict, int]:
@@ -398,15 +397,13 @@ def _emit(report: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0,) else 0
     inputs: dict = {}
     echo = list(argv) if argv is not None else sys.argv[1:]
     try:
+        args = _build_parser().parse_args(argv)
         result, certificate, code = _HANDLERS[args.verb](args, inputs)
+    except SystemExit:  # only --help exits; every parse error raises CliError
+        return 0
     except CliError as exc:
         _emit({"command": echo, "inputs": inputs, "error": str(exc),
                "exit_code": exc.exit_code})

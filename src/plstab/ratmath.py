@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Everything in this package runs on `fractions.Fraction`; no floats enter any
-decision.  This module supplies the substrate: dense matrices, affine
-solves with nullspace bases, exact linear-programming feasibility, and
-real-root existence for univariate polynomials via Sturm sequences.
+Everything in this package runs on `fractions.Fraction` and integers; no
+floats enter any decision.  This module supplies the substrate: dense
+matrices, affine solves with nullspace bases, exact linear-programming
+feasibility, and real-root existence for univariate polynomials via Sturm
+sequences.
 
 Rank, reduced row echelon forms, solves and nullspaces all come from one
 kernel, :func:`_echelon`: fraction-free Gauss-Jordan elimination on
@@ -11,11 +12,12 @@ denominator-cleared integer rows.  :func:`lp_feasible` eliminates first and
 runs its phase-1 simplex (Bland's rule) only when the equality system has a
 nullspace; an inconsistent system or a unique solution decides it directly.
 
-Sturm chains are integer too: :func:`_sturm_chain` keeps primitive integer
-polynomials (a primitive pseudo-remainder sequence), each a positive
-multiple of the Euclidean chain member, and signs at a rational point come
-from an integer homogeneous Horner sum.  The public polynomial functions
-still take and return ``Fraction`` coefficient tuples.
+Polynomial arithmetic runs on one integer kernel too: primitive integer
+coefficient lists, one primitive pseudo-remainder sequence (:func:`_prs`)
+for both Sturm chains and gcds, and one Bareiss determinant over Z[s]
+(:func:`_poly_det`) whose exact divisions raise on a remainder.  Signs at a
+rational point come from an integer homogeneous Horner sum.  The public
+polynomial functions still take and return ``Fraction`` coefficient tuples.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent tasks.
@@ -129,6 +131,12 @@ class Mat:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def _cleared(xs: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators, as integers."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination on integers (Bareiss 1968).
 
@@ -141,10 +149,7 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
     below the rank are zero.  First-nonzero pivoting keeps the path
     deterministic.  Returns (integer rows, pivot columns).
     """
-    work = []
-    for r in rows:
-        scale = math.lcm(*(x.denominator for x in r))
-        work.append([x.numerator * (scale // x.denominator) for x in r])
+    work = [_cleared(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -383,12 +388,16 @@ def _simplex_witness(eq: Mat, rhs: Vec, nonneg: set[int]) -> Optional[Vec]:
 Poly = tuple[Fraction, ...]
 
 
-def poly(coeffs: Iterable) -> Poly:
-    """Normalize to the invariant: no trailing zero coefficients."""
-    c = [as_fraction(x) for x in coeffs]
+def _trimmed(c: list) -> list:
+    """A coefficient list without trailing zeros."""
     while c and c[-1] == 0:
         c.pop()
-    return tuple(c)
+    return c
+
+
+def poly(coeffs: Iterable) -> Poly:
+    """Normalize to the invariant: no trailing zero coefficients."""
+    return tuple(_trimmed([as_fraction(x) for x in coeffs]))
 
 
 def poly_degree(p: Poly) -> int:
@@ -402,77 +411,69 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                for i in range(n))
-
-
-def poly_scale(c, p: Poly) -> Poly:
-    return poly(as_fraction(c) * x for x in p)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly(out)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_scale(-1, q))
-
-
-def poly_deriv(p: Poly) -> Poly:
-    return poly(i * p[i] for i in range(1, len(p)))
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [_ZERO] * max(len(f) - len(g) + 1, 0)
-    rem = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    while len(rem) - 1 >= dg and any(x != 0 for x in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        shift = len(rem) - 1 - dg
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i in range(len(g)):
-            rem[shift + i] -= factor * g[i]
-        rem.pop()
-    return poly(quot), poly(rem)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    a, b = f, g
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        a = poly_scale(1 / a[-1], a)  # monic
-    return a
-
-
-def square_free_part(p: Poly) -> Poly:
-    if poly_degree(p) < 1:
-        return p
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) < 1:
-        return p
-    return poly_divmod(p, g)[0]
-
-
 def _primitive(c: list[int]) -> list[int]:
     """An integer polynomial divided by its positive content."""
     g = math.gcd(*c)
     return c if g == 1 else [x // g for x in c]
+
+
+def _derivative(c: list[int]) -> list[int]:
+    return [i * c[i] for i in range(1, len(c))]
+
+
+def _cross(a: list[int], x: list[int], b: list[int], y: list[int]) -> list[int]:
+    """a * x - b * y for integer polynomials."""
+    out = [0] * max(len(a) + len(x), len(b) + len(y))
+    for u, v in ((a, x), ([-c for c in b], y)):
+        for i, c in enumerate(u):
+            for j, e in enumerate(v):
+                out[i + j] += c * e
+    return _trimmed(out)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials, b nonzero.
+
+    Raises ArithmeticError unless b divides a exactly in Z[s].
+    """
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[shift + len(b) - 1], b[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quot[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def _poly_det(rows: list[list[list[int]]]) -> list[int]:
+    """Determinant of a nonempty square matrix over Z[s] (Bareiss 1968).
+
+    Each pivot step replaces the rows below it by ``(pv * x - f * y) / prev``,
+    the update of :func:`_echelon`, and drops the pivot row and column.
+    Every entry stays a minor of the matrix, so each division is exact; the
+    last entry is the determinant of the row-swapped matrix.
+    """
+    work = list(rows)
+    sign, prev = 1, [1]
+    while len(work) > 1:
+        pr = next((i for i, r in enumerate(work) if r[0]), None)
+        if pr is None:
+            return []
+        if pr:
+            work[0], work[pr] = work[pr], work[0]
+            sign = -sign
+        top, *rest = work
+        pv = top[0]
+        work = [[_exact_quotient(_cross(pv, x, r[0], y), prev)
+                 for x, y in zip(r[1:], top[1:])] for r in rest]
+        prev = pv
+    det = work[0][0]
+    return det if sign > 0 else [-x for x in det]
 
 
 def _negated_prem(a: list[int], b: list[int]) -> list[int]:
@@ -495,33 +496,59 @@ def _negated_prem(a: list[int], b: list[int]) -> list[int]:
                 rem = [mag * x for x in rem]
             for i in range(db):
                 rem[shift + i] -= f * b[i]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return _primitive([-x for x in rem])
+    return _primitive([-x for x in _trimmed(rem)])
+
+
+def _prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """Primitive pseudo-remainder sequence of nonzero integer polynomials.
+
+    Starts a, b; each next member is the primitive part of the negated
+    pseudo-remainder of the two before it (Collins 1967, Brown-Traub 1971),
+    a positive multiple of the Euclidean member -rem.  It stops before the
+    first zero remainder, so its last member is a gcd of a and b.
+    """
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        rem = _negated_prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
+    return chain
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials, leading coefficient > 0.
+
+    The zero polynomial ``[]`` when both are zero.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    g = _primitive(_prs(a, b)[-1] if b else a)
+    return [-x for x in g] if g and g[-1] < 0 else g
+
+
+def square_free_part(p: Poly) -> Poly:
+    """head / gcd(head, head'), head the primitive integer multiple of p.
+
+    It has the distinct roots of p, each simple; p itself when its degree is
+    below 1.
+    """
+    if poly_degree(p) < 1:
+        return p
+    head = _primitive(_cleared(p))
+    return poly(_exact_quotient(head, _poly_gcd(head, _derivative(head))))
 
 
 def _sturm_chain(p: Poly) -> list[list[int]]:
-    """Sturm chain of a nonzero p as primitive integer polynomials.
-
-    The chain starts at the primitive integer part of p (denominators
-    cleared once, then divided by the positive content) and its derivative;
-    each next member is the primitive part of the negated pseudo-remainder
-    (a primitive PRS; Collins 1967, Brown-Traub 1971).  Every member is a
-    positive multiple of the member of the Euclidean chain p, p',
-    -rem(p, p'), ..., so the signs at every point and at +-infinity are the
-    same and so is every variation count, while the coefficients stay small.
+    """Sturm chain of a nonzero p: the :func:`_prs` of its primitive integer
+    multiple and that multiple's derivative.  Every member is a positive multiple of the
+    member of the Euclidean chain p, p', -rem(p, p'), ..., so every sign and
+    variation count is the same, while the coefficients stay small.
     """
-    scale = math.lcm(*(x.denominator for x in p))
-    head = _primitive([x.numerator * (scale // x.denominator) for x in p])
-    chain = [head]
-    if len(head) > 1:
-        chain.append(_primitive([i * head[i] for i in range(1, len(head))]))
-        while len(chain[-1]) > 1:
-            rem = _negated_prem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(rem)
-    return chain
+    head = _primitive(_cleared(p))
+    if len(head) == 1:
+        return [head]
+    return _prs(head, _primitive(_derivative(head)))
 
 
 def _sign_at(c: list[int], x: Optional[Fraction], end: int) -> int:
@@ -550,7 +577,7 @@ def _sign_right_of(c: list[int], x: Fraction) -> int:
         s = _sign_at(c, x, +1)
         if s:
             return s
-        c = [i * c[i] for i in range(1, len(c))]
+        c = _derivative(c)
 
 
 def _variations(chain: list[list[int]], x: Optional[Fraction], end: int) -> int:
@@ -568,31 +595,19 @@ def _variations(chain: list[list[int]], x: Optional[Fraction], end: int) -> int:
 
 def sturm_root_exists(p: Poly, lo: Optional[Fraction] = None,
                       hi: Optional[Fraction] = None) -> bool:
-    """True iff p has a real root in [lo, hi] (side unbounded when None).
-
-    Decided by Sturm's theorem with exact sign counts on the integer chain
-    of :func:`_sturm_chain`; multiple roots are handled (the chain
-    terminates at the gcd, counting distinct roots).
+    """True iff p has a real root in [lo, hi] (side unbounded when None):
+    lo is a root, or :func:`sturm_count` finds one in (lo, hi].
     """
     p = poly(p)
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError("empty interval")
     if not p:
         if lo is None and hi is None:
             raise ValueError("zero polynomial with both bounds absent")
-        if lo is not None and hi is not None and lo > hi:
-            raise ValueError("empty interval")
         return True
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError("empty interval")
-    if poly_degree(p) == 0:
-        return False
-    chain = _sturm_chain(p)
-    if lo is not None and _sign_at(chain[0], lo, -1) == 0:
+    if lo is not None and poly_eval(p, lo) == 0:
         return True
-    if hi is not None and _sign_at(chain[0], hi, +1) == 0:
-        return True
-    va = _variations(chain, lo, -1)
-    vb = _variations(chain, hi, +1)
-    return va - vb > 0
+    return sturm_count(p, lo, hi) > 0
 
 
 def sturm_count(p: Poly, lo: Optional[Fraction] = None,

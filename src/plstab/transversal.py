@@ -14,8 +14,9 @@ s_T axes.  This module provides:
   exact LP;
 * the exact stabbing decision in the linear regime (q <= d-t+1), where
   absence is a certificate of nonexistence;
-* the exact univariate decision on one-parameter constraint flats, via a
-  single determinant polynomial and Sturm's theorem;
+* the exact univariate decision on one-parameter constraint flats, via the
+  gcd of the maximal minors of the projected difference matrix and
+  Sturm's theorem;
 * a float-free heuristic search for transversals outside those regimes
   (verified witnesses only; NotFound is never evidence);
 * the exact maximum number of pairwise vertex-disjoint stabbed simplexes of
@@ -24,6 +25,7 @@ s_T axes.  This module provides:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -31,14 +33,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import GenericPool, _derived_seed
-from .ratmath import (Mat, Poly, Vec, _count_on_chain, _sturm_chain,
-                      cauchy_root_bound, det, format_rational,
-                      independent_subset, lp_feasible, mat_rank,
-                      nullspace_basis, parse_rational, poly, poly_add,
-                      poly_eval, poly_mul, poly_scale, poly_sub,
-                      simplest_between, solve_affine, square_free_part,
-                      sturm_count, sturm_root_exists, unit_vec, vec, vec_dot,
-                      vec_sub)
+from .ratmath import (Mat, Poly, Vec, _cleared, _count_on_chain, _poly_det,
+                      _poly_gcd, _sturm_chain, _trimmed, cauchy_root_bound,
+                      det, format_rational, independent_subset, lp_feasible,
+                      mat_rank, nullspace_basis, parse_rational, poly,
+                      poly_eval, simplest_between, solve_affine,
+                      square_free_part, sturm_count, sturm_root_exists,
+                      unit_vec, vec, vec_dot, vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex
 
 _ZERO = Fraction(0)
@@ -351,41 +352,22 @@ class UnivariateDecision:
     reduced: Optional[Poly] = None
 
 
-def _poly_matrix_det(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total: Poly = ()
-    for j in range(n):
-        head = rows[0][j]
-        if not head:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = poly_mul(head, _poly_matrix_det(minor))
-        if j % 2:
-            term = poly_scale(-1, term)
-        total = poly_add(total, term)
-    return total
-
-
 def _projected_difference_polys(point_sets, family, base_lambda, direction):
-    """Rows (Y_i - Y_1)(s) restricted to the block coordinates, as polynomials."""
+    """Rows (Y_i - Y_1)(s) restricted to the block coordinates, as linear
+    integer polynomials; clearing each row's denominators once scales every
+    maximal minor by the same positive integer."""
     sizes = [len(ps) for ps in point_sets]
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
     block = family.block
-    y_polys = []
+    ys = []
     for i, pts in enumerate(point_sets):
-        coords = []
-        for c in block:
-            const = sum((base_lambda[offsets[i] + j] * pts[j][c - 1]
-                         for j in range(sizes[i])), _ZERO)
-            slope = sum((direction[offsets[i] + j] * pts[j][c - 1]
-                         for j in range(sizes[i])), _ZERO)
-            coords.append(poly([const, slope]))
-        y_polys.append(coords)
+        ys.append([sum((lam[offsets[i] + j] * pts[j][c - 1]
+                        for j in range(sizes[i])), _ZERO)
+                   for lam in (base_lambda, direction) for c in block])
     rows = []
-    for i in range(1, len(point_sets)):
-        rows.append([poly_sub(y_polys[i][c], y_polys[0][c])
+    for y in ys[1:]:
+        ints = _cleared([a - b for a, b in zip(y, ys[0])])
+        rows.append([_trimmed([ints[c], ints[len(block) + c]])
                      for c in range(len(block))])
     return rows
 
@@ -454,11 +436,12 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
                            family: PlaneFamily) -> UnivariateDecision:
     """Exact decision when q = d-t+2 and the constraint flat is one-dimensional.
 
-    On the flat the stabbing condition collapses to one determinant
-    polynomial in the flat parameter: the plain determinant of the projected
-    difference matrix when it is square, else the determinant of its Gram
-    matrix (the sum of squared maximal minors).  Sturm's theorem then decides
-    real-root existence exactly.
+    On the flat a family member meets every affine hull exactly where the
+    projected difference matrix drops rank, that is, by Cauchy-Binet, at the
+    common real roots of its maximal minors: the real roots of their gcd,
+    which is ``reduced``.  With no minors (fewer columns than rows) the gcd
+    is the zero polynomial and every flat point stabs.  Sturm's theorem
+    decides real-root existence exactly.
     """
     q = len(point_sets)
     if q < 1 or any(not ps for ps in point_sets):
@@ -472,37 +455,23 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
         return UnivariateDecision("not_applicable")
     base_lambda, (direction,) = sol
     rows = _projected_difference_polys(point_sets, fam, base_lambda, direction)
-    nrows = len(rows)      # d - t + 1
-    ncols = len(fam.block)  # T - t
-    if ncols < nrows:
-        # rank can never exceed the column count, so every flat point stabs
-        reduced: Poly = ()
-    elif ncols == nrows:
-        reduced = _poly_matrix_det(rows)
-    else:
-        gram: list[list[Poly]] = []
-        for i in range(nrows):
-            grow: list[Poly] = []
-            for j in range(nrows):
-                acc: Poly = ()
-                for c in range(ncols):
-                    acc = poly_add(acc, poly_mul(rows[i][c], rows[j][c]))
-                grow.append(acc)
-            gram.append(grow)
-        reduced = _poly_matrix_det(gram)
+    gcd: list[int] = []
+    for cols in itertools.combinations(range(len(fam.block)), len(rows)):
+        gcd = _poly_gcd(gcd, _poly_det([[row[c] for c in cols] for row in rows]))
+        if len(gcd) == 1:
+            break  # a constant gcd: the minors have no common root
+    reduced = poly(gcd)
     if not reduced:
-        s0 = _ZERO
-        flat = vec(b + s0 * w for b, w in zip(base_lambda, direction))
-        return UnivariateDecision("stab", witness=_witness_from_lambda(
-            point_sets, fam, flat), reduced=reduced)
-    if not sturm_root_exists(reduced):
+        root, interval = _ZERO, None  # every flat point stabs
+    elif not sturm_root_exists(reduced):
         return UnivariateDecision("no_stab", reduced=reduced)
-    root, interval = _rational_root_or_interval(reduced)
-    if root is not None:
-        flat = vec(b + root * w for b, w in zip(base_lambda, direction))
-        return UnivariateDecision("stab", witness=_witness_from_lambda(
-            point_sets, fam, flat), reduced=reduced)
-    return UnivariateDecision("stab", interval=interval, reduced=reduced)
+    else:
+        root, interval = _rational_root_or_interval(reduced)
+    if root is None:
+        return UnivariateDecision("stab", interval=interval, reduced=reduced)
+    flat = vec(b + root * w for b, w in zip(base_lambda, direction))
+    return UnivariateDecision("stab", witness=_witness_from_lambda(
+        point_sets, fam, flat), reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +713,23 @@ def family_from_json_dict(data: dict) -> PlaneFamily:
     s_t, s_T = (tuple(_typed(j, int, key) for j in _typed(data[key], list, key))
                 for key in ("St", "ST"))
     return PlaneFamily(m, s_t, s_T, _typed(data["d"], int, "d"))
+
+
+def sets_from_json(data, m: int) -> list[list[Vec]]:
+    """Point sets from JSON: a nonempty list of nonempty lists of points,
+    each point a list of m rational strings."""
+    sets = []
+    for ps in _typed(data, list, "sets"):
+        pts = []
+        for p in _typed(ps, list, "point set"):
+            if len(_typed(p, list, "point")) != m:
+                raise ValueError(f"point of length {len(p)}, expected {m}")
+            pts.append(vec(parse_rational(_typed(x, str, "coordinate"))
+                           for x in p))
+        sets.append(pts)
+    if not sets or any(not ps for ps in sets):
+        raise ValueError("need nonempty point sets")
+    return sets
 
 
 def plane_to_json_dict(p: ConcretePlane) -> dict:

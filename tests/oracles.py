@@ -3,9 +3,10 @@
 Everything here is deliberately naive: cofactor determinants, all-pairs
 comparison for distinctness, minor enumeration for rank, textbook Fraction
 Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
-enumeration for LP feasibility and polytope vertices, subset scans for
-maximum disjoint families, Bell-number partition scans for clustering, and
-grid sampling for component diameters.  None of it shares code with the
+enumeration for LP feasibility and polytope vertices, schoolbook polynomial
+products, Euclidean Sturm chains, the Gram determinant for the univariate
+stabbing decision, subset scans for maximum disjoint families, Bell-number
+partition scans for clustering, and grid sampling for component diameters.  None of it shares code with the
 paths it checks, and none of it imports ``plstab``.
 """
 
@@ -155,6 +156,33 @@ def _euclid_divmod(f, g):
             rem[shift + i] -= factor * c
         rem = _trim(rem[:-1])
     return quot, rem
+
+
+def poly_mul_naive(p, q):
+    """Product of two coefficient sequences (ascending degree), trimmed."""
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(_trim(out))
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return tuple(_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                        for i in range(n)]))
+
+
+def poly_det_cofactor(rows):
+    """Determinant of a square matrix of polynomials by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = ()
+    for j, head in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = poly_mul_naive(head, poly_det_cofactor(minor))
+        total = _poly_add(total, tuple(-c for c in term) if j % 2 else term)
+    return total
 
 
 def sturm_count_euclid(coeffs, lo=None, hi=None):
@@ -324,3 +352,64 @@ def clusterable_by_partition_scan(components, q, eps_sq, pair_diam_sq):
         if ok:
             return True
     return False
+
+
+def univariate_by_gram(point_sets, m, s_t, s_T, d):
+    """The univariate stabbing decision by the Gram determinant.
+
+    Returns (status, polynomial).  The decision applies when there are
+    q = d - |s_t| + 2 sets and the coefficient vectors lambda (each set's
+    summing to 1, the met points' differences Y_i - Y_1 vanishing outside
+    s_T) form a line base + s w; otherwise it is ("not_applicable", None).
+    On the line the rows (Y_i - Y_1)(s), restricted to the coordinates of
+    s_T outside s_t, are dependent exactly where the determinant of their
+    Gram matrix vanishes: the status is "stab" when that determinant is the
+    zero polynomial or has a real root, else "no_stab".
+    """
+    q = len(point_sets)
+    if q != d - len(s_t) + 2:
+        return "not_applicable", None
+    sizes = [len(ps) for ps in point_sets]
+    offsets = [sum(sizes[:i]) for i in range(q)]
+    nvars = sum(sizes)
+    system = [[Fraction(int(offsets[i] <= k < offsets[i] + sizes[i]))
+               for k in range(nvars)] + [Fraction(1)] for i in range(q)]
+    for i in range(1, q):
+        for c in range(1, m + 1):
+            if c in s_T:
+                continue
+            row = [Fraction(0)] * (nvars + 1)
+            for j, p in enumerate(point_sets[i]):
+                row[offsets[i] + j] += Fraction(p[c - 1])
+            for j, p in enumerate(point_sets[0]):
+                row[offsets[0] + j] -= Fraction(p[c - 1])
+            system.append(row)
+    reduced, pivots = rref_naive(system)
+    free = [k for k in range(nvars) if k not in pivots]
+    if nvars in pivots or len(free) != 1:
+        return "not_applicable", None
+    base = [Fraction(0)] * nvars
+    w = [Fraction(0)] * nvars
+    w[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        base[c] = reduced[r][-1]
+        w[c] = -reduced[r][free[0]]
+
+    def met(i, c):  # coordinate c of Y_i(s) as a linear polynomial
+        return [sum(lam[offsets[i] + j] * Fraction(p[c - 1])
+                    for j, p in enumerate(point_sets[i])) for lam in (base, w)]
+
+    block = [c for c in s_T if c not in s_t]
+    diffs = [[tuple(_trim(a - b for a, b in zip(met(i, c), met(0, c))))
+              for c in block] for i in range(1, q)]
+    gram = []
+    for ri in diffs:
+        grow = []
+        for rj in diffs:
+            acc = ()
+            for a, b in zip(ri, rj):
+                acc = _poly_add(acc, poly_mul_naive(a, b))
+            grow.append(acc)
+        gram.append(grow)
+    det = poly_det_cofactor(gram)
+    return ("stab" if not det or sturm_count_euclid(det) > 0 else "no_stab"), det

@@ -56,15 +56,32 @@ def test_bounds_invalid_parameters_exit_2(capsys):
     assert "error" in json.loads(out)
 
 
+def _one_parse_error_report(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report == {"command": argv, "inputs": {}, "error": report["error"],
+                      "exit_code": 2}
+    assert captured.err == ""
+    return report["error"]
+
+
 def test_unparsable_flag_exit_2(capsys):
-    assert main(["bounds", "--n", "x", "--m", "4", "--d", "1",
-                 "--t", "0", "--T", "3"]) == 2
-    capsys.readouterr()
+    for argv in (["bounds", "--n", "x", "--m", "4", "--d", "1",
+                  "--t", "0", "--T", "3"],
+                 ["count", "--nmax", "x"]):
+        error = _one_parse_error_report(capsys, argv)
+        assert "invalid int value: 'x'" in error
 
 
 def test_unknown_verb_exit_2(capsys):
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+    assert "frobnicate" in _one_parse_error_report(capsys, ["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [["stab", "--mode", "linear"], []])
+def test_missing_required_flag_exit_2(capsys, argv):
+    assert "required" in _one_parse_error_report(capsys, argv)
 
 
 def test_help_exits_zero(capsys):
@@ -197,6 +214,7 @@ def test_stab_univariate_no_stab(capsys, tmp_path):
     result = json.loads(out)["result"]
     assert result["status"] == "no_stab"
     assert result["certified"] is True
+    assert result["reduced"] == ["1"]  # the two 1 x 1 minors are coprime
 
 
 def test_stab_univariate_interval_answer(capsys, tmp_path):
@@ -214,6 +232,7 @@ def test_stab_univariate_interval_answer(capsys, tmp_path):
     assert result["witness_kind"] == "isolating_interval"
     assert result["certified"] is True
     assert len(result["interval"]) == 2
+    assert result["reduced"] == ["-1", "2", "1"]  # the single minor
 
 
 def test_verify_univariate_suite(capsys, tmp_path):
@@ -331,6 +350,52 @@ def test_verify_fixture_family_needs_json_integers_and_lists_exit_2(
                                  "--trials", "1", "--seed", "0"])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("sets", [
+    [["00"], ["50"]],                   # string points were split into digits
+    [[["0", "0", "0"]], [["1", "1"]]],  # a point of the wrong length
+    [[[0, 0]], [[1, 1]]],               # coordinates must be rational strings
+    [], [[], [["1", "1"]]], "00",
+])
+def test_stab_point_sets_need_lists_of_m_rational_strings_exit_2(
+        capsys, tmp_path, sets):
+    fam = write(tmp_path, "f.json", {"m": 2, "St": [], "ST": [1], "d": 1})
+    path = write(tmp_path, "s.json", {"m": 2, "sets": sets})
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", path,
+                                 "--mode", "linear"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("sets", [[[["0", "0", "0"]], [["1", "1"]]],
+                                  [["00"], ["11"]]])
+def test_verify_fixture_point_sets_need_m_coordinates_exit_2(capsys, tmp_path,
+                                                             sets):
+    grid = write(tmp_path, "grid.json", {"fixtures": [{
+        "name": "malformed", "mode": "linear",
+        "family": {"m": 2, "St": [], "ST": [1, 2], "d": 1},
+        "sets": sets, "expect": "witness",
+    }]})
+    code, out = run_cli(capsys, ["verify", "--grid", grid,
+                                 "--trials", "1", "--seed", "0"])
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("budget", ["300", 2.9, True, -1])
+def test_verify_fixture_budget_must_be_a_counting_integer_exit_2(
+        capsys, tmp_path, budget):
+    fixture = {"name": "search", "mode": "search", "family": Z_AXIS_FAMILY,
+               "sets": Z_AXIS_SETS["sets"], "budget": budget,
+               "expect": "witness"}
+    grid = write(tmp_path, "grid.json", {"fixtures": [fixture]})
+    code, out = run_cli(capsys, ["verify", "--grid", grid,
+                                 "--trials", "1", "--seed", "0"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert "budget must be an integer >= 0" in report["error"]
 
 
 def test_section_report(capsys, tmp_path):

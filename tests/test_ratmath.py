@@ -6,13 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_cofactor, feasible_by_basic_solutions,
-                     poly_eval_naive, rank_by_minors, root_in_interval_by_grid,
-                     rref_naive, sturm_count_euclid)
+                     poly_det_cofactor, poly_eval_naive, poly_mul_naive,
+                     rank_by_minors, root_in_interval_by_grid, rref_naive,
+                     sturm_count_euclid)
 from plstab import ratmath
 from plstab.ratmath import (Mat, _rref, cauchy_root_bound, det,
                             format_rational, independent_subset, lp_feasible,
                             mat_rank, nullspace_basis, parse_rational, poly,
-                            poly_eval, poly_mul, simplest_between,
+                            poly_eval, simplest_between,
                             solve_affine, sturm_count, sturm_root_exists, vec,
                             vec_dot)
 
@@ -338,6 +339,27 @@ def test_lp_runs_the_simplex_only_on_a_nullspace(monkeypatch):
     assert len(calls) == 1
 
 
+# --- integer polynomials ----------------------------------------------------
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(-3, 3), max_size=3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_poly_det_matches_cofactor_expansion(matrix):
+    # small entries and short polynomials make zero pivots, so rows swap
+    rows = [[list(poly(e)) for e in r] for r in matrix]
+    want = poly_det_cofactor([[poly(e) for e in r] for r in matrix])
+    assert poly(ratmath._poly_det(rows)) == want
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    assert ratmath._exact_quotient([-2, 1, 1], [-1, 1]) == [2, 1]
+    with pytest.raises(ArithmeticError):
+        ratmath._exact_quotient([-2, 1, 1], [1, 2])  # (s-1)(s+2) / (2s+1)
+    with pytest.raises(ArithmeticError):
+        ratmath._exact_quotient([1, 2], [0, 2])  # 2s+1 over Z by 2s
+
+
 # --- Sturm ------------------------------------------------------------------
 
 def test_sturm_positive_everywhere():
@@ -385,12 +407,11 @@ def test_sturm_matches_root_construction():
         roots = sorted(roots)
         if any(b - a < F(1, 100) for a, b in zip(roots, roots[1:])):
             continue
-        from plstab.ratmath import poly_mul
         p = poly([1])
         for r in roots:
-            p = poly_mul(p, poly([-r, 1]))
+            p = poly_mul_naive(p, poly([-r, 1]))
         if nroots < 4 and rng.random() < 0.5:
-            p = poly_mul(p, poly([1, 0, 1]))  # rootless quadratic factor
+            p = poly_mul_naive(p, poly([1, 0, 1]))  # rootless quadratic factor
         lo = F(rng.randint(-400, 100), 100)
         hi = lo + F(rng.randint(0, 500), 100)
         expected = any(lo <= r <= hi for r in roots)
@@ -406,10 +427,9 @@ def test_sturm_matches_grid_oracle():
                         for _ in range(rng.randint(1, 3))})
         if any(b - a < F(1, 50) for a, b in zip(roots, roots[1:])):
             continue
-        from plstab.ratmath import poly_mul
         p = poly([1])
         for r in roots:
-            p = poly_mul(p, poly([-r, 1]))
+            p = poly_mul_naive(p, poly([-r, 1]))
         lo, hi = F(-3), F(3)
         want = root_in_interval_by_grid(list(p), lo, hi, F(1, 128))
         assert sturm_root_exists(p, lo, hi) == want
@@ -424,7 +444,7 @@ def test_sturm_count_and_bound():
 
 
 def test_sturm_count_at_a_multiple_root_endpoint():
-    p = poly_mul(poly([1, -2, 1]), poly([-2, 1]))  # (s-1)^2 (s-2)
+    p = poly_mul_naive(poly([1, -2, 1]), poly([-2, 1]))  # (s-1)^2 (s-2)
     assert sturm_count(p, F(1), F(3)) == 1
     assert sturm_count(p, F(0), F(1)) == 1
     assert sturm_count(p, F(0), F(3)) == 2
@@ -449,15 +469,15 @@ def sturm_cases(draw):
         p = poly([1])
         for r in roots:
             for _ in range(draw(st.integers(1, 3))):
-                p = poly_mul(p, poly([-r, 1]))
+                p = poly_mul_naive(p, poly([-r, 1]))
         if draw(st.booleans()):
             b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
             c = b * b / 4 + draw(st.fractions(min_value=F(1, 100), max_value=4))
-            p = poly_mul(p, poly([c, b, 1]))  # no real root
+            p = poly_mul_naive(p, poly([c, b, 1]))  # no real root
         scale = F(draw(st.one_of(st.integers(1, 9),
                                  st.integers(2 ** 1000, 2 ** 1100))),
                   draw(st.integers(1, 9)))
-        p = poly_mul(p, poly([scale if draw(st.booleans()) else -scale]))
+        p = poly_mul_naive(p, poly([scale if draw(st.booleans()) else -scale]))
     end = st.one_of(st.none(), st.fractions(min_value=-8, max_value=8,
                                             max_denominator=8))
     if roots:

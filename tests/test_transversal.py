@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import max_disjoint_by_subsets
+from oracles import (max_disjoint_by_subsets, poly_mul_naive,
+                     sturm_count_euclid, univariate_by_gram)
 from plstab.generic import GenericPool
-from plstab.ratmath import poly, poly_eval, poly_mul, vec
+from plstab.ratmath import poly, poly_eval, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
 from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
@@ -310,7 +311,7 @@ def test_rational_root_helper():
 def test_rational_root_helper_isolates_roots_closer_than_200_halvings():
     # sqrt(2) and sqrt(2 + 2^-300) lie about 2^-302 apart, past 200 halvings
     # of the Cauchy interval; bisection must go on until one root is left
-    p = poly_mul(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
+    p = poly_mul_naive(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
     root, interval = _rational_root_or_interval(p)
     assert root is None
     assert verify_interval_certificate(p, interval)
@@ -328,7 +329,7 @@ def test_rational_root_helper_builds_one_sturm_chain(monkeypatch):
 
     monkeypatch.setattr(ratmath, "_sturm_chain", counting)
     monkeypatch.setattr(transversal, "_sturm_chain", counting, raising=False)
-    p = poly_mul(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
+    p = poly_mul_naive(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
     root, interval = _rational_root_or_interval(p)
     assert root is None
     assert len(builds) == 1
@@ -356,6 +357,78 @@ def test_interval_certificate_rejects_root_endpoint_and_empty_interval():
     assert not verify_interval_certificate(poly([-1, 1]), (F(1), F(2)))
     assert not verify_interval_certificate(poly([-2, 0, 1]), (F(2), F(1)))
     assert not verify_interval_certificate(poly([5]), (F(0), F(1)))
+
+
+# (m, s_t, s_T, d): the projected difference matrix has d - t + 1 rows and
+# T - t columns
+_UNIVARIATE_SHAPES = [
+    (2, (), (1,), 0),          # 1 x 1
+    (3, (), (1, 2), 1),        # 2 x 2
+    (2, (), (1, 2), 0),        # 1 x 2
+    (3, (1,), (1, 2, 3), 1),   # 1 x 2
+    (3, (), (1, 2, 3), 1),     # 2 x 3
+    (4, (), (1, 2, 3), 1),     # 2 x 3
+    (2, (), (1,), 1),          # 2 x 1: no maximal minor
+]
+
+
+@st.composite
+def univariate_cases(draw):
+    """A family and point sets whose constraint flat is generically a line.
+
+    The extra points go round-robin or to random sets; round-robin moves
+    every met point with the flat parameter, so 2 x 2 minors are quadratic.
+    The points are random, or moved so that the hull of every set meets one
+    plane of the family (a stab at a rational parameter).  In a wide matrix
+    the last block coordinate may be one value on every point, so every
+    minor through that column vanishes and the gcd is the remaining minor,
+    which can have irrational roots.
+    """
+    m, s_t, s_T, d = draw(st.sampled_from(_UNIVARIATE_SHAPES))
+    q = d - len(s_t) + 2
+    sizes = [1] * q
+    spread = draw(st.booleans())
+    for k in range(1 + (q - 1) * (m - len(s_T))):
+        sizes[k % q if spread else draw(st.integers(0, q - 1))] += 1
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    point = st.lists(coord, min_size=m, max_size=m)
+    sets = [[draw(point) for _ in range(n)] for n in sizes]
+    block = [c for c in s_T if c not in s_t]
+    if draw(st.booleans()):
+        dirs = [[F(int(j == c)) for j in range(1, m + 1)] for c in s_t]
+        dirs += [[draw(coord) if j in block else F(0) for j in range(1, m + 1)]
+                 for _ in range(d - len(s_t))]
+        base = draw(point)
+        for pts in sets:
+            y = list(base)
+            for v in dirs:
+                a = draw(coord)
+                y = [yc + a * vc for yc, vc in zip(y, v)]
+            weights = [draw(st.integers(1, 3)) for _ in pts]
+            mu = [F(w, sum(weights)) for w in weights]
+            pts[0] = [(y[c] - sum(mu[j] * pts[j][c] for j in range(1, len(pts))))
+                      / mu[0] for c in range(m)]
+    elif len(block) > q - 1 and draw(st.booleans()):
+        value = draw(coord)
+        for pts in sets:
+            for p in pts:
+                p[block[-1] - 1] = value
+    return PlaneFamily(m, s_t, s_T, d), [[vec(p) for p in pts] for pts in sets]
+
+
+@given(univariate_cases())
+@settings(max_examples=200, deadline=None)
+def test_univariate_decision_matches_gram_oracle(case):
+    family, sets = case
+    want, gram = univariate_by_gram(sets, family.m, family.s_t, family.s_T,
+                                    family.d)
+    got = stab_decide_univariate(sets, family)
+    assert got.status == want
+    if want != "not_applicable":
+        # the gcd of the maximal minors has the real roots of the Gram
+        # determinant, the sum of their squares
+        assert (not got.reduced) == (not gram)
+        assert sturm_count_euclid(got.reduced) == sturm_count_euclid(gram)
 
 
 # --- heuristic search -----------------------------------------------------------
