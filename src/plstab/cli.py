@@ -326,7 +326,7 @@ def _run_section(args, inputs):
     if eps <= 0:
         raise CliError(2, "--eps must be positive")
     section = section_of_image(k, g, plane)
-    part = compute_components(section.pieces)
+    part = compute_components(section)
     max_diam = max(part.diameters_sq, default=Fraction(0))
     result = {
         "pieces": len(section.pieces),
@@ -344,15 +344,15 @@ def _run_cotype(args, inputs):
     eps = _rational_arg(args.eps, "--eps")
     if eps <= 0 or args.q < 1:
         raise CliError(2, "need --eps > 0 and --q >= 1")
-    polys = preimage_polytopes(k, g, plane)
-    part = compute_components(polys)
+    preimage = preimage_polytopes(k, g, plane)
+    part = compute_components(preimage)
     try:
-        clusters = component_clusters(polys, part, args.q, eps)
+        clusters = component_clusters(part, args.q, eps)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
     max_diam = max(part.diameters_sq, default=Fraction(0))
     result = {
-        "pieces": len(polys),
+        "pieces": len(preimage.pieces),
         "components": len(part.components),
         "max_diameter_sq": format_rational(max_diam),
         "eps_sq": format_rational(eps * eps),

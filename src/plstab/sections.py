@@ -1,14 +1,19 @@
 """Exact plane sections of PL images and their metric predicates.
 
 A section is the list of convex polytopes cut out of each simplex image by a
-plane, each given by its exact vertex list.  A vertex of a piece is the
-single point of the piece of one of its faces, so one elimination per face
-that the plane may cut lists every vertex.  Components of the union (pieces
-chained by nonempty intersection, decided by exact LP) make the metric
-predicates decidable: a compact PL set is coverable by disjoint open sets of
-diameter below eps iff every component has diameter below eps, and the
-preimage of a plane is coverable by at most q open sets of diameter at most
-eps iff its components admit such a clustering.
+plane, each given by its exact vertex list and named by its source simplex.
+A vertex of a piece is the single point of the piece of one of its faces, so
+one elimination per face that the plane may cut lists every vertex.
+Components of the union (pieces chained by nonempty intersection) make the
+metric predicates decidable: a compact PL set is coverable by disjoint open
+sets of diameter below eps iff every component has diameter below eps, and
+the preimage of a plane is coverable by at most q open sets of diameter at
+most eps iff its components admit such a clustering.
+
+Components come from face incidence first: the piece of a face lies in the
+piece of each coface, so every piece joins the pieces of its faces, and
+exact LPs run only between pieces of maximal stabbed simplexes that face
+incidence leaves in different classes.
 
 Preimages live in the standard geometric realization of the complex: vertex
 number i sits at the i-th unit point, so a barycentric solution maps to the
@@ -20,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ratmath import (Mat, Vec, as_fraction, dist_sq, lp_feasible,
                       solve_affine)
@@ -45,7 +50,11 @@ class PlanarSection:
 
 @dataclass(frozen=True)
 class ComponentPartition:
+    """Components as sorted piece indices, with each component's distinct
+    vertices in first-seen order and its squared diameter."""
+
     components: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[Vec, ...], ...]
     diameters_sq: tuple[Fraction, ...]
 
 
@@ -111,6 +120,17 @@ def _barycentric_pieces(k: SimplicialComplex, g: PLMap,
     return out
 
 
+def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
+             place: Callable[[Simplex, Vec], Vec]) -> PlanarSection:
+    """Pieces with their distinct vertices placed by place(simplex, lambda)."""
+    pieces = []
+    sources = []
+    for s, bary_verts in _barycentric_pieces(k, g, plane):
+        pieces.append(tuple(dict.fromkeys(place(s, lam) for lam in bary_verts)))
+        sources.append(s)
+    return PlanarSection(tuple(pieces), tuple(sources))
+
+
 def section_of_image(k: SimplicialComplex, g: PLMap,
                      plane: ConcretePlane) -> PlanarSection:
     """Exact intersection of the plane with every simplex image.
@@ -118,22 +138,25 @@ def section_of_image(k: SimplicialComplex, g: PLMap,
     Each piece is the polytope of image points of one simplex lying on the
     plane, listed by its exact vertices; empty intersections are omitted.
     """
-    pieces = []
-    sources = []
-    for s, bary_verts in _barycentric_pieces(k, g, plane):
-        ambient = []
-        for lam in bary_verts:
-            point = tuple(sum((w * g.images[v][c] for w, v in zip(lam, s)), _ZERO)
-                          for c in range(g.m))
-            if point not in ambient:
-                ambient.append(point)
-        pieces.append(tuple(ambient))
-        sources.append(s)
-    return PlanarSection(tuple(pieces), tuple(sources))
+    def place(s: Simplex, lam: Vec) -> Vec:
+        return tuple(sum((w * g.images[v][c] for w, v in zip(lam, s)), _ZERO)
+                     for c in range(g.m))
+
+    return _section(k, g, plane, place)
 
 
-def compute_components(pieces: Sequence[Polytope]) -> ComponentPartition:
-    """Connectivity classes of pieces chained by exact nonempty intersection."""
+def compute_components(section: PlanarSection) -> ComponentPartition:
+    """Connectivity classes of pieces chained by exact nonempty intersection.
+
+    The piece of a face lies in the piece of each coface, so every piece is
+    first joined to the pieces of its proper faces, looked up by source.  A
+    point that a face's piece shares with another piece then lies in the
+    pieces of two top simplexes (sources that are no proper face of another
+    source), so exact LPs between top pieces in different classes find every
+    remaining join.  In the realization piece(s) and piece(s') meet in
+    piece(s & s'), so on a preimage those LPs all come out empty.
+    """
+    pieces, sources = section.pieces, section.sources
     n = len(pieces)
     parent = list(range(n))
 
@@ -143,19 +166,29 @@ def compute_components(pieces: Sequence[Polytope]) -> ComponentPartition:
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    index = {s: i for i, s in enumerate(sources)}
+    top = [True] * n
+    for i, s in enumerate(sources):
+        for size in range(1, len(s)):
+            for f in itertools.combinations(s, size):
+                j = index.get(f)
+                if j is not None:
+                    top[j] = False
+                    parent[find(j)] = find(i)
+    tops = [i for i in range(n) if top[i]]
+    for a, i in enumerate(tops):
+        for j in tops[a + 1:]:
             if find(i) != find(j) and polytopes_intersect(pieces[i], pieces[j]):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    components = tuple(tuple(sorted(g)) for g in
+    components = tuple(tuple(g) for g in
                        sorted(groups.values(), key=lambda g: g[0]))
-    diameters = tuple(
-        diameter_sq([v for i in comp for v in pieces[i]])
-        for comp in components)
-    return ComponentPartition(components, diameters)
+    points = tuple(tuple(dict.fromkeys(v for i in comp for v in pieces[i]))
+                   for comp in components)
+    return ComponentPartition(components, points,
+                              tuple(diameter_sq(p) for p in points))
 
 
 def eps_disjoint(part: ComponentPartition, eps: Fraction) -> bool:
@@ -174,34 +207,28 @@ def eps_disjoint(part: ComponentPartition, eps: Fraction) -> bool:
     return all(d < eps * eps for d in part.diameters_sq)
 
 
-def preimage_polytopes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-                       vertex_order: Optional[Sequence[str]] = None
-                       ) -> tuple[Polytope, ...]:
+def preimage_polytopes(k: SimplicialComplex, g: PLMap,
+                       plane: ConcretePlane) -> PlanarSection:
     """Per-simplex solution polytopes of "image on plane" in realization coordinates.
 
     The realization places vertex number i at the i-th unit point of
     R^{|V|}; a barycentric solution therefore maps to its weight vector
     spread over the positions of its simplex's vertices.
     """
-    order = tuple(vertex_order) if vertex_order is not None else k.vertices
-    index = {v: i for i, v in enumerate(order)}
-    nv = len(order)
-    out = []
-    for s, bary_verts in _barycentric_pieces(k, g, plane):
-        mapped = []
-        for lam in bary_verts:
-            point = [_ZERO] * nv
-            for w, v in zip(lam, s):
-                point[index[v]] = w
-            pt = tuple(point)
-            if pt not in mapped:
-                mapped.append(pt)
-        out.append(tuple(mapped))
-    return tuple(out)
+    index = {v: i for i, v in enumerate(k.vertices)}
+    nv = len(k.vertices)
+
+    def place(s: Simplex, lam: Vec) -> Vec:
+        point = [_ZERO] * nv
+        for w, v in zip(lam, s):
+            point[index[v]] = w
+        return tuple(point)
+
+    return _section(k, g, plane, place)
 
 
-def component_clusters(preimage: Sequence[Polytope], part: ComponentPartition,
-                       q: int, eps: Fraction) -> Optional[list[list[int]]]:
+def component_clusters(part: ComponentPartition, q: int,
+                       eps: Fraction) -> Optional[list[list[int]]]:
     """One split of the components into <= q clusters of diameter <= eps, or None.
 
     part is the preimage's :func:`compute_components` partition; clusters are
@@ -220,14 +247,13 @@ def component_clusters(preimage: Sequence[Polytope], part: ComponentPartition,
     eps_sq = eps * eps
     if any(d > eps_sq for d in part.diameters_sq):
         return None
-    points = [[v for i in comp for v in preimage[i]] for comp in part.components]
-
     pair_cache: dict[tuple[int, int], Fraction] = {}
 
     def pair_diam_sq(i: int, j: int) -> Fraction:
         got = pair_cache.get((i, j))
         if got is None:
-            got = max(dist_sq(a, b) for a in points[i] for b in points[j])
+            got = max(dist_sq(a, b)
+                      for a in part.points[i] for b in part.points[j])
             pair_cache[(i, j)] = got
         return got
 

@@ -709,6 +709,7 @@ def _typed(value, kind: type, what: str):
 
 
 def family_from_json_dict(data: dict) -> PlaneFamily:
+    data = _typed(data, dict, "family")
     m = _typed(data["m"], int, "m")
     s_t, s_T = (tuple(_typed(j, int, key) for j in _typed(data[key], list, key))
                 for key in ("St", "ST"))
@@ -741,10 +742,11 @@ def plane_to_json_dict(p: ConcretePlane) -> dict:
 
 
 def plane_from_json_dict(data: dict) -> ConcretePlane:
-    family = family_from_json_dict(data)
-    basepoint = vec(parse_rational(x)
+    family = family_from_json_dict(_typed(data, dict, "plane"))
+    basepoint = vec(parse_rational(_typed(x, str, "basepoint coordinate"))
                     for x in _typed(data["basepoint"], list, "basepoint"))
-    extras = tuple(vec(parse_rational(x) for x in _typed(row, list, "extra_dirs"))
+    extras = tuple(vec(parse_rational(_typed(x, str, "extra_dirs coordinate"))
+                       for x in _typed(row, list, "extra_dirs"))
                    for row in _typed(data.get("extra_dirs", []), list,
                                      "extra_dirs"))
     return ConcretePlane(family, basepoint, extras)

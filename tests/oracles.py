@@ -5,9 +5,10 @@ comparison for distinctness, minor enumeration for rank, textbook Fraction
 Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
 enumeration for LP feasibility and polytope vertices, schoolbook polynomial
 products, Euclidean Sturm chains, the Gram determinant for the univariate
-stabbing decision, subset scans for maximum disjoint families, Bell-number
-partition scans for clustering, and grid sampling for component diameters.  None of it shares code with the
-paths it checks, and none of it imports ``plstab``.
+stabbing decision, subset scans for maximum disjoint families, all-pairs
+intersection tests for section components, Bell-number partition scans for
+clustering, and grid sampling for component diameters.  None of it shares
+code with the paths it checks, and none of it imports ``plstab``.
 """
 
 from __future__ import annotations
@@ -352,6 +353,52 @@ def clusterable_by_partition_scan(components, q, eps_sq, pair_diam_sq):
         if ok:
             return True
     return False
+
+
+def components_by_pairwise_lp(pieces):
+    """Components of vertex-listed polytopes chained by nonempty intersection.
+
+    Every pair of pieces is tested for a common convex combination,
+    {lambda, mu >= 0 : sum lambda = sum mu = 1, P lambda = Q mu}, by
+    basic-solution scan (coordinate rows that are zero in both pieces are
+    dropped); a union-find joins the pairs that meet.  Returns the
+    components as sorted index tuples ordered by their least index, and the
+    largest squared distance between any two vertices of each component.
+    """
+    n = len(pieces)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(n), 2):
+        if find(i) == find(j):
+            continue
+        p, q = pieces[i], pieces[j]
+        rows = []
+        for c in range(len(p[0])):
+            row = [Fraction(v[c]) for v in p] + [-Fraction(w[c]) for w in q]
+            if any(row):
+                rows.append(row)
+        rows.append([Fraction(1)] * len(p) + [Fraction(0)] * len(q))
+        rows.append([Fraction(0)] * len(p) + [Fraction(1)] * len(q))
+        rhs = [0] * (len(rows) - 2) + [1, 1]
+        if feasible_by_basic_solutions(rows, rhs):
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    components = sorted(tuple(g) for g in groups.values())
+    diameters = []
+    for comp in components:
+        points = [v for i in comp for v in pieces[i]]
+        diameters.append(max(
+            (sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, w))
+             for u, w in itertools.combinations(points, 2)),
+            default=Fraction(0)))
+    return tuple(components), tuple(diameters)
 
 
 def univariate_by_gram(point_sets, m, s_t, s_T, d):

@@ -22,7 +22,8 @@ from plstab.batch import (linear_cells, random_complex, random_map,
 from plstab.cli import main
 from plstab.generic import GenericPool
 from plstab.ratmath import Mat, dist_sq, mat_rank, vec
-from plstab.sections import (component_clusters, compute_components,
+from plstab.sections import (PlanarSection, component_clusters,
+                             compute_components, eps_disjoint,
                              polytopes_intersect, preimage_polytopes,
                              section_of_image)
 from plstab.simplicial import image_point, roberts_perturb
@@ -173,8 +174,7 @@ def test_embedding_regime_injectivity():
             for _ in range(25):
                 point = _on_image_point(rng, k, g)
                 plane = ConcretePlane(point_family, point, ())
-                polys = preimage_polytopes(k, g, plane)
-                part = compute_components(polys)
+                part = compute_components(preimage_polytopes(k, g, plane))
                 assert len(part.components) == 1
             complexes_checked += 1
     _passed(f"embedding regime: {complexes_checked} perturbed complexes "
@@ -220,6 +220,13 @@ def _counting_oracle_pass(rng):
         done += 1
 
 
+def _named(pieces):
+    """A section whose pieces come from pairwise disjoint 0-simplexes, so no
+    face incidence joins them."""
+    pieces = tuple(pieces)
+    return PlanarSection(pieces, tuple((f"p{i}",) for i in range(len(pieces))))
+
+
 def _cluster_oracle_pass(rng):
     for _ in range(200):
         npolys = rng.randint(1, 7)
@@ -233,7 +240,7 @@ def _cluster_oracle_pass(rng):
                 off = [F(rng.randint(-2, 2), 4) for _ in range(dim)]
                 polys.append((vec(base),
                               vec([b + o for b, o in zip(base, off)])))
-        part = compute_components(polys)
+        part = compute_components(_named(polys))
         if len(part.components) > 8:
             continue
         q = rng.randint(1, 3)
@@ -248,7 +255,7 @@ def _cluster_oracle_pass(rng):
 
         want = clusterable_by_partition_scan(
             list(range(len(part.components))), q, eps * eps, pair_diam_sq)
-        assert (component_clusters(polys, part, q, eps) is not None) == want
+        assert (component_clusters(part, q, eps) is not None) == want
 
 
 def _sampling_grid_oracle(pieces, eps):
@@ -292,7 +299,6 @@ def _sampling_grid_oracle(pieces, eps):
 
 
 def _eps_disjoint_oracle_pass(rng):
-    from plstab.sections import PlanarSection, eps_disjoint
     eps = F(1)
     window_lo = eps * eps * F(99, 100) ** 2
     window_hi = eps * eps * F(101, 100) ** 2
@@ -318,9 +324,7 @@ def _eps_disjoint_oracle_pass(rng):
                     break
                 pieces.append((cursor, nxt))  # chains share endpoints exactly
                 cursor = nxt
-        section = PlanarSection(tuple(pieces),
-                                tuple((f"p{i}",) for i in range(len(pieces))))
-        part = compute_components(section.pieces)
+        part = compute_components(_named(pieces))
         if any(window_lo < d < window_hi for d in part.diameters_sq):
             continue  # stay outside the resolution window of the oracle
         want = _sampling_grid_oracle(pieces, eps)
@@ -361,7 +365,7 @@ def test_section_scale_bound():
             for _ in range(planes_each):
                 plane = sample_plane_random(rng, family, g)
                 section = section_of_image(k, g, plane)
-                part = compute_components(section.pieces)
+                part = compute_components(section)
                 for diam_sq in part.diameters_sq:
                     assert diam_sq < budget_sq
                 checked += 1

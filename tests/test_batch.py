@@ -13,7 +13,8 @@ from plstab.batch import (draw_point_sets, linear_cells, random_complex,
 from plstab.generic import GenericPool
 from plstab.ratmath import vec
 from plstab.simplicial import PLMap, roberts_perturb
-from plstab.transversal import NonStabCase, PlaneFamily, nonstab_case
+from plstab.transversal import (NonStabCase, PlaneFamily, nonstab_case,
+                                stabbed_simplexes)
 
 F = Fraction
 
@@ -109,8 +110,9 @@ def test_plane_samplers_return_family_members():
         assert p1.family == fam
         p2 = sample_plane_adversarial(rng, fam, k, g)
         assert p2.family == fam
-        # adversarial planes pass through an image point, so they hit something
-        assert any(p2.contains(pt) for pt in g.images.values()) or True
+        # adversarial planes pass through a convex combination of one
+        # simplex's vertex images, so they stab at least that simplex
+        assert stabbed_simplexes(k, g, p2, k.dim)
 
 
 def test_random_complex_covers_all_vertices():

@@ -337,6 +337,44 @@ def test_count_plane_needs_json_integers_and_lists_exit_2(capsys, tmp_path, bad)
     assert json.loads(out)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("verb_args", [
+    ["count", "--nmax", "1"],
+    ["section", "--eps", "1"],
+    ["cotype", "--q", "2", "--eps", "1"],
+])
+@pytest.mark.parametrize("plane, message", [
+    ([VERTICAL_HALF], "plane must be a JSON dict, got [{"),
+    (dict(VERTICAL_HALF, basepoint=[1, 1, 1]),
+     "basepoint coordinate must be a JSON str, got 1"),
+    (dict(VERTICAL_HALF, St=[], extra_dirs=[["0", 1]]),
+     "extra_dirs coordinate must be a JSON str, got 1"),
+])
+def test_plane_json_errors_name_the_field_exit_2(capsys, tmp_path, verb_args,
+                                                 plane, message):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", plane)
+    verb, *rest = verb_args
+    code, out = run_cli(capsys, [verb, "--complex", cx, "--map", mp,
+                                 "--plane", pl, *rest])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert report["error"].startswith(f"{pl}: {message}")
+
+
+def test_stab_family_must_be_a_json_object_exit_2(capsys, tmp_path):
+    fam = write(tmp_path, "f.json", [PLANE_FAMILY])
+    sets = write(tmp_path, "s.json",
+                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
+                                 "--mode", "linear"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert report["error"].startswith(f"{fam}: family must be a JSON dict")
+
+
 @pytest.mark.parametrize("bad", _BAD_FAMILY_FIELDS)
 def test_verify_fixture_family_needs_json_integers_and_lists_exit_2(
         capsys, tmp_path, bad):

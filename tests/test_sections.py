@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import basic_feasible_solutions, clusterable_by_partition_scan
-from plstab.batch import random_complex, random_map, sample_plane_adversarial
+from oracles import (basic_feasible_solutions, clusterable_by_partition_scan,
+                     components_by_pairwise_lp)
+from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
+                          sample_plane_random)
 from plstab.generic import GenericPool
 from plstab.ratmath import dist_sq, vec
-from plstab.sections import (component_clusters, compute_components,
-                             eps_disjoint, polytopes_intersect,
-                             preimage_polytopes, section_of_image)
+from plstab.sections import (PlanarSection, component_clusters,
+                             compute_components, eps_disjoint,
+                             polytopes_intersect, preimage_polytopes,
+                             section_of_image)
 from plstab.simplicial import PLMap, certify_map, parse_complex, roberts_perturb
 from plstab.transversal import ConcretePlane, PlaneFamily, plane_through
 
@@ -27,6 +30,13 @@ def _triangle():
 def _vertical_line(x):
     fam = PlaneFamily(2, (2,), (2,), 1)
     return ConcretePlane(fam, vec([x, 0]), ())
+
+
+def _named(pieces):
+    """A section whose pieces come from pairwise disjoint 0-simplexes, so no
+    face incidence joins them."""
+    pieces = tuple(pieces)
+    return PlanarSection(pieces, tuple((f"p{i}",) for i in range(len(pieces))))
 
 
 def test_section_empty_when_plane_misses():
@@ -129,28 +139,28 @@ def test_piece_vertices_match_basic_feasible_solutions():
             preimage = preimage_polytopes(k, g, plane)
             assert list(section.sources) == list(want_image)
             assert [set(p) for p in section.pieces] == list(want_image.values())
-            assert [set(p) for p in preimage] == list(want_pre.values())
+            assert [set(p) for p in preimage.pieces] == list(want_pre.values())
 
 
 # --- components and eps-disjointness ----------------------------------------
 
 def test_eps_disjoint_empty_section():
-    assert eps_disjoint(compute_components(()), F(1)) is True
+    assert eps_disjoint(compute_components(_named(())), F(1)) is True
 
 
 def test_eps_disjoint_isolated_points():
-    part = compute_components(_singleton_polytopes([0, 0], [2, 0]))
+    part = compute_components(_named(_singleton_polytopes([0, 0], [2, 0])))
     assert eps_disjoint(part, F(1)) is True
 
 
 def test_eps_disjoint_long_segment():
-    part = compute_components(((vec([0, 0]), vec([2, 0])),))
+    part = compute_components(_named(((vec([0, 0]), vec([2, 0])),)))
     assert eps_disjoint(part, F(1)) is False
     assert eps_disjoint(part, F(3)) is True
 
 
 def test_eps_disjoint_strictness():
-    part = compute_components(((vec([0, 0]), vec([1, 0])),))
+    part = compute_components(_named(((vec([0, 0]), vec([1, 0])),)))
     assert eps_disjoint(part, F(1)) is False  # strict comparison
     assert eps_disjoint(part, F(101, 100)) is True
 
@@ -159,9 +169,45 @@ def test_components_chain_through_touching_pieces():
     a = (vec([0, 0]), vec([1, 0]))
     b = (vec([1, 0]), vec([2, 0]))  # touches a
     c = (vec([5, 5]),)
-    part = compute_components([a, b, c])
+    part = compute_components(_named([a, b, c]))
     assert part.components == ((0, 1), (2,))
     assert part.diameters_sq == (F(4), F(0))
+
+
+def test_crossing_images_of_disjoint_edges():
+    # ab and cd share no vertex but their images cross at (20/9, 71/18); a
+    # line through the crossing cuts the image in one point, whose preimage
+    # is one point on each edge.
+    k = parse_complex("v a\nv b\nv c\nv d\ns a b\ns c d\n")
+    g = certify_map(k, PLMap(2, {"a": vec([0, 2]), "b": vec([8, 9]),
+                                 "c": vec([1, 7]), "d": vec([5, -3])}))
+    assert g.certified
+    plane = _vertical_line(F(20, 9))
+    image = compute_components(section_of_image(k, g, plane))
+    assert image.components == ((0, 1),)
+    assert image.points == ((vec([F(20, 9), F(71, 18)]),),)
+    preimage = compute_components(preimage_polytopes(k, g, plane))
+    assert preimage.components == ((0,), (1,))
+    assert preimage.diameters_sq == (F(0), F(0))
+
+
+def test_triangles_joined_through_a_shared_stabbed_edge():
+    # abc lies above the image of ab and abd below it, so the two triangle
+    # pieces meet only in the piece of ab.
+    k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns a b d\n")
+    g = certify_map(k, PLMap(2, {"a": vec([0, 2]), "b": vec([4, 3]),
+                                 "c": vec([1, 7]), "d": vec([5, -6])}))
+    assert g.certified
+    plane = _vertical_line(F(2))
+    section = section_of_image(k, g, plane)
+    assert section.sources == (("a", "b"), ("a", "d"), ("b", "c"),
+                               ("a", "b", "c"), ("a", "b", "d"))
+    image = compute_components(section)
+    assert image.components == ((0, 1, 2, 3, 4),)
+    assert image.diameters_sq == (F(103, 15) ** 2,)
+    preimage = compute_components(preimage_polytopes(k, g, plane))
+    assert preimage.components == ((0, 1, 2, 3, 4),)
+    assert preimage.diameters_sq == (F(242, 225),)
 
 
 def test_polytopes_intersect():
@@ -179,7 +225,7 @@ def test_preimage_whole_simplex_on_plane():
     k, g = _triangle()
     fam = PlaneFamily(2, (), (1, 2), 1)
     plane = ConcretePlane(fam, g.images["a"], (vec([4, 2]),))
-    polys = preimage_polytopes(k, g, plane)
+    polys = preimage_polytopes(k, g, plane).pieces
     # the edge ab maps onto the plane, so its whole reference edge appears
     ref_a = vec([1, 0, 0])
     ref_b = vec([0, 1, 0])
@@ -188,14 +234,14 @@ def test_preimage_whole_simplex_on_plane():
 
 def test_preimage_point_on_edge():
     k, g = _triangle()
-    polys = preimage_polytopes(k, g, _vertical_line(F(3)))
+    polys = preimage_polytopes(k, g, _vertical_line(F(3))).pieces
     # edge ab is crossed at weight 3/4 a + 1/4 b
     assert any(set(p) == {vec([F(3, 4), F(1, 4), 0])} for p in polys)
 
 
 def test_preimage_empty():
     k, g = _triangle()
-    assert preimage_polytopes(k, g, _vertical_line(F(50))) == ()
+    assert preimage_polytopes(k, g, _vertical_line(F(50))).pieces == ()
 
 
 # --- clustering ----------------------------------------------------------------
@@ -205,7 +251,7 @@ def _singleton_polytopes(*points):
 
 
 def _clusterable(polys, q, eps):
-    return component_clusters(polys, compute_components(polys), q, eps) is not None
+    return component_clusters(compute_components(_named(polys)), q, eps) is not None
 
 
 def test_cluster_empty_preimage():
@@ -236,11 +282,11 @@ def test_cluster_component_limit():
 
 def test_component_clusters_witness():
     polys = _singleton_polytopes([0, 0], [10, 0], [F(1, 3), 0])
-    part = compute_components(polys)
-    clusters = component_clusters(polys, part, 2, F(1))
+    part = compute_components(_named(polys))
+    clusters = component_clusters(part, 2, F(1))
     assert clusters is not None
     assert sorted(len(c) for c in clusters) == [1, 2]
-    assert component_clusters(polys, part, 1, F(1)) is None
+    assert component_clusters(part, 1, F(1)) is None
 
 
 def test_point_preimage_components_within_bound():
@@ -266,8 +312,7 @@ def test_point_preimage_components_within_bound():
             w = [F(rng.randint(1, 3)) for _ in s]
             point = image_point(g, s, [x / sum(w) for x in w])
             plane = ConcretePlane(fam, point, ())
-            polys = preimage_polytopes(k, g, plane)
-            part = compute_components(polys)
+            part = compute_components(preimage_polytopes(k, g, plane))
             assert 1 <= len(part.components) <= ceiling
 
 
@@ -279,7 +324,7 @@ def test_cluster_matches_partition_scan():
         polys = _singleton_polytopes(
             *[[F(rng.randint(0, 12), 2) for _ in range(dim)]
               for _ in range(npts)])
-        part = compute_components(polys)
+        part = compute_components(_named(polys))
         q = rng.randint(1, 3)
         eps = F(rng.randint(1, 8), 2)
         points = [[v for i in comp for v in polys[i]]
@@ -292,11 +337,36 @@ def test_cluster_matches_partition_scan():
 
         want = clusterable_by_partition_scan(
             list(range(len(part.components))), q, eps * eps, pair_diam_sq)
-        assert (component_clusters(polys, part, q, eps) is not None) == want
+        assert (component_clusters(part, q, eps) is not None) == want
         if want:
-            clusters = component_clusters(polys, part, q, eps)
+            clusters = component_clusters(part, q, eps)
             assert len(clusters) <= q
             members = sorted(i for cl in clusters for i in cl)
             assert members == list(range(len(part.components)))
             assert all(pair_diam_sq(i, j) <= eps * eps
                        for cl in clusters for i in cl for j in cl)
+
+
+def test_components_match_pairwise_lp_oracle():
+    # Image and preimage components and diameters equal those of an
+    # all-pairs intersection test.  With m < 2n+1 the images of
+    # vertex-disjoint simplexes cross, so some image joins need an LP
+    # between classes that face incidence leaves apart.
+    rng = random.Random(84)
+    for trial in range(30):
+        m = rng.choice([2, 3, 4])
+        dim = rng.choice([1, 2])
+        k = random_complex(rng, rng.randint(4, 7), dim, F(1, 2))
+        g = roberts_perturb(k, random_map(rng, k, m, box=4), F(1, 2),
+                            GenericPool(700 + trial))
+        for turn in range(6):
+            fam = _random_family(rng, m)
+            if turn % 2:
+                plane = sample_plane_random(rng, fam, g)
+            else:
+                plane = sample_plane_adversarial(rng, fam, k, g)
+            for section in (section_of_image(k, g, plane),
+                            preimage_polytopes(k, g, plane)):
+                part = compute_components(section)
+                want = components_by_pairwise_lp(section.pieces)
+                assert (part.components, part.diameters_sq) == want

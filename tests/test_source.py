@@ -82,3 +82,24 @@ def test_every_public_library_function_has_a_caller():
                     for where, line, used in uses):
                 found.append(f"{name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def _truthy_constant(node):
+    return isinstance(node, ast.Constant) and bool(node.value)
+
+
+def test_no_vacuous_assert_in_tests():
+    # An assert whose test is a truthy constant, or an `or` with a truthy
+    # constant operand, holds whatever the code under test does.
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assert):
+                continue
+            test = node.test
+            if _truthy_constant(test) or (
+                    isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or)
+                    and any(_truthy_constant(v) for v in test.values)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
