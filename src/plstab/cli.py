@@ -18,10 +18,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import batch
 from .generic import GenericityError, GenericPool, _derived_seed
@@ -30,7 +33,7 @@ from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (ParseError, certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
-from .transversal import (family_from_json_dict, max_disjoint_stabbed,
+from .transversal import (_typed, family_from_json_dict, max_disjoint_stabbed,
                           plane_from_json_dict, plane_to_json_dict,
                           sets_from_json, stab_bound, stab_decide_univariate,
                           stab_exists_linear, stab_search_general,
@@ -50,74 +53,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(2, f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="plstab",
-        description="exact stabbing-bound verification for PL maps")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("gen", help="generate a random complex and map file")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--density", type=str, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, required=True)
-
-    p = sub.add_parser("perturb", help="move a map into certified general position")
-    p.add_argument("--complex", type=str, required=True)
-    p.add_argument("--map", type=str, required=True)
-    p.add_argument("--eps", type=str, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, required=True)
-
-    p = sub.add_parser("bounds", help="exact stabbing ceiling and its floor")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-
-    p = sub.add_parser("stab", help="decide or search a common transversal")
-    p.add_argument("--family", type=str, required=True)
-    p.add_argument("--sets", type=str, required=True)
-    p.add_argument("--mode", choices=("linear", "search", "univariate"),
-                   required=True)
-    p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("count", help="max disjoint simplexes stabbed by a plane")
-    p.add_argument("--complex", type=str, required=True)
-    p.add_argument("--map", type=str, required=True)
-    p.add_argument("--plane", type=str, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = sub.add_parser("section", help="plane section and its disjointness scale")
-    p.add_argument("--complex", type=str, required=True)
-    p.add_argument("--map", type=str, required=True)
-    p.add_argument("--plane", type=str, required=True)
-    p.add_argument("--eps", type=str, required=True)
-
-    p = sub.add_parser("cotype", help="cluster the plane preimage in the domain")
-    p.add_argument("--complex", type=str, required=True)
-    p.add_argument("--map", type=str, required=True)
-    p.add_argument("--plane", type=str, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--eps", type=str, required=True)
-
-    p = sub.add_parser("verify", help="run a batch verification grid")
-    p.add_argument("--grid", type=str, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    return parser
-
-
 def _read_text(path: str, inputs: dict) -> str:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}") from exc
     inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(2, f"{path}: not UTF-8 text") from exc
 
 
 def _read_json(path: str, inputs: dict):
@@ -128,11 +73,23 @@ def _read_json(path: str, inputs: dict):
         raise CliError(2, f"{path}: invalid JSON: {exc}") from exc
 
 
-def _rational_arg(text: str, flag: str) -> Fraction:
+@contextmanager
+def _fields_of(path: str):
+    """Turn a malformed JSON document's error into one naming the file."""
     try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise CliError(2, f"{flag}: {exc}") from exc
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise CliError(2, f"{path}: {detail}") from exc
+
+
+def _write_text(path: str, text: str) -> str:
+    """Write text to path and return its digest."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(2, f"cannot write {path}: {exc}") from exc
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def _cert_summary(cert) -> dict:
@@ -172,25 +129,18 @@ def _load_certified_map(complex_path: str, map_path: str, inputs: dict):
 
 def _load_sets(path: str, inputs: dict, m: int):
     data = _read_json(path, inputs)
-    try:
-        return sets_from_json(data["sets"], m)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(2, f"{path}: malformed point sets: {exc}") from exc
+    with _fields_of(path):
+        return sets_from_json(_typed(data, dict, "sets file")["sets"], m)
 
 
 def _run_gen(args, inputs) -> tuple[dict, dict, int]:
-    if args.vertices < 1 or args.dim < 0:
-        raise CliError(2, "--vertices must be >= 1 and --dim >= 0")
-    density = _rational_arg(args.density, "--density")
-    if not 0 <= density <= 1:
+    if not 0 <= args.density <= 1:
         raise CliError(2, "--density must lie in [0, 1]")
     rng = random.Random(_derived_seed(args.seed, "gen"))
-    k = batch.random_complex(rng, args.vertices, args.dim, density)
-    text = format_complex(k)
-    Path(args.out).write_text(text, encoding="utf-8")
+    k = batch.random_complex(rng, args.vertices, args.dim, args.density)
     result = {
         "out": args.out,
-        "out_digest": "sha256:" + hashlib.sha256(text.encode()).hexdigest(),
+        "out_digest": _write_text(args.out, format_complex(k)),
         "vertices": len(k.vertices),
         "simplexes": len(k.simplexes),
         "dim": k.dim,
@@ -201,17 +151,12 @@ def _run_gen(args, inputs) -> tuple[dict, dict, int]:
 def _run_perturb(args, inputs):
     k = parse_complex(_read_text(args.complex, inputs))
     theta = parse_map(_read_text(args.map, inputs))
-    eps = _rational_arg(args.eps, "--eps")
-    if eps <= 0:
-        raise CliError(2, "--eps must be positive")
     _require_vertices(k, theta, args.map)
-    g = roberts_perturb(k, theta, eps, GenericPool(args.seed))
-    text = format_map(g)
-    Path(args.out).write_text(text, encoding="utf-8")
+    g = roberts_perturb(k, theta, args.eps, GenericPool(args.seed))
     result = {
         "out": args.out,
-        "out_digest": "sha256:" + hashlib.sha256(text.encode()).hexdigest(),
-        "eps": format_rational(eps),
+        "out_digest": _write_text(args.out, format_map(g)),
+        "eps": format_rational(args.eps),
         "vertices": len(k.vertices),
     }
     return result, _cert_summary(g.certificate), 0
@@ -232,13 +177,9 @@ def _run_bounds(args, inputs):
 
 def _run_stab(args, inputs):
     family_data = _read_json(args.family, inputs)
-    try:
+    with _fields_of(args.family):
         family = family_from_json_dict(family_data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(2, f"{args.family}: {exc}") from exc
     sets = _load_sets(args.sets, inputs, family.m)
-    if args.budget < 0:
-        raise CliError(2, "--budget must be >= 0")
     result: dict = {"mode": args.mode, "q": len(sets)}
     if args.mode == "linear":
         try:
@@ -295,10 +236,8 @@ def _run_stab(args, inputs):
 
 def _load_plane(path: str, inputs: dict, m: int):
     data = _read_json(path, inputs)
-    try:
+    with _fields_of(path):
         plane = plane_from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(2, f"{path}: {exc}") from exc
     if plane.family.m != m:
         raise CliError(2, f"{path}: plane lives in dimension {plane.family.m}, "
                           f"map in {m}")
@@ -308,8 +247,6 @@ def _load_plane(path: str, inputs: dict, m: int):
 def _run_count(args, inputs):
     k, g = _load_certified_map(args.complex, args.map, inputs)
     plane = _load_plane(args.plane, inputs, g.m)
-    if args.nmax < 0:
-        raise CliError(2, "--nmax must be >= 0")
     count, family = max_disjoint_stabbed(k, g, plane, args.nmax)
     result = {
         "count": count,
@@ -322,9 +259,6 @@ def _run_count(args, inputs):
 def _run_section(args, inputs):
     k, g = _load_certified_map(args.complex, args.map, inputs)
     plane = _load_plane(args.plane, inputs, g.m)
-    eps = _rational_arg(args.eps, "--eps")
-    if eps <= 0:
-        raise CliError(2, "--eps must be positive")
     section = section_of_image(k, g, plane)
     part = compute_components(section)
     max_diam = max(part.diameters_sq, default=Fraction(0))
@@ -332,22 +266,21 @@ def _run_section(args, inputs):
         "pieces": len(section.pieces),
         "components": len(part.components),
         "max_diameter_sq": format_rational(max_diam),
-        "eps_sq": format_rational(eps * eps),
-        "result": eps_disjoint(part, eps),
+        "eps_sq": format_rational(args.eps * args.eps),
+        "result": eps_disjoint(part, args.eps),
     }
     return result, _cert_summary(g.certificate), 0
 
 
 def _run_cotype(args, inputs):
+    if args.eps <= 0 or args.q < 1:
+        raise CliError(2, "need --eps > 0 and --q >= 1")
     k, g = _load_certified_map(args.complex, args.map, inputs)
     plane = _load_plane(args.plane, inputs, g.m)
-    eps = _rational_arg(args.eps, "--eps")
-    if eps <= 0 or args.q < 1:
-        raise CliError(2, "need --eps > 0 and --q >= 1")
     preimage = preimage_polytopes(k, g, plane)
     part = compute_components(preimage)
     try:
-        clusters = component_clusters(part, args.q, eps)
+        clusters = component_clusters(part, args.q, args.eps)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
     max_diam = max(part.diameters_sq, default=Fraction(0))
@@ -355,7 +288,7 @@ def _run_cotype(args, inputs):
         "pieces": len(preimage.pieces),
         "components": len(part.components),
         "max_diameter_sq": format_rational(max_diam),
-        "eps_sq": format_rational(eps * eps),
+        "eps_sq": format_rational(args.eps * args.eps),
         "result": clusters is not None,
     }
     if clusters is not None:
@@ -370,26 +303,81 @@ def _run_verify(args, inputs):
             for key in ("suites", "fixtures")):
         raise CliError(2, f"{args.grid}: grid needs a nonempty suites or "
                           "fixtures list")
-    if args.trials < 0:
-        raise CliError(2, "--trials must be >= 0")
-    try:
+    with _fields_of(args.grid):
         report = batch.run_grid(grid, args.trials, GenericPool(args.seed))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(2, f"{args.grid}: {exc}") from exc
     code = 1 if report["violations"] else 0
     return report, None, code
 
 
-_HANDLERS = {
-    "gen": _run_gen,
-    "perturb": _run_perturb,
-    "bounds": _run_bounds,
-    "stab": _run_stab,
-    "count": _run_count,
-    "section": _run_section,
-    "cotype": _run_cotype,
-    "verify": _run_verify,
+class _Flag(NamedTuple):
+    name: str
+    kind: object            # int, str, Fraction (a rational literal) or choices
+    default: object = None  # None: the flag is required
+    bound: str = ""         # ">= n" or "> n"
+
+
+_BOUND_OPS = {">=": operator.ge, ">": operator.gt}
+_SEED = _Flag("--seed", int, 0)
+_COMPLEX, _MAP, _PLANE = (_Flag(name, str)
+                          for name in ("--complex", "--map", "--plane"))
+
+# verb -> (help, handler, flags); flags are listed in --help order
+_VERBS = {
+    "gen": ("generate a random complex and map file", _run_gen, (
+        _Flag("--vertices", int, bound=">= 1"),
+        _Flag("--dim", int, bound=">= 0"),
+        _Flag("--density", Fraction), _SEED, _Flag("--out", str))),
+    "perturb": ("move a map into certified general position", _run_perturb, (
+        _COMPLEX, _MAP, _Flag("--eps", Fraction, bound="> 0"), _SEED,
+        _Flag("--out", str))),
+    "bounds": ("exact stabbing ceiling and its floor", _run_bounds,
+               tuple(_Flag(name, int) for name in ("--n", "--m", "--d", "--t",
+                                                   "--T"))),
+    "stab": ("decide or search a common transversal", _run_stab, (
+        _Flag("--family", str), _Flag("--sets", str),
+        _Flag("--mode", ("linear", "search", "univariate")),
+        _Flag("--budget", int, 500, ">= 0"), _SEED)),
+    "count": ("max disjoint simplexes stabbed by a plane", _run_count, (
+        _COMPLEX, _MAP, _PLANE, _Flag("--nmax", int, bound=">= 0"))),
+    "section": ("plane section and its disjointness scale", _run_section, (
+        _COMPLEX, _MAP, _PLANE, _Flag("--eps", Fraction, bound="> 0"))),
+    "cotype": ("cluster the plane preimage in the domain", _run_cotype, (
+        _COMPLEX, _MAP, _PLANE, _Flag("--q", int), _Flag("--eps", Fraction))),
+    "verify": ("run a batch verification grid", _run_verify, (
+        _Flag("--grid", str), _Flag("--trials", int, bound=">= 0"), _SEED)),
 }
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the subparser of the verb argv[0] names (every verb's
+    when it names none), then convert rationals and check bounds."""
+    only = argv[0] if argv and argv[0] in _VERBS else None
+    parser = _Parser(
+        prog="plstab",
+        description="exact stabbing-bound verification for PL maps")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, _, flags) in _VERBS.items():
+        if only in (None, verb):
+            p = sub.add_parser(verb, help=help_text)
+            for f in flags:
+                p.add_argument(
+                    f.name, type=int if f.kind is int else None,
+                    choices=f.kind if isinstance(f.kind, tuple) else None,
+                    required=f.default is None, default=f.default)
+    args = parser.parse_args(argv)
+    for f in _VERBS[args.verb][2]:
+        value = getattr(args, f.name[2:])
+        if f.kind is Fraction:
+            try:
+                value = parse_rational(value)
+            except ValueError as exc:
+                raise CliError(2, f"{f.name}: {exc}") from exc
+            setattr(args, f.name[2:], value)
+        if f.bound:
+            op, low = f.bound.split()
+            if not _BOUND_OPS[op](value, int(low)):
+                raise CliError(2, f"{f.name} must be {f.bound}")
+    return args
 
 
 def _emit(report: dict) -> None:
@@ -400,8 +388,8 @@ def main(argv=None) -> int:
     inputs: dict = {}
     echo = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
-        result, certificate, code = _HANDLERS[args.verb](args, inputs)
+        args = _parse(echo)
+        result, certificate, code = _VERBS[args.verb][1](args, inputs)
     except SystemExit:  # only --help exits; every parse error raises CliError
         return 0
     except CliError as exc:

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from plstab.cli import main
+from plstab.cli import _VERBS, main
 
 TWO_EDGES_COMPLEX = "v a\nv b\nv c\nv d\ns a b\ns c d\n"
 TWO_EDGES_MAP = ("m 2\n"
@@ -86,7 +89,40 @@ def test_missing_required_flag_exit_2(capsys, argv):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    for verb in ("gen", "perturb", "bounds", "stab", "count", "section",
+                 "cotype", "verify"):
+        assert f"\n    {verb} " in out
+
+
+# each flag out of its range, with the rest of the argv valid; the range is
+# checked before any file is read, so the paths need not exist
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
+      "--nmax", "-1"], "--nmax"),
+    (["stab", "--family", "f.json", "--sets", "s.json", "--mode", "search",
+      "--budget", "-1"], "--budget"),
+    (["verify", "--grid", "grid.json", "--trials", "-1"], "--trials"),
+    (["gen", "--vertices", "0", "--dim", "1", "--density", "1/2",
+      "--out", "k.cx"], "--vertices"),
+    (["gen", "--vertices", "3", "--dim", "-1", "--density", "1/2",
+      "--out", "k.cx"], "--dim"),
+    (["gen", "--vertices", "3", "--dim", "1", "--density", "5",
+      "--out", "k.cx"], "--density"),
+    (["perturb", "--complex", "k.cx", "--map", "t.map", "--eps", "0",
+      "--out", "g.map"], "--eps"),
+    (["section", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
+      "--eps", "0"], "--eps"),
+    (["cotype", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
+      "--q", "2", "--eps", "0"], "--eps"),
+    (["cotype", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
+      "--q", "0", "--eps", "1"], "--q"),
+])
+def test_flag_out_of_range_exit_2_naming_the_flag(capsys, tmp_path,
+                                                   monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert flag in _one_parse_error_report(capsys, argv)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
@@ -96,6 +132,34 @@ def test_missing_file_exit_2(capsys, tmp_path):
                                  "--nmax", "1"])
     assert code == 2
     assert "cannot read" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("verb_args", [
+    ["gen", "--vertices", "4", "--dim", "1", "--density", "1/2"],
+    ["perturb", "--complex", "COMPLEX", "--map", "MAP", "--eps", "1/10"],
+])
+def test_unwritable_out_exit_2(capsys, tmp_path, verb_args):
+    paths = {"COMPLEX": write(tmp_path, "k.cx", TWO_EDGES_COMPLEX),
+             "MAP": write(tmp_path, "theta.map", TWO_EDGES_MAP)}
+    out_path = str(tmp_path / "missing" / "out")
+    argv = [paths.get(x, x) for x in verb_args] + ["--out", out_path]
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"cannot write {out_path}: ")
+
+
+def test_non_utf8_input_exit_2_with_its_digest(capsys, tmp_path):
+    cx = tmp_path / "bad.cx"
+    cx.write_bytes(b"\xff\xfe")
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    code, out = run_cli(capsys, ["count", "--complex", str(cx), "--map", mp,
+                                 "--plane", pl, "--nmax", "1"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == f"{cx}: not UTF-8 text"
+    assert report["inputs"] == {str(cx): "sha256:" + hashlib.sha256(
+        b"\xff\xfe").hexdigest()}
 
 
 def test_gen_writes_complex(capsys, tmp_path):
@@ -375,6 +439,45 @@ def test_stab_family_must_be_a_json_object_exit_2(capsys, tmp_path):
     assert report["error"].startswith(f"{fam}: family must be a JSON dict")
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+_WITNESS_FIXTURE = {"name": "hand-aligned", "mode": "linear",
+                    "family": E1_LINE_FAMILY,
+                    "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
+                    "expect": "witness"}
+
+
+@pytest.mark.parametrize("files, argv, error", [
+    ({"p.json": _without(VERTICAL_HALF, "basepoint")},
+     ["section", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
+      "--eps", "1"], "p.json: missing field 'basepoint'"),
+    ({"f.json": _without(Z_AXIS_FAMILY, "d"), "s.json": Z_AXIS_SETS},
+     ["stab", "--family", "f.json", "--sets", "s.json", "--mode", "linear"],
+     "f.json: missing field 'd'"),
+    ({"f.json": Z_AXIS_FAMILY, "s.json": [1]},
+     ["stab", "--family", "f.json", "--sets", "s.json", "--mode", "linear"],
+     "s.json: sets file must be a JSON dict, got [1]"),
+    ({"grid.json": {"suites": [{"m_max": 2}]}},
+     ["verify", "--grid", "grid.json", "--trials", "1"],
+     "grid.json: missing field 'kind'"),
+    ({"grid.json": {"fixtures": [_without(_WITNESS_FIXTURE, "family")]}},
+     ["verify", "--grid", "grid.json", "--trials", "1"],
+     "grid.json: missing field 'family'"),
+])
+def test_missing_json_field_is_named_exit_2(capsys, tmp_path, monkeypatch,
+                                            files, argv, error):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    write(tmp_path, "g.map", TWO_EDGES_MAP)
+    for name, content in files.items():
+        write(tmp_path, name, content)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == error
+
+
 @pytest.mark.parametrize("bad", _BAD_FAMILY_FIELDS)
 def test_verify_fixture_family_needs_json_integers_and_lists_exit_2(
         capsys, tmp_path, bad):
@@ -511,12 +614,7 @@ def test_verify_suite_bounds_must_be_counting_integers_exit_2(capsys, tmp_path,
 
 
 def test_verify_expected_witness_fixture_exit_0(capsys, tmp_path):
-    grid = write(tmp_path, "grid.json", {"fixtures": [{
-        "name": "hand-aligned", "mode": "linear",
-        "family": E1_LINE_FAMILY,
-        "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
-        "expect": "witness",
-    }]})
+    grid = write(tmp_path, "grid.json", {"fixtures": [_WITNESS_FIXTURE]})
     code, out = run_cli(capsys, ["verify", "--grid", grid,
                                  "--trials", "1", "--seed", "0"])
     assert code == 0
@@ -562,3 +660,74 @@ def test_reports_byte_identical_across_processes(tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert cx.read_bytes() == out_first
+
+
+# Small valid input files, one per file flag; the fuzz mutates their bytes.
+_FUZZ_FILES = {
+    "--complex": TWO_EDGES_COMPLEX, "--map": TWO_EDGES_MAP,
+    "--plane": VERTICAL_HALF, "--family": Z_AXIS_FAMILY, "--sets": Z_AXIS_SETS,
+    "--grid": {"suites": [{"kind": "linear", "m_max": 2, "n_max": 1}],
+               "fixtures": [_WITNESS_FIXTURE]},
+}
+# drawn sizes stay small: runs are exponential in some of these flags
+_FUZZ_INT_MAX = {"--vertices": 6, "--trials": 1, "--budget": 20, "--nmax": 3}
+_FUZZ_RATIONALS = ("1/3", "1/2", "1", "2", "0", "-1/2")
+_FUZZ_GARBAGE = ("", "x", "-1", "1.5", "1/0", "-", "--", "²", "0x1", "{}")
+
+
+def _fuzz_file(data, tmp_path, flag) -> str:
+    content = _FUZZ_FILES[flag]
+    raw = (json.dumps(content) if isinstance(content, dict)
+           else content).encode()
+    how = data.draw(st.sampled_from(
+        ("keep",) * 6 + ("truncate", "flip", "non-utf8")))
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if how == "truncate":
+        raw = raw[:at]
+    elif how == "flip":  # one bit: a digit of m_max = 2 becomes at most 6
+        bit = 1 << data.draw(st.integers(0, 7))
+        raw = raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:]
+    elif how == "non-utf8":
+        raw = raw[:at] + b"\xff\xfe" + raw[at:]
+    path = tmp_path / flag[2:]
+    path.write_bytes(raw)
+    return str(path)
+
+
+def _fuzz_value(data, tmp_path, flag) -> str:
+    if flag.name in _FUZZ_FILES:
+        return _fuzz_file(data, tmp_path, flag.name)
+    if flag.name == "--out":
+        return data.draw(st.sampled_from(
+            (str(tmp_path / "out"), str(tmp_path / "missing" / "out"))))
+    if flag.kind is int:
+        top = _FUZZ_INT_MAX.get(flag.name, 6)
+        return str(data.draw(st.integers(0, top)))
+    if isinstance(flag.kind, tuple):
+        return data.draw(st.sampled_from(flag.kind))
+    return data.draw(st.sampled_from(_FUZZ_RATIONALS))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_and_files_give_one_json_report(capsys, tmp_path, data):
+    # Flags of a verb from the table, each kept, dropped, given twice or given
+    # a garbage value, and mutated input files: whatever goes in, the run
+    # exits 0-3 with exactly one JSON report and nothing on stderr.
+    verb = data.draw(st.sampled_from((*_VERBS, "frobnicate", "")))
+    flags = _VERBS[data.draw(st.sampled_from(tuple(_VERBS)))
+                   if verb not in _VERBS else verb][2]
+    argv = [verb] if verb else []
+    for flag in flags:
+        how = data.draw(st.sampled_from(
+            ("keep",) * 12 + ("drop", "twice", "garbage")))
+        for _ in range({"drop": 0, "twice": 2}.get(how, 1)):
+            argv += [flag.name, data.draw(st.sampled_from(_FUZZ_GARBAGE))
+                     if how == "garbage" else _fuzz_value(data, tmp_path, flag)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in {0, 1, 2, 3}
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report["command"] == argv and report["exit_code"] == code
+    assert captured.err == ""
