@@ -17,16 +17,21 @@ from typing import Optional, Sequence
 
 from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
-from .ratmath import Vec, vec
+from .ratmath import Vec, solve_affine, vec
 from .simplicial import PLMap, SimplicialComplex
 from .transversal import (ConcretePlane, NonStabCase, PlaneFamily,
-                          family_from_json_dict, nonstab_case, plane_through,
-                          sets_from_json, stab_decide_univariate,
-                          stab_exists_linear, stab_search_general,
-                          verify_stab_witness)
+                          _stab_system, family_from_json_dict, nonstab_case,
+                          plane_through, sets_from_json,
+                          stab_decide_univariate, stab_exists_linear,
+                          stab_search_general, verify_stab_witness)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Largest suite bounds a grid may ask for: enumeration is exponential in
+# them (m_max 6 / n_max 3 has 470 linear and 342 univariate cells).
+SUITE_M_MAX = 6
+SUITE_N_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,6 @@ def univariate_cells(m_max: int, n_max: int) -> list[SweepCell]:
 
 
 def _univariate_probe(cell: SweepCell) -> bool:
-    from .ratmath import solve_affine
-    from .transversal import _stab_system
     pool = GenericPool(_derived_seed("probe", cell.key()))
     sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
     if not cert.ok:
@@ -141,11 +144,11 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
 
 
 def _certified_sets(cell: SweepCell, base_pool: GenericPool, trial: int):
+    """The certified draws (sets, seed) of one trial, in regeneration order."""
     for pool in regeneration_pools(base_pool.derive(trial)):
         sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
         if cert.ok:
-            return sets, pool.seed
-    raise GenericityError(f"could not certify draws for {cell.key()} trial {trial}")
+            yield sets, pool.seed
 
 
 def run_linear_cell(cell: SweepCell, trials: int,
@@ -154,7 +157,11 @@ def run_linear_cell(cell: SweepCell, trials: int,
     family = _cell_family(cell)
     violations = []
     for trial in range(trials):
-        sets, seed = _certified_sets(cell, base_pool, trial)
+        draw = next(_certified_sets(cell, base_pool, trial), None)
+        if draw is None:
+            raise GenericityError(
+                f"could not certify draws for {cell.key()} trial {trial}")
+        sets, seed = draw
         witness = stab_exists_linear(sets, family)
         if witness is not None:
             violations.append({
@@ -170,17 +177,10 @@ def run_univariate_cell(cell: SweepCell, trials: int,
     family = _cell_family(cell)
     violations = []
     for trial in range(trials):
-        decision = None
-        seed = None
-        for pool in regeneration_pools(base_pool.derive(trial)):
-            sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
-            if not cert.ok:
-                continue
-            got = stab_decide_univariate(sets, family)
-            if got.status != "not_applicable":
-                decision = got
-                seed = pool.seed
-                break
+        decisions = ((stab_decide_univariate(sets, family), seed)
+                     for sets, seed in _certified_sets(cell, base_pool, trial))
+        decision, seed = next(((d, seed) for d, seed in decisions
+                               if d.status != "not_applicable"), (None, None))
         if decision is None:
             raise GenericityError(
                 f"no applicable certified draw for {cell.key()} trial {trial}")
@@ -318,39 +318,41 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
     }
 
 
-def _json_count(data: dict, key: str, default: int, least: int) -> int:
-    """data[key] (or default) as a JSON integer >= least; a float, a string,
-    a bool or a smaller value is an error."""
+def _json_count(data: dict, key: str, default: int, least: int,
+                most: Optional[int] = None) -> int:
+    """data[key] (or default) as a JSON integer >= least (and <= most when
+    given); a float, a string, a bool or an out-of-range value is an error."""
     value = data.get(key, default)
     if type(value) is not int or value < least:
         raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{key} must be an integer <= {most}, got {value!r}")
     return value
 
 
 def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
+    Every suite's kind and bounds are checked before any cell is enumerated.
     Returns a report dict with per-cell summaries and the flat violation
     list; the caller maps a nonempty violation list to exit code 1.
     """
-    violations: list[dict] = []
-    cells_run = []
+    runners = {"linear": (linear_cells, run_linear_cell),
+               "univariate": (univariate_cells, run_univariate_cell)}
+    suites = []
     for suite in grid.get("suites", []):
         kind = suite["kind"]
-        m_max = _json_count(suite, "m_max", 4, least=1)
-        n_max = _json_count(suite, "n_max", 2, least=0)
-        if kind == "linear":
-            cells = linear_cells(m_max, n_max)
-            runner = run_linear_cell
-        elif kind == "univariate":
-            cells = univariate_cells(m_max, n_max)
-            runner = run_univariate_cell
-        else:
+        m_max = _json_count(suite, "m_max", 4, least=1, most=SUITE_M_MAX)
+        n_max = _json_count(suite, "n_max", 2, least=0, most=SUITE_N_MAX)
+        if kind not in runners:
             raise ValueError(f"unknown suite kind {kind!r}")
-        for cell in cells:
+        suites.append((runners[kind], m_max, n_max))
+    violations: list[dict] = []
+    cells_run = []
+    for (enumerate_cells, runner), m_max, n_max in suites:
+        for cell in enumerate_cells(m_max, n_max):
             if trials > 0:
-                found = runner(cell, trials, base_pool)
-                violations.extend(found)
+                violations.extend(runner(cell, trials, base_pool))
             cells_run.append(cell.key())
     fixture_results = []
     for fixture in grid.get("fixtures", []):

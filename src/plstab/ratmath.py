@@ -1,16 +1,19 @@
 """Exact rational linear algebra.
 
 Everything in this package runs on `fractions.Fraction` and integers; no
-floats enter any decision.  This module supplies the substrate: dense
-matrices, affine solves with nullspace bases, exact linear-programming
-feasibility, and real-root existence for univariate polynomials via Sturm
-sequences.
+floats enter any decision.  This module supplies the substrate: affine
+solves with nullspace bases, exact linear-programming feasibility, and
+real-root existence for univariate polynomials via Sturm sequences.
+Matrices are plain sequences of equal-length rows; :func:`mat_rank`,
+:func:`solve_affine` and :func:`lp_feasible` raise ValueError on ragged rows.
 
-Rank, reduced row echelon forms, solves and nullspaces all come from one
-kernel, :func:`_echelon`: fraction-free Gauss-Jordan elimination on
-denominator-cleared integer rows.  :func:`lp_feasible` eliminates first and
-runs its phase-1 simplex (Bland's rule) only when the equality system has a
-nullspace; an inconsistent system or a unique solution decides it directly.
+One integer pivot, :func:`_pivot` (the fraction-free Gauss-Jordan update
+``(pv * x - f * y) // prev``), serves both elimination and the simplex.
+Rank, reduced row echelon forms, solves and nullspaces come from
+:func:`_echelon` on denominator-cleared integer rows.  :func:`lp_feasible`
+eliminates first and runs its phase-1 simplex (Bland's rule, on an integer
+tableau) only when the equality system has a nullspace; an inconsistent
+system or a unique solution decides it directly.
 
 Polynomial arithmetic runs on one integer kernel too: primitive integer
 coefficient lists, one primitive pseudo-remainder sequence (:func:`_prs`)
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -93,61 +95,52 @@ def unit_vec(m: int, j: int) -> Vec:
     return tuple(_ONE if i == j else _ZERO for i in range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Dense rational matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(as_fraction(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls(n, n, tuple(_ONE if i == j else _ZERO
-                               for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
 def _cleared(xs: Sequence[Fraction]) -> list[int]:
     """The values times the lcm of their denominators, as integers."""
     scale = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (scale // x.denominator) for x in xs]
 
 
+def _width(rows: Sequence[Sequence]) -> int:
+    """The common length of the rows, 0 for no rows; ragged rows raise."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    return ncols
+
+
+def _pivot(work: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on integer rows, in place.
+
+    Every row but row r becomes ``(pv * x - f * y) // prev`` with pv the
+    pivot ``work[r][c]``, f the row's entry in column c and y row r; a row
+    with f = 0 is rescaled by pv / prev.  When the rows are prev times a
+    rational tableau, they come out pv times the tableau pivoted on (r, c),
+    and each entry is a minor of the starting integer matrix (Bareiss 1968,
+    Edmonds 1967), so the division is exact.  Returns pv, the next prev.
+    """
+    top = work[r]
+    pv = top[c]
+    for i, row in enumerate(work):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        elif pv != prev:
+            work[i] = [pv * x // prev for x in row]
+    return pv
+
+
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination on integers (Bareiss 1968).
 
     Each row is scaled once by the lcm of its denominators, which leaves its
-    reduced form unchanged.  A pivot step updates every other row by
-    ``(pv * x - f * y) // prev``.  Each result is, up to sign, a minor of the
-    scaled matrix (Sylvester's identity below the pivot row, Cramer's rule
-    above it), so the division is exact.  Afterwards every
-    pivot row equals its last pivot times its reduced row, and the rows
-    below the rank are zero.  First-nonzero pivoting keeps the path
-    deterministic.  Returns (integer rows, pivot columns).
+    reduced form unchanged; then :func:`_pivot` eliminates each column on
+    its first nonzero entry at or below the rank so far, which keeps the
+    path deterministic.  Afterwards every pivot row equals its last pivot
+    times its reduced row, and the rows below the rank are zero.  Returns
+    (integer rows, pivot columns).
     """
     work = [_cleared(r) for r in rows]
     nrows = len(work)
@@ -162,24 +155,16 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        top = work[r]
-        pv = top[c]
-        for i, row in enumerate(work):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-            elif pv != prev:
-                work[i] = [pv * x // prev for x in row]
-        prev = pv
+        prev = _pivot(work, r, c, prev)
         pivots.append(c)
     return work, pivots
 
 
-def mat_rank(a: Mat) -> int:
-    """Exact rank over the rationals: the pivot count of :func:`_echelon`."""
-    return len(_echelon(a.row_lists())[1])
+def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank over the rationals of equal-length rows: the pivot count
+    of :func:`_echelon`."""
+    _width(rows)
+    return len(_echelon(rows)[1])
 
 
 def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -226,19 +211,20 @@ def _solve_augmented(aug: list[list[Fraction]], ncols: int
     return tuple(particular), tuple(basis)
 
 
-def solve_affine(a: Mat, b: Sequence) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
-    """Solve a x = b exactly.
+def solve_affine(rows: Sequence[Sequence[Fraction]], b: Sequence
+                 ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
+    """Solve rows . x = b exactly; the rows must have equal length.
 
     Returns (particular solution, basis of the homogeneous solution space),
     or None when the system is inconsistent.  Free variables are set to zero
     in the particular solution; the nullspace basis is the standard one per
     free column, so the output is deterministic.
     """
+    ncols = _width(rows)
     b = vec(b)
-    if len(b) != a.rows:
+    if len(b) != len(rows):
         raise ValueError("rhs length does not match row count")
-    return _solve_augmented([list(a.row(i)) + [b[i]] for i in range(a.rows)],
-                            a.cols)
+    return _solve_augmented([list(r) + [x] for r, x in zip(rows, b)], ncols)
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec, ...]:
@@ -276,37 +262,39 @@ def independent_subset(vectors: Sequence[Vec]) -> list[int]:
     return _echelon(columns)[1]
 
 
-def lp_feasible(eq: Mat, eq_rhs: Sequence,
+def lp_feasible(rows: Sequence[Sequence[Fraction]], eq_rhs: Sequence,
                 nonneg_vars: Iterable[int]) -> Optional[Vec]:
-    """Exact feasibility of {x : eq x = rhs, x_i >= 0 for i in nonneg_vars}.
+    """Exact feasibility of {x : rows . x = rhs, x_i >= 0 for i in nonneg_vars}.
 
-    Eliminates first: an inconsistent system is infeasible, and a unique
-    solution is the witness exactly when its nonneg coordinates are >= 0.
-    Only a system with a nullspace runs the phase-1 simplex (Bland's rule).
-    Returns a witness satisfying every constraint exactly, or None.
-    Variables not listed in nonneg_vars are free.
+    The rows must have equal length.  Eliminates first: an inconsistent
+    system is infeasible, and a unique solution is the witness exactly when
+    its nonneg coordinates are >= 0.  Only a system with a nullspace runs the
+    phase-1 simplex (Bland's rule).  Returns a witness satisfying every
+    constraint exactly, or None.  Variables not listed in nonneg_vars are
+    free.
     """
+    ncols = _width(rows)
     rhs = vec(eq_rhs)
-    if len(rhs) != eq.rows:
+    if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
     nonneg = set(nonneg_vars)
     for i in nonneg:
-        if not 0 <= i < eq.cols:
+        if not 0 <= i < ncols:
             raise ValueError(f"nonneg index {i} out of range")
 
-    sol = solve_affine(eq, rhs)
+    sol = solve_affine(rows, rhs)
     if sol is None:
         return None
     witness, basis = sol
     if basis:
-        witness = _simplex_witness(eq, rhs, nonneg)
+        witness = _simplex_witness(rows, rhs, nonneg)
         if witness is None:
             return None
     elif any(witness[i] < 0 for i in nonneg):
         return None
 
-    for r in range(eq.rows):  # exactness is cheap; fail loudly on any bug
-        if vec_dot(eq.row(r), witness) != rhs[r]:
+    for row, b in zip(rows, rhs):  # exactness is cheap; fail loudly on any bug
+        if vec_dot(row, witness) != b:
             raise RuntimeError("LP produced an inexact witness")
     for i in nonneg:
         if witness[i] < 0:
@@ -314,71 +302,74 @@ def lp_feasible(eq: Mat, eq_rhs: Sequence,
     return witness
 
 
-def _simplex_witness(eq: Mat, rhs: Vec, nonneg: set[int]) -> Optional[Vec]:
-    """Phase-1 simplex with Bland's rule; free variables are split in two."""
+def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec,
+                     nonneg: set[int]) -> Optional[Vec]:
+    """Phase-1 simplex with Bland's rule on an integer tableau.
+
+    Free variables are split in two, rows with a negative right-hand side
+    are negated, and every row starts with its artificial variable basic;
+    the artificial columns are never read, so they are left out.  One common
+    lcm clears the rows and the phase-1 objective row (their sum): the
+    tableau of the same problem with the artificials scaled by that lcm, so
+    every sign, ratio and tie is the rational tableau's.  :func:`_pivot`
+    keeps the rows prev times that tableau, and every pivot is positive, so
+    prev stays positive.  The entering column is the first with a positive
+    objective entry; the ratio test cross-multiplies and breaks ties on the
+    smaller basis index.  A basic structural variable's value is its row's
+    last entry over prev.
+    """
+    ncols = len(rows[0])
     columns: list[tuple[int, int]] = []  # (original var, sign)
-    for i in range(eq.cols):
+    for i in range(ncols):
         columns.append((i, 1))
         if i not in nonneg:
             columns.append((i, -1))
     nstruct = len(columns)
-    nrows = eq.rows
+    nrows = len(rows)
 
-    tab: list[list[Fraction]] = []
-    for r in range(nrows):
-        row = [eq.at(r, i) * s for (i, s) in columns]
-        brow = rhs[r]
-        if brow < 0:
-            row = [-x for x in row]
-            brow = -brow
-        art = [_ONE if k == r else _ZERO for k in range(nrows)]
-        tab.append(row + art + [brow])
-    ncols = nstruct + nrows  # structural + artificial
-    basis = [nstruct + r for r in range(nrows)]
-
-    # Phase-1 objective row: sum of artificials expressed through nonbasics.
-    obj = [sum((tab[r][j] for r in range(nrows)), _ZERO) for j in range(ncols + 1)]
-    for r in range(nrows):
-        obj[nstruct + r] = _ZERO
+    tab: list[Fraction] = []
+    for row, b in zip(rows, rhs):
+        sign = -1 if b < 0 else 1
+        tab.extend(sign * s * row[i] for i, s in columns)
+        tab.append(sign * b)
+    flat = _cleared(tab)
+    width = nstruct + 1
+    work = [flat[k:k + width] for k in range(0, len(flat), width)]
+    work.append([sum(col) for col in zip(*work)])  # phase-1 objective row
+    basis = [nstruct + r for r in range(nrows)]  # the artificials
+    prev = 1
 
     while True:
+        obj = work[-1]
         enter = next((j for j in range(nstruct) if obj[j] > 0), None)
         if enter is None:
             break
         pivot_row = None
-        best_ratio = None
         for r in range(nrows):
-            coeff = tab[r][enter]
-            if coeff > 0:
-                ratio = tab[r][-1] / coeff
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[pivot_row])):
-                    best_ratio = ratio
-                    pivot_row = r
+            coeff = work[r][enter]
+            if coeff <= 0:
+                continue
+            if pivot_row is None:
+                pivot_row = r
+                continue
+            here = work[r][-1] * work[pivot_row][enter]
+            best = work[pivot_row][-1] * coeff
+            if here < best or (here == best and basis[r] < basis[pivot_row]):
+                pivot_row = r
         if pivot_row is None:
             # Phase-1 objective is bounded below by 0, so this cannot happen.
             raise RuntimeError("unbounded phase-1 simplex")
-        pv = tab[pivot_row][enter]
-        tab[pivot_row] = [x / pv for x in tab[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[pivot_row])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[pivot_row])]
+        prev = _pivot(work, pivot_row, enter, prev)
         basis[pivot_row] = enter
 
-    if obj[-1] != 0:
+    if work[-1][-1] != 0:
         return None
 
-    values = [_ZERO] * nstruct
-    for r in range(nrows):
-        if basis[r] < nstruct:
-            values[basis[r]] = tab[r][-1]
-    witness = [_ZERO] * eq.cols
-    for k, (i, s) in enumerate(columns):
-        witness[i] += s * values[k]
+    witness = [_ZERO] * ncols
+    for r, k in enumerate(basis):
+        if k < nstruct:
+            i, s = columns[k]
+            witness[i] += s * Fraction(work[r][-1], prev)
     return tuple(witness)
 
 
@@ -454,7 +445,7 @@ def _poly_det(rows: list[list[list[int]]]) -> list[int]:
     """Determinant of a nonempty square matrix over Z[s] (Bareiss 1968).
 
     Each pivot step replaces the rows below it by ``(pv * x - f * y) / prev``,
-    the update of :func:`_echelon`, and drops the pivot row and column.
+    the update of :func:`_pivot`, and drops the pivot row and column.
     Every entry stays a minor of the matrix, so each division is exact; the
     last entry is the determinant of the row-swapped matrix.
     """

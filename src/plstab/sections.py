@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .ratmath import (Mat, Vec, as_fraction, dist_sq, lp_feasible,
-                      solve_affine)
+from .ratmath import Vec, as_fraction, dist_sq, lp_feasible, solve_affine
 from .simplicial import PLMap, Simplex, SimplicialComplex
 from .transversal import ConcretePlane, plane_cuts
 
@@ -84,8 +83,7 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
     rows.append([_ONE] * len(p) + [_ZERO] * len(q))
     rows.append([_ZERO] * len(p) + [_ONE] * len(q))
     rhs = [_ZERO] * m + [_ONE, _ONE]
-    return lp_feasible(Mat.from_rows(rows), rhs,
-                       set(range(len(p) + len(q)))) is not None
+    return lp_feasible(rows, rhs, set(range(len(p) + len(q)))) is not None
 
 
 def _barycentric_pieces(k: SimplicialComplex, g: PLMap,
@@ -102,7 +100,7 @@ def _barycentric_pieces(k: SimplicialComplex, g: PLMap,
     points: dict[Simplex, Vec] = {}
     out = []
     for s, rows, rhs in plane_cuts(k, g, plane, k.dim):
-        sol = solve_affine(Mat.from_rows(rows), rhs)
+        sol = solve_affine(rows, rhs)
         if sol is not None and not sol[1] and min(sol[0]) >= 0:
             points[s] = sol[0]
         verts: list[Vec] = []

@@ -78,12 +78,14 @@ class SimplicialComplex:
         return sorted(self.simplexes, key=lambda s: (len(s), s))
 
     def maximal_simplexes(self) -> list[Simplex]:
-        out = []
-        for s in self.sorted_simplexes():
-            sset = set(s)
-            if not any(sset < set(t) for t in self.simplexes):
-                out.append(s)
-        return out
+        """Simplexes that are no facet of another, in sorted_simplexes order.
+
+        A face-closed complex holds a chain of facets between any simplex
+        and a proper coface, so no proper face is missed.
+        """
+        facets = {s[:i] + s[i + 1:] for s in self.simplexes if len(s) > 1
+                  for i in range(len(s))}
+        return [s for s in self.sorted_simplexes() if s not in facets]
 
 
 def parse_complex(text: str) -> SimplicialComplex:

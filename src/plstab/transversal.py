@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import GenericPool, _derived_seed
-from .ratmath import (Mat, Poly, Vec, _cleared, _count_on_chain, _poly_det,
+from .ratmath import (Poly, Vec, _cleared, _count_on_chain, _poly_det,
                       _poly_gcd, _sturm_chain, _trimmed, cauchy_root_bound,
                       det, format_rational, independent_subset, lp_feasible,
                       mat_rank, nullspace_basis, parse_rational, poly,
@@ -103,7 +103,7 @@ class ConcretePlane:
                 raise ValueError("extra direction leaves span(s_T)")
         block = fam.block
         restricted = [[v[j - 1] for j in block] for v in self.extra_directions]
-        if restricted and mat_rank(Mat.from_rows(restricted)) != len(restricted):
+        if restricted and mat_rank(restricted) != len(restricted):
             raise ValueError("direction space has dimension below d")
         object.__setattr__(self, "_covectors", self._build_covectors())
 
@@ -277,7 +277,8 @@ def _grouped(values: Vec, sizes: list[int]) -> tuple[Vec, ...]:
 
 
 def _stab_system(point_sets: Sequence[Sequence[Vec]],
-                 family: PlaneFamily) -> tuple[Mat, list[Fraction], list[int]]:
+                 family: PlaneFamily
+                 ) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
     """Linear constraints on the stacked lambda: sums 1, differences inside span(s_T)."""
     m = family.m
     sizes = [len(ps) for ps in point_sets]
@@ -301,7 +302,7 @@ def _stab_system(point_sets: Sequence[Sequence[Vec]],
                 row[offsets[0] + j] -= p[c - 1]
             rows.append(row)
             rhs.append(_ZERO)
-    return Mat.from_rows(rows), rhs, sizes
+    return rows, rhs, sizes
 
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
@@ -540,7 +541,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
 
     def try_exact(u) -> Optional[StabWitness]:
         lam = lambda_at(u)
-        if mat_rank(Mat.from_rows(diff_rows(lam))) <= needed_rank:
+        if mat_rank(diff_rows(lam)) <= needed_rank:
             return _witness_from_lambda(point_sets, fam, lam)
         return None
 
@@ -670,8 +671,7 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                       nmax: int) -> list[Simplex]:
     """Simplexes of dimension <= nmax whose convex images meet the plane."""
     return [s for s, rows, rhs in plane_cuts(k, g, plane, nmax)
-            if lp_feasible(Mat.from_rows(rows), rhs, set(range(len(s))))
-            is not None]
+            if lp_feasible(rows, rhs, set(range(len(s)))) is not None]
 
 
 def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,

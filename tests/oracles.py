@@ -3,12 +3,13 @@
 Everything here is deliberately naive: cofactor determinants, all-pairs
 comparison for distinctness, minor enumeration for rank, textbook Fraction
 Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
-enumeration for LP feasibility and polytope vertices, schoolbook polynomial
-products, Euclidean Sturm chains, the Gram determinant for the univariate
-stabbing decision, subset scans for maximum disjoint families, all-pairs
-intersection tests for section components, Bell-number partition scans for
-clustering, and grid sampling for component diameters.  None of it shares
-code with the paths it checks, and none of it imports ``plstab``.
+enumeration for LP feasibility and polytope vertices, a Fraction simplex
+tableau for LP witnesses, schoolbook polynomial products, Euclidean Sturm
+chains, the Gram determinant for the univariate stabbing decision, subset
+scans for maximum disjoint families, all-pairs intersection tests for
+section components, Bell-number partition scans for clustering, and grid
+sampling for component diameters.  None of it shares code with the paths it
+checks, and none of it imports ``plstab``.
 """
 
 from __future__ import annotations
@@ -133,6 +134,75 @@ def feasible_by_basic_solutions(eq_rows, rhs):
     is nonempty iff it has a basic feasible solution.
     """
     return bool(basic_feasible_solutions(eq_rows, rhs))
+
+
+def simplex_witness_fraction(eq_rows, rhs, nonneg):
+    """Phase-1 simplex with Bland's rule on a textbook Fraction tableau.
+
+    Free variables (those not in nonneg) are split in two, a row with a
+    negative right-hand side is negated, and every row gets an artificial
+    variable that starts basic.  The entering column is the first
+    structural one with a positive objective entry; the leaving row has the
+    least ratio b_r / a_r, ties going to the smaller basis index.  Returns
+    the witness, or None when the phase-1 optimum is positive.
+    """
+    ncols = len(eq_rows[0])
+    columns = []  # (original var, sign)
+    for i in range(ncols):
+        columns.append((i, 1))
+        if i not in nonneg:
+            columns.append((i, -1))
+    nstruct = len(columns)
+    nrows = len(eq_rows)
+    tab = []
+    for r in range(nrows):
+        row = [Fraction(eq_rows[r][i]) * s for (i, s) in columns]
+        brow = Fraction(rhs[r])
+        if brow < 0:
+            row = [-x for x in row]
+            brow = -brow
+        art = [Fraction(int(k == r)) for k in range(nrows)]
+        tab.append(row + art + [brow])
+    width = nstruct + nrows + 1
+    basis = [nstruct + r for r in range(nrows)]
+    obj = [sum((tab[r][j] for r in range(nrows)), Fraction(0))
+           for j in range(width)]
+    for r in range(nrows):
+        obj[nstruct + r] = Fraction(0)
+    while True:
+        enter = next((j for j in range(nstruct) if obj[j] > 0), None)
+        if enter is None:
+            break
+        pivot_row = None
+        best_ratio = None
+        for r in range(nrows):
+            coeff = tab[r][enter]
+            if coeff > 0:
+                ratio = tab[r][-1] / coeff
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio
+                            and basis[r] < basis[pivot_row])):
+                    best_ratio = ratio
+                    pivot_row = r
+        pv = tab[pivot_row][enter]
+        tab[pivot_row] = [x / pv for x in tab[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [x - f * y for x, y in zip(tab[r], tab[pivot_row])]
+        f = obj[enter]
+        obj = [x - f * y for x, y in zip(obj, tab[pivot_row])]
+        basis[pivot_row] = enter
+    if obj[-1] != 0:
+        return None
+    values = [Fraction(0)] * nstruct
+    for r in range(nrows):
+        if basis[r] < nstruct:
+            values[basis[r]] = tab[r][-1]
+    witness = [Fraction(0)] * ncols
+    for k, (i, s) in enumerate(columns):
+        witness[i] += s * values[k]
+    return tuple(witness)
 
 
 def poly_eval_naive(coeffs, x):

@@ -613,6 +613,35 @@ def test_verify_suite_bounds_must_be_counting_integers_exit_2(capsys, tmp_path,
     assert "must be an integer" in report["error"]
 
 
+@pytest.mark.parametrize("suites,error", [
+    ([{"kind": "linear", "m_max": 7}], "m_max must be an integer <= 6, got 7"),
+    ([{"kind": "linear", "m_max": 2, "n_max": 4}],
+     "n_max must be an integer <= 3, got 4"),
+    ([{"kind": "linear", "m_max": 2}, {"kind": "linear", "n_max": 9}],
+     "n_max must be an integer <= 3, got 9"),
+])
+def test_verify_suite_bounds_have_a_ceiling_exit_2(capsys, tmp_path, suites,
+                                                   error):
+    # enumeration is exponential in m_max and n_max; with --trials 0 an
+    # unbounded grid still only enumerates
+    path = write(tmp_path, "grid.json", {"suites": suites})
+    code, out = run_cli(capsys, ["verify", "--grid", path,
+                                 "--trials", "0", "--seed", "0"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert report["error"] == f"{path}: {error}"
+
+
+def test_verify_suite_ceiling_is_inclusive(capsys, tmp_path):
+    path = write(tmp_path, "grid.json",
+                 {"suites": [{"kind": "linear", "m_max": 6, "n_max": 3}]})
+    code, out = run_cli(capsys, ["verify", "--grid", path,
+                                 "--trials", "0", "--seed", "0"])
+    assert code == 0
+    assert len(json.loads(out)["result"]["cells"]) == 470
+
+
 def test_verify_expected_witness_fixture_exit_0(capsys, tmp_path):
     grid = write(tmp_path, "grid.json", {"fixtures": [_WITNESS_FIXTURE]})
     code, out = run_cli(capsys, ["verify", "--grid", grid,

@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_cofactor, feasible_by_basic_solutions,
                      poly_det_cofactor, poly_eval_naive, poly_mul_naive,
                      rank_by_minors, root_in_interval_by_grid, rref_naive,
-                     sturm_count_euclid)
+                     simplex_witness_fraction, sturm_count_euclid)
 from plstab import ratmath
-from plstab.ratmath import (Mat, _rref, cauchy_root_bound, det,
+from plstab.ratmath import (_rref, cauchy_root_bound, det,
                             format_rational, independent_subset, lp_feasible,
                             mat_rank, nullspace_basis, parse_rational, poly,
                             poly_eval, simplest_between,
@@ -53,15 +53,15 @@ def test_format_omits_unit_denominator():
 # --- rank -----------------------------------------------------------------
 
 def test_rank_identity():
-    assert mat_rank(Mat.identity(3)) == 3
+    assert mat_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_zero_matrix():
-    assert mat_rank(Mat.from_rows([[0, 0], [0, 0]])) == 0
+    assert mat_rank([[0, 0], [0, 0]]) == 0
 
 
 def test_rank_dependent_rows():
-    assert mat_rank(Mat.from_rows([[1, 2], [2, 4]])) == 1
+    assert mat_rank([[1, 2], [2, 4]]) == 1
 
 
 def test_rank_matches_minor_enumeration():
@@ -71,7 +71,7 @@ def test_rank_matches_minor_enumeration():
         nc = rng.randint(1, 4)
         rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc)]
                 for _ in range(nr)]
-        assert mat_rank(Mat.from_rows(rows)) == rank_by_minors(rows)
+        assert mat_rank(rows) == rank_by_minors(rows)
 
 
 def test_independent_subset_is_greedy_by_rank():
@@ -134,7 +134,7 @@ def _solution_from_rref(red, pivots, ncols):
 def test_rref_and_rank_match_naive_gauss_jordan(rows):
     want, pivots = rref_naive(rows)
     assert _rref(rows) == (want, pivots)
-    assert mat_rank(Mat.from_rows(rows)) == len(pivots) == rank_by_minors(rows)
+    assert mat_rank(rows) == len(pivots) == rank_by_minors(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +144,7 @@ def test_solve_and_nullspace_match_naive_gauss_jordan(rows, data):
     rhs = data.draw(st.lists(small_fractions, min_size=len(rows),
                              max_size=len(rows)))
     augmented = [row + [b] for row, b in zip(rows, rhs)]
-    assert solve_affine(Mat.from_rows(rows), rhs) == _solution_from_rref(
+    assert solve_affine(rows, rhs) == _solution_from_rref(
         *rref_naive(augmented), ncols)
     zero_rhs = [row + [F(0)] for row in rows]
     assert nullspace_basis(rows, ncols) == _solution_from_rref(
@@ -158,7 +158,7 @@ def test_rref_and_rank_match_sympy(rows):
     m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                       for row in rows])
     red, pivots = m.rref()
-    assert mat_rank(Mat.from_rows(rows)) == m.rank()
+    assert mat_rank(rows) == m.rank()
     got, got_pivots = _rref(rows)
     assert tuple(got_pivots) == pivots
     assert got == [[F(int(x.p), int(x.q)) for x in red.row(i)]
@@ -168,7 +168,7 @@ def test_rref_and_rank_match_sympy(rows):
 # --- solve_affine ----------------------------------------------------------
 
 def test_solve_identity():
-    sol = solve_affine(Mat.identity(2), [3, -5])
+    sol = solve_affine([[1, 0], [0, 1]], [3, -5])
     assert sol == (vec([3, -5]), ())
 
 
@@ -189,7 +189,7 @@ def test_nullspace_of_no_rows_is_the_standard_basis():
 
 
 def test_solve_underdetermined():
-    sol = solve_affine(Mat.from_rows([[1, 1]]), [1])
+    sol = solve_affine([[1, 1]], [1])
     assert sol is not None
     particular, basis = sol
     assert particular == vec([1, 0])
@@ -200,7 +200,7 @@ def test_solve_underdetermined():
 
 
 def test_solve_inconsistent():
-    assert solve_affine(Mat.from_rows([[1], [1]]), [0, 1]) is None
+    assert solve_affine([[1], [1]], [0, 1]) is None
 
 
 def test_solve_properties_random():
@@ -208,18 +208,17 @@ def test_solve_properties_random():
     for _ in range(100):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
-        a = Mat.from_rows([[F(rng.randint(-4, 4)) for _ in range(nc)]
-                           for _ in range(nr)])
+        a = [[F(rng.randint(-4, 4)) for _ in range(nc)] for _ in range(nr)]
         b = vec([rng.randint(-4, 4) for _ in range(nr)])
         sol = solve_affine(a, b)
         if sol is None:
             continue
         particular, basis = sol
         for r in range(nr):
-            assert vec_dot(a.row(r), particular) == b[r]
+            assert vec_dot(a[r], particular) == b[r]
         for v in basis:
             for r in range(nr):
-                assert vec_dot(a.row(r), v) == 0
+                assert vec_dot(a[r], v) == 0
         assert len(basis) == nc - mat_rank(a)
 
 
@@ -227,7 +226,7 @@ def test_solve_properties_random():
 
 def _segment_lp(point):
     # lambda1*(0,0) + lambda2*(1,1) = point, lambda >= 0, sum = 1
-    eq = Mat.from_rows([[0, 1], [0, 1], [1, 1]])
+    eq = [[0, 1], [0, 1], [1, 1]]
     rhs = list(point) + [1]
     return lp_feasible(eq, rhs, {0, 1})
 
@@ -244,7 +243,7 @@ def test_lp_outside_segment():
 
 def test_lp_triangle_slice():
     # first coordinate pinned to 1/2 on conv{(0,0),(1,0),(0,1)}
-    eq = Mat.from_rows([[0, 1, 0], [1, 1, 1]])
+    eq = [[0, 1, 0], [1, 1, 1]]
     w = lp_feasible(eq, [F(1, 2), 1], {0, 1, 2})
     assert w is not None
     assert w[1] == F(1, 2) and sum(w) == 1 and all(x >= 0 for x in w)
@@ -252,7 +251,7 @@ def test_lp_triangle_slice():
 
 def test_lp_free_variable():
     # x + y = -3 needs a free variable to be feasible
-    eq = Mat.from_rows([[1, 1]])
+    eq = [[1, 1]]
     assert lp_feasible(eq, [-3], {1}) is not None
     assert lp_feasible(eq, [-3], {0, 1}) is None
 
@@ -265,7 +264,7 @@ def test_lp_matches_basic_solution_enumeration():
         rows = [[F(rng.randint(-3, 3)) for _ in range(nvars)]
                 for _ in range(nrows)]
         rhs = [F(rng.randint(-3, 3)) for _ in range(nrows)]
-        got = lp_feasible(Mat.from_rows(rows), rhs, set(range(nvars)))
+        got = lp_feasible(rows, rhs, set(range(nvars)))
         want = feasible_by_basic_solutions(rows, rhs)
         assert (got is not None) == want
         if got is not None:
@@ -307,7 +306,7 @@ def test_lp_count_shaped_systems_match_oracle(case, data):
     want = feasible_by_basic_solutions(rows, rhs)
     if case == "inconsistent":
         assume(rank_by_minors([r + [b] for r, b in zip(rows, rhs)]) > len(lam))
-    got = lp_feasible(Mat.from_rows(rows), rhs, set(range(len(lam))))
+    got = lp_feasible(rows, rhs, set(range(len(lam))))
     assert (got is not None) == want
     assert want == (case in ("feasible", "repeated"))
     if got is not None:
@@ -327,16 +326,73 @@ def test_lp_runs_the_simplex_only_on_a_nullspace(monkeypatch):
 
     monkeypatch.setattr(ratmath, "_simplex_witness", counting)
     # segment from (0, 0) to (2, 2) cut at x = 1: unique lambda
-    unique = Mat.from_rows([[1, 1], [0, 2], [0, 2]])
+    unique = [[1, 1], [0, 2], [0, 2]]
     assert lp_feasible(unique, [1, 1, 1], {0, 1}) == vec([F(1, 2), F(1, 2)])
     assert lp_feasible(unique, [1, 3, 3], {0, 1}) is None  # lambda_0 < 0
     assert lp_feasible(unique, [1, 1, 2], {0, 1}) is None  # inconsistent
     assert calls == []
     # the endpoint (2, 2) repeated: a one-dimensional nullspace
-    repeated = Mat.from_rows([[1, 1, 1], [0, 2, 2], [0, 2, 2]])
+    repeated = [[1, 1, 1], [0, 2, 2], [0, 2, 2]]
     w = lp_feasible(repeated, [1, 1, 1], {0, 1, 2})
     assert w is not None and w[0] == F(1, 2) and w[1] + w[2] == F(1, 2)
     assert len(calls) == 1
+
+
+@st.composite
+def lp_systems(draw):
+    """An LP over 1-5 variables with 1-4 drawn rows and up to two repeats.
+
+    Entries are small halves, so the ratio test often ties; variables
+    outside the drawn nonneg set are free; right-hand sides take either
+    sign, and half the systems build theirs from a point of the region, so
+    they are feasible.  Returns (rows, rhs, nonneg).
+    """
+    ncols = draw(st.integers(1, 5))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    nonneg = draw(st.sets(st.integers(0, ncols - 1)))
+    if draw(st.booleans()):
+        x = [abs(v) if i in nonneg else v
+             for i, v in enumerate(draw(st.lists(entries, min_size=ncols,
+                                                 max_size=ncols)))]
+        rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i] if draw(st.booleans()) else draw(entries))
+    return rows, rhs, nonneg
+
+
+# Two systems whose ratio test ties between a row with a structural basic
+# variable and an earlier row: only the tie-break on the smaller basis index
+# reaches the reference witness (random draws hit such a tie about once in
+# 8,000 systems).
+@example(([[-1, -1, 1, 1, 0], [0, 2, 1, -2, 0], [-1, 1, 1, 2, 1]], [1, 1, 8],
+          {0, 1, 2, 4}))
+@example(([[-2, F(1, 2), -1, 2], [1, 0, F(1, 2), 1], [2, 1, -1, 1]], [2, 3, 4],
+          {0, 2, 3}))
+@settings(max_examples=500, deadline=None)
+@given(lp_systems())
+def test_simplex_witness_matches_fraction_tableau(system):
+    rows, rhs, nonneg = system
+    want = simplex_witness_fraction(rows, rhs, nonneg)
+    assert ratmath._simplex_witness(rows, vec(rhs), nonneg) == want
+    # a unique solution is the only point the simplex can reach, so the
+    # elimination-first path gives the same witness on every system
+    assert lp_feasible(rows, rhs, nonneg) == want
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
+@pytest.mark.parametrize("call", [
+    lambda rows: mat_rank(rows),
+    lambda rows: solve_affine(rows, [1, 1]),
+    lambda rows: lp_feasible(rows, [1, 1], {0}),
+], ids=["mat_rank", "solve_affine", "lp_feasible"])
+def test_ragged_rows_raise(rows, call):
+    with pytest.raises(ValueError, match="ragged rows"):
+        call(rows)
 
 
 # --- integer polynomials ----------------------------------------------------

@@ -81,12 +81,11 @@ def test_section_piece_soundness():
         for v in piece:
             assert plane.contains(v)
             # inside the source simplex image: solvable convex combination
-            from plstab.ratmath import Mat, lp_feasible
+            from plstab.ratmath import lp_feasible
             pts = [g.images[u] for u in source]
             rows = [[p[c] for p in pts] for c in range(2)]
             rows.append([1] * len(pts))
-            got_lp = lp_feasible(Mat.from_rows(rows), list(v) + [1],
-                                 set(range(len(pts))))
+            got_lp = lp_feasible(rows, list(v) + [1], set(range(len(pts))))
             assert got_lp is not None
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import coords_pairwise_distinct, det_cofactor
 from plstab.generic import GenericityError, GenericPool
-from plstab.ratmath import Mat, dist_sq, lp_feasible, mat_rank, vec, vec_sub
+from plstab.ratmath import dist_sq, lp_feasible, mat_rank, vec, vec_sub
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
                                certify_map, format_complex, format_map,
                                generic_position_transcript, image_point,
@@ -45,6 +45,19 @@ def test_parse_malformed_line():
 def test_parse_comments_and_blank_lines():
     k = parse_complex("# header\n\nv a  # trailing\nv b\ns a b\n")
     assert k.vertices == ("a", "b")
+
+
+def test_maximal_simplexes_match_the_quadratic_definition():
+    rng = random.Random(41)
+    for _ in range(80):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
+        declared = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
+                    for _ in range(rng.randint(0, 6))]
+        k = SimplicialComplex.from_simplexes(vertices, declared)
+        # unused vertices stay as isolated 0-simplexes
+        want = [s for s in k.sorted_simplexes()
+                if not any(set(s) < set(t) for t in k.simplexes)]
+        assert k.maximal_simplexes() == want
 
 
 def test_round_trip_triangle():
@@ -107,7 +120,7 @@ def test_perturb_collinear_triangle_becomes_independent():
     assert g.certified
     diffs = [vec_sub(g.images["b"], g.images["a"]),
              vec_sub(g.images["c"], g.images["a"])]
-    assert mat_rank(Mat.from_rows(diffs)) == 2
+    assert mat_rank(diffs) == 2
 
 
 def test_perturb_deterministic():
@@ -254,8 +267,7 @@ def _images_intersect(g, s1, s2):
     rows.append([1] * k1 + [0] * k2)
     rows.append([0] * k1 + [1] * k2)
     rhs = [0] * g.m + [1, 1]
-    return lp_feasible(Mat.from_rows(rows), rhs,
-                       set(range(k1 + k2))) is not None
+    return lp_feasible(rows, rhs, set(range(k1 + k2))) is not None
 
 
 def test_disjointness_matches_geometry_on_random_complexes():
