@@ -19,11 +19,11 @@ from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, solve_affine, vec
 from .simplicial import PLMap, SimplicialComplex
-from .transversal import (ConcretePlane, NonStabCase, PlaneFamily,
-                          _stab_system, family_from_json_dict, nonstab_case,
-                          plane_through, sets_from_json,
-                          stab_decide_univariate, stab_exists_linear,
-                          stab_search_general, verify_stab_witness)
+from .transversal import (STAB_MODES, ConcretePlane, NonStabCase, PlaneFamily,
+                          _stab_system, _typed, decide_stab,
+                          family_from_json_dict, nonstab_case, plane_through,
+                          sets_from_json, stab_decide_univariate,
+                          stab_exists_linear)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -283,31 +283,21 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
 
     Keys: family (JSON dict), sets (list of point lists of rational text),
     mode (linear | search | univariate), expect (witness | infeasible |
-    no_stab | not_found), optional budget (a JSON integer >= 0).
+    no_stab | not_found | not_applicable), optional budget (a JSON integer
+    >= 0, read only in search mode).  A witness or isolating interval that
+    fails its exact re-check reads invalid_witness.
     """
     family = family_from_json_dict(fixture["family"])
     sets = sets_from_json(fixture["sets"], family.m)
     mode = fixture.get("mode", "linear")
-    if mode == "linear":
-        witness = stab_exists_linear(sets, family)
-        status = "infeasible" if witness is None else "witness"
-    elif mode == "search":
-        got = stab_search_general(sets, family,
-                                  _json_count(fixture, "budget", 500, least=0),
-                                  base_pool)
-        status = "witness" if got.found else "not_found"
-        witness = got.witness
-    elif mode == "univariate":
-        got = stab_decide_univariate(sets, family)
-        status = {"stab": "witness", "no_stab": "no_stab",
-                  "not_applicable": "not_applicable"}[got.status]
-        witness = got.witness
-    else:
+    if mode not in STAB_MODES:
         raise ValueError(f"unknown fixture mode {mode!r}")
-    if witness is not None:
-        ok, _ = verify_stab_witness(witness, sets, family)
-        if not ok:
-            status = "invalid_witness"
+    budget = (_json_count(fixture, "budget", 500, least=0)
+              if mode == "search" else 0)
+    got = decide_stab(sets, family, mode, budget, base_pool)
+    status = got["status"]
+    if status == "witness" and not got["certified"]:
+        status = "invalid_witness"
     expect = fixture.get("expect")
     return {
         "name": fixture.get("name", "fixture"),
@@ -333,20 +323,23 @@ def _json_count(data: dict, key: str, default: int, least: int,
 def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
-    Every suite's kind and bounds are checked before any cell is enumerated.
+    Every suite's kind and bounds, and the type of every suite and fixture
+    entry, are checked before any cell is enumerated.
     Returns a report dict with per-cell summaries and the flat violation
     list; the caller maps a nonempty violation list to exit code 1.
     """
     runners = {"linear": (linear_cells, run_linear_cell),
                "univariate": (univariate_cells, run_univariate_cell)}
     suites = []
-    for suite in grid.get("suites", []):
-        kind = suite["kind"]
+    for suite in _typed(grid.get("suites", []), list, "suites"):
+        kind = _typed(suite, dict, "suite")["kind"]
         m_max = _json_count(suite, "m_max", 4, least=1, most=SUITE_M_MAX)
         n_max = _json_count(suite, "n_max", 2, least=0, most=SUITE_N_MAX)
         if kind not in runners:
             raise ValueError(f"unknown suite kind {kind!r}")
         suites.append((runners[kind], m_max, n_max))
+    fixtures = [_typed(fixture, dict, "fixture") for fixture
+                in _typed(grid.get("fixtures", []), list, "fixtures")]
     violations: list[dict] = []
     cells_run = []
     for (enumerate_cells, runner), m_max, n_max in suites:
@@ -355,7 +348,7 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
                 violations.extend(runner(cell, trials, base_pool))
             cells_run.append(cell.key())
     fixture_results = []
-    for fixture in grid.get("fixtures", []):
+    for fixture in fixtures:
         result = run_stab_fixture(fixture, base_pool)
         fixture_results.append(result)
         if not result["ok"]:

@@ -33,11 +33,9 @@ from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (ParseError, certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
-from .transversal import (_typed, family_from_json_dict, max_disjoint_stabbed,
-                          plane_from_json_dict, plane_to_json_dict,
-                          sets_from_json, stab_bound, stab_decide_univariate,
-                          stab_exists_linear, stab_search_general,
-                          verify_interval_certificate, verify_stab_witness)
+from .transversal import (STAB_MODES, _typed, decide_stab,
+                          family_from_json_dict, max_disjoint_stabbed,
+                          plane_from_json_dict, sets_from_json, stab_bound)
 
 
 class CliError(Exception):
@@ -99,14 +97,6 @@ def _cert_summary(cert) -> dict:
         "status": "ok" if cert.ok else "failed",
         "conditions": len(cert.conditions),
         "failed_index": cert.failed_index,
-    }
-
-
-def _witness_json(witness) -> dict:
-    return {
-        "lambdas": [[format_rational(x) for x in lam] for lam in witness.lambdas],
-        "plane": plane_to_json_dict(witness.plane),
-        "points": [[format_rational(x) for x in y] for y in witness.points],
     }
 
 
@@ -180,58 +170,12 @@ def _run_stab(args, inputs):
     with _fields_of(args.family):
         family = family_from_json_dict(family_data)
     sets = _load_sets(args.sets, inputs, family.m)
-    result: dict = {"mode": args.mode, "q": len(sets)}
-    if args.mode == "linear":
-        try:
-            witness = stab_exists_linear(sets, family)
-        except ValueError as exc:
-            raise CliError(2, str(exc)) from exc
-        if witness is None:
-            result.update(status="infeasible", certified=True,
-                          lambdas=None, plane=None, conditions_checked=0)
-        else:
-            ok, checks = verify_stab_witness(witness, sets, family)
-            result.update(status="witness", certified=ok,
-                          conditions_checked=checks, **_witness_json(witness))
-    elif args.mode == "search":
-        try:
-            got = stab_search_general(sets, family, args.budget,
-                                      GenericPool(args.seed))
-        except ValueError as exc:
-            raise CliError(2, str(exc)) from exc
-        if got.found:
-            ok, checks = verify_stab_witness(got.witness, sets, family)
-            result.update(status="witness", certified=ok,
-                          conditions_checked=checks,
-                          evaluations=got.evaluations,
-                          **_witness_json(got.witness))
-        else:
-            result.update(status="not_found", certified=False,
-                          lambdas=None, plane=None, conditions_checked=0,
-                          evaluations=got.evaluations)
-    else:
-        got = stab_decide_univariate(sets, family)
-        if got.status == "no_stab":
-            result.update(status="no_stab", certified=True,
-                          lambdas=None, plane=None, conditions_checked=0,
-                          reduced=[format_rational(c) for c in got.reduced])
-        elif got.status == "not_applicable":
-            result.update(status="not_applicable", certified=False,
-                          lambdas=None, plane=None, conditions_checked=0)
-        elif got.witness is not None:
-            ok, checks = verify_stab_witness(got.witness, sets, family)
-            result.update(status="witness", certified=ok,
-                          conditions_checked=checks, **_witness_json(got.witness))
-        else:
-            lo, hi = got.interval
-            result.update(status="witness",
-                          certified=verify_interval_certificate(
-                              got.reduced, got.interval),
-                          lambdas=None, plane=None, conditions_checked=0,
-                          witness_kind="isolating_interval",
-                          interval=[format_rational(lo), format_rational(hi)],
-                          reduced=[format_rational(c) for c in got.reduced])
-    return result, None, 0
+    try:
+        got = decide_stab(sets, family, args.mode, args.budget,
+                          GenericPool(args.seed))
+    except ValueError as exc:
+        raise CliError(2, str(exc)) from exc
+    return {"mode": args.mode, "q": len(sets), **got}, None, 0
 
 
 def _load_plane(path: str, inputs: dict, m: int):
@@ -335,7 +279,7 @@ _VERBS = {
                                                    "--T"))),
     "stab": ("decide or search a common transversal", _run_stab, (
         _Flag("--family", str), _Flag("--sets", str),
-        _Flag("--mode", ("linear", "search", "univariate")),
+        _Flag("--mode", STAB_MODES),
         _Flag("--budget", int, 500, ">= 0"), _SEED)),
     "count": ("max disjoint simplexes stabbed by a plane", _run_count, (
         _COMPLEX, _MAP, _PLANE, _Flag("--nmax", int, bound=">= 0"))),

@@ -13,12 +13,9 @@ task; certificates are immutable and freely shareable.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
-
-from .ratmath import format_rational
 
 REGEN_ATTEMPTS = 3
 
@@ -37,19 +34,6 @@ class GenericityCertificate:
     @property
     def ok(self) -> bool:
         return self.failed_index is None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": "ok" if self.ok else "failed",
-            "failed_index": self.failed_index,
-            "conditions": [
-                {"description": d, "value": format_rational(v), "nonzero": v != 0}
-                for d, v in self.conditions
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def certify(transcript: Iterable[tuple[str, Fraction]]) -> GenericityCertificate:
@@ -124,9 +108,6 @@ class GenericPool:
         self._offsets[stream] = r
         self._offset_values.add(r)
         return r
-
-    def draw_count(self, stream: int) -> int:
-        return self._counters.get(stream, 0)
 
     def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
         """A value q + s*r_stream within eps of target, exactly.

@@ -2,8 +2,9 @@
 
 A section is the list of convex polytopes cut out of each simplex image by a
 plane, each given by its exact vertex list and named by its source simplex.
-A vertex of a piece is the single point of the piece of one of its faces, so
-one elimination per face that the plane may cut lists every vertex.
+The pieces and their barycentric vertices come from
+:func:`~plstab.transversal.stabbed_simplexes`, the one plane-membership
+test: one elimination per face that the plane may cut lists every vertex.
 Components of the union (pieces chained by nonempty intersection) make the
 metric predicates decidable: a compact PL set is coverable by disjoint open
 sets of diameter below eps iff every component has diameter below eps, and
@@ -12,8 +13,9 @@ most eps iff its components admit such a clustering.
 
 Components come from face incidence first: the piece of a face lies in the
 piece of each coface, so every piece joins the pieces of its faces, and
-exact LPs run only between pieces of maximal stabbed simplexes that face
-incidence leaves in different classes.
+exact LPs (:func:`polytopes_intersect`, the only caller of
+:func:`~plstab.ratmath.lp_feasible`) run only between pieces of maximal
+stabbed simplexes that face incidence leaves in different classes.
 
 Preimages live in the standard geometric realization of the complex: vertex
 number i sits at the i-th unit point, so a barycentric solution maps to the
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .ratmath import Vec, as_fraction, dist_sq, lp_feasible, solve_affine
+from .ratmath import Vec, as_fraction, dist_sq, lp_feasible
 from .simplicial import PLMap, Simplex, SimplicialComplex
-from .transversal import ConcretePlane, plane_cuts
+from .transversal import ConcretePlane, stabbed_simplexes
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,44 +88,12 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
     return lp_feasible(rows, rhs, set(range(len(p) + len(q)))) is not None
 
 
-def _barycentric_pieces(k: SimplicialComplex, g: PLMap,
-                        plane: ConcretePlane) -> list[tuple[Simplex, list[Vec]]]:
-    """Per simplex, the vertices of {lambda in the standard simplex : image on plane}.
-
-    A vertex of such a piece is a basic feasible solution: the single point
-    of the piece of its support face, whose columns are independent.
-    Conversely a face whose system has a unique nonnegative solution gives,
-    with zeros elsewhere, a vertex of the piece of every coface.  So one
-    solve per face finds every vertex: :func:`plane_cuts`, run up to dim K,
-    yields every simplex whose image meets the plane, faces before cofaces.
-    """
-    points: dict[Simplex, Vec] = {}
-    out = []
-    for s, rows, rhs in plane_cuts(k, g, plane, k.dim):
-        sol = solve_affine(rows, rhs)
-        if sol is not None and not sol[1] and min(sol[0]) >= 0:
-            points[s] = sol[0]
-        verts: list[Vec] = []
-        for size in range(1, len(s) + 1):
-            for f in itertools.combinations(s, size):
-                lam = points.get(f)
-                if lam is None:
-                    continue
-                weight = dict(zip(f, lam))
-                vertex = tuple(weight.get(v, _ZERO) for v in s)
-                if vertex not in verts:
-                    verts.append(vertex)
-        if verts:
-            out.append((s, verts))
-    return out
-
-
 def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
              place: Callable[[Simplex, Vec], Vec]) -> PlanarSection:
     """Pieces with their distinct vertices placed by place(simplex, lambda)."""
     pieces = []
     sources = []
-    for s, bary_verts in _barycentric_pieces(k, g, plane):
+    for s, bary_verts in stabbed_simplexes(k, g, plane, k.dim):
         pieces.append(tuple(dict.fromkeys(place(s, lam) for lam in bary_verts)))
         sources.append(s)
     return PlanarSection(tuple(pieces), tuple(sources))

@@ -9,9 +9,10 @@ s_T axes.  This module provides:
   can stab, in both counting regimes, with its integer part;
 * the case predicate telling which counting inequality forbids a common
   transversal for given set sizes;
-* the membership systems of simplex images against a concrete plane, one
-  per simplex the covector prefilter keeps (:func:`plane_cuts`), decided by
-  exact LP;
+* the one plane-membership test (:func:`stabbed_simplexes`): which simplex
+  images meet a concrete plane, with the barycentric vertices of each
+  piece, from one exact solve per face that the covector bracket keeps;
+  count and both section builders read it, and no LP runs;
 * the exact stabbing decision in the linear regime (q <= d-t+1), where
   absence is a certificate of nonexistence;
 * the exact univariate decision on one-parameter constraint flats, via the
@@ -19,8 +20,11 @@ s_T axes.  This module provides:
   Sturm's theorem;
 * a float-free heuristic search for transversals outside those regimes
   (verified witnesses only; NotFound is never evidence);
+* one dispatch over the three stab modes (:func:`decide_stab`) that
+  re-verifies every witness and isolating interval it reports;
 * the exact maximum number of pairwise vertex-disjoint stabbed simplexes of
-  a PL image, by branch and bound.
+  a PL image, by branch and bound, with the returned family re-checked
+  exactly.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from typing import Optional, Sequence
 from .generic import GenericPool, _derived_seed
 from .ratmath import (Poly, Vec, _cleared, _count_on_chain, _poly_det,
                       _poly_gcd, _sturm_chain, _trimmed, cauchy_root_bound,
-                      det, format_rational, independent_subset, lp_feasible,
-                      mat_rank, nullspace_basis, parse_rational, poly,
-                      poly_eval, simplest_between, solve_affine,
-                      square_free_part, sturm_count, sturm_root_exists,
-                      unit_vec, vec, vec_dot, vec_sub)
-from .simplicial import PLMap, Simplex, SimplicialComplex
+                      det, format_rational, independent_subset, mat_rank,
+                      nullspace_basis, parse_rational, poly, poly_eval,
+                      simplest_between, solve_affine, square_free_part,
+                      sturm_count, sturm_root_exists, unit_vec, vec, vec_dot,
+                      vec_sub)
+from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -103,15 +107,13 @@ class ConcretePlane:
                 raise ValueError("extra direction leaves span(s_T)")
         block = fam.block
         restricted = [[v[j - 1] for j in block] for v in self.extra_directions]
-        if restricted and mat_rank(restricted) != len(restricted):
+        normals = nullspace_basis(restricted, len(block))
+        if len(block) - len(normals) != len(restricted):  # rank by nullity
             raise ValueError("direction space has dimension below d")
-        object.__setattr__(self, "_covectors", self._build_covectors())
+        object.__setattr__(self, "_covectors", self._build_covectors(normals))
 
-    def direction_basis(self) -> list[Vec]:
-        fam = self.family
-        return [unit_vec(fam.m, j) for j in fam.s_t] + list(self.extra_directions)
-
-    def _build_covectors(self) -> tuple[tuple[Vec, Fraction], ...]:
+    def _build_covectors(self, normals: Sequence[Vec]
+                         ) -> tuple[tuple[Vec, Fraction], ...]:
         fam = self.family
         out: list[tuple[Vec, Fraction]] = []
         in_T = set(fam.s_T)
@@ -120,8 +122,7 @@ class ConcretePlane:
                 c = unit_vec(fam.m, j)
                 out.append((c, self.basepoint[j - 1]))
         block = fam.block
-        restricted = [[v[j - 1] for j in block] for v in self.extra_directions]
-        for nb in nullspace_basis(restricted, len(block)):
+        for nb in normals:
             c = [_ZERO] * fam.m
             for value, j in zip(nb, block):
                 c[j - 1] = value
@@ -612,6 +613,61 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
 
 
 # ---------------------------------------------------------------------------
+# One dispatch over the stab modes, as report fields.
+
+STAB_MODES = ("linear", "search", "univariate")
+
+
+def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
+                mode: str, budget: int, pool: GenericPool) -> dict:
+    """One stab decision in a mode of STAB_MODES, as the fields of a report.
+
+    ``status`` is ``witness``, ``infeasible`` (linear), ``not_found``
+    (search) or ``no_stab`` / ``not_applicable`` (univariate).  Every
+    witness is re-verified with :func:`verify_stab_witness` and every
+    isolating interval with :func:`verify_interval_certificate`, and
+    ``certified`` is that re-check; ``infeasible`` and ``no_stab`` are
+    exact decisions, ``not_found`` and ``not_applicable`` are not.
+    """
+    empty = {"lambdas": None, "plane": None, "conditions_checked": 0}
+    extra: dict = {}
+    if mode == "linear":
+        witness = stab_exists_linear(point_sets, family)
+        if witness is None:
+            return {"status": "infeasible", "certified": True, **empty}
+    elif mode == "search":
+        got = stab_search_general(point_sets, family, budget, pool)
+        witness, extra = got.witness, {"evaluations": got.evaluations}
+        if witness is None:
+            return {"status": "not_found", "certified": False, **empty, **extra}
+    elif mode == "univariate":
+        got = stab_decide_univariate(point_sets, family)
+        witness = got.witness
+        if got.status == "not_applicable":
+            return {"status": "not_applicable", "certified": False, **empty}
+        reduced = [format_rational(c) for c in got.reduced]
+        if got.status == "no_stab":
+            return {"status": "no_stab", "certified": True, **empty,
+                    "reduced": reduced}
+        if witness is None:
+            return {"status": "witness", **empty,
+                    "certified": verify_interval_certificate(got.reduced,
+                                                             got.interval),
+                    "witness_kind": "isolating_interval",
+                    "interval": [format_rational(x) for x in got.interval],
+                    "reduced": reduced}
+    else:
+        raise ValueError(f"unknown stab mode {mode!r}")
+    ok, checks = verify_stab_witness(witness, point_sets, family)
+    return {"status": "witness", "certified": ok, "conditions_checked": checks,
+            "lambdas": [[format_rational(x) for x in lam]
+                        for lam in witness.lambdas],
+            "plane": plane_to_json_dict(witness.plane),
+            "points": [[format_rational(x) for x in y] for y in witness.points],
+            **extra}
+
+
+# ---------------------------------------------------------------------------
 # Counting disjoint stabbed simplexes of a PL image.
 
 def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
@@ -632,15 +688,21 @@ def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
     return sorted(best)
 
 
-def plane_cuts(k: SimplicialComplex, g: PLMap, plane: ConcretePlane, nmax: int):
-    """Membership systems of the simplexes whose images may meet the plane.
+def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
+                      nmax: int) -> list[tuple[Simplex, list[Vec]]]:
+    """Simplexes of dimension <= nmax whose images meet the plane, each with
+    the vertices of its piece {lambda in the standard simplex : image on plane}.
 
-    Yields (simplex, rows, rhs) for every simplex of dimension <= nmax whose
-    vertex values under each plane covector bracket that covector's
-    right-hand side; the others cannot meet the plane.  The rows are the
-    sum-to-one row followed by one row of vertex values per covector, so the
-    simplex image meets the plane iff rows . lambda = rhs has a solution
-    lambda >= 0.
+    This is the one plane-membership test.  A simplex's system is the
+    sum-to-one row followed by one row of vertex values per plane covector;
+    a simplex whose vertex values do not bracket some covector's right-hand
+    side cannot meet the plane and is skipped.  A vertex of a piece is a
+    basic feasible solution: the single point of the piece of its support
+    face, whose columns are independent.  Conversely a face whose system has
+    a unique nonnegative solution gives, with zeros elsewhere, a vertex of
+    the piece of every coface.  Faces come before cofaces, so one solve per
+    face lists every piece vertex, and a simplex image meets the plane
+    exactly when its piece has a vertex.
     """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
@@ -654,6 +716,8 @@ def plane_cuts(k: SimplicialComplex, g: PLMap, plane: ConcretePlane, nmax: int):
             value_cache.append({v: p[idx] for v, p in g.images.items()})
         else:
             value_cache.append({v: vec_dot(c, p) for v, p in g.images.items()})
+    points: dict[Simplex, Vec] = {}
+    out = []
     for s in k.sorted_simplexes():
         if len(s) - 1 > nmax:
             continue
@@ -664,14 +728,22 @@ def plane_cuts(k: SimplicialComplex, g: PLMap, plane: ConcretePlane, nmax: int):
                 break
             rows.append(values)
         else:
-            yield s, rows, rhs_col
-
-
-def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-                      nmax: int) -> list[Simplex]:
-    """Simplexes of dimension <= nmax whose convex images meet the plane."""
-    return [s for s, rows, rhs in plane_cuts(k, g, plane, nmax)
-            if lp_feasible(rows, rhs, set(range(len(s)))) is not None]
+            sol = solve_affine(rows, rhs_col)
+            if sol is not None and not sol[1] and min(sol[0]) >= 0:
+                points[s] = sol[0]
+            verts: list[Vec] = []
+            for size in range(1, len(s) + 1):
+                for f in itertools.combinations(s, size):
+                    lam = points.get(f)
+                    if lam is None:
+                        continue
+                    weight = dict(zip(f, lam))
+                    vertex = tuple(weight.get(v, _ZERO) for v in s)
+                    if vertex not in verts:
+                        verts.append(vertex)
+            if verts:
+                out.append((s, verts))
+    return out
 
 
 def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
@@ -679,11 +751,14 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     """Exact maximum family of pairwise vertex-disjoint stabbed simplexes.
 
     Branch and bound over the intersection graph of the stabbed simplexes,
-    max-degree-first with cardinality pruning.
+    max-degree-first with cardinality pruning.  Before it is returned, the
+    family is re-checked exactly: each member's first piece vertex is a
+    nonnegative lambda summing to 1 whose image lies on the plane, and the
+    members share no vertex; a failure raises RuntimeError.
     """
     hits = stabbed_simplexes(k, g, plane, nmax)
     n = len(hits)
-    vsets = [set(s) for s in hits]
+    vsets = [set(s) for s, _ in hits]
     adj = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -691,7 +766,15 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                 adj[i].add(j)
                 adj[j].add(i)
     chosen = _max_independent_set(n, adj)
-    return len(chosen), tuple(hits[i] for i in chosen)
+    for s, verts in (hits[i] for i in chosen):
+        lam = verts[0]
+        if (min(lam) < 0 or sum(lam) != 1
+                or not plane.contains(image_point(g, s, lam))):
+            raise RuntimeError(f"stabbed simplex {s} failed exact re-verification")
+    family = tuple(hits[i][0] for i in chosen)
+    if any(set(a) & set(b) for a, b in itertools.combinations(family, 2)):
+        raise RuntimeError("stabbed simplexes of the family share a vertex")
+    return len(chosen), family
 
 
 # ---------------------------------------------------------------------------

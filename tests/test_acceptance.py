@@ -203,7 +203,7 @@ def _counting_oracle_pass(rng):
         theta = random_map(rng, k, 2, box=6)
         g = roberts_perturb(k, theta, F(1, 3), GenericPool(60000 + attempt))
         plane = ConcretePlane(fam, vec([F(rng.randint(2, 10), 2), 0]), ())
-        hits = stabbed_simplexes(k, g, plane, 2)
+        hits = [s for s, _ in stabbed_simplexes(k, g, plane, 2)]
         if not 1 <= len(hits) <= 15:
             continue
         masks = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coords_pairwise_distinct
+from plstab import transversal
 from plstab.batch import (draw_point_sets, linear_cells, random_complex,
                           run_grid, run_linear_cell, run_stab_fixture,
                           sample_plane_adversarial, sample_plane_random,
@@ -84,6 +85,23 @@ def test_run_stab_fixture_modes():
     fixture["sets"] = [[["0", "0", "0"]], [["5", "0", "1"]]]
     got = run_stab_fixture(fixture, GenericPool(0))
     assert not got["ok"] and got["status"] == "infeasible"
+
+
+def test_univariate_fixture_interval_answer_is_rechecked(monkeypatch):
+    fixture = {
+        "mode": "univariate",
+        "family": {"m": 3, "St": [], "ST": [1, 2], "d": 1},
+        "sets": [[["0", "0", "0"], ["1", "0", "1"]],
+                 [["0", "1", "0"], ["0", "0", "1"]],
+                 [["1", "1", "0"], ["0", "-2", "1"]]],
+        "expect": "witness",
+    }
+    got = run_stab_fixture(fixture, GenericPool(0))
+    assert got["ok"] and got["status"] == "witness"
+    monkeypatch.setattr(transversal, "verify_interval_certificate",
+                        lambda reduced, interval: False)
+    got = run_stab_fixture(fixture, GenericPool(0))
+    assert not got["ok"] and got["status"] == "invalid_witness"
 
 
 def test_run_grid_reports_fixture_violations():

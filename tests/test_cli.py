@@ -633,6 +633,21 @@ def test_verify_suite_bounds_have_a_ceiling_exit_2(capsys, tmp_path, suites,
     assert report["error"] == f"{path}: {error}"
 
 
+@pytest.mark.parametrize("grid,error", [
+    ({"suites": [1]}, "suite must be a JSON dict, got 1"),
+    ({"suites": [{"kind": "linear"}], "fixtures": [3]},
+     "fixture must be a JSON dict, got 3"),
+    ({"fixtures": ["x"]}, "fixture must be a JSON dict, got 'x'"),
+])
+def test_verify_grid_entries_must_be_json_objects_exit_2(capsys, tmp_path,
+                                                         grid, error):
+    path = write(tmp_path, "grid.json", grid)
+    code, out = run_cli(capsys, ["verify", "--grid", path,
+                                 "--trials", "0", "--seed", "0"])
+    assert code == 2
+    assert json.loads(out)["error"] == f"{path}: {error}"
+
+
 def test_verify_suite_ceiling_is_inclusive(capsys, tmp_path):
     path = write(tmp_path, "grid.json",
                  {"suites": [{"kind": "linear", "m_max": 6, "n_max": 3}]})

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -117,10 +116,13 @@ def test_determinism_across_pools():
 def test_counter_advances_and_changes_value():
     pool = GenericPool(3)
     v1 = pool.draw_near(F(0), F(1), stream=7)
-    assert pool.draw_count(7) == 1
     v2 = pool.draw_near(F(0), F(1), stream=7)
-    assert pool.draw_count(7) == 2
     assert v1 != v2
+    # the counter is per stream: draws on another stream leave stream 7's
+    # first draw unchanged
+    other = GenericPool(3)
+    other.draw_near(F(0), F(1), stream=8)
+    assert other.draw_near(F(0), F(1), stream=7) == v1
 
 
 def test_derived_pools_differ_but_are_stable():
@@ -153,18 +155,6 @@ def test_certify_soundness_rescan():
     cert = certify([(f"c{i}", F(i + 1, 3)) for i in range(10)])
     assert cert.ok
     assert all(v != 0 for _, v in cert.conditions)
-
-
-def test_certificate_serialization_byte_stable():
-    cert = certify([("d", F(1, 2)), ("e", F(0))])
-    s1 = cert.to_json()
-    s2 = certify([("d", F(1, 2)), ("e", F(0))]).to_json()
-    assert s1 == s2
-    payload = json.loads(s1)
-    assert payload["status"] == "failed"
-    assert payload["conditions"][0] == {
-        "description": "d", "value": "1/2", "nonzero": True}
-    assert payload["conditions"][1]["nonzero"] is False
 
 
 def test_distinctness_transcript_neighbours_in_sorted_order():

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (max_disjoint_by_subsets, poly_mul_naive,
+from oracles import (basic_feasible_solutions, feasible_by_basic_solutions,
+                     max_disjoint_by_subsets, poly_mul_naive,
                      sturm_count_euclid, univariate_by_gram)
+from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
+                          sample_plane_random)
+from plstab import transversal
 from plstab.generic import GenericPool
 from plstab.ratmath import poly, poly_eval, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
@@ -56,8 +60,7 @@ def test_plane_membership_via_covectors():
 def test_plane_through_pads_dimension():
     fam = PlaneFamily(4, (), (1, 2, 3), 2)
     plane = plane_through(fam, vec([0, 0, 0, 0]), [vec([1, 1, 0, 0])])
-    dirs = plane.direction_basis()
-    assert len(dirs) == 2
+    assert len(plane.extra_directions) == fam.d - fam.t == 2
     assert plane.contains(vec([1, 1, 0, 0]))
 
 
@@ -169,7 +172,7 @@ def _one_edge(a, b):
 def test_image_membership_vertex():
     k, g = _one_edge([0, 5], [3, 1])
     hits = stabbed_simplexes(k, g, _vertical_line(F(0)), 1)
-    assert hits == [("a",), ("a", "b")]
+    assert hits == [(("a",), [(1,)]), (("a", "b"), [(1, 0)])]
 
 
 def test_image_membership_outside_segment():
@@ -180,14 +183,58 @@ def test_image_membership_outside_segment():
 
 def test_image_membership_midpoint():
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, _vertical_line(F(1, 2)), 1) == [("a", "b")]
+    assert stabbed_simplexes(k, g, _vertical_line(F(1, 2)), 1) == [
+        (("a", "b"), [(F(1, 2), F(1, 2))])]
 
 
 def test_full_space_plane_meets_everything():
     fam = PlaneFamily(2, (), (1, 2), 2)
     plane = plane_through(fam, vec([100, 100]))
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, plane, 1) == [("a",), ("b",), ("a", "b")]
+    assert stabbed_simplexes(k, g, plane, 1) == [
+        (("a",), [(1,)]), (("b",), [(1,)]), (("a", "b"), [(1, 0), (0, 1)])]
+
+
+def _oracle_pieces(k, g, plane, nmax):
+    """Per simplex of dimension <= nmax, the vertices of its piece by
+    basic-solution scan of rows built here from the plane's covectors."""
+    covs = plane.covectors()
+    out = []
+    for s in k.sorted_simplexes():
+        if len(s) - 1 > nmax:
+            continue
+        rows = [[1] * len(s)] + [
+            [sum(a * b for a, b in zip(c, g.images[v])) for v in s]
+            for c, _ in covs]
+        rhs = [1] + [r for _, r in covs]
+        if feasible_by_basic_solutions(rows, rhs):
+            out.append((s, set(basic_feasible_solutions(rows, rhs))))
+    return out
+
+
+def test_membership_sweep_matches_basic_solution_oracle():
+    # The sweep against an oracle sharing none of its code: same hit list,
+    # same piece vertices, on certified complexes and random and adversarial
+    # planes of every shape of family.
+    rng = random.Random(41)
+    cases = 0
+    for trial in range(36):
+        m = 3 + trial % 3
+        k = random_complex(rng, rng.randint(5, 8), 2,
+                           F(rng.randint(20, 45), 100))
+        g = roberts_perturb(k, random_map(rng, k, m, box=6), F(1, 3),
+                            GenericPool(7000 + trial))
+        s_T = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(1, m))))
+        s_t = tuple(sorted(rng.sample(s_T, rng.randint(0, len(s_T) - 1))))
+        fam = PlaneFamily(m, s_t, s_T, rng.randint(len(s_t), len(s_T)))
+        for plane in (sample_plane_random(rng, fam, g),
+                      sample_plane_adversarial(rng, fam, k, g)):
+            for nmax in range(3):
+                got = [(s, set(verts))
+                       for s, verts in stabbed_simplexes(k, g, plane, nmax)]
+                assert got == _oracle_pieces(k, g, plane, nmax)
+                cases += 1
+    assert cases == 216
 
 
 # --- exact linear-regime decision ---------------------------------------------
@@ -518,6 +565,23 @@ def test_count_vertex_on_plane():
     assert ("a",) in family
 
 
+def test_count_rechecks_its_family(monkeypatch):
+    k, g = _two_edges()
+    real = transversal.stabbed_simplexes
+    # a piece vertex whose image is off the plane: vertex a of edge ab
+    monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: [
+        (s, [(1,) + (0,) * (len(s) - 1)]) for s, _ in real(*args)])
+    with pytest.raises(RuntimeError):
+        max_disjoint_stabbed(k, g, _vertical_line(F(1, 2)), nmax=1)
+    # a family whose members share a vertex
+    monkeypatch.setattr(transversal, "stabbed_simplexes", real)
+    monkeypatch.setattr(transversal, "_max_independent_set",
+                        lambda n, adj: list(range(n)))
+    plane = plane_through(PlaneFamily(2, (), (1, 2), 2), vec([0, 0]))
+    with pytest.raises(RuntimeError):
+        max_disjoint_stabbed(k, g, plane, nmax=1)
+
+
 def test_count_matches_subset_enumeration():
     rng = random.Random(6)
     for trial in range(10):
@@ -532,7 +596,7 @@ def test_count_matches_subset_enumeration():
         g = roberts_perturb(k, theta, F(1, 3), GenericPool(trial + 100))
         plane = _vertical_line(F(rng.randint(0, 12), 2))
         count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
-        hits = stabbed_simplexes(k, g, plane, 2)
+        hits = [s for s, _ in stabbed_simplexes(k, g, plane, 2)]
         want, _ = max_disjoint_by_subsets(
             hits, lambda s1, s2: bool(set(s1) & set(s2)))
         assert count == want
