@@ -17,13 +17,12 @@ from typing import Optional, Sequence
 
 from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
-from .ratmath import Vec, solve_affine, vec
+from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex
 from .transversal import (STAB_MODES, ConcretePlane, NonStabCase, PlaneFamily,
-                          _stab_system, _typed, decide_stab,
-                          family_from_json_dict, nonstab_case, plane_through,
-                          sets_from_json, stab_decide_univariate,
-                          stab_exists_linear)
+                          _flat, _typed, decide_stab, family_from_json_dict,
+                          nonstab_case, plane_through, sets_from_json,
+                          stab_decide_univariate, stab_exists_linear)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,15 +47,10 @@ class SweepCell:
         return f"{self.suite}:m{self.m}:d{self.d}:t{self.t}:T{self.T}:n[{ns}]"
 
 
-def _compositions(q: int, max_each: int, total_max: Optional[int] = None,
-                  total_exact: Optional[int] = None):
+def _compositions(q: int, max_each: int, total_exact: Optional[int] = None):
     for n_list in itertools.product(range(max_each + 1), repeat=q):
-        s = sum(n_list)
-        if total_max is not None and s > total_max:
-            continue
-        if total_exact is not None and s != total_exact:
-            continue
-        yield n_list
+        if total_exact is None or sum(n_list) == total_exact:
+            yield n_list
 
 
 def linear_cells(m_max: int, n_max: int) -> list[SweepCell]:
@@ -105,8 +99,7 @@ def _univariate_probe(cell: SweepCell) -> bool:
     sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
     if not cert.ok:
         return False
-    a, rhs, _ = _stab_system(sets, _cell_family(cell))
-    sol = solve_affine(a, rhs)
+    sol = _flat(sets, _cell_family(cell))
     return sol is not None and len(sol[1]) == 1
 
 

@@ -217,8 +217,6 @@ def _run_section(args, inputs):
 
 
 def _run_cotype(args, inputs):
-    if args.eps <= 0 or args.q < 1:
-        raise CliError(2, "need --eps > 0 and --q >= 1")
     k, g = _load_certified_map(args.complex, args.map, inputs)
     plane = _load_plane(args.plane, inputs, g.m)
     preimage = preimage_polytopes(k, g, plane)
@@ -262,6 +260,7 @@ class _Flag(NamedTuple):
 
 _BOUND_OPS = {">=": operator.ge, ">": operator.gt}
 _SEED = _Flag("--seed", int, 0)
+_EPS = _Flag("--eps", Fraction, bound="> 0")
 _COMPLEX, _MAP, _PLANE = (_Flag(name, str)
                           for name in ("--complex", "--map", "--plane"))
 
@@ -272,8 +271,7 @@ _VERBS = {
         _Flag("--dim", int, bound=">= 0"),
         _Flag("--density", Fraction), _SEED, _Flag("--out", str))),
     "perturb": ("move a map into certified general position", _run_perturb, (
-        _COMPLEX, _MAP, _Flag("--eps", Fraction, bound="> 0"), _SEED,
-        _Flag("--out", str))),
+        _COMPLEX, _MAP, _EPS, _SEED, _Flag("--out", str))),
     "bounds": ("exact stabbing ceiling and its floor", _run_bounds,
                tuple(_Flag(name, int) for name in ("--n", "--m", "--d", "--t",
                                                    "--T"))),
@@ -284,9 +282,9 @@ _VERBS = {
     "count": ("max disjoint simplexes stabbed by a plane", _run_count, (
         _COMPLEX, _MAP, _PLANE, _Flag("--nmax", int, bound=">= 0"))),
     "section": ("plane section and its disjointness scale", _run_section, (
-        _COMPLEX, _MAP, _PLANE, _Flag("--eps", Fraction, bound="> 0"))),
+        _COMPLEX, _MAP, _PLANE, _EPS)),
     "cotype": ("cluster the plane preimage in the domain", _run_cotype, (
-        _COMPLEX, _MAP, _PLANE, _Flag("--q", int), _Flag("--eps", Fraction))),
+        _COMPLEX, _MAP, _PLANE, _Flag("--q", int, bound=">= 1"), _EPS)),
     "verify": ("run a batch verification grid", _run_verify, (
         _Flag("--grid", str), _Flag("--trials", int, bound=">= 0"), _SEED)),
 }

@@ -5,15 +5,17 @@ floats enter any decision.  This module supplies the substrate: affine
 solves with nullspace bases, exact linear-programming feasibility, and
 real-root existence for univariate polynomials via Sturm sequences.
 Matrices are plain sequences of equal-length rows; :func:`mat_rank`,
-:func:`solve_affine` and :func:`lp_feasible` raise ValueError on ragged rows.
+:func:`max_minor`, :func:`solve_affine` and :func:`lp_feasible` raise
+ValueError on ragged rows.
 
 One integer pivot, :func:`_pivot` (the fraction-free Gauss-Jordan update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
 Rank, reduced row echelon forms, solves and nullspaces come from
-:func:`_echelon` on denominator-cleared integer rows.  :func:`lp_feasible`
-eliminates first and runs its phase-1 simplex (Bland's rule, on an integer
-tableau) only when the equality system has a nullspace; an inconsistent
-system or a unique solution decides it directly.
+:func:`_echelon` on denominator-cleared integer rows, and so does the one
+determinant over Q, :func:`max_minor`, read off its last pivot.
+:func:`lp_feasible` eliminates first and runs its phase-1 simplex (Bland's
+rule, on an integer tableau) only when the equality system has a
+nullspace; an inconsistent system or a unique solution decides it directly.
 
 Polynomial arithmetic runs on one integer kernel too: primitive integer
 coefficient lists, one primitive pseudo-remainder sequence (:func:`_prs`)
@@ -232,22 +234,23 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec
     return _solve_augmented([list(r) + [_ZERO] for r in rows], ncols)[1]
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a nonempty square matrix by cofactor expansion along row 0.
+def max_minor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Absolute value of the first nonzero maximal minor of the rows.
 
-    Zero entries of the expansion row are skipped; meant for the tiny
-    matrices of simplex and transversal conditions.  The sum starts from
-    the zero of the entries, so an integer matrix has an ``int`` determinant.
+    Column sets are tried in lexicographic order.  The pivot columns of
+    :func:`_echelon`, chosen greedily, are the first set whose minor is
+    nonzero, and its last pivot is that minor of the denominator-cleared
+    rows up to sign; dividing by the row scales gives the minor of the rows.
+    0 when the rows are dependent, |det| for a square matrix, and 1 for no
+    rows.
     """
-    if len(rows) == 1:
-        return rows[0][0]
-    total = rows[0][0] * 0
-    for j, head in enumerate(rows[0]):
-        if head == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * head * det(minor)
-    return total
+    _width(rows)
+    work, pivots = _echelon(rows)
+    if len(pivots) < len(rows):
+        return _ZERO
+    last = work[-1][pivots[-1]] if rows else 1
+    scale = math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
+    return Fraction(abs(last), scale)
 
 
 def independent_subset(vectors: Sequence[Vec]) -> list[int]:

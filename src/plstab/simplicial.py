@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .generic import (REGEN_ATTEMPTS, GenericityCertificate, GenericityError,
                       GenericPool, certify, distinctness_transcript,
                       regeneration_pools)
-from .ratmath import (Vec, as_fraction, det, dist_sq, format_rational,
+from .ratmath import (Vec, as_fraction, dist_sq, format_rational, max_minor,
                       parse_rational, vec)
 
 Simplex = tuple[str, ...]
@@ -187,13 +187,14 @@ def generic_position_transcript(k: SimplicialComplex,
 
     First the |V|*m - 1 neighbour differences of all |V|*m coordinates in
     sorted order, which certify them pairwise distinct (see
-    :func:`~plstab.generic.distinctness_transcript`).  Then the Gram
-    determinant of every simplex's difference matrix (affine independence),
-    in integers: each image p_v is cleared of denominators once, as
-    P_v = D_v p_v with D_v the lcm of its denominators, so a simplex
-    v_0 ... v_k has the integer rows D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0)
-    and its condition is their Gram determinant over prod_i (D_0 D_i)^2,
-    which is the Gram determinant of the rows p_i - p_0.
+    :func:`~plstab.generic.distinctness_transcript`).  Then, per simplex,
+    the first nonzero maximal minor of its edge rows p_i - p_0 (see
+    :func:`~plstab.ratmath.max_minor`), which is zero exactly when the image
+    is affinely dependent.  It is computed in integers: each image p_v is
+    cleared of denominators once, as P_v = D_v p_v with D_v the lcm of its
+    denominators, so a simplex v_0 ... v_k has the integer rows
+    D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0), and its condition is their
+    minor over prod_i D_0 D_i.
     """
     transcript = distinctness_transcript(
         (f"{v}[{s}]", x)
@@ -213,9 +214,8 @@ def generic_position_transcript(k: SimplicialComplex,
             di, pi = cleared[v]
             rows.append([d0 * a - di * b for a, b in zip(pi, p0)])
             scale *= d0 * di
-        gram = [[sum(a * b for a, b in zip(r, t)) for t in rows] for r in rows]
         transcript.append((f"simplex {' '.join(simplex)} affinely independent",
-                           Fraction(det(gram), scale * scale)))
+                           max_minor(rows) / scale))
     return transcript
 
 

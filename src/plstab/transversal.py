@@ -39,11 +39,11 @@ from typing import Optional, Sequence
 from .generic import GenericPool, _derived_seed
 from .ratmath import (Poly, Vec, _cleared, _count_on_chain, _poly_det,
                       _poly_gcd, _sturm_chain, _trimmed, cauchy_root_bound,
-                      det, format_rational, independent_subset, mat_rank,
-                      nullspace_basis, parse_rational, poly, poly_eval,
-                      simplest_between, solve_affine, square_free_part,
-                      sturm_count, sturm_root_exists, unit_vec, vec, vec_dot,
-                      vec_sub)
+                      format_rational, independent_subset, mat_rank,
+                      max_minor, nullspace_basis, parse_rational, poly,
+                      poly_eval, simplest_between, solve_affine,
+                      square_free_part, sturm_count, sturm_root_exists,
+                      unit_vec, vec, vec_dot, vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
@@ -277,42 +277,57 @@ def _grouped(values: Vec, sizes: list[int]) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def _stab_system(point_sets: Sequence[Sequence[Vec]],
-                 family: PlaneFamily
-                 ) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Linear constraints on the stacked lambda: sums 1, differences inside span(s_T)."""
-    m = family.m
+def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
+          ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
+    """The constraint flat of the stacked lambda, as :func:`solve_affine`
+    returns it (a point and a direction basis), or None when it is empty.
+
+    Its rows say that each set's coefficients sum to 1 and that the met
+    points y_i - y_1 vanish outside s_T.  Every stab decision starts here,
+    so the nonempty check on the point sets comes first in each of them.
+    """
+    if not point_sets or any(not ps for ps in point_sets):
+        raise ValueError("need nonempty point sets")
     sizes = [len(ps) for ps in point_sets]
     total = sum(sizes)
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     for i, size in enumerate(sizes):
         row = [_ZERO] * total
-        for j in range(size):
-            row[offsets[i] + j] = _ONE
+        row[offsets[i]:offsets[i] + size] = [_ONE] * size
         rows.append(row)
-        rhs.append(_ONE)
-    outside = [c for c in range(1, m + 1) if c not in set(family.s_T)]
+    rhs = [_ONE] * len(sizes)
+    outside = [c for c in range(1, family.m + 1) if c not in set(family.s_T)]
     for i in range(1, len(point_sets)):
         for c in outside:
             row = [_ZERO] * total
             for j, p in enumerate(point_sets[i]):
                 row[offsets[i] + j] = p[c - 1]
             for j, p in enumerate(point_sets[0]):
-                row[offsets[0] + j] -= p[c - 1]
+                row[j] -= p[c - 1]
             rows.append(row)
             rhs.append(_ZERO)
-    return rows, rhs, sizes
+    return solve_affine(rows, rhs)
+
+
+def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
+         coords: Sequence[int]) -> list[Vec]:
+    """The met points y_i = sum_j lam_ij p_ij of a stacked lambda, at the
+    given 0-based coordinates."""
+    out = []
+    at = 0
+    for pts in point_sets:
+        weights = lam[at:at + len(pts)]
+        out.append(tuple(sum((w * p[c] for w, p in zip(weights, pts)), _ZERO)
+                         for c in coords))
+        at += len(pts)
+    return out
 
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
-    sizes = [len(ps) for ps in point_sets]
-    lambdas = _grouped(vec(flat_lambda), sizes)
-    points = []
-    for lam, pts in zip(lambdas, point_sets):
-        points.append(tuple(sum((l * p[c] for l, p in zip(lam, pts)), _ZERO)
-                            for c in range(family.m)))
+    lam = vec(flat_lambda)
+    lambdas = _grouped(lam, [len(ps) for ps in point_sets])
+    points = _met(point_sets, lam, range(family.m))
     diffs = [vec_sub(y, points[0]) for y in points[1:]]
     plane = plane_through(family, points[0], diffs)
     witness = StabWitness(lambdas, plane, tuple(points))
@@ -330,14 +345,10 @@ def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
     system (coefficients summing to 1, differences of the met points
     vanishing outside s_T) is solvable, so absence certifies nonexistence.
     """
-    q = len(point_sets)
-    if q < 1 or any(not ps for ps in point_sets):
-        raise ValueError("need nonempty point sets")
-    if q > family.d - family.t + 1:
+    sol = _flat(point_sets, family)
+    if len(point_sets) > family.d - family.t + 1:
         raise ValueError("too many sets for the linear regime; "
                          "use stab_search_general")
-    a, rhs, _ = _stab_system(point_sets, family)
-    sol = solve_affine(a, rhs)
     if sol is None:
         return None
     return _witness_from_lambda(point_sets, family, sol[0])
@@ -358,19 +369,14 @@ def _projected_difference_polys(point_sets, family, base_lambda, direction):
     """Rows (Y_i - Y_1)(s) restricted to the block coordinates, as linear
     integer polynomials; clearing each row's denominators once scales every
     maximal minor by the same positive integer."""
-    sizes = [len(ps) for ps in point_sets]
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    block = family.block
-    ys = []
-    for i, pts in enumerate(point_sets):
-        ys.append([sum((lam[offsets[i] + j] * pts[j][c - 1]
-                        for j in range(sizes[i])), _ZERO)
-                   for lam in (base_lambda, direction) for c in block])
+    cols = [c - 1 for c in family.block]
+    ys = [at_base + along for at_base, along in zip(
+        _met(point_sets, base_lambda, cols), _met(point_sets, direction, cols))]
     rows = []
     for y in ys[1:]:
         ints = _cleared([a - b for a, b in zip(y, ys[0])])
-        rows.append([_trimmed([ints[c], ints[len(block) + c]])
-                     for c in range(len(block))])
+        rows.append([_trimmed([ints[c], ints[len(cols) + c]])
+                     for c in range(len(cols))])
     return rows
 
 
@@ -445,15 +451,10 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
     is the zero polynomial and every flat point stabs.  Sturm's theorem
     decides real-root existence exactly.
     """
-    q = len(point_sets)
-    if q < 1 or any(not ps for ps in point_sets):
-        raise ValueError("need nonempty point sets")
     fam = family
-    if q != fam.d - fam.t + 2:
-        return UnivariateDecision("not_applicable")
-    a, rhs, _ = _stab_system(point_sets, fam)
-    sol = solve_affine(a, rhs)
-    if sol is None or len(sol[1]) != 1:
+    sol = _flat(point_sets, fam)
+    if (len(point_sets) != fam.d - fam.t + 2 or sol is None
+            or len(sol[1]) != 1):
         return UnivariateDecision("not_applicable")
     base_lambda, (direction,) = sol
     rows = _projected_difference_polys(point_sets, fam, base_lambda, direction)
@@ -494,25 +495,21 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
                         budget: int, pool: GenericPool) -> SearchResult:
     """Heuristic transversal search for q > d-t+1 sets.
 
-    Descends on the Gram determinant of the projected differences over the
-    constraint flat, using rational golden-section steps and random restarts;
-    candidates are snapped to small rationals by continued fractions and only
-    exactly verified witnesses are returned.  A NotFound result is
+    Descends on the Gram determinant of the projected differences (read by
+    :func:`~plstab.ratmath.max_minor`) over the constraint flat, using
+    rational golden-section steps and random restarts; candidates are
+    snapped to small rationals by continued fractions and only exactly
+    verified witnesses are returned.  A NotFound result is
     inconclusive, never a nonexistence certificate.
     """
-    q = len(point_sets)
-    if q < 1 or any(not ps for ps in point_sets):
-        raise ValueError("need nonempty point sets")
     fam = family
-    if q <= fam.d - fam.t + 1:
+    sol = _flat(point_sets, fam)
+    if len(point_sets) <= fam.d - fam.t + 1:
         raise ValueError("q <= d-t+1 is decided exactly; use stab_exists_linear")
-    sol_data = solve_affine(*_stab_system(point_sets, fam)[:2])
-    if sol_data is None:
+    if sol is None:
         return SearchResult(False, evaluations=0)
-    base_lambda, basis = sol_data
-    sizes = [len(ps) for ps in point_sets]
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    block = fam.block
+    base_lambda, basis = sol
+    cols = [c - 1 for c in fam.block]
     needed_rank = fam.d - fam.t
 
     def lambda_at(u: Sequence[Fraction]) -> Vec:
@@ -522,13 +519,9 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
                 lam = [x + coeff * y for x, y in zip(lam, w)]
         return tuple(lam)
 
-    def diff_rows(lam: Vec) -> list[list[Fraction]]:
-        ys = []
-        for i, pts in enumerate(point_sets):
-            ys.append([sum((lam[offsets[i] + j] * pts[j][c - 1]
-                            for j in range(sizes[i])), _ZERO) for c in block])
-        return [[ys[i][c] - ys[0][c] for c in range(len(block))]
-                for i in range(1, len(point_sets))]
+    def diff_rows(lam: Vec) -> list[Vec]:
+        ys = _met(point_sets, lam, cols)
+        return [vec_sub(y, ys[0]) for y in ys[1:]]
 
     evaluations = 0
 
@@ -536,9 +529,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         nonlocal evaluations
         evaluations += 1
         rows = diff_rows(lambda_at(u))
-        n = len(rows)
-        return det([[sum((rows[i][c] * rows[j][c] for c in range(len(block))),
-                         _ZERO) for j in range(n)] for i in range(n)])
+        return max_minor([[vec_dot(r, t) for t in rows] for r in rows])
 
     def try_exact(u) -> Optional[StabWitness]:
         lam = lambda_at(u)

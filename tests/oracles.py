@@ -1,7 +1,8 @@
 """Brute-force oracles used to cross-check the fast implementations.
 
-Everything here is deliberately naive: cofactor determinants, all-pairs
-comparison for distinctness, minor enumeration for rank, textbook Fraction
+Everything here is deliberately naive: cofactor determinants (over every
+column subset, for maximal minors), all-pairs comparison for
+distinctness, minor enumeration for rank, textbook Fraction
 Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
 enumeration for LP feasibility and polytope vertices, a Fraction simplex
 tableau for LP witnesses, schoolbook polynomial products, Euclidean Sturm
@@ -32,6 +33,18 @@ def det_cofactor(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def max_minor_by_subsets(rows):
+    """|det| of the first nonzero maximal minor, trying column sets in
+    lexicographic order; 0 when every one vanishes (or rows outnumber
+    columns), 1 for no rows."""
+    ncols = len(rows[0]) if rows else 0
+    for cols in itertools.combinations(range(ncols), len(rows)):
+        minor = det_cofactor([[r[j] for j in cols] for r in rows])
+        if minor != 0:
+            return abs(minor)
+    return Fraction(0)
 
 
 def coords_pairwise_distinct(values):

@@ -95,6 +95,14 @@ def test_help_exits_zero(capsys):
         assert f"\n    {verb} " in out
 
 
+# the error of each flag out of its range: a bound declared in the verb
+# table reads "<flag> must be <bound>"; gen checks --density itself
+_OUT_OF_RANGE = {"--nmax": "must be >= 0", "--budget": "must be >= 0",
+                 "--trials": "must be >= 0", "--vertices": "must be >= 1",
+                 "--dim": "must be >= 0", "--density": "must lie in [0, 1]",
+                 "--eps": "must be > 0", "--q": "must be >= 1"}
+
+
 # each flag out of its range, with the rest of the argv valid; the range is
 # checked before any file is read, so the paths need not exist
 @pytest.mark.parametrize("argv, flag", [
@@ -117,11 +125,15 @@ def test_help_exits_zero(capsys):
       "--q", "2", "--eps", "0"], "--eps"),
     (["cotype", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
       "--q", "0", "--eps", "1"], "--q"),
+    # both out of range: flags are checked in the table's order
+    (["cotype", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
+      "--q", "0", "--eps", "-1"], "--q"),
 ])
 def test_flag_out_of_range_exit_2_naming_the_flag(capsys, tmp_path,
                                                    monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
-    assert flag in _one_parse_error_report(capsys, argv)
+    error = _one_parse_error_report(capsys, argv)
+    assert error == f"{flag} {_OUT_OF_RANGE[flag]}"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,13 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_cofactor, feasible_by_basic_solutions,
-                     poly_det_cofactor, poly_eval_naive, poly_mul_naive,
+                     max_minor_by_subsets, poly_det_cofactor, poly_eval_naive, poly_mul_naive,
                      rank_by_minors, root_in_interval_by_grid, rref_naive,
                      simplex_witness_fraction, sturm_count_euclid)
 from plstab import ratmath
-from plstab.ratmath import (_rref, cauchy_root_bound, det,
-                            format_rational, independent_subset, lp_feasible,
-                            mat_rank, nullspace_basis, parse_rational, poly,
+from plstab.ratmath import (_rref, cauchy_root_bound, format_rational,
+                            independent_subset, lp_feasible, mat_rank,
+                            max_minor, nullspace_basis, parse_rational, poly,
                             poly_eval, simplest_between,
                             solve_affine, sturm_count, sturm_root_exists, vec,
                             vec_dot)
@@ -111,6 +111,28 @@ def matrices(draw, max_rows=6, max_cols=5):
     return rows
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_rows=4))
+def test_max_minor_matches_minors_by_column_subsets(rows):
+    # rectangular either way, with dependent rows, zero rows, zero columns
+    assert max_minor(rows) == max_minor_by_subsets(rows)
+    k = min(len(rows), len(rows[0]))
+    square = [r[:k] for r in rows[:k]]
+    assert max_minor(square) == abs(det_cofactor(square))
+    gram = [[sum((a * b for a, b in zip(r, t)), F(0)) for t in rows]
+            for r in rows]
+    assert max_minor(gram) == det_cofactor(gram)
+
+
+def test_max_minor_small_cases():
+    assert max_minor([]) == 1
+    assert max_minor([[0, 0, 0]]) == 0
+    assert max_minor([[1, 2], [2, 4], [0, 1]]) == 0  # more rows than columns
+    # the first column set {0, 1} has minor 0; {0, 2} is the first nonzero
+    assert max_minor([[1, 2, 0], [2, 4, F(-1, 3)]]) == F(1, 3)
+    assert type(max_minor([[2, 3], [1, 4]])) is Fraction
+
+
 def _solution_from_rref(red, pivots, ncols):
     """Particular solution and nullspace basis read off an augmented RREF."""
     if ncols in pivots:
@@ -170,17 +192,6 @@ def test_rref_and_rank_match_sympy(rows):
 def test_solve_identity():
     sol = solve_affine([[1, 0], [0, 1]], [3, -5])
     assert sol == (vec([3, -5]), ())
-
-
-def test_det_keeps_the_type_of_its_entries():
-    got = det([[2, 3, 0], [1, 4, 0], [7, 7, 0]])
-    assert got == 0 and type(got) is int
-    got = det([[2, 3], [1, 4]])
-    assert got == 5 and type(got) is int
-    rows = [[F(1, 2), F(3)], [F(-1), F(2, 3)]]
-    got = det(rows)
-    assert got == det_cofactor(rows) and type(got) is Fraction
-    assert type(det([[F(0), F(1)], [F(0), F(2)]])) is Fraction
 
 
 def test_nullspace_of_no_rows_is_the_standard_basis():
@@ -387,9 +398,10 @@ def test_simplex_witness_matches_fraction_tableau(system):
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
 @pytest.mark.parametrize("call", [
     lambda rows: mat_rank(rows),
+    lambda rows: max_minor(rows),
     lambda rows: solve_affine(rows, [1, 1]),
     lambda rows: lp_feasible(rows, [1, 1], {0}),
-], ids=["mat_rank", "solve_affine", "lp_feasible"])
+], ids=["mat_rank", "max_minor", "solve_affine", "lp_feasible"])
 def test_ragged_rows_raise(rows, call):
     with pytest.raises(ValueError, match="ragged rows"):
         call(rows)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coords_pairwise_distinct, det_cofactor
+from oracles import (coords_pairwise_distinct, det_cofactor,
+                     max_minor_by_subsets)
 from plstab.generic import GenericityError, GenericPool
 from plstab.ratmath import dist_sq, lp_feasible, mat_rank, vec, vec_sub
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
@@ -186,9 +187,13 @@ def test_transcript_size_is_linear_in_coordinates():
     assert certify_map(k, PLMap(3, images)).certified
 
 
-def _oracle_gram(images, simplex):
+def _edge_rows(images, simplex):
     base = images[simplex[0]]
-    diffs = [[x - y for x, y in zip(images[v], base)] for v in simplex[1:]]
+    return [[x - y for x, y in zip(images[v], base)] for v in simplex[1:]]
+
+
+def _oracle_gram(images, simplex):
+    diffs = _edge_rows(images, simplex)
     return det_cofactor([[sum((a * b for a, b in zip(r, t)), F(0)) for t in diffs]
                          for r in diffs])
 
@@ -222,14 +227,17 @@ def _maps_with_ties(draw):
 def test_certify_map_matches_oracles(case):
     k, g = case
     transcript = generic_position_transcript(k, g.images)
-    grams = {tuple(d.split()[1:-2]): v for d, v in transcript
-             if d.startswith("simplex ")}
-    assert set(grams) == {s for s in k.simplexes if len(s) > 1}
-    for simplex, value in grams.items():
-        assert value == _oracle_gram(g.images, simplex)
+    minors = {tuple(d.split()[1:-2]): v for d, v in transcript
+              if d.startswith("simplex ")}
+    assert set(minors) == {s for s in k.simplexes if len(s) > 1}
+    for simplex, value in minors.items():
+        # the first nonzero maximal minor of the edge rows, which vanishes
+        # exactly when their Gram determinant does
+        assert value == max_minor_by_subsets(_edge_rows(g.images, simplex))
+        assert (value == 0) == (_oracle_gram(g.images, simplex) == 0)
     distinct = coords_pairwise_distinct(x for v in k.vertices
                                         for x in g.images[v])
-    expected = distinct and all(v != 0 for v in grams.values())
+    expected = distinct and all(v != 0 for v in minors.values())
     assert certify_map(k, g).certified == expected
 
 

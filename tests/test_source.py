@@ -109,3 +109,17 @@ def test_no_vacuous_assert_in_tests():
                     and any(_truthy_constant(v) for v in test.values)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_witness_recheck_shares_no_helper_with_the_deciders():
+    # verify_stab_witness re-checks what the deciders build from the
+    # constraint flat and the met points, so it computes its own sums.
+    path = Path(plstab.__file__).with_name("transversal.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    recheck = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "verify_stab_witness")
+    called = {node.func.id for node in ast.walk(recheck)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called & {"_flat", "_met"} == set()
+    assert {"_flat", "_met"} <= {node.name for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)}

@@ -314,9 +314,10 @@ def test_univariate_no_stab():
 
 
 def test_univariate_not_applicable_wrong_q():
-    sets = [[vec([0, 0])], [vec([1, 1])], [vec([2, 0])]]
-    got = stab_decide_univariate(sets, _POINT_FAMILY_2D)
-    assert got.status == "not_applicable"
+    sets = [[vec([0, 0])], [vec([1, 1])], [vec([2, 0])], [vec([3, 1])]]
+    for q in (1, 3, 4):  # the family needs q = 2
+        got = stab_decide_univariate(sets[:q], _POINT_FAMILY_2D)
+        assert got.status == "not_applicable"
 
 
 def test_univariate_not_applicable_flat_dimension():
@@ -526,6 +527,44 @@ def test_search_never_emits_false_witness_in_nonstab_regime():
     assert nonstab_case([1, 1, 1], 5, 1, 0, 1) is NonStabCase.CASE_I
     got = stab_search_general(sets, fam, budget=400, pool=pool)
     assert not got.found
+
+
+# --- input errors of the three deciders -------------------------------------
+
+_NONEMPTY = "need nonempty point sets"
+_TOO_MANY = "too many sets for the linear regime; use stab_search_general"
+_TOO_FEW = "q <= d-t+1 is decided exactly; use stab_exists_linear"
+_P = vec([0, 0])
+_D0 = PlaneFamily(2, (), (1,), 1)  # d - t = 1: linear up to q = 2
+
+
+def _search(sets, fam):
+    return stab_search_general(sets, fam, 10, GenericPool(0))
+
+
+# the emptiness check comes before every mode's check on q
+@pytest.mark.parametrize("decide, sets, message", [
+    (stab_exists_linear, [], _NONEMPTY),
+    (stab_exists_linear, [[]], _NONEMPTY),
+    (stab_exists_linear, [[_P], []], _NONEMPTY),
+    (stab_exists_linear, [[_P]] * 3, _TOO_MANY),
+    (stab_exists_linear, [[_P], [_P], []], _NONEMPTY),
+    (_search, [], _NONEMPTY),
+    (_search, [[]], _NONEMPTY),
+    (_search, [[_P]], _TOO_FEW),
+    (_search, [[_P], [_P]], _TOO_FEW),
+    (_search, [[_P], []], _NONEMPTY),
+    (stab_decide_univariate, [], _NONEMPTY),
+    (stab_decide_univariate, [[]], _NONEMPTY),
+    (stab_decide_univariate, [[_P], [_P], [_P], []], _NONEMPTY),
+], ids=["linear-none", "linear-empty", "linear-one-empty", "linear-too-many",
+        "linear-too-many-one-empty", "search-none", "search-empty",
+        "search-one-set", "search-too-few", "search-too-few-one-empty",
+        "univariate-none", "univariate-empty", "univariate-wrong-q-one-empty"])
+def test_decider_input_errors(decide, sets, message):
+    with pytest.raises(ValueError) as info:
+        decide(sets, _D0)
+    assert str(info.value) == message
 
 
 # --- counting disjoint stabbed simplexes ------------------------------------
