@@ -53,19 +53,22 @@ def _compositions(q: int, max_each: int, total_exact: Optional[int] = None):
             yield n_list
 
 
-def linear_cells(m_max: int, n_max: int) -> list[SweepCell]:
-    """All tuples where the few-sets counting inequality labels the cell."""
-    out = []
+def _regime_tuples(m_max: int):
+    """Every (m, d, t, T) with 0 <= t <= d <= T <= m <= m_max, in sweep order."""
     for m in range(1, m_max + 1):
         for T in range(0, m + 1):
             for t in range(0, T + 1):
                 for d in range(t, T + 1):
-                    for q in range(1, d - t + 2):
-                        for n_list in _compositions(q, n_max):
-                            cell = SweepCell("linear", m, d, t, T, n_list)
-                            if nonstab_case(n_list, m, d, t, T) is NonStabCase.CASE_II:
-                                out.append(cell)
-    return out
+                    yield m, d, t, T
+
+
+def linear_cells(m_max: int, n_max: int) -> list[SweepCell]:
+    """All tuples where the few-sets counting inequality labels the cell."""
+    return [SweepCell("linear", m, d, t, T, n_list)
+            for m, d, t, T in _regime_tuples(m_max)
+            for q in range(1, d - t + 2)
+            for n_list in _compositions(q, n_max)
+            if nonstab_case(n_list, m, d, t, T) is NonStabCase.CASE_II]
 
 
 def univariate_cells(m_max: int, n_max: int) -> list[SweepCell]:
@@ -77,20 +80,17 @@ def univariate_cells(m_max: int, n_max: int) -> list[SweepCell]:
     certified draw and kept only if the decision actually applies there.
     """
     out = []
-    for m in range(1, m_max + 1):
-        for T in range(0, m + 1):
-            for t in range(0, T + 1):
-                for d in range(t, T + 1):
-                    q = d - t + 2
-                    total = 1 + (q - 1) * (m - T)
-                    if total > q * n_max:
-                        continue
-                    for n_list in _compositions(q, n_max, total_exact=total):
-                        if nonstab_case(n_list, m, d, t, T) is NonStabCase.INCONCLUSIVE:
-                            continue
-                        cell = SweepCell("univariate", m, d, t, T, n_list)
-                        if _univariate_probe(cell):
-                            out.append(cell)
+    for m, d, t, T in _regime_tuples(m_max):
+        q = d - t + 2
+        total = 1 + (q - 1) * (m - T)
+        if total > q * n_max:
+            continue
+        for n_list in _compositions(q, n_max, total_exact=total):
+            if nonstab_case(n_list, m, d, t, T) is NonStabCase.INCONCLUSIVE:
+                continue
+            cell = SweepCell("univariate", m, d, t, T, n_list)
+            if _univariate_probe(cell):
+                out.append(cell)
     return out
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import random
 import sys
@@ -106,26 +107,26 @@ def _require_vertices(k, g, map_path: str) -> None:
             raise CliError(2, f"{map_path}: missing vertex {v!r}")
 
 
-def _load_certified_map(complex_path: str, map_path: str, inputs: dict):
-    k = parse_complex(_read_text(complex_path, inputs))
-    g = parse_map(_read_text(map_path, inputs))
-    _require_vertices(k, g, map_path)
-    g = certify_map(k, g)
-    if not g.certified:
-        raise GenericityError(
-            "map fails genericity certification; regenerate with perturb")
-    return k, g
-
-
 def _load_sets(path: str, inputs: dict, m: int):
     data = _read_json(path, inputs)
     with _fields_of(path):
         return sets_from_json(_typed(data, dict, "sets file")["sets"], m)
 
 
+# gen draws once per simplex of the full complex on its vertices up to its
+# dimension: 2^20 - 1 (--vertices 20 --dim 19) take 3.3 s on a 2-vCPU VM.
+GEN_MAX_SIMPLEXES = 2 ** 20
+
+
 def _run_gen(args, inputs) -> tuple[dict, dict, int]:
     if not 0 <= args.density <= 1:
         raise CliError(2, "--density must lie in [0, 1]")
+    simplexes = 0
+    for size in range(1, min(args.dim + 1, args.vertices) + 1):
+        simplexes += math.comb(args.vertices, size)
+        if simplexes > GEN_MAX_SIMPLEXES:
+            raise CliError(2, f"--vertices {args.vertices} --dim {args.dim} "
+                              f"allow more than {GEN_MAX_SIMPLEXES} simplexes")
     rng = random.Random(_derived_seed(args.seed, "gen"))
     k = batch.random_complex(rng, args.vertices, args.dim, args.density)
     result = {
@@ -178,19 +179,27 @@ def _run_stab(args, inputs):
     return {"mode": args.mode, "q": len(sets), **got}, None, 0
 
 
-def _load_plane(path: str, inputs: dict, m: int):
-    data = _read_json(path, inputs)
-    with _fields_of(path):
+def _load_request(args, inputs):
+    """The complex, certified map and plane of a count, section or cotype
+    request, read in that order."""
+    k = parse_complex(_read_text(args.complex, inputs))
+    g = parse_map(_read_text(args.map, inputs))
+    _require_vertices(k, g, args.map)
+    g = certify_map(k, g)
+    if not g.certified:
+        raise GenericityError(
+            "map fails genericity certification; regenerate with perturb")
+    data = _read_json(args.plane, inputs)
+    with _fields_of(args.plane):
         plane = plane_from_json_dict(data)
-    if plane.family.m != m:
-        raise CliError(2, f"{path}: plane lives in dimension {plane.family.m}, "
-                          f"map in {m}")
-    return plane
+    if plane.family.m != g.m:
+        raise CliError(2, f"{args.plane}: plane lives in dimension "
+                          f"{plane.family.m}, map in {g.m}")
+    return k, g, plane
 
 
 def _run_count(args, inputs):
-    k, g = _load_certified_map(args.complex, args.map, inputs)
-    plane = _load_plane(args.plane, inputs, g.m)
+    k, g, plane = _load_request(args, inputs)
     count, family = max_disjoint_stabbed(k, g, plane, args.nmax)
     result = {
         "count": count,
@@ -200,42 +209,39 @@ def _run_count(args, inputs):
     return result, _cert_summary(g.certificate), 0
 
 
-def _run_section(args, inputs):
-    k, g = _load_certified_map(args.complex, args.map, inputs)
-    plane = _load_plane(args.plane, inputs, g.m)
-    section = section_of_image(k, g, plane)
-    part = compute_components(section)
-    max_diam = max(part.diameters_sq, default=Fraction(0))
+def _components_of(args, inputs, build):
+    """The components of the polytopes that build (the section or the
+    preimage) makes of a request, with the report fields they share."""
+    k, g, plane = _load_request(args, inputs)
+    polytopes = build(k, g, plane)
+    part = compute_components(polytopes)
     result = {
-        "pieces": len(section.pieces),
+        "pieces": len(polytopes.pieces),
         "components": len(part.components),
-        "max_diameter_sq": format_rational(max_diam),
+        "max_diameter_sq": format_rational(
+            max(part.diameters_sq, default=Fraction(0))),
         "eps_sq": format_rational(args.eps * args.eps),
-        "result": eps_disjoint(part, args.eps),
     }
-    return result, _cert_summary(g.certificate), 0
+    return part, result, _cert_summary(g.certificate)
+
+
+def _run_section(args, inputs):
+    part, result, certificate = _components_of(args, inputs, section_of_image)
+    result["result"] = eps_disjoint(part, args.eps)
+    return result, certificate, 0
 
 
 def _run_cotype(args, inputs):
-    k, g = _load_certified_map(args.complex, args.map, inputs)
-    plane = _load_plane(args.plane, inputs, g.m)
-    preimage = preimage_polytopes(k, g, plane)
-    part = compute_components(preimage)
+    part, result, certificate = _components_of(args, inputs,
+                                               preimage_polytopes)
     try:
         clusters = component_clusters(part, args.q, args.eps)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
-    max_diam = max(part.diameters_sq, default=Fraction(0))
-    result = {
-        "pieces": len(preimage.pieces),
-        "components": len(part.components),
-        "max_diameter_sq": format_rational(max_diam),
-        "eps_sq": format_rational(args.eps * args.eps),
-        "result": clusters is not None,
-    }
+    result["result"] = clusters is not None
     if clusters is not None:
         result["clusters"] = clusters
-    return result, _cert_summary(g.certificate), 0
+    return result, certificate, 0
 
 
 def _run_verify(args, inputs):

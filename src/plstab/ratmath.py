@@ -3,7 +3,7 @@
 Everything in this package runs on `fractions.Fraction` and integers; no
 floats enter any decision.  This module supplies the substrate: affine
 solves with nullspace bases, exact linear-programming feasibility, and
-real-root existence for univariate polynomials via Sturm sequences.
+real-root counts for univariate integer polynomials via Sturm sequences.
 Matrices are plain sequences of equal-length rows; :func:`mat_rank`,
 :func:`max_minor`, :func:`solve_affine` and :func:`lp_feasible` raise
 ValueError on ragged rows.
@@ -17,12 +17,14 @@ determinant over Q, :func:`max_minor`, read off its last pivot.
 rule, on an integer tableau) only when the equality system has a
 nullspace; an inconsistent system or a unique solution decides it directly.
 
-Polynomial arithmetic runs on one integer kernel too: primitive integer
-coefficient lists, one primitive pseudo-remainder sequence (:func:`_prs`)
-for both Sturm chains and gcds, and one Bareiss determinant over Z[s]
-(:func:`_poly_det`) whose exact divisions raise on a remainder.  Signs at a
-rational point come from an integer homogeneous Horner sum.  The public
-polynomial functions still take and return ``Fraction`` coefficient tuples.
+Polynomials have one type: integer coefficient lists in ascending degree,
+the zero polynomial ``[]``.  One primitive pseudo-remainder sequence
+(:func:`_prs`) serves Sturm chains, gcds and square-free parts, and one
+Bareiss determinant over Z[s] (:func:`_poly_det`) has exact divisions that
+raise on a remainder.  Every Sturm chain is built from a square-free part,
+so it ends in a nonzero constant and a root at an endpoint needs no special
+case.  Signs at a rational point, zero tests included, come from an integer
+homogeneous Horner sum (:func:`_sign_at`).
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent tasks.
@@ -377,32 +379,14 @@ def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec,
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials (coefficient tuples, ascending degree) and Sturm.
-
-Poly = tuple[Fraction, ...]
-
+# Univariate polynomials (integer coefficient lists, ascending degree) and
+# Sturm.
 
 def _trimmed(c: list) -> list:
     """A coefficient list without trailing zeros."""
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly(coeffs: Iterable) -> Poly:
-    """Normalize to the invariant: no trailing zero coefficients."""
-    return tuple(_trimmed([as_fraction(x) for x in coeffs]))
-
-
-def poly_degree(p: Poly) -> int:
-    return len(p) - 1  # zero polynomial -> -1
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _primitive(c: list[int]) -> list[int]:
@@ -521,31 +505,32 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return [-x for x in g] if g and g[-1] < 0 else g
 
 
-def square_free_part(p: Poly) -> Poly:
-    """head / gcd(head, head'), head the primitive integer multiple of p.
+def square_free_part(p: list[int]) -> list[int]:
+    """head / gcd(head, head'), head the primitive part of the integer
+    polynomial p.
 
-    It has the distinct roots of p, each simple; p itself when its degree is
-    below 1.
+    It is primitive and has the distinct roots of p, each simple; p itself
+    when its degree is below 1.
     """
-    if poly_degree(p) < 1:
+    if len(p) < 2:
         return p
-    head = _primitive(_cleared(p))
-    return poly(_exact_quotient(head, _poly_gcd(head, _derivative(head))))
+    head = _primitive(p)
+    return _exact_quotient(head, _poly_gcd(head, _derivative(head)))
 
 
-def _sturm_chain(p: Poly) -> list[list[int]]:
-    """Sturm chain of a nonzero p: the :func:`_prs` of its primitive integer
-    multiple and that multiple's derivative.  Every member is a positive multiple of the
-    member of the Euclidean chain p, p', -rem(p, p'), ..., so every sign and
-    variation count is the same, while the coefficients stay small.
+def _sturm_chain(ps: list[int]) -> list[list[int]]:
+    """Sturm chain of a nonzero square-free primitive ps: the :func:`_prs`
+    of ps and its derivative.  Every member is a positive multiple of the
+    member of the Euclidean chain ps, ps', -rem(ps, ps'), ..., so every sign
+    and variation count is the same, while the coefficients stay small.  The
+    last member is the gcd of ps and ps', a nonzero constant.
     """
-    head = _primitive(_cleared(p))
-    if len(head) == 1:
-        return [head]
-    return _prs(head, _primitive(_derivative(head)))
+    if len(ps) == 1:
+        return [ps]
+    return _prs(ps, _primitive(_derivative(ps)))
 
 
-def _sign_at(c: list[int], x: Optional[Fraction], end: int) -> int:
+def _sign_at(c: list[int], x: Optional[Fraction], end: int = 1) -> int:
     """Sign of a nonzero integer polynomial at x, or at -inf/+inf when x is
     None (end = -1 or +1).
 
@@ -564,73 +549,34 @@ def _sign_at(c: list[int], x: Optional[Fraction], end: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_right_of(c: list[int], x: Fraction) -> int:
-    """Sign of a nonzero integer polynomial just right of x: the sign of its
-    first derivative that is nonzero at x."""
-    while True:
-        s = _sign_at(c, x, +1)
-        if s:
-            return s
-        c = _derivative(c)
+def _variations(chain: list[list[int]], x: Optional[Fraction], end: int = 1) -> int:
+    """Sign variations of a Sturm chain at x, zeros skipped.
 
-
-def _variations(chain: list[list[int]], x: Optional[Fraction], end: int) -> int:
-    signs = [_sign_at(c, x, end) for c in chain]
-    if signs[-1] == 0:
-        # x is a root of the last member, the gcd of p and p', so a multiple
-        # root of p and a root of every member.  The chain divided by its last
-        # member is a Sturm chain of the square-free part; at a root its
-        # variations equal those just right of it, where the gcd's sign is
-        # constant and so divides out of every product of neighbours.
-        signs = [_sign_right_of(c, x) for c in chain]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def sturm_root_exists(p: Poly, lo: Optional[Fraction] = None,
-                      hi: Optional[Fraction] = None) -> bool:
-    """True iff p has a real root in [lo, hi] (side unbounded when None):
-    lo is a root, or :func:`sturm_count` finds one in (lo, hi].
+    The chain of a square-free part ends in a nonzero constant, so at a
+    root of its head the variations equal those just right of the root.
     """
-    p = poly(p)
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError("empty interval")
-    if not p:
-        if lo is None and hi is None:
-            raise ValueError("zero polynomial with both bounds absent")
-        return True
-    if lo is not None and poly_eval(p, lo) == 0:
-        return True
-    return sturm_count(p, lo, hi) > 0
+    signs = [s for s in (_sign_at(c, x, end) for c in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p: Poly, lo: Optional[Fraction] = None,
+def sturm_count(p: list[int], lo: Optional[Fraction] = None,
                 hi: Optional[Fraction] = None) -> int:
-    """Number of distinct real roots in (lo, hi]; endpoints None = unbounded.
+    """Number of distinct real roots of the integer polynomial p in
+    (lo, hi]; endpoints None = unbounded.
 
-    Counts sign variations of the integer chain of :func:`_sturm_chain`; at
-    an endpoint that is a multiple root of p it counts them just right of
-    the endpoint.
+    Counts sign variations of the chain of its square-free part.
     """
-    p = poly(p)
-    if poly_degree(p) < 1:
+    if len(p) < 2:
         return 0
-    return _count_on_chain(_sturm_chain(p), lo, hi)
-
-
-def _count_on_chain(chain: list[list[int]], lo: Optional[Fraction],
-                    hi: Optional[Fraction]) -> int:
-    """Distinct real roots in (lo, hi] of the head of a :func:`_sturm_chain`."""
+    chain = _sturm_chain(square_free_part(p))
     return _variations(chain, lo, -1) - _variations(chain, hi, +1)
 
 
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """B with every real root of p in [-B, B]."""
-    p = poly(p)
-    if poly_degree(p) < 1:
+def cauchy_root_bound(p: list[int]) -> Fraction:
+    """B with every real root of the integer polynomial p in (-B, B)."""
+    if len(p) < 2:
         return _ONE
-    lead = abs(p[-1])
-    return _ONE + max(abs(c) for c in p[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:

@@ -37,13 +37,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import GenericPool, _derived_seed
-from .ratmath import (Poly, Vec, _cleared, _count_on_chain, _poly_det,
-                      _poly_gcd, _sturm_chain, _trimmed, cauchy_root_bound,
+from .ratmath import (Vec, _cleared, _poly_det, _poly_gcd, _sign_at,
+                      _sturm_chain, _trimmed, _variations, cauchy_root_bound,
                       format_rational, independent_subset, mat_rank,
-                      max_minor, nullspace_basis, parse_rational, poly,
-                      poly_eval, simplest_between, solve_affine,
-                      square_free_part, sturm_count, sturm_root_exists,
-                      unit_vec, vec, vec_dot, vec_sub)
+                      max_minor, nullspace_basis, parse_rational,
+                      simplest_between, solve_affine, square_free_part,
+                      sturm_count, unit_vec, vec, vec_dot, vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
@@ -362,7 +361,7 @@ class UnivariateDecision:
     status: str  # "stab" | "no_stab" | "not_applicable"
     witness: Optional[StabWitness] = None
     interval: Optional[tuple[Fraction, Fraction]] = None
-    reduced: Optional[Poly] = None
+    reduced: Optional[tuple[int, ...]] = None
 
 
 def _projected_difference_polys(point_sets, family, base_lambda, direction):
@@ -380,63 +379,56 @@ def _projected_difference_polys(point_sets, family, base_lambda, direction):
     return rows
 
 
-def _rational_root_or_interval(p: Poly):
-    """(root, None) for a rational root of p, else (None, isolating interval).
+def _isolate(p: list[int]):
+    """None when the integer polynomial p has no real root; else a rational
+    root of p, or an isolating interval (lo, hi) of one of its roots.
 
-    p must have a real root.  Bisection first narrows the Cauchy bound
-    interval until it holds exactly one root of the square-free part; that
-    terminates because those roots are distinct.  Then at most 80 refinement
-    steps each try the simplest rational in the interval and halve it, so a
-    rational root is found only if it is met within those 80 steps; otherwise
-    the interval, which carries a sign change of the square-free part, is
-    returned.
+    The zero polynomial has the root 0.  One Sturm chain of the square-free
+    part serves the whole search: bisection of the Cauchy bound interval,
+    with the variations at the ends carried along, first narrows it to
+    exactly one root, which terminates because the roots of the square-free
+    part are distinct.  Then 80 refinement steps each try the simplest
+    rational in the interval and halve it, so a rational root is found only
+    if it is met within those steps; otherwise the interval, which carries a
+    sign change of the square-free part, is returned.
     """
+    if not p:
+        return _ZERO
     ps = square_free_part(p)
-    chain = _sturm_chain(ps)  # one chain serves every count below
+    chain = _sturm_chain(ps)
+    vlo, vhi = _variations(chain, None, -1), _variations(chain, None, +1)
+    if vlo == vhi:
+        return None
     bound = cauchy_root_bound(ps)
-    lo, hi = -bound, bound
-    if poly_eval(ps, lo) == 0:
-        return lo, None
-    if poly_eval(ps, hi) == 0:
-        return hi, None
-    # narrow to exactly one root, then refine
-    while True:
-        roots = _count_on_chain(chain, lo, hi)
-        if roots == 1:
-            break
-        if roots == 0:
-            raise ValueError("polynomial has no real root to isolate")
+    lo, hi = -bound, bound  # every root lies strictly inside
+    refinements = 0
+    while vlo - vhi > 1 or refinements < 80:
+        if vlo - vhi == 1:
+            refinements += 1
+            cand = simplest_between(lo, hi)
+            if not _sign_at(ps, cand):
+                return cand
         mid = (lo + hi) / 2
-        if poly_eval(ps, mid) == 0:
-            return mid, None
-        if _count_on_chain(chain, lo, mid) > 0:
-            hi = mid
+        if not _sign_at(ps, mid):
+            return mid
+        vmid = _variations(chain, mid)
+        if vlo > vmid:
+            hi, vhi = mid, vmid
         else:
-            lo = mid
-    for _ in range(80):
-        cand = simplest_between(lo, hi)
-        if poly_eval(p, cand) == 0:
-            return cand, None
-        mid = (lo + hi) / 2
-        if poly_eval(ps, mid) == 0:
-            return mid, None
-        if _count_on_chain(chain, lo, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return None, (lo, hi)
+            lo, vlo = mid, vmid
+    return lo, hi
 
 
-def verify_interval_certificate(reduced: Poly,
+def verify_interval_certificate(reduced: Sequence[int],
                                 interval: tuple[Fraction, Fraction]) -> bool:
-    """Re-check an isolating interval of ``reduced`` exactly.
+    """Re-check an isolating interval of the integer polynomial ``reduced``.
 
     Passes when the square-free part of ``reduced`` is nonzero with opposite
     signs at the two endpoints and has exactly one root between them.
     """
     lo, hi = interval
-    ps = square_free_part(poly(reduced))
-    return (lo < hi and poly_eval(ps, lo) * poly_eval(ps, hi) < 0
+    ps = square_free_part(list(reduced))
+    return (bool(ps) and lo < hi and _sign_at(ps, lo) * _sign_at(ps, hi) < 0
             and sturm_count(ps, lo, hi) == 1)
 
 
@@ -447,9 +439,11 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
     On the flat a family member meets every affine hull exactly where the
     projected difference matrix drops rank, that is, by Cauchy-Binet, at the
     common real roots of its maximal minors: the real roots of their gcd,
-    which is ``reduced``.  With no minors (fewer columns than rows) the gcd
-    is the zero polynomial and every flat point stabs.  Sturm's theorem
-    decides real-root existence exactly.
+    a primitive integer polynomial kept as the tuple ``reduced``.  With no
+    minors (fewer columns than rows) the gcd is the zero polynomial and every
+    flat point stabs.  :func:`_isolate` decides real-root existence exactly
+    by Sturm's theorem, on one chain of the gcd's square-free part, and
+    returns the witness root or isolating interval from the same chain.
     """
     fam = family
     sol = _flat(point_sets, fam)
@@ -463,16 +457,13 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
         gcd = _poly_gcd(gcd, _poly_det([[row[c] for c in cols] for row in rows]))
         if len(gcd) == 1:
             break  # a constant gcd: the minors have no common root
-    reduced = poly(gcd)
-    if not reduced:
-        root, interval = _ZERO, None  # every flat point stabs
-    elif not sturm_root_exists(reduced):
+    reduced = tuple(gcd)
+    found = _isolate(gcd)
+    if found is None:
         return UnivariateDecision("no_stab", reduced=reduced)
-    else:
-        root, interval = _rational_root_or_interval(reduced)
-    if root is None:
-        return UnivariateDecision("stab", interval=interval, reduced=reduced)
-    flat = vec(b + root * w for b, w in zip(base_lambda, direction))
+    if isinstance(found, tuple):
+        return UnivariateDecision("stab", interval=found, reduced=reduced)
+    flat = vec(b + found * w for b, w in zip(base_lambda, direction))
     return UnivariateDecision("stab", witness=_witness_from_lambda(
         point_sets, fam, flat), reduced=reduced)
 

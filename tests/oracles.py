@@ -16,6 +16,7 @@ checks, and none of it imports ``plstab``.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -249,6 +250,14 @@ def poly_mul_naive(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return tuple(_trim(out))
+
+
+def integer_poly(coeffs):
+    """The coefficients times the lcm of their denominators, trimmed, as a
+    list of ints: an integer polynomial with the same roots."""
+    coeffs = _trim(Fraction(c) for c in coeffs)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
 
 
 def _poly_add(p, q):

@@ -198,6 +198,40 @@ def test_gen_density_outside_unit_interval_exit_2(capsys, tmp_path, density):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("vertices,dim,admitted", [
+    (30, 4, True),            # 174,436 simplexes
+    (2 ** 20, 0, True),       # exactly the ceiling
+    (2 ** 20 + 1, 0, False),
+    (22, 21, False),          # 2^22 - 1
+    (10 ** 12, 10 ** 12, False),
+])
+def test_gen_refuses_more_simplexes_than_its_ceiling(capsys, tmp_path,
+                                                     monkeypatch, vertices,
+                                                     dim, admitted):
+    # the ceiling is checked before any simplex is drawn, so a stub stands
+    # in for the enumeration of the admitted requests
+    from plstab import batch
+    from plstab.cli import GEN_MAX_SIMPLEXES
+    from plstab.simplicial import parse_complex
+    drawn = []
+    monkeypatch.setattr(batch, "random_complex",
+                        lambda rng, v, d, density: drawn.append((v, d))
+                        or parse_complex("v a\n"))
+    out_path = tmp_path / "k.cx"
+    code, out = run_cli(capsys, ["gen", "--vertices", str(vertices), "--dim",
+                                 str(dim), "--density", "1/2",
+                                 "--out", str(out_path)])
+    assert GEN_MAX_SIMPLEXES == 2 ** 20
+    if admitted:
+        assert (code, drawn) == (0, [(vertices, dim)])
+    else:
+        assert (code, drawn) == (2, [])
+        assert json.loads(out)["error"] == (
+            f"--vertices {vertices} --dim {dim} allow more than 1048576 "
+            "simplexes")
+        assert not out_path.exists()
+
+
 def test_perturb_round_trip(capsys, tmp_path):
     cx = write(tmp_path, "k.cx", "v a\nv b\nv c\ns a b c\n")
     mp = write(tmp_path, "theta.map", "m 3\np a 0 0 0\np b 1 1 1\np c 2 2 2\n")
@@ -578,6 +612,20 @@ def test_cotype_report(capsys, tmp_path):
     code, out = run_cli(capsys, ["cotype", "--complex", cx, "--map", mp,
                                  "--plane", pl, "--q", "1", "--eps", "1"])
     assert json.loads(out)["result"]["result"] is False
+
+
+def test_section_and_cotype_share_the_component_fields(capsys, tmp_path):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    shared = {"pieces": 2, "components": 2, "max_diameter_sq": "0",
+              "eps_sq": "1/4", "result": True}
+    request = ["--complex", cx, "--map", mp, "--plane", pl, "--eps", "1/2"]
+    code, out = run_cli(capsys, ["section", *request])
+    assert (code, json.loads(out)["result"]) == (0, shared)
+    code, out = run_cli(capsys, ["cotype", *request, "--q", "2"])
+    assert (code, json.loads(out)["result"]) == (
+        0, {**shared, "clusters": [[0], [1]]})
 
 
 def test_verify_clean_grid_exit_0(capsys, tmp_path):

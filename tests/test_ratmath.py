@@ -5,17 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (det_cofactor, feasible_by_basic_solutions,
+from oracles import (det_cofactor, feasible_by_basic_solutions, integer_poly,
                      max_minor_by_subsets, poly_det_cofactor, poly_eval_naive, poly_mul_naive,
                      rank_by_minors, root_in_interval_by_grid, rref_naive,
                      simplex_witness_fraction, sturm_count_euclid)
 from plstab import ratmath
 from plstab.ratmath import (_rref, cauchy_root_bound, format_rational,
                             independent_subset, lp_feasible, mat_rank,
-                            max_minor, nullspace_basis, parse_rational, poly,
-                            poly_eval, simplest_between,
-                            solve_affine, sturm_count, sturm_root_exists, vec,
-                            vec_dot)
+                            max_minor, nullspace_basis, parse_rational,
+                            simplest_between, solve_affine, square_free_part,
+                            sturm_count, vec, vec_dot)
 
 F = Fraction
 
@@ -415,9 +414,9 @@ def test_ragged_rows_raise(rows, call):
 @settings(max_examples=200, deadline=None)
 def test_poly_det_matches_cofactor_expansion(matrix):
     # small entries and short polynomials make zero pivots, so rows swap
-    rows = [[list(poly(e)) for e in r] for r in matrix]
-    want = poly_det_cofactor([[poly(e) for e in r] for r in matrix])
-    assert poly(ratmath._poly_det(rows)) == want
+    rows = [[integer_poly(e) for e in r] for r in matrix]
+    want = poly_det_cofactor([[tuple(e) for e in r] for r in rows])
+    assert tuple(ratmath._poly_det(rows)) == want
 
 
 def test_exact_quotient_raises_on_a_remainder():
@@ -430,38 +429,46 @@ def test_exact_quotient_raises_on_a_remainder():
 
 # --- Sturm ------------------------------------------------------------------
 
+def root_in(p, lo=None, hi=None):
+    """p has a real root in [lo, hi]: lo is a root, or sturm_count finds one
+    in (lo, hi]."""
+    return ((lo is not None and ratmath._sign_at(p, lo) == 0)
+            or sturm_count(p, lo, hi) > 0)
+
+
 def test_sturm_positive_everywhere():
-    assert sturm_root_exists(poly([1, 0, 1])) is False
+    assert root_in([1, 0, 1]) is False
 
 
 def test_sturm_linear():
-    assert sturm_root_exists(poly([0, 1])) is True
+    assert root_in([0, 1]) is True
 
 
 def test_sturm_bounded_interval():
-    p = poly([-1, 0, 1])  # s^2 - 1
-    assert sturm_root_exists(p, F(0), F(2)) is True
-    assert sturm_root_exists(p, F(2), F(3)) is False
-    assert sturm_root_exists(p, F(-1, 2), F(1, 2)) is False
+    p = [-1, 0, 1]  # s^2 - 1
+    assert root_in(p, F(0), F(2)) is True
+    assert root_in(p, F(2), F(3)) is False
+    assert root_in(p, F(-1, 2), F(1, 2)) is False
 
 
 def test_sturm_endpoint_roots():
-    p = poly([-1, 0, 1])
-    assert sturm_root_exists(p, F(1), F(5)) is True
-    assert sturm_root_exists(p, F(-5), F(-1)) is True
+    p = [-1, 0, 1]
+    assert root_in(p, F(1), F(5)) is True
+    assert root_in(p, F(-5), F(-1)) is True
 
 
 def test_sturm_multiple_root():
-    p = poly([1, -2, 1])  # (s-1)^2
-    assert sturm_root_exists(p) is True
-    assert sturm_root_exists(p, F(2), None) is False
+    p = [1, -2, 1]  # (s-1)^2
+    assert root_in(p) is True
+    assert root_in(p, F(2), None) is False
 
 
 def test_sturm_zero_polynomial():
-    with pytest.raises(ValueError):
-        sturm_root_exists(poly([]))
-    assert sturm_root_exists(poly([]), F(0), F(1)) is True
-    assert sturm_root_exists(poly([]), F(0), None) is True
+    # [] counts no root, like any polynomial of degree below 1
+    assert sturm_count([]) == 0
+    assert sturm_count([], F(0), F(1)) == 0
+    assert square_free_part([]) == []
+    assert cauchy_root_bound([]) == 1
 
 
 def test_sturm_matches_root_construction():
@@ -475,16 +482,17 @@ def test_sturm_matches_root_construction():
         roots = sorted(roots)
         if any(b - a < F(1, 100) for a, b in zip(roots, roots[1:])):
             continue
-        p = poly([1])
+        p = (1,)
         for r in roots:
-            p = poly_mul_naive(p, poly([-r, 1]))
+            p = poly_mul_naive(p, (-r, 1))
         if nroots < 4 and rng.random() < 0.5:
-            p = poly_mul_naive(p, poly([1, 0, 1]))  # rootless quadratic factor
+            p = poly_mul_naive(p, (1, 0, 1))  # rootless quadratic factor
+        p = integer_poly(p)
         lo = F(rng.randint(-400, 100), 100)
         hi = lo + F(rng.randint(0, 500), 100)
         expected = any(lo <= r <= hi for r in roots)
-        assert sturm_root_exists(p, lo, hi) == expected
-        assert sturm_root_exists(p) == (nroots > 0)
+        assert root_in(p, lo, hi) == expected
+        assert root_in(p) == (nroots > 0)
 
 
 def test_sturm_matches_grid_oracle():
@@ -495,24 +503,25 @@ def test_sturm_matches_grid_oracle():
                         for _ in range(rng.randint(1, 3))})
         if any(b - a < F(1, 50) for a, b in zip(roots, roots[1:])):
             continue
-        p = poly([1])
+        p = (1,)
         for r in roots:
-            p = poly_mul_naive(p, poly([-r, 1]))
+            p = poly_mul_naive(p, (-r, 1))
+        p = integer_poly(p)
         lo, hi = F(-3), F(3)
-        want = root_in_interval_by_grid(list(p), lo, hi, F(1, 128))
-        assert sturm_root_exists(p, lo, hi) == want
+        want = root_in_interval_by_grid(p, lo, hi, F(1, 128))
+        assert root_in(p, lo, hi) == want
         checked += 1
 
 
 def test_sturm_count_and_bound():
-    p = poly([-2, 0, 0, 1])  # s^3 - 2, one real root
+    p = [-2, 0, 0, 1]  # s^3 - 2, one real root
     assert sturm_count(p) == 1
     b = cauchy_root_bound(p)
-    assert sturm_root_exists(p, -b, b)
+    assert root_in(p, -b, b)
 
 
 def test_sturm_count_at_a_multiple_root_endpoint():
-    p = poly_mul_naive(poly([1, -2, 1]), poly([-2, 1]))  # (s-1)^2 (s-2)
+    p = integer_poly(poly_mul_naive((1, -2, 1), (-2, 1)))  # (s-1)^2 (s-2)
     assert sturm_count(p, F(1), F(3)) == 1
     assert sturm_count(p, F(0), F(1)) == 1
     assert sturm_count(p, F(0), F(3)) == 2
@@ -521,31 +530,31 @@ def test_sturm_count_at_a_multiple_root_endpoint():
 
 @st.composite
 def sturm_cases(draw):
-    """(coefficients, lo, hi): random rational or huge integer coefficients,
-    or a product of repeated rational roots, an optional rootless quadratic
-    factor and a scale of up to 1100 bits; endpoints may be unbounded or
-    sit on a root."""
+    """(integer coefficients, lo, hi): random rational or huge integer
+    coefficients, or a product of repeated rational roots, an optional
+    rootless quadratic factor and a scale of up to 1100 bits, with the
+    denominators cleared; endpoints may be unbounded or sit on a root."""
     roots = []
     if draw(st.booleans()):
         coeff = st.one_of(st.fractions(min_value=-30, max_value=30,
                                        max_denominator=20),
                           st.integers(-2 ** 1100, 2 ** 1100).map(F))
-        p = poly(draw(st.lists(coeff, min_size=1, max_size=8)))
+        p = draw(st.lists(coeff, min_size=1, max_size=8))
     else:
         roots = draw(st.lists(st.fractions(min_value=-6, max_value=6,
                                            max_denominator=12), max_size=4))
-        p = poly([1])
+        p = (1,)
         for r in roots:
             for _ in range(draw(st.integers(1, 3))):
-                p = poly_mul_naive(p, poly([-r, 1]))
+                p = poly_mul_naive(p, (-r, 1))
         if draw(st.booleans()):
             b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
             c = b * b / 4 + draw(st.fractions(min_value=F(1, 100), max_value=4))
-            p = poly_mul_naive(p, poly([c, b, 1]))  # no real root
+            p = poly_mul_naive(p, (c, b, 1))  # no real root
         scale = F(draw(st.one_of(st.integers(1, 9),
                                  st.integers(2 ** 1000, 2 ** 1100))),
                   draw(st.integers(1, 9)))
-        p = poly_mul_naive(p, poly([scale if draw(st.booleans()) else -scale]))
+        p = poly_mul_naive(p, (scale if draw(st.booleans()) else -scale,))
     end = st.one_of(st.none(), st.fractions(min_value=-8, max_value=8,
                                             max_denominator=8))
     if roots:
@@ -553,7 +562,7 @@ def sturm_cases(draw):
     lo, hi = draw(end), draw(end)
     if lo is not None and hi is not None and lo > hi:
         lo, hi = hi, lo
-    return p, lo, hi
+    return integer_poly(p), lo, hi
 
 
 @given(sturm_cases())
@@ -562,9 +571,22 @@ def test_sturm_matches_euclidean_chain(case):
     p, lo, hi = case
     want = sturm_count_euclid(p, lo, hi)
     assert sturm_count(p, lo, hi) == want
-    if p and (lo is not None or hi is not None):
-        on_lo = lo is not None and poly_eval_naive(p, lo) == 0
-        assert sturm_root_exists(p, lo, hi) == (want > 0 or on_lo)
+    for x in (lo, hi):
+        if p and x is not None:
+            value = poly_eval_naive(p, x)
+            assert ratmath._sign_at(p, x) == (value > 0) - (value < 0)
+
+
+@given(sturm_cases())
+@settings(max_examples=200, deadline=None)
+def test_sturm_chain_of_a_square_free_part_ends_in_a_nonzero_constant(case):
+    p = case[0]
+    assume(len(p) > 1)
+    ps = square_free_part(p)
+    chain = ratmath._sturm_chain(ps)
+    assert len(chain[-1]) == 1 and chain[-1][0] != 0
+    # the last member is gcd(ps, ps'), so ps has simple roots: those of p
+    assert sturm_count_euclid(ps) == sturm_count_euclid(p)
 
 
 @given(sturm_cases())

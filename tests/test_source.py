@@ -111,15 +111,31 @@ def test_no_vacuous_assert_in_tests():
     assert found == []
 
 
+def _transversal_calls(function):
+    """(names the transversal function calls, names transversal defines)."""
+    path = Path(plstab.__file__).with_name("transversal.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == function)
+    called = {node.func.id for node in ast.walk(body)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    return called, defined
+
+
 def test_witness_recheck_shares_no_helper_with_the_deciders():
     # verify_stab_witness re-checks what the deciders build from the
     # constraint flat and the met points, so it computes its own sums.
-    path = Path(plstab.__file__).with_name("transversal.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    recheck = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                   and node.name == "verify_stab_witness")
-    called = {node.func.id for node in ast.walk(recheck)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    called, defined = _transversal_calls("verify_stab_witness")
     assert called & {"_flat", "_met"} == set()
-    assert {"_flat", "_met"} <= {node.name for node in tree.body
-                                 if isinstance(node, ast.FunctionDef)}
+    assert {"_flat", "_met"} <= defined
+
+
+def test_interval_recheck_does_not_run_the_isolation():
+    # verify_interval_certificate re-checks the interval _isolate returns,
+    # so it takes its own square-free part and root count.
+    called, defined = _transversal_calls("verify_interval_certificate")
+    assert "_isolate" not in called
+    assert "_isolate" in defined
+    assert "_isolate" in _transversal_calls("stab_decide_univariate")[0]

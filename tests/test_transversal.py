@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import (basic_feasible_solutions, feasible_by_basic_solutions,
-                     max_disjoint_by_subsets, poly_mul_naive,
-                     sturm_count_euclid, univariate_by_gram)
+                     integer_poly, max_disjoint_by_subsets, poly_eval_naive,
+                     poly_mul_naive, sturm_count_euclid, univariate_by_gram)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import transversal
 from plstab.generic import GenericPool
-from plstab.ratmath import poly, poly_eval, vec
+from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
 from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
@@ -22,7 +22,7 @@ from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
                                 stab_decide_univariate, stab_exists_linear,
                                 stab_search_general, stabbed_simplexes,
                                 verify_interval_certificate,
-                                verify_stab_witness, _rational_root_or_interval)
+                                verify_stab_witness, _isolate)
 
 F = Fraction
 
@@ -309,8 +309,7 @@ def test_univariate_no_stab():
     assert got.status == "no_stab"
     assert got.reduced is not None
     # the reduced polynomial must indeed be rootless
-    from plstab.ratmath import sturm_root_exists
-    assert not sturm_root_exists(got.reduced)
+    assert sturm_count(list(got.reduced)) == 0
 
 
 def test_univariate_not_applicable_wrong_q():
@@ -340,34 +339,13 @@ def test_univariate_stab_with_irrational_root_reports_interval():
     assert got.witness is None
     lo, hi = got.interval
     assert lo < hi
-    from plstab.ratmath import square_free_part
-    sf = square_free_part(got.reduced)
-    assert poly_eval(sf, lo) * poly_eval(sf, hi) < 0
+    sf = square_free_part(list(got.reduced))
+    assert _sign_at(sf, lo) * _sign_at(sf, hi) < 0
 
 
-def test_rational_root_helper():
-    root, interval = _rational_root_or_interval(poly([F(-2, 3), F(1, 3)]))
-    assert root == 2 and interval is None
-    root, interval = _rational_root_or_interval(poly([-2, 0, 1]))  # s^2 - 2
-    assert root is None
-    lo, hi = interval
-    from plstab.ratmath import square_free_part
-    sf = square_free_part(poly([-2, 0, 1]))
-    assert poly_eval(sf, lo) * poly_eval(sf, hi) < 0
-
-
-def test_rational_root_helper_isolates_roots_closer_than_200_halvings():
-    # sqrt(2) and sqrt(2 + 2^-300) lie about 2^-302 apart, past 200 halvings
-    # of the Cauchy interval; bisection must go on until one root is left
-    p = poly_mul_naive(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
-    root, interval = _rational_root_or_interval(p)
-    assert root is None
-    assert verify_interval_certificate(p, interval)
-
-
-def test_rational_root_helper_builds_one_sturm_chain(monkeypatch):
-    # every count of one isolation reads the same chain of the square-free part
-    from plstab import ratmath, transversal
+def _count_chain_builds(monkeypatch):
+    """A list that records every Sturm chain built from here on."""
+    from plstab import ratmath
     builds = []
     build = ratmath._sturm_chain
 
@@ -376,35 +354,103 @@ def test_rational_root_helper_builds_one_sturm_chain(monkeypatch):
         return build(p)
 
     monkeypatch.setattr(ratmath, "_sturm_chain", counting)
-    monkeypatch.setattr(transversal, "_sturm_chain", counting, raising=False)
-    p = poly_mul_naive(poly([-2, 0, 1]), poly([-2 - F(1, 2 ** 300), 0, 1]))
-    root, interval = _rational_root_or_interval(p)
-    assert root is None
+    monkeypatch.setattr(transversal, "_sturm_chain", counting)
+    return builds
+
+
+def test_univariate_decision_builds_one_sturm_chain(monkeypatch):
+    builds = _count_chain_builds(monkeypatch)
+    cases = [
+        ([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]], _POINT_FAMILY_2D),
+        ([[vec([0, 0]), vec([2, 2])], [vec([2, 0])]], _POINT_FAMILY_2D),
+        ([[vec([0, 0, 0]), vec([1, 0, 1])], [vec([0, 1, 0]), vec([0, 0, 1])],
+          [vec([1, 1, 0]), vec([0, -2, 1])]], PlaneFamily(3, (), (1, 2), 1)),
+    ]
+    seen = []
+    for sets, family in cases:
+        builds.clear()
+        got = stab_decide_univariate(sets, family)
+        seen.append((got.status, got.witness is not None, len(builds)))
+    assert seen == [("stab", True, 1), ("no_stab", False, 1), ("stab", False, 1)]
+
+
+def test_rational_root_helper():
+    assert _isolate(integer_poly([F(-2, 3), F(1, 3)])) == 2
+    lo, hi = _isolate([-2, 0, 1])  # s^2 - 2
+    assert _sign_at([-2, 0, 1], lo) * _sign_at([-2, 0, 1], hi) < 0
+    assert _isolate([1, 0, 1]) is None
+    assert _isolate([5]) is None
+    assert _isolate([]) == 0  # the zero polynomial vanishes everywhere
+
+
+def test_rational_root_helper_isolates_roots_closer_than_200_halvings():
+    # sqrt(2) and sqrt(2 + 2^-300) lie about 2^-302 apart, past 200 halvings
+    # of the Cauchy interval; bisection must go on until one root is left
+    p = integer_poly(poly_mul_naive((-2, 0, 1), (-2 - F(1, 2 ** 300), 0, 1)))
+    interval = _isolate(p)
+    assert isinstance(interval, tuple)
+    assert verify_interval_certificate(p, interval)
+
+
+def test_rational_root_helper_builds_one_sturm_chain(monkeypatch):
+    # every count of one isolation reads the same chain of the square-free part
+    builds = _count_chain_builds(monkeypatch)
+    p = integer_poly(poly_mul_naive((-2, 0, 1), (-2 - F(1, 2 ** 300), 0, 1)))
+    assert isinstance(_isolate(p), tuple)
     assert len(builds) == 1
 
 
+@st.composite
+def isolation_cases(draw):
+    """Integer polynomials made of rational linear factors (repeats allowed),
+    rootless quadratics and quadratics with two irrational roots."""
+    p = (draw(st.sampled_from([1, -1, 3, F(2, 5)])),)
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    for r in draw(st.lists(rational, max_size=4)):
+        p = poly_mul_naive(p, (-r, 1))
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(rational)
+        c = draw(st.sampled_from([2, 3, 5, F(1, 7)]))
+        sign = draw(st.sampled_from([1, -1]))  # (s - b)^2 -+ c
+        p = poly_mul_naive(p, (b * b - sign * c, -2 * b, 1))
+    return integer_poly(p)
+
+
+@given(isolation_cases())
+@settings(max_examples=200, deadline=None)
+def test_isolate_matches_the_euclidean_chain(p):
+    found = _isolate(p)
+    roots = sturm_count_euclid(p)
+    assert (found is None) == (roots == 0)
+    if isinstance(found, tuple):
+        assert verify_interval_certificate(p, found)
+        assert sturm_count_euclid(p, *found) == 1
+    elif found is not None:
+        assert poly_eval_naive(p, found) == 0
+
+
 def test_interval_certificate_accepts_isolating_interval():
-    assert verify_interval_certificate(poly([-2, 0, 1]), (F(1), F(2)))
+    assert verify_interval_certificate([-2, 0, 1], (F(1), F(2)))
     # (s^2 - 2)^2 keeps its sign; the check reads the square-free part
-    assert verify_interval_certificate(poly([4, 0, -4, 0, 1]), (F(1), F(2)))
-    root, interval = _rational_root_or_interval(poly([-2, 0, 1]))
-    assert verify_interval_certificate(poly([-2, 0, 1]), interval)
+    assert verify_interval_certificate([4, 0, -4, 0, 1], (F(1), F(2)))
+    assert verify_interval_certificate([-2, 0, 1], _isolate([-2, 0, 1]))
 
 
 def test_interval_certificate_rejects_two_roots():
     # (s - 1)(s - 2) on [0, 3]: both roots inside, no sign change
-    assert not verify_interval_certificate(poly([2, -3, 1]), (F(0), F(3)))
+    assert not verify_interval_certificate([2, -3, 1], (F(0), F(3)))
 
 
 def test_interval_certificate_rejects_sign_change_over_three_roots():
     # (s - 1)(s - 2)(s - 3) on [0, 4]: the signs differ but three roots lie inside
-    assert not verify_interval_certificate(poly([-6, 11, -6, 1]), (F(0), F(4)))
+    assert not verify_interval_certificate([-6, 11, -6, 1], (F(0), F(4)))
 
 
 def test_interval_certificate_rejects_root_endpoint_and_empty_interval():
-    assert not verify_interval_certificate(poly([-1, 1]), (F(1), F(2)))
-    assert not verify_interval_certificate(poly([-2, 0, 1]), (F(2), F(1)))
-    assert not verify_interval_certificate(poly([5]), (F(0), F(1)))
+    assert not verify_interval_certificate([-1, 1], (F(1), F(2)))
+    assert not verify_interval_certificate([-2, 0, 1], (F(2), F(1)))
+    assert not verify_interval_certificate([5], (F(0), F(1)))
+    assert not verify_interval_certificate([], (F(0), F(1)))
 
 
 # (m, s_t, s_T, d): the projected difference matrix has d - t + 1 rows and
