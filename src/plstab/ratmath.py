@@ -10,12 +10,15 @@ ValueError on ragged rows.
 
 One integer pivot, :func:`_pivot` (the fraction-free Gauss-Jordan update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
-Rank, reduced row echelon forms, solves and nullspaces come from
-:func:`_echelon` on denominator-cleared integer rows, and so does the one
-determinant over Q, :func:`max_minor`, read off its last pivot.
-:func:`lp_feasible` eliminates first and runs its phase-1 simplex (Bland's
-rule, on an integer tableau) only when the equality system has a
-nullspace; an inconsistent system or a unique solution decides it directly.
+Rank, solves and nullspaces come from :func:`_echelon` on
+denominator-cleared integer rows: a solve reads each entry it returns off
+those rows as that entry over its row's pivot.  So does the one
+determinant over Q, :func:`max_minor`, read off the last pivot.
+``lp_feasible(rows, rhs)`` decides the standard form
+{x >= 0 : rows . x = rhs}: it eliminates first and runs its phase-1
+simplex (Bland's rule, on an integer tableau) only when the equality
+system has a nullspace; an inconsistent system or a unique solution
+decides it directly.
 
 Polynomials have one type: integer coefficient lists in ascending degree,
 the zero polynomial ``[]``.  One primitive pseudo-remainder sequence
@@ -171,38 +174,22 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(rows)[1])
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a copy; returns (rows, pivot columns).
-
-    Eliminates on integers with :func:`_echelon` and divides each pivot row
-    by its pivot once at the end.
-    """
-    work, pivots = _echelon(rows)
-    ncols = len(work[0]) if work else 0
-    out = []
-    for r, row in enumerate(work):
-        if r < len(pivots):
-            pv = row[pivots[r]]
-            out.append([_ZERO if x == 0 else _ONE if x == pv else Fraction(x, pv)
-                        for x in row])
-        else:
-            out.append([_ZERO] * ncols)
-    return out, pivots
-
-
 def _solve_augmented(aug: list[list[Fraction]], ncols: int
                      ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """(particular solution, nullspace basis) of an augmented system [A | b].
 
     None when the system is inconsistent.  Free variables are set to zero in
     the particular solution; the basis is the standard one per free column.
+    Both are read off the integer rows of :func:`_echelon`: a pivot row is
+    its pivot times its reduced row, so each entry read is that entry over
+    the row's pivot, and only the right-hand and free columns are read.
     """
-    rows, pivots = _rref(aug)
+    work, pivots = _echelon(aug)
     if ncols in pivots:
         return None  # pivot in the augmented column: 0 = nonzero
     particular = [_ZERO] * ncols
     for r, c in enumerate(pivots):
-        particular[c] = rows[r][-1]
+        particular[c] = Fraction(work[r][-1], work[r][c])
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -210,7 +197,7 @@ def _solve_augmented(aug: list[list[Fraction]], ncols: int
         v = [_ZERO] * ncols
         v[f] = _ONE
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+            v[c] = Fraction(-work[r][f], work[r][c])
         basis.append(tuple(v))
     return tuple(particular), tuple(basis)
 
@@ -267,86 +254,68 @@ def independent_subset(vectors: Sequence[Vec]) -> list[int]:
     return _echelon(columns)[1]
 
 
-def lp_feasible(rows: Sequence[Sequence[Fraction]], eq_rhs: Sequence,
-                nonneg_vars: Iterable[int]) -> Optional[Vec]:
-    """Exact feasibility of {x : rows . x = rhs, x_i >= 0 for i in nonneg_vars}.
+def lp_feasible(rows: Sequence[Sequence[Fraction]], rhs: Sequence) -> Optional[Vec]:
+    """Exact feasibility of {x >= 0 : rows . x = rhs} (standard form).
 
     The rows must have equal length.  Eliminates first: an inconsistent
     system is infeasible, and a unique solution is the witness exactly when
-    its nonneg coordinates are >= 0.  Only a system with a nullspace runs the
-    phase-1 simplex (Bland's rule).  Returns a witness satisfying every
-    constraint exactly, or None.  Variables not listed in nonneg_vars are
-    free.
+    it is >= 0.  Only a system with a nullspace runs the phase-1 simplex
+    (Bland's rule).  Returns a witness satisfying every constraint exactly,
+    or None.
     """
-    ncols = _width(rows)
-    rhs = vec(eq_rhs)
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length does not match row count")
-    nonneg = set(nonneg_vars)
-    for i in nonneg:
-        if not 0 <= i < ncols:
-            raise ValueError(f"nonneg index {i} out of range")
-
+    rhs = vec(rhs)
     sol = solve_affine(rows, rhs)
     if sol is None:
         return None
     witness, basis = sol
     if basis:
-        witness = _simplex_witness(rows, rhs, nonneg)
+        witness = _simplex_witness(rows, rhs)
         if witness is None:
             return None
-    elif any(witness[i] < 0 for i in nonneg):
+    elif any(x < 0 for x in witness):
         return None
 
     for row, b in zip(rows, rhs):  # exactness is cheap; fail loudly on any bug
         if vec_dot(row, witness) != b:
             raise RuntimeError("LP produced an inexact witness")
-    for i in nonneg:
-        if witness[i] < 0:
-            raise RuntimeError("LP witness violates a sign constraint")
+    if any(x < 0 for x in witness):
+        raise RuntimeError("LP witness violates a sign constraint")
     return witness
 
 
-def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec,
-                     nonneg: set[int]) -> Optional[Vec]:
+def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec
+                     ) -> Optional[Vec]:
     """Phase-1 simplex with Bland's rule on an integer tableau.
 
-    Free variables are split in two, rows with a negative right-hand side
-    are negated, and every row starts with its artificial variable basic;
-    the artificial columns are never read, so they are left out.  One common
-    lcm clears the rows and the phase-1 objective row (their sum): the
-    tableau of the same problem with the artificials scaled by that lcm, so
-    every sign, ratio and tie is the rational tableau's.  :func:`_pivot`
-    keeps the rows prev times that tableau, and every pivot is positive, so
-    prev stays positive.  The entering column is the first with a positive
-    objective entry; the ratio test cross-multiplies and breaks ties on the
-    smaller basis index.  A basic structural variable's value is its row's
-    last entry over prev.
+    Rows with a negative right-hand side are negated, and every row starts
+    with its artificial variable basic; the artificial columns are never
+    read, so they are left out.  One common lcm clears the rows and the
+    phase-1 objective row (their sum): the tableau of the same problem with
+    the artificials scaled by that lcm, so every sign, ratio and tie is the
+    rational tableau's.  :func:`_pivot` keeps the rows prev times that
+    tableau, and every pivot is positive, so prev stays positive.  The
+    entering column is the first with a positive objective entry; the ratio
+    test cross-multiplies and breaks ties on the smaller basis index.  A
+    basic structural variable's value is its row's last entry over prev.
     """
     ncols = len(rows[0])
-    columns: list[tuple[int, int]] = []  # (original var, sign)
-    for i in range(ncols):
-        columns.append((i, 1))
-        if i not in nonneg:
-            columns.append((i, -1))
-    nstruct = len(columns)
     nrows = len(rows)
 
     tab: list[Fraction] = []
     for row, b in zip(rows, rhs):
         sign = -1 if b < 0 else 1
-        tab.extend(sign * s * row[i] for i, s in columns)
+        tab.extend(sign * x for x in row)
         tab.append(sign * b)
     flat = _cleared(tab)
-    width = nstruct + 1
+    width = ncols + 1
     work = [flat[k:k + width] for k in range(0, len(flat), width)]
     work.append([sum(col) for col in zip(*work)])  # phase-1 objective row
-    basis = [nstruct + r for r in range(nrows)]  # the artificials
+    basis = [ncols + r for r in range(nrows)]  # the artificials
     prev = 1
 
     while True:
         obj = work[-1]
-        enter = next((j for j in range(nstruct) if obj[j] > 0), None)
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
             break
         pivot_row = None
@@ -372,9 +341,8 @@ def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec,
 
     witness = [_ZERO] * ncols
     for r, k in enumerate(basis):
-        if k < nstruct:
-            i, s = columns[k]
-            witness[i] += s * Fraction(work[r][-1], prev)
+        if k < ncols:
+            witness[k] = Fraction(work[r][-1], prev)
     return tuple(witness)
 
 
@@ -562,10 +530,12 @@ def _variations(chain: list[list[int]], x: Optional[Fraction], end: int = 1) -> 
 def sturm_count(p: list[int], lo: Optional[Fraction] = None,
                 hi: Optional[Fraction] = None) -> int:
     """Number of distinct real roots of the integer polynomial p in
-    (lo, hi]; endpoints None = unbounded.
+    (lo, hi]; endpoints None = unbounded.  Raises ValueError when lo > hi.
 
     Counts sign variations of the chain of its square-free part.
     """
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError("empty interval")
     if len(p) < 2:
         return 0
     chain = _sturm_chain(square_free_part(p))

@@ -85,16 +85,17 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
     rows.append([_ONE] * len(p) + [_ZERO] * len(q))
     rows.append([_ZERO] * len(p) + [_ONE] * len(q))
     rhs = [_ZERO] * m + [_ONE, _ONE]
-    return lp_feasible(rows, rhs, set(range(len(p) + len(q)))) is not None
+    return lp_feasible(rows, rhs) is not None
 
 
 def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
              place: Callable[[Simplex, Vec], Vec]) -> PlanarSection:
-    """Pieces with their distinct vertices placed by place(simplex, lambda)."""
+    """Pieces with their vertices placed by place(simplex, lambda)."""
     pieces = []
     sources = []
     for s, bary_verts in stabbed_simplexes(k, g, plane, k.dim):
-        pieces.append(tuple(dict.fromkeys(place(s, lam) for lam in bary_verts)))
+        # distinct: a certified image and the realization are injective on s
+        pieces.append(tuple(place(s, lam) for lam in bary_verts))
         sources.append(s)
     return PlanarSection(tuple(pieces), tuple(sources))
 

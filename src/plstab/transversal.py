@@ -680,11 +680,13 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     a simplex whose vertex values do not bracket some covector's right-hand
     side cannot meet the plane and is skipped.  A vertex of a piece is a
     basic feasible solution: the single point of the piece of its support
-    face, whose columns are independent.  Conversely a face whose system has
-    a unique nonnegative solution gives, with zeros elsewhere, a vertex of
-    the piece of every coface.  Faces come before cofaces, so one solve per
-    face lists every piece vertex, and a simplex image meets the plane
-    exactly when its piece has a vertex.
+    face, whose columns are independent, so that face's system has a unique
+    solution and it is strictly positive.  Conversely a face whose system
+    has a unique positive solution gives, with zeros elsewhere, a vertex of
+    the piece of every coface, and distinct faces give distinct vertices.
+    Faces come before cofaces, so one solve per face lists every piece
+    vertex once, and a simplex image meets the plane exactly when its piece
+    has a vertex.
     """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
@@ -711,18 +713,15 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
             rows.append(values)
         else:
             sol = solve_affine(rows, rhs_col)
-            if sol is not None and not sol[1] and min(sol[0]) >= 0:
+            if sol is not None and not sol[1] and min(sol[0]) > 0:
                 points[s] = sol[0]
             verts: list[Vec] = []
             for size in range(1, len(s) + 1):
                 for f in itertools.combinations(s, size):
                     lam = points.get(f)
-                    if lam is None:
-                        continue
-                    weight = dict(zip(f, lam))
-                    vertex = tuple(weight.get(v, _ZERO) for v in s)
-                    if vertex not in verts:
-                        verts.append(vertex)
+                    if lam is not None:
+                        weight = dict(zip(f, lam))
+                        verts.append(tuple(weight.get(v, _ZERO) for v in s))
             if verts:
                 out.append((s, verts))
     return out

@@ -815,10 +815,13 @@ def _fuzz_value(data, tmp_path, flag) -> str:
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_fuzzed_argv_and_files_give_one_json_report(capsys, tmp_path, data):
+def test_fuzzed_argv_and_files_give_one_json_report(capsys, monkeypatch,
+                                                    tmp_path, data):
     # Flags of a verb from the table, each kept, dropped, given twice or given
     # a garbage value, and mutated input files: whatever goes in, the run
-    # exits 0-3 with exactly one JSON report and nothing on stderr.
+    # exits 0-3 with exactly one JSON report and nothing on stderr.  A garbage
+    # value is a relative path, so the run works in tmp_path.
+    monkeypatch.chdir(tmp_path)
     verb = data.draw(st.sampled_from((*_VERBS, "frobnicate", "")))
     flags = _VERBS[data.draw(st.sampled_from(tuple(_VERBS)))
                    if verb not in _VERBS else verb][2]

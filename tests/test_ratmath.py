@@ -10,7 +10,7 @@ from oracles import (det_cofactor, feasible_by_basic_solutions, integer_poly,
                      rank_by_minors, root_in_interval_by_grid, rref_naive,
                      simplex_witness_fraction, sturm_count_euclid)
 from plstab import ratmath
-from plstab.ratmath import (_rref, cauchy_root_bound, format_rational,
+from plstab.ratmath import (cauchy_root_bound, format_rational,
                             independent_subset, lp_feasible, mat_rank,
                             max_minor, nullspace_basis, parse_rational,
                             simplest_between, solve_affine, square_free_part,
@@ -150,11 +150,24 @@ def _solution_from_rref(red, pivots, ncols):
     return tuple(particular), tuple(basis)
 
 
+def _assert_solves_read_rref(rows, red, pivots):
+    """Solving for each column of the rows reads that column of their RREF,
+    and the nullspace basis reads the free columns, so together the solves
+    return every entry of the reduced rows."""
+    ncols = len(rows[0])
+    for j in range(ncols):
+        column = [row[j] for row in rows]
+        assert solve_affine(rows, column) == _solution_from_rref(
+            [r + [r[j]] for r in red], pivots, ncols)
+    assert nullspace_basis(rows, ncols) == _solution_from_rref(
+        [r + [F(0)] for r in red], pivots, ncols)[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rref_and_rank_match_naive_gauss_jordan(rows):
     want, pivots = rref_naive(rows)
-    assert _rref(rows) == (want, pivots)
+    _assert_solves_read_rref(rows, want, pivots)
     assert mat_rank(rows) == len(pivots) == rank_by_minors(rows)
 
 
@@ -180,10 +193,10 @@ def test_rref_and_rank_match_sympy(rows):
                       for row in rows])
     red, pivots = m.rref()
     assert mat_rank(rows) == m.rank()
-    got, got_pivots = _rref(rows)
-    assert tuple(got_pivots) == pivots
-    assert got == [[F(int(x.p), int(x.q)) for x in red.row(i)]
-                   for i in range(red.rows)]
+    want = [[F(int(x.p), int(x.q)) for x in red.row(i)] for i in range(red.rows)]
+    _assert_solves_read_rref(rows, want, list(pivots))
+    assert nullspace_basis(rows, len(rows[0])) == tuple(
+        tuple(F(int(x.p), int(x.q)) for x in v) for v in m.nullspace())
 
 
 # --- solve_affine ----------------------------------------------------------
@@ -238,7 +251,7 @@ def _segment_lp(point):
     # lambda1*(0,0) + lambda2*(1,1) = point, lambda >= 0, sum = 1
     eq = [[0, 1], [0, 1], [1, 1]]
     rhs = list(point) + [1]
-    return lp_feasible(eq, rhs, {0, 1})
+    return lp_feasible(eq, rhs)
 
 
 def test_lp_midpoint():
@@ -254,16 +267,9 @@ def test_lp_outside_segment():
 def test_lp_triangle_slice():
     # first coordinate pinned to 1/2 on conv{(0,0),(1,0),(0,1)}
     eq = [[0, 1, 0], [1, 1, 1]]
-    w = lp_feasible(eq, [F(1, 2), 1], {0, 1, 2})
+    w = lp_feasible(eq, [F(1, 2), 1])
     assert w is not None
     assert w[1] == F(1, 2) and sum(w) == 1 and all(x >= 0 for x in w)
-
-
-def test_lp_free_variable():
-    # x + y = -3 needs a free variable to be feasible
-    eq = [[1, 1]]
-    assert lp_feasible(eq, [-3], {1}) is not None
-    assert lp_feasible(eq, [-3], {0, 1}) is None
 
 
 def test_lp_matches_basic_solution_enumeration():
@@ -274,7 +280,7 @@ def test_lp_matches_basic_solution_enumeration():
         rows = [[F(rng.randint(-3, 3)) for _ in range(nvars)]
                 for _ in range(nrows)]
         rhs = [F(rng.randint(-3, 3)) for _ in range(nrows)]
-        got = lp_feasible(rows, rhs, set(range(nvars)))
+        got = lp_feasible(rows, rhs)
         want = feasible_by_basic_solutions(rows, rhs)
         assert (got is not None) == want
         if got is not None:
@@ -316,7 +322,7 @@ def test_lp_count_shaped_systems_match_oracle(case, data):
     want = feasible_by_basic_solutions(rows, rhs)
     if case == "inconsistent":
         assume(rank_by_minors([r + [b] for r, b in zip(rows, rhs)]) > len(lam))
-    got = lp_feasible(rows, rhs, set(range(len(lam))))
+    got = lp_feasible(rows, rhs)
     assert (got is not None) == want
     assert want == (case in ("feasible", "repeated"))
     if got is not None:
@@ -337,61 +343,60 @@ def test_lp_runs_the_simplex_only_on_a_nullspace(monkeypatch):
     monkeypatch.setattr(ratmath, "_simplex_witness", counting)
     # segment from (0, 0) to (2, 2) cut at x = 1: unique lambda
     unique = [[1, 1], [0, 2], [0, 2]]
-    assert lp_feasible(unique, [1, 1, 1], {0, 1}) == vec([F(1, 2), F(1, 2)])
-    assert lp_feasible(unique, [1, 3, 3], {0, 1}) is None  # lambda_0 < 0
-    assert lp_feasible(unique, [1, 1, 2], {0, 1}) is None  # inconsistent
+    assert lp_feasible(unique, [1, 1, 1]) == vec([F(1, 2), F(1, 2)])
+    assert lp_feasible(unique, [1, 3, 3]) is None  # lambda_0 < 0
+    assert lp_feasible(unique, [1, 1, 2]) is None  # inconsistent
     assert calls == []
     # the endpoint (2, 2) repeated: a one-dimensional nullspace
     repeated = [[1, 1, 1], [0, 2, 2], [0, 2, 2]]
-    w = lp_feasible(repeated, [1, 1, 1], {0, 1, 2})
+    w = lp_feasible(repeated, [1, 1, 1])
     assert w is not None and w[0] == F(1, 2) and w[1] + w[2] == F(1, 2)
     assert len(calls) == 1
 
 
 @st.composite
 def lp_systems(draw):
-    """An LP over 1-5 variables with 1-4 drawn rows and up to two repeats.
+    """A standard-form LP {x >= 0 : rows . x = rhs} over 1-5 variables with
+    1-4 drawn rows and up to two repeats.
 
-    Entries are small halves, so the ratio test often ties; variables
-    outside the drawn nonneg set are free; right-hand sides take either
-    sign, and half the systems build theirs from a point of the region, so
-    they are feasible.  Returns (rows, rhs, nonneg).
+    Entries are small halves, so the ratio test often ties; right-hand
+    sides take either sign, and half the systems build theirs from a point
+    x >= 0, so they are feasible.  Returns (rows, rhs).
     """
     ncols = draw(st.integers(1, 5))
     entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=1, max_size=4))
-    nonneg = draw(st.sets(st.integers(0, ncols - 1)))
     if draw(st.booleans()):
-        x = [abs(v) if i in nonneg else v
-             for i, v in enumerate(draw(st.lists(entries, min_size=ncols,
-                                                 max_size=ncols)))]
+        x = [abs(v) for v in draw(st.lists(entries, min_size=ncols,
+                                           max_size=ncols))]
         rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
     else:
         rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
         rows.append(list(rows[i]))
         rhs.append(rhs[i] if draw(st.booleans()) else draw(entries))
-    return rows, rhs, nonneg
+    return rows, rhs
 
 
 # Two systems whose ratio test ties between a row with a structural basic
 # variable and an earlier row: only the tie-break on the smaller basis index
 # reaches the reference witness (random draws hit such a tie about once in
-# 8,000 systems).
-@example(([[-1, -1, 1, 1, 0], [0, 2, 1, -2, 0], [-1, 1, 1, 2, 1]], [1, 1, 8],
-          {0, 1, 2, 4}))
-@example(([[-2, F(1, 2), -1, 2], [1, 0, F(1, 2), 1], [2, 1, -1, 1]], [2, 3, 4],
-          {0, 2, 3}))
+# 8,000 systems).  Each once had a free variable; here it is split into a
+# column and its negated copy right after it.
+@example(([[-1, -1, 1, 1, -1, 0], [0, 2, 1, -2, 2, 0], [-1, 1, 1, 2, -2, 1]],
+          [1, 1, 8]))
+@example(([[-2, F(1, 2), F(-1, 2), -1, 2], [1, 0, 0, F(1, 2), 1],
+           [2, 1, -1, -1, 1]], [2, 3, 4]))
 @settings(max_examples=500, deadline=None)
 @given(lp_systems())
 def test_simplex_witness_matches_fraction_tableau(system):
-    rows, rhs, nonneg = system
-    want = simplex_witness_fraction(rows, rhs, nonneg)
-    assert ratmath._simplex_witness(rows, vec(rhs), nonneg) == want
+    rows, rhs = system
+    want = simplex_witness_fraction(rows, rhs, set(range(len(rows[0]))))
+    assert ratmath._simplex_witness(rows, vec(rhs)) == want
     # a unique solution is the only point the simplex can reach, so the
     # elimination-first path gives the same witness on every system
-    assert lp_feasible(rows, rhs, nonneg) == want
+    assert lp_feasible(rows, rhs) == want
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
@@ -399,7 +404,7 @@ def test_simplex_witness_matches_fraction_tableau(system):
     lambda rows: mat_rank(rows),
     lambda rows: max_minor(rows),
     lambda rows: solve_affine(rows, [1, 1]),
-    lambda rows: lp_feasible(rows, [1, 1], {0}),
+    lambda rows: lp_feasible(rows, [1, 1]),
 ], ids=["mat_rank", "max_minor", "solve_affine", "lp_feasible"])
 def test_ragged_rows_raise(rows, call):
     with pytest.raises(ValueError, match="ragged rows"):
@@ -518,6 +523,14 @@ def test_sturm_count_and_bound():
     assert sturm_count(p) == 1
     b = cauchy_root_bound(p)
     assert root_in(p, -b, b)
+
+
+def test_sturm_count_rejects_an_empty_interval():
+    with pytest.raises(ValueError, match="empty interval"):
+        sturm_count([-1, 0, 1], F(2), F(-2))
+    with pytest.raises(ValueError, match="empty interval"):
+        sturm_count([], F(1), F(0))
+    assert sturm_count([-1, 0, 1], F(1), F(1)) == 0  # (1, 1] is empty
 
 
 def test_sturm_count_at_a_multiple_root_endpoint():

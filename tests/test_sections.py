@@ -85,7 +85,7 @@ def test_section_piece_soundness():
             pts = [g.images[u] for u in source]
             rows = [[p[c] for p in pts] for c in range(2)]
             rows.append([1] * len(pts))
-            got_lp = lp_feasible(rows, list(v) + [1], set(range(len(pts))))
+            got_lp = lp_feasible(rows, list(v) + [1])
             assert got_lp is not None
 
 

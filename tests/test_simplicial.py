@@ -275,7 +275,7 @@ def _images_intersect(g, s1, s2):
     rows.append([1] * k1 + [0] * k2)
     rows.append([0] * k1 + [1] * k2)
     rhs = [0] * g.m + [1, 1]
-    return lp_feasible(rows, rhs, set(range(k1 + k2))) is not None
+    return lp_feasible(rows, rhs) is not None
 
 
 def test_disjointness_matches_geometry_on_random_complexes():
