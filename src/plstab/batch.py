@@ -193,13 +193,16 @@ def random_complex(rng: random.Random, vertices: int, dim: int,
     """Random complex on the given vertex count, maximal simplexes of size dim+1.
 
     Every vertex is declared, so isolated ones stay as 0-simplexes; the
-    density is an exact rational inclusion probability.
+    density is an exact rational inclusion probability.  A candidate is
+    kept when its draw r / 10**6 is below the density a/b, decided on
+    integers as r * b < a * 10**6.
     """
     names = [f"v{i}" for i in range(1, vertices + 1)]
     maximal: list[tuple[str, ...]] = []
+    bar = density.numerator * 10 ** 6
     for size in range(2, dim + 2):
         for combo in itertools.combinations(names, size):
-            if Fraction(rng.randrange(10 ** 6), 10 ** 6) < density:
+            if rng.randrange(10 ** 6) * density.denominator < bar:
                 maximal.append(combo)
     return SimplicialComplex.from_simplexes(names, maximal)
 

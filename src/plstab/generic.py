@@ -51,8 +51,13 @@ def distinctness_transcript(labelled: Iterable[tuple[str, Fraction]]
     differences of neighbours are recorded as ``("coord A != B", a - b)``:
     two equal values always sort next to each other, so the N values are
     pairwise distinct exactly when no neighbouring difference is zero.
+    The sort key is ``(floor(x * 2**160), x)``: the integer floor is
+    monotone in x and settles almost every comparison, and values with the
+    same floor fall back to the exact value, so the stable order is the one
+    the exact values alone give.
     """
-    ordered = sorted(labelled, key=lambda item: item[1])
+    ordered = sorted(labelled, key=lambda item: (
+        (item[1].numerator << 160) // item[1].denominator, item[1]))
     return [(f"coord {la} != {lb}", a - b)
             for (la, a), (lb, b) in zip(ordered, ordered[1:])]
 

@@ -11,9 +11,10 @@ ValueError on ragged rows.
 One integer pivot, :func:`_pivot` (the fraction-free Gauss-Jordan update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
 Rank, solves and nullspaces come from :func:`_echelon` on
-denominator-cleared integer rows: a solve reads each entry it returns off
-those rows as that entry over its row's pivot.  So does the one
-determinant over Q, :func:`max_minor`, read off the last pivot.
+denominator-cleared integer rows (:func:`_cleared`): a solve reads each
+entry it returns off those rows as that entry over its row's pivot.  The
+one determinant is the last pivot, :func:`_minor` on integer rows;
+:func:`max_minor` divides it by the row scales to give the minor over Q.
 ``lp_feasible(rows, rhs)`` decides the standard form
 {x >= 0 : rows . x = rhs}: it eliminates first and runs its phase-1
 simplex (Bland's rule, on an integer tableau) only when the equality
@@ -102,10 +103,10 @@ def unit_vec(m: int, j: int) -> Vec:
     return tuple(_ONE if i == j else _ZERO for i in range(1, m + 1))
 
 
-def _cleared(xs: Sequence[Fraction]) -> list[int]:
-    """The values times the lcm of their denominators, as integers."""
+def _cleared(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, the values times D as integers), D the lcm of their denominators."""
     scale = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (scale // x.denominator) for x in xs]
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def _width(rows: Sequence[Sequence]) -> int:
@@ -139,17 +140,17 @@ def _pivot(work: list[list[int]], r: int, c: int, prev: int) -> int:
     return pv
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination on integers (Bareiss 1968).
+def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place
+    (Bareiss 1968).
 
-    Each row is scaled once by the lcm of its denominators, which leaves its
-    reduced form unchanged; then :func:`_pivot` eliminates each column on
-    its first nonzero entry at or below the rank so far, which keeps the
-    path deterministic.  Afterwards every pivot row equals its last pivot
-    times its reduced row, and the rows below the rank are zero.  Returns
-    (integer rows, pivot columns).
+    Callers clear each rational row of denominators first (:func:`_cleared`),
+    which leaves its reduced form unchanged.  :func:`_pivot` eliminates each
+    column on its first nonzero entry at or below the rank so far, which
+    keeps the path deterministic.  Afterwards every pivot row equals its
+    last pivot times its reduced row, and the rows below the rank are zero.
+    Returns (integer rows, pivot columns).
     """
-    work = [_cleared(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -171,7 +172,7 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank over the rationals of equal-length rows: the pivot count
     of :func:`_echelon`."""
     _width(rows)
-    return len(_echelon(rows)[1])
+    return len(_echelon([_cleared(r)[1] for r in rows])[1])
 
 
 def _solve_augmented(aug: list[list[Fraction]], ncols: int
@@ -184,7 +185,7 @@ def _solve_augmented(aug: list[list[Fraction]], ncols: int
     its pivot times its reduced row, so each entry read is that entry over
     the row's pivot, and only the right-hand and free columns are read.
     """
-    work, pivots = _echelon(aug)
+    work, pivots = _echelon([_cleared(r)[1] for r in aug])
     if ncols in pivots:
         return None  # pivot in the augmented column: 0 = nonzero
     particular = [_ZERO] * ncols
@@ -223,23 +224,32 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec
     return _solve_augmented([list(r) + [_ZERO] for r in rows], ncols)[1]
 
 
-def max_minor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Absolute value of the first nonzero maximal minor of the rows.
+def _minor(work: list[list[int]]) -> int:
+    """Absolute value of the first nonzero maximal minor of integer rows,
+    which it eliminates in place.
 
     Column sets are tried in lexicographic order.  The pivot columns of
     :func:`_echelon`, chosen greedily, are the first set whose minor is
-    nonzero, and its last pivot is that minor of the denominator-cleared
-    rows up to sign; dividing by the row scales gives the minor of the rows.
-    0 when the rows are dependent, |det| for a square matrix, and 1 for no
-    rows.
+    nonzero, and its last pivot is that minor up to sign.  0 when the rows
+    are dependent, 1 for no rows.
+    """
+    work, pivots = _echelon(work)
+    if len(pivots) < len(work):
+        return 0
+    return abs(work[-1][pivots[-1]]) if work else 1
+
+
+def max_minor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Absolute value of the first nonzero maximal minor of the rows.
+
+    The :func:`_minor` of the denominator-cleared rows over the product of
+    their row scales (the lcm of each row's denominators).  0 when the rows
+    are dependent, |det| for a square matrix, and 1 for no rows.
     """
     _width(rows)
-    work, pivots = _echelon(rows)
-    if len(pivots) < len(rows):
-        return _ZERO
-    last = work[-1][pivots[-1]] if rows else 1
-    scale = math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
-    return Fraction(abs(last), scale)
+    cleared = [_cleared(r) for r in rows]
+    return Fraction(_minor([ints for _, ints in cleared]),
+                    math.prod(scale for scale, _ in cleared))
 
 
 def independent_subset(vectors: Sequence[Vec]) -> list[int]:
@@ -251,7 +261,7 @@ def independent_subset(vectors: Sequence[Vec]) -> list[int]:
     if not vectors:
         return []
     columns = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
-    return _echelon(columns)[1]
+    return _echelon([_cleared(c)[1] for c in columns])[1]
 
 
 def lp_feasible(rows: Sequence[Sequence[Fraction]], rhs: Sequence) -> Optional[Vec]:
@@ -306,7 +316,7 @@ def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec
         sign = -1 if b < 0 else 1
         tab.extend(sign * x for x in row)
         tab.append(sign * b)
-    flat = _cleared(tab)
+    flat = _cleared(tab)[1]
     width = ncols + 1
     work = [flat[k:k + width] for k in range(0, len(flat), width)]
     work.append([sum(col) for col in zip(*work)])  # phase-1 objective row

@@ -17,7 +17,6 @@ File formats (both UTF-8, line oriented, '#' starts a comment):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,8 +24,8 @@ from typing import Optional, Sequence
 from .generic import (REGEN_ATTEMPTS, GenericityCertificate, GenericityError,
                       GenericPool, certify, distinctness_transcript,
                       regeneration_pools)
-from .ratmath import (Vec, as_fraction, dist_sq, format_rational, max_minor,
-                      parse_rational, vec)
+from .ratmath import (Vec, _cleared, _minor, as_fraction, dist_sq,
+                      format_rational, parse_rational, vec)
 
 Simplex = tuple[str, ...]
 
@@ -198,19 +197,16 @@ def generic_position_transcript(k: SimplicialComplex,
     the first nonzero maximal minor of its edge rows p_i - p_0 (see
     :func:`~plstab.ratmath.max_minor`), which is zero exactly when the image
     is affinely dependent.  It is computed in integers: each image p_v is
-    cleared of denominators once, as P_v = D_v p_v with D_v the lcm of its
-    denominators, so a simplex v_0 ... v_k has the integer rows
-    D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0), and its condition is their
-    minor over prod_i D_0 D_i.
+    cleared of denominators once (:func:`~plstab.ratmath._cleared`), as
+    P_v = D_v p_v with D_v the lcm of its denominators, so a simplex
+    v_0 ... v_k has the integer rows D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0);
+    their integer minor (:func:`~plstab.ratmath._minor`, the last pivot of
+    their elimination) over prod_i D_0 D_i is its condition, one Fraction.
     """
     transcript = distinctness_transcript(
         (f"{v}[{s}]", x)
         for v in k.vertices for s, x in enumerate(images[v], start=1))
-    cleared: dict[str, tuple[int, list[int]]] = {}
-    for v in k.vertices:
-        den = math.lcm(*(x.denominator for x in images[v]))
-        cleared[v] = (den, [x.numerator * (den // x.denominator)
-                            for x in images[v]])
+    cleared = {v: _cleared(images[v]) for v in k.vertices}
     for simplex in k.sorted_simplexes():
         if len(simplex) < 2:
             continue
@@ -222,7 +218,7 @@ def generic_position_transcript(k: SimplicialComplex,
             rows.append([d0 * a - di * b for a, b in zip(pi, p0)])
             scale *= d0 * di
         transcript.append((f"simplex {' '.join(simplex)} affinely independent",
-                           max_minor(rows) / scale))
+                           Fraction(_minor(rows), scale)))
     return transcript
 
 

@@ -373,7 +373,7 @@ def _projected_difference_polys(point_sets, family, base_lambda, direction):
         _met(point_sets, base_lambda, cols), _met(point_sets, direction, cols))]
     rows = []
     for y in ys[1:]:
-        ints = _cleared([a - b for a, b in zip(y, ys[0])])
+        ints = _cleared([a - b for a, b in zip(y, ys[0])])[1]
         rows.append([_trimmed([ints[c], ints[len(cols) + c]])
                      for c in range(len(cols))])
     return rows
@@ -676,14 +676,19 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     the vertices of its piece {lambda in the standard simplex : image on plane}.
 
     This is the one plane-membership test.  A simplex's system is the
-    sum-to-one row followed by one row of vertex values per plane covector;
-    a simplex whose vertex values do not bracket some covector's right-hand
-    side cannot meet the plane and is skipped.  A vertex of a piece is a
-    basic feasible solution: the single point of the piece of its support
-    face, whose columns are independent, so that face's system has a unique
-    solution and it is strictly positive.  Conversely a face whose system
-    has a unique positive solution gives, with zeros elsewhere, a vertex of
-    the piece of every coface, and distinct faces give distinct vertices.
+    sum-to-one row followed by one row of vertex values per plane covector.
+    The bracket runs on integers cleared once per plane: each vertex image
+    p_v as P_v = D_v p_v and each covector c as C = D_c c (see
+    :func:`~plstab.ratmath._cleared`), so a vertex value is the one
+    Fraction C.P_v / (D_c D_v) and its side of the right-hand side a/b is
+    the sign of b C.P_v - a D_c D_v.  A simplex whose vertices all lie on
+    one side of some covector's right-hand side, none on it, cannot meet
+    the plane and is skipped.  A vertex of a piece is a basic feasible
+    solution: the single point of the piece of its support face, whose
+    columns are independent, so that face's system has a unique solution
+    and it is strictly positive.  Conversely a face whose system has a
+    unique positive solution gives, with zeros elsewhere, a vertex of the
+    piece of every coface, and distinct faces give distinct vertices.
     Faces come before cofaces, so one solve per face lists every piece
     vertex once, and a simplex image meets the plane exactly when its piece
     has a vertex.
@@ -692,25 +697,34 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
         raise ValueError("map must carry an ok genericity certificate")
     covs = plane.covectors()
     rhs_col = [_ONE] + [rhs for _, rhs in covs]
-    value_cache: list[dict[str, Fraction]] = []
-    for c, _ in covs:
-        nz = [(i, x) for i, x in enumerate(c) if x != 0]
-        if len(nz) == 1 and nz[0][1] == 1:
-            idx = nz[0][0]
-            value_cache.append({v: p[idx] for v, p in g.images.items()})
-        else:
-            value_cache.append({v: vec_dot(c, p) for v, p in g.images.items()})
+    cleared = {v: _cleared(p) for v, p in g.images.items()}
+    brackets: list[tuple[dict[str, Fraction], set[str], set[str]]] = []
+    for c, rhs in covs:
+        dc, ints = _cleared(c)
+        nz = [(i, x) for i, x in enumerate(ints) if x]
+        values: dict[str, Fraction] = {}
+        above: set[str] = set()
+        below: set[str] = set()
+        for v, (dv, pv) in cleared.items():
+            dot = sum(x * pv[i] for i, x in nz)
+            den = dc * dv
+            values[v] = Fraction(dot, den)
+            side = dot * rhs.denominator - rhs.numerator * den
+            if side > 0:
+                above.add(v)
+            elif side < 0:
+                below.add(v)
+        brackets.append((values, above, below))
     points: dict[Simplex, Vec] = {}
     out = []
     for s in k.sorted_simplexes():
         if len(s) - 1 > nmax:
             continue
         rows = [[_ONE] * len(s)]
-        for (_, rhs), cache in zip(covs, value_cache):
-            values = [cache[v] for v in s]
-            if min(values) > rhs or max(values) < rhs:
+        for values, above, below in brackets:
+            if above.issuperset(s) or below.issuperset(s):
                 break
-            rows.append(values)
+            rows.append([values[v] for v in s])
         else:
             sol = solve_affine(rows, rhs_col)
             if sol is not None and not sol[1] and min(sol[0]) > 0:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from plstab.batch import (draw_point_sets, linear_cells, random_complex,
                           univariate_cells)
 from plstab.generic import GenericPool
 from plstab.ratmath import vec
-from plstab.simplicial import PLMap, roberts_perturb
+from plstab.simplicial import PLMap, SimplicialComplex, roberts_perturb
 from plstab.transversal import (NonStabCase, PlaneFamily, nonstab_case,
                                 stabbed_simplexes)
 
@@ -139,3 +140,41 @@ def test_random_complex_covers_all_vertices():
     assert len(k.vertices) == 8
     for v in k.vertices:
         assert (v,) in k.simplexes
+
+
+def _complex_by_fraction_draws(rng, vertices, dim, density):
+    """random_complex's candidates kept by comparing one Fraction per draw."""
+    names = [f"v{i}" for i in range(1, vertices + 1)]
+    kept = [combo for size in range(2, dim + 2)
+            for combo in itertools.combinations(names, size)
+            if Fraction(rng.randrange(10 ** 6), 10 ** 6) < density]
+    return SimplicialComplex.from_simplexes(names, kept)
+
+
+class _Draws:
+    """A stand-in rng whose randrange replays the given draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randrange(self, n):
+        return next(self.draws)
+
+
+_DENSITIES = [F(0), F(1, 10 ** 6), F(7, 100), F(1, 2), F(1)]
+
+
+@pytest.mark.parametrize("density", _DENSITIES, ids=str)
+def test_random_complex_density_test_matches_fraction_comparison(density):
+    # the same draws and the same complexes as the Fraction comparison
+    for seed in range(6):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert (random_complex(rng, 7, 2, density)
+                == _complex_by_fraction_draws(ref, 7, 2, density))
+        assert rng.getstate() == ref.getstate()
+    # and the same decision at the draws around the threshold: 4 vertices
+    # and dim 1 give exactly 6 candidates, one per draw
+    edge = density.numerator * 10 ** 6 // density.denominator
+    draws = [max(0, min(10 ** 6 - 1, edge + d)) for d in (-2, -1, 0, 1, 2, 3)]
+    assert (random_complex(_Draws(draws), 4, 1, density)
+            == _complex_by_fraction_draws(_Draws(draws), 4, 1, density))

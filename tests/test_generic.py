@@ -166,3 +166,34 @@ def test_distinctness_transcript_neighbours_in_sorted_order():
     assert certify(got).failed_index == 2
     assert distinctness_transcript([("x", F(3))]) == []
     assert distinctness_transcript([]) == []
+
+
+_BELOW_KEY_RESOLUTION = F(1, 2 ** 170)  # finer than the key's 2**-160 floor
+
+
+@st.composite
+def _labelled_values(draw):
+    value = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=12))
+    values = draw(st.lists(value, max_size=10))
+    # copies nudged by less than 2**-160, so their sort key floors can tie
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 3)),
+                              max_size=4)):
+        if i < len(values):
+            values.append(values[i] + j * _BELOW_KEY_RESOLUTION)
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=len(values),
+                           max_size=len(values)))
+    return draw(st.permutations(list(zip(labels, values))))
+
+
+@given(_labelled_values())
+@settings(max_examples=300, deadline=None)
+def test_distinctness_transcript_matches_exact_value_sort(labelled):
+    # equal values under different labels, values closer than 2**-160,
+    # negative values and plain integers: the integer-first sort key gives
+    # the stable order of the exact values
+    ordered = sorted(labelled, key=lambda item: item[1])
+    expected = [(f"coord {la} != {lb}", a - b)
+                for (la, a), (lb, b) in zip(ordered, ordered[1:])]
+    assert distinctness_transcript(labelled) == expected

@@ -241,6 +241,27 @@ def test_certify_map_matches_oracles(case):
     assert certify_map(k, g).certified == expected
 
 
+def test_certify_map_records_an_exact_zero_minor():
+    # a, b and c lie on y = 2x and d does not, with every coordinate
+    # distinct: the triangle abc is the first zero of the transcript
+    k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns b c d\n")
+    g = certify_map(k, PLMap(2, {"a": vec([F(1, 3), F(2, 3)]),
+                                 "b": vec([F(3, 2), 3]),
+                                 "c": vec([F(5, 7), F(10, 7)]),
+                                 "d": vec([4, F(1, 5)])}))
+    conditions = g.certificate.conditions
+    where = conditions.index(("simplex a b c affinely independent", F(0)))
+    assert type(conditions[where][1]) is Fraction
+    assert g.certificate.failed_index == where
+    assert not g.certified
+    minors = [(d.split()[1:-2], v) for d, v in conditions
+              if d.startswith("simplex ")]
+    assert len(minors) == 7  # five edges and two triangles
+    for simplex, value in minors:
+        assert value == max_minor_by_subsets(_edge_rows(g.images, simplex))
+        assert (value == 0) == (simplex == ["a", "b", "c"])
+
+
 # --- affine extension and disjointness ---------------------------------------
 
 def test_image_point_vertex():

@@ -90,6 +90,30 @@ def test_every_public_library_function_has_a_caller():
     assert found == []
 
 
+def test_only_ratmath_runs_the_integer_elimination():
+    # One elimination kernel and one determinant: any other module reaches
+    # _echelon and _pivot only through a ratmath entry point, never by
+    # calling or importing them itself.
+    kernel = {"_echelon", "_pivot"}
+    found = []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        if path.name == "ratmath.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name in kernel]
+    assert found == []
+
+
 def _truthy_constant(node):
     return isinstance(node, ast.Constant) and bool(node.value)
 

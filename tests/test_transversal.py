@@ -195,6 +195,37 @@ def test_full_space_plane_meets_everything():
         (("a",), [(1,)]), (("b",), [(1,)]), (("a", "b"), [(1, 0), (0, 1)])]
 
 
+_FAN = "v o\nv a\nv b\nv c\nv d\ns o a b\ns o b c\ns o d\ns a c\n"
+# every image but o's has x > 1/3 and y - x > 2/7 - 1/3
+_FAN_IMAGES = {"o": (F(1, 3), F(2, 7)), "a": (1, 3), "b": (2, F(5, 2)),
+               "c": (F(5, 4), F(7, 3)), "d": (F(3, 2), F(11, 5))}
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["others_above", "others_below"])
+@pytest.mark.parametrize("fam, extras", [
+    (PlaneFamily(2, (2,), (2,), 1), ()),              # covector x
+    (PlaneFamily(2, (), (1, 2), 1), (vec([1, 1]),)),  # covector y - x
+], ids=["unit_covector", "skew_covector"])
+def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
+    # The plane passes through o's image and every other image lies
+    # strictly on one side of it, the side given (reflected through o for
+    # -1).  Each simplex at o meets the plane in o alone; the others miss
+    # it, and so does every simplex once the plane moves off o.
+    k = parse_complex(_FAN)
+    o = vec(_FAN_IMAGES["o"])
+    g = certify_map(k, PLMap(2, {
+        v: tuple(c + side * (x - c) for x, c in zip(vec(p), o))
+        for v, p in _FAN_IMAGES.items()}))
+    assert g.certified
+    at_o = [s for s in k.sorted_simplexes() if "o" in s]
+    assert len(at_o) == 7
+    assert stabbed_simplexes(k, g, ConcretePlane(fam, o, extras), 2) == [
+        (s, [tuple(int(v == "o") for v in s)]) for s in at_o]
+    nudge = F(1, 10 ** 9)
+    off = tuple(c - side * step for c, step in zip(o, (nudge, 2 * nudge)))
+    assert stabbed_simplexes(k, g, ConcretePlane(fam, off, extras), 2) == []
+
+
 def _oracle_pieces(k, g, plane, nmax):
     """Per simplex of dimension <= nmax, the vertices of its piece by
     basic-solution scan of rows built here from the plane's covectors."""
