@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
 from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
-                                PlaneFamily, family_from_json_dict,
+                                PlaneFamily, decide_stab,
+                                family_from_json_dict,
                                 family_to_json_dict, max_disjoint_stabbed,
                                 nonstab_case, plane_from_json_dict,
                                 plane_through, plane_to_json_dict, stab_bound,
@@ -604,6 +606,69 @@ def test_search_never_emits_false_witness_in_nonstab_regime():
     assert nonstab_case([1, 1, 1], 5, 1, 0, 1) is NonStabCase.CASE_I
     got = stab_search_general(sets, fam, budget=400, pool=pool)
     assert not got.found
+
+
+# --- stab reports ----------------------------------------------------------------
+
+_PLANE_E1 = PlaneFamily(3, (), (1,), 1)
+_Z_SETS = [[vec([0, 0, 0]), vec([1, 0, 0])], [vec([0, 0, 1]), vec([0, 1, 1])],
+           [vec([0, 0, 2]), vec([1, 1, 2])]]
+_INTERVAL_SETS = [[vec([0, 0, 0]), vec([1, 0, 1])],
+                  [vec([0, 1, 0]), vec([0, 0, 1])],
+                  [vec([1, 1, 0]), vec([0, -2, 1])]]
+
+# (sets, family, mode, budget) -> the report fields, as the JSON text the CLI
+# writes (sorted keys); one case per report shape
+_STAB_REPORTS = [
+    ([[vec([0, 0, 0])], [vec([5, 0, 0])]], _PLANE_E1, "linear", 0,
+     '{"certified": true, "conditions_checked": 6, "lambdas": [["1"], ["1"]], '
+     '"plane": {"ST": [1], "St": [], "basepoint": ["0", "0", "0"], "d": 1, '
+     '"extra_dirs": [["5", "0", "0"]], "m": 3}, "points": [["0", "0", "0"], '
+     '["5", "0", "0"]], "status": "witness"}'),
+    ([[vec([0, 0, 0])], [vec([5, 0, 1])]], _PLANE_E1, "linear", 0,
+     '{"certified": true, "conditions_checked": 0, "lambdas": null, '
+     '"plane": null, "status": "infeasible"}'),
+    (_Z_SETS, PlaneFamily(3, (), (1, 2, 3), 1), "search", 500,
+     '{"certified": true, "conditions_checked": 9, "evaluations": 1, '
+     '"lambdas": [["1", "0"], ["1", "0"], ["1", "0"]], "plane": {"ST": '
+     '[1, 2, 3], "St": [], "basepoint": ["0", "0", "0"], "d": 1, '
+     '"extra_dirs": [["0", "0", "1"]], "m": 3}, "points": [["0", "0", "0"], '
+     '["0", "0", "1"], ["0", "0", "2"]], "status": "witness"}'),
+    # two skew lines: no common point, after 41 evaluations of the search
+    ([[vec([0, 0, 0]), vec([1, 0, 0])], [vec([0, 1, 1]), vec([0, 2, 1])]],
+     PlaneFamily(3, (), (1, 2, 3), 0), "search", 40,
+     '{"certified": false, "conditions_checked": 0, "evaluations": 41, '
+     '"lambdas": null, "plane": null, "status": "not_found"}'),
+    ([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]], _POINT_FAMILY_2D,
+     "univariate", 0,
+     '{"certified": true, "conditions_checked": 6, "lambdas": [["1/2", "1/2"], '
+     '["1"]], "plane": {"ST": [1, 2], "St": [], "basepoint": ["1", "1"], '
+     '"d": 0, "extra_dirs": [], "m": 2}, "points": [["1", "1"], ["1", "1"]], '
+     '"status": "witness"}'),
+    ([[vec([0, 0]), vec([2, 2])], [vec([2, 0])]], _POINT_FAMILY_2D,
+     "univariate", 0,
+     '{"certified": true, "conditions_checked": 0, "lambdas": null, '
+     '"plane": null, "reduced": ["1"], "status": "no_stab"}'),
+    (_INTERVAL_SETS, PlaneFamily(3, (), (1, 2), 1), "univariate", 0,
+     '{"certified": true, "conditions_checked": 0, "interval": '
+     '["-2918605109616647604843261/1208925819614629174706176", '
+     '"-1459302554808323802421629/604462909807314587353088"], '
+     '"lambdas": null, "plane": null, "reduced": ["-1", "2", "1"], '
+     '"status": "witness", "witness_kind": "isolating_interval"}'),
+    ([[vec([0, 0])], [vec([1, 1])], [vec([2, 0])]], _POINT_FAMILY_2D,
+     "univariate", 0,
+     '{"certified": false, "conditions_checked": 0, "lambdas": null, '
+     '"plane": null, "status": "not_applicable"}'),
+]
+
+
+@pytest.mark.parametrize(
+    "sets, family, mode, budget, want", _STAB_REPORTS,
+    ids=["linear-witness", "infeasible", "search-witness", "not-found",
+         "univariate-root", "no-stab", "isolating-interval", "not-applicable"])
+def test_stab_report_fields_are_pinned(sets, family, mode, budget, want):
+    got = decide_stab(sets, family, mode, budget, GenericPool(0))
+    assert json.dumps(got, sort_keys=True) == want
 
 
 # --- input errors of the three deciders -------------------------------------
