@@ -10,10 +10,10 @@ from .simplicial import (PLMap, SimplicialComplex, certify_map, format_complex,
                          format_map, image_point, parse_complex, parse_map,
                          roberts_perturb)
 from .transversal import (BoundResult, ConcretePlane, NonStabCase, PlaneFamily,
-                          StabWitness, max_disjoint_stabbed, nonstab_case,
-                          plane_through, stab_bound, stab_decide_univariate,
-                          stab_exists_linear, stab_search_general,
-                          verify_stab_witness)
+                          StabDecision, StabWitness, max_disjoint_stabbed,
+                          nonstab_case, plane_through, stab_bound,
+                          stab_decide_univariate, stab_exists_linear,
+                          stab_search_general, verify_stab_witness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

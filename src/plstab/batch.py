@@ -136,53 +136,41 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
     return sets, certify(distinctness_transcript(labelled))
 
 
-def _certified_sets(cell: SweepCell, base_pool: GenericPool, trial: int):
-    """The certified draws (sets, seed) of one trial, in regeneration order."""
-    for pool in regeneration_pools(base_pool.derive(trial)):
-        sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
-        if cert.ok:
-            yield sets, pool.seed
+def _run_cell(cell: SweepCell, trials: int, base_pool: GenericPool, decide,
+              negative: str, kind: str) -> list[dict]:
+    """Decide each trial on its first certified draw, in regeneration order,
+    to which the decider applies; a status other than the exact negative
+    one is a violation of the given kind."""
+    family = _cell_family(cell)
+    violations = []
+    for trial in range(trials):
+        for pool in regeneration_pools(base_pool.derive(trial)):
+            sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
+            if cert.ok:
+                decision = decide(sets, family)
+                if decision.status != "not_applicable":
+                    break
+        else:
+            raise GenericityError(
+                f"no applicable certified draw for {cell.key()} trial {trial}")
+        if decision.status != negative:
+            violations.append({"cell": cell.key(), "trial": trial,
+                               "seed": pool.seed, "kind": kind})
+    return violations
 
 
 def run_linear_cell(cell: SweepCell, trials: int,
                     base_pool: GenericPool) -> list[dict]:
     """Exact nonstab check: any witness in this regime is a violation."""
-    family = _cell_family(cell)
-    violations = []
-    for trial in range(trials):
-        draw = next(_certified_sets(cell, base_pool, trial), None)
-        if draw is None:
-            raise GenericityError(
-                f"could not certify draws for {cell.key()} trial {trial}")
-        sets, seed = draw
-        witness = stab_exists_linear(sets, family)
-        if witness is not None:
-            violations.append({
-                "cell": cell.key(), "trial": trial, "seed": seed,
-                "kind": "unexpected witness in the exact linear regime",
-            })
-    return violations
+    return _run_cell(cell, trials, base_pool, stab_exists_linear, "infeasible",
+                     "unexpected witness in the exact linear regime")
 
 
 def run_univariate_cell(cell: SweepCell, trials: int,
                         base_pool: GenericPool) -> list[dict]:
     """Exact univariate nonstab check; inapplicable draws are regenerated."""
-    family = _cell_family(cell)
-    violations = []
-    for trial in range(trials):
-        decisions = ((stab_decide_univariate(sets, family), seed)
-                     for sets, seed in _certified_sets(cell, base_pool, trial))
-        decision, seed = next(((d, seed) for d, seed in decisions
-                               if d.status != "not_applicable"), (None, None))
-        if decision is None:
-            raise GenericityError(
-                f"no applicable certified draw for {cell.key()} trial {trial}")
-        if decision.status != "no_stab":
-            violations.append({
-                "cell": cell.key(), "trial": trial, "seed": seed,
-                "kind": "unexpected stab in the exact univariate regime",
-            })
-    return violations
+    return _run_cell(cell, trials, base_pool, stab_decide_univariate,
+                     "no_stab", "unexpected stab in the exact univariate regime")
 
 
 # ---------------------------------------------------------------------------

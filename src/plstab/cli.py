@@ -275,7 +275,7 @@ _COMPLEX, _MAP, _PLANE = (_Flag(name, str)
 
 # verb -> (help, handler, flags); flags are listed in --help order
 _VERBS = {
-    "gen": ("generate a random complex and map file", _run_gen, (
+    "gen": ("generate a random complex file", _run_gen, (
         _Flag("--vertices", int, bound=">= 1"),
         _Flag("--dim", int, bound=">= 0"),
         _Flag("--density", Fraction), _SEED, _Flag("--out", str))),
@@ -299,23 +299,28 @@ _VERBS = {
 }
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the subparser of the verb argv[0] names (every verb's
-    when it names none), then convert rationals and check bounds."""
-    only = argv[0] if argv and argv[0] in _VERBS else None
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="plstab",
         description="exact stabbing-bound verification for PL maps")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, _, flags) in _VERBS.items():
-        if only in (None, verb):
-            p = sub.add_parser(verb, help=help_text)
-            for f in flags:
-                p.add_argument(
-                    f.name, type=int if f.kind is int else None,
-                    choices=f.kind if isinstance(f.kind, tuple) else None,
-                    required=f.default is None, default=f.default)
-    args = parser.parse_args(argv)
+        p = sub.add_parser(verb, help=help_text)
+        for f in flags:
+            p.add_argument(
+                f.name, type=int if f.kind is int else None,
+                choices=f.kind if isinstance(f.kind, tuple) else None,
+                required=f.default is None, default=f.default)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the one parser built from _VERBS, then convert
+    rationals and check bounds."""
+    args = _PARSER.parse_args(argv)
     for f in _VERBS[args.verb][2]:
         value = getattr(args, f.name[2:])
         if f.kind is Fraction:

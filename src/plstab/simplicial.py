@@ -94,16 +94,27 @@ class SimplicialComplex:
         return [s for s in self.sorted_simplexes() if s not in facets]
 
 
-def parse_complex(text: str) -> SimplicialComplex:
-    vertices: list[str] = []
-    seen: set[str] = set()
-    simplexes: list[tuple[str, ...]] = []
+def _records(text: str, kinds: tuple[str, ...]):
+    """(line number, kind, arguments) of each record of a line-oriented file.
+
+    ``#`` starts a comment and blank lines are skipped; a line whose first
+    word is not one of the record kinds raises :class:`ParseError`.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
+        kind, *args = line.split()
+        if kind not in kinds:
+            raise ParseError(lineno, f"malformed line {raw!r}")
+        yield lineno, kind, args
+
+
+def parse_complex(text: str) -> SimplicialComplex:
+    vertices: list[str] = []
+    seen: set[str] = set()
+    simplexes: list[tuple[str, ...]] = []
+    for lineno, kind, args in _records(text, ("v", "s")):
         if kind == "v":
             if len(args) != 1:
                 raise ParseError(lineno, "vertex line needs exactly one id")
@@ -111,7 +122,7 @@ def parse_complex(text: str) -> SimplicialComplex:
                 raise ParseError(lineno, f"duplicate vertex {args[0]!r}")
             seen.add(args[0])
             vertices.append(args[0])
-        elif kind == "s":
+        else:
             if not args:
                 raise ParseError(lineno, "empty simplex")
             if len(set(args)) != len(args):
@@ -120,8 +131,6 @@ def parse_complex(text: str) -> SimplicialComplex:
                 if v not in seen:
                     raise ParseError(lineno, f"unknown vertex {v!r}")
             simplexes.append(tuple(args))
-        else:
-            raise ParseError(lineno, f"malformed line {raw!r}")
     return SimplicialComplex.from_simplexes(vertices, simplexes)
 
 
@@ -147,12 +156,7 @@ class PLMap:
 def parse_map(text: str) -> PLMap:
     m: Optional[int] = None
     images: dict[str, Vec] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
+    for lineno, kind, args in _records(text, ("m", "p")):
         if kind == "m":
             if m is not None:
                 raise ParseError(lineno, "duplicate header")
@@ -161,7 +165,7 @@ def parse_map(text: str) -> PLMap:
             m = int(args[0])
             if m < 1:
                 raise ParseError(lineno, "ambient dimension must be positive")
-        elif kind == "p":
+        else:
             if m is None:
                 raise ParseError(lineno, "point before header")
             if len(args) != m + 1:
@@ -172,8 +176,6 @@ def parse_map(text: str) -> PLMap:
                 images[args[0]] = vec(parse_rational(x) for x in args[1:])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-        else:
-            raise ParseError(lineno, f"malformed line {raw!r}")
     if m is None:
         raise ParseError(1, "missing header")
     return PLMap(m, images)

@@ -19,9 +19,10 @@ s_T axes.  This module provides:
   gcd of the maximal minors of the projected difference matrix and
   Sturm's theorem;
 * a float-free heuristic search for transversals outside those regimes
-  (verified witnesses only; NotFound is never evidence);
-* one dispatch over the three stab modes (:func:`decide_stab`) that
-  re-verifies every witness and isolating interval it reports;
+  (verified witnesses only; ``not_found`` is never evidence);
+* one decision type for all three deciders (:class:`StabDecision`), and one
+  dispatch over the three stab modes (:func:`decide_stab`) that formats it
+  as report fields, re-verifying every witness and isolating interval;
 * the exact maximum number of pairwise vertex-disjoint stabbed simplexes of
   a PL image, by branch and bound, with the returned family re-checked
   exactly.
@@ -244,6 +245,25 @@ class StabWitness:
     points: tuple[Vec, ...]
 
 
+@dataclass(frozen=True)
+class StabDecision:
+    """The answer of one stab decider, in the report's vocabulary.
+
+    ``status`` is ``witness`` (with a ``witness``, or an isolating
+    ``interval`` of a root of ``reduced``), ``infeasible`` (linear),
+    ``not_found`` (search) or ``no_stab`` / ``not_applicable`` (univariate).
+    The univariate decider keeps ``reduced`` on every applicable answer and
+    the search its int ``evaluations`` on every answer; both stay None
+    elsewhere.
+    """
+
+    status: str
+    witness: Optional[StabWitness] = None
+    interval: Optional[tuple[Fraction, Fraction]] = None
+    reduced: Optional[tuple[int, ...]] = None
+    evaluations: Optional[int] = None
+
+
 def verify_stab_witness(witness: StabWitness, point_sets: Sequence[Sequence[Vec]],
                         family: PlaneFamily) -> tuple[bool, int]:
     """Re-verify a witness exactly; returns (ok, number of conditions checked)."""
@@ -265,15 +285,6 @@ def verify_stab_witness(witness: StabWitness, point_sets: Sequence[Sequence[Vec]
         if not witness.plane.contains(y):
             return False, checks
     return True, checks
-
-
-def _grouped(values: Vec, sizes: list[int]) -> tuple[Vec, ...]:
-    out = []
-    at = 0
-    for s in sizes:
-        out.append(values[at:at + s])
-        at += s
-    return tuple(out)
 
 
 def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
@@ -325,7 +336,8 @@ def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
     lam = vec(flat_lambda)
-    lambdas = _grouped(lam, [len(ps) for ps in point_sets])
+    ends = list(itertools.accumulate(len(ps) for ps in point_sets))
+    lambdas = tuple(lam[a:b] for a, b in zip([0] + ends, ends))
     points = _met(point_sets, lam, range(family.m))
     diffs = [vec_sub(y, points[0]) for y in points[1:]]
     plane = plane_through(family, points[0], diffs)
@@ -337,8 +349,8 @@ def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
 
 
 def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
-                       family: PlaneFamily) -> Optional[StabWitness]:
-    """Exact decision for q <= d-t+1 sets: witness, or None meaning no transversal.
+                       family: PlaneFamily) -> StabDecision:
+    """Exact decision for q <= d-t+1 sets: ``witness`` or ``infeasible``.
 
     In this regime a family member meets every affine hull iff the linear
     system (coefficients summing to 1, differences of the met points
@@ -349,20 +361,13 @@ def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
         raise ValueError("too many sets for the linear regime; "
                          "use stab_search_general")
     if sol is None:
-        return None
-    return _witness_from_lambda(point_sets, family, sol[0])
+        return StabDecision("infeasible")
+    return StabDecision("witness", _witness_from_lambda(point_sets, family,
+                                                        sol[0]))
 
 
 # ---------------------------------------------------------------------------
 # Univariate exact decision on a one-dimensional constraint flat.
-
-@dataclass(frozen=True)
-class UnivariateDecision:
-    status: str  # "stab" | "no_stab" | "not_applicable"
-    witness: Optional[StabWitness] = None
-    interval: Optional[tuple[Fraction, Fraction]] = None
-    reduced: Optional[tuple[int, ...]] = None
-
 
 def _projected_difference_polys(point_sets, family, base_lambda, direction):
     """Rows (Y_i - Y_1)(s) restricted to the block coordinates, as linear
@@ -433,7 +438,7 @@ def verify_interval_certificate(reduced: Sequence[int],
 
 
 def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
-                           family: PlaneFamily) -> UnivariateDecision:
+                           family: PlaneFamily) -> StabDecision:
     """Exact decision when q = d-t+2 and the constraint flat is one-dimensional.
 
     On the flat a family member meets every affine hull exactly where the
@@ -449,7 +454,7 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
     sol = _flat(point_sets, fam)
     if (len(point_sets) != fam.d - fam.t + 2 or sol is None
             or len(sol[1]) != 1):
-        return UnivariateDecision("not_applicable")
+        return StabDecision("not_applicable")
     base_lambda, (direction,) = sol
     rows = _projected_difference_polys(point_sets, fam, base_lambda, direction)
     gcd: list[int] = []
@@ -460,37 +465,30 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
     reduced = tuple(gcd)
     found = _isolate(gcd)
     if found is None:
-        return UnivariateDecision("no_stab", reduced=reduced)
+        return StabDecision("no_stab", reduced=reduced)
     if isinstance(found, tuple):
-        return UnivariateDecision("stab", interval=found, reduced=reduced)
+        return StabDecision("witness", interval=found, reduced=reduced)
     flat = vec(b + found * w for b, w in zip(base_lambda, direction))
-    return UnivariateDecision("stab", witness=_witness_from_lambda(
-        point_sets, fam, flat), reduced=reduced)
+    return StabDecision("witness", _witness_from_lambda(point_sets, fam, flat),
+                        reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
 # Heuristic search outside the exact regimes.
-
-@dataclass(frozen=True)
-class SearchResult:
-    found: bool
-    witness: Optional[StabWitness] = None
-    evaluations: int = 0
-
 
 _GOLDEN = Fraction(377, 610)  # rational golden-section ratio
 _SNAP_DENOMINATORS = (8, 64, 1024, 32768)
 
 
 def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
-                        budget: int, pool: GenericPool) -> SearchResult:
+                        budget: int, pool: GenericPool) -> StabDecision:
     """Heuristic transversal search for q > d-t+1 sets.
 
     Descends on the Gram determinant of the projected differences (read by
     :func:`~plstab.ratmath.max_minor`) over the constraint flat, using
     rational golden-section steps and random restarts; candidates are
     snapped to small rationals by continued fractions and only exactly
-    verified witnesses are returned.  A NotFound result is
+    verified witnesses are returned.  A ``not_found`` answer is
     inconclusive, never a nonexistence certificate.
     """
     fam = family
@@ -498,7 +496,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
     if len(point_sets) <= fam.d - fam.t + 1:
         raise ValueError("q <= d-t+1 is decided exactly; use stab_exists_linear")
     if sol is None:
-        return SearchResult(False, evaluations=0)
+        return StabDecision("not_found", evaluations=0)
     base_lambda, basis = sol
     cols = [c - 1 for c in fam.block]
     needed_rank = fam.d - fam.t
@@ -516,6 +514,10 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
 
     evaluations = 0
 
+    def answer(witness: Optional[StabWitness]) -> StabDecision:
+        return StabDecision("not_found" if witness is None else "witness",
+                            witness, evaluations=evaluations)
+
     def objective(u) -> Fraction:
         nonlocal evaluations
         evaluations += 1
@@ -531,18 +533,15 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
     k = len(basis)
     if k == 0:
         if budget <= 0:
-            return SearchResult(False, evaluations=0)
-        witness = try_exact(())
-        return SearchResult(witness is not None, witness, 1)
+            return answer(None)
+        evaluations = 1
+        return answer(try_exact(()))
 
     rng = random.Random(_derived_seed(pool.seed, "stab-search"))
 
-    def snapped_candidates(u):
-        for den in _SNAP_DENOMINATORS:
-            yield tuple(x.limit_denominator(den) for x in u)
-
     def check_candidates(u) -> Optional[StabWitness]:
-        for cand in snapped_candidates(u):
+        for den in _SNAP_DENOMINATORS:
+            cand = tuple(x.limit_denominator(den) for x in u)
             if objective(cand) == 0:
                 witness = try_exact(cand)
                 if witness is not None:
@@ -557,7 +556,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
             u = tuple(Fraction(rng.randint(-96, 96), 48) for _ in range(k))
         witness = check_candidates(u)
         if witness is not None:
-            return SearchResult(True, witness, evaluations)
+            return answer(witness)
         best = objective(u)
         step = _ONE
         for _ in range(6):  # descent rounds per restart
@@ -584,14 +583,12 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
                         if fb < best:
                             best, u = fb, ub
             witness = check_candidates(u)
-            if witness is not None:
-                return SearchResult(True, witness, evaluations)
-            step = step * Fraction(1, 2)
-            if best == 0:
+            if witness is None and best == 0:
                 witness = try_exact(u)
-                if witness is not None:
-                    return SearchResult(True, witness, evaluations)
-    return SearchResult(False, evaluations=evaluations)
+            if witness is not None:
+                return answer(witness)
+            step = step * Fraction(1, 2)
+    return answer(None)
 
 
 # ---------------------------------------------------------------------------
@@ -604,49 +601,52 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
                 mode: str, budget: int, pool: GenericPool) -> dict:
     """One stab decision in a mode of STAB_MODES, as the fields of a report.
 
-    ``status`` is ``witness``, ``infeasible`` (linear), ``not_found``
-    (search) or ``no_stab`` / ``not_applicable`` (univariate).  Every
-    witness is re-verified with :func:`verify_stab_witness` and every
+    ``status`` is the :class:`StabDecision` status of the mode's decider.
+    Every witness is re-verified with :func:`verify_stab_witness` and every
     isolating interval with :func:`verify_interval_certificate`, and
     ``certified`` is that re-check; ``infeasible`` and ``no_stab`` are
     exact decisions, ``not_found`` and ``not_applicable`` are not.
     """
-    empty = {"lambdas": None, "plane": None, "conditions_checked": 0}
-    extra: dict = {}
     if mode == "linear":
-        witness = stab_exists_linear(point_sets, family)
-        if witness is None:
-            return {"status": "infeasible", "certified": True, **empty}
+        got = stab_exists_linear(point_sets, family)
     elif mode == "search":
         got = stab_search_general(point_sets, family, budget, pool)
-        witness, extra = got.witness, {"evaluations": got.evaluations}
-        if witness is None:
-            return {"status": "not_found", "certified": False, **empty, **extra}
     elif mode == "univariate":
         got = stab_decide_univariate(point_sets, family)
-        witness = got.witness
-        if got.status == "not_applicable":
-            return {"status": "not_applicable", "certified": False, **empty}
-        reduced = [format_rational(c) for c in got.reduced]
-        if got.status == "no_stab":
-            return {"status": "no_stab", "certified": True, **empty,
-                    "reduced": reduced}
-        if witness is None:
-            return {"status": "witness", **empty,
-                    "certified": verify_interval_certificate(got.reduced,
-                                                             got.interval),
-                    "witness_kind": "isolating_interval",
-                    "interval": [format_rational(x) for x in got.interval],
-                    "reduced": reduced}
     else:
         raise ValueError(f"unknown stab mode {mode!r}")
-    ok, checks = verify_stab_witness(witness, point_sets, family)
-    return {"status": "witness", "certified": ok, "conditions_checked": checks,
-            "lambdas": [[format_rational(x) for x in lam]
-                        for lam in witness.lambdas],
-            "plane": plane_to_json_dict(witness.plane),
-            "points": [[format_rational(x) for x in y] for y in witness.points],
-            **extra}
+    return _stab_report(got, point_sets, family)
+
+
+def _stab_report(got: StabDecision, point_sets: Sequence[Sequence[Vec]],
+                 family: PlaneFamily) -> dict:
+    """The report fields of a decision.  A witness is reported with its
+    lambdas, plane and met points, any other answer with empty ones and,
+    when present, the interval and the ``reduced`` polynomial it rests on;
+    a search answer adds its ``evaluations``."""
+    out: dict = {"status": got.status}
+    if got.evaluations is not None:
+        out["evaluations"] = got.evaluations
+    if got.witness is not None:
+        ok, checks = verify_stab_witness(got.witness, point_sets, family)
+        out.update(certified=ok, conditions_checked=checks,
+                   lambdas=[[format_rational(x) for x in lam]
+                            for lam in got.witness.lambdas],
+                   plane=plane_to_json_dict(got.witness.plane),
+                   points=[[format_rational(x) for x in y]
+                           for y in got.witness.points])
+        return out
+    out.update(lambdas=None, plane=None, conditions_checked=0)
+    if got.interval is not None:
+        out.update(certified=verify_interval_certificate(got.reduced,
+                                                         got.interval),
+                   witness_kind="isolating_interval",
+                   interval=[format_rational(x) for x in got.interval])
+    else:
+        out["certified"] = got.status in ("infeasible", "no_stab")
+    if got.reduced is not None:
+        out["reduced"] = [format_rational(c) for c in got.reduced]
+    return out
 
 
 # ---------------------------------------------------------------------------

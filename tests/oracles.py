@@ -502,8 +502,8 @@ def univariate_by_gram(point_sets, m, s_t, s_T, d):
     s_T) form a line base + s w; otherwise it is ("not_applicable", None).
     On the line the rows (Y_i - Y_1)(s), restricted to the coordinates of
     s_T outside s_t, are dependent exactly where the determinant of their
-    Gram matrix vanishes: the status is "stab" when that determinant is the
-    zero polynomial or has a real root, else "no_stab".
+    Gram matrix vanishes: the status is "witness" when that determinant is
+    the zero polynomial or has a real root, else "no_stab".
     """
     q = len(point_sets)
     if q != d - len(s_t) + 2:
@@ -551,4 +551,5 @@ def univariate_by_gram(point_sets, m, s_t, s_T, d):
             grow.append(acc)
         gram.append(grow)
     det = poly_det_cofactor(gram)
-    return ("stab" if not det or sturm_count_euclid(det) > 0 else "no_stab"), det
+    return ("witness" if not det or sturm_count_euclid(det) > 0
+            else "no_stab"), det

@@ -82,7 +82,7 @@ def test_univariate_regime_exact():
         [vec([0, 0, 2]), vec([1, 1, 2])],
     ]
     got = stab_search_general(sets, fam, budget=500, pool=GenericPool(0))
-    assert got.found
+    assert got.status == "witness"
     ok, checks = verify_stab_witness(got.witness, sets, fam)
     assert ok and checks >= 9
     _passed(f"univariate-regime nonstab: {len(cells)} tuples x 25 certified "

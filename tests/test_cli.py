@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plstab.cli import _VERBS, main
+from plstab.cli import _VERBS, CliError, _parse, main
 
 TWO_EDGES_COMPLEX = "v a\nv b\nv c\nv d\ns a b\ns c d\n"
 TWO_EDGES_MAP = ("m 2\n"
@@ -93,6 +94,30 @@ def test_help_exits_zero(capsys):
     for verb in ("gen", "perturb", "bounds", "stab", "count", "section",
                  "cotype", "verify"):
         assert f"\n    {verb} " in out
+
+
+def test_requests_reuse_the_parser_built_at_import(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    stab = _parse(["stab", "--family", "f.json", "--sets", "s.json",
+                   "--mode", "search"])
+    bounds = _parse(["bounds", "--n", "2", "--m", "4", "--d", "1", "--t", "0",
+                     "--T", "3"])
+    with pytest.raises(CliError):
+        _parse(["frobnicate"])
+    assert built == []
+    # a reused parser keeps no flag of an earlier request
+    assert vars(stab) == {"verb": "stab", "family": "f.json",
+                          "sets": "s.json", "mode": "search", "budget": 500,
+                          "seed": 0}
+    assert vars(bounds) == {"verb": "bounds", "n": 2, "m": 4, "d": 1, "t": 0,
+                            "T": 3}
 
 
 # the error of each flag out of its range: a bound declared in the verb

@@ -16,7 +16,7 @@ from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
 from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
-                                PlaneFamily, decide_stab,
+                                PlaneFamily, StabDecision, decide_stab,
                                 family_from_json_dict,
                                 family_to_json_dict, max_disjoint_stabbed,
                                 nonstab_case, plane_from_json_dict,
@@ -277,20 +277,23 @@ _LINE_IN_SPAN_E1 = PlaneFamily(3, (), (1,), 1)
 
 def test_linear_single_set_always_stabbed():
     fam = PlaneFamily(3, (), (1, 2), 1)
-    w = stab_exists_linear([[vec([3, 4, 5]), vec([1, 1, 1])]], fam)
-    assert w is not None
+    got = stab_exists_linear([[vec([3, 4, 5]), vec([1, 1, 1])]], fam)
+    assert got.status == "witness"
+    w = got.witness
     assert verify_stab_witness(w, [[vec([3, 4, 5]), vec([1, 1, 1])]], fam)[0]
 
 
 def test_linear_infeasible_fixture():
     sets = [[vec([0, 0, 0])], [vec([5, 0, 1])]]
-    assert stab_exists_linear(sets, _LINE_IN_SPAN_E1) is None
+    got = stab_exists_linear(sets, _LINE_IN_SPAN_E1)
+    assert got == StabDecision("infeasible")
 
 
 def test_linear_feasible_fixture():
     sets = [[vec([0, 0, 0])], [vec([5, 0, 0])]]
-    w = stab_exists_linear(sets, _LINE_IN_SPAN_E1)
-    assert w is not None
+    got = stab_exists_linear(sets, _LINE_IN_SPAN_E1)
+    assert got.status == "witness"
+    w = got.witness
     ok, checks = verify_stab_witness(w, sets, _LINE_IN_SPAN_E1)
     assert ok and checks >= 6
     assert w.points == (vec([0, 0, 0]), vec([5, 0, 0]))
@@ -315,7 +318,10 @@ def test_linear_answers_are_sound(raw_sets):
     # any witness re-verifies exactly; absence means the system is inconsistent
     fam = PlaneFamily(3, (), (1, 2), 1)
     sets = [[vec(p) for p in ps] for ps in raw_sets]
-    witness = stab_exists_linear(sets, fam)
+    got = stab_exists_linear(sets, fam)
+    assert got.status in ("witness", "infeasible")
+    witness = got.witness
+    assert (witness is not None) == (got.status == "witness")
     if witness is not None:
         ok, _ = verify_stab_witness(witness, sets, fam)
         assert ok
@@ -331,7 +337,7 @@ _POINT_FAMILY_2D = PlaneFamily(2, (), (1, 2), 0)
 def test_univariate_stab_with_rational_root():
     sets = [[vec([0, 0]), vec([2, 2])], [vec([1, 1])]]
     got = stab_decide_univariate(sets, _POINT_FAMILY_2D)
-    assert got.status == "stab"
+    assert got.status == "witness"
     assert got.witness is not None
     assert got.witness.points == (vec([1, 1]), vec([1, 1]))
 
@@ -368,7 +374,7 @@ def test_univariate_stab_with_irrational_root_reports_interval():
         [vec([1, 1, 0]), vec([0, -2, 1])],
     ]
     got = stab_decide_univariate(sets, fam)
-    assert got.status == "stab"
+    assert got.status == "witness"
     assert got.witness is None
     lo, hi = got.interval
     assert lo < hi
@@ -404,7 +410,8 @@ def test_univariate_decision_builds_one_sturm_chain(monkeypatch):
         builds.clear()
         got = stab_decide_univariate(sets, family)
         seen.append((got.status, got.witness is not None, len(builds)))
-    assert seen == [("stab", True, 1), ("no_stab", False, 1), ("stab", False, 1)]
+    assert seen == [("witness", True, 1), ("no_stab", False, 1),
+                    ("witness", False, 1)]
 
 
 def test_rational_root_helper():
@@ -573,7 +580,7 @@ def _z_axis_fixture():
 def test_search_finds_z_axis_transversal():
     fam, sets = _z_axis_fixture()
     got = stab_search_general(sets, fam, budget=500, pool=GenericPool(0))
-    assert got.found
+    assert got.status == "witness"
     ok, _ = verify_stab_witness(got.witness, sets, fam)
     assert ok
     assert got.witness.points == (vec([0, 0, 0]), vec([0, 0, 1]), vec([0, 0, 2]))
@@ -582,7 +589,7 @@ def test_search_finds_z_axis_transversal():
 def test_search_budget_zero():
     fam, sets = _z_axis_fixture()
     got = stab_search_general(sets, fam, budget=0, pool=GenericPool(0))
-    assert not got.found
+    assert got == StabDecision("not_found", evaluations=0)
 
 
 def test_search_rejects_linear_regime():
@@ -605,7 +612,7 @@ def test_search_never_emits_false_witness_in_nonstab_regime():
         sets.append(pts)
     assert nonstab_case([1, 1, 1], 5, 1, 0, 1) is NonStabCase.CASE_I
     got = stab_search_general(sets, fam, budget=400, pool=pool)
-    assert not got.found
+    assert got.status == "not_found" and got.witness is None
 
 
 # --- stab reports ----------------------------------------------------------------
