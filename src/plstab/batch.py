@@ -19,8 +19,8 @@ from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex
-from .transversal import (STAB_MODES, ConcretePlane, NonStabCase, PlaneFamily,
-                          _flat, _typed, decide_stab, family_from_json_dict,
+from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _flat,
+                          _typed, decide_stab, family_from_json_dict,
                           nonstab_case, plane_through, sets_from_json,
                           stab_decide_univariate, stab_exists_linear)
 
@@ -202,14 +202,9 @@ def random_map(rng: random.Random, k: SimplicialComplex, m: int,
 
 
 def _random_extras(rng: random.Random, family: PlaneFamily) -> list[Vec]:
-    block = family.block
-    out = []
-    for _ in range(family.d - family.t):
-        v = [_ZERO] * family.m
-        for j in block:
-            v[j - 1] = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-        out.append(tuple(v))
-    return out
+    return [family.embed([Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                          for _ in family.block])
+            for _ in range(family.d - family.t)]
 
 
 def sample_plane_random(rng: random.Random, family: PlaneFamily,
@@ -233,7 +228,6 @@ def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
                              k: SimplicialComplex, g: PLMap) -> ConcretePlane:
     """Family member anchored on an image point, directions from image differences."""
     simplexes = k.sorted_simplexes()
-    in_T = set(family.s_T)
     for _ in range(32):
         s = simplexes[rng.randrange(len(simplexes))]
         weights = [Fraction(rng.randint(0, 3)) for _ in s]
@@ -246,12 +240,9 @@ def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
         span_vectors = []
         verts = list(g.images)
         for _ in range(family.d - family.t):
-            a, b = rng.sample(verts, 2)
-            diff = [g.images[a][c] - g.images[b][c] for c in range(g.m)]
-            for c in range(g.m):
-                if (c + 1) not in in_T:
-                    diff[c] = _ZERO
-            span_vectors.append(tuple(diff))
+            pa, pb = (g.images[v] for v in rng.sample(verts, 2))
+            span_vectors.append(
+                family.embed([pa[j - 1] - pb[j - 1] for j in family.block]))
         try:
             return plane_through(family, base, span_vectors)
         except ValueError:
@@ -262,30 +253,49 @@ def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
 # ---------------------------------------------------------------------------
 # Fixtures for stab expectations (used by the verify grid file).
 
+_FIXTURE_KEYS = ("name", "family", "sets", "budget", "expect", "mode")
+_FIXTURE_EXPECTS = ("witness", "infeasible", "no_stab", "not_found")
+
+
+def _checked_fixture(fixture) -> dict:
+    """The fixture, once it is a JSON object with no unknown key, an
+    ``expect`` that some decider answers and a valid ``budget``."""
+    for key in _typed(fixture, dict, "fixture"):
+        if key not in _FIXTURE_KEYS:
+            raise ValueError(f"unknown fixture key {key!r}")
+    expect = fixture.get("expect")
+    if expect is not None and expect not in _FIXTURE_EXPECTS:
+        raise ValueError(f"fixture expect must be one of "
+                         f"{', '.join(_FIXTURE_EXPECTS)}, got {expect!r}")
+    _json_count(fixture, "budget", 500, least=0)
+    return fixture
+
+
 def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
     """Run one stab fixture and compare with its expectation.
 
     Keys: family (JSON dict), sets (list of point lists of rational text),
-    mode (linear | search | univariate), expect (witness | infeasible |
-    no_stab | not_found | not_applicable), optional budget (a JSON integer
-    >= 0, read only in search mode).  A witness or isolating interval that
-    fails its exact re-check reads invalid_witness.
+    optional name, expect (witness | infeasible | no_stab | not_found) and
+    budget (a JSON integer >= 0, default 500, read when the search runs);
+    any other key but ``mode`` is an input error.  The result's ``mode``
+    names the decider :func:`~plstab.transversal.decide_stab` picked, and a
+    fixture's own ``mode`` must name it too.  A witness or isolating
+    interval that fails its exact re-check reads invalid_witness.
     """
+    _checked_fixture(fixture)
     family = family_from_json_dict(fixture["family"])
     sets = sets_from_json(fixture["sets"], family.m)
-    mode = fixture.get("mode", "linear")
-    if mode not in STAB_MODES:
-        raise ValueError(f"unknown fixture mode {mode!r}")
-    budget = (_json_count(fixture, "budget", 500, least=0)
-              if mode == "search" else 0)
-    got = decide_stab(sets, family, mode, budget, base_pool)
+    got = decide_stab(sets, family, fixture.get("budget", 500), base_pool)
+    if "mode" in fixture and fixture["mode"] != got["mode"]:
+        raise ValueError(f"fixture mode {fixture['mode']!r}, but the input "
+                         f"is decided by {got['mode']!r}")
     status = got["status"]
     if status == "witness" and not got["certified"]:
         status = "invalid_witness"
     expect = fixture.get("expect")
     return {
         "name": fixture.get("name", "fixture"),
-        "mode": mode,
+        "mode": got["mode"],
         "status": status,
         "expect": expect,
         "ok": expect is None or status == expect,
@@ -307,8 +317,9 @@ def _json_count(data: dict, key: str, default: int, least: int,
 def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
-    Every suite's kind and bounds, and the type of every suite and fixture
-    entry, are checked before any cell is enumerated.
+    Every suite's kind and bounds, the type of every suite and fixture
+    entry, and each fixture's keys, expect and budget are checked before
+    any cell is enumerated.
     Returns a report dict with per-cell summaries and the flat violation
     list; the caller maps a nonempty violation list to exit code 1.
     """
@@ -322,7 +333,7 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
         if kind not in runners:
             raise ValueError(f"unknown suite kind {kind!r}")
         suites.append((runners[kind], m_max, n_max))
-    fixtures = [_typed(fixture, dict, "fixture") for fixture
+    fixtures = [_checked_fixture(fixture) for fixture
                 in _typed(grid.get("fixtures", []), list, "fixtures")]
     violations: list[dict] = []
     cells_run = []

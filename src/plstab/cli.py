@@ -34,9 +34,9 @@ from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (ParseError, certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
-from .transversal import (STAB_MODES, _typed, decide_stab,
-                          family_from_json_dict, max_disjoint_stabbed,
-                          plane_from_json_dict, sets_from_json, stab_bound)
+from .transversal import (_typed, decide_stab, family_from_json_dict,
+                          max_disjoint_stabbed, plane_from_json_dict,
+                          sets_from_json, stab_bound)
 
 
 class CliError(Exception):
@@ -107,16 +107,10 @@ def _require_vertices(k, g, map_path: str) -> None:
             raise CliError(2, f"{map_path}: missing vertex {v!r}")
 
 
-def _load_sets(path: str, inputs: dict, m: int):
-    data = _read_json(path, inputs)
-    with _fields_of(path):
-        return sets_from_json(_typed(data, dict, "sets file")["sets"], m)
-
-
 # gen draws once per simplex of the full complex on its vertices up to its
 # dimension, then closes and writes what it kept.  The slowest admitted
 # request measured on a 2-vCPU VM, --vertices 20 --dim 19 --density 1 (all
-# 2^20 - 1 kept), takes 38 s and 540 MB peak RSS; --vertices 1048576 --dim 0
+# 2^20 - 1 kept), takes 33 s and 540 MB peak RSS; --vertices 1048576 --dim 0
 # takes 11 s and 406 MB.
 GEN_MAX_SIMPLEXES = 2 ** 20
 
@@ -173,13 +167,15 @@ def _run_stab(args, inputs):
     family_data = _read_json(args.family, inputs)
     with _fields_of(args.family):
         family = family_from_json_dict(family_data)
-    sets = _load_sets(args.sets, inputs, family.m)
+    sets_data = _read_json(args.sets, inputs)
+    with _fields_of(args.sets):
+        sets = sets_from_json(_typed(sets_data, dict, "sets file")["sets"],
+                              family.m)
     try:
-        got = decide_stab(sets, family, args.mode, args.budget,
-                          GenericPool(args.seed))
+        got = decide_stab(sets, family, args.budget, GenericPool(args.seed))
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
-    return {"mode": args.mode, "q": len(sets), **got}, None, 0
+    return {"q": len(sets), **got}, None, 0
 
 
 def _load_request(args, inputs):
@@ -262,7 +258,7 @@ def _run_verify(args, inputs):
 
 class _Flag(NamedTuple):
     name: str
-    kind: object            # int, str, Fraction (a rational literal) or choices
+    kind: type              # int, str or Fraction (a rational literal)
     default: object = None  # None: the flag is required
     bound: str = ""         # ">= n" or "> n"
 
@@ -286,7 +282,6 @@ _VERBS = {
                                                    "--T"))),
     "stab": ("decide or search a common transversal", _run_stab, (
         _Flag("--family", str), _Flag("--sets", str),
-        _Flag("--mode", STAB_MODES),
         _Flag("--budget", int, 500, ">= 0"), _SEED)),
     "count": ("max disjoint simplexes stabbed by a plane", _run_count, (
         _COMPLEX, _MAP, _PLANE, _Flag("--nmax", int, bound=">= 0"))),
@@ -307,10 +302,8 @@ def _build_parser() -> _Parser:
     for verb, (help_text, _, flags) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         for f in flags:
-            p.add_argument(
-                f.name, type=int if f.kind is int else None,
-                choices=f.kind if isinstance(f.kind, tuple) else None,
-                required=f.default is None, default=f.default)
+            p.add_argument(f.name, type=int if f.kind is int else None,
+                           required=f.default is None, default=f.default)
     return parser
 
 

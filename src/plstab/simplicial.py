@@ -87,11 +87,13 @@ class SimplicialComplex:
         """Simplexes that are no facet of another, in sorted_simplexes order.
 
         A face-closed complex holds a chain of facets between any simplex
-        and a proper coface, so no proper face is missed.
+        and a proper coface, so no proper face is missed.  Only the
+        survivors are sorted.
         """
         facets = {s[:i] + s[i + 1:] for s in self.simplexes if len(s) > 1
                   for i in range(len(s))}
-        return [s for s in self.sorted_simplexes() if s not in facets]
+        return sorted((s for s in self.simplexes if s not in facets),
+                      key=lambda s: (len(s), s))
 
 
 def _records(text: str, kinds: tuple[str, ...]):

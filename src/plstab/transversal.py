@@ -21,8 +21,9 @@ s_T axes.  This module provides:
 * a float-free heuristic search for transversals outside those regimes
   (verified witnesses only; ``not_found`` is never evidence);
 * one decision type for all three deciders (:class:`StabDecision`), and one
-  dispatch over the three stab modes (:func:`decide_stab`) that formats it
-  as report fields, re-verifying every witness and isolating interval;
+  stab decision (:func:`decide_stab`) that picks the decider from the
+  number of sets and the constraint flat and formats its answer as report
+  fields, re-verifying every witness and isolating interval;
 * the exact maximum number of pairwise vertex-disjoint stabbed simplexes of
   a PL image, by branch and bound, with the returned family re-checked
   exactly.
@@ -84,6 +85,21 @@ class PlaneFamily:
         """Coordinates of s_T not pinned by s_t."""
         return tuple(j for j in self.s_T if j not in set(self.s_t))
 
+    def embed(self, block_coords: Sequence) -> Vec:
+        """The vector of R^m with the given block coordinates, 0 elsewhere."""
+        full = [_ZERO] * self.m
+        for value, j in zip(block_coords, self.block):
+            full[j - 1] = value
+        return tuple(full)
+
+    def restrict(self, v: Sequence, what: str) -> Vec:
+        """The block coordinates of v, which must lie in span(s_T); the
+        error names v as ``what``."""
+        in_T = set(self.s_T)
+        if any(v[j - 1] != 0 for j in range(1, self.m + 1) if j not in in_T):
+            raise ValueError(f"{what} leaves span(s_T)")
+        return tuple(v[j - 1] for j in self.block)
+
 
 @dataclass(frozen=True)
 class ConcretePlane:
@@ -99,16 +115,13 @@ class ConcretePlane:
             raise ValueError("basepoint has wrong length")
         if len(self.extra_directions) != fam.d - fam.t:
             raise ValueError("need exactly d - t extra directions")
-        in_T = set(fam.s_T)
+        restricted = []
         for v in self.extra_directions:
             if len(v) != fam.m:
                 raise ValueError("direction has wrong length")
-            if any(v[j - 1] != 0 for j in range(1, fam.m + 1) if j not in in_T):
-                raise ValueError("extra direction leaves span(s_T)")
-        block = fam.block
-        restricted = [[v[j - 1] for j in block] for v in self.extra_directions]
-        normals = nullspace_basis(restricted, len(block))
-        if len(block) - len(normals) != len(restricted):  # rank by nullity
+            restricted.append(fam.restrict(v, "extra direction"))
+        normals = nullspace_basis(restricted, len(fam.block))
+        if len(fam.block) - len(normals) != len(restricted):  # rank by nullity
             raise ValueError("direction space has dimension below d")
         object.__setattr__(self, "_covectors", self._build_covectors(normals))
 
@@ -121,12 +134,8 @@ class ConcretePlane:
             if j not in in_T:
                 c = unit_vec(fam.m, j)
                 out.append((c, self.basepoint[j - 1]))
-        block = fam.block
         for nb in normals:
-            c = [_ZERO] * fam.m
-            for value, j in zip(nb, block):
-                c[j - 1] = value
-            cv = tuple(c)
+            cv = fam.embed(nb)
             out.append((cv, vec_dot(cv, self.basepoint)))
         return tuple(out)
 
@@ -152,26 +161,15 @@ def plane_through(family: PlaneFamily, basepoint: Sequence,
     projected away, an independent subset is kept, and the direction space is
     padded with block coordinate axes up to dimension exactly d.
     """
-    block = family.block
-    in_T = set(family.s_T)
     need = family.d - family.t
-    spans = []
-    for v in span_vectors:
-        if any(v[j - 1] != 0 for j in range(1, family.m + 1) if j not in in_T):
-            raise ValueError("span vector leaves span(s_T)")
-        spans.append(tuple(v[j - 1] for j in block))
-    candidates = spans + [unit_vec(len(block), j)
-                          for j in range(1, len(block) + 1)]
+    spans = [family.restrict(v, "span vector") for v in span_vectors]
+    width = len(family.block)
+    candidates = spans + [unit_vec(width, j) for j in range(1, width + 1)]
     chosen = independent_subset(candidates)
     if sum(i < len(spans) for i in chosen) > need or len(chosen) < need:
         raise ValueError("cannot reach dimension d inside span(s_T)")
-    extras = []
-    for i in chosen[:need]:
-        full = [_ZERO] * family.m
-        for value, j in zip(candidates[i], block):
-            full[j - 1] = value
-        extras.append(tuple(full))
-    return ConcretePlane(family, vec(basepoint), tuple(extras))
+    extras = tuple(family.embed(candidates[i]) for i in chosen[:need])
+    return ConcretePlane(family, vec(basepoint), extras)
 
 
 # ---------------------------------------------------------------------------
@@ -592,39 +590,32 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
 
 
 # ---------------------------------------------------------------------------
-# One dispatch over the stab modes, as report fields.
-
-STAB_MODES = ("linear", "search", "univariate")
-
+# One stab decision, its decider chosen from the input, as report fields.
 
 def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
-                mode: str, budget: int, pool: GenericPool) -> dict:
-    """One stab decision in a mode of STAB_MODES, as the fields of a report.
+                budget: int, pool: GenericPool) -> dict:
+    """One stab decision, by the decider the input selects, as report fields.
 
-    ``status`` is the :class:`StabDecision` status of the mode's decider.
-    Every witness is re-verified with :func:`verify_stab_witness` and every
-    isolating interval with :func:`verify_interval_certificate`, and
-    ``certified`` is that re-check; ``infeasible`` and ``no_stab`` are
-    exact decisions, ``not_found`` and ``not_applicable`` are not.
+    q <= d-t+1 sets go to :func:`stab_exists_linear`, more to
+    :func:`stab_decide_univariate` and, where it does not apply (q is not
+    d-t+2 or the constraint flat is not a line), to
+    :func:`stab_search_general` with ``budget`` and ``pool``.  ``mode``
+    names the decider that answered and ``status`` is its answer.  A
+    witness comes with its lambdas, plane and met points, any other answer
+    with empty ones and any interval and ``reduced`` polynomial it rests
+    on; a search answer adds its ``evaluations``.  ``certified`` is the
+    re-check of the witness (:func:`verify_stab_witness`) or the interval
+    (:func:`verify_interval_certificate`); ``infeasible`` and ``no_stab``
+    are exact decisions, ``not_found`` is not.
     """
-    if mode == "linear":
-        got = stab_exists_linear(point_sets, family)
-    elif mode == "search":
-        got = stab_search_general(point_sets, family, budget, pool)
-    elif mode == "univariate":
-        got = stab_decide_univariate(point_sets, family)
+    if len(point_sets) <= family.d - family.t + 1:
+        mode, got = "linear", stab_exists_linear(point_sets, family)
     else:
-        raise ValueError(f"unknown stab mode {mode!r}")
-    return _stab_report(got, point_sets, family)
-
-
-def _stab_report(got: StabDecision, point_sets: Sequence[Sequence[Vec]],
-                 family: PlaneFamily) -> dict:
-    """The report fields of a decision.  A witness is reported with its
-    lambdas, plane and met points, any other answer with empty ones and,
-    when present, the interval and the ``reduced`` polynomial it rests on;
-    a search answer adds its ``evaluations``."""
-    out: dict = {"status": got.status}
+        mode, got = "univariate", stab_decide_univariate(point_sets, family)
+        if got.status == "not_applicable":
+            mode, got = "search", stab_search_general(point_sets, family,
+                                                      budget, pool)
+    out: dict = {"mode": mode, "status": got.status}
     if got.evaluations is not None:
         out["evaluations"] = got.evaluations
     if got.witness is not None:

@@ -386,7 +386,7 @@ def test_determinism_and_exit_codes(capsys, tmp_path):
         {"suites": [{"kind": "linear", "m_max": 3, "n_max": 1}]}))
     grid_bad = tmp_path / "bad.json"
     grid_bad.write_text(json.dumps({"fixtures": [{
-        "name": "expected-miss", "mode": "linear",
+        "name": "expected-miss",
         "family": {"m": 3, "St": [], "ST": [1], "d": 1},
         "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
         "expect": "infeasible"}]}))
@@ -405,7 +405,7 @@ def test_determinism_and_exit_codes(capsys, tmp_path):
     goldens = [
         ["bounds", "--n", "2", "--m", "4", "--d", "1", "--t", "0", "--T", "3"],
         ["stab", "--family", str(fam), "--sets", str(sets),
-         "--mode", "search", "--budget", "400", "--seed", "9"],
+         "--budget", "400", "--seed", "9"],
         ["verify", "--grid", str(grid_ok), "--trials", "2", "--seed", "4"],
     ]
     for argv in goldens:

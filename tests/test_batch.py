@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coords_pairwise_distinct
-from plstab import transversal
-from plstab.batch import (draw_point_sets, linear_cells, random_complex,
-                          run_grid, run_linear_cell, run_stab_fixture,
+from plstab import batch, transversal
+from plstab.batch import (_cell_family, _regime_tuples, draw_point_sets,
+                          linear_cells, random_complex, run_grid,
+                          run_linear_cell, run_stab_fixture,
                           sample_plane_adversarial, sample_plane_random,
                           univariate_cells)
-from plstab.generic import GenericPool
+from plstab.generic import (GenericityError, GenericPool, _derived_seed,
+                            regeneration_pools)
 from plstab.ratmath import vec
 from plstab.simplicial import PLMap, SimplicialComplex, roberts_perturb
-from plstab.transversal import (NonStabCase, PlaneFamily, nonstab_case,
+from plstab.transversal import (NonStabCase, PlaneFamily, _flat, decide_stab,
+                                nonstab_case, stab_decide_univariate,
+                                stab_exists_linear, stab_search_general,
                                 stabbed_simplexes)
 
 F = Fraction
@@ -76,21 +80,23 @@ def test_run_linear_cell_clean():
 def test_run_stab_fixture_modes():
     fixture = {
         "name": "aligned",
-        "mode": "linear",
         "family": {"m": 3, "St": [], "ST": [1], "d": 1},
         "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
         "expect": "witness",
     }
     got = run_stab_fixture(fixture, GenericPool(0))
-    assert got["ok"] and got["status"] == "witness"
+    assert got["ok"] and (got["mode"], got["status"]) == ("linear", "witness")
     fixture["sets"] = [[["0", "0", "0"]], [["5", "0", "1"]]]
     got = run_stab_fixture(fixture, GenericPool(0))
     assert not got["ok"] and got["status"] == "infeasible"
+    # a mode key is read as a check on the decider the input selects
+    assert run_stab_fixture(dict(fixture, mode="linear"), GenericPool(0)) == got
+    with pytest.raises(ValueError, match="decided by 'linear'"):
+        run_stab_fixture(dict(fixture, mode="search"), GenericPool(0))
 
 
 def test_univariate_fixture_interval_answer_is_rechecked(monkeypatch):
     fixture = {
-        "mode": "univariate",
         "family": {"m": 3, "St": [], "ST": [1, 2], "d": 1},
         "sets": [[["0", "0", "0"], ["1", "0", "1"]],
                  [["0", "1", "0"], ["0", "0", "1"]],
@@ -99,6 +105,7 @@ def test_univariate_fixture_interval_answer_is_rechecked(monkeypatch):
     }
     got = run_stab_fixture(fixture, GenericPool(0))
     assert got["ok"] and got["status"] == "witness"
+    assert got["mode"] == "univariate"
     monkeypatch.setattr(transversal, "verify_interval_certificate",
                         lambda reduced, interval: False)
     got = run_stab_fixture(fixture, GenericPool(0))
@@ -108,13 +115,65 @@ def test_univariate_fixture_interval_answer_is_rechecked(monkeypatch):
 def test_run_grid_reports_fixture_violations():
     grid = {"fixtures": [{
         "name": "bad-expectation",
-        "mode": "linear",
         "family": {"m": 3, "St": [], "ST": [1], "d": 1},
         "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
         "expect": "infeasible",
     }]}
     report = run_grid(grid, 1, GenericPool(0))
     assert len(report["violations"]) == 1
+
+
+@pytest.mark.parametrize("change", [{"budgte": 3}, {"expect": "witnes"},
+                                    {"budget": -1}])
+def test_run_grid_checks_every_fixture_before_any_cell(monkeypatch, change):
+    def no_cells(m_max, n_max):
+        raise AssertionError("cells enumerated before the fixtures' check")
+
+    monkeypatch.setattr(batch, "linear_cells", no_cells)
+    fixture = {"family": {"m": 3, "St": [], "ST": [1], "d": 1},
+               "sets": [[["0", "0", "0"]], [["5", "0", "0"]]], **change}
+    with pytest.raises(ValueError):
+        run_grid({"suites": [{"kind": "linear"}], "fixtures": [fixture]}, 1,
+                 GenericPool(0))
+
+
+def _first_certified_draw(key: str, n_list, m: int):
+    for pool in regeneration_pools(GenericPool(_derived_seed("regime", key))):
+        sets, cert = draw_point_sets(pool, n_list, m)
+        if cert.ok:
+            return sets
+    raise GenericityError(f"no certified draw for {key}")
+
+
+def test_decide_stab_picks_the_decider_from_the_input():
+    # Every linear and univariate sweep cell at m <= 4, n <= 2 on one
+    # certified draw, and q = d-t+3 segments for every (m, d, t, T) with
+    # m <= 3: linear answers q <= d-t+1, univariate answers q = d-t+2 on a
+    # constraint flat that is a line, the search answers everything else,
+    # and the report's status is that decider's.
+    cases = [(c.key(), c.n_list, _cell_family(c))
+             for c in linear_cells(4, 2) + univariate_cells(4, 2)]
+    cases += [(f"q=d-t+3:{m}:{d}:{t}:{T}", (1,) * (d - t + 3),
+               PlaneFamily(m, tuple(range(1, t + 1)), tuple(range(1, T + 1)),
+                           d))
+              for m, d, t, T in _regime_tuples(3)]
+    seen = set()
+    for key, n_list, family in cases:
+        sets = _first_certified_draw(key, n_list, family.m)
+        pool = GenericPool(_derived_seed("search", key))
+        q, free = len(sets), family.d - family.t
+        flat = _flat(sets, family)
+        got = decide_stab(sets, family, 20, pool)
+        if q <= free + 1:
+            mode, want = "linear", stab_exists_linear(sets, family)
+        elif q == free + 2 and flat is not None and len(flat[1]) == 1:
+            mode, want = "univariate", stab_decide_univariate(sets, family)
+        else:
+            mode, want = "search", stab_search_general(sets, family, 20, pool)
+        assert (got["mode"], got["status"]) == (mode, want.status), key
+        assert want.status != "not_applicable"
+        seen.add(mode)
+    assert seen == {"linear", "univariate", "search"}
 
 
 def test_plane_samplers_return_family_members():

@@ -2,8 +2,10 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -83,9 +85,15 @@ def test_unknown_verb_exit_2(capsys):
     assert "frobnicate" in _one_parse_error_report(capsys, ["frobnicate"])
 
 
-@pytest.mark.parametrize("argv", [["stab", "--mode", "linear"], []])
+@pytest.mark.parametrize("argv", [["stab"], []])
 def test_missing_required_flag_exit_2(capsys, argv):
     assert "required" in _one_parse_error_report(capsys, argv)
+
+
+def test_stab_mode_flag_is_unrecognized_exit_2(capsys):
+    error = _one_parse_error_report(capsys, [
+        "stab", "--family", "f.json", "--sets", "s.json", "--mode", "linear"])
+    assert "unrecognized arguments: --mode linear" in error
 
 
 def test_help_exits_zero(capsys):
@@ -94,6 +102,22 @@ def test_help_exits_zero(capsys):
     for verb in ("gen", "perturb", "bounds", "stab", "count", "section",
                  "cotype", "verify"):
         assert f"\n    {verb} " in out
+
+
+def test_readme_flags_match_the_verb_table():
+    # The README's verb table lists each verb's flags in the order of
+    # cli._VERBS, and a usage line of a verb passes only that verb's flags.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", text, re.M))
+    assert list(rows) == list(_VERBS)
+    usage = re.findall(r"^plstab (\w+) (.*)$", text, re.M)
+    assert {verb for verb, _ in usage} == set(_VERBS)
+    for verb, (_, _, flags) in _VERBS.items():
+        names = [f.name for f in flags]
+        assert re.findall(r"`(--\w+)`", rows[verb]) == names, verb
+        for used, line in usage:
+            if used == verb:
+                assert set(re.findall(r"--\w+", line)) <= set(names), line
 
 
 def test_requests_reuse_the_parser_built_at_import(monkeypatch):
@@ -105,8 +129,7 @@ def test_requests_reuse_the_parser_built_at_import(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    stab = _parse(["stab", "--family", "f.json", "--sets", "s.json",
-                   "--mode", "search"])
+    stab = _parse(["stab", "--family", "f.json", "--sets", "s.json"])
     bounds = _parse(["bounds", "--n", "2", "--m", "4", "--d", "1", "--t", "0",
                      "--T", "3"])
     with pytest.raises(CliError):
@@ -114,8 +137,7 @@ def test_requests_reuse_the_parser_built_at_import(monkeypatch):
     assert built == []
     # a reused parser keeps no flag of an earlier request
     assert vars(stab) == {"verb": "stab", "family": "f.json",
-                          "sets": "s.json", "mode": "search", "budget": 500,
-                          "seed": 0}
+                          "sets": "s.json", "budget": 500, "seed": 0}
     assert vars(bounds) == {"verb": "bounds", "n": 2, "m": 4, "d": 1, "t": 0,
                             "T": 3}
 
@@ -133,8 +155,8 @@ _OUT_OF_RANGE = {"--nmax": "must be >= 0", "--budget": "must be >= 0",
 @pytest.mark.parametrize("argv, flag", [
     (["count", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
       "--nmax", "-1"], "--nmax"),
-    (["stab", "--family", "f.json", "--sets", "s.json", "--mode", "search",
-      "--budget", "-1"], "--budget"),
+    (["stab", "--family", "f.json", "--sets", "s.json", "--budget", "-1"],
+     "--budget"),
     (["verify", "--grid", "grid.json", "--trials", "-1"], "--trials"),
     (["gen", "--vertices", "0", "--dim", "1", "--density", "1/2",
       "--out", "k.cx"], "--vertices"),
@@ -297,10 +319,10 @@ def test_stab_linear_infeasible_certified(capsys, tmp_path):
     fam = write(tmp_path, "f.json", E1_LINE_FAMILY)
     sets = write(tmp_path, "s.json",
                  {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "1"]]]})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "linear"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
+    assert result["mode"] == "linear"
     assert result["status"] == "infeasible"
     assert result["certified"] is True
 
@@ -309,8 +331,7 @@ def test_stab_linear_witness(capsys, tmp_path):
     fam = write(tmp_path, "f.json", E1_LINE_FAMILY)
     sets = write(tmp_path, "s.json",
                  {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "linear"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
     assert result["status"] == "witness"
@@ -323,9 +344,10 @@ def test_stab_search_finds_fixture(capsys, tmp_path):
     fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
     sets = write(tmp_path, "s.json", Z_AXIS_SETS)
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "search", "--budget", "500"])
+                                 "--budget", "500"])
     assert code == 0
     result = json.loads(out)["result"]
+    assert result["mode"] == "search"
     assert result["status"] == "witness"
     assert result["certified"] is True
 
@@ -334,7 +356,7 @@ def test_stab_negative_budget_exit_2(capsys, tmp_path):
     fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
     sets = write(tmp_path, "s.json", Z_AXIS_SETS)
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "search", "--budget", "-5"])
+                                 "--budget", "-5"])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
 
@@ -343,10 +365,10 @@ def test_stab_univariate_no_stab(capsys, tmp_path):
     fam = write(tmp_path, "f.json", {"m": 2, "St": [], "ST": [1, 2], "d": 0})
     sets = write(tmp_path, "s.json",
                  {"m": 2, "sets": [[["0", "0"], ["2", "2"]], [["2", "0"]]]})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "univariate"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
+    assert result["mode"] == "univariate"
     assert result["status"] == "no_stab"
     assert result["certified"] is True
     assert result["reduced"] == ["1"]  # the two 1 x 1 minors are coprime
@@ -359,8 +381,7 @@ def test_stab_univariate_interval_answer(capsys, tmp_path):
         [["0", "1", "0"], ["0", "0", "1"]],
         [["1", "1", "0"], ["0", "-2", "1"]],
     ]})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "univariate"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
     assert result["status"] == "witness"
@@ -453,8 +474,7 @@ def test_stab_family_needs_json_integers_and_lists_exit_2(capsys, tmp_path, bad)
     fam = write(tmp_path, "f.json", dict(PLANE_FAMILY, **bad))
     sets = write(tmp_path, "s.json",
                  {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "linear"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
 
@@ -502,8 +522,7 @@ def test_stab_family_must_be_a_json_object_exit_2(capsys, tmp_path):
     fam = write(tmp_path, "f.json", [PLANE_FAMILY])
     sets = write(tmp_path, "s.json",
                  {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets,
-                                 "--mode", "linear"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 2
     report = json.loads(out)
     assert report["exit_code"] == 2
@@ -514,8 +533,7 @@ def _without(data, key):
     return {k: v for k, v in data.items() if k != key}
 
 
-_WITNESS_FIXTURE = {"name": "hand-aligned", "mode": "linear",
-                    "family": E1_LINE_FAMILY,
+_WITNESS_FIXTURE = {"name": "hand-aligned", "family": E1_LINE_FAMILY,
                     "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
                     "expect": "witness"}
 
@@ -525,10 +543,10 @@ _WITNESS_FIXTURE = {"name": "hand-aligned", "mode": "linear",
      ["section", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
       "--eps", "1"], "p.json: missing field 'basepoint'"),
     ({"f.json": _without(Z_AXIS_FAMILY, "d"), "s.json": Z_AXIS_SETS},
-     ["stab", "--family", "f.json", "--sets", "s.json", "--mode", "linear"],
+     ["stab", "--family", "f.json", "--sets", "s.json"],
      "f.json: missing field 'd'"),
     ({"f.json": Z_AXIS_FAMILY, "s.json": [1]},
-     ["stab", "--family", "f.json", "--sets", "s.json", "--mode", "linear"],
+     ["stab", "--family", "f.json", "--sets", "s.json"],
      "s.json: sets file must be a JSON dict, got [1]"),
     ({"grid.json": {"suites": [{"m_max": 2}]}},
      ["verify", "--grid", "grid.json", "--trials", "1"],
@@ -553,8 +571,7 @@ def test_missing_json_field_is_named_exit_2(capsys, tmp_path, monkeypatch,
 def test_verify_fixture_family_needs_json_integers_and_lists_exit_2(
         capsys, tmp_path, bad):
     grid = write(tmp_path, "grid.json", {"fixtures": [{
-        "name": "coerced", "mode": "linear",
-        "family": dict(PLANE_FAMILY, **bad),
+        "name": "coerced", "family": dict(PLANE_FAMILY, **bad),
         "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
         "expect": "witness",
     }]})
@@ -574,8 +591,7 @@ def test_stab_point_sets_need_lists_of_m_rational_strings_exit_2(
         capsys, tmp_path, sets):
     fam = write(tmp_path, "f.json", {"m": 2, "St": [], "ST": [1], "d": 1})
     path = write(tmp_path, "s.json", {"m": 2, "sets": sets})
-    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", path,
-                                 "--mode", "linear"])
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", path])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
 
@@ -585,8 +601,7 @@ def test_stab_point_sets_need_lists_of_m_rational_strings_exit_2(
 def test_verify_fixture_point_sets_need_m_coordinates_exit_2(capsys, tmp_path,
                                                              sets):
     grid = write(tmp_path, "grid.json", {"fixtures": [{
-        "name": "malformed", "mode": "linear",
-        "family": {"m": 2, "St": [], "ST": [1, 2], "d": 1},
+        "name": "malformed", "family": {"m": 2, "St": [], "ST": [1, 2], "d": 1},
         "sets": sets, "expect": "witness",
     }]})
     code, out = run_cli(capsys, ["verify", "--grid", grid,
@@ -598,7 +613,7 @@ def test_verify_fixture_point_sets_need_m_coordinates_exit_2(capsys, tmp_path,
 @pytest.mark.parametrize("budget", ["300", 2.9, True, -1])
 def test_verify_fixture_budget_must_be_a_counting_integer_exit_2(
         capsys, tmp_path, budget):
-    fixture = {"name": "search", "mode": "search", "family": Z_AXIS_FAMILY,
+    fixture = {"name": "search", "family": Z_AXIS_FAMILY,
                "sets": Z_AXIS_SETS["sets"], "budget": budget,
                "expect": "witness"}
     grid = write(tmp_path, "grid.json", {"fixtures": [fixture]})
@@ -608,6 +623,26 @@ def test_verify_fixture_budget_must_be_a_counting_integer_exit_2(
     report = json.loads(out)
     assert report["exit_code"] == 2
     assert "budget must be an integer >= 0" in report["error"]
+
+
+# a fixture's input errors are exit 2, never a violation (exit 1): an
+# expectation no decider answers, a key outside the fixture format, and a
+# mode key naming another decider than the one the input selects
+@pytest.mark.parametrize("change, error", [
+    ({"expect": "witnes"}, "fixture expect must be one of witness, "
+                           "infeasible, no_stab, not_found, got 'witnes'"),
+    ({"budgte": 3}, "unknown fixture key 'budgte'"),
+    ({"mode": "search"},
+     "fixture mode 'search', but the input is decided by 'linear'"),
+], ids=["expect", "key", "mode"])
+def test_verify_fixture_input_errors_exit_2(capsys, tmp_path, change, error):
+    grid = write(tmp_path, "grid.json",
+                 {"fixtures": [dict(_WITNESS_FIXTURE, **change)]})
+    code = main(["verify", "--grid", grid, "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert (report["exit_code"], report["error"]) == (2, f"{grid}: {error}")
 
 
 def test_section_report(capsys, tmp_path):
@@ -753,8 +788,7 @@ def test_verify_expected_witness_fixture_exit_0(capsys, tmp_path):
 
 def test_verify_violation_exit_1(capsys, tmp_path):
     grid = write(tmp_path, "grid.json", {"fixtures": [{
-        "name": "should-miss-but-hits", "mode": "linear",
-        "family": E1_LINE_FAMILY,
+        "name": "should-miss-but-hits", "family": E1_LINE_FAMILY,
         "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
         "expect": "infeasible",
     }]})
@@ -769,8 +803,8 @@ def test_verify_violation_exit_1(capsys, tmp_path):
 def test_reports_byte_identical(capsys, tmp_path):
     fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
     sets = write(tmp_path, "s.json", Z_AXIS_SETS)
-    argv = ["stab", "--family", fam, "--sets", sets, "--mode", "search",
-            "--budget", "300", "--seed", "7"]
+    argv = ["stab", "--family", fam, "--sets", sets, "--budget", "300",
+            "--seed", "7"]
     _, first = run_cli(capsys, argv)
     _, second = run_cli(capsys, argv)
     assert first == second
@@ -832,8 +866,6 @@ def _fuzz_value(data, tmp_path, flag) -> str:
     if flag.kind is int:
         top = _FUZZ_INT_MAX.get(flag.name, 6)
         return str(data.draw(st.integers(0, top)))
-    if isinstance(flag.kind, tuple):
-        return data.draw(st.sampled_from(flag.kind))
     return data.draw(st.sampled_from(_FUZZ_RATIONALS))
 
 
