@@ -13,7 +13,8 @@ from .transversal import (BoundResult, ConcretePlane, NonStabCase, PlaneFamily,
                           StabDecision, StabWitness, max_disjoint_stabbed,
                           nonstab_case, plane_through, stab_bound,
                           stab_decide_univariate, stab_exists_linear,
-                          stab_search_general, verify_stab_witness)
+                          stab_regime, stab_search_general,
+                          verify_stab_witness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -19,10 +19,11 @@ from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex
-from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _flat,
-                          _typed, decide_stab, family_from_json_dict,
-                          nonstab_case, plane_through, sets_from_json,
-                          stab_decide_univariate, stab_exists_linear)
+from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _typed,
+                          decide_stab, family_from_json_dict, nonstab_case,
+                          plane_through, sets_from_json,
+                          stab_decide_univariate, stab_exists_linear,
+                          stab_regime)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -77,7 +78,8 @@ def univariate_cells(m_max: int, n_max: int) -> list[SweepCell]:
     The variable count predicts a one-dimensional flat only when the
     constraint rows are generically independent (singleton-heavy tuples can
     make them inconsistent instead), so each candidate is probed with one
-    certified draw and kept only if the decision actually applies there.
+    draw and kept only if it is certified and
+    :func:`~plstab.transversal.stab_regime` selects ``univariate`` there.
     """
     out = []
     for m, d, t, T in _regime_tuples(m_max):
@@ -89,18 +91,12 @@ def univariate_cells(m_max: int, n_max: int) -> list[SweepCell]:
             if nonstab_case(n_list, m, d, t, T) is NonStabCase.INCONCLUSIVE:
                 continue
             cell = SweepCell("univariate", m, d, t, T, n_list)
-            if _univariate_probe(cell):
+            pool = GenericPool(_derived_seed("probe", cell.key()))
+            sets, cert = draw_point_sets(pool, n_list, m)
+            if cert.ok and (stab_regime(sets, _cell_family(cell))[0]
+                            == "univariate"):
                 out.append(cell)
     return out
-
-
-def _univariate_probe(cell: SweepCell) -> bool:
-    pool = GenericPool(_derived_seed("probe", cell.key()))
-    sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
-    if not cert.ok:
-        return False
-    sol = _flat(sets, _cell_family(cell))
-    return sol is not None and len(sol[1]) == 1
 
 
 def _cell_family(cell: SweepCell) -> PlaneFamily:
@@ -139,21 +135,22 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
 def _run_cell(cell: SweepCell, trials: int, base_pool: GenericPool, decide,
               negative: str, kind: str) -> list[dict]:
     """Decide each trial on its first certified draw, in regeneration order,
-    to which the decider applies; a status other than the exact negative
-    one is a violation of the given kind."""
+    that :func:`~plstab.transversal.stab_regime` sends to the cell's suite,
+    on the flat it solved; a status other than the exact negative one is a
+    violation of the given kind."""
     family = _cell_family(cell)
     violations = []
     for trial in range(trials):
         for pool in regeneration_pools(base_pool.derive(trial)):
             sets, cert = draw_point_sets(pool, cell.n_list, cell.m)
             if cert.ok:
-                decision = decide(sets, family)
-                if decision.status != "not_applicable":
+                mode, flat = stab_regime(sets, family)
+                if mode == cell.suite:
                     break
         else:
             raise GenericityError(
                 f"no applicable certified draw for {cell.key()} trial {trial}")
-        if decision.status != negative:
+        if decide(sets, family, flat).status != negative:
             violations.append({"cell": cell.key(), "trial": trial,
                                "seed": pool.seed, "kind": kind})
     return violations
@@ -168,7 +165,8 @@ def run_linear_cell(cell: SweepCell, trials: int,
 
 def run_univariate_cell(cell: SweepCell, trials: int,
                         base_pool: GenericPool) -> list[dict]:
-    """Exact univariate nonstab check; inapplicable draws are regenerated."""
+    """Exact univariate nonstab check; draws whose constraint flat is not a
+    line are regenerated."""
     return _run_cell(cell, trials, base_pool, stab_decide_univariate,
                      "no_stab", "unexpected stab in the exact univariate regime")
 
@@ -255,14 +253,25 @@ def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
 
 _FIXTURE_KEYS = ("name", "family", "sets", "budget", "expect", "mode")
 _FIXTURE_EXPECTS = ("witness", "infeasible", "no_stab", "not_found")
+_SUITE_KEYS = ("kind", "m_max", "n_max")
+_GRID_KEYS = ("suites", "fixtures")
+
+
+def _known_keys(data, keys: Sequence[str], what: str) -> dict:
+    """data, once it is a JSON object whose every key is one of keys."""
+    for key in _typed(data, dict, what):
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}")
+    return data
 
 
 def _checked_fixture(fixture) -> dict:
-    """The fixture, once it is a JSON object with no unknown key, an
-    ``expect`` that some decider answers and a valid ``budget``."""
-    for key in _typed(fixture, dict, "fixture"):
-        if key not in _FIXTURE_KEYS:
-            raise ValueError(f"unknown fixture key {key!r}")
+    """The fixture, once it is a JSON object with no unknown key, a string
+    ``name`` if any, an ``expect`` that some decider answers and a valid
+    ``budget``."""
+    _known_keys(fixture, _FIXTURE_KEYS, "fixture")
+    if "name" in fixture:
+        _typed(fixture["name"], str, "fixture name")
     expect = fixture.get("expect")
     if expect is not None and expect not in _FIXTURE_EXPECTS:
         raise ValueError(f"fixture expect must be one of "
@@ -275,12 +284,13 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
     """Run one stab fixture and compare with its expectation.
 
     Keys: family (JSON dict), sets (list of point lists of rational text),
-    optional name, expect (witness | infeasible | no_stab | not_found) and
-    budget (a JSON integer >= 0, default 500, read when the search runs);
-    any other key but ``mode`` is an input error.  The result's ``mode``
-    names the decider :func:`~plstab.transversal.decide_stab` picked, and a
-    fixture's own ``mode`` must name it too.  A witness or isolating
-    interval that fails its exact re-check reads invalid_witness.
+    optional name (a JSON string), expect (witness | infeasible | no_stab |
+    not_found) and budget (a JSON integer >= 0, default 500, read when the
+    search runs); any other key but ``mode`` is an input error.  The
+    result's ``mode`` names the decider that
+    :func:`~plstab.transversal.stab_regime` picked, and a fixture's own
+    ``mode`` must name it too.  A witness or isolating interval that fails
+    its exact re-check reads invalid_witness.
     """
     _checked_fixture(fixture)
     family = family_from_json_dict(fixture["family"])
@@ -317,17 +327,18 @@ def _json_count(data: dict, key: str, default: int, least: int,
 def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
-    Every suite's kind and bounds, the type of every suite and fixture
-    entry, and each fixture's keys, expect and budget are checked before
-    any cell is enumerated.
+    The grid's keys, every suite's keys, kind and bounds, the type of every
+    suite and fixture entry, and each fixture's keys, name, expect and
+    budget are checked before any cell is enumerated.
     Returns a report dict with per-cell summaries and the flat violation
     list; the caller maps a nonempty violation list to exit code 1.
     """
     runners = {"linear": (linear_cells, run_linear_cell),
                "univariate": (univariate_cells, run_univariate_cell)}
+    _known_keys(grid, _GRID_KEYS, "grid")
     suites = []
     for suite in _typed(grid.get("suites", []), list, "suites"):
-        kind = _typed(suite, dict, "suite")["kind"]
+        kind = _known_keys(suite, _SUITE_KEYS, "suite")["kind"]
         m_max = _json_count(suite, "m_max", 4, least=1, most=SUITE_M_MAX)
         n_max = _json_count(suite, "n_max", 2, least=0, most=SUITE_N_MAX)
         if kind not in runners:

@@ -5,28 +5,18 @@ s_t subset of s_T, and the plane dimension d; a member plane's direction
 space must contain the s_t coordinate axes and stay inside the span of the
 s_T axes.  This module provides:
 
-* the exact rational ceiling on how many disjoint sets one family member
-  can stab, in both counting regimes, with its integer part;
-* the case predicate telling which counting inequality forbids a common
-  transversal for given set sizes;
-* the one plane-membership test (:func:`stabbed_simplexes`): which simplex
-  images meet a concrete plane, with the barycentric vertices of each
-  piece, from one exact solve per face that the covector bracket keeps;
-  count and both section builders read it, and no LP runs;
-* the exact stabbing decision in the linear regime (q <= d-t+1), where
-  absence is a certificate of nonexistence;
-* the exact univariate decision on one-parameter constraint flats, via the
-  gcd of the maximal minors of the projected difference matrix and
-  Sturm's theorem;
-* a float-free heuristic search for transversals outside those regimes
-  (verified witnesses only; ``not_found`` is never evidence);
-* one decision type for all three deciders (:class:`StabDecision`), and one
-  stab decision (:func:`decide_stab`) that picks the decider from the
-  number of sets and the constraint flat and formats its answer as report
-  fields, re-verifying every witness and isolating interval;
-* the exact maximum number of pairwise vertex-disjoint stabbed simplexes of
-  a PL image, by branch and bound, with the returned family re-checked
-  exactly.
+* the exact counting ceiling (:func:`stab_bound`) and case predicate
+  (:func:`nonstab_case`);
+* the one plane-membership test (:func:`stabbed_simplexes`): one exact
+  solve per face that the covector bracket keeps, no LP;
+* one stab decision (:func:`decide_stab`): the regime rule
+  (:func:`stab_regime`) solves the constraint flat once and picks the
+  exact linear decider, the exact univariate decider (gcd of the maximal
+  minors, Sturm) or the heuristic search (``not_found`` is never
+  evidence); all three return a :class:`StabDecision`, and every witness
+  and isolating interval is re-verified;
+* the exact maximum family of pairwise vertex-disjoint stabbed simplexes
+  of a PL image, by branch and bound, re-checked exactly.
 """
 
 from __future__ import annotations
@@ -232,7 +222,7 @@ def nonstab_case(n_list: Sequence[int], m: int, d: int, t: int, T: int) -> NonSt
 
 
 # ---------------------------------------------------------------------------
-# Witnesses and the linear-regime exact decision.
+# Witnesses, the regime rule and the linear-regime exact decision.
 
 @dataclass(frozen=True)
 class StabWitness:
@@ -249,10 +239,9 @@ class StabDecision:
 
     ``status`` is ``witness`` (with a ``witness``, or an isolating
     ``interval`` of a root of ``reduced``), ``infeasible`` (linear),
-    ``not_found`` (search) or ``no_stab`` / ``not_applicable`` (univariate).
-    The univariate decider keeps ``reduced`` on every applicable answer and
-    the search its int ``evaluations`` on every answer; both stay None
-    elsewhere.
+    ``not_found`` (search) or ``no_stab`` (univariate).  The univariate
+    decider keeps ``reduced`` and the search its int ``evaluations`` on
+    every answer; both stay None elsewhere.
     """
 
     status: str
@@ -285,14 +274,16 @@ def verify_stab_witness(witness: StabWitness, point_sets: Sequence[Sequence[Vec]
     return True, checks
 
 
-def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
-          ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
-    """The constraint flat of the stacked lambda, as :func:`solve_affine`
-    returns it (a point and a direction basis), or None when it is empty.
+# A constraint flat as solve_affine returns it: a point and a direction basis.
+Flat = Optional[tuple[Vec, tuple[Vec, ...]]]
+
+
+def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily) -> Flat:
+    """The constraint flat of the stacked lambda, or None when it is empty.
 
     Its rows say that each set's coefficients sum to 1 and that the met
-    points y_i - y_1 vanish outside s_T.  Every stab decision starts here,
-    so the nonempty check on the point sets comes first in each of them.
+    points y_i - y_1 vanish outside s_T.  Only :func:`stab_regime` solves
+    it, so every stab decision checks the point sets here first.
     """
     if not point_sets or any(not ps for ps in point_sets):
         raise ValueError("need nonempty point sets")
@@ -316,6 +307,22 @@ def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
             rows.append(row)
             rhs.append(_ZERO)
     return solve_affine(rows, rhs)
+
+
+def stab_regime(point_sets: Sequence[Sequence[Vec]],
+                family: PlaneFamily) -> tuple[str, Flat]:
+    """The decider the input selects, by name, and the constraint flat it
+    runs on: ``linear`` when the flat is empty (a family member's points
+    agree outside s_T, so none meets every hull, whatever q is) or
+    q <= d-t+1, ``univariate`` when q = d-t+2 and the flat is a line,
+    ``search`` for every other input."""
+    flat = _flat(point_sets, family)
+    q, free = len(point_sets), family.d - family.t
+    if flat is None or q <= free + 1:
+        return "linear", flat
+    if q == free + 2 and len(flat[1]) == 1:
+        return "univariate", flat
+    return "search", flat
 
 
 def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
@@ -347,21 +354,14 @@ def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
 
 
 def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
-                       family: PlaneFamily) -> StabDecision:
-    """Exact decision for q <= d-t+1 sets: ``witness`` or ``infeasible``.
-
-    In this regime a family member meets every affine hull iff the linear
-    system (coefficients summing to 1, differences of the met points
-    vanishing outside s_T) is solvable, so absence certifies nonexistence.
-    """
-    sol = _flat(point_sets, family)
-    if len(point_sets) > family.d - family.t + 1:
-        raise ValueError("too many sets for the linear regime; "
-                         "use stab_search_general")
-    if sol is None:
+                       family: PlaneFamily, flat: Flat) -> StabDecision:
+    """Exact ``witness`` or ``infeasible`` in the linear regime of
+    :func:`stab_regime`, where a family member meets every affine hull iff
+    the constraint flat is nonempty, so absence certifies nonexistence."""
+    if flat is None:
         return StabDecision("infeasible")
     return StabDecision("witness", _witness_from_lambda(point_sets, family,
-                                                        sol[0]))
+                                                        flat[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +436,8 @@ def verify_interval_certificate(reduced: Sequence[int],
 
 
 def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
-                           family: PlaneFamily) -> StabDecision:
-    """Exact decision when q = d-t+2 and the constraint flat is one-dimensional.
+                           family: PlaneFamily, flat: Flat) -> StabDecision:
+    """Exact decision for q = d-t+2 sets whose constraint ``flat`` is a line.
 
     On the flat a family member meets every affine hull exactly where the
     projected difference matrix drops rank, that is, by Cauchy-Binet, at the
@@ -448,15 +448,11 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
     by Sturm's theorem, on one chain of the gcd's square-free part, and
     returns the witness root or isolating interval from the same chain.
     """
-    fam = family
-    sol = _flat(point_sets, fam)
-    if (len(point_sets) != fam.d - fam.t + 2 or sol is None
-            or len(sol[1]) != 1):
-        return StabDecision("not_applicable")
-    base_lambda, (direction,) = sol
-    rows = _projected_difference_polys(point_sets, fam, base_lambda, direction)
+    base_lambda, (direction,) = flat
+    rows = _projected_difference_polys(point_sets, family, base_lambda,
+                                       direction)
     gcd: list[int] = []
-    for cols in itertools.combinations(range(len(fam.block)), len(rows)):
+    for cols in itertools.combinations(range(len(family.block)), len(rows)):
         gcd = _poly_gcd(gcd, _poly_det([[row[c] for c in cols] for row in rows]))
         if len(gcd) == 1:
             break  # a constant gcd: the minors have no common root
@@ -466,9 +462,9 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
         return StabDecision("no_stab", reduced=reduced)
     if isinstance(found, tuple):
         return StabDecision("witness", interval=found, reduced=reduced)
-    flat = vec(b + found * w for b, w in zip(base_lambda, direction))
-    return StabDecision("witness", _witness_from_lambda(point_sets, fam, flat),
-                        reduced=reduced)
+    lam = vec(b + found * w for b, w in zip(base_lambda, direction))
+    return StabDecision("witness", _witness_from_lambda(point_sets, family,
+                                                        lam), reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -479,25 +475,20 @@ _SNAP_DENOMINATORS = (8, 64, 1024, 32768)
 
 
 def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
-                        budget: int, pool: GenericPool) -> StabDecision:
-    """Heuristic transversal search for q > d-t+1 sets.
+                        flat: Flat, budget: int,
+                        pool: GenericPool) -> StabDecision:
+    """Heuristic search for q > d-t+1 sets on a nonempty constraint ``flat``.
 
     Descends on the Gram determinant of the projected differences (read by
-    :func:`~plstab.ratmath.max_minor`) over the constraint flat, using
+    :func:`~plstab.ratmath.max_minor`) over the flat, using
     rational golden-section steps and random restarts; candidates are
     snapped to small rationals by continued fractions and only exactly
     verified witnesses are returned.  A ``not_found`` answer is
     inconclusive, never a nonexistence certificate.
     """
-    fam = family
-    sol = _flat(point_sets, fam)
-    if len(point_sets) <= fam.d - fam.t + 1:
-        raise ValueError("q <= d-t+1 is decided exactly; use stab_exists_linear")
-    if sol is None:
-        return StabDecision("not_found", evaluations=0)
-    base_lambda, basis = sol
-    cols = [c - 1 for c in fam.block]
-    needed_rank = fam.d - fam.t
+    base_lambda, basis = flat
+    cols = [c - 1 for c in family.block]
+    needed_rank = family.d - family.t
 
     def lambda_at(u: Sequence[Fraction]) -> Vec:
         lam = list(base_lambda)
@@ -525,7 +516,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
     def try_exact(u) -> Optional[StabWitness]:
         lam = lambda_at(u)
         if mat_rank(diff_rows(lam)) <= needed_rank:
-            return _witness_from_lambda(point_sets, fam, lam)
+            return _witness_from_lambda(point_sets, family, lam)
         return None
 
     k = len(basis)
@@ -594,13 +585,9 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
 
 def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
                 budget: int, pool: GenericPool) -> dict:
-    """One stab decision, by the decider the input selects, as report fields.
-
-    q <= d-t+1 sets go to :func:`stab_exists_linear`, more to
-    :func:`stab_decide_univariate` and, where it does not apply (q is not
-    d-t+2 or the constraint flat is not a line), to
-    :func:`stab_search_general` with ``budget`` and ``pool``.  ``mode``
-    names the decider that answered and ``status`` is its answer.  A
+    """One stab decision, by the decider :func:`stab_regime` picks (the
+    search with ``budget`` and ``pool``), on the flat it solved, as report
+    fields.  ``mode`` names the decider and ``status`` is its answer.  A
     witness comes with its lambdas, plane and met points, any other answer
     with empty ones and any interval and ``reduced`` polynomial it rests
     on; a search answer adds its ``evaluations``.  ``certified`` is the
@@ -608,13 +595,13 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
     (:func:`verify_interval_certificate`); ``infeasible`` and ``no_stab``
     are exact decisions, ``not_found`` is not.
     """
-    if len(point_sets) <= family.d - family.t + 1:
-        mode, got = "linear", stab_exists_linear(point_sets, family)
+    mode, flat = stab_regime(point_sets, family)
+    if mode == "linear":
+        got = stab_exists_linear(point_sets, family, flat)
+    elif mode == "univariate":
+        got = stab_decide_univariate(point_sets, family, flat)
     else:
-        mode, got = "univariate", stab_decide_univariate(point_sets, family)
-        if got.status == "not_applicable":
-            mode, got = "search", stab_search_general(point_sets, family,
-                                                      budget, pool)
+        got = stab_search_general(point_sets, family, flat, budget, pool)
     out: dict = {"mode": mode, "status": got.status}
     if got.evaluations is not None:
         out["evaluations"] = got.evaluations

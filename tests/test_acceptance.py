@@ -29,8 +29,8 @@ from plstab.sections import (PlanarSection, component_clusters,
 from plstab.simplicial import image_point, roberts_perturb
 from plstab.transversal import (ConcretePlane, PlaneFamily,
                                 max_disjoint_stabbed, stab_bound,
-                                stab_search_general, stabbed_simplexes,
-                                verify_stab_witness)
+                                stab_regime, stab_search_general,
+                                stabbed_simplexes, verify_stab_witness)
 
 F = Fraction
 
@@ -81,7 +81,9 @@ def test_univariate_regime_exact():
         [vec([0, 0, 1]), vec([0, 1, 1])],
         [vec([0, 0, 2]), vec([1, 1, 2])],
     ]
-    got = stab_search_general(sets, fam, budget=500, pool=GenericPool(0))
+    mode, flat = stab_regime(sets, fam)
+    assert mode == "search"
+    got = stab_search_general(sets, fam, flat, budget=500, pool=GenericPool(0))
     assert got.status == "witness"
     ok, checks = verify_stab_witness(got.witness, sets, fam)
     assert ok and checks >= 9

@@ -19,8 +19,8 @@ from plstab.ratmath import vec
 from plstab.simplicial import PLMap, SimplicialComplex, roberts_perturb
 from plstab.transversal import (NonStabCase, PlaneFamily, _flat, decide_stab,
                                 nonstab_case, stab_decide_univariate,
-                                stab_exists_linear, stab_search_general,
-                                stabbed_simplexes)
+                                stab_exists_linear, stab_regime,
+                                stab_search_general, stabbed_simplexes)
 
 F = Fraction
 
@@ -147,33 +147,44 @@ def _first_certified_draw(key: str, n_list, m: int):
 
 def test_decide_stab_picks_the_decider_from_the_input():
     # Every linear and univariate sweep cell at m <= 4, n <= 2 on one
-    # certified draw, and q = d-t+3 segments for every (m, d, t, T) with
-    # m <= 3: linear answers q <= d-t+1, univariate answers q = d-t+2 on a
-    # constraint flat that is a line, the search answers everything else,
-    # and the report's status is that decider's.
+    # certified draw, q = d-t+3 segments for every (m, d, t, T) with
+    # m <= 3, and two points that differ outside span(s_T): linear answers
+    # an empty constraint flat and q <= d-t+1, univariate answers q = d-t+2
+    # on a flat that is a line, the search answers everything else, and
+    # the report's status is that decider's.
     cases = [(c.key(), c.n_list, _cell_family(c))
              for c in linear_cells(4, 2) + univariate_cells(4, 2)]
     cases += [(f"q=d-t+3:{m}:{d}:{t}:{T}", (1,) * (d - t + 3),
                PlaneFamily(m, tuple(range(1, t + 1)), tuple(range(1, T + 1)),
                            d))
               for m, d, t, T in _regime_tuples(3)]
+    cases = [(key, _first_certified_draw(key, n_list, family.m), family)
+             for key, n_list, family in cases]
+    cases.append(("empty-flat", [[vec([0, 0, 0])], [vec([1, 0, 1])]],
+                  PlaneFamily(3, (), (1,), 0)))
     seen = set()
-    for key, n_list, family in cases:
-        sets = _first_certified_draw(key, n_list, family.m)
+    for key, sets, family in cases:
         pool = GenericPool(_derived_seed("search", key))
         q, free = len(sets), family.d - family.t
         flat = _flat(sets, family)
         got = decide_stab(sets, family, 20, pool)
-        if q <= free + 1:
-            mode, want = "linear", stab_exists_linear(sets, family)
-        elif q == free + 2 and flat is not None and len(flat[1]) == 1:
-            mode, want = "univariate", stab_decide_univariate(sets, family)
+        if flat is None or q <= free + 1:
+            mode, want = "linear", stab_exists_linear(sets, family, flat)
+        elif q == free + 2 and len(flat[1]) == 1:
+            mode, want = "univariate", stab_decide_univariate(sets, family,
+                                                              flat)
         else:
-            mode, want = "search", stab_search_general(sets, family, 20, pool)
+            mode, want = "search", stab_search_general(sets, family, flat, 20,
+                                                       pool)
         assert (got["mode"], got["status"]) == (mode, want.status), key
-        assert want.status != "not_applicable"
+        assert stab_regime(sets, family) == (mode, flat)
         seen.add(mode)
     assert seen == {"linear", "univariate", "search"}
+    # the last case has q = 2 = d-t+2, and no family member meets both
+    # points: an exact, certified infeasible, where the search once
+    # answered not_found
+    assert (got["mode"], got["status"], got["certified"], q) == (
+        "linear", "infeasible", True, free + 2)
 
 
 def test_plane_samplers_return_family_members():

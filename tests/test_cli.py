@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from plstab import batch
 from plstab.cli import _VERBS, CliError, _parse, main
 
 TWO_EDGES_COMPLEX = "v a\nv b\nv c\nv d\ns a b\ns c d\n"
@@ -352,6 +353,20 @@ def test_stab_search_finds_fixture(capsys, tmp_path):
     assert result["certified"] is True
 
 
+def test_stab_empty_flat_is_a_certified_linear_infeasible(capsys, tmp_path):
+    # q = 2 = d-t+2, but the two points differ outside span(s_T), so the
+    # constraint flat is empty and no family member meets both
+    fam = write(tmp_path, "f.json", {"m": 3, "St": [], "ST": [1], "d": 0})
+    sets = write(tmp_path, "s.json",
+                 {"m": 3, "sets": [[["0", "0", "0"]], [["1", "0", "1"]]]})
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["mode"], result["status"], result["certified"]) == (
+        "linear", "infeasible", True)
+    assert "evaluations" not in result
+
+
 def test_stab_negative_budget_exit_2(capsys, tmp_path):
     fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
     sets = write(tmp_path, "s.json", Z_AXIS_SETS)
@@ -634,7 +649,8 @@ def test_verify_fixture_budget_must_be_a_counting_integer_exit_2(
     ({"budgte": 3}, "unknown fixture key 'budgte'"),
     ({"mode": "search"},
      "fixture mode 'search', but the input is decided by 'linear'"),
-], ids=["expect", "key", "mode"])
+    ({"name": {"a": 1}}, "fixture name must be a JSON str, got {'a': 1}"),
+], ids=["expect", "key", "mode", "name"])
 def test_verify_fixture_input_errors_exit_2(capsys, tmp_path, change, error):
     grid = write(tmp_path, "grid.json",
                  {"fixtures": [dict(_WITNESS_FIXTURE, **change)]})
@@ -764,6 +780,26 @@ def test_verify_grid_entries_must_be_json_objects_exit_2(capsys, tmp_path,
     path = write(tmp_path, "grid.json", grid)
     code, out = run_cli(capsys, ["verify", "--grid", path,
                                  "--trials", "0", "--seed", "0"])
+    assert code == 2
+    assert json.loads(out)["error"] == f"{path}: {error}"
+
+
+@pytest.mark.parametrize("grid,error", [
+    ({"suites": [{"kind": "linear", "m_mx": 6, "n_max": 0}]},
+     "unknown suite key 'm_mx'"),
+    ({"suites": [{"kind": "linear", "m_max": 2}],
+      "fixture": [_WITNESS_FIXTURE]}, "unknown grid key 'fixture'"),
+], ids=["suite", "grid"])
+def test_verify_unknown_grid_and_suite_keys_exit_2(capsys, tmp_path,
+                                                   monkeypatch, grid, error):
+    # checked before any cell is enumerated, let alone run
+    def no_cells(m_max, n_max):
+        raise AssertionError("cells enumerated before the grid's check")
+
+    monkeypatch.setattr(batch, "linear_cells", no_cells)
+    path = write(tmp_path, "grid.json", grid)
+    code, out = run_cli(capsys, ["verify", "--grid", path,
+                                 "--trials", "1", "--seed", "0"])
     assert code == 2
     assert json.loads(out)["error"] == f"{path}: {error}"
 

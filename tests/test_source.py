@@ -163,3 +163,18 @@ def test_interval_recheck_does_not_run_the_isolation():
     assert "_isolate" not in called
     assert "_isolate" in defined
     assert "_isolate" in _transversal_calls("stab_decide_univariate")[0]
+
+
+def test_only_stab_regime_solves_the_constraint_flat():
+    # One regime rule: stab_regime alone solves the flat, batch asks it
+    # instead of solving its own, and no decider answers "not applicable".
+    defined = _transversal_calls("stab_regime")[1]
+    assert {name for name in defined
+            if "_flat" in _transversal_calls(name)[0]} == {"stab_regime"}
+    path = Path(plstab.__file__).with_name("batch.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "stab_regime" in imported and "_flat" not in imported
+    assert [path.name for path in Path(plstab.__file__).parent.glob("*.py")
+            if "not_applicable" in path.read_text(encoding="utf-8")] == []

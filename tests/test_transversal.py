@@ -22,7 +22,8 @@ from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
                                 nonstab_case, plane_from_json_dict,
                                 plane_through, plane_to_json_dict, stab_bound,
                                 stab_decide_univariate, stab_exists_linear,
-                                stab_search_general, stabbed_simplexes,
+                                stab_regime, stab_search_general,
+                                stabbed_simplexes,
                                 verify_interval_certificate,
                                 verify_stab_witness, _isolate)
 
@@ -270,14 +271,23 @@ def test_membership_sweep_matches_basic_solution_oracle():
     assert cases == 216
 
 
-# --- exact linear-regime decision ---------------------------------------------
+# --- the regime rule and the exact linear-regime decision ----------------------
 
 _LINE_IN_SPAN_E1 = PlaneFamily(3, (), (1,), 1)
 
 
+def _flat_in(mode, sets, family):
+    """The constraint flat stab_regime solves, once it sends the input to
+    the given mode."""
+    got, flat = stab_regime(sets, family)
+    assert got == mode
+    return flat
+
+
 def test_linear_single_set_always_stabbed():
     fam = PlaneFamily(3, (), (1, 2), 1)
-    got = stab_exists_linear([[vec([3, 4, 5]), vec([1, 1, 1])]], fam)
+    sets = [[vec([3, 4, 5]), vec([1, 1, 1])]]
+    got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
     assert got.status == "witness"
     w = got.witness
     assert verify_stab_witness(w, [[vec([3, 4, 5]), vec([1, 1, 1])]], fam)[0]
@@ -285,13 +295,15 @@ def test_linear_single_set_always_stabbed():
 
 def test_linear_infeasible_fixture():
     sets = [[vec([0, 0, 0])], [vec([5, 0, 1])]]
-    got = stab_exists_linear(sets, _LINE_IN_SPAN_E1)
+    got = stab_exists_linear(sets, _LINE_IN_SPAN_E1,
+                             _flat_in("linear", sets, _LINE_IN_SPAN_E1))
     assert got == StabDecision("infeasible")
 
 
 def test_linear_feasible_fixture():
     sets = [[vec([0, 0, 0])], [vec([5, 0, 0])]]
-    got = stab_exists_linear(sets, _LINE_IN_SPAN_E1)
+    got = stab_exists_linear(sets, _LINE_IN_SPAN_E1,
+                             _flat_in("linear", sets, _LINE_IN_SPAN_E1))
     assert got.status == "witness"
     w = got.witness
     ok, checks = verify_stab_witness(w, sets, _LINE_IN_SPAN_E1)
@@ -300,8 +312,14 @@ def test_linear_feasible_fixture():
 
 
 def test_linear_rejects_large_q():
-    with pytest.raises(ValueError):
-        stab_exists_linear([[vec([0, 0])]] * 3, PlaneFamily(2, (), (1,), 1))
+    # q = d-t+2 on a nonempty flat is not the linear regime: the flat of
+    # three equal points is a point, so the search decides; with an empty
+    # flat the linear decider takes every q, and its infeasible is exact
+    fam = PlaneFamily(2, (), (1,), 1)
+    assert stab_regime([[vec([0, 0])]] * 3, fam)[0] == "search"
+    sets = [[vec([0, 0])], [vec([0, 0])], [vec([0, 1])]]
+    got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
+    assert got == StabDecision("infeasible")
 
 
 from hypothesis import given, settings
@@ -318,7 +336,7 @@ def test_linear_answers_are_sound(raw_sets):
     # any witness re-verifies exactly; absence means the system is inconsistent
     fam = PlaneFamily(3, (), (1, 2), 1)
     sets = [[vec(p) for p in ps] for ps in raw_sets]
-    got = stab_exists_linear(sets, fam)
+    got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
     assert got.status in ("witness", "infeasible")
     witness = got.witness
     assert (witness is not None) == (got.status == "witness")
@@ -334,9 +352,14 @@ def test_linear_answers_are_sound(raw_sets):
 _POINT_FAMILY_2D = PlaneFamily(2, (), (1, 2), 0)
 
 
+def _univariate(sets, family):
+    return stab_decide_univariate(sets, family,
+                                  _flat_in("univariate", sets, family))
+
+
 def test_univariate_stab_with_rational_root():
     sets = [[vec([0, 0]), vec([2, 2])], [vec([1, 1])]]
-    got = stab_decide_univariate(sets, _POINT_FAMILY_2D)
+    got = _univariate(sets, _POINT_FAMILY_2D)
     assert got.status == "witness"
     assert got.witness is not None
     assert got.witness.points == (vec([1, 1]), vec([1, 1]))
@@ -344,7 +367,7 @@ def test_univariate_stab_with_rational_root():
 
 def test_univariate_no_stab():
     sets = [[vec([0, 0]), vec([2, 2])], [vec([2, 0])]]
-    got = stab_decide_univariate(sets, _POINT_FAMILY_2D)
+    got = _univariate(sets, _POINT_FAMILY_2D)
     assert got.status == "no_stab"
     assert got.reduced is not None
     # the reduced polynomial must indeed be rootless
@@ -352,16 +375,18 @@ def test_univariate_no_stab():
 
 
 def test_univariate_not_applicable_wrong_q():
+    # the univariate decision needs q = 2 in this family; stab_regime sends
+    # q = 1 to linear and q = 3, 4 (a flat that is a point) to the search
     sets = [[vec([0, 0])], [vec([1, 1])], [vec([2, 0])], [vec([3, 1])]]
-    for q in (1, 3, 4):  # the family needs q = 2
-        got = stab_decide_univariate(sets[:q], _POINT_FAMILY_2D)
-        assert got.status == "not_applicable"
+    assert [stab_regime(sets[:q], _POINT_FAMILY_2D)[0] for q in (1, 3, 4)] \
+        == ["linear", "search", "search"]
 
 
 def test_univariate_not_applicable_flat_dimension():
+    # q = 2, but a plane of lambdas: the search decides
     sets = [[vec([0, 0]), vec([2, 0]), vec([0, 2])], [vec([5, 5])]]
-    got = stab_decide_univariate(sets, _POINT_FAMILY_2D)
-    assert got.status == "not_applicable"
+    mode, flat = stab_regime(sets, _POINT_FAMILY_2D)
+    assert (mode, len(flat[1])) == ("search", 2)
 
 
 def test_univariate_stab_with_irrational_root_reports_interval():
@@ -373,7 +398,7 @@ def test_univariate_stab_with_irrational_root_reports_interval():
         [vec([0, 1, 0]), vec([0, 0, 1])],
         [vec([1, 1, 0]), vec([0, -2, 1])],
     ]
-    got = stab_decide_univariate(sets, fam)
+    got = _univariate(sets, fam)
     assert got.status == "witness"
     assert got.witness is None
     lo, hi = got.interval
@@ -407,8 +432,9 @@ def test_univariate_decision_builds_one_sturm_chain(monkeypatch):
     ]
     seen = []
     for sets, family in cases:
+        flat = _flat_in("univariate", sets, family)
         builds.clear()
-        got = stab_decide_univariate(sets, family)
+        got = stab_decide_univariate(sets, family, flat)
         seen.append((got.status, got.witness is not None, len(builds)))
     assert seen == [("witness", True, 1), ("no_stab", False, 1),
                     ("witness", False, 1)]
@@ -556,9 +582,12 @@ def test_univariate_decision_matches_gram_oracle(case):
     family, sets = case
     want, gram = univariate_by_gram(sets, family.m, family.s_t, family.s_T,
                                     family.d)
-    got = stab_decide_univariate(sets, family)
-    assert got.status == want
-    if want != "not_applicable":
+    mode, flat = stab_regime(sets, family)
+    # the oracle's not_applicable is a flat that is not a line
+    assert (mode == "univariate") == (want != "not_applicable")
+    if mode == "univariate":
+        got = stab_decide_univariate(sets, family, flat)
+        assert got.status == want
         # the gcd of the maximal minors has the real roots of the Gram
         # determinant, the sum of their squares
         assert (not got.reduced) == (not gram)
@@ -577,9 +606,14 @@ def _z_axis_fixture():
     return fam, sets
 
 
+def _search(sets, fam, budget, pool):
+    return stab_search_general(sets, fam, _flat_in("search", sets, fam),
+                               budget, pool)
+
+
 def test_search_finds_z_axis_transversal():
     fam, sets = _z_axis_fixture()
-    got = stab_search_general(sets, fam, budget=500, pool=GenericPool(0))
+    got = _search(sets, fam, budget=500, pool=GenericPool(0))
     assert got.status == "witness"
     ok, _ = verify_stab_witness(got.witness, sets, fam)
     assert ok
@@ -588,18 +622,21 @@ def test_search_finds_z_axis_transversal():
 
 def test_search_budget_zero():
     fam, sets = _z_axis_fixture()
-    got = stab_search_general(sets, fam, budget=0, pool=GenericPool(0))
+    got = _search(sets, fam, budget=0, pool=GenericPool(0))
     assert got == StabDecision("not_found", evaluations=0)
 
 
 def test_search_rejects_linear_regime():
+    # q <= d-t+1 is decided exactly, whatever the budget: no search runs
     fam = PlaneFamily(3, (), (1, 2), 1)
-    with pytest.raises(ValueError):
-        stab_search_general([[vec([0, 0, 0])]], fam, 10, GenericPool(0))
+    for sets in ([[vec([0, 0, 0])]], [[vec([0, 0, 0])], [vec([1, 1, 1])]]):
+        assert decide_stab(sets, fam, 10, GenericPool(0))["mode"] == "linear"
 
 
 def test_search_never_emits_false_witness_in_nonstab_regime():
-    # certified-generic draws in a case-I tuple: any Found would be a bug
+    # certified-generic draws in a case-I tuple: any witness would be a bug.
+    # Their constraint flat is empty, so the exact linear decider answers
+    # instead of the search, and its infeasible is certified.
     fam = PlaneFamily(5, (), (1,), 1)
     pool = GenericPool(77)
     stream = itertools.count()
@@ -611,8 +648,9 @@ def test_search_never_emits_false_witness_in_nonstab_regime():
                             for _ in range(5)]))
         sets.append(pts)
     assert nonstab_case([1, 1, 1], 5, 1, 0, 1) is NonStabCase.CASE_I
-    got = stab_search_general(sets, fam, budget=400, pool=pool)
-    assert got.status == "not_found" and got.witness is None
+    got = decide_stab(sets, fam, 400, pool)
+    assert (got["mode"], got["status"], got["certified"]) == (
+        "linear", "infeasible", True)
 
 
 # --- stab reports ----------------------------------------------------------------
@@ -686,42 +724,67 @@ def test_stab_report_fields_are_pinned(sets, family, budget, want):
     assert json.dumps(got, sort_keys=True) == want
 
 
-# --- input errors of the three deciders -------------------------------------
+# --- input errors of the stab decision ----------------------------------------
 
-_NONEMPTY = "need nonempty point sets"
-_TOO_MANY = "too many sets for the linear regime; use stab_search_general"
-_TOO_FEW = "q <= d-t+1 is decided exactly; use stab_exists_linear"
 _P = vec([0, 0])
 _D0 = PlaneFamily(2, (), (1,), 1)  # d - t = 1: linear up to q = 2
 
 
-def _search(sets, fam):
-    return stab_search_general(sets, fam, 10, GenericPool(0))
+def _through_regime(decider, *args):
+    """The decider as the stab decision runs it, on stab_regime's flat."""
+    return lambda sets, fam: decider(sets, fam, stab_regime(sets, fam)[1],
+                                     *args)
 
 
-# the emptiness check comes before every decider's check on q
-@pytest.mark.parametrize("decide, sets, message", [
-    (stab_exists_linear, [], _NONEMPTY),
-    (stab_exists_linear, [[]], _NONEMPTY),
-    (stab_exists_linear, [[_P], []], _NONEMPTY),
-    (stab_exists_linear, [[_P]] * 3, _TOO_MANY),
-    (stab_exists_linear, [[_P], [_P], []], _NONEMPTY),
-    (_search, [], _NONEMPTY),
-    (_search, [[]], _NONEMPTY),
-    (_search, [[_P]], _TOO_FEW),
-    (_search, [[_P], [_P]], _TOO_FEW),
-    (_search, [[_P], []], _NONEMPTY),
-    (stab_decide_univariate, [], _NONEMPTY),
-    (stab_decide_univariate, [[]], _NONEMPTY),
-    (stab_decide_univariate, [[_P], [_P], [_P], []], _NONEMPTY),
-], ids=["linear-none", "linear-empty", "linear-one-empty", "linear-too-many",
+_LINEAR = _through_regime(stab_exists_linear)
+_SEARCH = _through_regime(stab_search_general, 10, GenericPool(0))
+_UNIVARIATE = _through_regime(stab_decide_univariate)
+
+
+# no decider checks the point sets itself: each takes its flat from
+# stab_regime, whose emptiness check comes first
+@pytest.mark.parametrize("decide, sets", [
+    (_LINEAR, []),
+    (_LINEAR, [[]]),
+    (_LINEAR, [[_P], []]),
+    (_LINEAR, [[_P], [_P], []]),
+    (_SEARCH, []),
+    (_SEARCH, [[]]),
+    (_SEARCH, [[_P], []]),
+    (_UNIVARIATE, []),
+    (_UNIVARIATE, [[]]),
+    (_UNIVARIATE, [[_P], [_P], [_P], []]),
+], ids=["linear-none", "linear-empty", "linear-one-empty",
         "linear-too-many-one-empty", "search-none", "search-empty",
-        "search-one-set", "search-too-few", "search-too-few-one-empty",
-        "univariate-none", "univariate-empty", "univariate-wrong-q-one-empty"])
-def test_decider_input_errors(decide, sets, message):
+        "search-too-few-one-empty", "univariate-none", "univariate-empty",
+        "univariate-wrong-q-one-empty"])
+def test_decider_input_errors(decide, sets):
     with pytest.raises(ValueError) as info:
         decide(sets, _D0)
-    assert str(info.value) == message
+    assert str(info.value) == "need nonempty point sets"
+
+
+def test_decide_stab_solves_the_constraint_flat_once(monkeypatch):
+    # stab_regime solves the flat and the decider it picks runs on it: one
+    # solve_affine per decision, on one input per mode
+    calls = []
+    solve = transversal.solve_affine
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(transversal, "solve_affine", counting)
+    cases = [([[vec([0, 0, 0])], [vec([5, 0, 0])]], _PLANE_E1, 0),
+             ([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]], _POINT_FAMILY_2D, 0),
+             (_Z_SETS, PlaneFamily(3, (), (1, 2, 3), 1), 500)]
+    seen = []
+    for sets, family, budget in cases:
+        calls.clear()
+        got = decide_stab(sets, family, budget, GenericPool(0))
+        seen.append((got["mode"], got["status"], len(calls)))
+    assert seen == [("linear", "witness", 1), ("univariate", "witness", 1),
+                    ("search", "witness", 1)]
 
 
 # --- counting disjoint stabbed simplexes ------------------------------------
