@@ -6,8 +6,9 @@ coordinates are drawn from per-stream cosets q + r_i whose offsets r_i are
 restored per run: every determinant or pivot a computation relied on is
 recorded and certified nonzero after the fact.
 
-A pool is stateful (per-stream draw counters) and must be confined to one
-task; certificates are immutable and freely shareable.
+A pool is stateful (per-stream draw counters, and an offset-candidate memo
+it shares with the pools derived from it) and must be confined, with those
+pools, to one task; certificates are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -84,19 +85,41 @@ class GenericPool:
     """Seeded source of generic rational coordinates.
 
     Stream i owns a fixed offset r_i with 64-bit numerator and an odd
-    denominator above 2**62; the same (seed, stream) always yields the same
-    offset and distinct streams yield distinct offsets.
+    denominator above 2**62, and distinct streams of one pool yield
+    distinct offsets.  The offset is the stream's first candidate
+    (seed, stream, attempt) with attempt = 0, 1, ... that differs from the
+    offsets the pool already handed out.  So the offset is a function of
+    (seed, stream) alone, except on a collision of candidates, where it
+    also depends on which streams that pool drew earlier.
+
+    Candidates are a pure function of (seed, stream, attempt) and are kept
+    in a memo that a root pool creates and that every pool :meth:`derive`
+    and :func:`regeneration_pools` make from it shares: a root and all
+    pools derived from it belong to one task.  The memo grows by one entry
+    of about 270 bytes per (seed, stream, attempt) drawn.  A verify grid
+    cell draws at most 66 streams per pool (m_max 6, n_max 3) and every
+    cell derives trial t's pool from the same (seed, t), so a grid adds at
+    most 66 entries, about 18 KB, per trial pool it draws from, however
+    many cells reuse them.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._offsets: dict[int, Fraction] = {}
         self._counters: dict[int, int] = {}
-        self._offset_values: set[Fraction] = set()
+        # reduced (numerator, denominator) of every offset handed out
+        self._offset_values: set[tuple[int, int]] = set()
+        self._candidates: dict[tuple[int, int, int], Fraction] = {}
+
+    def _sibling(self, seed: int) -> "GenericPool":
+        """Fresh pool seeded ``seed`` that shares this pool's candidate memo."""
+        pool = GenericPool(seed)
+        pool._candidates = self._candidates
+        return pool
 
     def derive(self, index: int) -> "GenericPool":
         """Child pool for an independent trial; pure function of (seed, index)."""
-        return GenericPool(_derived_seed(self.seed, "trial", index))
+        return self._sibling(_derived_seed(self.seed, "trial", index))
 
     def offset(self, stream: int) -> Fraction:
         r = self._offsets.get(stream)
@@ -104,14 +127,18 @@ class GenericPool:
             return r
         attempt = 0
         while True:
-            num = _u64(self.seed, f"num:{stream}:{attempt}", 1, 2 ** 64 - 1)
-            den = _u64(self.seed, f"den:{stream}:{attempt}", 2 ** 62 + 1, 2 ** 64 - 1) | 1
-            r = Fraction(num, den)
-            if r not in self._offset_values:
+            key = (self.seed, stream, attempt)
+            r = self._candidates.get(key)
+            if r is None:
+                num = _u64(self.seed, f"num:{stream}:{attempt}", 1, 2 ** 64 - 1)
+                den = _u64(self.seed, f"den:{stream}:{attempt}", 2 ** 62 + 1, 2 ** 64 - 1) | 1
+                r = self._candidates[key] = Fraction(num, den)
+            value = (r.numerator, r.denominator)
+            if value not in self._offset_values:
                 break
             attempt += 1
         self._offsets[stream] = r
-        self._offset_values.add(r)
+        self._offset_values.add(value)
         return r
 
     def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
@@ -163,7 +190,8 @@ class GenericPool:
 
 def regeneration_pools(pool: GenericPool) -> Iterator[GenericPool]:
     """The pools a certified draw tries in turn: ``pool`` itself, then fresh
-    pools seeded ``pool.seed + 1``, ..., up to ``REGEN_ATTEMPTS`` in all."""
+    pools seeded ``pool.seed + 1``, ..., up to ``REGEN_ATTEMPTS`` in all,
+    which share ``pool``'s candidate memo."""
     yield pool
     for attempt in range(1, REGEN_ATTEMPTS):
-        yield GenericPool(pool.seed + attempt)
+        yield pool._sibling(pool.seed + attempt)

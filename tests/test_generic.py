@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import draw_near_fraction
+from plstab import batch, generic
 from plstab.generic import (REGEN_ATTEMPTS, GenericPool, certify,
                             distinctness_transcript, regeneration_pools)
 
@@ -132,6 +133,106 @@ def test_derived_pools_differ_but_are_stable():
     assert c1.seed != c2.seed
     assert GenericPool(10).derive(0).seed == c1.seed
     assert c1.offset(0) != c2.offset(0)
+
+
+def _draws(pool, streams):
+    """stream -> (offset, first draw near s/3) in the given stream order."""
+    return {s: (pool.offset(s), pool.draw_near(F(s, 3), F(1, 5), s))
+            for s in streams}
+
+
+def test_pools_from_a_warm_root_draw_what_fresh_pools_draw():
+    # The candidate memo a root shares with the pools it derives is
+    # invisible: a derived or regenerated pool draws exactly what a fresh
+    # GenericPool of its seed draws, whichever order either visits streams.
+    root = GenericPool(77)
+    for trial in range(2):
+        for pool in regeneration_pools(root.derive(trial)):
+            _draws(pool, range(12))
+    for trial in range(2):
+        for pool in regeneration_pools(root.derive(trial)):
+            fresh = GenericPool(pool.seed)
+            assert _draws(pool, reversed(range(14))) == _draws(fresh, range(14))
+
+
+def _collide_stream_1_with_stream_0(monkeypatch):
+    """Make stream 1's attempt-0 candidate equal stream 0's; returns the
+    unpatched _u64."""
+    real = generic._u64
+
+    def u64(seed, tag, lo, hi):
+        kind, stream, attempt = tag.split(":")
+        if (stream, attempt) == ("1", "0"):
+            tag = f"{kind}:0:0"
+        return real(seed, tag, lo, hi)
+
+    monkeypatch.setattr(generic, "_u64", u64)
+    return real
+
+
+def test_offset_collision_takes_the_next_attempt(monkeypatch):
+    real = _collide_stream_1_with_stream_0(monkeypatch)
+    seed = GenericPool(6).derive(0).seed
+
+    def candidate(stream, attempt):
+        return F(real(seed, f"num:{stream}:{attempt}", 1, 2 ** 64 - 1),
+                 real(seed, f"den:{stream}:{attempt}", 2 ** 62 + 1,
+                      2 ** 64 - 1) | 1)
+
+    forward = _draws(GenericPool(6).derive(0), range(4))
+    backward = _draws(GenericPool(6).derive(0), reversed(range(4)))
+    assert len({offset for offset, _ in forward.values()}) == 4
+    assert len({offset for offset, _ in backward.values()}) == 4
+    # the stream drawn second of the colliding pair moves to attempt 1
+    assert forward[0][0] == candidate(0, 0)
+    assert forward[1][0] == candidate(1, 1)
+    assert backward[1][0] == candidate(0, 0)
+    assert backward[0][0] == candidate(0, 1)
+    # a memo warmed by either order gives every later pool the cold result
+    root = GenericPool(6)
+    _draws(root.derive(0), reversed(range(4)))
+    assert _draws(root.derive(0), range(4)) == forward
+    _draws(root.derive(0), range(4))
+    assert _draws(root.derive(0), reversed(range(4))) == backward
+
+
+def _count_u64(monkeypatch):
+    """Record the (seed, stream) of every _u64 call from here on."""
+    real = generic._u64
+    calls = []
+
+    def u64(seed, tag, lo, hi):
+        calls.append((seed, int(tag.split(":")[1])))
+        return real(seed, tag, lo, hi)
+
+    monkeypatch.setattr(generic, "_u64", u64)
+    return calls
+
+
+def test_a_second_cell_hashes_no_stream_the_first_cell_drew(monkeypatch):
+    calls = _count_u64(monkeypatch)
+    first, second = batch.linear_cells(4, 2)[:2]
+    root = GenericPool(31)
+    batch.run_linear_cell(first, 2, root)
+    drawn = set(calls)
+    calls.clear()
+    batch.run_linear_cell(second, 2, root)
+    warm = set(calls)
+    calls.clear()
+    batch.run_linear_cell(second, 2, GenericPool(31))
+    cold = set(calls)
+    assert drawn and cold & drawn
+    assert warm == cold - drawn
+
+
+def test_separately_built_pools_share_nothing(monkeypatch):
+    calls = _count_u64(monkeypatch)
+    _draws(GenericPool(9).derive(0), range(5))
+    _draws(GenericPool(9), range(5))
+    calls.clear()
+    _draws(GenericPool(9).derive(0), range(5))
+    _draws(GenericPool(9), range(5))
+    assert len(calls) == 2 * 10
 
 
 def test_eps_must_be_positive():

@@ -178,3 +178,25 @@ def test_only_stab_regime_solves_the_constraint_flat():
     assert "stab_regime" in imported and "_flat" not in imported
     assert [path.name for path in Path(plstab.__file__).parent.glob("*.py")
             if "not_applicable" in path.read_text(encoding="utf-8")] == []
+
+
+def test_no_process_wide_cache_in_library():
+    # Memoized state lives in objects that callers create and pass (a
+    # GenericPool's candidate memo), never in a functools cache that every
+    # call in the process shares.
+    caches = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "functools"}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{where} from functools import {alias.name}"
+                          for alias in node.names if alias.name in caches]
+            elif (isinstance(node, ast.Attribute) and node.attr in caches
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append(f"{where} functools.{node.attr}")
+    assert found == []
