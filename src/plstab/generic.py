@@ -6,9 +6,10 @@ coordinates are drawn from per-stream cosets q + r_i whose offsets r_i are
 restored per run: every determinant or pivot a computation relied on is
 recorded and certified nonzero after the fact.
 
-A pool is stateful (per-stream draw counters, and an offset-candidate memo
-it shares with the pools derived from it) and must be confined, with those
-pools, to one task; certificates are immutable and freely shareable.
+Every draw is a pure function of (seed, stream, target, eps).  A pool's
+only state is a memo of its offsets, which it shares with the pools derived
+from it, so it is confined, with those pools, to one task; certificates are
+immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -84,37 +85,31 @@ def _u64(seed: int, tag: str, lo: int, hi: int) -> int:
 class GenericPool:
     """Seeded source of generic rational coordinates.
 
-    Stream i owns a fixed offset r_i with 64-bit numerator and an odd
-    denominator above 2**62, and distinct streams of one pool yield
-    distinct offsets.  The offset is the stream's first candidate
-    (seed, stream, attempt) with attempt = 0, 1, ... that differs from the
-    offsets the pool already handed out.  So the offset is a function of
-    (seed, stream) alone, except on a collision of candidates, where it
-    also depends on which streams that pool drew earlier.
+    Stream i owns the offset r_i, a pure function of (seed, stream) with a
+    64-bit numerator and an odd denominator above 2**62.  Two streams may
+    share an offset: draws on them at the same dyadic point are then equal
+    coordinates, which the distinctness certificate rejects, and any other
+    degeneracy fails the same certificates, so the draw moves on to the next
+    of :func:`regeneration_pools`.  No certified answer rests on distinct
+    offsets.
 
-    Candidates are a pure function of (seed, stream, attempt) and are kept
-    in a memo that a root pool creates and that every pool :meth:`derive`
-    and :func:`regeneration_pools` make from it shares: a root and all
-    pools derived from it belong to one task.  The memo grows by one entry
-    of about 270 bytes per (seed, stream, attempt) drawn.  A verify grid
-    cell draws at most 66 streams per pool (m_max 6, n_max 3) and every
-    cell derives trial t's pool from the same (seed, t), so a grid adds at
-    most 66 entries, about 18 KB, per trial pool it draws from, however
-    many cells reuse them.
+    A root pool creates a memo of offsets keyed by (seed, stream), a cache
+    of that pure function, which every pool :meth:`derive` and
+    :func:`regeneration_pools` make from it shares, so they belong to one
+    task.  It holds about 270 bytes per (seed, stream) drawn: a verify grid
+    cell draws at most 66 streams per pool (m_max 6, n_max 3) and every cell
+    derives trial t's pool from the same (seed, t), so a grid adds at most
+    about 18 KB per trial pool, however many cells reuse it.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._offsets: dict[int, Fraction] = {}
-        self._counters: dict[int, int] = {}
-        # reduced (numerator, denominator) of every offset handed out
-        self._offset_values: set[tuple[int, int]] = set()
-        self._candidates: dict[tuple[int, int, int], Fraction] = {}
+        self._memo: dict[tuple[int, int], Fraction] = {}
 
     def _sibling(self, seed: int) -> "GenericPool":
-        """Fresh pool seeded ``seed`` that shares this pool's candidate memo."""
+        """Fresh pool seeded ``seed`` that shares this pool's offset memo."""
         pool = GenericPool(seed)
-        pool._candidates = self._candidates
+        pool._memo = self._memo
         return pool
 
     def derive(self, index: int) -> "GenericPool":
@@ -122,23 +117,12 @@ class GenericPool:
         return self._sibling(_derived_seed(self.seed, "trial", index))
 
     def offset(self, stream: int) -> Fraction:
-        r = self._offsets.get(stream)
-        if r is not None:
-            return r
-        attempt = 0
-        while True:
-            key = (self.seed, stream, attempt)
-            r = self._candidates.get(key)
-            if r is None:
-                num = _u64(self.seed, f"num:{stream}:{attempt}", 1, 2 ** 64 - 1)
-                den = _u64(self.seed, f"den:{stream}:{attempt}", 2 ** 62 + 1, 2 ** 64 - 1) | 1
-                r = self._candidates[key] = Fraction(num, den)
-            value = (r.numerator, r.denominator)
-            if value not in self._offset_values:
-                break
-            attempt += 1
-        self._offsets[stream] = r
-        self._offset_values.add(value)
+        key = (self.seed, stream)
+        r = self._memo.get(key)
+        if r is None:
+            num = _u64(self.seed, f"num:{stream}:0", 1, 2 ** 64 - 1)
+            den = _u64(self.seed, f"den:{stream}:0", 2 ** 62 + 1, 2 ** 64 - 1) | 1
+            r = self._memo[key] = Fraction(num, den)
         return r
 
     def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
@@ -146,11 +130,11 @@ class GenericPool:
 
         q is the dyadic rational nearest target at resolution rho, the
         largest power of two at most eps/4, and the offset copy is shrunk
-        by the least 2**-j below eps/2 (and further by 2**-count for the
-        stream's draw counter, so repeated draws differ).  Advances the
-        counter.  Everything is integer arithmetic: rho comes from bit
-        lengths, the rounding is one floor division, the shrink is found by
-        shifted comparison, and one Fraction is built at the end.
+        by the least 2**-j below eps/2, so the value is a pure function of
+        (seed, stream, target, eps).  Everything is integer arithmetic: rho
+        comes from bit lengths, the rounding is one floor division, the
+        shrink is found by shifted comparison, and one Fraction is built at
+        the end.
         """
         target = Fraction(target)
         eps = Fraction(eps)
@@ -177,11 +161,9 @@ class GenericPool:
         j = max(0, big.bit_length() - small.bit_length())
         if small << j <= big:
             j += 1
-        count = self._counters.get(stream, 0)
-        self._counters[stream] = count + 1
-        e = j + count  # offset term rn / (rd * 2**e)
-        top = max(qe, e)
-        value = Fraction((qn * rd << (top - qe)) + (rn << (top - e)), rd << top)
+        # offset term rn / (rd * 2**j)
+        top = max(qe, j)
+        value = Fraction((qn * rd << (top - qe)) + (rn << (top - j)), rd << top)
         vn, vd = value.numerator, value.denominator
         if not abs(vn * td - tn * vd) * eps.denominator < en * vd * td:
             raise RuntimeError("drawn value left the eps-neighbourhood of target")
@@ -191,7 +173,7 @@ class GenericPool:
 def regeneration_pools(pool: GenericPool) -> Iterator[GenericPool]:
     """The pools a certified draw tries in turn: ``pool`` itself, then fresh
     pools seeded ``pool.seed + 1``, ..., up to ``REGEN_ATTEMPTS`` in all,
-    which share ``pool``'s candidate memo."""
+    which share ``pool``'s offset memo."""
     yield pool
     for attempt in range(1, REGEN_ATTEMPTS):
         yield pool._sibling(pool.seed + attempt)

@@ -12,7 +12,7 @@ the preimage of a plane is coverable by at most q open sets of diameter at
 most eps iff its components admit such a clustering.
 
 Components come from face incidence first: the piece of a face lies in the
-piece of each coface, so every piece joins the pieces of its faces, and
+piece of each coface, so every piece joins the pieces of its facets, and
 exact LPs (:func:`polytopes_intersect`, the only caller of
 :func:`~plstab.ratmath.lp_feasible`) run only between pieces of maximal
 stabbed simplexes that face incidence leaves in different classes.
@@ -118,12 +118,15 @@ def compute_components(section: PlanarSection) -> ComponentPartition:
     """Connectivity classes of pieces chained by exact nonempty intersection.
 
     The piece of a face lies in the piece of each coface, so every piece is
-    first joined to the pieces of its proper faces, looked up by source.  A
-    point that a face's piece shares with another piece then lies in the
-    pieces of two top simplexes (sources that are no proper face of another
-    source), so exact LPs between top pieces in different classes find every
-    remaining join.  In the realization piece(s) and piece(s') meet in
-    piece(s & s'), so on a preimage those LPs all come out empty.
+    first joined to the pieces of its facets, looked up by source: every
+    face between a stabbed face f and a source is stabbed, its piece holding
+    piece(f), so a chain of stabbed facets reaches f, and a source is a
+    proper face of another iff it is a facet of one.  A point that a face's
+    piece shares with another piece then lies in the pieces of two top
+    simplexes (sources that are no proper face of another source), so exact
+    LPs between top pieces in different classes find every remaining join.
+    In the realization piece(s) and piece(s') meet in piece(s & s'), so on
+    a preimage those LPs all come out empty.
     """
     pieces, sources = section.pieces, section.sources
     n = len(pieces)
@@ -138,12 +141,11 @@ def compute_components(section: PlanarSection) -> ComponentPartition:
     index = {s: i for i, s in enumerate(sources)}
     top = [True] * n
     for i, s in enumerate(sources):
-        for size in range(1, len(s)):
-            for f in itertools.combinations(s, size):
-                j = index.get(f)
-                if j is not None:
-                    top[j] = False
-                    parent[find(j)] = find(i)
+        for f in itertools.combinations(s, len(s) - 1):
+            j = index.get(f)
+            if j is not None:
+                top[j] = False
+                parent[find(j)] = find(i)
     tops = [i for i in range(n) if top[i]]
     for a, i in enumerate(tops):
         for j in tops[a + 1:]:

@@ -239,9 +239,9 @@ class StabDecision:
 
     ``status`` is ``witness`` (with a ``witness``, or an isolating
     ``interval`` of a root of ``reduced``), ``infeasible`` (linear),
-    ``not_found`` (search) or ``no_stab`` (univariate).  The univariate
-    decider keeps ``reduced`` and the search its int ``evaluations`` on
-    every answer; both stay None elsewhere.
+    ``not_found`` (search) or ``no_stab`` (univariate, and linear on a
+    point flat).  The univariate decider keeps ``reduced`` and the search
+    its int ``evaluations`` on every answer; both stay None elsewhere.
     """
 
     status: str
@@ -313,12 +313,13 @@ def stab_regime(point_sets: Sequence[Sequence[Vec]],
                 family: PlaneFamily) -> tuple[str, Flat]:
     """The decider the input selects, by name, and the constraint flat it
     runs on: ``linear`` when the flat is empty (a family member's points
-    agree outside s_T, so none meets every hull, whatever q is) or
-    q <= d-t+1, ``univariate`` when q = d-t+2 and the flat is a line,
-    ``search`` for every other input."""
+    agree outside s_T, so none meets every hull, whatever q is) or a point
+    (one rank test decides, whatever q is) or q <= d-t+1, ``univariate``
+    when q = d-t+2 and the flat is a line, ``search`` for every other
+    input."""
     flat = _flat(point_sets, family)
     q, free = len(point_sets), family.d - family.t
-    if flat is None or q <= free + 1:
+    if flat is None or not flat[1] or q <= free + 1:
         return "linear", flat
     if q == free + 2 and len(flat[1]) == 1:
         return "univariate", flat
@@ -355,13 +356,20 @@ def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
 
 def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
                        family: PlaneFamily, flat: Flat) -> StabDecision:
-    """Exact ``witness`` or ``infeasible`` in the linear regime of
-    :func:`stab_regime`, where a family member meets every affine hull iff
-    the constraint flat is nonempty, so absence certifies nonexistence."""
+    """Exact decision in the linear regime of :func:`stab_regime`:
+    ``infeasible`` on an empty constraint flat, else a ``witness`` at its
+    base point, where for q <= d-t+1 the q-1 met point differences have
+    rank at most d-t.  On a point flat the met points are fixed, and that
+    rank on the block coordinates decides: above d-t, ``no_stab``."""
     if flat is None:
         return StabDecision("infeasible")
+    base_lambda, basis = flat
+    if not basis:
+        ys = _met(point_sets, base_lambda, [c - 1 for c in family.block])
+        if mat_rank([vec_sub(y, ys[0]) for y in ys[1:]]) > family.d - family.t:
+            return StabDecision("no_stab")
     return StabDecision("witness", _witness_from_lambda(point_sets, family,
-                                                        flat[0]))
+                                                        base_lambda))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +485,8 @@ _SNAP_DENOMINATORS = (8, 64, 1024, 32768)
 def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
                         flat: Flat, budget: int,
                         pool: GenericPool) -> StabDecision:
-    """Heuristic search for q > d-t+1 sets on a nonempty constraint ``flat``.
+    """Heuristic search for q > d-t+1 sets on a constraint ``flat`` of
+    dimension at least one.
 
     Descends on the Gram determinant of the projected differences (read by
     :func:`~plstab.ratmath.max_minor`) over the flat, using
@@ -520,12 +529,6 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         return None
 
     k = len(basis)
-    if k == 0:
-        if budget <= 0:
-            return answer(None)
-        evaluations = 1
-        return answer(try_exact(()))
-
     rng = random.Random(_derived_seed(pool.seed, "stab-search"))
 
     def check_candidates(u) -> Optional[StabWitness]:

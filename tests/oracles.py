@@ -350,13 +350,13 @@ def root_in_interval_by_grid(coeffs, lo, hi, step):
     return False
 
 
-def draw_near_fraction(target, eps, offset, count):
+def draw_near_fraction(target, eps, offset):
     """The value of ``GenericPool.draw_near`` by Fraction halving and doubling.
 
-    ``offset`` is the stream's offset r and ``count`` its draw counter before
-    the draw: rho is halved and doubled to the largest power of two at most
-    eps/4, q = floor(target/rho + 1/2) * rho, the offset is halved until it
-    is below eps/2, and the value is q + scale * r / 2**count.
+    ``offset`` is the stream's offset r: rho is halved and doubled to the
+    largest power of two at most eps/4, q = floor(target/rho + 1/2) * rho,
+    the offset is halved until it is below eps/2, and the value is
+    q + scale * r.
     """
     target, eps = Fraction(target), Fraction(eps)
     rho = Fraction(1)
@@ -368,7 +368,7 @@ def draw_near_fraction(target, eps, offset, count):
     scale = Fraction(1)
     while scale * offset >= eps / 2:
         scale /= 2
-    return q + scale * offset / (2 ** count)
+    return q + scale * offset
 
 
 def max_independent_bitmask(conflict_masks):

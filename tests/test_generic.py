@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from oracles import draw_near_fraction
 from plstab import batch, generic
-from plstab.generic import (REGEN_ATTEMPTS, GenericPool, certify,
-                            distinctness_transcript, regeneration_pools)
+from plstab.generic import (REGEN_ATTEMPTS, GenericityError, GenericPool,
+                            certify, distinctness_transcript,
+                            regeneration_pools)
+from plstab.ratmath import vec
+from plstab.simplicial import PLMap, parse_complex, roberts_perturb
 
 F = Fraction
 
@@ -36,51 +39,45 @@ def test_draw_near_bound_property(target, eps, stream):
        st.one_of(st.integers(min_value=0, max_value=200).map(lambda k: F(1, 2 ** k)),
                  st.fractions(min_value=F(1, 10 ** 9), max_value=100,
                               max_denominator=10 ** 9)),
-       st.integers(min_value=0, max_value=40),
-       st.integers(min_value=0, max_value=6))
+       st.integers(min_value=0, max_value=40))
 @settings(max_examples=300, deadline=None)
-def test_draw_near_matches_fraction_arithmetic(seed, target, eps, stream, earlier):
+def test_draw_near_matches_fraction_arithmetic(seed, target, eps, stream):
     pool = GenericPool(seed)
-    for _ in range(earlier):
-        pool.draw_near(F(0), F(1), stream)
-    want = draw_near_fraction(target, eps, pool.offset(stream), earlier)
+    want = draw_near_fraction(target, eps, pool.offset(stream))
     assert pool.draw_near(target, eps, stream) == want
 
 
 # Values drawn by the Fraction halving-and-doubling implementation that the
-# integer arithmetic replaced: (target, eps, stream) -> first two draws from
-# GenericPool(408), in this order.
+# integer arithmetic replaced: (target, eps, stream) -> draw from
+# GenericPool(408).  That implementation drew the last row as stream 0's
+# third draw, with its offset term r/2**j shrunk by a further 2**-2 for a
+# per-stream draw counter, at v; the row holds 17 + 4 * (v - 17), the value
+# with the offset term r/2**j alone.
 _DRAW_NEAR_GOLDEN = [
-    (F(0), F(1), 3,
-     ["6278425918525628575/15692426580070004757",
-      "6278425918525628575/31384853160140009514"]),
-    (F(-7, 3), F(1, 2), 0,
-     ["-169484236720034178251/77924436894495170792",
-      "-177277387172230104441/77924436894495170792"]),
-    (F(5, 2), F(1, 7), 11,
-     ["193402088476149300275/75865150316752102056",
-      "383064964268029555415/151730300633504204112"]),
+    (F(0), F(1), 3, "6278425918525628575/15692426580070004757"),
+    (F(-7, 3), F(1, 2), 0, "-169484236720034178251/77924436894495170792"),
+    (F(5, 2), F(1, 7), 11, "193402088476149300275/75865150316752102056"),
     (F(123456789, 1000), F(1, 2 ** 200), 2,
-     ["12770936463794503039578078130072121348231721671767360840467915151682730"
-      "500455029694319/1034445862980812099331214432449893164500797252370411224"
-      "64864327158686350818934784",
-      "12770936463794503039578078130072121348231721671767360840467915151672588"
-      "485480182697863/1034445862980812099331214432449893164500797252370411224"
-      "64864327158686350818934784"]),
-    (F(-1, 3), F(40), 5,
-     ["319607926533925188/12071165510096192977",
-      "159803963266962594/12071165510096192977"]),
-    (F(17), F(3, 1000), 0,
-     ["339131045940069081249879/19948655844990763722752",
-      "678258195304912064536663/39897311689981527445504"]),
+     "12770936463794503039578078130072121348231721671767360840467915151682730"
+     "500455029694319/1034445862980812099331214432449893164500797252370411224"
+     "64864327158686350818934784"),
+    (F(-1, 3), F(40), 5, "319607926533925188/12071165510096192977"),
+    (F(17), F(3, 1000), 0, "84785683916436843784791/4987163961247690930688"),
 ]
 
 
 def test_draw_near_golden_values():
     pool = GenericPool(408)
     for target, eps, stream, want in _DRAW_NEAR_GOLDEN:
-        got = [str(pool.draw_near(target, eps, stream)) for _ in want]
-        assert got == want
+        assert str(pool.draw_near(target, eps, stream)) == want
+
+
+def test_repeated_draws_on_one_stream_are_equal():
+    pool = GenericPool(3)
+    first = pool.draw_near(F(0), F(1), stream=7)
+    pool.draw_near(F(2), F(1, 3), stream=8)
+    assert pool.draw_near(F(0), F(1), stream=7) == first
+    assert GenericPool(3).draw_near(F(0), F(1), stream=7) == first
 
 
 def test_regeneration_pools_try_the_pool_then_successor_seeds():
@@ -114,18 +111,6 @@ def test_determinism_across_pools():
     assert seq_a == seq_b
 
 
-def test_counter_advances_and_changes_value():
-    pool = GenericPool(3)
-    v1 = pool.draw_near(F(0), F(1), stream=7)
-    v2 = pool.draw_near(F(0), F(1), stream=7)
-    assert v1 != v2
-    # the counter is per stream: draws on another stream leave stream 7's
-    # first draw unchanged
-    other = GenericPool(3)
-    other.draw_near(F(0), F(1), stream=8)
-    assert other.draw_near(F(0), F(1), stream=7) == v1
-
-
 def test_derived_pools_differ_but_are_stable():
     base = GenericPool(10)
     c1 = base.derive(0)
@@ -142,7 +127,7 @@ def _draws(pool, streams):
 
 
 def test_pools_from_a_warm_root_draw_what_fresh_pools_draw():
-    # The candidate memo a root shares with the pools it derives is
+    # The offset memo a root shares with the pools it derives is
     # invisible: a derived or regenerated pool draws exactly what a fresh
     # GenericPool of its seed draws, whichever order either visits streams.
     root = GenericPool(77)
@@ -155,45 +140,35 @@ def test_pools_from_a_warm_root_draw_what_fresh_pools_draw():
             assert _draws(pool, reversed(range(14))) == _draws(fresh, range(14))
 
 
-def _collide_stream_1_with_stream_0(monkeypatch):
-    """Make stream 1's attempt-0 candidate equal stream 0's; returns the
-    unpatched _u64."""
+def _share_offset(monkeypatch, chosen, stream, other):
+    """Give ``stream`` the offset of ``other`` in every pool whose seed
+    ``chosen`` accepts."""
     real = generic._u64
 
     def u64(seed, tag, lo, hi):
-        kind, stream, attempt = tag.split(":")
-        if (stream, attempt) == ("1", "0"):
-            tag = f"{kind}:0:0"
+        kind, drawn, index = tag.split(":")
+        if chosen(seed) and drawn == str(stream):
+            tag = f"{kind}:{other}:{index}"
         return real(seed, tag, lo, hi)
 
     monkeypatch.setattr(generic, "_u64", u64)
-    return real
 
 
-def test_offset_collision_takes_the_next_attempt(monkeypatch):
-    real = _collide_stream_1_with_stream_0(monkeypatch)
-    seed = GenericPool(6).derive(0).seed
-
-    def candidate(stream, attempt):
-        return F(real(seed, f"num:{stream}:{attempt}", 1, 2 ** 64 - 1),
-                 real(seed, f"den:{stream}:{attempt}", 2 ** 62 + 1,
-                      2 ** 64 - 1) | 1)
-
-    forward = _draws(GenericPool(6).derive(0), range(4))
-    backward = _draws(GenericPool(6).derive(0), reversed(range(4)))
-    assert len({offset for offset, _ in forward.values()}) == 4
-    assert len({offset for offset, _ in backward.values()}) == 4
-    # the stream drawn second of the colliding pair moves to attempt 1
-    assert forward[0][0] == candidate(0, 0)
-    assert forward[1][0] == candidate(1, 1)
-    assert backward[1][0] == candidate(0, 0)
-    assert backward[0][0] == candidate(0, 1)
-    # a memo warmed by either order gives every later pool the cold result
-    root = GenericPool(6)
-    _draws(root.derive(0), reversed(range(4)))
-    assert _draws(root.derive(0), range(4)) == forward
-    _draws(root.derive(0), range(4))
-    assert _draws(root.derive(0), reversed(range(4))) == backward
+def test_a_shared_offset_fails_the_certificate_and_regenerates(monkeypatch):
+    # Both vertices have the target (0, 0), so streams 1 (a[1]) and 3 (b[1])
+    # on one offset draw equal coordinates: the map comes from seed 22.
+    k = parse_complex("v a\nv b\ns a b\n")
+    theta = PLMap(2, {"a": vec([0, 0]), "b": vec([0, 0])})
+    want = roberts_perturb(k, theta, F(1), GenericPool(22))
+    _share_offset(monkeypatch, lambda seed: seed == 21, 3, 1)
+    pool = GenericPool(21)
+    assert pool.offset(3) == pool.offset(1)
+    got = roberts_perturb(k, theta, F(1), GenericPool(21))
+    assert got.certified and got.images == want.images
+    monkeypatch.undo()
+    _share_offset(monkeypatch, lambda seed: True, 3, 1)
+    with pytest.raises(GenericityError):
+        roberts_perturb(k, theta, F(1), GenericPool(21))
 
 
 def _count_u64(monkeypatch):

@@ -7,6 +7,7 @@ from oracles import (basic_feasible_solutions, clusterable_by_partition_scan,
                      components_by_pairwise_lp)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
+from plstab import sections
 from plstab.generic import GenericPool
 from plstab.ratmath import dist_sq, vec
 from plstab.sections import (PlanarSection, component_clusters,
@@ -346,11 +347,9 @@ def test_cluster_matches_partition_scan():
                        for cl in clusters for i in cl for j in cl)
 
 
-def test_components_match_pairwise_lp_oracle():
-    # Image and preimage components and diameters equal those of an
-    # all-pairs intersection test.  With m < 2n+1 the images of
-    # vertex-disjoint simplexes cross, so some image joins need an LP
-    # between classes that face incidence leaves apart.
+def _component_corpus():
+    """(complex, map, plane) of 30 random complexes in m = 2, 3, 4 with six
+    random and adversarial planes each."""
     rng = random.Random(84)
     for trial in range(30):
         m = rng.choice([2, 3, 4])
@@ -364,8 +363,34 @@ def test_components_match_pairwise_lp_oracle():
                 plane = sample_plane_random(rng, fam, g)
             else:
                 plane = sample_plane_adversarial(rng, fam, k, g)
-            for section in (section_of_image(k, g, plane),
-                            preimage_polytopes(k, g, plane)):
-                part = compute_components(section)
-                want = components_by_pairwise_lp(section.pieces)
-                assert (part.components, part.diameters_sq) == want
+            yield k, g, plane
+
+
+def test_components_match_pairwise_lp_oracle():
+    # Image and preimage components and diameters equal those of an
+    # all-pairs intersection test.  With m < 2n+1 the images of
+    # vertex-disjoint simplexes cross, so some image joins need an LP
+    # between classes that face incidence leaves apart.
+    for k, g, plane in _component_corpus():
+        for section in (section_of_image(k, g, plane),
+                        preimage_polytopes(k, g, plane)):
+            part = compute_components(section)
+            want = components_by_pairwise_lp(section.pieces)
+            assert (part.components, part.diameters_sq) == want
+
+
+def test_no_lp_joins_two_preimage_pieces(monkeypatch):
+    # In the realization piece(s) and piece(s') meet in piece(s & s'), which
+    # face incidence has already joined to both: every intersection test
+    # that preimage components run comes out empty.
+    results = []
+    real = sections.polytopes_intersect
+
+    def recording(p, q):
+        results.append(real(p, q))
+        return results[-1]
+
+    monkeypatch.setattr(sections, "polytopes_intersect", recording)
+    for k, g, plane in _component_corpus():
+        compute_components(preimage_polytopes(k, g, plane))
+    assert results and not any(results)

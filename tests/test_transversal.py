@@ -7,7 +7,8 @@ import pytest
 
 from oracles import (basic_feasible_solutions, feasible_by_basic_solutions,
                      integer_poly, max_disjoint_by_subsets, poly_eval_naive,
-                     poly_mul_naive, sturm_count_euclid, univariate_by_gram)
+                     poly_mul_naive, rank_by_minors, sturm_count_euclid,
+                     univariate_by_gram)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import transversal
@@ -312,11 +313,20 @@ def test_linear_feasible_fixture():
 
 
 def test_linear_rejects_large_q():
-    # q = d-t+2 on a nonempty flat is not the linear regime: the flat of
-    # three equal points is a point, so the search decides; with an empty
-    # flat the linear decider takes every q, and its infeasible is exact
+    # q = d-t+2 on a flat of dimension one or more is not the linear
+    # regime; on a point flat or an empty flat the linear decider takes
+    # every q, and its answers are exact: on three points, one rank test
+    fam = PlaneFamily(2, (), (1, 2), 1)
+    segments = [[vec([0, 0]), vec([1, 0])], [vec([0, 1]), vec([1, 2])],
+                [vec([3, 0]), vec([0, 3])]]
+    assert stab_regime(segments, fam)[0] == "search"
+    for sets, want in [([[vec([0, 0])], [vec([1, 1])], [vec([2, 2])]],
+                        "witness"),
+                       ([[vec([0, 0])], [vec([1, 0])], [vec([0, 1])]],
+                        "no_stab")]:
+        got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
+        assert got.status == want
     fam = PlaneFamily(2, (), (1,), 1)
-    assert stab_regime([[vec([0, 0])]] * 3, fam)[0] == "search"
     sets = [[vec([0, 0])], [vec([0, 0])], [vec([0, 1])]]
     got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
     assert got == StabDecision("infeasible")
@@ -326,6 +336,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@given(st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3),
+                min_size=1, max_size=5),
+       st.sampled_from([PlaneFamily(3, (), (1, 2), 1),
+                        PlaneFamily(3, (), (1, 2, 3), 1),
+                        PlaneFamily(3, (1,), (1, 2, 3), 1),
+                        PlaneFamily(3, (), (1, 2, 3), 0)]))
+@settings(max_examples=100, deadline=None)
+def test_point_flats_are_decided_exactly(points, fam):
+    # one point per set fixes every lambda, so the flat is empty or a point
+    # at any q: the linear decider answers, as the rank of the block
+    # differences says
+    sets = [[vec(p)] for p in points]
+    got = decide_stab(sets, fam, 0, GenericPool(0))
+    outside = [c - 1 for c in range(1, 4) if c not in fam.s_T]
+    block = [c - 1 for c in fam.block]
+    if any(p[c] != points[0][c] for p in points for c in outside):
+        want = "infeasible"
+    elif rank_by_minors([[F(p[c] - points[0][c]) for c in block]
+                         for p in points[1:]]) <= fam.d - fam.t:
+        want = "witness"
+    else:
+        want = "no_stab"
+    assert (got["mode"], got["status"], got["certified"]) == (
+        "linear", want, True)
 
 
 @given(st.lists(st.lists(st.lists(small_rat, min_size=3, max_size=3),
@@ -376,10 +412,15 @@ def test_univariate_no_stab():
 
 def test_univariate_not_applicable_wrong_q():
     # the univariate decision needs q = 2 in this family; stab_regime sends
-    # q = 1 to linear and q = 3, 4 (a flat that is a point) to the search
+    # q = 1 and q = 3, 4 on a flat that is a point to linear, and q = 3 on
+    # a flat of dimension three to the search
     sets = [[vec([0, 0])], [vec([1, 1])], [vec([2, 0])], [vec([3, 1])]]
     assert [stab_regime(sets[:q], _POINT_FAMILY_2D)[0] for q in (1, 3, 4)] \
-        == ["linear", "search", "search"]
+        == ["linear", "linear", "linear"]
+    segments = [[vec([0, 0]), vec([1, 0])], [vec([0, 1]), vec([1, 2])],
+                [vec([3, 0]), vec([0, 3])]]
+    mode, flat = stab_regime(segments, _POINT_FAMILY_2D)
+    assert (mode, len(flat[1])) == ("search", 3)
 
 
 def test_univariate_not_applicable_flat_dimension():
@@ -705,12 +746,11 @@ _STAB_REPORTS = [
      '"lambdas": null, "mode": "univariate", "plane": null, '
      '"reduced": ["-1", "2", "1"], '
      '"status": "witness", "witness_kind": "isolating_interval"}'),
-    # three points and d = 0: q = d-t+3, so the univariate decision does not
-    # apply and the search runs, here with no budget
+    # three points and d = 0: q = d-t+3 on a point flat, which the linear
+    # decider settles by one rank test, whatever the budget
     ([[vec([0, 0])], [vec([1, 1])], [vec([2, 0])]], _POINT_FAMILY_2D, 0,
-     '{"certified": false, "conditions_checked": 0, "evaluations": 0, '
-     '"lambdas": null, "mode": "search", "plane": null, '
-     '"status": "not_found"}'),
+     '{"certified": true, "conditions_checked": 0, "lambdas": null, '
+     '"mode": "linear", "plane": null, "status": "no_stab"}'),
 ]
 
 
@@ -718,7 +758,7 @@ _STAB_REPORTS = [
     "sets, family, budget, want", _STAB_REPORTS,
     ids=["linear-witness", "infeasible", "search-witness", "not-found",
          "univariate-root", "no-stab", "isolating-interval",
-         "search-zero-budget"])
+         "point-flat"])
 def test_stab_report_fields_are_pinned(sets, family, budget, want):
     got = decide_stab(sets, family, budget, GenericPool(0))
     assert json.dumps(got, sort_keys=True) == want
