@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, vec
-from .simplicial import PLMap, SimplicialComplex
+from .simplicial import PLMap, SimplicialComplex, image_point
 from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _typed,
                           decide_stab, family_from_json_dict, nonstab_case,
                           plane_through, sets_from_json,
                           stab_decide_univariate, stab_exists_linear,
                           stab_regime)
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Largest suite bounds a grid may ask for: enumeration is exponential in
@@ -232,9 +231,7 @@ def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
         if sum(weights) == 0:
             weights[0] = _ONE
         total = sum(weights)
-        weights = [w / total for w in weights]
-        base = tuple(sum((w * g.images[v][c] for w, v in zip(weights, s)), _ZERO)
-                     for c in range(g.m))
+        base = image_point(g, s, [w / total for w in weights])
         span_vectors = []
         verts = list(g.images)
         for _ in range(family.d - family.t):

@@ -19,7 +19,9 @@ one determinant is the last pivot, :func:`_minor` on integer rows;
 {x >= 0 : rows . x = rhs}: it eliminates first and runs its phase-1
 simplex (Bland's rule, on an integer tableau) only when the equality
 system has a nullspace; an inconsistent system or a unique solution
-decides it directly.
+decides it directly.  :func:`hull_rows` is the one system for a common
+point of hulls over a stacked barycentric lambda, and :func:`combination`
+the one sum sum_j w_j p_j of a lambda block.
 
 Polynomials have one type: integer coefficient lists in ascending degree,
 the zero polynomial ``[]``.  One primitive pseudo-remainder sequence
@@ -291,6 +293,29 @@ def lp_feasible(rows: Sequence[Sequence[Fraction]], rhs: Sequence) -> Optional[V
     if any(x < 0 for x in witness):
         raise RuntimeError("LP witness violates a sign constraint")
     return witness
+
+
+def combination(weights: Sequence[Fraction], points: Sequence[Vec],
+                coords: Iterable[int]) -> Vec:
+    """sum_j weights[j] * points[j] at the given 0-based coordinates."""
+    return tuple(sum((w * p[c] for w, p in zip(weights, points)), _ZERO)
+                 for c in coords)
+
+
+def hull_rows(point_sets: Sequence[Sequence[Vec]], coords: Sequence[int]
+              ) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(rows, rhs) over the stacked lambda, a block of weights per set: one
+    row per set sums its weights to 1, then y_i[c] - y_1[c] = 0 for each
+    later set i and each 0-based c in coords, y_i its :func:`combination`.
+    Solved, they ask whether the affine hulls meet on those coordinates;
+    under :func:`lp_feasible`, whether the convex hulls do."""
+    q = len(point_sets)
+    rows = [[_ONE if j == i else _ZERO for j, ps in enumerate(point_sets)
+             for _ in ps] for i in range(q)]
+    rows += [[-p[c] if j == 0 else p[c] if j == i else _ZERO
+              for j, ps in enumerate(point_sets) for p in ps]
+             for i in range(1, q) for c in coords]
+    return rows, [_ONE] * q + [_ZERO] * (len(rows) - q)
 
 
 def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec

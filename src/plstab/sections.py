@@ -12,14 +12,15 @@ the preimage of a plane is coverable by at most q open sets of diameter at
 most eps iff its components admit such a clustering.
 
 Components come from face incidence first: the piece of a face lies in the
-piece of each coface, so every piece joins the pieces of its facets, and
-exact LPs (:func:`polytopes_intersect`, the only caller of
-:func:`~plstab.ratmath.lp_feasible`) run only between pieces of maximal
-stabbed simplexes that face incidence leaves in different classes.
-
-Preimages live in the standard geometric realization of the complex: vertex
-number i sits at the i-th unit point, so a barycentric solution maps to the
-vector of its weights.
+piece of each coface, so every piece joins the pieces of its facets.  On an
+image, exact LPs (:func:`polytopes_intersect`, the only caller of
+:func:`~plstab.ratmath.lp_feasible`, on :func:`~plstab.ratmath.hull_rows`)
+then run only between pieces of maximal stabbed simplexes that face
+incidence leaves in different classes.  Preimages live in the standard
+geometric realization of the complex: vertex number i sits at the i-th unit
+point, so a barycentric solution maps to the vector of its weights, and
+piece(s) and piece(s') meet in piece(s & s'), so face incidence alone gives
+their components.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .ratmath import Vec, as_fraction, dist_sq, lp_feasible
+from .ratmath import (Vec, as_fraction, combination, dist_sq, hull_rows,
+                      lp_feasible)
 from .simplicial import PLMap, Simplex, SimplicialComplex
 from .transversal import ConcretePlane, stabbed_simplexes
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Polytope = tuple[Vec, ...]  # vertex list, exact
 
@@ -47,6 +48,7 @@ class PlanarSection:
 
     pieces: tuple[Polytope, ...]
     sources: tuple[Simplex, ...]
+    meets_in_faces: bool = False  # pieces of s, s' meet only in piece(s & s')
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,13 @@ class ComponentPartition:
 
 
 def diameter_sq(points: Sequence[Vec]) -> Fraction:
-    best = _ZERO
-    for a, b in itertools.combinations(points, 2):
-        d = dist_sq(a, b)
-        if d > best:
-            best = d
-    return best
+    return max((dist_sq(a, b) for a, b in itertools.combinations(points, 2)),
+               default=_ZERO)
 
 
 def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
-    """Exact nonempty-intersection test between two vertex-listed polytopes."""
+    """Exact nonempty-intersection test between two vertex-listed polytopes:
+    the LP of :func:`~plstab.ratmath.hull_rows` on every coordinate."""
     if not p or not q:
         return False
     m = len(p[0])
@@ -79,17 +78,12 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
         qc = [v[c] for v in q]
         if min(pc) > max(qc) or max(pc) < min(qc):
             return False
-    rows = []
-    for c in range(m):
-        rows.append([v[c] for v in p] + [-w[c] for w in q])
-    rows.append([_ONE] * len(p) + [_ZERO] * len(q))
-    rows.append([_ZERO] * len(p) + [_ONE] * len(q))
-    rhs = [_ZERO] * m + [_ONE, _ONE]
-    return lp_feasible(rows, rhs) is not None
+    return lp_feasible(*hull_rows((p, q), range(m))) is not None
 
 
 def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-             place: Callable[[Simplex, Vec], Vec]) -> PlanarSection:
+             place: Callable[[Simplex, Vec], Vec],
+             meets_in_faces: bool = False) -> PlanarSection:
     """Pieces with their vertices placed by place(simplex, lambda)."""
     pieces = []
     sources = []
@@ -97,7 +91,7 @@ def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
         # distinct: a certified image and the realization are injective on s
         pieces.append(tuple(place(s, lam) for lam in bary_verts))
         sources.append(s)
-    return PlanarSection(tuple(pieces), tuple(sources))
+    return PlanarSection(tuple(pieces), tuple(sources), meets_in_faces)
 
 
 def section_of_image(k: SimplicialComplex, g: PLMap,
@@ -108,8 +102,7 @@ def section_of_image(k: SimplicialComplex, g: PLMap,
     plane, listed by its exact vertices; empty intersections are omitted.
     """
     def place(s: Simplex, lam: Vec) -> Vec:
-        return tuple(sum((w * g.images[v][c] for w, v in zip(lam, s)), _ZERO)
-                     for c in range(g.m))
+        return combination(lam, [g.images[v] for v in s], range(g.m))
 
     return _section(k, g, plane, place)
 
@@ -125,8 +118,8 @@ def compute_components(section: PlanarSection) -> ComponentPartition:
     piece shares with another piece then lies in the pieces of two top
     simplexes (sources that are no proper face of another source), so exact
     LPs between top pieces in different classes find every remaining join.
-    In the realization piece(s) and piece(s') meet in piece(s & s'), so on
-    a preimage those LPs all come out empty.
+    On a section marked ``meets_in_faces`` (a preimage) those LPs could
+    only come out empty, so face incidence alone gives the components.
     """
     pieces, sources = section.pieces, section.sources
     n = len(pieces)
@@ -146,7 +139,7 @@ def compute_components(section: PlanarSection) -> ComponentPartition:
             if j is not None:
                 top[j] = False
                 parent[find(j)] = find(i)
-    tops = [i for i in range(n) if top[i]]
+    tops = [] if section.meets_in_faces else [i for i in range(n) if top[i]]
     for a, i in enumerate(tops):
         for j in tops[a + 1:]:
             if find(i) != find(j) and polytopes_intersect(pieces[i], pieces[j]):
@@ -154,8 +147,7 @@ def compute_components(section: PlanarSection) -> ComponentPartition:
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    components = tuple(tuple(g) for g in
-                       sorted(groups.values(), key=lambda g: g[0]))
+    components = tuple(map(tuple, groups.values()))  # by least index
     points = tuple(tuple(dict.fromkeys(v for i in comp for v in pieces[i]))
                    for comp in components)
     return ComponentPartition(components, points,
@@ -184,7 +176,9 @@ def preimage_polytopes(k: SimplicialComplex, g: PLMap,
 
     The realization places vertex number i at the i-th unit point of
     R^{|V|}; a barycentric solution therefore maps to its weight vector
-    spread over the positions of its simplex's vertices.
+    spread over the positions of its simplex's vertices.  There the
+    realized simplexes of s and s' meet in that of s & s', so their pieces
+    meet in piece(s & s') and the section is marked ``meets_in_faces``.
     """
     index = {v: i for i, v in enumerate(k.vertices)}
     nv = len(k.vertices)
@@ -195,7 +189,7 @@ def preimage_polytopes(k: SimplicialComplex, g: PLMap,
             point[index[v]] = w
         return tuple(point)
 
-    return _section(k, g, plane, place)
+    return _section(k, g, plane, place, meets_in_faces=True)
 
 
 def component_clusters(part: ComponentPartition, q: int,
@@ -205,46 +199,51 @@ def component_clusters(part: ComponentPartition, q: int,
     part is the preimage's :func:`compute_components` partition; clusters are
     lists of component indices.  Exact and exhaustive over component
     assignments (restricted-growth order, pruned by the monotonicity of
-    cluster diameters).  Raises on more than MAX_CLUSTER_COMPONENTS
-    components.
+    cluster diameters, backtracking without recursion).  A component wider
+    than eps answers None; more than MAX_CLUSTER_COMPONENTS components raise
+    unless q covers them, when each may open a cluster and none backtracks.
     """
     eps = as_fraction(eps)
     if q < 1 or eps <= 0:
         raise ValueError("need q >= 1 and eps > 0")
-    ncomp = len(part.components)
-    if ncomp > MAX_CLUSTER_COMPONENTS:
-        raise ValueError(f"{ncomp} components exceed the exact clusterer limit "
-                         f"of {MAX_CLUSTER_COMPONENTS}")
     eps_sq = eps * eps
     if any(d > eps_sq for d in part.diameters_sq):
         return None
-    pair_cache: dict[tuple[int, int], Fraction] = {}
+    ncomp = len(part.components)
+    if ncomp > max(q, MAX_CLUSTER_COMPONENTS):
+        raise ValueError(f"{ncomp} components exceed the exact clusterer limit "
+                         f"of {MAX_CLUSTER_COMPONENTS}")
+    pair_cache: dict[tuple[int, int], bool] = {}
 
-    def pair_diam_sq(i: int, j: int) -> Fraction:
+    def fits(i: int, j: int) -> bool:
+        """Whether components i and j together have diameter <= eps."""
         got = pair_cache.get((i, j))
         if got is None:
-            got = max(dist_sq(a, b)
+            got = all(dist_sq(a, b) <= eps_sq
                       for a in part.points[i] for b in part.points[j])
             pair_cache[(i, j)] = got
         return got
 
     clusters: list[list[int]] = []
-
-    def assign(idx: int) -> bool:
-        if idx == ncomp:
-            return True
-        for cl in clusters:
-            if all(pair_diam_sq(idx, other) <= eps_sq for other in cl):
-                cl.append(idx)
-                if assign(idx + 1):
-                    return True
-                cl.pop()
-        if len(clusters) < q:
-            clusters.append([idx])
-            if assign(idx + 1):
-                return True
-            clusters.pop()
-        return False
-
-    return clusters if assign(0) else None
-
+    chosen: list[int] = []  # the cluster of each placed component
+    start = 0  # the first cluster the next component may try
+    while len(chosen) < ncomp:
+        idx = len(chosen)
+        c = next((c for c in range(start, min(len(clusters) + 1, q))
+                  if c == len(clusters)
+                  or all(fits(idx, other) for other in clusters[c])), None)
+        if c is not None:
+            if c == len(clusters):
+                clusters.append([])
+            clusters[c].append(idx)
+            chosen.append(c)
+            start = 0
+        elif not chosen:
+            return None
+        else:  # backtrack: the last component placed tries its next cluster
+            start = chosen.pop()
+            clusters[start].pop()
+            if not clusters[start]:
+                clusters.pop()
+            start += 1
+    return clusters

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .generic import (REGEN_ATTEMPTS, GenericityCertificate, GenericityError,
                       GenericPool, certify, distinctness_transcript,
                       regeneration_pools)
-from .ratmath import (Vec, _cleared, _minor, as_fraction, dist_sq,
+from .ratmath import (Vec, _cleared, _minor, as_fraction, combination, dist_sq,
                       format_rational, parse_rational, vec)
 
 Simplex = tuple[str, ...]
@@ -278,8 +278,5 @@ def image_point(g: PLMap, simplex: Simplex, barycentric: Sequence) -> Vec:
         raise ValueError("barycentric length does not match simplex size")
     if sum(weights) != 1:
         raise ValueError("barycentric coordinates must sum to 1")
-    point = tuple(Fraction(0) for _ in range(g.m))
-    for w, v in zip(weights, simplex):
-        point = tuple(p + w * c for p, c in zip(point, g.images[v]))
-    return point
+    return combination(weights, [g.images[v] for v in simplex], range(g.m))
 

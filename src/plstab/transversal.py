@@ -10,7 +10,8 @@ s_T axes.  This module provides:
 * the one plane-membership test (:func:`stabbed_simplexes`): one exact
   solve per face that the covector bracket keeps, no LP;
 * one stab decision (:func:`decide_stab`): the regime rule
-  (:func:`stab_regime`) solves the constraint flat once and picks the
+  (:func:`stab_regime`) solves the constraint flat (the
+  :func:`~plstab.ratmath.hull_rows` outside s_T) once and picks the
   exact linear decider, the exact univariate decider (gcd of the maximal
   minors, Sturm) or the heuristic search (``not_found`` is never
   evidence); all three return a :class:`StabDecision`, and every witness
@@ -31,10 +32,11 @@ from typing import Optional, Sequence
 from .generic import GenericPool, _derived_seed
 from .ratmath import (Vec, _cleared, _poly_det, _poly_gcd, _sign_at,
                       _sturm_chain, _trimmed, _variations, cauchy_root_bound,
-                      format_rational, independent_subset, mat_rank,
-                      max_minor, nullspace_basis, parse_rational,
-                      simplest_between, solve_affine, square_free_part,
-                      sturm_count, unit_vec, vec, vec_dot, vec_sub)
+                      combination, format_rational, hull_rows,
+                      independent_subset, mat_rank, max_minor,
+                      nullspace_basis, parse_rational, simplest_between,
+                      solve_affine, square_free_part, sturm_count, unit_vec,
+                      vec, vec_dot, vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
@@ -263,6 +265,7 @@ def verify_stab_witness(witness: StabWitness, point_sets: Sequence[Sequence[Vec]
         checks += 1
         if len(lam) != len(pts) or sum(lam) != 1:
             return False, checks
+        # its own sums, not ratmath.combination: the re-check is independent
         combo = tuple(sum((l * p[c] for l, p in zip(lam, pts)), _ZERO)
                       for c in range(family.m))
         checks += 1
@@ -279,34 +282,14 @@ Flat = Optional[tuple[Vec, tuple[Vec, ...]]]
 
 
 def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily) -> Flat:
-    """The constraint flat of the stacked lambda, or None when it is empty.
-
-    Its rows say that each set's coefficients sum to 1 and that the met
-    points y_i - y_1 vanish outside s_T.  Only :func:`stab_regime` solves
-    it, so every stab decision checks the point sets here first.
-    """
+    """The constraint flat of the stacked lambda, or None when it is empty:
+    the affine solve of its :func:`~plstab.ratmath.hull_rows` outside s_T.
+    Only :func:`stab_regime` solves it, so every stab decision checks the
+    point sets here first."""
     if not point_sets or any(not ps for ps in point_sets):
         raise ValueError("need nonempty point sets")
-    sizes = [len(ps) for ps in point_sets]
-    total = sum(sizes)
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    rows: list[list[Fraction]] = []
-    for i, size in enumerate(sizes):
-        row = [_ZERO] * total
-        row[offsets[i]:offsets[i] + size] = [_ONE] * size
-        rows.append(row)
-    rhs = [_ONE] * len(sizes)
-    outside = [c for c in range(1, family.m + 1) if c not in set(family.s_T)]
-    for i in range(1, len(point_sets)):
-        for c in outside:
-            row = [_ZERO] * total
-            for j, p in enumerate(point_sets[i]):
-                row[offsets[i] + j] = p[c - 1]
-            for j, p in enumerate(point_sets[0]):
-                row[j] -= p[c - 1]
-            rows.append(row)
-            rhs.append(_ZERO)
-    return solve_affine(rows, rhs)
+    return solve_affine(*hull_rows(point_sets, [
+        c for c in range(family.m) if c + 1 not in family.s_T]))
 
 
 def stab_regime(point_sets: Sequence[Sequence[Vec]],
@@ -326,28 +309,26 @@ def stab_regime(point_sets: Sequence[Sequence[Vec]],
     return "search", flat
 
 
+def _blocks(point_sets: Sequence[Sequence[Vec]], lam: Sequence) -> tuple:
+    """A stacked lambda split into one block of weights per set."""
+    ends = list(itertools.accumulate(len(ps) for ps in point_sets))
+    return tuple(lam[a:b] for a, b in zip([0] + ends, ends))
+
+
 def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
          coords: Sequence[int]) -> list[Vec]:
     """The met points y_i = sum_j lam_ij p_ij of a stacked lambda, at the
     given 0-based coordinates."""
-    out = []
-    at = 0
-    for pts in point_sets:
-        weights = lam[at:at + len(pts)]
-        out.append(tuple(sum((w * p[c] for w, p in zip(weights, pts)), _ZERO)
-                         for c in coords))
-        at += len(pts)
-    return out
+    return [combination(w, pts, coords)
+            for w, pts in zip(_blocks(point_sets, lam), point_sets)]
 
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
     lam = vec(flat_lambda)
-    ends = list(itertools.accumulate(len(ps) for ps in point_sets))
-    lambdas = tuple(lam[a:b] for a, b in zip([0] + ends, ends))
     points = _met(point_sets, lam, range(family.m))
     diffs = [vec_sub(y, points[0]) for y in points[1:]]
     plane = plane_through(family, points[0], diffs)
-    witness = StabWitness(lambdas, plane, tuple(points))
+    witness = StabWitness(_blocks(point_sets, lam), plane, tuple(points))
     ok, _ = verify_stab_witness(witness, point_sets, family)
     if not ok:
         raise RuntimeError("constructed witness failed exact re-verification")

@@ -10,8 +10,9 @@ from oracles import (det_cofactor, feasible_by_basic_solutions, integer_poly,
                      rank_by_minors, root_in_interval_by_grid, rref_naive,
                      simplex_witness_fraction, sturm_count_euclid)
 from plstab import ratmath
-from plstab.ratmath import (cauchy_root_bound, format_rational,
-                            independent_subset, lp_feasible, mat_rank,
+from plstab.ratmath import (cauchy_root_bound, combination, format_rational,
+                            hull_rows, independent_subset, lp_feasible,
+                            mat_rank,
                             max_minor, nullspace_basis, parse_rational,
                             simplest_between, solve_affine, square_free_part,
                             sturm_count, vec, vec_dot)
@@ -270,6 +271,52 @@ def test_lp_triangle_slice():
     w = lp_feasible(eq, [F(1, 2), 1])
     assert w is not None
     assert w[1] == F(1, 2) and sum(w) == 1 and all(x >= 0 for x in w)
+
+
+def test_hull_rows_layout():
+    # Sum-to-one rows first, then y_i[c] - y_1[c] per later set i and
+    # coordinate c, over the stacked lambda (2 + 1 + 2 columns).
+    sets = [[vec([1, 2, 3]), vec([4, 5, 6])], [vec([7, 8, 9])],
+            [vec([0, 1, 0]), vec([2, 0, 5])]]
+    rows, rhs = hull_rows(sets, [0, 2])
+    assert rows == [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1],
+                    [-1, -4, 7, 0, 0], [-3, -6, 9, 0, 0],
+                    [-1, -4, 0, 0, 2], [-3, -6, 0, 0, 5]]
+    assert rhs == [1, 1, 1, 0, 0, 0, 0]
+    assert hull_rows(sets[:1], [0, 1, 2]) == ([[1, 1]], [1])
+
+
+def test_hull_rows_solutions_meet_on_the_coordinates():
+    # Every nonnegative solution puts the combinations of all sets at one
+    # point on the chosen coordinates.
+    rng = random.Random(29)
+    found = 0
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        sets = [[vec([rng.randint(-2, 2) for _ in range(m)])
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 3))]
+        coords = sorted(rng.sample(range(m), rng.randint(0, m)))
+        lam = lp_feasible(*hull_rows(sets, coords))
+        if lam is None:
+            continue
+        at, ys = 0, []
+        for pts in sets:
+            weights = lam[at:at + len(pts)]
+            at += len(pts)
+            assert sum(weights) == 1
+            ys.append([sum(w * p[c] for w, p in zip(weights, pts))
+                       for c in coords])
+        assert all(y == ys[0] for y in ys)
+        found += 1
+    assert found > 20
+
+
+def test_combination():
+    pts = [vec([1, 2]), vec([3, -4])]
+    assert combination([F(1, 4), F(3, 4)], pts, range(2)) == (F(5, 2), F(-5, 2))
+    assert combination([F(1, 4), F(3, 4)], pts, [1]) == (F(-5, 2),)
+    assert combination([], [], range(2)) == (0, 0)
 
 
 def test_lp_matches_basic_solution_enumeration():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (basic_feasible_solutions, clusterable_by_partition_scan,
-                     components_by_pairwise_lp)
+                     components_by_pairwise_lp, feasible_by_basic_solutions)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import sections
@@ -97,7 +97,7 @@ def _random_family(rng, m):
     return PlaneFamily(m, s_t, s_T, d)
 
 
-def test_piece_vertices_match_basic_feasible_solutions():
+def test_image_and_preimage_pieces_match_basic_solution_scan():
     # Each piece lists exactly the vertices of its simplex's membership
     # polytope {lambda >= 0 : sum 1, image on the plane}, found here by a
     # basic-solution scan over every simplex.  Planes pass through image
@@ -219,6 +219,58 @@ def test_polytopes_intersect():
     assert polytopes_intersect((), a) is False
 
 
+def _polytope_pairs():
+    """(kind, p, q) over small integer vertex lists in R^2..R^4: a random
+    pair, then a q touching p in a vertex that maximizes the first
+    coordinate, a q nested in p's hull and a q beyond p's bounding box."""
+    rng = random.Random(61)
+    for _ in range(60):
+        m = rng.randint(2, 4)
+
+        def points(count):
+            return tuple(vec([rng.randint(0, 3) for _ in range(m)])
+                         for _ in range(count))
+
+        p = points(rng.randint(1, 3))
+        yield "random", p, points(rng.randint(1, 3))
+        top = max(p, key=lambda v: v[0])
+        away = vec([rng.randint(1, 2)] + [rng.randint(-2, 2)
+                                          for _ in range(m - 1)])
+        yield "touching", p, (top, tuple(x + y for x, y in zip(top, away)))
+        nested = []
+        for _ in range(rng.randint(1, 3)):
+            w = [rng.randint(0, 3) for _ in p]
+            w[rng.randrange(len(w))] += 1
+            nested.append(tuple(sum(F(a, sum(w)) * v[c] for a, v in zip(w, p))
+                                for c in range(m)))
+        yield "nested", p, tuple(nested)
+        c = rng.randrange(m)
+        shift = max(v[c] for v in p) - min(v[c] for v in p) + 1
+        yield "disjoint", p, tuple(tuple(x + shift * (i == c)
+                                         for i, x in enumerate(v)) for v in p)
+
+
+def test_polytopes_intersect_matches_basic_solution_scan():
+    # Against a basic-solution scan of {lambda, mu >= 0 : sum lambda =
+    # sum mu = 1, P lambda = Q mu}, with the rows built here.
+    outcomes = set()
+    for kind, p, q in _polytope_pairs():
+        m = len(p[0])
+        rows = [[F(1)] * len(p) + [F(0)] * len(q),
+                [F(0)] * len(p) + [F(1)] * len(q)]
+        rows += [[v[c] for v in p] + [-w[c] for w in q] for c in range(m)]
+        want = feasible_by_basic_solutions(rows, [1, 1] + [0] * m)
+        assert polytopes_intersect(p, q) is want
+        assert want is {"touching": True, "nested": True,
+                        "disjoint": False}.get(kind, want)
+        boxes_meet = all(min(v[c] for v in p) <= max(w[c] for w in q)
+                         and min(w[c] for w in q) <= max(v[c] for v in p)
+                         for c in range(m))
+        outcomes.add((kind, want, boxes_meet))
+    # random pairs whose boxes meet reach the LP and come out both ways
+    assert {("random", True, True), ("random", False, True)} <= outcomes
+
+
 # --- preimages ----------------------------------------------------------------
 
 def test_preimage_whole_simplex_on_plane():
@@ -277,7 +329,24 @@ def test_cluster_non_strict_boundary():
 def test_cluster_component_limit():
     polys = _singleton_polytopes(*([i * 100, 0] for i in range(13)))
     with pytest.raises(ValueError):
-        _clusterable(polys, 13, F(1))
+        _clusterable(polys, 12, F(1))
+
+
+def test_cluster_no_limit_when_q_covers_the_components():
+    # Every component may open its own cluster, so the search never
+    # backtracks and the limit does not apply.
+    polys = _singleton_polytopes(*([i * 100, 0] for i in range(13)))
+    part = compute_components(_named(polys))
+    assert component_clusters(part, 13, F(1)) == [[i] for i in range(13)]
+    near = _singleton_polytopes(*([F(i, 100), 0] for i in range(13)))
+    part = compute_components(_named(near))
+    assert component_clusters(part, 13, F(1)) == [list(range(13))]
+
+
+def test_cluster_wide_component_answers_before_the_limit():
+    polys = _singleton_polytopes(*([i * 100, 0] for i in range(12)))
+    wide = ((vec([0, 50]), vec([3, 50])),)
+    assert _clusterable(polys + wide, 1, F(1)) is False
 
 
 def test_component_clusters_witness():
@@ -379,18 +448,54 @@ def test_components_match_pairwise_lp_oracle():
             assert (part.components, part.diameters_sq) == want
 
 
+def _incidence_classes(sources):
+    """The top sources (no proper face of another source) and the classes
+    that joining each source to its facets among the sources makes, as a
+    class label per source."""
+    index = {s: i for i, s in enumerate(sources)}
+    label = list(range(len(sources)))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    facets = set()
+    for i, s in enumerate(sources):
+        for j in range(len(s)):
+            f = s[:j] + s[j + 1:]
+            if f in index:
+                facets.add(f)
+                label[find(index[f])] = find(i)
+    tops = [i for i, s in enumerate(sources) if s not in facets]
+    return tops, [find(i) for i in range(len(sources))]
+
+
 def test_no_lp_joins_two_preimage_pieces(monkeypatch):
     # In the realization piece(s) and piece(s') meet in piece(s & s'), which
-    # face incidence has already joined to both: every intersection test
-    # that preimage components run comes out empty.
-    results = []
-    real = sections.polytopes_intersect
-
-    def recording(p, q):
-        results.append(real(p, q))
-        return results[-1]
-
-    monkeypatch.setattr(sections, "polytopes_intersect", recording)
+    # face incidence has already joined to both: no two top preimage pieces
+    # in different incidence classes intersect, so preimage components run
+    # no intersection test, while image components still do.
+    tested = 0
     for k, g, plane in _component_corpus():
-        compute_components(preimage_polytopes(k, g, plane))
-    assert results and not any(results)
+        preimage = preimage_polytopes(k, g, plane)
+        tops, classes = _incidence_classes(preimage.sources)
+        for a, i in enumerate(tops):
+            for j in tops[a + 1:]:
+                if classes[i] != classes[j]:
+                    tested += 1
+                    assert not polytopes_intersect(preimage.pieces[i],
+                                                   preimage.pieces[j])
+    assert tested
+    calls = {"preimage": 0, "image": 0}
+    real = sections.polytopes_intersect
+    for kind, build in (("preimage", preimage_polytopes),
+                        ("image", section_of_image)):
+        def counting(p, q, kind=kind):
+            calls[kind] += 1
+            return real(p, q)
+
+        monkeypatch.setattr(sections, "polytopes_intersect", counting)
+        for k, g, plane in _component_corpus():
+            compute_components(build(k, g, plane))
+    assert calls["preimage"] == 0 and calls["image"] > 0
