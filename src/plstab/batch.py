@@ -325,8 +325,9 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
     The grid's keys, every suite's keys, kind and bounds, the type of every
-    suite and fixture entry, and each fixture's keys, name, expect and
-    budget are checked before any cell is enumerated.
+    suite and fixture entry, each fixture's keys, name, expect and budget,
+    and that there is a suite or a fixture at all, are checked before any
+    cell is enumerated.
     Returns a report dict with per-cell summaries and the flat violation
     list; the caller maps a nonempty violation list to exit code 1.
     """
@@ -343,6 +344,8 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
         suites.append((runners[kind], m_max, n_max))
     fixtures = [_checked_fixture(fixture) for fixture
                 in _typed(grid.get("fixtures", []), list, "fixtures")]
+    if not suites and not fixtures:
+        raise ValueError("grid needs a nonempty suites or fixtures list")
     violations: list[dict] = []
     cells_run = []
     for (enumerate_cells, runner), m_max, n_max in suites:

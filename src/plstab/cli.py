@@ -6,8 +6,11 @@ returns one of the contract exit codes:
 
 * 0: success
 * 1: mathematical violation found by a verify sweep
-* 2: input error (bad flag, unreadable file, malformed data)
-* 3: genericity certification exhausted
+* 2: input error (bad flag, unreadable file, malformed data): a CliError
+  or any ValueError
+* 3: genericity certification exhausted: a GenericityError
+
+main alone maps an exception to its exit code.
 
 All randomness flows from the --seed option; identical argv, files and seeds
 produce byte-identical reports.
@@ -32,7 +35,7 @@ from .generic import GenericityError, GenericPool, _derived_seed
 from .ratmath import format_rational, parse_rational
 from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
-from .simplicial import (ParseError, certify_map, format_complex, format_map,
+from .simplicial import (certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
 from .transversal import (_typed, decide_stab, family_from_json_dict,
                           max_disjoint_stabbed, plane_from_json_dict,
@@ -40,36 +43,34 @@ from .transversal import (_typed, decide_stab, family_from_json_dict,
 
 
 class CliError(Exception):
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """An input error whose message already names the flag or file at fault."""
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose errors become a CliError, so they get a JSON report."""
 
     def error(self, message: str):
-        raise CliError(2, f"{self.prog}: {message}")
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _read_text(path: str, inputs: dict) -> str:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(2, f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CliError(2, f"{path}: not UTF-8 text") from exc
+        raise CliError(f"{path}: not UTF-8 text") from exc
 
 
 def _read_json(path: str, inputs: dict):
     text = _read_text(path, inputs)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(2, f"{path}: invalid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
 @contextmanager
@@ -79,7 +80,7 @@ def _fields_of(path: str):
         yield
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise CliError(2, f"{path}: {detail}") from exc
+        raise CliError(f"{path}: {detail}") from exc
 
 
 def _write_text(path: str, text: str) -> str:
@@ -87,24 +88,16 @@ def _write_text(path: str, text: str) -> str:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliError(2, f"cannot write {path}: {exc}") from exc
+        raise CliError(f"cannot write {path}: {exc}") from exc
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def _cert_summary(cert) -> dict:
-    if cert is None:
-        return None
     return {
         "status": "ok" if cert.ok else "failed",
         "conditions": len(cert.conditions),
         "failed_index": cert.failed_index,
     }
-
-
-def _require_vertices(k, g, map_path: str) -> None:
-    for v in k.vertices:
-        if v not in g.images:
-            raise CliError(2, f"{map_path}: missing vertex {v!r}")
 
 
 # gen draws once per simplex of the full complex on its vertices up to its
@@ -117,13 +110,13 @@ GEN_MAX_SIMPLEXES = 2 ** 20
 
 def _run_gen(args, inputs) -> tuple[dict, dict, int]:
     if not 0 <= args.density <= 1:
-        raise CliError(2, "--density must lie in [0, 1]")
+        raise CliError("--density must lie in [0, 1]")
     simplexes = 0
     for size in range(1, min(args.dim + 1, args.vertices) + 1):
         simplexes += math.comb(args.vertices, size)
         if simplexes > GEN_MAX_SIMPLEXES:
-            raise CliError(2, f"--vertices {args.vertices} --dim {args.dim} "
-                              f"allow more than {GEN_MAX_SIMPLEXES} simplexes")
+            raise CliError(f"--vertices {args.vertices} --dim {args.dim} "
+                           f"allow more than {GEN_MAX_SIMPLEXES} simplexes")
     rng = random.Random(_derived_seed(args.seed, "gen"))
     k = batch.random_complex(rng, args.vertices, args.dim, args.density)
     result = {
@@ -139,8 +132,8 @@ def _run_gen(args, inputs) -> tuple[dict, dict, int]:
 def _run_perturb(args, inputs):
     k = parse_complex(_read_text(args.complex, inputs))
     theta = parse_map(_read_text(args.map, inputs))
-    _require_vertices(k, theta, args.map)
-    g = roberts_perturb(k, theta, args.eps, GenericPool(args.seed))
+    with _fields_of(args.map):
+        g = roberts_perturb(k, theta, args.eps, GenericPool(args.seed))
     result = {
         "out": args.out,
         "out_digest": _write_text(args.out, format_map(g)),
@@ -151,10 +144,7 @@ def _run_perturb(args, inputs):
 
 
 def _run_bounds(args, inputs):
-    try:
-        got = stab_bound(args.n, args.m, args.d, args.t, args.T)
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from exc
+    got = stab_bound(args.n, args.m, args.d, args.t, args.T)
     result = {
         "value": format_rational(got.value),
         "floor": got.floor,
@@ -171,10 +161,7 @@ def _run_stab(args, inputs):
     with _fields_of(args.sets):
         sets = sets_from_json(_typed(sets_data, dict, "sets file")["sets"],
                               family.m)
-    try:
-        got = decide_stab(sets, family, args.budget, GenericPool(args.seed))
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from exc
+    got = decide_stab(sets, family, args.budget, GenericPool(args.seed))
     return {"q": len(sets), **got}, None, 0
 
 
@@ -183,8 +170,8 @@ def _load_request(args, inputs):
     request, read in that order."""
     k = parse_complex(_read_text(args.complex, inputs))
     g = parse_map(_read_text(args.map, inputs))
-    _require_vertices(k, g, args.map)
-    g = certify_map(k, g)
+    with _fields_of(args.map):
+        g = certify_map(k, g)
     if not g.certified:
         raise GenericityError(
             "map fails genericity certification; regenerate with perturb")
@@ -192,8 +179,8 @@ def _load_request(args, inputs):
     with _fields_of(args.plane):
         plane = plane_from_json_dict(data)
     if plane.family.m != g.m:
-        raise CliError(2, f"{args.plane}: plane lives in dimension "
-                          f"{plane.family.m}, map in {g.m}")
+        raise CliError(f"{args.plane}: plane lives in dimension "
+                       f"{plane.family.m}, map in {g.m}")
     return k, g, plane
 
 
@@ -233,10 +220,7 @@ def _run_section(args, inputs):
 def _run_cotype(args, inputs):
     part, result, certificate = _components_of(args, inputs,
                                                preimage_polytopes)
-    try:
-        clusters = component_clusters(part, args.q, args.eps)
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from exc
+    clusters = component_clusters(part, args.q, args.eps)
     result["result"] = clusters is not None
     if clusters is not None:
         result["clusters"] = clusters
@@ -245,15 +229,9 @@ def _run_cotype(args, inputs):
 
 def _run_verify(args, inputs):
     grid = _read_json(args.grid, inputs)
-    if not isinstance(grid, dict) or not any(
-            isinstance(grid.get(key), list) and grid[key]
-            for key in ("suites", "fixtures")):
-        raise CliError(2, f"{args.grid}: grid needs a nonempty suites or "
-                          "fixtures list")
     with _fields_of(args.grid):
         report = batch.run_grid(grid, args.trials, GenericPool(args.seed))
-    code = 1 if report["violations"] else 0
-    return report, None, code
+    return report, None, 1 if report["violations"] else 0
 
 
 class _Flag(NamedTuple):
@@ -320,12 +298,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             try:
                 value = parse_rational(value)
             except ValueError as exc:
-                raise CliError(2, f"{f.name}: {exc}") from exc
+                raise CliError(f"{f.name}: {exc}") from exc
             setattr(args, f.name[2:], value)
         if f.bound:
             op, low = f.bound.split()
             if not _BOUND_OPS[op](value, int(low)):
-                raise CliError(2, f"{f.name} must be {f.bound}")
+                raise CliError(f"{f.name} must be {f.bound}")
     return args
 
 
@@ -339,22 +317,15 @@ def main(argv=None) -> int:
     try:
         args = _parse(echo)
         result, certificate, code = _VERBS[args.verb][1](args, inputs)
+        report = {"result": result, "certificate": certificate}
     except SystemExit:  # only --help exits; every parse error raises CliError
         return 0
-    except CliError as exc:
-        _emit({"command": echo, "inputs": inputs, "error": str(exc),
-               "exit_code": exc.exit_code})
-        return exc.exit_code
-    except ParseError as exc:
-        _emit({"command": echo, "inputs": inputs, "error": str(exc),
-               "exit_code": 2})
-        return 2
-    except GenericityError as exc:
-        _emit({"command": echo, "inputs": inputs, "error": str(exc),
-               "exit_code": 3})
-        return 3
-    _emit({"command": echo, "inputs": inputs, "result": result,
-           "certificate": certificate, "exit_code": code})
+    # The one map from error to exit code.  RuntimeError (GenericityError
+    # aside) and ArithmeticError are faults of the program and propagate.
+    except (CliError, ValueError, GenericityError) as exc:
+        code = 3 if isinstance(exc, GenericityError) else 2
+        report = {"error": str(exc)}
+    _emit({"command": echo, "inputs": inputs, **report, "exit_code": code})
     return code
 
 

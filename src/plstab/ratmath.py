@@ -585,16 +585,31 @@ def cauchy_root_bound(p: list[int]) -> Fraction:
 
 
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """The rational with smallest denominator in [a, b] (Stern-Brocot walk)."""
+    """The rational with smallest denominator in [a, b] (Stern-Brocot walk).
+
+    On 0 < a <= b: a's integer part fa, when a is that integer or fa + 1 is
+    at most b; else fa + 1/x for x the simplest rational in
+    [1/(b - fa), 1/(a - fa)].  The walk collects those integer parts, one
+    continued-fraction term per step, and folds them back from the last.
+    """
     if a > b:
         raise ValueError("empty interval")
     if a <= 0 <= b:
         return _ZERO
+    sign = 1
     if b < 0:
-        return -simplest_between(-b, -a)
-    fa = a.numerator // a.denominator
-    if Fraction(fa) == a:
-        return Fraction(fa)
-    if b >= fa + 1:
-        return Fraction(fa + 1)
-    return fa + 1 / simplest_between(1 / (b - fa), 1 / (a - fa))
+        a, b, sign = -b, -a, -1
+    terms = []
+    while True:
+        fa = a.numerator // a.denominator
+        if fa == a:
+            x = Fraction(fa)
+            break
+        if b >= fa + 1:
+            x = Fraction(fa + 1)
+            break
+        terms.append(fa)
+        a, b = 1 / (b - fa), 1 / (a - fa)
+    for fa in reversed(terms):
+        x = fa + 1 / x
+    return sign * x

@@ -230,7 +230,7 @@ def certify_map(k: SimplicialComplex, g: PLMap) -> PLMap:
     """Recompute the genericity certificate of g against complex k."""
     for v in k.vertices:
         if v not in g.images:
-            raise ValueError(f"map lacks vertex {v!r}")
+            raise ValueError(f"missing vertex {v!r}")
     cert = certify(generic_position_transcript(k, g.images))
     return PLMap(g.m, dict(g.images), cert)
 
@@ -251,7 +251,7 @@ def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
     m = theta.m
     for v in k.vertices:
         if v not in theta.images:
-            raise ValueError(f"map lacks vertex {v!r}")
+            raise ValueError(f"missing vertex {v!r}")
     per_coord = eps / m  # sum of m squares each < (eps/m)^2 stays < eps^2
     for attempt_pool in regeneration_pools(pool):
         images: dict[str, Vec] = {}

@@ -615,20 +615,21 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
 # Counting disjoint stabbed simplexes of a PL image.
 
 def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    """A largest independent set, by branch and bound on an explicit stack:
+    each branch first takes its first candidate, then skips it, so the skip
+    branch waits under the whole take branch and is pruned against the best
+    set that branch found."""
     best: list[int] = []
-
-    def descend(cands: list[int], chosen: list[int]):
-        nonlocal best
+    stack = [(sorted(range(n), key=lambda v: (-len(adj[v]), v)), [])]
+    while stack:
+        cands, chosen = stack.pop()
         if len(chosen) > len(best):
-            best = chosen[:]
+            best = chosen
         if not cands or len(chosen) + len(cands) <= len(best):
-            return
-        v = cands[0]
-        descend([u for u in cands[1:] if u not in adj[v]], chosen + [v])
-        descend(cands[1:], chosen)
-
-    descend(order, [])
+            continue
+        v, rest = cands[0], cands[1:]
+        stack.append((rest, chosen))
+        stack.append(([u for u in rest if u not in adj[v]], chosen + [v]))
     return sorted(best)
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from plstab import batch
 from plstab.cli import _VERBS, CliError, _parse, main
+from plstab.ratmath import format_rational
 
 TWO_EDGES_COMPLEX = "v a\nv b\nv c\nv d\ns a b\ns c d\n"
 TWO_EDGES_MAP = ("m 2\n"
@@ -721,14 +723,28 @@ def test_verify_zero_trials_empty_report(capsys, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("grid", [{}, [], {"suites": [], "fixtures": []},
-                                  {"suites": {"kind": "linear"}}])
-def test_verify_grid_without_work_exit_2(capsys, tmp_path, grid):
+_NO_WORK = "grid needs a nonempty suites or fixtures list"
+
+
+@pytest.mark.parametrize("grid,error", [
+    pytest.param({}, _NO_WORK, id="grid0"),
+    pytest.param([], "grid must be a JSON dict, got []", id="grid1"),
+    pytest.param({"suites": [], "fixtures": []}, _NO_WORK, id="grid2"),
+    pytest.param({"suites": {"kind": "linear"}},
+                 "suites must be a JSON list, got {'kind': 'linear'}",
+                 id="grid3"),
+    pytest.param({"fixture": []}, "unknown grid key 'fixture'",
+                 id="unknown-key"),
+])
+def test_verify_grid_without_work_exit_2(capsys, tmp_path, grid, error):
+    # batch.run_grid checks the grid's type, keys and lists before it asks
+    # for a suite or a fixture
     path = write(tmp_path, "grid.json", grid)
     code, out = run_cli(capsys, ["verify", "--grid", path,
                                  "--trials", "1", "--seed", "0"])
-    assert code == 2
-    assert json.loads(out)["exit_code"] == 2
+    report = json.loads(out)
+    assert (code, report["exit_code"]) == (2, 2)
+    assert report["error"] == f"{path}: {error}"
 
 
 @pytest.mark.parametrize("suite", [{"kind": "linear", "m_max": -3},
@@ -931,3 +947,99 @@ def test_fuzzed_argv_and_files_give_one_json_report(capsys, monkeypatch,
     report = json.loads(captured.out)  # exactly one JSON document
     assert report["command"] == argv and report["exit_code"] == code
     assert captured.err == ""
+
+
+# --- error paths and inputs past Python's recursion limit --------------------
+
+def _report(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report["exit_code"] == code
+    return code, report
+
+
+def test_count_packs_more_simplexes_than_the_recursion_limit(capsys,
+                                                             tmp_path):
+    # 1,100 isolated vertices on the line, all stabbed by the whole line
+    n = 1100
+    cx = write(tmp_path, "k.cx", "".join(f"v x{i}\n" for i in range(n)))
+    mp = write(tmp_path, "g.map",
+               "m 1\n" + "".join(f"p x{i} {i}\n" for i in range(n)))
+    pl = write(tmp_path, "p.json", {"m": 1, "St": [], "ST": [1], "d": 1,
+                                    "basepoint": ["0"], "extra_dirs": [["1"]]})
+    code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--nmax", "0"])
+    assert code == 0
+    assert report["result"]["count"] == n
+    assert len(report["result"]["witness_family"]) == n
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("verb", ["verify", "stab"])
+def test_too_deeply_nested_json_exit_2(capsys, tmp_path, verb):
+    deep = write(tmp_path, "deep.json", _DEEP_JSON)
+    if verb == "verify":
+        argv = ["verify", "--grid", deep, "--trials", "1"]
+    else:
+        argv = ["stab", "--family", deep,
+                "--sets", write(tmp_path, "s.json", Z_AXIS_SETS)]
+    code, report = _report(capsys, argv)
+    assert code == 2
+    assert report["error"].startswith(f"{deep}: invalid JSON: ")
+
+
+def _edges_crossing_one_line(n):
+    """n disjoint edges of R^2 in generic position, each crossing x = 1/2."""
+    cx = "".join(f"v a{i}\nv b{i}\n" for i in range(n))
+    cx += "".join(f"s a{i} b{i}\n" for i in range(n))
+    point = "p {} {} {}\n".format
+    mp = "m 2\n" + "".join(
+        point(f"a{i}", format_rational(Fraction(1, 101) + Fraction(i, 1000)),
+              format_rational(2 * i + 1 + Fraction(1, 7)))
+        + point(f"b{i}", format_rational(Fraction(102, 101) + Fraction(i, 999)),
+                format_rational(2 * i + 1 + Fraction(1, 9)))
+        for i in range(n))
+    return cx, mp
+
+
+def test_cotype_component_limit_exit_2(capsys, tmp_path):
+    cx, mp = _edges_crossing_one_line(13)
+    cx, mp = write(tmp_path, "k.cx", cx), write(tmp_path, "g.map", mp)
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    code, report = _report(capsys, ["cotype", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--q", "2",
+                                    "--eps", "1/2"])
+    assert (code, report["error"]) == (
+        2, "13 components exceed the exact clusterer limit of 12")
+
+
+def test_count_uncertified_map_exit_3(capsys, tmp_path):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    # a and b share their first coordinate
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP.replace("102/101 1/9",
+                                                         "1/101 1/9"))
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--nmax", "1"])
+    assert (code, report["error"]) == (
+        3, "map fails genericity certification; regenerate with perturb")
+
+
+def test_plane_and_map_dimensions_differ_exit_2(capsys, tmp_path):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", {"m": 3, "St": [3], "ST": [3], "d": 1,
+                                    "basepoint": ["1/2", "0", "0"]})
+    code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--nmax", "1"])
+    assert (code, report["error"]) == (
+        2, f"{pl}: plane lives in dimension 3, map in 2")
+
+
+def test_cli_error_carries_no_exit_code():
+    # main alone picks the exit code, from the type of the error
+    assert not hasattr(CliError("x"), "exit_code")

@@ -680,6 +680,39 @@ def test_simplest_between(a, b, want):
     assert got == want
 
 
+def _simplest_between_recursive(a, b):
+    """The Stern-Brocot recursion that simplest_between runs as a loop."""
+    if a <= 0 <= b:
+        return F(0)
+    if b < 0:
+        return -_simplest_between_recursive(-b, -a)
+    fa = a.numerator // a.denominator
+    if F(fa) == a:
+        return F(fa)
+    if b >= fa + 1:
+        return F(fa + 1)
+    return fa + 1 / _simplest_between_recursive(1 / (b - fa), 1 / (a - fa))
+
+
+def test_simplest_between_past_the_recursion_limit():
+    # consecutive Fibonacci ratios: about 2,000 continued-fraction terms
+    fib = [0, 1]
+    while len(fib) < 2004:
+        fib.append(fib[-1] + fib[-2])
+    a, b = F(fib[2000], fib[2001]), F(fib[2002], fib[2003])
+    assert simplest_between(a, b) == a
+    assert simplest_between(-b, -a) == -a
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6),
+       st.fractions(min_value=0, max_value=3, max_denominator=10 ** 6))
+@settings(max_examples=300)
+def test_simplest_between_matches_recursive_definition(a, width):
+    got = simplest_between(a, a + width)
+    assert got == _simplest_between_recursive(a, a + width)
+    assert type(got) is F
+
+
 @given(st.fractions(min_value=-4, max_value=4, max_denominator=40),
        st.fractions(min_value=0, max_value=2, max_denominator=40))
 @settings(max_examples=200)

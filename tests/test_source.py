@@ -200,3 +200,26 @@ def test_no_process_wide_cache_in_library():
                   and isinstance(node.value, ast.Name) and node.value.id in aliases):
                 found.append(f"{where} functools.{node.attr}")
     assert found == []
+
+
+def test_no_library_function_calls_itself():
+    # Recursion depth grows with the input (a continued fraction's length,
+    # the number of stabbed simplexes), and Python's recursion limit would
+    # turn a large input into a RecursionError; every search is a loop.
+    found = []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if (isinstance(callee, ast.Name) and callee.id == func.name) or (
+                        isinstance(callee, ast.Attribute)
+                        and callee.attr == func.name
+                        and isinstance(callee.value, ast.Name)
+                        and callee.value.id in {"self", "cls"}):
+                    found.append(f"{path.name}:{node.lineno} {func.name}")
+    assert found == []

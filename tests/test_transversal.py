@@ -904,6 +904,40 @@ def test_count_matches_subset_enumeration():
                    for s1, s2 in itertools.combinations(family, 2))
 
 
+def _max_independent_set_recursive(n, adj):
+    """The recursive branch and bound that _max_independent_set unrolls."""
+    best = []
+
+    def descend(cands, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen[:]
+        if not cands or len(chosen) + len(cands) <= len(best):
+            return
+        v = cands[0]
+        descend([u for u in cands[1:] if u not in adj[v]], chosen + [v])
+        descend(cands[1:], chosen)
+
+    descend(sorted(range(n), key=lambda v: (-len(adj[v]), v)), [])
+    return sorted(best)
+
+
+def test_max_independent_set_keeps_the_recursive_search_order():
+    # same set, not just same size: the witness family of a count report
+    # is the first best set the search meets
+    rng = random.Random(22)
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        p = rng.choice((0.1, 0.3, 0.5, 0.8))
+        adj = [set() for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+        assert (transversal._max_independent_set(n, adj)
+                == _max_independent_set_recursive(n, adj))
+
+
 def test_count_requires_certificate():
     k = parse_complex("v a\ns a\n")
     g = PLMap(2, {"a": vec([0, 0])})
