@@ -19,9 +19,9 @@ from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex, image_point
-from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _typed,
-                          decide_stab, family_from_json_dict, nonstab_case,
-                          plane_through, sets_from_json,
+from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _known_keys,
+                          _typed, decide_stab, family_from_json_dict,
+                          nonstab_case, plane_through, sets_from_json,
                           stab_decide_univariate, stab_exists_linear,
                           stab_regime)
 
@@ -111,24 +111,17 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
     """One point set of n_i + 1 points per entry, every coordinate on its own stream.
 
     The returned certificate records pairwise distinctness of all drawn
-    coordinates as the neighbour differences of their sorted order (see
+    coordinates as one integer per neighbour pair of their sorted order (see
     :func:`~plstab.generic.distinctness_transcript`).
     """
     stream = itertools.count()
-    sets: list[list[Vec]] = []
-    labelled: list[tuple[str, Fraction]] = []
-    for i, n in enumerate(n_list):
-        pts = []
-        for j in range(n + 1):
-            coords = []
-            for s in range(m):
-                target = Fraction((3 * i + 5 * j + s) % 7)
-                value = pool.draw_near(target, Fraction(1, 2), next(stream))
-                coords.append(value)
-                labelled.append((f"set{i}.pt{j}[{s + 1}]", value))
-            pts.append(tuple(coords))
-        sets.append(pts)
-    return sets, certify(distinctness_transcript(labelled))
+    sets = [[tuple(pool.draw_near(Fraction((3 * i + 5 * j + s) % 7),
+                                  Fraction(1, 2), next(stream))
+                   for s in range(m))
+             for j in range(n + 1)]
+            for i, n in enumerate(n_list)]
+    return sets, certify(distinctness_transcript(
+        x for pts in sets for p in pts for x in p))
 
 
 def _run_cell(cell: SweepCell, trials: int, base_pool: GenericPool, decide,
@@ -254,18 +247,10 @@ _SUITE_KEYS = ("kind", "m_max", "n_max")
 _GRID_KEYS = ("suites", "fixtures")
 
 
-def _known_keys(data, keys: Sequence[str], what: str) -> dict:
-    """data, once it is a JSON object whose every key is one of keys."""
-    for key in _typed(data, dict, what):
-        if key not in keys:
-            raise ValueError(f"unknown {what} key {key!r}")
-    return data
-
-
-def _checked_fixture(fixture) -> dict:
-    """The fixture, once it is a JSON object with no unknown key, a string
-    ``name`` if any, an ``expect`` that some decider answers and a valid
-    ``budget``."""
+def _checked_fixture(fixture) -> tuple[PlaneFamily, list[list[Vec]]]:
+    """The family and sets of the fixture, once it is a JSON object with no
+    unknown key, a string ``name`` if any, an ``expect`` that some decider
+    answers, a valid ``budget`` and a ``family`` and ``sets`` that parse."""
     _known_keys(fixture, _FIXTURE_KEYS, "fixture")
     if "name" in fixture:
         _typed(fixture["name"], str, "fixture name")
@@ -274,7 +259,8 @@ def _checked_fixture(fixture) -> dict:
         raise ValueError(f"fixture expect must be one of "
                          f"{', '.join(_FIXTURE_EXPECTS)}, got {expect!r}")
     _json_count(fixture, "budget", 500, least=0)
-    return fixture
+    family = family_from_json_dict(fixture["family"])
+    return family, sets_from_json(fixture["sets"], family.m)
 
 
 def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
@@ -289,9 +275,7 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
     ``mode`` must name it too.  A witness or isolating interval that fails
     its exact re-check reads invalid_witness.
     """
-    _checked_fixture(fixture)
-    family = family_from_json_dict(fixture["family"])
-    sets = sets_from_json(fixture["sets"], family.m)
+    family, sets = _checked_fixture(fixture)
     got = decide_stab(sets, family, fixture.get("budget", 500), base_pool)
     if "mode" in fixture and fixture["mode"] != got["mode"]:
         raise ValueError(f"fixture mode {fixture['mode']!r}, but the input "
@@ -325,9 +309,9 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
     """Run every suite cell and fixture of a verification grid.
 
     The grid's keys, every suite's keys, kind and bounds, the type of every
-    suite and fixture entry, each fixture's keys, name, expect and budget,
-    and that there is a suite or a fixture at all, are checked before any
-    cell is enumerated.
+    suite and fixture entry, each fixture's keys, name, expect, budget,
+    family and sets, and that there is a suite or a fixture at all, are
+    checked before any cell is enumerated.
     Returns a report dict with per-cell summaries and the flat violation
     list; the caller maps a nonempty violation list to exit code 1.
     """
@@ -342,8 +326,9 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
         if kind not in runners:
             raise ValueError(f"unknown suite kind {kind!r}")
         suites.append((runners[kind], m_max, n_max))
-    fixtures = [_checked_fixture(fixture) for fixture
-                in _typed(grid.get("fixtures", []), list, "fixtures")]
+    fixtures = _typed(grid.get("fixtures", []), list, "fixtures")
+    for fixture in fixtures:
+        _checked_fixture(fixture)
     if not suites and not fixtures:
         raise ValueError("grid needs a nonempty suites or fixtures list")
     violations: list[dict] = []

@@ -37,7 +37,7 @@ from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
-from .transversal import (_typed, decide_stab, family_from_json_dict,
+from .transversal import (_known_keys, decide_stab, family_from_json_dict,
                           max_disjoint_stabbed, plane_from_json_dict,
                           sets_from_json, stab_bound)
 
@@ -69,13 +69,15 @@ def _read_json(path: str, inputs: dict):
     text = _read_text(path, inputs)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    # ValueError: bad syntax, or an integer literal too long to convert;
+    # RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
 @contextmanager
 def _fields_of(path: str):
-    """Turn a malformed JSON document's error into one naming the file."""
+    """Turn a malformed file's error into one naming the file."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -130,9 +132,10 @@ def _run_gen(args, inputs) -> tuple[dict, dict, int]:
 
 
 def _run_perturb(args, inputs):
-    k = parse_complex(_read_text(args.complex, inputs))
-    theta = parse_map(_read_text(args.map, inputs))
+    with _fields_of(args.complex):
+        k = parse_complex(_read_text(args.complex, inputs))
     with _fields_of(args.map):
+        theta = parse_map(_read_text(args.map, inputs))
         g = roberts_perturb(k, theta, args.eps, GenericPool(args.seed))
     result = {
         "out": args.out,
@@ -159,8 +162,11 @@ def _run_stab(args, inputs):
         family = family_from_json_dict(family_data)
     sets_data = _read_json(args.sets, inputs)
     with _fields_of(args.sets):
-        sets = sets_from_json(_typed(sets_data, dict, "sets file")["sets"],
-                              family.m)
+        _known_keys(sets_data, ("m", "sets"), "sets file")
+        m = sets_data.get("m", family.m)
+        if type(m) is not int or m != family.m:
+            raise ValueError(f"m must be the family's m, {family.m}, got {m!r}")
+        sets = sets_from_json(sets_data["sets"], family.m)
     got = decide_stab(sets, family, args.budget, GenericPool(args.seed))
     return {"q": len(sets), **got}, None, 0
 
@@ -168,10 +174,10 @@ def _run_stab(args, inputs):
 def _load_request(args, inputs):
     """The complex, certified map and plane of a count, section or cotype
     request, read in that order."""
-    k = parse_complex(_read_text(args.complex, inputs))
-    g = parse_map(_read_text(args.map, inputs))
+    with _fields_of(args.complex):
+        k = parse_complex(_read_text(args.complex, inputs))
     with _fields_of(args.map):
-        g = certify_map(k, g)
+        g = certify_map(k, parse_map(_read_text(args.map, inputs)))
     if not g.certified:
         raise GenericityError(
             "map fails genericity certification; regenerate with perturb")

@@ -4,7 +4,7 @@ True algebraic independence cannot be represented with finite rationals, so
 coordinates are drawn from per-stream cosets q + r_i whose offsets r_i are
 64-bit-entropy rationals derived deterministically from a seed.  Rigor is
 restored per run: every determinant or pivot a computation relied on is
-recorded and certified nonzero after the fact.
+recorded, as one integer, and certified nonzero after the fact.
 
 Every draw is a pure function of (seed, stream, target, eps).  A pool's
 only state is a memo of its offsets, which it shares with the pools derived
@@ -28,9 +28,9 @@ class GenericityError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenericityCertificate:
-    """Transcript of values a computation required to be nonzero."""
+    """Integers a computation required to be nonzero, known by position."""
 
-    conditions: tuple[tuple[str, Fraction], ...]
+    conditions: tuple[int, ...]
     failed_index: Optional[int]
 
     @property
@@ -38,30 +38,29 @@ class GenericityCertificate:
         return self.failed_index is None
 
 
-def certify(transcript: Iterable[tuple[str, Fraction]]) -> GenericityCertificate:
+def certify(transcript: Iterable[int]) -> GenericityCertificate:
     """Certificate over a transcript; fails at the first zero value."""
-    conditions = tuple((d, v) for d, v in transcript)
-    failed = next((i for i, (_, v) in enumerate(conditions) if v == 0), None)
+    conditions = tuple(transcript)
+    failed = next((i for i, v in enumerate(conditions) if v == 0), None)
     return GenericityCertificate(conditions, failed)
 
 
-def distinctness_transcript(labelled: Iterable[tuple[str, Fraction]]
-                            ) -> list[tuple[str, Fraction]]:
-    """Conditions under which all labelled values are pairwise distinct.
+def distinctness_transcript(values: Iterable[Fraction]) -> list[int]:
+    """Conditions under which all values are pairwise distinct.
 
-    The (label, value) pairs are stably sorted by exact value and the N-1
-    differences of neighbours are recorded as ``("coord A != B", a - b)``:
-    two equal values always sort next to each other, so the N values are
-    pairwise distinct exactly when no neighbouring difference is zero.
+    The values are stably sorted by exact value and the N-1 neighbours
+    a, b are recorded as the integer a.num * b.den - b.num * a.den, zero
+    exactly when a = b: two equal values always sort next to each other, so
+    the N values are pairwise distinct exactly when no condition is zero.
     The sort key is ``(floor(x * 2**160), x)``: the integer floor is
     monotone in x and settles almost every comparison, and values with the
     same floor fall back to the exact value, so the stable order is the one
     the exact values alone give.
     """
-    ordered = sorted(labelled, key=lambda item: (
-        (item[1].numerator << 160) // item[1].denominator, item[1]))
-    return [(f"coord {la} != {lb}", a - b)
-            for (la, a), (lb, b) in zip(ordered, ordered[1:])]
+    ordered = sorted(values, key=lambda x: (
+        (x.numerator << 160) // x.denominator, x))
+    return [a.numerator * b.denominator - b.numerator * a.denominator
+            for a, b in zip(ordered, ordered[1:])]
 
 
 def _derived_seed(*parts) -> int:

@@ -192,37 +192,32 @@ def format_map(g: PLMap) -> str:
 
 
 def generic_position_transcript(k: SimplicialComplex,
-                                images: dict[str, Vec]) -> list[tuple[str, Fraction]]:
-    """Nonvanishing conditions behind the PL map invariants.
+                                images: dict[str, Vec]) -> list[int]:
+    """Nonvanishing conditions behind the PL map invariants, as integers.
 
-    First the |V|*m - 1 neighbour differences of all |V|*m coordinates in
+    First the |V|*m - 1 neighbour conditions of all |V|*m coordinates in
     sorted order, which certify them pairwise distinct (see
-    :func:`~plstab.generic.distinctness_transcript`).  Then, per simplex,
-    the first nonzero maximal minor of its edge rows p_i - p_0 (see
-    :func:`~plstab.ratmath.max_minor`), which is zero exactly when the image
-    is affinely dependent.  It is computed in integers: each image p_v is
+    :func:`~plstab.generic.distinctness_transcript`).  Then one condition
+    per simplex with at least two vertices, in ``sorted_simplexes`` order,
+    zero exactly when its image is affinely dependent.  Each image p_v is
     cleared of denominators once (:func:`~plstab.ratmath._cleared`), as
     P_v = D_v p_v with D_v the lcm of its denominators, so a simplex
     v_0 ... v_k has the integer rows D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0);
-    their integer minor (:func:`~plstab.ratmath._minor`, the last pivot of
-    their elimination) over prod_i D_0 D_i is its condition, one Fraction.
+    the condition is their integer minor (:func:`~plstab.ratmath._minor`,
+    the last pivot of their elimination), which is prod_i D_0 D_i times the
+    first nonzero maximal minor of the edge rows p_i - p_0 (see
+    :func:`~plstab.ratmath.max_minor`).
     """
     transcript = distinctness_transcript(
-        (f"{v}[{s}]", x)
-        for v in k.vertices for s, x in enumerate(images[v], start=1))
+        x for v in k.vertices for x in images[v])
     cleared = {v: _cleared(images[v]) for v in k.vertices}
     for simplex in k.sorted_simplexes():
         if len(simplex) < 2:
             continue
         d0, p0 = cleared[simplex[0]]
-        rows = []
-        scale = 1
-        for v in simplex[1:]:
-            di, pi = cleared[v]
-            rows.append([d0 * a - di * b for a, b in zip(pi, p0)])
-            scale *= d0 * di
-        transcript.append((f"simplex {' '.join(simplex)} affinely independent",
-                           Fraction(_minor(rows), scale)))
+        rows = [[d0 * a - di * b for a, b in zip(pi, p0)]
+                for di, pi in (cleared[v] for v in simplex[1:])]
+        transcript.append(_minor(rows))
     return transcript
 
 

@@ -749,6 +749,14 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _known_keys(data, keys: Sequence[str], what: str) -> dict:
+    """data, once it is a JSON object whose every key is one of keys."""
+    for key in _typed(data, dict, what):
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}")
+    return data
+
+
 def family_from_json_dict(data: dict) -> PlaneFamily:
     data = _typed(data, dict, "family")
     m = _typed(data["m"], int, "m")

@@ -291,7 +291,9 @@ def test_perturb_round_trip(capsys, tmp_path):
                                  "--out", str(out_path)])
     assert code == 0
     report = json.loads(out)
-    assert report["certificate"]["status"] == "ok"
+    # N - 1 + S conditions: 3 * 3 coordinates, the triangle and its edges
+    assert report["certificate"] == {"status": "ok", "conditions": 8 + 4,
+                                     "failed_index": None}
     from plstab.simplicial import parse_map
     g = parse_map(out_path.read_text())
     assert g.m == 3
@@ -438,7 +440,9 @@ def test_count_two_edges(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["count"] == 2
-    assert report["certificate"]["status"] == "ok"
+    # N - 1 + S conditions: 4 * 2 coordinates and the two edges
+    assert report["certificate"] == {"status": "ok", "conditions": 7 + 2,
+                                     "failed_index": None}
 
 
 @pytest.mark.parametrize("verb_args", [
@@ -611,6 +615,26 @@ def test_stab_point_sets_need_lists_of_m_rational_strings_exit_2(
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", path])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"extra": 1}, "unknown sets file key 'extra'"),
+    ({"m": 7}, "m must be the family's m, 3, got 7"),
+    ({"m": 3.0}, "m must be the family's m, 3, got 3.0"),
+    ({"m": "3"}, "m must be the family's m, 3, got '3'"),
+], ids=["key", "m", "float-m", "string-m"])
+def test_stab_sets_file_keys_and_m_exit_2(capsys, tmp_path, change, error):
+    fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
+    sets = write(tmp_path, "s.json", dict(Z_AXIS_SETS, **change))
+    code, report = _report(capsys, ["stab", "--family", fam, "--sets", sets])
+    assert (code, report["error"]) == (2, f"{sets}: {error}")
+
+
+def test_stab_sets_file_m_may_be_left_out(capsys, tmp_path):
+    fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
+    sets = write(tmp_path, "s.json", _without(Z_AXIS_SETS, "m"))
+    code, report = _report(capsys, ["stab", "--family", fam, "--sets", sets])
+    assert code == 0
 
 
 @pytest.mark.parametrize("sets", [[[["0", "0", "0"]], [["1", "1"]]],
@@ -805,7 +829,13 @@ def test_verify_grid_entries_must_be_json_objects_exit_2(capsys, tmp_path,
      "unknown suite key 'm_mx'"),
     ({"suites": [{"kind": "linear", "m_max": 2}],
       "fixture": [_WITNESS_FIXTURE]}, "unknown grid key 'fixture'"),
-], ids=["suite", "grid"])
+    ({"suites": [{"kind": "linear", "m_max": 2}],
+      "fixtures": [_without(_WITNESS_FIXTURE, "family")]},
+     "missing field 'family'"),
+    ({"suites": [{"kind": "linear", "m_max": 2}],
+      "fixtures": [dict(_WITNESS_FIXTURE, sets=[])]},
+     "need nonempty point sets"),
+], ids=["suite", "grid", "fixture-family", "fixture-sets"])
 def test_verify_unknown_grid_and_suite_keys_exit_2(capsys, tmp_path,
                                                    monkeypatch, grid, error):
     # checked before any cell is enumerated, let alone run
@@ -990,6 +1020,42 @@ def test_too_deeply_nested_json_exit_2(capsys, tmp_path, verb):
     code, report = _report(capsys, argv)
     assert code == 2
     assert report["error"].startswith(f"{deep}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("verb_args", [
+    ["count", "--plane", "PLANE", "--nmax", "1"],
+    ["perturb", "--eps", "1", "--out", "OUT"],
+], ids=["count", "perturb"])
+@pytest.mark.parametrize("complex_text, map_text, at_fault, error", [
+    ("v a\nq\n", TWO_EDGES_MAP, "k.cx", "line 2: malformed line 'q'"),
+    (TWO_EDGES_COMPLEX, "m 2\np a 1\n", "g.map",
+     "line 2: expected id plus 2 coordinates"),
+], ids=["complex", "map"])
+def test_complex_and_map_parse_errors_name_the_file_exit_2(
+        capsys, tmp_path, monkeypatch, verb_args, complex_text, map_text,
+        at_fault, error):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "k.cx", complex_text)
+    write(tmp_path, "g.map", map_text)
+    write(tmp_path, "p.json", VERTICAL_HALF)
+    verb, *rest = verb_args
+    rest = [{"PLANE": "p.json", "OUT": "out.map"}.get(x, x) for x in rest]
+    code, report = _report(capsys, [verb, "--complex", "k.cx", "--map", "g.map",
+                                    *rest])
+    assert (code, report["error"]) == (2, f"{at_fault}: {error}")
+
+
+def test_json_integer_past_the_conversion_limit_names_the_file_exit_2(
+        capsys, tmp_path):
+    # Python refuses to convert an integer literal of over 4,300 digits
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json",
+               json.dumps(VERTICAL_HALF).replace('"d": 1', '"d": 1' + "0" * 5000))
+    code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--nmax", "1"])
+    assert code == 2
+    assert report["error"].startswith(f"{pl}: invalid JSON: ")
 
 
 def _edges_crossing_one_line(n):

@@ -10,7 +10,8 @@ from plstab.generic import (REGEN_ATTEMPTS, GenericityError, GenericPool,
                             certify, distinctness_transcript,
                             regeneration_pools)
 from plstab.ratmath import vec
-from plstab.simplicial import PLMap, parse_complex, roberts_perturb
+from plstab.simplicial import (PLMap, certify_map, parse_complex,
+                               roberts_perturb)
 
 F = Fraction
 
@@ -216,39 +217,50 @@ def test_eps_must_be_positive():
 
 
 def test_certify_ok():
-    cert = certify([("det hull a", F(3, 7)), ("pivot r2", F(-1))])
+    cert = certify([3, -1])
     assert cert.ok
     assert cert.failed_index is None
 
 
 def test_certify_failed_names_first_zero():
-    cert = certify([("ok", F(1)), ("det", F(0)), ("also zero", F(0))])
+    cert = certify([1, 0, 0])
     assert not cert.ok
     assert cert.failed_index == 1
 
 
 def test_certify_soundness_rescan():
-    cert = certify([(f"c{i}", F(i + 1, 3)) for i in range(10)])
+    cert = certify(range(1, 11))
     assert cert.ok
-    assert all(v != 0 for _, v in cert.conditions)
+    assert all(v != 0 for v in cert.conditions)
 
 
 def test_distinctness_transcript_neighbours_in_sorted_order():
-    got = distinctness_transcript([("a", F(1)), ("b", F(0)), ("c", F(1)),
-                                   ("d", F(-1, 2))])
-    # stable sort: d < b < a == c, with a before c as given
-    assert got == [("coord d != b", F(-1, 2)), ("coord b != a", F(-1)),
-                   ("coord a != c", F(0))]
+    # sorted: -1/2 < 0 < 1 == 1, and the neighbours a, b give
+    # a.num * b.den - b.num * a.den
+    got = distinctness_transcript([F(1), F(0), F(1), F(-1, 2)])
+    assert got == [-1, -1, 0]
     assert certify(got).failed_index == 2
-    assert distinctness_transcript([("x", F(3))]) == []
+    assert distinctness_transcript([F(3)]) == []
     assert distinctness_transcript([]) == []
+
+
+def test_every_condition_is_an_int():
+    k = parse_complex("v a\nv b\nv c\ns a b c\n")
+    g = certify_map(k, PLMap(2, {"a": vec([F(1, 3), F(2, 5)]),
+                                 "b": vec([F(3, 2), 3]),
+                                 "c": vec([4, F(1, 7)])}))
+    assert g.certified
+    _, cert = batch.draw_point_sets(GenericPool(4), [1, 2], 3)
+    for conditions in (g.certificate.conditions, cert.conditions):
+        assert conditions
+        assert all(type(c) is int for c in conditions)
 
 
 _BELOW_KEY_RESOLUTION = F(1, 2 ** 170)  # finer than the key's 2**-160 floor
 
 
 @st.composite
-def _labelled_values(draw):
+def _values(draw):
     value = st.one_of(st.integers(-4, 4),
                       st.fractions(min_value=-4, max_value=4,
                                    max_denominator=12))
@@ -258,18 +270,18 @@ def _labelled_values(draw):
                               max_size=4)):
         if i < len(values):
             values.append(values[i] + j * _BELOW_KEY_RESOLUTION)
-    labels = draw(st.lists(st.sampled_from("abc"), min_size=len(values),
-                           max_size=len(values)))
-    return draw(st.permutations(list(zip(labels, values))))
+    return draw(st.permutations([F(v) for v in values]))
 
 
-@given(_labelled_values())
+@given(_values())
 @settings(max_examples=300, deadline=None)
-def test_distinctness_transcript_matches_exact_value_sort(labelled):
-    # equal values under different labels, values closer than 2**-160,
-    # negative values and plain integers: the integer-first sort key gives
-    # the stable order of the exact values
-    ordered = sorted(labelled, key=lambda item: item[1])
-    expected = [(f"coord {la} != {lb}", a - b)
-                for (la, a), (lb, b) in zip(ordered, ordered[1:])]
-    assert distinctness_transcript(labelled) == expected
+def test_distinctness_transcript_matches_exact_value_sort(values):
+    # equal values, values closer than 2**-160, negative values and plain
+    # integers: the integer-first sort key gives the order of the exact
+    # values, and each neighbour condition is a - b over its denominators
+    ordered = sorted(values)
+    got = distinctness_transcript(values)
+    assert len(got) == max(len(values) - 1, 0)
+    for c, a, b in zip(got, ordered, ordered[1:]):
+        assert type(c) is int
+        assert F(c, a.denominator * b.denominator) == a - b

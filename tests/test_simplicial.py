@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -222,22 +223,41 @@ def _maps_with_ties(draw):
     return k, PLMap(m, {v: tuple(c) for v, c in zip(names, coords)})
 
 
+def _scaled_minors(k, images):
+    """Per simplex with at least two vertices, in sorted_simplexes order:
+    the simplex and the oracle's first nonzero maximal minor of its edge
+    rows times prod_i D_0 D_i, D_v the lcm of the denominators of p_v."""
+    out = []
+    for simplex in k.sorted_simplexes():
+        if len(simplex) < 2:
+            continue
+        d = [math.lcm(*(x.denominator for x in images[v])) for v in simplex]
+        scale = math.prod(d[0] * di for di in d[1:])
+        out.append((simplex,
+                    max_minor_by_subsets(_edge_rows(images, simplex)) * scale))
+    return out
+
+
 @given(_maps_with_ties())
 @settings(max_examples=200, deadline=None)
 def test_certify_map_matches_oracles(case):
+    # by position: the N-1 neighbour conditions of the N coordinates, then
+    # one minor per simplex with at least two vertices
     k, g = case
     transcript = generic_position_transcript(k, g.images)
-    minors = {tuple(d.split()[1:-2]): v for d, v in transcript
-              if d.startswith("simplex ")}
-    assert set(minors) == {s for s in k.simplexes if len(s) > 1}
-    for simplex, value in minors.items():
+    n = len(k.vertices) * g.m
+    expected_minors = _scaled_minors(k, g.images)
+    assert len(transcript) == n - 1 + len(expected_minors)
+    assert all(type(c) is int for c in transcript)
+    coords = [x for v in k.vertices for x in g.images[v]]
+    assert all(transcript[:n - 1]) == coords_pairwise_distinct(coords)
+    for value, (simplex, expected) in zip(transcript[n - 1:], expected_minors):
         # the first nonzero maximal minor of the edge rows, which vanishes
-        # exactly when their Gram determinant does
-        assert value == max_minor_by_subsets(_edge_rows(g.images, simplex))
+        # exactly when their Gram determinant does, cleared of denominators
+        assert value == expected
         assert (value == 0) == (_oracle_gram(g.images, simplex) == 0)
-    distinct = coords_pairwise_distinct(x for v in k.vertices
-                                        for x in g.images[v])
-    expected = distinct and all(v != 0 for v in minors.values())
+    expected = (coords_pairwise_distinct(coords)
+                and all(v != 0 for _, v in expected_minors))
     assert certify_map(k, g).certified == expected
 
 
@@ -250,16 +270,19 @@ def test_certify_map_records_an_exact_zero_minor():
                                  "c": vec([F(5, 7), F(10, 7)]),
                                  "d": vec([4, F(1, 5)])}))
     conditions = g.certificate.conditions
-    where = conditions.index(("simplex a b c affinely independent", F(0)))
-    assert type(conditions[where][1]) is Fraction
-    assert g.certificate.failed_index == where
+    # 4 * 2 - 1 coordinate conditions, then the edges ab ac bc bd cd and
+    # the triangles abc bcd
+    minors = _scaled_minors(k, g.images)
+    assert [s for s, _ in minors] == [("a", "b"), ("a", "c"), ("b", "c"),
+                                      ("b", "d"), ("c", "d"),
+                                      ("a", "b", "c"), ("b", "c", "d")]
+    assert len(conditions) == 7 + 7
+    assert all(conditions[:7])
+    assert list(conditions[7:]) == [v for _, v in minors]
+    assert g.certificate.failed_index == 7 + 5
+    assert conditions[7 + 5] == 0 and type(conditions[7 + 5]) is int
     assert not g.certified
-    minors = [(d.split()[1:-2], v) for d, v in conditions
-              if d.startswith("simplex ")]
-    assert len(minors) == 7  # five edges and two triangles
-    for simplex, value in minors:
-        assert value == max_minor_by_subsets(_edge_rows(g.images, simplex))
-        assert (value == 0) == (simplex == ["a", "b", "c"])
+    assert [s for s, v in minors if v == 0] == [("a", "b", "c")]
 
 
 # --- affine extension and disjointness ---------------------------------------
