@@ -3,8 +3,8 @@
 The parametric suites enumerate counting-regime tuples, draw certified
 configurations from per-trial pools, run the exact deciders, and collect
 violations; every violation carries the seeds needed to reproduce it.  The
-samplers here also build the random complexes, maps, and planes used by the
-command-line front end and the test corpus.
+samplers build the random complexes, maps and planes of the benchmark and
+the test corpus; the command-line front end uses only random_complex.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from .generic import (GenericityError, GenericPool, _derived_seed, certify,
                       distinctness_transcript, regeneration_pools)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex, image_point
-from .transversal import (ConcretePlane, NonStabCase, PlaneFamily, _known_keys,
-                          _typed, decide_stab, family_from_json_dict,
-                          nonstab_case, plane_through, sets_from_json,
-                          stab_decide_univariate, stab_exists_linear,
-                          stab_regime)
+from .transversal import (SEARCH_BUDGET, ConcretePlane, NonStabCase,
+                          PlaneFamily, _known_keys, _typed, decide_stab,
+                          family_from_json_dict, nonstab_case, plane_through,
+                          sets_from_json, stab_decide_univariate,
+                          stab_exists_linear, stab_regime)
 
 _ONE = Fraction(1)
 
@@ -74,28 +74,18 @@ def linear_cells(m_max: int, n_max: int) -> list[SweepCell]:
 def univariate_cells(m_max: int, n_max: int) -> list[SweepCell]:
     """Tuples with q = d-t+2 whose constraint flat is generically a line.
 
-    The variable count predicts a one-dimensional flat only when the
-    constraint rows are generically independent (singleton-heavy tuples can
-    make them inconsistent instead), so each candidate is probed with one
-    draw and kept only if it is certified and
-    :func:`~plstab.transversal.stab_regime` selects ``univariate`` there.
+    A dimension count, with no draw: with k = m-T coordinates outside s_T,
+    set i's hull projects onto a generic affine subspace of R^k of
+    codimension max(0, k-n_i).  These meet exactly when their codimensions
+    sum to at most k, and the flat then has dimension sum n_i - (q-1)k,
+    which the candidates fix at 1.
     """
-    out = []
-    for m, d, t, T in _regime_tuples(m_max):
-        q = d - t + 2
-        total = 1 + (q - 1) * (m - T)
-        if total > q * n_max:
-            continue
-        for n_list in _compositions(q, n_max, total_exact=total):
-            if nonstab_case(n_list, m, d, t, T) is NonStabCase.INCONCLUSIVE:
-                continue
-            cell = SweepCell("univariate", m, d, t, T, n_list)
-            pool = GenericPool(_derived_seed("probe", cell.key()))
-            sets, cert = draw_point_sets(pool, n_list, m)
-            if cert.ok and (stab_regime(sets, _cell_family(cell))[0]
-                            == "univariate"):
-                out.append(cell)
-    return out
+    return [SweepCell("univariate", m, d, t, T, n_list)
+            for m, d, t, T in _regime_tuples(m_max)
+            for n_list in _compositions(d - t + 2, n_max,
+                                        1 + (d - t + 1) * (m - T))
+            if sum(max(0, m - T - n) for n in n_list) <= m - T
+            and nonstab_case(n_list, m, d, t, T) is not NonStabCase.INCONCLUSIVE]
 
 
 def _cell_family(cell: SweepCell) -> PlaneFamily:
@@ -247,10 +237,11 @@ _SUITE_KEYS = ("kind", "m_max", "n_max")
 _GRID_KEYS = ("suites", "fixtures")
 
 
-def _checked_fixture(fixture) -> tuple[PlaneFamily, list[list[Vec]]]:
-    """The family and sets of the fixture, once it is a JSON object with no
-    unknown key, a string ``name`` if any, an ``expect`` that some decider
-    answers, a valid ``budget`` and a ``family`` and ``sets`` that parse."""
+def _checked_fixture(fixture) -> tuple[PlaneFamily, list[list[Vec]], int]:
+    """The family, sets and budget of the fixture, once it is a JSON object
+    with no unknown key, a string ``name`` if any, an ``expect`` that some
+    decider answers, a valid ``budget`` and a ``family`` and ``sets`` that
+    parse."""
     _known_keys(fixture, _FIXTURE_KEYS, "fixture")
     if "name" in fixture:
         _typed(fixture["name"], str, "fixture name")
@@ -258,9 +249,9 @@ def _checked_fixture(fixture) -> tuple[PlaneFamily, list[list[Vec]]]:
     if expect is not None and expect not in _FIXTURE_EXPECTS:
         raise ValueError(f"fixture expect must be one of "
                          f"{', '.join(_FIXTURE_EXPECTS)}, got {expect!r}")
-    _json_count(fixture, "budget", 500, least=0)
+    budget = _json_count(fixture, "budget", SEARCH_BUDGET, least=0)
     family = family_from_json_dict(fixture["family"])
-    return family, sets_from_json(fixture["sets"], family.m)
+    return family, sets_from_json(fixture["sets"], family.m), budget
 
 
 def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
@@ -268,15 +259,21 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
 
     Keys: family (JSON dict), sets (list of point lists of rational text),
     optional name (a JSON string), expect (witness | infeasible | no_stab |
-    not_found) and budget (a JSON integer >= 0, default 500, read when the
-    search runs); any other key but ``mode`` is an input error.  The
+    not_found) and budget (a JSON integer >= 0, default
+    :data:`~plstab.transversal.SEARCH_BUDGET`, read when the search runs,
+    on the pool's seed); any other key but ``mode`` is an input error.  The
     result's ``mode`` names the decider that
     :func:`~plstab.transversal.stab_regime` picked, and a fixture's own
     ``mode`` must name it too.  A witness or isolating interval that fails
     its exact re-check reads invalid_witness.
     """
-    family, sets = _checked_fixture(fixture)
-    got = decide_stab(sets, family, fixture.get("budget", 500), base_pool)
+    return _run_checked(fixture, base_pool.seed, *_checked_fixture(fixture))
+
+
+def _run_checked(fixture: dict, seed: int, family: PlaneFamily,
+                 sets: list[list[Vec]], budget: int) -> dict:
+    """:func:`run_stab_fixture` on what :func:`_checked_fixture` parsed."""
+    got = decide_stab(sets, family, budget, seed)
     if "mode" in fixture and fixture["mode"] != got["mode"]:
         raise ValueError(f"fixture mode {fixture['mode']!r}, but the input "
                          f"is decided by {got['mode']!r}")
@@ -327,8 +324,7 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
             raise ValueError(f"unknown suite kind {kind!r}")
         suites.append((runners[kind], m_max, n_max))
     fixtures = _typed(grid.get("fixtures", []), list, "fixtures")
-    for fixture in fixtures:
-        _checked_fixture(fixture)
+    checked = [_checked_fixture(fixture) for fixture in fixtures]
     if not suites and not fixtures:
         raise ValueError("grid needs a nonempty suites or fixtures list")
     violations: list[dict] = []
@@ -339,8 +335,8 @@ def run_grid(grid: dict, trials: int, base_pool: GenericPool) -> dict:
                 violations.extend(runner(cell, trials, base_pool))
             cells_run.append(cell.key())
     fixture_results = []
-    for fixture in fixtures:
-        result = run_stab_fixture(fixture, base_pool)
+    for fixture, parsed in zip(fixtures, checked):
+        result = _run_checked(fixture, base_pool.seed, *parsed)
         fixture_results.append(result)
         if not result["ok"]:
             violations.append({

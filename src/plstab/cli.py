@@ -37,9 +37,9 @@ from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (certify_map, format_complex, format_map,
                          parse_complex, parse_map, roberts_perturb)
-from .transversal import (_known_keys, decide_stab, family_from_json_dict,
-                          max_disjoint_stabbed, plane_from_json_dict,
-                          sets_from_json, stab_bound)
+from .transversal import (SEARCH_BUDGET, _known_keys, decide_stab,
+                          family_from_json_dict, max_disjoint_stabbed,
+                          plane_from_json_dict, sets_from_json, stab_bound)
 
 
 class CliError(Exception):
@@ -167,7 +167,7 @@ def _run_stab(args, inputs):
         if type(m) is not int or m != family.m:
             raise ValueError(f"m must be the family's m, {family.m}, got {m!r}")
         sets = sets_from_json(sets_data["sets"], family.m)
-    got = decide_stab(sets, family, args.budget, GenericPool(args.seed))
+    got = decide_stab(sets, family, args.budget, args.seed)
     return {"q": len(sets), **got}, None, 0
 
 
@@ -266,7 +266,7 @@ _VERBS = {
                                                    "--T"))),
     "stab": ("decide or search a common transversal", _run_stab, (
         _Flag("--family", str), _Flag("--sets", str),
-        _Flag("--budget", int, 500, ">= 0"), _SEED)),
+        _Flag("--budget", int, SEARCH_BUDGET, ">= 0"), _SEED)),
     "count": ("max disjoint simplexes stabbed by a plane", _run_count, (
         _COMPLEX, _MAP, _PLANE, _Flag("--nmax", int, bound=">= 0"))),
     "section": ("plane section and its disjointness scale", _run_section, (

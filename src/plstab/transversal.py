@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .generic import GenericPool, _derived_seed
+from .generic import _derived_seed
 from .ratmath import (Vec, _cleared, _poly_det, _poly_gcd, _sign_at,
                       _sturm_chain, _trimmed, _variations, cauchy_root_bound,
                       combination, format_rational, hull_rows,
@@ -461,20 +461,26 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
 
 _GOLDEN = Fraction(377, 610)  # rational golden-section ratio
 _SNAP_DENOMINATORS = (8, 64, 1024, 32768)
+SEARCH_BUDGET = 500  # objective evaluations, unless the request says otherwise
+
+
+class _BudgetSpent(Exception):
+    """The search objective was asked for one evaluation past the budget."""
 
 
 def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
-                        flat: Flat, budget: int,
-                        pool: GenericPool) -> StabDecision:
+                        flat: Flat, budget: int, seed: int) -> StabDecision:
     """Heuristic search for q > d-t+1 sets on a constraint ``flat`` of
     dimension at least one.
 
     Descends on the Gram determinant of the projected differences (read by
     :func:`~plstab.ratmath.max_minor`) over the flat, using
-    rational golden-section steps and random restarts; candidates are
-    snapped to small rationals by continued fractions and only exactly
-    verified witnesses are returned.  A ``not_found`` answer is
-    inconclusive, never a nonexistence certificate.
+    rational golden-section steps and random restarts drawn from ``seed``;
+    candidates are snapped to small rationals by continued fractions and
+    only exactly verified witnesses are returned.  ``budget`` caps the
+    objective evaluations exactly: ``not_found`` comes after exactly
+    ``budget`` of them, and is inconclusive, never a nonexistence
+    certificate.
     """
     base_lambda, basis = flat
     cols = [c - 1 for c in family.block]
@@ -497,8 +503,10 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         return StabDecision("not_found" if witness is None else "witness",
                             witness, evaluations=evaluations)
 
-    def objective(u) -> Fraction:
+    def objective(u) -> Fraction:  # the one place that spends the budget
         nonlocal evaluations
+        if evaluations == budget:
+            raise _BudgetSpent
         evaluations += 1
         rows = diff_rows(lambda_at(u))
         return max_minor([[vec_dot(r, t) for t in rows] for r in rows])
@@ -510,7 +518,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         return None
 
     k = len(basis)
-    rng = random.Random(_derived_seed(pool.seed, "stab-search"))
+    rng = random.Random(_derived_seed(seed, "stab-search"))
 
     def check_candidates(u) -> Optional[StabWitness]:
         for den in _SNAP_DENOMINATORS:
@@ -521,56 +529,51 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
                     return witness
         return None
 
-    restarts: list[tuple[Fraction, ...]] = [tuple(_ZERO for _ in range(k))]
-    while evaluations < budget:
-        if restarts:
-            u = restarts.pop()
-        else:
-            u = tuple(Fraction(rng.randint(-96, 96), 48) for _ in range(k))
-        witness = check_candidates(u)
-        if witness is not None:
-            return answer(witness)
-        best = objective(u)
-        step = _ONE
-        for _ in range(6):  # descent rounds per restart
-            if evaluations >= budget:
-                break
-            for axis in range(k):
-                lo = u[axis] - step
-                hi = u[axis] + step
-                for _ in range(8):
-                    if evaluations >= budget:
-                        break
-                    width = hi - lo
-                    a = lo + (1 - _GOLDEN) * width
-                    b = lo + _GOLDEN * width
-                    ua = u[:axis] + (a,) + u[axis + 1:]
-                    ub = u[:axis] + (b,) + u[axis + 1:]
-                    fa, fb = objective(ua), objective(ub)
-                    if fa <= fb:
-                        hi = b
-                        if fa < best:
-                            best, u = fa, ua
-                    else:
-                        lo = a
-                        if fb < best:
-                            best, u = fb, ub
+    u = tuple(_ZERO for _ in range(k))  # then random restarts
+    try:
+        while True:
             witness = check_candidates(u)
-            if witness is None and best == 0:
-                witness = try_exact(u)
             if witness is not None:
                 return answer(witness)
-            step = step * Fraction(1, 2)
-    return answer(None)
+            best = objective(u)
+            step = _ONE
+            for _ in range(6):  # descent rounds per restart
+                for axis in range(k):
+                    lo = u[axis] - step
+                    hi = u[axis] + step
+                    for _ in range(8):
+                        width = hi - lo
+                        a = lo + (1 - _GOLDEN) * width
+                        b = lo + _GOLDEN * width
+                        ua = u[:axis] + (a,) + u[axis + 1:]
+                        ub = u[:axis] + (b,) + u[axis + 1:]
+                        fa, fb = objective(ua), objective(ub)
+                        if fa <= fb:
+                            hi = b
+                            if fa < best:
+                                best, u = fa, ua
+                        else:
+                            lo = a
+                            if fb < best:
+                                best, u = fb, ub
+                witness = check_candidates(u)
+                if witness is None and best == 0:
+                    witness = try_exact(u)
+                if witness is not None:
+                    return answer(witness)
+                step = step * Fraction(1, 2)
+            u = tuple(Fraction(rng.randint(-96, 96), 48) for _ in range(k))
+    except _BudgetSpent:
+        return answer(None)
 
 
 # ---------------------------------------------------------------------------
 # One stab decision, its decider chosen from the input, as report fields.
 
 def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
-                budget: int, pool: GenericPool) -> dict:
+                budget: int, seed: int) -> dict:
     """One stab decision, by the decider :func:`stab_regime` picks (the
-    search with ``budget`` and ``pool``), on the flat it solved, as report
+    search with ``budget`` and ``seed``), on the flat it solved, as report
     fields.  ``mode`` names the decider and ``status`` is its answer.  A
     witness comes with its lambdas, plane and met points, any other answer
     with empty ones and any interval and ``reduced`` polynomial it rests
@@ -585,7 +588,7 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
     elif mode == "univariate":
         got = stab_decide_univariate(point_sets, family, flat)
     else:
-        got = stab_search_general(point_sets, family, flat, budget, pool)
+        got = stab_search_general(point_sets, family, flat, budget, seed)
     out: dict = {"mode": mode, "status": got.status}
     if got.evaluations is not None:
         out["evaluations"] = got.evaluations

@@ -83,7 +83,7 @@ def test_univariate_regime_exact():
     ]
     mode, flat = stab_regime(sets, fam)
     assert mode == "search"
-    got = stab_search_general(sets, fam, flat, budget=500, pool=GenericPool(0))
+    got = stab_search_general(sets, fam, flat, budget=500, seed=0)
     assert got.status == "witness"
     ok, checks = verify_stab_witness(got.witness, sets, fam)
     assert ok and checks >= 9

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from oracles import coords_pairwise_distinct
 from plstab import batch, transversal
-from plstab.batch import (_cell_family, _regime_tuples, draw_point_sets,
-                          linear_cells, random_complex, run_grid,
-                          run_linear_cell, run_stab_fixture,
-                          sample_plane_adversarial, sample_plane_random,
-                          univariate_cells)
+from plstab.batch import (SUITE_M_MAX, SUITE_N_MAX, SweepCell, _cell_family,
+                          _regime_tuples, draw_point_sets, linear_cells,
+                          random_complex, run_grid, run_linear_cell,
+                          run_stab_fixture, sample_plane_adversarial,
+                          sample_plane_random, univariate_cells)
 from plstab.generic import (GenericityError, GenericPool, _derived_seed,
                             regeneration_pools)
 from plstab.ratmath import vec
@@ -41,6 +41,50 @@ def test_univariate_cells_probe_applicability():
     for c in cells:
         assert len(c.n_list) == c.d - c.t + 2
         assert sum(c.n_list) == 1 + (len(c.n_list) - 1) * (c.m - c.T)
+
+
+def _univariate_cells_by_probe(m_max, n_max):
+    """The univariate cells as one probe draw per candidate picks them: kept
+    when the draw is certified and stab_regime sends it to univariate."""
+    out = []
+    for m, d, t, T in _regime_tuples(m_max):
+        q = d - t + 2
+        total = 1 + (q - 1) * (m - T)
+        if total > q * n_max:
+            continue
+        for n_list in itertools.product(range(n_max + 1), repeat=q):
+            if (sum(n_list) != total or nonstab_case(n_list, m, d, t, T)
+                    is NonStabCase.INCONCLUSIVE):
+                continue
+            cell = SweepCell("univariate", m, d, t, T, n_list)
+            pool = GenericPool(_derived_seed("probe", cell.key()))
+            sets, cert = draw_point_sets(pool, n_list, m)
+            if cert.ok and stab_regime(sets, _cell_family(cell))[0] == (
+                    "univariate"):
+                out.append(cell)
+    return out
+
+
+def test_univariate_cells_match_the_probe_at_every_admitted_bound():
+    # the dimension count keeps exactly the cells, in the same order, that
+    # a generic probe draw sends to the univariate decider
+    sizes = {}
+    for m_max in range(1, SUITE_M_MAX + 1):
+        for n_max in range(SUITE_N_MAX + 1):
+            cells = univariate_cells(m_max, n_max)
+            assert cells == _univariate_cells_by_probe(m_max, n_max)
+            sizes[m_max, n_max] = len(cells)
+    assert (sizes[5, 2], sizes[6, 1], sizes[6, 2], sizes[6, 3]) == (
+        117, 125, 265, 342)
+
+
+def test_cell_enumeration_draws_nothing(monkeypatch):
+    def no_draw(self, target, eps, stream):
+        raise AssertionError("cell enumeration drew a point")
+
+    monkeypatch.setattr(GenericPool, "draw_near", no_draw)
+    assert len(linear_cells(6, 3)) == 470
+    assert len(univariate_cells(6, 3)) == 342
 
 
 def test_draw_point_sets_certified_and_deterministic():
@@ -155,6 +199,23 @@ def test_run_grid_checks_every_fixture_before_any_cell(monkeypatch, change):
                  GenericPool(0))
 
 
+def test_run_grid_parses_each_fixture_once(monkeypatch):
+    calls = []
+    parse = batch.sets_from_json
+
+    def counting(data, m):
+        calls.append(m)
+        return parse(data, m)
+
+    monkeypatch.setattr(batch, "sets_from_json", counting)
+    fixture = {"family": {"m": 3, "St": [], "ST": [1], "d": 1},
+               "sets": [[["0", "0", "0"]], [["5", "0", "0"]]],
+               "expect": "witness"}
+    report = run_grid({"fixtures": [fixture] * 3}, 1, GenericPool(0))
+    assert [r["ok"] for r in report["fixtures"]] == [True] * 3
+    assert len(calls) == 3
+
+
 def _first_certified_draw(key: str, n_list, m: int):
     for pool in regeneration_pools(GenericPool(_derived_seed("regime", key))):
         sets, cert = draw_point_sets(pool, n_list, m)
@@ -183,10 +244,10 @@ def test_decide_stab_picks_the_decider_from_the_input():
                   PlaneFamily(3, (), (1,), 0)))
     seen = set()
     for key, sets, family in cases:
-        pool = GenericPool(_derived_seed("search", key))
+        seed = _derived_seed("search", key)
         q, free = len(sets), family.d - family.t
         flat = _flat(sets, family)
-        got = decide_stab(sets, family, 20, pool)
+        got = decide_stab(sets, family, 20, seed)
         if flat is None or not flat[1] or q <= free + 1:
             mode, want = "linear", stab_exists_linear(sets, family, flat)
         elif q == free + 2 and len(flat[1]) == 1:
@@ -194,7 +255,7 @@ def test_decide_stab_picks_the_decider_from_the_input():
                                                               flat)
         else:
             mode, want = "search", stab_search_general(sets, family, flat, 20,
-                                                       pool)
+                                                       seed)
         assert (got["mode"], got["status"]) == (mode, want.status), key
         assert stab_regime(sets, family) == (mode, flat)
         seen.add(mode)

@@ -57,7 +57,7 @@ def test_no_float_in_library():
 
 # Entry points README documents; the benchmark and the tests call them.
 _ENTRY_POINTS = {"image_point", "random_map", "sample_plane_random",
-                 "sample_plane_adversarial"}
+                 "sample_plane_adversarial", "run_stab_fixture"}
 
 
 def test_every_public_library_function_has_a_caller():
@@ -222,4 +222,24 @@ def test_no_library_function_calls_itself():
                         and isinstance(callee.value, ast.Name)
                         and callee.value.id in {"self", "cls"}):
                     found.append(f"{path.name}:{node.lineno} {func.name}")
+    assert found == []
+
+
+def test_the_decision_layer_takes_no_pool():
+    # The stab search reads only an int seed, so transversal.py names no
+    # GenericPool: a pool must not creep back into the decision layer.
+    path = Path(plstab.__file__).with_name("transversal.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"transversal.py:{node.lineno}" for name in names
+                  if name == "GenericPool"]
     assert found == []

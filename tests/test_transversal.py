@@ -16,7 +16,8 @@ from plstab.generic import GenericPool
 from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
-from plstab.transversal import (BoundResult, ConcretePlane, NonStabCase,
+from plstab.transversal import (SEARCH_BUDGET, BoundResult, ConcretePlane,
+                                NonStabCase,
                                 PlaneFamily, StabDecision, decide_stab,
                                 family_from_json_dict,
                                 family_to_json_dict, max_disjoint_stabbed,
@@ -350,7 +351,7 @@ def test_point_flats_are_decided_exactly(points, fam):
     # at any q: the linear decider answers, as the rank of the block
     # differences says
     sets = [[vec(p)] for p in points]
-    got = decide_stab(sets, fam, 0, GenericPool(0))
+    got = decide_stab(sets, fam, 0, 0)
     outside = [c - 1 for c in range(1, 4) if c not in fam.s_T]
     block = [c - 1 for c in fam.block]
     if any(p[c] != points[0][c] for p in points for c in outside):
@@ -647,14 +648,14 @@ def _z_axis_fixture():
     return fam, sets
 
 
-def _search(sets, fam, budget, pool):
+def _search(sets, fam, budget, seed):
     return stab_search_general(sets, fam, _flat_in("search", sets, fam),
-                               budget, pool)
+                               budget, seed)
 
 
 def test_search_finds_z_axis_transversal():
     fam, sets = _z_axis_fixture()
-    got = _search(sets, fam, budget=500, pool=GenericPool(0))
+    got = _search(sets, fam, budget=500, seed=0)
     assert got.status == "witness"
     ok, _ = verify_stab_witness(got.witness, sets, fam)
     assert ok
@@ -663,15 +664,51 @@ def test_search_finds_z_axis_transversal():
 
 def test_search_budget_zero():
     fam, sets = _z_axis_fixture()
-    got = _search(sets, fam, budget=0, pool=GenericPool(0))
+    got = _search(sets, fam, budget=0, seed=0)
     assert got == StabDecision("not_found", evaluations=0)
+
+
+@given(st.sampled_from([PlaneFamily(2, (), (1, 2), 0),
+                        PlaneFamily(3, (), (1, 2, 3), 0),
+                        PlaneFamily(3, (), (1, 2, 3), 1)]),
+       st.integers(0, 1), st.lists(st.integers(-3, 3), min_size=30,
+                                   max_size=30),
+       st.integers(0, 60), st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_search_budget_is_an_exact_cap(fam, extra, coords, budget, seed):
+    # q = d-t+2 or d-t+3 segments span a flat of dimension q >= 2, which
+    # the search decides: it never evaluates past the budget, and a miss
+    # comes after exactly the budget of evaluations
+    q = fam.d - fam.t + 2 + extra
+    values = iter(coords)
+    sets = [[vec(next(values) for _ in range(fam.m)) for _ in range(2)]
+            for _ in range(q)]
+    mode, flat = stab_regime(sets, fam)
+    assert mode == "search"
+    got = stab_search_general(sets, fam, flat, budget, seed)
+    assert got.evaluations <= budget
+    if got.status == "not_found":
+        assert got.evaluations == budget
+    else:
+        assert verify_stab_witness(got.witness, sets, fam)[0]
+
+
+def test_default_budget_is_not_overrun():
+    # the met points are fixed and collinear: every objective is zero and
+    # every rank test fails, so the search spends its whole budget, and
+    # not one evaluation more
+    sets = [[vec([0, 0]), vec([0, 0])], [vec([1, 1])],
+            [vec([2, 2]), vec([2, 2]), vec([2, 2])]]
+    got = decide_stab(sets, _POINT_FAMILY_2D, SEARCH_BUDGET, 0)
+    assert (got["mode"], got["status"], got["evaluations"]) == (
+        "search", "not_found", SEARCH_BUDGET)
 
 
 def test_search_rejects_linear_regime():
     # q <= d-t+1 is decided exactly, whatever the budget: no search runs
     fam = PlaneFamily(3, (), (1, 2), 1)
     for sets in ([[vec([0, 0, 0])]], [[vec([0, 0, 0])], [vec([1, 1, 1])]]):
-        assert decide_stab(sets, fam, 10, GenericPool(0))["mode"] == "linear"
+        assert decide_stab(sets, fam, 10, 0)["mode"] == "linear"
 
 
 def test_search_never_emits_false_witness_in_nonstab_regime():
@@ -689,7 +726,7 @@ def test_search_never_emits_false_witness_in_nonstab_regime():
                             for _ in range(5)]))
         sets.append(pts)
     assert nonstab_case([1, 1, 1], 5, 1, 0, 1) is NonStabCase.CASE_I
-    got = decide_stab(sets, fam, 400, pool)
+    got = decide_stab(sets, fam, 400, pool.seed)
     assert (got["mode"], got["status"], got["certified"]) == (
         "linear", "infeasible", True)
 
@@ -723,10 +760,11 @@ _STAB_REPORTS = [
      '[1, 2, 3], "St": [], "basepoint": ["0", "0", "0"], "d": 1, '
      '"extra_dirs": [["0", "0", "1"]], "m": 3}, "points": [["0", "0", "0"], '
      '["0", "0", "1"], ["0", "0", "2"]], "status": "witness"}'),
-    # two skew lines: no common point, after 41 evaluations of the search
+    # two skew lines: no common point, after exactly the budget of 40
+    # evaluations of the search
     ([[vec([0, 0, 0]), vec([1, 0, 0])], [vec([0, 1, 1]), vec([0, 2, 1])]],
      PlaneFamily(3, (), (1, 2, 3), 0), 40,
-     '{"certified": false, "conditions_checked": 0, "evaluations": 41, '
+     '{"certified": false, "conditions_checked": 0, "evaluations": 40, '
      '"lambdas": null, "mode": "search", "plane": null, '
      '"status": "not_found"}'),
     ([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]], _POINT_FAMILY_2D, 0,
@@ -760,7 +798,7 @@ _STAB_REPORTS = [
          "univariate-root", "no-stab", "isolating-interval",
          "point-flat"])
 def test_stab_report_fields_are_pinned(sets, family, budget, want):
-    got = decide_stab(sets, family, budget, GenericPool(0))
+    got = decide_stab(sets, family, budget, 0)
     assert json.dumps(got, sort_keys=True) == want
 
 
@@ -777,7 +815,7 @@ def _through_regime(decider, *args):
 
 
 _LINEAR = _through_regime(stab_exists_linear)
-_SEARCH = _through_regime(stab_search_general, 10, GenericPool(0))
+_SEARCH = _through_regime(stab_search_general, 10, 0)
 _UNIVARIATE = _through_regime(stab_decide_univariate)
 
 
@@ -821,7 +859,7 @@ def test_decide_stab_solves_the_constraint_flat_once(monkeypatch):
     seen = []
     for sets, family, budget in cases:
         calls.clear()
-        got = decide_stab(sets, family, budget, GenericPool(0))
+        got = decide_stab(sets, family, budget, 0)
         seen.append((got["mode"], got["status"], len(calls)))
     assert seen == [("linear", "witness", 1), ("univariate", "witness", 1),
                     ("search", "witness", 1)]
