@@ -198,21 +198,23 @@ def generic_position_transcript(k: SimplicialComplex,
     First the |V|*m - 1 neighbour conditions of all |V|*m coordinates in
     sorted order, which certify them pairwise distinct (see
     :func:`~plstab.generic.distinctness_transcript`).  Then one condition
-    per simplex with at least two vertices, in ``sorted_simplexes`` order,
-    zero exactly when its image is affinely dependent.  Each image p_v is
-    cleared of denominators once (:func:`~plstab.ratmath._cleared`), as
-    P_v = D_v p_v with D_v the lcm of its denominators, so a simplex
-    v_0 ... v_k has the integer rows D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0);
-    the condition is their integer minor (:func:`~plstab.ratmath._minor`,
-    the last pivot of their elimination), which is prod_i D_0 D_i times the
-    first nonzero maximal minor of the edge rows p_i - p_0 (see
-    :func:`~plstab.ratmath.max_minor`).
+    per maximal simplex with at least three vertices, in
+    ``maximal_simplexes`` order, zero exactly when its image is affinely
+    dependent.  The other simplexes need none: distinct coordinates make
+    every edge image independent, and an independent simplex makes all of
+    its faces independent.  Each image p_v is cleared of denominators once
+    (:func:`~plstab.ratmath._cleared`), as P_v = D_v p_v with D_v the lcm
+    of its denominators, so a simplex v_0 ... v_k has the integer rows
+    D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0); the condition is their integer
+    minor (:func:`~plstab.ratmath._minor`, the last pivot of their
+    elimination), which is prod_i D_0 D_i times the first nonzero maximal
+    minor of the edge rows p_i - p_0 (see :func:`~plstab.ratmath.max_minor`).
     """
     transcript = distinctness_transcript(
         x for v in k.vertices for x in images[v])
     cleared = {v: _cleared(images[v]) for v in k.vertices}
-    for simplex in k.sorted_simplexes():
-        if len(simplex) < 2:
+    for simplex in k.maximal_simplexes():
+        if len(simplex) < 3:
             continue
         d0, p0 = cleared[simplex[0]]
         rows = [[d0 * a - di * b for a, b in zip(pi, p0)]

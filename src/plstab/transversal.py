@@ -16,6 +16,8 @@ s_T axes.  This module provides:
   minors, Sturm) or the heuristic search (``not_found`` is never
   evidence); all three return a :class:`StabDecision`, and every witness
   and isolating interval is re-verified;
+* one stab test at a lambda, shared by the deciders (:func:`_stabs_at`:
+  the block differences of the met points have rank at most d-t);
 * the exact maximum family of pairwise vertex-disjoint stabbed simplexes
   of a PL image, by branch and bound, re-checked exactly.
 """
@@ -281,32 +283,31 @@ def verify_stab_witness(witness: StabWitness, point_sets: Sequence[Sequence[Vec]
 Flat = Optional[tuple[Vec, tuple[Vec, ...]]]
 
 
-def _flat(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily) -> Flat:
-    """The constraint flat of the stacked lambda, or None when it is empty:
-    the affine solve of its :func:`~plstab.ratmath.hull_rows` outside s_T.
-    Only :func:`stab_regime` solves it, so every stab decision checks the
-    point sets here first."""
-    if not point_sets or any(not ps for ps in point_sets):
-        raise ValueError("need nonempty point sets")
-    return solve_affine(*hull_rows(point_sets, [
-        c for c in range(family.m) if c + 1 not in family.s_T]))
-
-
 def stab_regime(point_sets: Sequence[Sequence[Vec]],
                 family: PlaneFamily) -> tuple[str, Flat]:
     """The decider the input selects, by name, and the constraint flat it
-    runs on: ``linear`` when the flat is empty (a family member's points
-    agree outside s_T, so none meets every hull, whatever q is) or a point
-    (one rank test decides, whatever q is) or q <= d-t+1, ``univariate``
-    when q = d-t+2 and the flat is a line, ``search`` for every other
-    input."""
-    flat = _flat(point_sets, family)
+    runs on (the one solve of its :func:`~plstab.ratmath.hull_rows` outside
+    s_T, None when empty; every stab decision checks the sets here first):
+    ``linear`` when the flat is empty (a family member's points agree
+    outside s_T, so none meets every hull, whatever q is) or a point (one
+    rank test decides, whatever q is) or q <= d-t+1, ``univariate`` when
+    q = d-t+2 and the flat is a line, ``search`` for every other input."""
+    if not point_sets or any(not ps for ps in point_sets):
+        raise ValueError("need nonempty point sets")
+    flat = solve_affine(*hull_rows(point_sets, [
+        c for c in range(family.m) if c + 1 not in family.s_T]))
     q, free = len(point_sets), family.d - family.t
     if flat is None or not flat[1] or q <= free + 1:
         return "linear", flat
     if q == free + 2 and len(flat[1]) == 1:
         return "univariate", flat
     return "search", flat
+
+
+def _flat_point(flat: Flat, u: Sequence[Fraction]) -> Vec:
+    """The stacked lambda base + sum_k u_k w_k of a nonempty flat."""
+    base, basis = flat
+    return combination((_ONE, *u), (base, *basis), range(len(base)))
 
 
 def _blocks(point_sets: Sequence[Sequence[Vec]], lam: Sequence) -> tuple:
@@ -321,6 +322,20 @@ def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
     given 0-based coordinates."""
     return [combination(w, pts, coords)
             for w, pts in zip(_blocks(point_sets, lam), point_sets)]
+
+
+def _block_differences(point_sets, family, lam) -> list[Vec]:
+    """The differences y_i - y_1 of the met points of a stacked lambda
+    (:func:`_met`) on the block coordinates, one row per later set."""
+    ys = _met(point_sets, lam, [c - 1 for c in family.block])
+    return [vec_sub(y, ys[0]) for y in ys[1:]]
+
+
+def _stabs_at(point_sets, family, lam) -> bool:
+    """The one stab test: a family member meets every hull at the met
+    points of lam exactly when their block differences have rank <= d-t."""
+    return (mat_rank(_block_differences(point_sets, family, lam))
+            <= family.d - family.t)
 
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
@@ -338,37 +353,33 @@ def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
 def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
                        family: PlaneFamily, flat: Flat) -> StabDecision:
     """Exact decision in the linear regime of :func:`stab_regime`:
-    ``infeasible`` on an empty constraint flat, else a ``witness`` at its
-    base point, where for q <= d-t+1 the q-1 met point differences have
-    rank at most d-t.  On a point flat the met points are fixed, and that
-    rank on the block coordinates decides: above d-t, ``no_stab``."""
+    ``infeasible`` on an empty constraint flat, ``no_stab`` unless the stab
+    test (:func:`_stabs_at`) passes at its base point, else a ``witness``
+    there.  For q <= d-t+1 the q-1 block differences always have rank at
+    most d-t; on a point flat the met points are fixed, so the test decides."""
     if flat is None:
         return StabDecision("infeasible")
-    base_lambda, basis = flat
-    if not basis:
-        ys = _met(point_sets, base_lambda, [c - 1 for c in family.block])
-        if mat_rank([vec_sub(y, ys[0]) for y in ys[1:]]) > family.d - family.t:
-            return StabDecision("no_stab")
+    if not _stabs_at(point_sets, family, flat[0]):
+        return StabDecision("no_stab")
     return StabDecision("witness", _witness_from_lambda(point_sets, family,
-                                                        base_lambda))
+                                                        flat[0]))
 
 
 # ---------------------------------------------------------------------------
 # Univariate exact decision on a one-dimensional constraint flat.
 
-def _projected_difference_polys(point_sets, family, base_lambda, direction):
-    """Rows (Y_i - Y_1)(s) restricted to the block coordinates, as linear
-    integer polynomials; clearing each row's denominators once scales every
-    maximal minor by the same positive integer."""
-    cols = [c - 1 for c in family.block]
-    ys = [at_base + along for at_base, along in zip(
-        _met(point_sets, base_lambda, cols), _met(point_sets, direction, cols))]
-    rows = []
-    for y in ys[1:]:
-        ints = _cleared([a - b for a, b in zip(y, ys[0])])[1]
-        rows.append([_trimmed([ints[c], ints[len(cols) + c]])
-                     for c in range(len(cols))])
-    return rows
+def _projected_difference_polys(point_sets, family, flat):
+    """Rows (Y_i - Y_1)(s) on the line base + s w restricted to the block
+    coordinates, as linear integer polynomials; clearing each row's
+    denominators once scales every maximal minor by the same positive
+    integer."""
+    base_lambda, (direction,) = flat
+    width = len(family.block)
+    cleared = [_cleared(at_base + along)[1] for at_base, along in zip(
+        _block_differences(point_sets, family, base_lambda),
+        _block_differences(point_sets, family, direction))]
+    return [[_trimmed([ints[c], ints[width + c]]) for c in range(width)]
+            for ints in cleared]
 
 
 def _isolate(p: list[int]):
@@ -437,9 +448,7 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
     by Sturm's theorem, on one chain of the gcd's square-free part, and
     returns the witness root or isolating interval from the same chain.
     """
-    base_lambda, (direction,) = flat
-    rows = _projected_difference_polys(point_sets, family, base_lambda,
-                                       direction)
+    rows = _projected_difference_polys(point_sets, family, flat)
     gcd: list[int] = []
     for cols in itertools.combinations(range(len(family.block)), len(rows)):
         gcd = _poly_gcd(gcd, _poly_det([[row[c] for c in cols] for row in rows]))
@@ -451,9 +460,8 @@ def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
         return StabDecision("no_stab", reduced=reduced)
     if isinstance(found, tuple):
         return StabDecision("witness", interval=found, reduced=reduced)
-    lam = vec(b + found * w for b, w in zip(base_lambda, direction))
-    return StabDecision("witness", _witness_from_lambda(point_sets, family,
-                                                        lam), reduced=reduced)
+    return StabDecision("witness", _witness_from_lambda(
+        point_sets, family, _flat_point(flat, (found,))), reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +490,6 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
     ``budget`` of them, and is inconclusive, never a nonexistence
     certificate.
     """
-    base_lambda, basis = flat
-    cols = [c - 1 for c in family.block]
-    needed_rank = family.d - family.t
-
-    def lambda_at(u: Sequence[Fraction]) -> Vec:
-        lam = list(base_lambda)
-        for coeff, w in zip(u, basis):
-            if coeff:
-                lam = [x + coeff * y for x, y in zip(lam, w)]
-        return tuple(lam)
-
-    def diff_rows(lam: Vec) -> list[Vec]:
-        ys = _met(point_sets, lam, cols)
-        return [vec_sub(y, ys[0]) for y in ys[1:]]
-
     evaluations = 0
 
     def answer(witness: Optional[StabWitness]) -> StabDecision:
@@ -508,16 +501,16 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         if evaluations == budget:
             raise _BudgetSpent
         evaluations += 1
-        rows = diff_rows(lambda_at(u))
+        rows = _block_differences(point_sets, family, _flat_point(flat, u))
         return max_minor([[vec_dot(r, t) for t in rows] for r in rows])
 
     def try_exact(u) -> Optional[StabWitness]:
-        lam = lambda_at(u)
-        if mat_rank(diff_rows(lam)) <= needed_rank:
+        lam = _flat_point(flat, u)
+        if _stabs_at(point_sets, family, lam):
             return _witness_from_lambda(point_sets, family, lam)
         return None
 
-    k = len(basis)
+    k = len(flat[1])
     rng = random.Random(_derived_seed(seed, "stab-search"))
 
     def check_candidates(u) -> Optional[StabWitness]:
@@ -661,6 +654,9 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
+    if plane.family.m != g.m:
+        raise ValueError(f"plane lives in dimension {plane.family.m}, "
+                         f"map in {g.m}")
     covs = plane.covectors()
     rhs_col = [_ONE] + [rhs for _, rhs in covs]
     cleared = {v: _cleared(p) for v, p in g.images.items()}

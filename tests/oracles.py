@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: cofactor determinants (over every
 column subset, for maximal minors), all-pairs comparison for
-distinctness, minor enumeration for rank, textbook Fraction
-Gauss-Jordan for reduced row echelon forms, Cramer's rule and basic-solution
-enumeration for LP feasibility and polytope vertices, a Fraction simplex
-tableau for LP witnesses, schoolbook polynomial products, Euclidean Sturm
-chains, the Gram determinant for the univariate stabbing decision, subset
-scans for maximum disjoint families, all-pairs intersection tests for
-section components, Bell-number partition scans for clustering, and grid
-sampling for component diameters.  None of it shares code with the paths it
-checks, and none of it imports ``plstab``.
+distinctness, the full genericity transcript of a PL map (every face
+checked, implied conditions included), minor enumeration for rank,
+textbook Fraction Gauss-Jordan for reduced row echelon forms, Cramer's
+rule and basic-solution enumeration for LP feasibility and polytope
+vertices, a Fraction simplex tableau for LP witnesses, schoolbook
+polynomial products, Euclidean Sturm chains, the Gram determinant for the
+univariate stabbing decision, subset scans for maximum disjoint families,
+all-pairs intersection tests for section components, Bell-number partition
+scans for clustering, and grid sampling for component diameters.  None
+of it shares code with the paths it checks, and none of it imports
+``plstab``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,26 @@ def coords_pairwise_distinct(values):
     """True iff no two of the values are equal, comparing every pair."""
     values = list(values)
     return all(a != b for a, b in itertools.combinations(values, 2))
+
+
+def full_position_transcript(simplexes, images):
+    """Every genericity condition of a PL map, the implied ones included.
+
+    The difference of every pair of the map's coordinates, then, for every
+    face with at least two vertices of the given simplexes (each face
+    listed once), the first nonzero maximal minor of its edge vectors
+    p_i - p_0.  The map is in general position exactly when none is zero.
+    """
+    coords = [Fraction(x) for point in images.values() for x in point]
+    out = [a - b for a, b in itertools.combinations(coords, 2)]
+    faces = {face for s in simplexes for size in range(2, len(s) + 1)
+             for face in itertools.combinations(sorted(s), size)}
+    for face in sorted(faces):
+        base = images[face[0]]
+        out.append(max_minor_by_subsets(
+            [[Fraction(a) - Fraction(b) for a, b in zip(images[v], base)]
+             for v in face[1:]]))
+    return out
 
 
 def rank_by_minors(rows):

@@ -17,9 +17,9 @@ from plstab.batch import (SUITE_M_MAX, SUITE_N_MAX, SweepCell, _cell_family,
                           sample_plane_random, univariate_cells)
 from plstab.generic import (GenericityError, GenericPool, _derived_seed,
                             regeneration_pools)
-from plstab.ratmath import vec
+from plstab.ratmath import hull_rows, solve_affine, vec
 from plstab.simplicial import PLMap, SimplicialComplex, roberts_perturb
-from plstab.transversal import (NonStabCase, PlaneFamily, _flat, decide_stab,
+from plstab.transversal import (NonStabCase, PlaneFamily, decide_stab,
                                 nonstab_case, stab_decide_univariate,
                                 stab_exists_linear, stab_regime,
                                 stab_search_general, stabbed_simplexes)
@@ -246,7 +246,8 @@ def test_decide_stab_picks_the_decider_from_the_input():
     for key, sets, family in cases:
         seed = _derived_seed("search", key)
         q, free = len(sets), family.d - family.t
-        flat = _flat(sets, family)
+        flat = solve_affine(*hull_rows(sets, [
+            c for c in range(family.m) if c + 1 not in family.s_T]))
         got = decide_stab(sets, family, 20, seed)
         if flat is None or not flat[1] or q <= free + 1:
             mode, want = "linear", stab_exists_linear(sets, family, flat)

@@ -291,8 +291,9 @@ def test_perturb_round_trip(capsys, tmp_path):
                                  "--out", str(out_path)])
     assert code == 0
     report = json.loads(out)
-    # N - 1 + S conditions: 3 * 3 coordinates, the triangle and its edges
-    assert report["certificate"] == {"status": "ok", "conditions": 8 + 4,
+    # N - 1 + S_3 conditions: 3 * 3 coordinates and the one maximal
+    # simplex with at least three vertices, the triangle
+    assert report["certificate"] == {"status": "ok", "conditions": 8 + 1,
                                      "failed_index": None}
     from plstab.simplicial import parse_map
     g = parse_map(out_path.read_text())
@@ -440,8 +441,10 @@ def test_count_two_edges(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["count"] == 2
-    # N - 1 + S conditions: 4 * 2 coordinates and the two edges
-    assert report["certificate"] == {"status": "ok", "conditions": 7 + 2,
+    # N - 1 + S_3 conditions: 4 * 2 coordinates and no maximal simplex
+    # with at least three vertices, since distinct coordinates imply the
+    # two edges
+    assert report["certificate"] == {"status": "ok", "conditions": 7 + 0,
                                      "failed_index": None}
 
 

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (coords_pairwise_distinct, det_cofactor,
-                     max_minor_by_subsets)
+                     full_position_transcript, max_minor_by_subsets)
 from plstab.generic import GenericityError, GenericPool
 from plstab.ratmath import dist_sq, lp_feasible, mat_rank, vec, vec_sub
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
@@ -177,14 +177,15 @@ def test_certify_map_detects_degeneracy():
 
 
 def test_transcript_size_is_linear_in_coordinates():
-    # N - 1 neighbour differences for N = 4 * 3 coordinates, plus one Gram
-    # condition per simplex with at least two vertices: the triangle a b c,
-    # its three edges and the edge c d.
+    # N - 1 neighbour differences for N = 4 * 3 coordinates, plus one
+    # condition per maximal simplex with at least three vertices: the
+    # triangle a b c.  Its edges and the edge c d are implied by the
+    # distinct coordinates.
     k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns c d\n")
     images = {v: vec([F(3 * i + s, 7 + i + s) for s in range(3)])
               for i, v in enumerate(k.vertices)}
     transcript = generic_position_transcript(k, images)
-    assert len(transcript) == (12 - 1) + 5
+    assert len(transcript) == (12 - 1) + 1
     assert certify_map(k, PLMap(3, images)).certified
 
 
@@ -224,12 +225,13 @@ def _maps_with_ties(draw):
 
 
 def _scaled_minors(k, images):
-    """Per simplex with at least two vertices, in sorted_simplexes order:
-    the simplex and the oracle's first nonzero maximal minor of its edge
-    rows times prod_i D_0 D_i, D_v the lcm of the denominators of p_v."""
+    """Per maximal simplex with at least three vertices, by size and then
+    vertex ids: the simplex and the oracle's first nonzero maximal minor
+    of its edge rows times prod_i D_0 D_i, D_v the lcm of the denominators
+    of p_v."""
     out = []
-    for simplex in k.sorted_simplexes():
-        if len(simplex) < 2:
+    for simplex in sorted(k.simplexes, key=lambda s: (len(s), s)):
+        if len(simplex) < 3 or any(set(simplex) < set(t) for t in k.simplexes):
             continue
         d = [math.lcm(*(x.denominator for x in images[v])) for v in simplex]
         scale = math.prod(d[0] * di for di in d[1:])
@@ -242,7 +244,7 @@ def _scaled_minors(k, images):
 @settings(max_examples=200, deadline=None)
 def test_certify_map_matches_oracles(case):
     # by position: the N-1 neighbour conditions of the N coordinates, then
-    # one minor per simplex with at least two vertices
+    # one minor per maximal simplex with at least three vertices
     k, g = case
     transcript = generic_position_transcript(k, g.images)
     n = len(k.vertices) * g.m
@@ -270,20 +272,49 @@ def test_certify_map_records_an_exact_zero_minor():
                                  "c": vec([F(5, 7), F(10, 7)]),
                                  "d": vec([4, F(1, 5)])}))
     conditions = g.certificate.conditions
-    # 4 * 2 - 1 coordinate conditions, then the edges ab ac bc bd cd and
-    # the triangles abc bcd
+    # 4 * 2 - 1 coordinate conditions, then the maximal triangles abc bcd;
+    # the edges are implied by the distinct coordinates
     minors = _scaled_minors(k, g.images)
-    assert [s for s, _ in minors] == [("a", "b"), ("a", "c"), ("b", "c"),
-                                      ("b", "d"), ("c", "d"),
-                                      ("a", "b", "c"), ("b", "c", "d")]
-    assert len(conditions) == 7 + 7
+    assert [s for s, _ in minors] == [("a", "b", "c"), ("b", "c", "d")]
+    assert len(conditions) == 7 + 2
     assert all(conditions[:7])
     assert list(conditions[7:]) == [v for _, v in minors]
-    assert g.certificate.failed_index == 7 + 5
-    assert conditions[7 + 5] == 0 and type(conditions[7 + 5]) is int
+    assert g.certificate.failed_index == 7
+    assert conditions[7] == 0 and type(conditions[7]) is int
     assert not g.certified
     assert [s for s, v in minors if v == 0] == [("a", "b", "c")]
 
+
+@st.composite
+def _small_integer_maps(draw):
+    """(complex, map, declared simplexes) with small integer coordinates,
+    pairwise distinct in about half the draws, so that the neighbour
+    conditions and the minors each come out zero in some draws."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(n)]
+    declared = draw(st.lists(st.lists(st.sampled_from(names), min_size=1,
+                                      max_size=4, unique=True), max_size=4))
+    flat = draw(st.lists(st.integers(-8, 8), min_size=n * m, max_size=n * m,
+                         unique=draw(st.booleans())))
+    images = {v: vec(flat[i * m:(i + 1) * m]) for i, v in enumerate(names)}
+    return (SimplicialComplex.from_simplexes(names, declared),
+            PLMap(m, images), declared)
+
+
+@given(_small_integer_maps())
+@example((SimplicialComplex.from_simplexes(("a", "b", "c"), [("a", "b", "c")]),
+          PLMap(2, {"a": vec([1, 2]), "b": vec([3, 6]), "c": vec([4, 8])}),
+          [("a", "b", "c")]))  # distinct coordinates, collinear images
+@settings(max_examples=300, deadline=None)
+def test_certify_map_matches_the_full_transcript(case):
+    # the map certificate drops the conditions that distinct coordinates
+    # and independent cofaces imply, so a map certifies exactly when the
+    # oracle's transcript of every coordinate pair and every face has no
+    # zero
+    k, g, declared = case
+    assert certify_map(k, g).certified == all(
+        full_position_transcript(declared, g.images))
 
 # --- affine extension and disjointness ---------------------------------------
 

@@ -135,49 +135,69 @@ def test_no_vacuous_assert_in_tests():
     assert found == []
 
 
-def _transversal_calls(function):
-    """(names the transversal function calls, names transversal defines)."""
+def _transversal_calls():
+    """Each module-level transversal function, by name, with the names it
+    calls (nested functions included)."""
     path = Path(plstab.__file__).with_name("transversal.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == function)
-    called = {node.func.id for node in ast.walk(body)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    defined = {node.name for node in tree.body
-               if isinstance(node, ast.FunctionDef)}
-    return called, defined
+    return {body.name: {node.func.id for node in ast.walk(body)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)}
+            for body in tree.body if isinstance(body, ast.FunctionDef)}
+
+
+def _callers(callee):
+    """The transversal functions that call callee."""
+    return {name for name, called in _transversal_calls().items()
+            if callee in called}
 
 
 def test_witness_recheck_shares_no_helper_with_the_deciders():
     # verify_stab_witness re-checks what the deciders build from the
     # constraint flat and the met points, so it computes its own sums.
-    called, defined = _transversal_calls("verify_stab_witness")
-    assert called & {"_flat", "_met"} == set()
-    assert {"_flat", "_met"} <= defined
+    calls = _transversal_calls()
+    helpers = {"stab_regime", "_met", "_block_differences", "_stabs_at",
+               "_flat_point"}
+    assert calls["verify_stab_witness"] & helpers == set()
+    assert helpers <= calls.keys()
 
 
 def test_interval_recheck_does_not_run_the_isolation():
     # verify_interval_certificate re-checks the interval _isolate returns,
     # so it takes its own square-free part and root count.
-    called, defined = _transversal_calls("verify_interval_certificate")
-    assert "_isolate" not in called
-    assert "_isolate" in defined
-    assert "_isolate" in _transversal_calls("stab_decide_univariate")[0]
+    calls = _transversal_calls()
+    assert "_isolate" not in calls["verify_interval_certificate"]
+    assert "_isolate" in calls
+    assert "_isolate" in calls["stab_decide_univariate"]
 
 
 def test_only_stab_regime_solves_the_constraint_flat():
-    # One regime rule: stab_regime alone solves the flat, batch asks it
-    # instead of solving its own, and no decider answers "not applicable".
-    defined = _transversal_calls("stab_regime")[1]
-    assert {name for name in defined
-            if "_flat" in _transversal_calls(name)[0]} == {"stab_regime"}
+    # One regime rule: stab_regime alone builds and solves the flat's
+    # rows, batch asks it instead of solving its own, and no decider
+    # answers "not applicable".
+    assert _callers("hull_rows") == {"stab_regime"}
     path = Path(plstab.__file__).with_name("batch.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "stab_regime" in imported and "_flat" not in imported
+    assert "stab_regime" in imported and "hull_rows" not in imported
     assert [path.name for path in Path(plstab.__file__).parent.glob("*.py")
             if "not_applicable" in path.read_text(encoding="utf-8")] == []
+
+
+def test_one_stab_test_at_a_lambda():
+    # The deciders share one difference builder, one rank test and one
+    # flat point: only _stabs_at takes a rank, only _block_differences
+    # and the witness builder take met points, and the search and the
+    # univariate decider reach lambdas on the flat through _flat_point.
+    assert _callers("mat_rank") == {"_stabs_at"}
+    assert _callers("_met") == {"_block_differences", "_witness_from_lambda"}
+    assert _callers("_stabs_at") == {"stab_exists_linear",
+                                     "stab_search_general"}
+    assert _callers("_block_differences") == {
+        "_stabs_at", "_projected_difference_polys", "stab_search_general"}
+    assert _callers("_flat_point") == {"stab_decide_univariate",
+                                       "stab_search_general"}
 
 
 def test_no_process_wide_cache_in_library():

@@ -14,6 +14,7 @@ from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
 from plstab import transversal
 from plstab.generic import GenericPool
 from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
+from plstab.sections import preimage_polytopes, section_of_image
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
 from plstab.transversal import (SEARCH_BUDGET, BoundResult, ConcretePlane,
@@ -273,6 +274,22 @@ def test_membership_sweep_matches_basic_solution_oracle():
     assert cases == 216
 
 
+@pytest.mark.parametrize("call", [
+    lambda k, g, plane: stabbed_simplexes(k, g, plane, 1),
+    lambda k, g, plane: max_disjoint_stabbed(k, g, plane, 1),
+    section_of_image, preimage_polytopes],
+    ids=["stabbed_simplexes", "max_disjoint_stabbed", "section_of_image",
+         "preimage_polytopes"])
+def test_membership_rejects_a_plane_of_another_dimension(call):
+    # a point of R^2 at the first two coordinates of the edge's midpoint:
+    # the one membership test refuses it before reading any covector
+    k, g = _one_edge([0, 2, 4], [1, 3, 5])
+    plane = plane_through(PlaneFamily(2, (), (1,), 0), vec([F(1, 2), F(5, 2)]))
+    with pytest.raises(ValueError,
+                       match="^plane lives in dimension 2, map in 3$"):
+        call(k, g, plane)
+
+
 # --- the regime rule and the exact linear-regime decision ----------------------
 
 _LINE_IN_SPAN_E1 = PlaneFamily(3, (), (1,), 1)
@@ -382,6 +399,63 @@ def test_linear_answers_are_sound(raw_sets):
         assert ok
         for lam in witness.lambdas:
             assert sum(lam) == 1
+
+
+# --- the stab test at a lambda ------------------------------------------------
+
+@st.composite
+def _stab_test_cases(draw):
+    """A random family of R^m, m <= 4, and up to four sets of up to three
+    points with small integer coordinates, so that ranks often drop."""
+    m = draw(st.integers(1, 4))
+    s_T = tuple(j for j in range(1, m + 1) if draw(st.booleans()))
+    s_t = tuple(j for j in s_T if draw(st.booleans()))
+    fam = PlaneFamily(m, s_t, s_T, draw(st.integers(len(s_t), len(s_T))))
+    sets = draw(st.lists(st.lists(
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m).map(vec),
+        min_size=1, max_size=3), min_size=1, max_size=4))
+    return fam, sets
+
+
+@given(_stab_test_cases(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stabs_at_is_the_rank_of_the_block_differences(case, data):
+    # at any stacked lambda and at a point of the constraint flat (the
+    # flat itself when it is a point): the met points' differences on the
+    # block coordinates, summed here, have rank at most d-t
+    fam, sets = case
+    total = sum(len(ps) for ps in sets)
+    lams = [data.draw(st.lists(small_rat, min_size=total, max_size=total))]
+    flat = stab_regime(sets, fam)[1]
+    if flat is not None:
+        u = data.draw(st.lists(small_rat, min_size=len(flat[1]),
+                               max_size=len(flat[1])))
+        lams.append(transversal._flat_point(flat, u))
+    for lam in lams:
+        ys, start = [], 0
+        for ps in sets:
+            weights, start = lam[start:start + len(ps)], start + len(ps)
+            ys.append([sum((w * p[c - 1] for w, p in zip(weights, ps)), F(0))
+                       for c in fam.block])
+        diffs = [[a - b for a, b in zip(y, ys[0])] for y in ys[1:]]
+        assert transversal._stabs_at(sets, fam, lam) == (
+            rank_by_minors(diffs) <= fam.d - fam.t)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(small_rat, min_size=n, max_size=n),
+    st.lists(st.lists(small_rat, min_size=n, max_size=n), max_size=3))),
+    st.data())
+@settings(max_examples=100, deadline=None)
+def test_flat_point_is_the_base_plus_the_weighted_directions(flat, data):
+    base, basis = flat
+    u = data.draw(st.lists(small_rat, min_size=len(basis),
+                           max_size=len(basis)))
+    want = list(base)
+    for coeff, w in zip(u, basis):
+        want = [x + coeff * y for x, y in zip(want, w)]
+    assert transversal._flat_point((tuple(base), tuple(map(tuple, basis))),
+                                   u) == tuple(want)
 
 
 # --- univariate decision -------------------------------------------------------
