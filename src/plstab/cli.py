@@ -1,13 +1,15 @@
 """Deterministic command-line front end.
 
-Verbs: gen, perturb, bounds, stab, count, section, cotype, verify.  Every
-run prints exactly one JSON report to stdout (sorted keys, fixed layout) and
-returns one of the contract exit codes:
+Verbs: gen, perturb, bounds, stab, count, section, cotype, verify.  argv is
+read straight off the verb table _VERBS, which also gives the --help text:
+each flag is spelled in full and followed by its value.  Every run prints
+exactly one JSON report to stdout (sorted keys, fixed layout) and returns
+one of the contract exit codes:
 
 * 0: success
 * 1: mathematical violation found by a verify sweep
-* 2: input error (bad flag, unreadable file, malformed data): a CliError
-  or any ValueError
+* 2: input error (an unknown, repeated, missing or bad flag, an unreadable
+  file, malformed data or an unknown JSON key): a CliError or any ValueError
 * 3: genericity certification exhausted: a GenericityError
 
 main alone maps an exception to its exit code.
@@ -18,16 +20,15 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
-import operator
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import batch
@@ -44,13 +45,6 @@ from .transversal import (SEARCH_BUDGET, _known_keys, decide_stab,
 
 class CliError(Exception):
     """An input error whose message already names the flag or file at fault."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse whose errors become a CliError, so they get a JSON report."""
-
-    def error(self, message: str):
-        raise CliError(f"{self.prog}: {message}")
 
 
 def _read_text(path: str, inputs: dict) -> str:
@@ -247,13 +241,12 @@ class _Flag(NamedTuple):
     bound: str = ""         # ">= n" or "> n"
 
 
-_BOUND_OPS = {">=": operator.ge, ">": operator.gt}
 _SEED = _Flag("--seed", int, 0)
 _EPS = _Flag("--eps", Fraction, bound="> 0")
 _COMPLEX, _MAP, _PLANE = (_Flag(name, str)
                           for name in ("--complex", "--map", "--plane"))
 
-# verb -> (help, handler, flags); flags are listed in --help order
+# verb -> (help, handler, flags); _USAGE lists the flags in this order
 _VERBS = {
     "gen": ("generate a random complex file", _run_gen, (
         _Flag("--vertices", int, bound=">= 1"),
@@ -276,41 +269,44 @@ _VERBS = {
     "verify": ("run a batch verification grid", _run_verify, (
         _Flag("--grid", str), _Flag("--trials", int, bound=">= 0"), _SEED)),
 }
+_USAGE = "usage: plstab <verb> --flag value ...\n" + "".join(
+    f"    {verb} " + " ".join(f.name if f.default is None else f"[{f.name}]"
+                          for f in flags) + f"\n        {text}\n"
+    for verb, (text, _, flags) in _VERBS.items())
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="plstab",
-        description="exact stabbing-bound verification for PL maps")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, _, flags) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
-        for f in flags:
-            p.add_argument(f.name, type=int if f.kind is int else None,
-                           required=f.default is None, default=f.default)
-    return parser
-
-
-_PARSER = _build_parser()
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the one parser built from _VERBS, then convert
-    rationals and check bounds."""
-    args = _PARSER.parse_args(argv)
-    for f in _VERBS[args.verb][2]:
-        value = getattr(args, f.name[2:])
-        if f.kind is Fraction:
-            try:
-                value = parse_rational(value)
-            except ValueError as exc:
-                raise CliError(f"{f.name}: {exc}") from exc
-            setattr(args, f.name[2:], value)
-        if f.bound:
-            op, low = f.bound.split()
-            if not _BOUND_OPS[op](value, int(low)):
-                raise CliError(f"{f.name} must be {f.bound}")
-    return args
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argv read straight off its verb's flags in _VERBS: each flag takes
+    the argument after it, converted by its kind and checked against its
+    bound in argv order; an absent flag takes its default.  None when argv
+    asks for help."""
+    if {"-h", "--help"} & {*argv[:1], *argv[1::2]}:
+        return None
+    if not argv or argv[0] not in _VERBS:
+        raise CliError(f"a verb is required, one of {', '.join(_VERBS)}; "
+                       f"got {' '.join(argv[:1]) or 'none'}")
+    flags = {f.name: f for f in _VERBS[argv[0]][2]}
+    values = {name[2:]: f.default for name, f in flags.items()}
+    for i in range(1, len(argv), 2):
+        f = flags.get(argv[i])
+        if f is None:
+            raise CliError("unrecognized arguments: " + " ".join(argv[i:i + 2]))
+        if i + 1 == len(argv) or f.name in argv[1:i:2]:
+            raise CliError(f"{f.name} takes exactly one value")
+        text = argv[i + 1]
+        try:
+            value = parse_rational(text) if f.kind is Fraction else f.kind(text)
+        except ValueError as exc:
+            detail = exc if f.kind is Fraction else f"invalid int value: {text!r}"
+            raise CliError(f"{f.name}: {detail}") from exc
+        op, _, low = f.bound.partition(" ")
+        if f.bound and not (value > int(low) if op == ">" else value >= int(low)):
+            raise CliError(f"{f.name} must be {f.bound}")
+        values[f.name[2:]] = value
+    missing = [f"--{key}" for key, value in values.items() if value is None]
+    if missing:
+        raise CliError("these flags are required: " + ", ".join(missing))
+    return SimpleNamespace(verb=argv[0], **values)
 
 
 def _emit(report: dict) -> None:
@@ -322,10 +318,11 @@ def main(argv=None) -> int:
     echo = list(argv) if argv is not None else sys.argv[1:]
     try:
         args = _parse(echo)
+        if args is None:
+            sys.stdout.write(_USAGE)
+            return 0
         result, certificate, code = _VERBS[args.verb][1](args, inputs)
         report = {"result": result, "certificate": certificate}
-    except SystemExit:  # only --help exits; every parse error raises CliError
-        return 0
     # The one map from error to exit code.  RuntimeError (GenericityError
     # aside) and ArithmeticError are faults of the program and propagate.
     except (CliError, ValueError, GenericityError) as exc:

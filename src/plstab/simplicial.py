@@ -175,7 +175,7 @@ def parse_map(text: str) -> PLMap:
             if args[0] in images:
                 raise ParseError(lineno, f"duplicate point for {args[0]!r}")
             try:
-                images[args[0]] = vec(parse_rational(x) for x in args[1:])
+                images[args[0]] = tuple(parse_rational(x) for x in args[1:])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
     if m is None:

@@ -43,6 +43,7 @@ from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FAMILY_KEYS = ("m", "St", "ST", "d")  # a family's JSON keys
 
 
 @dataclass(frozen=True)
@@ -757,7 +758,7 @@ def _known_keys(data, keys: Sequence[str], what: str) -> dict:
 
 
 def family_from_json_dict(data: dict) -> PlaneFamily:
-    data = _typed(data, dict, "family")
+    data = _known_keys(data, _FAMILY_KEYS, "family")
     m = _typed(data["m"], int, "m")
     s_t, s_T = (tuple(_typed(j, int, key) for j in _typed(data[key], list, key))
                 for key in ("St", "ST"))
@@ -773,8 +774,8 @@ def sets_from_json(data, m: int) -> list[list[Vec]]:
         for p in _typed(ps, list, "point set"):
             if len(_typed(p, list, "point")) != m:
                 raise ValueError(f"point of length {len(p)}, expected {m}")
-            pts.append(vec(parse_rational(_typed(x, str, "coordinate"))
-                           for x in p))
+            pts.append(tuple(parse_rational(_typed(x, str, "coordinate"))
+                             for x in p))
         sets.append(pts)
     if not sets or any(not ps for ps in sets):
         raise ValueError("need nonempty point sets")
@@ -790,11 +791,12 @@ def plane_to_json_dict(p: ConcretePlane) -> dict:
 
 
 def plane_from_json_dict(data: dict) -> ConcretePlane:
-    family = family_from_json_dict(_typed(data, dict, "plane"))
-    basepoint = vec(parse_rational(_typed(x, str, "basepoint coordinate"))
-                    for x in _typed(data["basepoint"], list, "basepoint"))
-    extras = tuple(vec(parse_rational(_typed(x, str, "extra_dirs coordinate"))
-                       for x in _typed(row, list, "extra_dirs"))
+    _known_keys(data, (*_FAMILY_KEYS, "basepoint", "extra_dirs"), "plane")
+    family = family_from_json_dict({key: data[key] for key in _FAMILY_KEYS})
+    basepoint = tuple(parse_rational(_typed(x, str, "basepoint coordinate"))
+                      for x in _typed(data["basepoint"], list, "basepoint"))
+    extras = tuple(tuple(parse_rational(_typed(x, str, "extra_dirs coordinate"))
+                         for x in _typed(row, list, "extra_dirs"))
                    for row in _typed(data.get("extra_dirs", []), list,
                                      "extra_dirs"))
     return ConcretePlane(family, basepoint, extras)

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -123,26 +122,68 @@ def test_readme_flags_match_the_verb_table():
                 assert set(re.findall(r"--\w+", line)) <= set(names), line
 
 
-def test_requests_reuse_the_parser_built_at_import(monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
+# a value of each flag that the verb table admits; paths need not exist,
+# since argv is read before any file
+def _valid_value(flag) -> str:
+    if flag.kind is str:
+        return flag.name[2:] + ".json"
+    low = int(flag.bound.split()[-1]) if flag.bound else 0
+    return str(low + 1 if flag.bound.startswith(">") else low)
 
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    stab = _parse(["stab", "--family", "f.json", "--sets", "s.json"])
-    bounds = _parse(["bounds", "--n", "2", "--m", "4", "--d", "1", "--t", "0",
-                     "--T", "3"])
-    with pytest.raises(CliError):
-        _parse(["frobnicate"])
-    assert built == []
-    # a reused parser keeps no flag of an earlier request
-    assert vars(stab) == {"verb": "stab", "family": "f.json",
-                          "sets": "s.json", "budget": 500, "seed": 0}
-    assert vars(bounds) == {"verb": "bounds", "n": 2, "m": 4, "d": 1, "t": 0,
-                            "T": 3}
+def _valid_argv(verb) -> list[str]:
+    return [verb, *(arg for f in _VERBS[verb][2]
+                    for arg in (f.name, _valid_value(f)))]
+
+
+@pytest.mark.parametrize("verb", list(_VERBS))
+def test_argv_is_read_off_the_verb_table(capsys, verb):
+    flags = _VERBS[verb][2]
+    argv = _valid_argv(verb)
+    # an absent flag takes the table's default; a given one its value
+    args = _parse([verb, *(arg for f in flags if f.default is None
+                           for arg in (f.name, _valid_value(f)))])
+    assert args.verb == verb
+    for f in flags:
+        want = (f.default if f.default is not None
+                else Fraction(_valid_value(f)) if f.kind is Fraction
+                else f.kind(_valid_value(f)))
+        assert getattr(args, f.name[2:]) == want, f.name
+    for at, f in enumerate(flags):
+        pair = argv[1 + 2 * at:3 + 2 * at]
+        rest = argv[:1 + 2 * at] + argv[3 + 2 * at:]
+        if f.default is None:  # dropping a required flag names it
+            error = _one_parse_error_report(capsys, rest)
+            assert "required" in error and f.name in error
+        if f.bound:  # a value just past the bound names the flag
+            op, low = f.bound.split()
+            bad = str(int(low) - (op == ">="))
+            error = _one_parse_error_report(capsys, [*rest, f.name, bad])
+            assert error == f"{f.name} must be {f.bound}"
+        # a flag given twice (the last value used to win), a prefix of its
+        # name or the --flag=value form exits 2 and names what is wrong
+        assert (_one_parse_error_report(capsys, [*argv, *pair])
+                == f"{f.name} takes exactly one value")
+        prefix = [*rest, f.name[:-1], pair[1]]
+        assert (_one_parse_error_report(capsys, prefix)
+                == f"unrecognized arguments: {f.name[:-1]} {pair[1]}")
+        joined = [*rest, f"{f.name}={pair[1]}"]
+        assert (_one_parse_error_report(capsys, joined)
+                == f"unrecognized arguments: {f.name}={pair[1]}")
+    # a flag with no value after it names the flag
+    assert (_one_parse_error_report(capsys, argv[:-1])
+            == f"{flags[-1].name} takes exactly one value")
+
+
+def test_help_lists_each_verb_with_its_flags(capsys):
+    for argv in (["--help"], ["-h"], ["count", "--help"],
+                 ["stab", "--family", "f.json", "-h"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for verb, (help_text, _, flags) in _VERBS.items():
+            names = " ".join(f.name if f.default is None else f"[{f.name}]"
+                             for f in flags)
+            assert f"\n    {verb} {names}\n        {help_text}\n" in out
 
 
 # the error of each flag out of its range: a bound declared in the verb
@@ -175,7 +216,7 @@ _OUT_OF_RANGE = {"--nmax": "must be >= 0", "--budget": "must be >= 0",
       "--q", "2", "--eps", "0"], "--eps"),
     (["cotype", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
       "--q", "0", "--eps", "1"], "--q"),
-    # both out of range: flags are checked in the table's order
+    # both out of range: flags are checked in argv order
     (["cotype", "--complex", "k.cx", "--map", "g.map", "--plane", "p.json",
       "--q", "0", "--eps", "-1"], "--q"),
 ])
@@ -551,6 +592,37 @@ def test_stab_family_must_be_a_json_object_exit_2(capsys, tmp_path):
     report = json.loads(out)
     assert report["exit_code"] == 2
     assert report["error"].startswith(f"{fam}: family must be a JSON dict")
+
+
+@pytest.mark.parametrize("key", ["colour", "extradirs"])
+def test_count_plane_unknown_key_exit_2(capsys, tmp_path, key):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", dict(VERTICAL_HALF, **{key: "red"}))
+    code, out = run_cli(capsys, ["count", "--complex", cx, "--map", mp,
+                                 "--plane", pl, "--nmax", "1"])
+    assert (code, json.loads(out)["error"]) == (
+        2, f"{pl}: unknown plane key {key!r}")
+
+
+@pytest.mark.parametrize("key", ["typo", "basepoint"])
+def test_stab_family_unknown_key_exit_2(capsys, tmp_path, key):
+    fam = write(tmp_path, "f.json", dict(PLANE_FAMILY, **{key: 1}))
+    sets = write(tmp_path, "s.json",
+                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+    code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
+    assert (code, json.loads(out)["error"]) == (
+        2, f"{fam}: unknown family key {key!r}")
+
+
+def test_verify_fixture_family_unknown_key_exit_2(capsys, tmp_path):
+    grid = write(tmp_path, "grid.json", {"fixtures": [{
+        "name": "typo", "family": dict(PLANE_FAMILY, typo=1),
+        "sets": [[["0", "0", "0"]], [["5", "0", "0"]]], "expect": "witness",
+    }]})
+    code, out = run_cli(capsys, ["verify", "--grid", grid, "--trials", "0"])
+    assert (code, json.loads(out)["error"]) == (
+        2, f"{grid}: unknown family key 'typo'")
 
 
 def _without(data, key):

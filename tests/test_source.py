@@ -29,6 +29,21 @@ def test_oracles_import_nothing_from_plstab():
     assert found == []
 
 
+def test_no_library_module_imports_argparse():
+    # The CLI reads argv straight off its verb table: no second parser.
+    found = []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "argparse"]
+    assert found == []
+
+
 # math functions that take and return integers; every other one returns a float
 _INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "prod"}
 
@@ -65,7 +80,7 @@ def test_every_public_library_function_has_a_caller():
     # class, and every public method of a public class, must be named
     # somewhere in the library outside its own body.  Imports do not count,
     # and __init__.py only re-exports.  Private classes are skipped, since
-    # their methods may override a base class's (cli._Parser.error).
+    # their methods may override a base class's.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(plstab.__file__).parent.glob("*.py"))
              if path.name != "__init__.py"}
