@@ -2,8 +2,8 @@
 
 from .generic import (GenericityCertificate, GenericityError, GenericPool,
                       certify)
-from .ratmath import (format_rational, lp_feasible, mat_rank, parse_rational,
-                      solve_affine)
+from .ratmath import (format_rational, lp_feasible, mat_rank, parse_integer,
+                      parse_rational, solve_affine)
 from .sections import (PlanarSection, component_clusters, compute_components,
                        eps_disjoint, preimage_polytopes, section_of_image)
 from .simplicial import (PLMap, SimplicialComplex, certify_map, format_complex,

@@ -26,14 +26,13 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import batch
 from .generic import GenericityError, GenericPool, _derived_seed
-from .ratmath import format_rational, parse_rational
+from .ratmath import format_rational, parse_integer, parse_rational
 from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
 from .simplicial import (certify_map, format_complex, format_map,
@@ -156,10 +155,7 @@ def _run_stab(args, inputs):
         family = family_from_json_dict(family_data)
     sets_data = _read_json(args.sets, inputs)
     with _fields_of(args.sets):
-        _known_keys(sets_data, ("m", "sets"), "sets file")
-        m = sets_data.get("m", family.m)
-        if type(m) is not int or m != family.m:
-            raise ValueError(f"m must be the family's m, {family.m}, got {m!r}")
+        _known_keys(sets_data, ("sets",), "sets file")
         sets = sets_from_json(sets_data["sets"], family.m)
     got = decide_stab(sets, family, args.budget, args.seed)
     return {"q": len(sets), **got}, None, 0
@@ -204,8 +200,7 @@ def _components_of(args, inputs, build):
     result = {
         "pieces": len(polytopes.pieces),
         "components": len(part.components),
-        "max_diameter_sq": format_rational(
-            max(part.diameters_sq, default=Fraction(0))),
+        "max_diameter_sq": format_rational(max(part.diameters_sq, default=0)),
         "eps_sq": format_rational(args.eps * args.eps),
     }
     return part, result, _cert_summary(g.certificate)
@@ -236,38 +231,40 @@ def _run_verify(args, inputs):
 
 class _Flag(NamedTuple):
     name: str
-    kind: type              # int, str or Fraction (a rational literal)
-    default: object = None  # None: the flag is required
-    bound: str = ""         # ">= n" or "> n"
+    kind: Callable[[str], object]  # parse_integer, parse_rational or str
+    default: object = None         # None: the flag is required
+    bound: str = ""                # ">= n" or "> n"
 
 
-_SEED = _Flag("--seed", int, 0)
-_EPS = _Flag("--eps", Fraction, bound="> 0")
+_SEED = _Flag("--seed", parse_integer, 0)
+_EPS = _Flag("--eps", parse_rational, bound="> 0")
 _COMPLEX, _MAP, _PLANE = (_Flag(name, str)
                           for name in ("--complex", "--map", "--plane"))
 
 # verb -> (help, handler, flags); _USAGE lists the flags in this order
 _VERBS = {
     "gen": ("generate a random complex file", _run_gen, (
-        _Flag("--vertices", int, bound=">= 1"),
-        _Flag("--dim", int, bound=">= 0"),
-        _Flag("--density", Fraction), _SEED, _Flag("--out", str))),
+        _Flag("--vertices", parse_integer, bound=">= 1"),
+        _Flag("--dim", parse_integer, bound=">= 0"),
+        _Flag("--density", parse_rational), _SEED, _Flag("--out", str))),
     "perturb": ("move a map into certified general position", _run_perturb, (
         _COMPLEX, _MAP, _EPS, _SEED, _Flag("--out", str))),
     "bounds": ("exact stabbing ceiling and its floor", _run_bounds,
-               tuple(_Flag(name, int) for name in ("--n", "--m", "--d", "--t",
-                                                   "--T"))),
+               tuple(_Flag(name, parse_integer)
+                     for name in ("--n", "--m", "--d", "--t", "--T"))),
     "stab": ("decide or search a common transversal", _run_stab, (
         _Flag("--family", str), _Flag("--sets", str),
-        _Flag("--budget", int, SEARCH_BUDGET, ">= 0"), _SEED)),
+        _Flag("--budget", parse_integer, SEARCH_BUDGET, ">= 0"), _SEED)),
     "count": ("max disjoint simplexes stabbed by a plane", _run_count, (
-        _COMPLEX, _MAP, _PLANE, _Flag("--nmax", int, bound=">= 0"))),
+        _COMPLEX, _MAP, _PLANE, _Flag("--nmax", parse_integer, bound=">= 0"))),
     "section": ("plane section and its disjointness scale", _run_section, (
         _COMPLEX, _MAP, _PLANE, _EPS)),
     "cotype": ("cluster the plane preimage in the domain", _run_cotype, (
-        _COMPLEX, _MAP, _PLANE, _Flag("--q", int, bound=">= 1"), _EPS)),
+        _COMPLEX, _MAP, _PLANE, _Flag("--q", parse_integer, bound=">= 1"),
+        _EPS)),
     "verify": ("run a batch verification grid", _run_verify, (
-        _Flag("--grid", str), _Flag("--trials", int, bound=">= 0"), _SEED)),
+        _Flag("--grid", str), _Flag("--trials", parse_integer, bound=">= 0"),
+        _SEED)),
 }
 _USAGE = "usage: plstab <verb> --flag value ...\n" + "".join(
     f"    {verb} " + " ".join(f.name if f.default is None else f"[{f.name}]"
@@ -293,12 +290,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             raise CliError("unrecognized arguments: " + " ".join(argv[i:i + 2]))
         if i + 1 == len(argv) or f.name in argv[1:i:2]:
             raise CliError(f"{f.name} takes exactly one value")
-        text = argv[i + 1]
         try:
-            value = parse_rational(text) if f.kind is Fraction else f.kind(text)
+            value = f.kind(argv[i + 1])
         except ValueError as exc:
-            detail = exc if f.kind is Fraction else f"invalid int value: {text!r}"
-            raise CliError(f"{f.name}: {detail}") from exc
+            raise CliError(f"{f.name}: {exc}") from exc
         op, _, low = f.bound.partition(" ")
         if f.bound and not (value > int(low) if op == ">" else value >= int(low)):
             raise CliError(f"{f.name} must be {f.bound}")

@@ -48,7 +48,15 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")  # ASCII digits only
+_RATIONAL_RE = re.compile(_INTEGER_RE.pattern + r"(?:/[0-9]+)?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse the canonical integer text form: "-7", "5"."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -59,12 +67,10 @@ def parse_rational(text: str) -> Fraction:
     """
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:
@@ -77,8 +83,6 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return parse_rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 

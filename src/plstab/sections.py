@@ -200,8 +200,8 @@ def component_clusters(part: ComponentPartition, q: int,
     lists of component indices.  Exact and exhaustive over component
     assignments (restricted-growth order, pruned by the monotonicity of
     cluster diameters, backtracking without recursion).  A component wider
-    than eps answers None; more than MAX_CLUSTER_COMPONENTS components raise
-    unless q covers them, when each may open a cluster and none backtracks.
+    than eps answers None; when q covers the components, each is its own
+    cluster.  Otherwise more than MAX_CLUSTER_COMPONENTS components raise.
     """
     eps = as_fraction(eps)
     if q < 1 or eps <= 0:
@@ -210,7 +210,9 @@ def component_clusters(part: ComponentPartition, q: int,
     if any(d > eps_sq for d in part.diameters_sq):
         return None
     ncomp = len(part.components)
-    if ncomp > max(q, MAX_CLUSTER_COMPONENTS):
+    if q >= ncomp:
+        return [[i] for i in range(ncomp)]
+    if ncomp > MAX_CLUSTER_COMPONENTS:
         raise ValueError(f"{ncomp} components exceed the exact clusterer limit "
                          f"of {MAX_CLUSTER_COMPONENTS}")
     pair_cache: dict[tuple[int, int], bool] = {}

@@ -708,22 +708,21 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                          nmax: int) -> tuple[int, tuple[Simplex, ...]]:
     """Exact maximum family of pairwise vertex-disjoint stabbed simplexes.
 
-    Branch and bound over the intersection graph of the stabbed simplexes,
-    max-degree-first with cardinality pruning.  Before it is returned, the
+    Branch and bound over the intersection graph of the minimal stabbed
+    simplexes, max-degree-first with cardinality pruning.  A stabbed
+    simplex is minimal, no proper face stabbed, when its first piece vertex
+    (from its smallest stabbed face) is positive; swapping a stabbed simplex
+    for a minimal stabbed face keeps the count.  Before it is returned, the
     family is re-checked exactly: each member's first piece vertex is a
     nonnegative lambda summing to 1 whose image lies on the plane, and the
     members share no vertex; a failure raises RuntimeError.
     """
-    hits = stabbed_simplexes(k, g, plane, nmax)
-    n = len(hits)
+    hits = [(s, verts) for s, verts in stabbed_simplexes(k, g, plane, nmax)
+            if min(verts[0]) > 0]
     vsets = [set(s) for s, _ in hits]
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vsets[i] & vsets[j]:
-                adj[i].add(j)
-                adj[j].add(i)
-    chosen = _max_independent_set(n, adj)
+    adj = [{j for j, b in enumerate(vsets) if j != i and a & b}
+           for i, a in enumerate(vsets)]
+    chosen = _max_independent_set(len(hits), adj)
     for s, verts in (hits[i] for i in chosen):
         lam = verts[0]
         if (min(lam) < 0 or sum(lam) != 1
@@ -765,20 +764,22 @@ def family_from_json_dict(data: dict) -> PlaneFamily:
     return PlaneFamily(m, s_t, s_T, _typed(data["d"], int, "d"))
 
 
+def _rationals(data, what: str) -> Vec:
+    """The one reader of a JSON list of rational strings."""
+    return tuple(parse_rational(_typed(x, str, f"{what} coordinate"))
+                 for x in _typed(data, list, what))
+
+
 def sets_from_json(data, m: int) -> list[list[Vec]]:
     """Point sets from JSON: a nonempty list of nonempty lists of points,
     each point a list of m rational strings."""
-    sets = []
-    for ps in _typed(data, list, "sets"):
-        pts = []
-        for p in _typed(ps, list, "point set"):
-            if len(_typed(p, list, "point")) != m:
-                raise ValueError(f"point of length {len(p)}, expected {m}")
-            pts.append(tuple(parse_rational(_typed(x, str, "coordinate"))
-                             for x in p))
-        sets.append(pts)
-    if not sets or any(not ps for ps in sets):
+    sets = [[_rationals(p, "point") for p in _typed(ps, list, "point set")]
+            for ps in _typed(data, list, "sets")]
+    if not sets or not all(sets):
         raise ValueError("need nonempty point sets")
+    for p in itertools.chain.from_iterable(sets):
+        if len(p) != m:
+            raise ValueError(f"point of length {len(p)}, expected {m}")
     return sets
 
 
@@ -793,10 +794,7 @@ def plane_to_json_dict(p: ConcretePlane) -> dict:
 def plane_from_json_dict(data: dict) -> ConcretePlane:
     _known_keys(data, (*_FAMILY_KEYS, "basepoint", "extra_dirs"), "plane")
     family = family_from_json_dict({key: data[key] for key in _FAMILY_KEYS})
-    basepoint = tuple(parse_rational(_typed(x, str, "basepoint coordinate"))
-                      for x in _typed(data["basepoint"], list, "basepoint"))
-    extras = tuple(tuple(parse_rational(_typed(x, str, "extra_dirs coordinate"))
-                         for x in _typed(row, list, "extra_dirs"))
-                   for row in _typed(data.get("extra_dirs", []), list,
-                                     "extra_dirs"))
+    basepoint = _rationals(data["basepoint"], "basepoint")
+    extras = tuple(_rationals(row, "extra_dirs") for row in
+                   _typed(data.get("extra_dirs", []), list, "extra_dirs"))
     return ConcretePlane(family, basepoint, extras)

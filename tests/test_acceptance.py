@@ -399,7 +399,7 @@ def test_determinism_and_exit_codes(capsys, tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({"m": 3, "St": [], "ST": [1, 2, 3], "d": 1}))
     sets = tmp_path / "sets.json"
-    sets.write_text(json.dumps({"m": 3, "sets": [
+    sets.write_text(json.dumps({"sets": [
         [["0", "0", "0"], ["1", "0", "0"]],
         [["0", "0", "1"], ["0", "1", "1"]],
         [["0", "0", "2"], ["1", "1", "2"]]]}))

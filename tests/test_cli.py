@@ -25,7 +25,7 @@ VERTICAL_HALF = {"m": 2, "St": [2], "ST": [2], "d": 1,
                  "basepoint": ["1/2", "0"], "extra_dirs": []}
 
 Z_AXIS_FAMILY = {"m": 3, "St": [], "ST": [1, 2, 3], "d": 1}
-Z_AXIS_SETS = {"m": 3, "sets": [
+Z_AXIS_SETS = {"sets": [
     [["0", "0", "0"], ["1", "0", "0"]],
     [["0", "0", "1"], ["0", "1", "1"]],
     [["0", "0", "2"], ["1", "1", "2"]],
@@ -81,6 +81,81 @@ def test_unparsable_flag_exit_2(capsys):
                  ["count", "--nmax", "x"]):
         error = _one_parse_error_report(capsys, argv)
         assert "invalid int value: 'x'" in error
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3 ", "3 ", "\u0663", "1\u0660",
+                                  "\uff13", "0x3", "3.0", "+-3", ""])
+def test_int_flag_reads_ascii_digits_only_exit_2(capsys, text):
+    # Python's int() takes underscores, surrounding whitespace and every
+    # script's decimal digits; an int flag takes ratmath's literal only.
+    for argv in (["count", "--nmax", text],
+                 ["bounds", "--n", text, "--m", "4", "--d", "1", "--t", "0",
+                  "--T", "3"]):
+        error = _one_parse_error_report(capsys, argv)
+        assert error == f"{argv[1]}: invalid int value: {text!r}"
+
+
+def test_int_flag_takes_a_signed_literal(capsys):
+    code, out = run_cli(capsys, ["bounds", "--n", "+2", "--m", "4",
+                                 "--d", "1", "--t", "-0", "--T", "3"])
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == "5"
+
+
+# One non-ASCII decimal digit in each place a number is read from a file
+# or from argv: ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT ONE.
+_ARABIC_3, _WIDE_1 = "\u0663", "\uff11"
+
+
+@pytest.mark.parametrize("where, error", [
+    ("header", "header needs one count"),
+    ("coordinate", f"line 3: not a rational literal: '{_WIDE_1}/101'"),
+    ("basepoint", f"not a rational literal: '1/{_ARABIC_3}'"),
+    ("extra_dirs", f"not a rational literal: '{_ARABIC_3}'"),
+    ("eps", f"--eps: not a rational literal: '{_WIDE_1}'"),
+], ids=["header", "coordinate", "basepoint", "extra_dirs", "eps"])
+def test_non_ascii_digit_exit_2(capsys, tmp_path, where, error):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    map_text = {"header": f"m {_ARABIC_3}\n",
+                "coordinate": TWO_EDGES_MAP.replace("p b 102", f"p b {_WIDE_1}")
+                }.get(where, TWO_EDGES_MAP)
+    mp = write(tmp_path, "g.map", map_text)
+    plane = {"basepoint": dict(VERTICAL_HALF, basepoint=[f"1/{_ARABIC_3}", "0"]),
+             "extra_dirs": dict(VERTICAL_HALF, St=[],
+                                extra_dirs=[["0", _ARABIC_3]]),
+             }.get(where, VERTICAL_HALF)
+    pl = write(tmp_path, "p.json", plane)
+    eps = _WIDE_1 if where == "eps" else "1"
+    code, report = _report(capsys, ["section", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--eps", eps])
+    assert code == 2
+    assert error in report["error"]
+
+
+def test_stab_point_with_a_non_ascii_digit_exit_2(capsys, tmp_path):
+    fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)
+    sets = write(tmp_path, "s.json", {"sets": [
+        [["0", "0", "0"], ["1", "0", "0"]], [["0", "0", _ARABIC_3]]]})
+    code, report = _report(capsys, ["stab", "--family", fam, "--sets", sets])
+    assert (code, report["error"]) == (
+        2, f"{sets}: not a rational literal: '{_ARABIC_3}'")
+
+
+@pytest.mark.parametrize("header, error", [
+    ("m +2", None), ("m -3", "line 1: ambient dimension must be positive"),
+    ("m 2 2", "line 1: header needs one count"),
+], ids=["plus", "negative", "two-counts"])
+def test_map_header_is_an_integer_literal(capsys, tmp_path, header, error):
+    cx = write(tmp_path, "k.cx", TWO_EDGES_COMPLEX)
+    text = TWO_EDGES_MAP.replace("m 2", header, 1)
+    mp = write(tmp_path, "g.map", text)
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--nmax", "1"])
+    if error is None:
+        assert (code, report["result"]["count"]) == (0, 2)
+    else:
+        assert (code, report["error"]) == (2, f"{mp}: {error}")
 
 
 def test_unknown_verb_exit_2(capsys):
@@ -365,7 +440,7 @@ def test_perturb_zero_dimensional_map_exit_2(capsys, tmp_path):
 def test_stab_linear_infeasible_certified(capsys, tmp_path):
     fam = write(tmp_path, "f.json", E1_LINE_FAMILY)
     sets = write(tmp_path, "s.json",
-                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "1"]]]})
+                 {"sets": [[["0", "0", "0"]], [["5", "0", "1"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
@@ -377,7 +452,7 @@ def test_stab_linear_infeasible_certified(capsys, tmp_path):
 def test_stab_linear_witness(capsys, tmp_path):
     fam = write(tmp_path, "f.json", E1_LINE_FAMILY)
     sets = write(tmp_path, "s.json",
-                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+                 {"sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
@@ -404,7 +479,7 @@ def test_stab_empty_flat_is_a_certified_linear_infeasible(capsys, tmp_path):
     # constraint flat is empty and no family member meets both
     fam = write(tmp_path, "f.json", {"m": 3, "St": [], "ST": [1], "d": 0})
     sets = write(tmp_path, "s.json",
-                 {"m": 3, "sets": [[["0", "0", "0"]], [["1", "0", "1"]]]})
+                 {"sets": [[["0", "0", "0"]], [["1", "0", "1"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
@@ -425,7 +500,7 @@ def test_stab_negative_budget_exit_2(capsys, tmp_path):
 def test_stab_univariate_no_stab(capsys, tmp_path):
     fam = write(tmp_path, "f.json", {"m": 2, "St": [], "ST": [1, 2], "d": 0})
     sets = write(tmp_path, "s.json",
-                 {"m": 2, "sets": [[["0", "0"], ["2", "2"]], [["2", "0"]]]})
+                 {"sets": [[["0", "0"], ["2", "2"]], [["2", "0"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 0
     result = json.loads(out)["result"]
@@ -437,7 +512,7 @@ def test_stab_univariate_no_stab(capsys, tmp_path):
 
 def test_stab_univariate_interval_answer(capsys, tmp_path):
     fam = write(tmp_path, "f.json", {"m": 3, "St": [], "ST": [1, 2], "d": 1})
-    sets = write(tmp_path, "s.json", {"m": 3, "sets": [
+    sets = write(tmp_path, "s.json", {"sets": [
         [["0", "0", "0"], ["1", "0", "1"]],
         [["0", "1", "0"], ["0", "0", "1"]],
         [["1", "1", "0"], ["0", "-2", "1"]],
@@ -538,7 +613,7 @@ _BAD_FAMILY_FIELDS = [{"m": 3.0}, {"m": 3.9}, {"d": True}, {"d": "2"},
 def test_stab_family_needs_json_integers_and_lists_exit_2(capsys, tmp_path, bad):
     fam = write(tmp_path, "f.json", dict(PLANE_FAMILY, **bad))
     sets = write(tmp_path, "s.json",
-                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+                 {"sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
@@ -586,7 +661,7 @@ def test_plane_json_errors_name_the_field_exit_2(capsys, tmp_path, verb_args,
 def test_stab_family_must_be_a_json_object_exit_2(capsys, tmp_path):
     fam = write(tmp_path, "f.json", [PLANE_FAMILY])
     sets = write(tmp_path, "s.json",
-                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+                 {"sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert code == 2
     report = json.loads(out)
@@ -609,7 +684,7 @@ def test_count_plane_unknown_key_exit_2(capsys, tmp_path, key):
 def test_stab_family_unknown_key_exit_2(capsys, tmp_path, key):
     fam = write(tmp_path, "f.json", dict(PLANE_FAMILY, **{key: 1}))
     sets = write(tmp_path, "s.json",
-                 {"m": 3, "sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
+                 {"sets": [[["0", "0", "0"]], [["5", "0", "0"]]]})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", sets])
     assert (code, json.loads(out)["error"]) == (
         2, f"{fam}: unknown family key {key!r}")
@@ -686,7 +761,7 @@ def test_verify_fixture_family_needs_json_integers_and_lists_exit_2(
 def test_stab_point_sets_need_lists_of_m_rational_strings_exit_2(
         capsys, tmp_path, sets):
     fam = write(tmp_path, "f.json", {"m": 2, "St": [], "ST": [1], "d": 1})
-    path = write(tmp_path, "s.json", {"m": 2, "sets": sets})
+    path = write(tmp_path, "s.json", {"sets": sets})
     code, out = run_cli(capsys, ["stab", "--family", fam, "--sets", path])
     assert code == 2
     assert json.loads(out)["exit_code"] == 2
@@ -694,9 +769,10 @@ def test_stab_point_sets_need_lists_of_m_rational_strings_exit_2(
 
 @pytest.mark.parametrize("change, error", [
     ({"extra": 1}, "unknown sets file key 'extra'"),
-    ({"m": 7}, "m must be the family's m, 3, got 7"),
-    ({"m": 3.0}, "m must be the family's m, 3, got 3.0"),
-    ({"m": "3"}, "m must be the family's m, 3, got '3'"),
+    # the sets file has no m: the family gives it
+    ({"m": 3}, "unknown sets file key 'm'"),
+    ({"m": 3.0}, "unknown sets file key 'm'"),
+    ({"m": "3"}, "unknown sets file key 'm'"),
 ], ids=["key", "m", "float-m", "string-m"])
 def test_stab_sets_file_keys_and_m_exit_2(capsys, tmp_path, change, error):
     fam = write(tmp_path, "f.json", Z_AXIS_FAMILY)

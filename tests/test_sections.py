@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,10 @@ from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
 from plstab import sections
 from plstab.generic import GenericPool
 from plstab.ratmath import dist_sq, vec
-from plstab.sections import (PlanarSection, component_clusters,
-                             compute_components, eps_disjoint,
-                             polytopes_intersect, preimage_polytopes,
-                             section_of_image)
+from plstab.sections import (ComponentPartition, PlanarSection,
+                             component_clusters, compute_components,
+                             eps_disjoint, polytopes_intersect,
+                             preimage_polytopes, section_of_image)
 from plstab.simplicial import PLMap, certify_map, parse_complex, roberts_perturb
 from plstab.transversal import ConcretePlane, PlaneFamily, plane_through
 
@@ -333,14 +334,33 @@ def test_cluster_component_limit():
 
 
 def test_cluster_no_limit_when_q_covers_the_components():
-    # Every component may open its own cluster, so the search never
-    # backtracks and the limit does not apply.
+    # q covers the components: each is its own cluster, near or far, and
+    # the limit does not apply.
     polys = _singleton_polytopes(*([i * 100, 0] for i in range(13)))
     part = compute_components(_named(polys))
     assert component_clusters(part, 13, F(1)) == [[i] for i in range(13)]
     near = _singleton_polytopes(*([F(i, 100), 0] for i in range(13)))
     part = compute_components(_named(near))
-    assert component_clusters(part, 13, F(1)) == [list(range(13))]
+    assert component_clusters(part, 13, F(1)) == [[i] for i in range(13)]
+
+
+def _point_components(points):
+    """The partition of one single-point component per point."""
+    points = [vec(p) for p in points]
+    return ComponentPartition(tuple((i,) for i in range(len(points))),
+                              tuple((p,) for p in points),
+                              (F(0),) * len(points))
+
+
+def test_cluster_singletons_at_scale_when_q_covers_the_components():
+    # No pairwise distance is taken when q covers the components, so
+    # 1,100 components, near or far, answer well within a second.
+    for step in (100, F(1, 10 ** 6)):
+        part = _point_components([[i * step, 0] for i in range(1100)])
+        start = time.perf_counter()
+        clusters = component_clusters(part, 1100, F(1))
+        assert time.perf_counter() - start < 1
+        assert clusters == [[i] for i in range(1100)]
 
 
 def test_cluster_wide_component_answers_before_the_limit():

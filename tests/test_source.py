@@ -1,7 +1,12 @@
 import ast
+import sys
 from pathlib import Path
 
+import pytest
+
 import plstab
+from plstab.cli import _VERBS
+from plstab.ratmath import parse_integer, parse_rational
 
 
 def test_no_correctness_check_relies_on_assert():
@@ -42,6 +47,50 @@ def test_no_library_module_imports_argparse():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "argparse"]
     assert found == []
+
+
+def test_only_ratmath_reads_digits():
+    # One number grammar: argv, map files and JSON read their digits
+    # through ratmath.parse_integer and parse_rational alone, so only
+    # ratmath holds a regular expression, and no module asks Python's
+    # Unicode digit predicates, which admit other scripts' digits.
+    regex, predicates = [], []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names]
+                           if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                regex += [path.name for module in modules
+                          if module.split(".")[0] == "re"]
+            elif (isinstance(node, ast.Attribute) and node.attr in
+                  {"isdigit", "isdecimal", "isnumeric"}):
+                predicates.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert regex == ["ratmath.py"]
+    assert predicates == []
+
+
+def test_every_flag_is_read_by_the_number_grammar():
+    # A flag's kind is the parser of its value: text, or a ratmath literal.
+    kinds = {f.kind for _, _, flags in _VERBS.values() for f in flags}
+    assert kinds <= {str, parse_integer, parse_rational}
+    assert {parse_integer, parse_rational} <= kinds
+
+
+def test_only_ascii_digits_are_digits():
+    # Every other character that Python calls a decimal digit is rejected
+    # by both parsers, alone and inside a literal.
+    others = [chr(c) for c in range(sys.maxunicode + 1)
+              if chr(c).isdecimal() and not "0" <= chr(c) <= "9"]
+    assert len(others) > 600
+    for ch in others:
+        for text in (ch, "1" + ch, "-" + ch):
+            with pytest.raises(ValueError):
+                parse_integer(text)
+        for text in (ch, "1" + ch, ch + "/2", "1/" + ch):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
 
 # math functions that take and return integers; every other one returns a float

@@ -15,8 +15,8 @@ from plstab import transversal
 from plstab.generic import GenericPool
 from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
 from plstab.sections import preimage_polytopes, section_of_image
-from plstab.simplicial import (PLMap, certify_map, parse_complex,
-                               roberts_perturb)
+from plstab.simplicial import (PLMap, SimplicialComplex, certify_map,
+                               parse_complex, roberts_perturb)
 from plstab.transversal import (SEARCH_BUDGET, BoundResult, ConcretePlane,
                                 NonStabCase,
                                 PlaneFamily, StabDecision, decide_stab,
@@ -976,21 +976,58 @@ def test_count_vertex_on_plane():
     assert ("a",) in family
 
 
+def _path():
+    """The path a-b-c in R^2, both edges cut by the line x = 1/2 and no
+    vertex on it."""
+    k = parse_complex("v a\nv b\nv c\ns a b\ns b c\n")
+    g = certify_map(k, PLMap(2, {
+        "a": vec([F(1, 101), F(1, 7)]),
+        "b": vec([F(102, 101), F(1, 9)]),
+        "c": vec([F(2, 101), F(8, 7)]),
+    }))
+    assert g.certified
+    return k, g
+
+
 def test_count_rechecks_its_family(monkeypatch):
     k, g = _two_edges()
     real = transversal.stabbed_simplexes
-    # a piece vertex whose image is off the plane: vertex a of edge ab
+    # a strictly positive piece vertex whose image is off the plane: the
+    # barycentre of each edge, which keeps the edges minimal
     monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: [
-        (s, [(1,) + (0,) * (len(s) - 1)]) for s, _ in real(*args)])
-    with pytest.raises(RuntimeError):
+        (s, [(F(1, len(s)),) * len(s)]) for s, _ in real(*args)])
+    with pytest.raises(RuntimeError, match="re-verification"):
         max_disjoint_stabbed(k, g, _vertical_line(F(1, 2)), nmax=1)
-    # a family whose members share a vertex
+    # a family whose members share a vertex: both edges of the path
     monkeypatch.setattr(transversal, "stabbed_simplexes", real)
     monkeypatch.setattr(transversal, "_max_independent_set",
                         lambda n, adj: list(range(n)))
-    plane = plane_through(PlaneFamily(2, (), (1, 2), 2), vec([0, 0]))
-    with pytest.raises(RuntimeError):
-        max_disjoint_stabbed(k, g, plane, nmax=1)
+    k, g = _path()
+    with pytest.raises(RuntimeError, match="share a vertex"):
+        max_disjoint_stabbed(k, g, _vertical_line(F(1, 2)), nmax=1)
+
+
+def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
+    # The full 2-skeleton on 16 vertices in R^3 and the whole space as the
+    # plane: all 696 simplexes are stabbed and only the 16 vertices are
+    # minimal, so the branch and bound runs on 16 candidates, not 696.
+    names = [f"v{i:02d}" for i in range(16)]
+    k = SimplicialComplex.from_simplexes(
+        names, list(itertools.combinations(names, 3)))
+    g = roberts_perturb(k, random_map(random.Random(16), k, 3), F(1, 3),
+                        GenericPool(16))
+    plane = plane_through(PlaneFamily(3, (), (1, 2, 3), 3), vec([0, 0, 0]))
+    real = transversal._max_independent_set
+
+    def packs_the_vertices(n, adj):
+        if n != len(names):
+            raise AssertionError(f"packing {n} simplexes, not the 16 vertices")
+        return real(n, adj)
+
+    monkeypatch.setattr(transversal, "_max_independent_set", packs_the_vertices)
+    count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
+    assert count == 16
+    assert set(family) == {(v,) for v in names}
 
 
 def test_count_matches_subset_enumeration():
@@ -1000,7 +1037,6 @@ def test_count_matches_subset_enumeration():
         names = [f"v{i}" for i in range(nv)]
         maximal = [rng.sample(names, rng.randint(1, 3))
                    for _ in range(rng.randint(2, 5))]
-        from plstab.simplicial import SimplicialComplex
         k = SimplicialComplex.from_simplexes(names, maximal)
         theta = PLMap(2, {v: vec([rng.randint(0, 6), rng.randint(0, 6)])
                           for v in names})
