@@ -7,8 +7,8 @@ s_T axes.  This module provides:
 
 * the exact counting ceiling (:func:`stab_bound`) and case predicate
   (:func:`nonstab_case`);
-* the one plane-membership test (:func:`stabbed_simplexes`): one exact
-  solve per face that the covector bracket keeps, no LP;
+* the one plane-membership test (:func:`stabbed_simplexes`): each minimal
+  stabbed simplex with its one point, one exact solve per candidate, no LP;
 * one stab decision (:func:`decide_stab`): the regime rule
   (:func:`stab_regime`) solves the constraint flat (the
   :func:`~plstab.ratmath.hull_rows` outside s_T) once and picks the
@@ -631,9 +631,10 @@ def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
 
 
 def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-                      nmax: int) -> list[tuple[Simplex, list[Vec]]]:
-    """Simplexes of dimension <= nmax whose images meet the plane, each with
-    the vertices of its piece {lambda in the standard simplex : image on plane}.
+                      nmax: int) -> dict[Simplex, Vec]:
+    """The minimal stabbed simplexes of dimension <= nmax (images meet the
+    plane, no proper face's image does), each with the one point of its
+    piece {lambda in the standard simplex : image on plane}.
 
     This is the one plane-membership test.  A simplex's system is the
     sum-to-one row followed by one row of vertex values per plane covector.
@@ -643,15 +644,11 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     Fraction C.P_v / (D_c D_v) and its side of the right-hand side a/b is
     the sign of b C.P_v - a D_c D_v.  A simplex whose vertices all lie on
     one side of some covector's right-hand side, none on it, cannot meet
-    the plane and is skipped.  A vertex of a piece is a basic feasible
-    solution: the single point of the piece of its support face, whose
-    columns are independent, so that face's system has a unique solution
-    and it is strictly positive.  Conversely a face whose system has a
-    unique positive solution gives, with zeros elsewhere, a vertex of the
-    piece of every coface, and distinct faces give distinct vertices.
-    Faces come before cofaces, so one solve per face lists every piece
-    vertex once, and a simplex image meets the plane exactly when its piece
-    has a vertex.
+    the plane and is skipped.  A vertex of a piece is the unique, strictly
+    positive solution of its support face's system, and those faces are
+    exactly the minimal stabbed ones: a stabbed proper face's point, padded
+    with zeros, would solve the system too.  Faces come before cofaces, so
+    a simplex with a stabbed facet is skipped with no bracket and no solve.
     """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
@@ -679,9 +676,12 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                 below.add(v)
         brackets.append((values, above, below))
     points: dict[Simplex, Vec] = {}
-    out = []
+    met: set[Simplex] = set()  # the stabbed simplexes seen so far
     for s in k.sorted_simplexes():
         if len(s) - 1 > nmax:
+            break
+        if any(s[:i] + s[i + 1:] in met for i in range(len(s))):
+            met.add(s)
             continue
         rows = [[_ONE] * len(s)]
         for values, above, below in brackets:
@@ -692,16 +692,8 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
             sol = solve_affine(rows, rhs_col)
             if sol is not None and not sol[1] and min(sol[0]) > 0:
                 points[s] = sol[0]
-            verts: list[Vec] = []
-            for size in range(1, len(s) + 1):
-                for f in itertools.combinations(s, size):
-                    lam = points.get(f)
-                    if lam is not None:
-                        weight = dict(zip(f, lam))
-                        verts.append(tuple(weight.get(v, _ZERO) for v in s))
-            if verts:
-                out.append((s, verts))
-    return out
+                met.add(s)
+    return points
 
 
 def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
@@ -709,29 +701,27 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     """Exact maximum family of pairwise vertex-disjoint stabbed simplexes.
 
     Branch and bound over the intersection graph of the minimal stabbed
-    simplexes, max-degree-first with cardinality pruning.  A stabbed
-    simplex is minimal, no proper face stabbed, when its first piece vertex
-    (from its smallest stabbed face) is positive; swapping a stabbed simplex
-    for a minimal stabbed face keeps the count.  Before it is returned, the
-    family is re-checked exactly: each member's first piece vertex is a
-    nonnegative lambda summing to 1 whose image lies on the plane, and the
-    members share no vertex; a failure raises RuntimeError.
+    simplexes (:func:`stabbed_simplexes`), max-degree-first with
+    cardinality pruning; swapping a stabbed simplex for a minimal stabbed
+    face keeps the count.  Before it is returned, the family is re-checked
+    exactly: each member's point is a nonnegative lambda summing to 1 whose
+    image lies on the plane, and the members share no vertex; a failure
+    raises RuntimeError.
     """
-    hits = [(s, verts) for s, verts in stabbed_simplexes(k, g, plane, nmax)
-            if min(verts[0]) > 0]
-    vsets = [set(s) for s, _ in hits]
+    points = stabbed_simplexes(k, g, plane, nmax)
+    hits = list(points)
+    vsets = [set(s) for s in hits]
     adj = [{j for j, b in enumerate(vsets) if j != i and a & b}
            for i, a in enumerate(vsets)]
-    chosen = _max_independent_set(len(hits), adj)
-    for s, verts in (hits[i] for i in chosen):
-        lam = verts[0]
+    family = tuple(hits[i] for i in _max_independent_set(len(hits), adj))
+    for s in family:
+        lam = points[s]
         if (min(lam) < 0 or sum(lam) != 1
                 or not plane.contains(image_point(g, s, lam))):
             raise RuntimeError(f"stabbed simplex {s} failed exact re-verification")
-    family = tuple(hits[i][0] for i in chosen)
     if any(set(a) & set(b) for a, b in itertools.combinations(family, 2)):
         raise RuntimeError("stabbed simplexes of the family share a vertex")
-    return len(chosen), family
+    return len(family), family
 
 
 # ---------------------------------------------------------------------------

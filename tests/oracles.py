@@ -172,6 +172,16 @@ def feasible_by_basic_solutions(eq_rows, rhs):
     return bool(basic_feasible_solutions(eq_rows, rhs))
 
 
+def membership_rows(simplex, images, covectors):
+    """The system of "the image of lambda lies on the plane" on a simplex:
+    the sum-to-one row, then for each plane covector (c, r) the row of the
+    values c.p_v at the simplex's vertex images; right-hand sides 1, r."""
+    rows = [[1] * len(simplex)] + [
+        [sum(a * b for a, b in zip(c, images[v])) for v in simplex]
+        for c, _ in covectors]
+    return rows, [1] + [r for _, r in covectors]
+
+
 def simplex_witness_fraction(eq_rows, rhs, nonneg):
     """Phase-1 simplex with Bland's rule on a textbook Fraction tableau.
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (clusterable_by_partition_scan, max_independent_bitmask,
-                     rank_by_minors)
+from oracles import (clusterable_by_partition_scan,
+                     feasible_by_basic_solutions, max_independent_bitmask,
+                     membership_rows, rank_by_minors)
 from plstab.batch import (linear_cells, random_complex, random_map,
                           run_linear_cell, run_univariate_cell,
                           sample_plane_adversarial, sample_plane_random,
@@ -30,7 +31,7 @@ from plstab.simplicial import image_point, roberts_perturb
 from plstab.transversal import (ConcretePlane, PlaneFamily,
                                 max_disjoint_stabbed, stab_bound,
                                 stab_regime, stab_search_general,
-                                stabbed_simplexes, verify_stab_witness)
+                                verify_stab_witness)
 
 F = Fraction
 
@@ -205,7 +206,9 @@ def _counting_oracle_pass(rng):
         theta = random_map(rng, k, 2, box=6)
         g = roberts_perturb(k, theta, F(1, 3), GenericPool(60000 + attempt))
         plane = ConcretePlane(fam, vec([F(rng.randint(2, 10), 2), 0]), ())
-        hits = [s for s, _ in stabbed_simplexes(k, g, plane, 2)]
+        # every stabbed simplex, by the oracle: packing them gives the count
+        hits = [s for s in k.sorted_simplexes() if feasible_by_basic_solutions(
+            *membership_rows(s, g.images, plane.covectors()))]
         if not 1 <= len(hits) <= 15:
             continue
         masks = []

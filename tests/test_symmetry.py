@@ -5,8 +5,9 @@ instead relate the answers to two inputs that the family's symmetries carry
 into each other.  A stab decision does not depend on the order of the sets,
 the order of the points in a set, or where the whole configuration sits:
 translating every point by one vector moves a stabbing plane of the family
-to another.  A count does not depend on the names of the vertices, nor on
-one translation of the map and the plane together.
+to another.  A count, and the number of pieces and of components of the
+image and the preimage sections, depend neither on the names of the
+vertices nor on one translation of the map and the plane together.
 """
 
 import random
@@ -16,6 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from plstab.batch import random_complex, sample_plane_adversarial
+from plstab.sections import (compute_components, preimage_polytopes,
+                             section_of_image)
 from plstab.simplicial import PLMap, SimplicialComplex, certify_map
 from plstab.transversal import (ConcretePlane, PlaneFamily, decide_stab,
                                 max_disjoint_stabbed)
@@ -46,6 +49,17 @@ def _stab_inputs(draw):
     sets = draw(st.lists(st.lists(point, min_size=1, max_size=3),
                          min_size=q, max_size=q))
     return family, sets
+
+
+def _counts(k, g, plane):
+    """The count, then the pieces and components of the image section and
+    of the preimage section."""
+    out = [max_disjoint_stabbed(k, g, plane, 2)[0]]
+    for section in (section_of_image(k, g, plane),
+                    preimage_polytopes(k, g, plane)):
+        out += [len(section.pieces),
+                len(compute_components(section).components)]
+    return out
 
 
 def _answer(sets, family):
@@ -87,7 +101,7 @@ def test_count_is_invariant_under_relabelling_and_translation(
         for i, v in enumerate(k.vertices)}))
     assume(g.certified)
     plane = sample_plane_adversarial(rng, family, k, g)
-    count, _ = max_disjoint_stabbed(k, g, plane, 2)
+    counts = _counts(k, g, plane)
 
     names = data.draw(st.permutations(k.vertices))
     rename = dict(zip(k.vertices, names))
@@ -97,7 +111,7 @@ def test_count_is_invariant_under_relabelling_and_translation(
     g2 = certify_map(k2, PLMap(m, {rename[v]: p
                                    for v, p in g.images.items()}))
     assert g2.certified
-    assert max_disjoint_stabbed(k2, g2, plane, 2)[0] == count
+    assert _counts(k2, g2, plane) == counts
 
     shift = data.draw(st.lists(_SHIFTS, min_size=m, max_size=m))
     g3 = certify_map(k, PLMap(m, {
@@ -107,4 +121,4 @@ def test_count_is_invariant_under_relabelling_and_translation(
     moved = ConcretePlane(family,
                           tuple(x + s for x, s in zip(plane.basepoint, shift)),
                           plane.extra_directions)
-    assert max_disjoint_stabbed(k, g3, moved, 2)[0] == count
+    assert _counts(k, g3, moved) == counts

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (basic_feasible_solutions, feasible_by_basic_solutions,
-                     integer_poly, max_disjoint_by_subsets, poly_eval_naive,
-                     poly_mul_naive, rank_by_minors, sturm_count_euclid,
-                     univariate_by_gram)
+                     integer_poly, max_disjoint_by_subsets, membership_rows,
+                     poly_eval_naive, poly_mul_naive, rank_by_minors,
+                     sturm_count_euclid, univariate_by_gram)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import transversal
@@ -175,30 +175,63 @@ def _one_edge(a, b):
     return k, g
 
 
+def _bary_pieces(k, g, plane):
+    """The pieces of preimage_polytopes, each with its source simplex and
+    its vertices read back as barycentric coordinates of that simplex."""
+    section = preimage_polytopes(k, g, plane)
+    at = {v: i for i, v in enumerate(k.vertices)}
+    return [(s, [tuple(p[at[v]] for v in s) for p in piece])
+            for s, piece in zip(section.sources, section.pieces)]
+
+
 def test_image_membership_vertex():
     k, g = _one_edge([0, 5], [3, 1])
-    hits = stabbed_simplexes(k, g, _vertical_line(F(0)), 1)
-    assert hits == [(("a",), [(1,)]), (("a", "b"), [(1, 0)])]
+    plane = _vertical_line(F(0))
+    assert stabbed_simplexes(k, g, plane, 1) == {("a",): (1,)}
+    assert _bary_pieces(k, g, plane) == [
+        (("a",), [(1,)]), (("a", "b"), [(1, 0)])]
 
 
 def test_image_membership_outside_segment():
     # the line x = 5 meets the affine hull of the edge but not the edge
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, _vertical_line(F(5)), 1) == []
+    assert stabbed_simplexes(k, g, _vertical_line(F(5)), 1) == {}
+    assert _bary_pieces(k, g, _vertical_line(F(5))) == []
 
 
 def test_image_membership_midpoint():
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, _vertical_line(F(1, 2)), 1) == [
-        (("a", "b"), [(F(1, 2), F(1, 2))])]
+    plane = _vertical_line(F(1, 2))
+    assert stabbed_simplexes(k, g, plane, 1) == {
+        ("a", "b"): (F(1, 2), F(1, 2))}
+    assert _bary_pieces(k, g, plane) == [(("a", "b"), [(F(1, 2), F(1, 2))])]
 
 
 def test_full_space_plane_meets_everything():
     fam = PlaneFamily(2, (), (1, 2), 2)
     plane = plane_through(fam, vec([100, 100]))
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, plane, 1) == [
+    assert stabbed_simplexes(k, g, plane, 1) == {("a",): (1,), ("b",): (1,)}
+    assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("b",), [(1,)]), (("a", "b"), [(1, 0), (0, 1)])]
+
+
+def test_piece_vertices_come_by_face_size_then_lexicographically():
+    # x = 0 passes through a and cuts bc at its midpoint: a and bc are the
+    # minimal stabbed simplexes, and the triangle's piece lists a's point
+    # before bc's, each padded into the triangle's coordinates
+    k = parse_complex("v a\nv b\nv c\ns a b c\n")
+    g = certify_map(k, PLMap(2, {"a": vec([0, 5]), "b": vec([-3, 1]),
+                                 "c": vec([3, 2])}))
+    assert g.certified
+    plane = _vertical_line(F(0))
+    half = F(1, 2)
+    assert stabbed_simplexes(k, g, plane, 2) == {
+        ("a",): (1,), ("b", "c"): (half, half)}
+    assert _bary_pieces(k, g, plane) == [
+        (("a",), [(1,)]), (("a", "b"), [(1, 0)]), (("a", "c"), [(1, 0)]),
+        (("b", "c"), [(half, half)]),
+        (("a", "b", "c"), [(1, 0, 0), (0, half, half)])]
 
 
 _FAN = "v o\nv a\nv b\nv c\nv d\ns o a b\ns o b c\ns o d\ns a c\n"
@@ -215,8 +248,9 @@ _FAN_IMAGES = {"o": (F(1, 3), F(2, 7)), "a": (1, 3), "b": (2, F(5, 2)),
 def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
     # The plane passes through o's image and every other image lies
     # strictly on one side of it, the side given (reflected through o for
-    # -1).  Each simplex at o meets the plane in o alone; the others miss
-    # it, and so does every simplex once the plane moves off o.
+    # -1).  Each simplex at o meets the plane in o alone, so o is the one
+    # minimal stabbed simplex; the others miss it, and so does every
+    # simplex once the plane moves off o.
     k = parse_complex(_FAN)
     o = vec(_FAN_IMAGES["o"])
     g = certify_map(k, PLMap(2, {
@@ -225,34 +259,36 @@ def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
     assert g.certified
     at_o = [s for s in k.sorted_simplexes() if "o" in s]
     assert len(at_o) == 7
-    assert stabbed_simplexes(k, g, ConcretePlane(fam, o, extras), 2) == [
+    plane = ConcretePlane(fam, o, extras)
+    assert stabbed_simplexes(k, g, plane, 2) == {("o",): (1,)}
+    assert _bary_pieces(k, g, plane) == [
         (s, [tuple(int(v == "o") for v in s)]) for s in at_o]
     nudge = F(1, 10 ** 9)
-    off = tuple(c - side * step for c, step in zip(o, (nudge, 2 * nudge)))
-    assert stabbed_simplexes(k, g, ConcretePlane(fam, off, extras), 2) == []
+    off = ConcretePlane(fam, tuple(c - side * step for c, step in
+                                   zip(o, (nudge, 2 * nudge))), extras)
+    assert stabbed_simplexes(k, g, off, 2) == {}
+    assert _bary_pieces(k, g, off) == []
 
 
 def _oracle_pieces(k, g, plane, nmax):
     """Per simplex of dimension <= nmax, the vertices of its piece by
     basic-solution scan of rows built here from the plane's covectors."""
-    covs = plane.covectors()
     out = []
     for s in k.sorted_simplexes():
         if len(s) - 1 > nmax:
             continue
-        rows = [[1] * len(s)] + [
-            [sum(a * b for a, b in zip(c, g.images[v])) for v in s]
-            for c, _ in covs]
-        rhs = [1] + [r for _, r in covs]
+        rows, rhs = membership_rows(s, g.images, plane.covectors())
         if feasible_by_basic_solutions(rows, rhs):
             out.append((s, set(basic_feasible_solutions(rows, rhs))))
     return out
 
 
 def test_membership_sweep_matches_basic_solution_oracle():
-    # The sweep against an oracle sharing none of its code: same hit list,
-    # same piece vertices, on certified complexes and random and adversarial
-    # planes of every shape of family.
+    # The sweep against an oracle sharing none of its code, on certified
+    # complexes and random and adversarial planes of every shape of family:
+    # the minimal stabbed simplexes are exactly the simplexes whose one
+    # basic solution has full support, with that solution as their point,
+    # and both sections list the same pieces with the same vertices.
     rng = random.Random(41)
     cases = 0
     for trial in range(36):
@@ -267,10 +303,20 @@ def test_membership_sweep_matches_basic_solution_oracle():
         for plane in (sample_plane_random(rng, fam, g),
                       sample_plane_adversarial(rng, fam, k, g)):
             for nmax in range(3):
-                got = [(s, set(verts))
-                       for s, verts in stabbed_simplexes(k, g, plane, nmax)]
-                assert got == _oracle_pieces(k, g, plane, nmax)
+                want = {s: lam for s, verts in
+                        _oracle_pieces(k, g, plane, nmax)
+                        for lam in verts if len(verts) == 1 and min(lam) > 0}
+                assert stabbed_simplexes(k, g, plane, nmax) == want
                 cases += 1
+            pieces = _oracle_pieces(k, g, plane, k.dim)
+            assert [(s, set(verts)) for s, verts
+                    in _bary_pieces(k, g, plane)] == pieces
+            image = section_of_image(k, g, plane)
+            assert [(s, set(piece)) for s, piece
+                    in zip(image.sources, image.pieces)] == [
+                (s, {tuple(sum(w * g.images[v][c] for w, v in zip(lam, s))
+                           for c in range(m)) for lam in verts})
+                for s, verts in pieces]
     assert cases == 216
 
 
@@ -992,10 +1038,10 @@ def _path():
 def test_count_rechecks_its_family(monkeypatch):
     k, g = _two_edges()
     real = transversal.stabbed_simplexes
-    # a strictly positive piece vertex whose image is off the plane: the
+    # a strictly positive point whose image is off the plane: the
     # barycentre of each edge, which keeps the edges minimal
-    monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: [
-        (s, [(F(1, len(s)),) * len(s)]) for s, _ in real(*args)])
+    monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: {
+        s: (F(1, len(s)),) * len(s) for s in real(*args)})
     with pytest.raises(RuntimeError, match="re-verification"):
         max_disjoint_stabbed(k, g, _vertical_line(F(1, 2)), nmax=1)
     # a family whose members share a vertex: both edges of the path
@@ -1010,7 +1056,9 @@ def test_count_rechecks_its_family(monkeypatch):
 def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
     # The full 2-skeleton on 16 vertices in R^3 and the whole space as the
     # plane: all 696 simplexes are stabbed and only the 16 vertices are
-    # minimal, so the branch and bound runs on 16 candidates, not 696.
+    # minimal, so the branch and bound runs on 16 candidates, not 696, and
+    # the membership test solves the 16 vertex systems alone: every other
+    # simplex has a stabbed facet.
     names = [f"v{i:02d}" for i in range(16)]
     k = SimplicialComplex.from_simplexes(
         names, list(itertools.combinations(names, 3)))
@@ -1018,16 +1066,24 @@ def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
                         GenericPool(16))
     plane = plane_through(PlaneFamily(3, (), (1, 2, 3), 3), vec([0, 0, 0]))
     real = transversal._max_independent_set
+    real_solve = transversal.solve_affine
+    solved = []
 
     def packs_the_vertices(n, adj):
         if n != len(names):
             raise AssertionError(f"packing {n} simplexes, not the 16 vertices")
         return real(n, adj)
 
+    def counted_solve(rows, rhs):
+        solved.append(len(rows[0]))
+        return real_solve(rows, rhs)
+
     monkeypatch.setattr(transversal, "_max_independent_set", packs_the_vertices)
+    monkeypatch.setattr(transversal, "solve_affine", counted_solve)
     count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
     assert count == 16
     assert set(family) == {(v,) for v in names}
+    assert solved == [1] * 16, f"{len(solved)} solves"
 
 
 def test_count_matches_subset_enumeration():
@@ -1043,7 +1099,10 @@ def test_count_matches_subset_enumeration():
         g = roberts_perturb(k, theta, F(1, 3), GenericPool(trial + 100))
         plane = _vertical_line(F(rng.randint(0, 12), 2))
         count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
-        hits = [s for s, _ in stabbed_simplexes(k, g, plane, 2)]
+        # every stabbed simplex, by the oracle: a stabbed simplex and any
+        # stabbed face of it pack alike, so the count is the same
+        hits = [s for s in k.sorted_simplexes() if feasible_by_basic_solutions(
+            *membership_rows(s, g.images, plane.covectors()))]
         want, _ = max_disjoint_by_subsets(
             hits, lambda s1, s2: bool(set(s1) & set(s2)))
         assert count == want
