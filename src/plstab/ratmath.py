@@ -8,13 +8,16 @@ Matrices are plain sequences of equal-length rows; :func:`mat_rank`,
 :func:`max_minor`, :func:`solve_affine` and :func:`lp_feasible` raise
 ValueError on ragged rows.
 
-One integer pivot, :func:`_pivot` (the fraction-free Gauss-Jordan update
+One integer pivot, :func:`_pivot` (the fraction-free update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
 Rank, solves and nullspaces come from :func:`_echelon` on
-denominator-cleared integer rows (:func:`_cleared`): a solve reads each
-entry it returns off those rows as that entry over its row's pivot.  The
-one determinant is the last pivot, :func:`_minor` on integer rows;
-:func:`max_minor` divides it by the row scales to give the minor over Q.
+denominator-cleared integer rows (:func:`_cleared`): a solve
+(:func:`_solve_augmented`, the one entry point for integer rows a caller
+cleared itself) reads each entry it returns off those rows as that entry
+over its row's pivot.  The one determinant is the last pivot,
+:func:`_minor` on integer rows by forward elimination, which updates only
+the rows below each pivot; :func:`max_minor` divides it by the row scales
+to give the minor over Q.
 ``lp_feasible(rows, rhs)`` decides the standard form
 {x >= 0 : rows . x = rhs}: it eliminates first and runs its phase-1
 simplex (Bland's rule, on an integer tableau) only when the equality
@@ -123,21 +126,26 @@ def _width(rows: Sequence[Sequence]) -> int:
     return ncols
 
 
-def _pivot(work: list[list[int]], r: int, c: int, prev: int) -> int:
-    """One fraction-free Gauss-Jordan step on integer rows, in place.
+def _pivot(work: list[list[int]], r: int, c: int, prev: int,
+           first: int = 0) -> int:
+    """One fraction-free elimination step on integer rows, in place.
 
-    Every row but row r becomes ``(pv * x - f * y) // prev`` with pv the
-    pivot ``work[r][c]``, f the row's entry in column c and y row r; a row
-    with f = 0 is rescaled by pv / prev.  When the rows are prev times a
-    rational tableau, they come out pv times the tableau pivoted on (r, c),
-    and each entry is a minor of the starting integer matrix (Bareiss 1968,
-    Edmonds 1967), so the division is exact.  Returns pv, the next prev.
+    Every row from row ``first`` on but row r becomes
+    ``(pv * x - f * y) // prev`` with pv the pivot ``work[r][c]``, f the
+    row's entry in column c and y row r; a row with f = 0 is rescaled by
+    pv / prev.  Gauss-Jordan updates every row (first = 0), forward
+    elimination only the rows below the pivot (first = r + 1).  When the
+    updated rows are prev times a rational tableau, they come out pv times
+    the tableau pivoted on (r, c), and each entry is a minor of the starting
+    integer matrix (Bareiss 1968, Edmonds 1967), so the division is exact.
+    Returns pv, the next prev.
     """
     top = work[r]
     pv = top[c]
-    for i, row in enumerate(work):
+    for i in range(first, len(work)):
         if i == r:
             continue
+        row = work[i]
         f = row[c]
         if f:
             work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
@@ -146,16 +154,18 @@ def _pivot(work: list[list[int]], r: int, c: int, prev: int) -> int:
     return pv
 
 
-def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place
-    (Bareiss 1968).
+def _echelon(work: list[list[int]], back: bool = True
+             ) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination of integer rows, in place (Bareiss 1968).
 
     Callers clear each rational row of denominators first (:func:`_cleared`),
     which leaves its reduced form unchanged.  :func:`_pivot` eliminates each
     column on its first nonzero entry at or below the rank so far, which
-    keeps the path deterministic.  Afterwards every pivot row equals its
-    last pivot times its reduced row, and the rows below the rank are zero.
-    Returns (integer rows, pivot columns).
+    keeps the path deterministic.  With ``back`` (Gauss-Jordan) every pivot
+    row comes out its last pivot times its reduced row; without it only the
+    rows below each pivot are updated, which leaves every pivot as it is.
+    Either way the rows below the rank end zero.  Returns (integer rows,
+    pivot columns).
     """
     nrows = len(work)
     ncols = len(work[0]) if work else 0
@@ -169,7 +179,7 @@ def _echelon(work: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        prev = _pivot(work, r, c, prev)
+        prev = _pivot(work, r, c, prev, 0 if back else r + 1)
         pivots.append(c)
     return work, pivots
 
@@ -181,9 +191,10 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon([_cleared(r)[1] for r in rows])[1])
 
 
-def _solve_augmented(aug: list[list[Fraction]], ncols: int
+def _solve_augmented(work: list[list[int]], ncols: int
                      ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
-    """(particular solution, nullspace basis) of an augmented system [A | b].
+    """(particular solution, nullspace basis) of an augmented system
+    [A | b] of integer rows, which it eliminates in place.
 
     None when the system is inconsistent.  Free variables are set to zero in
     the particular solution; the basis is the standard one per free column.
@@ -191,7 +202,7 @@ def _solve_augmented(aug: list[list[Fraction]], ncols: int
     its pivot times its reduced row, so each entry read is that entry over
     the row's pivot, and only the right-hand and free columns are read.
     """
-    work, pivots = _echelon([_cleared(r)[1] for r in aug])
+    work, pivots = _echelon(work)
     if ncols in pivots:
         return None  # pivot in the augmented column: 0 = nonzero
     particular = [_ZERO] * ncols
@@ -222,24 +233,28 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], b: Sequence
     b = vec(b)
     if len(b) != len(rows):
         raise ValueError("rhs length does not match row count")
-    return _solve_augmented([list(r) + [x] for r, x in zip(rows, b)], ncols)
+    return _solve_augmented([_cleared(list(r) + [x])[1]
+                             for r, x in zip(rows, b)], ncols)
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec, ...]:
     """Basis of {x : rows . x = 0}: the solve of a zero right-hand side."""
-    return _solve_augmented([list(r) + [_ZERO] for r in rows], ncols)[1]
+    return _solve_augmented([_cleared(list(r) + [_ZERO])[1] for r in rows],
+                            ncols)[1]
 
 
 def _minor(work: list[list[int]]) -> int:
     """Absolute value of the first nonzero maximal minor of integer rows,
-    which it eliminates in place.
+    which it eliminates forward in place.
 
     Column sets are tried in lexicographic order.  The pivot columns of
     :func:`_echelon`, chosen greedily, are the first set whose minor is
-    nonzero, and its last pivot is that minor up to sign.  0 when the rows
-    are dependent, 1 for no rows.
+    nonzero, and its last pivot is that minor up to sign.  Forward
+    elimination reaches the same pivots as Gauss-Jordan, since no row above
+    a pivot feeds a row below it.  0 when the rows are dependent, 1 for no
+    rows.
     """
-    work, pivots = _echelon(work)
+    work, pivots = _echelon(work, back=False)
     if len(pivots) < len(work):
         return 0
     return abs(work[-1][pivots[-1]]) if work else 1

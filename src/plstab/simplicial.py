@@ -2,10 +2,13 @@
 
 A complex is a face-closed set of sorted vertex-id tuples; a PL map assigns
 each vertex an exact rational point in R^m and is extended affinely on every
-simplex.  The perturbation routine moves every vertex image into general
-position using per-coordinate streams from a :class:`~plstab.generic.GenericPool`
-and certifies the result (pairwise-distinct coordinates, affinely independent
-simplex images), regenerating from successor seeds on failure.
+simplex.  A map is immutable and carries its one integer form, each image
+cleared of denominators once when the map is built, which the certificate's
+minors and plane membership share.  The perturbation routine moves every
+vertex image into general position using per-coordinate streams from a
+:class:`~plstab.generic.GenericPool` and certifies the result
+(pairwise-distinct coordinates, affinely independent simplex images),
+regenerating from successor seeds on failure.
 
 File formats (both UTF-8, line oriented, '#' starts a comment):
 
@@ -17,7 +20,7 @@ File formats (both UTF-8, line oriented, '#' starts a comment):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -143,13 +146,27 @@ def format_complex(k: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PLMap:
-    """Vertex-image assignment into R^m, extended affinely on simplexes."""
+    """Vertex-image assignment into R^m, extended affinely on simplexes.
+
+    ``cleared`` is the map's one integer form: each image p_v as
+    (D_v, P_v) with D_v the lcm of its denominators and P_v = D_v p_v
+    (:func:`~plstab.ratmath._cleared`).  It is computed once, when a map is
+    built without it, and the integer paths (the genericity transcript and
+    plane membership) read it; ``images`` is the Fraction view.
+    """
 
     m: int
     images: dict[str, Vec]
     certificate: Optional[GenericityCertificate] = None
+    cleared: Optional[dict[str, tuple[int, list[int]]]] = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.cleared is None:
+            object.__setattr__(self, "cleared", {
+                v: _cleared(p) for v, p in self.images.items()})
 
     @property
     def certified(self) -> bool:
@@ -192,8 +209,7 @@ def format_map(g: PLMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generic_position_transcript(k: SimplicialComplex,
-                                images: dict[str, Vec]) -> list[int]:
+def generic_position_transcript(k: SimplicialComplex, g: PLMap) -> list[int]:
     """Nonvanishing conditions behind the PL map invariants, as integers.
 
     First the |V|*m - 1 neighbour conditions of all |V|*m coordinates in
@@ -203,17 +219,17 @@ def generic_position_transcript(k: SimplicialComplex,
     ``maximal_simplexes`` order, zero exactly when its image is affinely
     dependent.  The other simplexes need none: distinct coordinates make
     every edge image independent, and an independent simplex makes all of
-    its faces independent.  Each image p_v is cleared of denominators once
-    (:func:`~plstab.ratmath._cleared`), as P_v = D_v p_v with D_v the lcm
-    of its denominators, so a simplex v_0 ... v_k has the integer rows
+    its faces independent.  The minors read the map's integer form
+    ``g.cleared``, P_v = D_v p_v with D_v the lcm of the denominators of
+    p_v, so a simplex v_0 ... v_k has the integer rows
     D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0); the condition is their integer
     minor (:func:`~plstab.ratmath._minor`, the last pivot of their
     elimination), which is prod_i D_0 D_i times the first nonzero maximal
     minor of the edge rows p_i - p_0 (see :func:`~plstab.ratmath.max_minor`).
     """
     transcript = distinctness_transcript(
-        x for v in k.vertices for x in images[v])
-    cleared = {v: _cleared(images[v]) for v in k.vertices}
+        x for v in k.vertices for x in g.images[v])
+    cleared = g.cleared
     for simplex in k.maximal_simplexes():
         if len(simplex) < 3:
             continue
@@ -225,12 +241,12 @@ def generic_position_transcript(k: SimplicialComplex,
 
 
 def certify_map(k: SimplicialComplex, g: PLMap) -> PLMap:
-    """Recompute the genericity certificate of g against complex k."""
+    """Recompute the genericity certificate of g against complex k; the
+    result shares g's images and integer form."""
     for v in k.vertices:
         if v not in g.images:
             raise ValueError(f"missing vertex {v!r}")
-    cert = certify(generic_position_transcript(k, g.images))
-    return PLMap(g.m, dict(g.images), cert)
+    return replace(g, certificate=certify(generic_position_transcript(k, g)))
 
 
 def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
@@ -262,9 +278,10 @@ def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
             if dist_sq(point, target) >= eps * eps:
                 raise RuntimeError("perturbation left the eps ball")
             images[v] = point
-        cert = certify(generic_position_transcript(k, images))
+        g = PLMap(m, images)
+        cert = certify(generic_position_transcript(k, g))
         if cert.ok:
-            return PLMap(m, images, cert)
+            return replace(g, certificate=cert)
     raise GenericityError(
         f"certification failed {REGEN_ATTEMPTS} times from seed {pool.seed}")
 

@@ -33,9 +33,9 @@ from typing import Optional, Sequence
 
 from .generic import _derived_seed
 from .ratmath import (Vec, _cleared, _poly_det, _poly_gcd, _sign_at,
-                      _sturm_chain, _trimmed, _variations, cauchy_root_bound,
-                      combination, format_rational, hull_rows,
-                      independent_subset, mat_rank, max_minor,
+                      _solve_augmented, _sturm_chain, _trimmed, _variations,
+                      cauchy_root_bound, combination, format_rational,
+                      hull_rows, independent_subset, mat_rank, max_minor,
                       nullspace_basis, parse_rational, simplest_between,
                       solve_affine, square_free_part, sturm_count, unit_vec,
                       vec, vec_dot, vec_sub)
@@ -636,45 +636,47 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     plane, no proper face's image does), each with the one point of its
     piece {lambda in the standard simplex : image on plane}.
 
-    This is the one plane-membership test.  A simplex's system is the
-    sum-to-one row followed by one row of vertex values per plane covector.
-    The bracket runs on integers cleared once per plane: each vertex image
-    p_v as P_v = D_v p_v and each covector c as C = D_c c (see
-    :func:`~plstab.ratmath._cleared`), so a vertex value is the one
-    Fraction C.P_v / (D_c D_v) and its side of the right-hand side a/b is
-    the sign of b C.P_v - a D_c D_v.  A simplex whose vertices all lie on
-    one side of some covector's right-hand side, none on it, cannot meet
-    the plane and is skipped.  A vertex of a piece is the unique, strictly
-    positive solution of its support face's system, and those faces are
-    exactly the minimal stabbed ones: a stabbed proper face's point, padded
-    with zeros, would solve the system too.  Faces come before cofaces, so
-    a simplex with a stabbed facet is skipped with no bracket and no solve.
+    This is the one plane-membership test, on the map's integer form
+    ``g.cleared``: each vertex image p_v as P_v = D_v p_v, and each
+    covector c, cleared once per plane, as C = D_c c (see
+    :func:`~plstab.ratmath._cleared`).  With a covector's right-hand side
+    a/b, a vertex's side of the plane is the sign of b C.P_v - a D_c D_v.
+    A simplex whose vertices all lie on one side of some covector's
+    right-hand side, none on it, cannot meet the plane and is skipped.
+    Otherwise its system is written in mu_v = lambda_v / D_v, on integer
+    rows: the sum-to-one row [D_v ... | 1], then [b C.P_v ... | a D_c] per
+    covector, solved by :func:`~plstab.ratmath._solve_augmented`.  As every
+    D_v > 0, the lambda system has a unique, strictly positive solution
+    exactly when this one does, and lambda_v = D_v mu_v.  A vertex of a
+    piece is the unique, strictly positive solution of its support face's
+    system, and those faces are exactly the minimal stabbed ones: a stabbed
+    proper face's point, padded with zeros, would solve the system too.
+    Faces come before cofaces, so a simplex with a stabbed facet is skipped
+    with no bracket and no solve.
     """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
     if plane.family.m != g.m:
         raise ValueError(f"plane lives in dimension {plane.family.m}, "
                          f"map in {g.m}")
-    covs = plane.covectors()
-    rhs_col = [_ONE] + [rhs for _, rhs in covs]
-    cleared = {v: _cleared(p) for v, p in g.images.items()}
-    brackets: list[tuple[dict[str, Fraction], set[str], set[str]]] = []
-    for c, rhs in covs:
+    cleared = g.cleared
+    brackets: list[tuple[dict[str, int], int, set[str], set[str]]] = []
+    for c, rhs in plane.covectors():
         dc, ints = _cleared(c)
         nz = [(i, x) for i, x in enumerate(ints) if x]
-        values: dict[str, Fraction] = {}
+        a, b = rhs.numerator, rhs.denominator
+        values: dict[str, int] = {}
         above: set[str] = set()
         below: set[str] = set()
         for v, (dv, pv) in cleared.items():
-            dot = sum(x * pv[i] for i, x in nz)
-            den = dc * dv
-            values[v] = Fraction(dot, den)
-            side = dot * rhs.denominator - rhs.numerator * den
+            value = b * sum(x * pv[i] for i, x in nz)
+            values[v] = value
+            side = value - a * dc * dv
             if side > 0:
                 above.add(v)
             elif side < 0:
                 below.add(v)
-        brackets.append((values, above, below))
+        brackets.append((values, a * dc, above, below))
     points: dict[Simplex, Vec] = {}
     met: set[Simplex] = set()  # the stabbed simplexes seen so far
     for s in k.sorted_simplexes():
@@ -683,15 +685,16 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
         if any(s[:i] + s[i + 1:] in met for i in range(len(s))):
             met.add(s)
             continue
-        rows = [[_ONE] * len(s)]
-        for values, above, below in brackets:
+        rows = [[cleared[v][0] for v in s] + [1]]
+        for values, rhs, above, below in brackets:
             if above.issuperset(s) or below.issuperset(s):
                 break
-            rows.append([values[v] for v in s])
+            rows.append([values[v] for v in s] + [rhs])
         else:
-            sol = solve_affine(rows, rhs_col)
+            sol = _solve_augmented(rows, len(s))
             if sol is not None and not sol[1] and min(sol[0]) > 0:
-                points[s] = sol[0]
+                points[s] = tuple(cleared[v][0] * mu
+                                  for v, mu in zip(s, sol[0]))
                 met.add(s)
     return points
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plstab import batch
+from plstab import batch, ratmath, simplicial, transversal
 from plstab.cli import _VERBS, CliError, _parse, main
 from plstab.ratmath import format_rational
 
@@ -156,6 +156,30 @@ def test_map_header_is_an_integer_literal(capsys, tmp_path, header, error):
         assert (code, report["result"]["count"]) == (0, 2)
     else:
         assert (code, report["error"]) == (2, f"{mp}: {error}")
+
+
+def test_count_clears_each_vertex_image_once(capsys, tmp_path, monkeypatch):
+    # the map's one integer form: the certificate's minor of the triangle
+    # and the plane membership both read the images cleared at parse time
+    images = {tuple(map(Fraction, line.split()[2:]))
+              for line in TWO_EDGES_MAP.splitlines()[1:]}
+    cleared = []
+    real = ratmath._cleared
+
+    def counted(xs):
+        if tuple(xs) in images:
+            cleared.append(tuple(xs))
+        return real(xs)
+
+    for module in (ratmath, simplicial, transversal):
+        monkeypatch.setattr(module, "_cleared", counted)
+    cx = write(tmp_path, "k.cx", "v a\nv b\nv c\nv d\ns a b c\ns c d\n")
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
+                                    "--plane", pl, "--nmax", "2"])
+    assert (code, report["result"]["count"]) == (0, 2)
+    assert sorted(cleared) == sorted(images)
 
 
 def test_unknown_verb_exit_2(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -131,6 +132,37 @@ def test_max_minor_small_cases():
     # the first column set {0, 1} has minor 0; {0, 2} is the first nonzero
     assert max_minor([[1, 2, 0], [2, 4, F(-1, 3)]]) == F(1, 3)
     assert type(max_minor([[2, 3], [1, 4]])) is Fraction
+
+
+@example([])  # no rows
+@example([[0, 1], [1, 0]])  # the first pivot needs a row swap
+@example([[0, 2, 1], [0, 3, 5]])  # a zero leading column
+@example([[1, 2], [3, 4], [5, 6]])  # more rows than columns
+@example([[1, 2, 3], [2, 4, 6]])  # dependent rows
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_rows=4))
+def test_minor_of_cleared_rows_is_the_oracle_minor_times_the_row_scales(rows):
+    cleared = [ratmath._cleared([F(x) for x in r]) for r in rows]
+    want = max_minor_by_subsets(rows) * math.prod(d for d, _ in cleared)
+    assert ratmath._minor([ints for _, ints in cleared]) == want
+
+
+def test_minor_updates_only_the_rows_below_each_pivot(monkeypatch):
+    # forward elimination: the first pivot rewrites the second row and the
+    # second pivot rewrites none, where Gauss-Jordan would go back to the
+    # first row
+    updates = []
+    real = ratmath._pivot
+
+    def counted(work, *args):
+        before = list(work)
+        pv = real(work, *args)
+        updates.append(sum(a is not b for a, b in zip(before, work)))
+        return pv
+
+    monkeypatch.setattr(ratmath, "_pivot", counted)
+    assert ratmath._minor([[2, 3, 1], [4, 1, 5]]) == 10
+    assert updates == [1, 0]
 
 
 def _solution_from_rref(red, pivots, ncols):

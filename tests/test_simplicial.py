@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -176,6 +177,22 @@ def test_certify_map_detects_degeneracy():
     assert certify_map(k, good).certified
 
 
+def test_map_keeps_one_integer_form():
+    # each image cleared once, when the map is built: certify_map hands the
+    # same form on, and the map's fields cannot be rebound
+    k = parse_complex("v a\nv b\nv c\ns a b c\n")
+    g = PLMap(2, {"a": vec([F(1, 2), F(2, 3)]), "b": vec([3, F(5, 4)]),
+                  "c": vec([F(-7, 6), F(1, 9)])})
+    assert g.cleared == {"a": (6, [3, 4]), "b": (4, [12, 5]),
+                         "c": (18, [-21, 2])}
+    got = certify_map(k, g)
+    assert got.certified and got.cleared is g.cleared
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.certificate = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.cleared = {}
+
+
 def test_transcript_size_is_linear_in_coordinates():
     # N - 1 neighbour differences for N = 4 * 3 coordinates, plus one
     # condition per maximal simplex with at least three vertices: the
@@ -184,9 +201,10 @@ def test_transcript_size_is_linear_in_coordinates():
     k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns c d\n")
     images = {v: vec([F(3 * i + s, 7 + i + s) for s in range(3)])
               for i, v in enumerate(k.vertices)}
-    transcript = generic_position_transcript(k, images)
+    g = PLMap(3, images)
+    transcript = generic_position_transcript(k, g)
     assert len(transcript) == (12 - 1) + 1
-    assert certify_map(k, PLMap(3, images)).certified
+    assert certify_map(k, g).certified
 
 
 def _edge_rows(images, simplex):
@@ -246,7 +264,7 @@ def test_certify_map_matches_oracles(case):
     # by position: the N-1 neighbour conditions of the N coordinates, then
     # one minor per maximal simplex with at least three vertices
     k, g = case
-    transcript = generic_position_transcript(k, g.images)
+    transcript = generic_position_transcript(k, g)
     n = len(k.vertices) * g.m
     expected_minors = _scaled_minors(k, g.images)
     assert len(transcript) == n - 1 + len(expected_minors)

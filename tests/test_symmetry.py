@@ -7,7 +7,8 @@ the order of the points in a set, or where the whole configuration sits:
 translating every point by one vector moves a stabbing plane of the family
 to another.  A count, and the number of pieces and of components of the
 image and the preimage sections, depend neither on the names of the
-vertices nor on one translation of the map and the plane together.
+vertices nor on one translation or one diagonal rational scaling of the
+coordinates, applied to the map and the plane together.
 """
 
 import random
@@ -25,6 +26,8 @@ from plstab.transversal import (ConcretePlane, PlaneFamily, decide_stab,
 
 F = Fraction
 _SHIFTS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_SCALES = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+    bool)
 
 
 @st.composite
@@ -122,3 +125,16 @@ def test_count_is_invariant_under_relabelling_and_translation(
                           tuple(x + s for x, s in zip(plane.basepoint, shift)),
                           plane.extra_directions)
     assert _counts(k, g3, moved) == counts
+
+    # x_j -> s_j x_j with nonzero rational s_j: a linear automorphism of
+    # the family that changes the denominators of every image
+    scale = data.draw(st.lists(_SCALES, min_size=m, max_size=m))
+    g4 = certify_map(k, PLMap(m, {
+        v: tuple(x * s for x, s in zip(p, scale))
+        for v, p in g.images.items()}))
+    assume(g4.certified)  # a scaling can make two coordinates equal
+    scaled = ConcretePlane(
+        family, tuple(x * s for x, s in zip(plane.basepoint, scale)),
+        tuple(tuple(x * s for x, s in zip(e, scale))
+              for e in plane.extra_directions))
+    assert _counts(k, g4, scaled) == counts

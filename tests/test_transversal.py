@@ -270,6 +270,27 @@ def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
     assert _bary_pieces(k, g, off) == []
 
 
+def test_membership_reads_lambda_back_through_each_vertex_scale():
+    # A triangle in R^3 with vertex scales D_a = 1, D_b = 2, D_c = 3, cut
+    # at lambda = (1/2, 1/3, 1/6) by a line whose covectors
+    # (-1/2, 1, 0) and (-2/3, 0, 1) have scales 2 and 3 and right-hand
+    # sides 20/9 and 83/54.  The solve runs in mu_v = lambda_v / D_v, so
+    # every vertex must be scaled back by its own D_v.
+    k = parse_complex("v a\nv b\nv c\ns a b c\n")
+    g = certify_map(k, PLMap(3, {"a": vec([1, 5, 2]),
+                                 "b": vec([F(9, 2), F(3, 2), F(7, 2)]),
+                                 "c": vec([F(-4, 3), F(2, 3), F(10, 3)])}))
+    assert g.certified
+    assert [d for d, _ in g.cleared.values()] == [1, 2, 3]
+    point = vec([F(16, 9), F(28, 9), F(49, 18)])
+    plane = ConcretePlane(PlaneFamily(3, (), (1, 2, 3), 1), point,
+                          (vec([1, F(1, 2), F(2, 3)]),))
+    assert [rhs for _, rhs in plane.covectors()] == [F(20, 9), F(83, 54)]
+    assert stabbed_simplexes(k, g, plane, 2) == {
+        ("a", "b", "c"): (F(1, 2), F(1, 3), F(1, 6))}
+    assert max_disjoint_stabbed(k, g, plane, 2) == (1, (("a", "b", "c"),))
+
+
 def _oracle_pieces(k, g, plane, nmax):
     """Per simplex of dimension <= nmax, the vertices of its piece by
     basic-solution scan of rows built here from the plane's covectors."""
@@ -1066,7 +1087,7 @@ def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
                         GenericPool(16))
     plane = plane_through(PlaneFamily(3, (), (1, 2, 3), 3), vec([0, 0, 0]))
     real = transversal._max_independent_set
-    real_solve = transversal.solve_affine
+    real_solve = transversal._solve_augmented
     solved = []
 
     def packs_the_vertices(n, adj):
@@ -1074,12 +1095,12 @@ def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
             raise AssertionError(f"packing {n} simplexes, not the 16 vertices")
         return real(n, adj)
 
-    def counted_solve(rows, rhs):
-        solved.append(len(rows[0]))
-        return real_solve(rows, rhs)
+    def counted_solve(rows, ncols):
+        solved.append(ncols)
+        return real_solve(rows, ncols)
 
     monkeypatch.setattr(transversal, "_max_independent_set", packs_the_vertices)
-    monkeypatch.setattr(transversal, "solve_affine", counted_solve)
+    monkeypatch.setattr(transversal, "_solve_augmented", counted_solve)
     count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
     assert count == 16
     assert set(family) == {(v,) for v in names}
