@@ -5,8 +5,8 @@ floats enter any decision.  This module supplies the substrate: affine
 solves with nullspace bases, exact linear-programming feasibility, and
 real-root counts for univariate integer polynomials via Sturm sequences.
 Matrices are plain sequences of equal-length rows; :func:`mat_rank`,
-:func:`max_minor`, :func:`solve_affine` and :func:`lp_feasible` raise
-ValueError on ragged rows.
+:func:`solve_affine` and :func:`lp_feasible` raise ValueError on ragged
+rows.
 
 One integer pivot, :func:`_pivot` (the fraction-free update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
@@ -16,8 +16,8 @@ denominator-cleared integer rows (:func:`_cleared`): a solve
 cleared itself) reads each entry it returns off those rows as that entry
 over its row's pivot.  The one determinant is the last pivot,
 :func:`_minor` on integer rows by forward elimination, which updates only
-the rows below each pivot; :func:`max_minor` divides it by the row scales
-to give the minor over Q.
+the rows below each pivot; a caller that cleared rational rows divides it
+by their row scales to get the minor over Q.
 ``lp_feasible(rows, rhs)`` decides the standard form
 {x >= 0 : rows . x = rhs}: it eliminates first and runs its phase-1
 simplex (Bland's rule, on an integer tableau) only when the equality
@@ -114,7 +114,10 @@ def unit_vec(m: int, j: int) -> Vec:
 
 def _cleared(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(D, the values times D as integers), D the lcm of their denominators."""
-    scale = math.lcm(*(x.denominator for x in xs))
+    # a list, not a generator: CPython builds star-args from a generator by
+    # resizing a tuple, so each call would leave one more tuple on its free
+    # list (up to 2,000 per length)
+    scale = math.lcm(*[x.denominator for x in xs])
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
@@ -258,19 +261,6 @@ def _minor(work: list[list[int]]) -> int:
     if len(pivots) < len(work):
         return 0
     return abs(work[-1][pivots[-1]]) if work else 1
-
-
-def max_minor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Absolute value of the first nonzero maximal minor of the rows.
-
-    The :func:`_minor` of the denominator-cleared rows over the product of
-    their row scales (the lcm of each row's denominators).  0 when the rows
-    are dependent, |det| for a square matrix, and 1 for no rows.
-    """
-    _width(rows)
-    cleared = [_cleared(r) for r in rows]
-    return Fraction(_minor([ints for _, ints in cleared]),
-                    math.prod(scale for scale, _ in cleared))
 
 
 def independent_subset(vectors: Sequence[Vec]) -> list[int]:

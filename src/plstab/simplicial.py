@@ -225,7 +225,7 @@ def generic_position_transcript(k: SimplicialComplex, g: PLMap) -> list[int]:
     D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0); the condition is their integer
     minor (:func:`~plstab.ratmath._minor`, the last pivot of their
     elimination), which is prod_i D_0 D_i times the first nonzero maximal
-    minor of the edge rows p_i - p_0 (see :func:`~plstab.ratmath.max_minor`).
+    minor of the edge rows p_i - p_0.
     """
     transcript = distinctness_transcript(
         x for v in k.vertices for x in g.images[v])

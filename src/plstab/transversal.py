@@ -16,8 +16,11 @@ s_T axes.  This module provides:
   minors, Sturm) or the heuristic search (``not_found`` is never
   evidence); all three return a :class:`StabDecision`, and every witness
   and isolating interval is re-verified;
-* one stab test at a lambda, shared by the deciders (:func:`_stabs_at`:
-  the block differences of the met points have rank at most d-t);
+* one integer builder of the block differences of the met points, shared
+  by the deciders (:func:`_block_differences`), and on it one stab test at
+  a lambda (:func:`_stabs_at`: the differences have rank at most d-t), the
+  univariate decider's polynomial rows and the search's Gram determinant
+  (:func:`_gram_det`);
 * the exact maximum family of pairwise vertex-disjoint stabbed simplexes
   of a PL image, by branch and bound, re-checked exactly.
 """
@@ -25,6 +28,7 @@ s_T axes.  This module provides:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -32,10 +36,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import _derived_seed
-from .ratmath import (Vec, _cleared, _poly_det, _poly_gcd, _sign_at,
+from .ratmath import (Vec, _cleared, _minor, _poly_det, _poly_gcd, _sign_at,
                       _solve_augmented, _sturm_chain, _trimmed, _variations,
                       cauchy_root_bound, combination, format_rational,
-                      hull_rows, independent_subset, mat_rank, max_minor,
+                      hull_rows, independent_subset, mat_rank,
                       nullspace_basis, parse_rational, simplest_between,
                       solve_affine, square_free_part, sturm_count, unit_vec,
                       vec, vec_dot, vec_sub)
@@ -325,18 +329,50 @@ def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
             for w, pts in zip(_blocks(point_sets, lam), point_sets)]
 
 
-def _block_differences(point_sets, family, lam) -> list[Vec]:
-    """The differences y_i - y_1 of the met points of a stacked lambda
-    (:func:`_met`) on the block coordinates, one row per later set."""
-    ys = _met(point_sets, lam, [c - 1 for c in family.block])
-    return [vec_sub(y, ys[0]) for y in ys[1:]]
+def _block_differences(point_sets, family, vectors
+                       ) -> list[tuple[int, list[list[int]]]]:
+    """The differences y_i - y_1 of the met points on the block
+    coordinates, on integers: for each later set i, a positive integer
+    scale S_i and one integer row per stacked vector, the row over S_i
+    being exactly y_i - y_1 at that vector.
+
+    Each set i is cleared once on the block coordinates
+    (:func:`~plstab.ratmath._cleared`), by the lcm E_i of the denominators
+    of its points p_ij there, to the integer points E_i p_ij; the vectors
+    are cleared together, lambda = L / M.  Then y_i = Y_i / (M E_i) with
+    the integer Y_i = sum_j L_ij E_i p_ij, and with G_i = lcm(E_1, E_i) the
+    row is (G_i / E_i) Y_i - (G_i / E_1) Y_1 and S_i = M G_i.  As y_i is
+    linear in lambda, the rows of a sum of the vectors are the same sum of
+    their rows, over the same S_i.
+    """
+    coords = [c - 1 for c in family.block]
+    lcm_m, ints = _cleared([x for v in vectors for x in v])
+    size = len(vectors[0])
+    scaled = []  # per set: E_i, and its block columns times E_i
+    for pts in point_sets:
+        e_i, cols = _cleared([p[c] for c in coords for p in pts])
+        n = len(pts)
+        scaled.append((e_i, [cols[k:k + n] for k in range(0, len(cols), n)]))
+    sums = [[[sum(l * x for l, x in zip(block, column)) for column in cols]
+             for block, (_, cols) in zip(
+                 _blocks(point_sets, ints[k:k + size]), scaled)]
+            for k in range(0, len(ints), size)]  # the Y_i, per vector
+    (e_1, _), out = scaled[0], []
+    for i, (e_i, _) in enumerate(scaled[1:], 1):
+        g_i = math.lcm(e_1, e_i)
+        a, b = g_i // e_i, g_i // e_1
+        rows = [[a * y - b * y_1 for y, y_1 in zip(ys[i], ys[0])]
+                for ys in sums]
+        out.append((lcm_m * g_i, rows))
+    return out
 
 
 def _stabs_at(point_sets, family, lam) -> bool:
     """The one stab test: a family member meets every hull at the met
     points of lam exactly when their block differences have rank <= d-t."""
-    return (mat_rank(_block_differences(point_sets, family, lam))
-            <= family.d - family.t)
+    rows = [row for _, (row,) in _block_differences(point_sets, family,
+                                                     (lam,))]
+    return mat_rank(rows) <= family.d - family.t
 
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
@@ -370,17 +406,16 @@ def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
 # Univariate exact decision on a one-dimensional constraint flat.
 
 def _projected_difference_polys(point_sets, family, flat):
-    """Rows (Y_i - Y_1)(s) on the line base + s w restricted to the block
-    coordinates, as linear integer polynomials; clearing each row's
-    denominators once scales every maximal minor by the same positive
-    integer."""
+    """Rows (y_i - y_1)(s) on the line base + s w restricted to the block
+    coordinates, as linear integer polynomials: the integer rows of
+    :func:`_block_differences` at the base and at the direction are the two
+    coefficients.  Each row is S_i times the rational one, S_i > 0, so every
+    maximal minor is scaled by a positive integer and their primitive gcd
+    is unchanged."""
     base_lambda, (direction,) = flat
-    width = len(family.block)
-    cleared = [_cleared(at_base + along)[1] for at_base, along in zip(
-        _block_differences(point_sets, family, base_lambda),
-        _block_differences(point_sets, family, direction))]
-    return [[_trimmed([ints[c], ints[width + c]]) for c in range(width)]
-            for ints in cleared]
+    return [[_trimmed([a, b]) for a, b in zip(at_base, along)]
+            for _, (at_base, along) in _block_differences(
+                point_sets, family, (base_lambda, direction))]
 
 
 def _isolate(p: list[int]):
@@ -473,6 +508,23 @@ _SNAP_DENOMINATORS = (8, 64, 1024, 32768)
 SEARCH_BUDGET = 500  # objective evaluations, unless the request says otherwise
 
 
+def _gram_det(rows, u: Sequence[Fraction]) -> Fraction:
+    """The search objective at u: the Gram determinant of the block
+    differences at base + sum_k u_k w_k, from the rows of
+    :func:`_block_differences` at (base, w_1, ...).
+
+    With B the lcm of the denominators of u, the integer rows
+    B R_0 + sum_k B u_k R_k are B S_i times the differences, so their
+    integer Gram determinant (:func:`~plstab.ratmath._minor`) over
+    prod_i (B S_i)^2 is the exact value over Q.
+    """
+    scale, coeffs = _cleared((_ONE, *u))  # B, then B, B u_1, ...
+    at = [[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*vs)]
+          for _, vs in rows]
+    gram = [[sum(x * y for x, y in zip(r, t)) for t in at] for r in at]
+    return Fraction(_minor(gram), math.prod((s * scale) ** 2 for s, _ in rows))
+
+
 class _BudgetSpent(Exception):
     """The search objective was asked for one evaluation past the budget."""
 
@@ -482,8 +534,8 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
     """Heuristic search for q > d-t+1 sets on a constraint ``flat`` of
     dimension at least one.
 
-    Descends on the Gram determinant of the projected differences (read by
-    :func:`~plstab.ratmath.max_minor`) over the flat, using
+    Descends on the Gram determinant of the projected differences over the
+    flat (:func:`_gram_det`), using
     rational golden-section steps and random restarts drawn from ``seed``;
     candidates are snapped to small rationals by continued fractions and
     only exactly verified witnesses are returned.  ``budget`` caps the
@@ -497,13 +549,14 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         return StabDecision("not_found" if witness is None else "witness",
                             witness, evaluations=evaluations)
 
+    rows = _block_differences(point_sets, family, (flat[0], *flat[1]))
+
     def objective(u) -> Fraction:  # the one place that spends the budget
         nonlocal evaluations
         if evaluations == budget:
             raise _BudgetSpent
         evaluations += 1
-        rows = _block_differences(point_sets, family, _flat_point(flat, u))
-        return max_minor([[vec_dot(r, t) for t in rows] for r in rows])
+        return _gram_det(rows, u)
 
     def try_exact(u) -> Optional[StabWitness]:
         lam = _flat_point(flat, u)

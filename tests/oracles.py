@@ -7,7 +7,8 @@ checked, implied conditions included), minor enumeration for rank,
 textbook Fraction Gauss-Jordan for reduced row echelon forms, Cramer's
 rule and basic-solution enumeration for LP feasibility and polytope
 vertices, a Fraction simplex tableau for LP witnesses, schoolbook
-polynomial products, Euclidean Sturm chains, the Gram determinant for the
+polynomial products, Euclidean Sturm chains and gcds, term-by-term sums
+for the block differences of met points, the Gram determinant for the
 univariate stabbing decision, subset scans for maximum disjoint families,
 all-pairs intersection tests for section components, Bell-number partition
 scans for clustering, and grid sampling for component diameters.  None
@@ -523,6 +524,37 @@ def components_by_pairwise_lp(pieces):
              for u, w in itertools.combinations(points, 2)),
             default=Fraction(0)))
     return tuple(components), tuple(diameters)
+
+
+def block_differences_naive(point_sets, block, lam):
+    """The differences y_i - y_1 of the met points y_i = sum_j lam_ij p_ij
+    of a stacked lambda on the given 1-based coordinates, one row per later
+    set, each sum taken term by term in Fraction."""
+    ys, start = [], 0
+    for ps in point_sets:
+        weights = lam[start:start + len(ps)]
+        start += len(ps)
+        ys.append([sum((Fraction(w) * Fraction(p[c - 1])
+                        for w, p in zip(weights, ps)), Fraction(0))
+                   for c in block])
+    return [[a - b for a, b in zip(y, ys[0])] for y in ys[1:]]
+
+
+def primitive_gcd(polys):
+    """The gcd of integer polynomials (ascending degree) by the Euclidean
+    algorithm over Q, as a primitive integer polynomial with a positive
+    leading coefficient; [] when every one is zero."""
+    gcd = []
+    for p in polys:
+        a, b = _trim(Fraction(c) for c in p), gcd
+        while b:
+            a, b = b, _euclid_divmod(a, b)[1]
+        gcd = a
+    if not gcd:
+        return []
+    ints = integer_poly(gcd)
+    content = math.gcd(*ints)
+    return [c // content * (1 if ints[-1] > 0 else -1) for c in ints]
 
 
 def univariate_by_gram(point_sets, m, s_t, s_T, d):

@@ -13,8 +13,7 @@ from oracles import (det_cofactor, feasible_by_basic_solutions, integer_poly,
 from plstab import ratmath
 from plstab.ratmath import (cauchy_root_bound, combination, format_rational,
                             hull_rows, independent_subset, lp_feasible,
-                            mat_rank,
-                            max_minor, nullspace_basis, parse_rational,
+                            mat_rank, nullspace_basis, parse_rational,
                             simplest_between, solve_affine, square_free_part,
                             sturm_count, vec, vec_dot)
 
@@ -112,26 +111,39 @@ def matrices(draw, max_rows=6, max_cols=5):
     return rows
 
 
+def _cleared_minor(rows):
+    """(the _minor of the denominator-cleared rows, the product of their
+    row scales)."""
+    cleared = [ratmath._cleared([F(x) for x in r]) for r in rows]
+    return (ratmath._minor([ints for _, ints in cleared]),
+            math.prod(d for d, _ in cleared))
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices(max_rows=4))
-def test_max_minor_matches_minors_by_column_subsets(rows):
-    # rectangular either way, with dependent rows, zero rows, zero columns
-    assert max_minor(rows) == max_minor_by_subsets(rows)
+def test_cleared_minor_matches_minors_by_column_subsets(rows):
+    # rectangular either way, with dependent rows, zero rows, zero columns;
+    # the integer minor is the rational one times the row scales
+    minor, scale = _cleared_minor(rows)
+    assert minor == max_minor_by_subsets(rows) * scale
     k = min(len(rows), len(rows[0]))
     square = [r[:k] for r in rows[:k]]
-    assert max_minor(square) == abs(det_cofactor(square))
+    minor, scale = _cleared_minor(square)
+    assert minor == abs(det_cofactor(square)) * scale
     gram = [[sum((a * b for a, b in zip(r, t)), F(0)) for t in rows]
             for r in rows]
-    assert max_minor(gram) == det_cofactor(gram)
+    minor, scale = _cleared_minor(gram)
+    assert minor == det_cofactor(gram) * scale
 
 
-def test_max_minor_small_cases():
-    assert max_minor([]) == 1
-    assert max_minor([[0, 0, 0]]) == 0
-    assert max_minor([[1, 2], [2, 4], [0, 1]]) == 0  # more rows than columns
-    # the first column set {0, 1} has minor 0; {0, 2} is the first nonzero
-    assert max_minor([[1, 2, 0], [2, 4, F(-1, 3)]]) == F(1, 3)
-    assert type(max_minor([[2, 3], [1, 4]])) is Fraction
+def test_cleared_minor_small_cases():
+    assert _cleared_minor([]) == (1, 1)
+    assert _cleared_minor([[0, 0, 0]]) == (0, 1)
+    assert _cleared_minor([[1, 2], [2, 4], [0, 1]])[0] == 0  # more rows
+    # the first column set {0, 1} has minor 0; {0, 2} is the first nonzero,
+    # 1/3 over Q and 1 on the rows cleared by 1 and 3
+    assert _cleared_minor([[1, 2, 0], [2, 4, F(-1, 3)]]) == (1, 3)
+    assert type(_cleared_minor([[2, 3], [1, 4]])[0]) is int
 
 
 @example([])  # no rows
@@ -481,10 +493,9 @@ def test_simplex_witness_matches_fraction_tableau(system):
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
 @pytest.mark.parametrize("call", [
     lambda rows: mat_rank(rows),
-    lambda rows: max_minor(rows),
     lambda rows: solve_affine(rows, [1, 1]),
     lambda rows: lp_feasible(rows, [1, 1]),
-], ids=["mat_rank", "max_minor", "solve_affine", "lp_feasible"])
+], ids=["mat_rank", "solve_affine", "lp_feasible"])
 def test_ragged_rows_raise(rows, call):
     with pytest.raises(ValueError, match="ragged rows"):
         call(rows)

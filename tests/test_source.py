@@ -250,16 +250,22 @@ def test_only_stab_regime_solves_the_constraint_flat():
 
 
 def test_one_stab_test_at_a_lambda():
-    # The deciders share one difference builder, one rank test and one
-    # flat point: only _stabs_at takes a rank, only _block_differences
-    # and the witness builder take met points, and the search and the
-    # univariate decider reach lambdas on the flat through _flat_point.
-    assert _callers("mat_rank") == {"_stabs_at"}
-    assert _callers("_met") == {"_block_differences", "_witness_from_lambda"}
-    assert _callers("_stabs_at") == {"stab_exists_linear",
-                                     "stab_search_general"}
+    # The deciders share one integer difference builder, one rank test and
+    # one flat point: _block_differences alone builds the differences of
+    # the met points, for the rank test, the univariate rows and the search
+    # objective; only _stabs_at takes a rank and only the search objective
+    # a determinant; the Fraction met points serve the witness alone; and
+    # the search and the univariate decider reach lambdas on the flat
+    # through _flat_point.
     assert _callers("_block_differences") == {
         "_stabs_at", "_projected_difference_polys", "stab_search_general"}
+    assert "_cleared" in _transversal_calls()["_block_differences"]
+    assert _callers("mat_rank") == {"_stabs_at"}
+    assert _callers("_minor") == {"_gram_det"}
+    assert _callers("_gram_det") == {"stab_search_general"}
+    assert _callers("_met") == {"_witness_from_lambda"}
+    assert _callers("_stabs_at") == {"stab_exists_linear",
+                                     "stab_search_general"}
     assert _callers("_flat_point") == {"stab_decide_univariate",
                                        "stab_search_general"}
 

@@ -5,7 +5,10 @@ instead relate the answers to two inputs that the family's symmetries carry
 into each other.  A stab decision does not depend on the order of the sets,
 the order of the points in a set, or where the whole configuration sits:
 translating every point by one vector moves a stabbing plane of the family
-to another.  A count, and the number of pieces and of components of the
+to another, and leaves the univariate decider's gcd ``reduced`` as it is.
+The search's path does depend on the order, so a permuted input may miss a
+stab the search found, but it answers a re-checked witness or not_found,
+nothing else.  A count, and the number of pieces and of components of the
 image and the preimage sections, depend neither on the names of the
 vertices nor on one translation or one diagonal rational scaling of the
 coordinates, applied to the map and the plane together.
@@ -22,7 +25,8 @@ from plstab.sections import (compute_components, preimage_polytopes,
                              section_of_image)
 from plstab.simplicial import PLMap, SimplicialComplex, certify_map
 from plstab.transversal import (ConcretePlane, PlaneFamily, decide_stab,
-                                max_disjoint_stabbed)
+                                max_disjoint_stabbed, stab_decide_univariate,
+                                stab_regime)
 
 F = Fraction
 _SHIFTS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -52,6 +56,21 @@ def _stab_inputs(draw):
     sets = draw(st.lists(st.lists(point, min_size=1, max_size=3),
                          min_size=q, max_size=q))
     return family, sets
+
+
+@st.composite
+def _line_inputs(draw):
+    """A family and d-t+2 point sets of small integer points, one point
+    more in all than a point flat of lambdas takes, so that the constraint
+    flat is a line unless the points are degenerate."""
+    family = draw(st.integers(1, 4).flatmap(_families))
+    q = family.d - family.t + 2
+    sizes = [1] * q
+    for _ in range(1 + (q - 1) * (family.m - family.T)):
+        sizes[draw(st.integers(0, q - 1))] += 1
+    point = st.lists(st.integers(-3, 3), min_size=family.m,
+                     max_size=family.m).map(lambda p: tuple(map(F, p)))
+    return family, [[draw(point) for _ in range(n)] for n in sizes]
 
 
 def _counts(k, g, plane):
@@ -86,6 +105,72 @@ def test_stab_answer_is_invariant_under_the_family_symmetries(case, data):
     moved = [[tuple(x + s for x, s in zip(p, shift)) for p in ps]
              for ps in sets]
     assert _answer(moved, family) == answer
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_line_inputs(), st.data())
+def test_univariate_reduced_is_invariant_under_translation(case, data):
+    # translating every point leaves the row space of the flat's system,
+    # so the flat's parametrization, and every block difference y_i - y_1
+    # at each of its lambdas; the gcd of the maximal minors is then the
+    # same polynomial, whatever the denominators the shift brings in
+    family, sets = case
+    mode, flat = stab_regime(sets, family)
+    assume(mode == "univariate")
+    got = stab_decide_univariate(sets, family, flat)
+    shift = data.draw(st.lists(_SHIFTS, min_size=family.m,
+                               max_size=family.m))
+    moved = [[tuple(x + s for x, s in zip(p, shift)) for p in ps]
+             for ps in sets]
+    mode, flat_moved = stab_regime(moved, family)
+    assert (mode, flat_moved) == ("univariate", flat)
+    again = stab_decide_univariate(moved, family, flat_moved)
+    assert (again.status, again.reduced) == (got.status, got.reduced)
+
+
+@st.composite
+def _search_inputs(draw):
+    """A family and d-t+3 sets of two small integer points, the first
+    point of every set on one member plane, so a stab exists and the
+    search decides."""
+    family = draw(st.sampled_from([PlaneFamily(2, (), (1, 2), 0),
+                                   PlaneFamily(3, (), (1, 2, 3), 1),
+                                   PlaneFamily(3, (1,), (1, 2, 3), 1)]))
+    coord = st.integers(-3, 3)
+    base = [draw(coord) for _ in range(family.m)]
+    dirs = [[int(j == c) for j in range(1, family.m + 1)] for c in family.s_t]
+    dirs += [[draw(coord) if j in family.s_T else 0
+              for j in range(1, family.m + 1)]
+             for _ in range(family.d - family.t)]
+    sets = []
+    for _ in range(family.d - family.t + 3):
+        on = list(base)
+        for v in dirs:
+            a = draw(coord)
+            on = [x + a * y for x, y in zip(on, v)]
+        off = [draw(coord) for _ in range(family.m)]
+        sets.append([tuple(map(F, on)), tuple(map(F, off))])
+    return family, sets
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_search_inputs(), st.data())
+def test_search_witness_survives_permutation_or_is_not_found(case, data):
+    # the search path depends on the order of the sets and of their
+    # points, so a permuted input may miss the stab; but it is still a
+    # search, and any witness it returns is re-checked
+    family, sets = case
+    got = decide_stab(sets, family, 200, 0)
+    assume(got["mode"] == "search" and got["status"] == "witness")
+    assert got["certified"]
+    order = data.draw(st.permutations(range(len(sets))))
+    permuted = [data.draw(st.permutations(sets[i])) for i in order]
+    again = decide_stab(permuted, family, 200, 0)
+    assert again["mode"] == "search"
+    assert again["status"] in ("witness", "not_found")
+    assert again["certified"] == (again["status"] == "witness")
 
 
 @settings(max_examples=40, deadline=None,

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import (basic_feasible_solutions, feasible_by_basic_solutions,
-                     integer_poly, max_disjoint_by_subsets, membership_rows,
-                     poly_eval_naive, poly_mul_naive, rank_by_minors,
-                     sturm_count_euclid, univariate_by_gram)
+from oracles import (basic_feasible_solutions, block_differences_naive,
+                     det_cofactor, feasible_by_basic_solutions, integer_poly,
+                     max_disjoint_by_subsets, membership_rows,
+                     poly_det_cofactor, poly_eval_naive, poly_mul_naive,
+                     primitive_gcd, rank_by_minors, sturm_count_euclid,
+                     univariate_by_gram)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import transversal
@@ -716,7 +720,7 @@ _UNIVARIATE_SHAPES = [
 
 
 @st.composite
-def univariate_cases(draw):
+def univariate_cases(draw, max_denominator=2):
     """A family and point sets whose constraint flat is generically a line.
 
     The extra points go round-robin or to random sets; round-robin moves
@@ -733,7 +737,8 @@ def univariate_cases(draw):
     spread = draw(st.booleans())
     for k in range(1 + (q - 1) * (m - len(s_T))):
         sizes[k % q if spread else draw(st.integers(0, q - 1))] += 1
-    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    coord = st.fractions(min_value=-3, max_value=3,
+                         max_denominator=max_denominator)
     point = st.lists(coord, min_size=m, max_size=m)
     sets = [[draw(point) for _ in range(n)] for n in sizes]
     block = [c for c in s_T if c not in s_t]
@@ -775,6 +780,52 @@ def test_univariate_decision_matches_gram_oracle(case):
         # determinant, the sum of their squares
         assert (not got.reduced) == (not gram)
         assert sturm_count_euclid(got.reduced) == sturm_count_euclid(gram)
+
+
+@given(univariate_cases(max_denominator=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_block_differences_match_the_fraction_oracle(case, data):
+    # points with mixed denominators, so a set's lcm E_i is not each of its
+    # points' D_ij: the builder's rows over S_i are the term-by-term sums,
+    # the search objective is the Gram determinant of those sums, and the
+    # univariate gcd is the one of the oracle rows cleared per row
+    family, sets = case
+    total = sum(len(ps) for ps in sets)
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    vectors = data.draw(st.lists(st.lists(rat, min_size=total,
+                                          max_size=total),
+                                 min_size=1, max_size=3))
+    got = transversal._block_differences(sets, family, vectors)
+    assert len(got) == len(sets) - 1 and all(s > 0 for s, _ in got)
+    for k, lam in enumerate(vectors):
+        assert [[F(x, s) for x in rows[k]] for s, rows in got] == (
+            block_differences_naive(sets, family.block, lam))
+    u = data.draw(st.lists(rat, min_size=len(vectors) - 1,
+                           max_size=len(vectors) - 1))
+    lam = list(vectors[0])
+    for coeff, w in zip(u, vectors[1:]):
+        lam = [x + coeff * y for x, y in zip(lam, w)]
+    diffs = block_differences_naive(sets, family.block, lam)
+    gram = [[sum((a * b for a, b in zip(r, t)), F(0)) for t in diffs]
+            for r in diffs]
+    assert transversal._gram_det(got, u) == det_cofactor(gram)
+
+    mode, flat = stab_regime(sets, family)
+    if mode != "univariate":
+        return
+    base, (direction,) = flat
+    polys = []
+    for at_base, along in zip(
+            block_differences_naive(sets, family.block, base),
+            block_differences_naive(sets, family.block, direction)):
+        scale = math.lcm(*(x.denominator for x in at_base + along))
+        polys.append([tuple(integer_poly([a * scale, b * scale]))
+                      for a, b in zip(at_base, along)])
+    minors = [poly_det_cofactor([[row[c] for c in cols] for row in polys])
+              for cols in itertools.combinations(range(len(family.block)),
+                                                 len(polys))]
+    assert stab_decide_univariate(sets, family, flat).reduced == tuple(
+        primitive_gcd(minors))
 
 
 # --- heuristic search -----------------------------------------------------------
@@ -832,6 +883,33 @@ def test_search_budget_is_an_exact_cap(fam, extra, coords, budget, seed):
         assert got.evaluations == budget
     else:
         assert verify_stab_witness(got.witness, sets, fam)[0]
+
+
+def test_search_path_is_pinned(monkeypatch):
+    # every (u, objective) pair of a search that spends its budget of 300
+    # on a three-dimensional flat, hashed: a changed descent fails this even
+    # when the answer stays not_found
+    sets = [[vec([0, 0, 0]), vec([F(1, 2), F(-1, 3), 1])],
+            [vec([20, F(1, 5), 0]), vec([F(41, 2), 0, F(-1, 7)])],
+            [vec([F(1, 3), 20, F(1, 4)]), vec([0, 21, 0])]]
+    fam = PlaneFamily(3, (), (1, 2, 3), 1)
+    mode, flat = stab_regime(sets, fam)
+    assert (mode, len(flat[1])) == ("search", 3)
+    path = []
+    real = transversal._gram_det
+
+    def recorded(rows, u):
+        value = real(rows, u)
+        path.append(([str(x) for x in u], str(value)))
+        return value
+
+    monkeypatch.setattr(transversal, "_gram_det", recorded)
+    got = stab_search_general(sets, fam, flat, 300, 7)
+    assert got == StabDecision("not_found", evaluations=300)
+    assert len(path) == 300
+    assert path[0] == (["0", "0", "0"], "23035921/144")
+    assert hashlib.sha256(repr(path).encode()).hexdigest() == (
+        "3be21ae6448fabe54d016996400e12ccf1599347b7e960b0412e41a7914d2de8")
 
 
 def test_default_budget_is_not_overrun():
