@@ -96,6 +96,10 @@ def _cell_family(cell: SweepCell) -> PlaneFamily:
     return PlaneFamily(cell.m, s_t, s_T, cell.d)
 
 
+_DRAW_TARGETS = tuple(Fraction(k) for k in range(7))
+_DRAW_EPS = Fraction(1, 2)
+
+
 def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
                     ) -> tuple[list[list[Vec]], "GenericityCertificate"]:
     """One point set of n_i + 1 points per entry, every coordinate on its own stream.
@@ -105,8 +109,8 @@ def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
     :func:`~plstab.generic.distinctness_transcript`).
     """
     stream = itertools.count()
-    sets = [[tuple(pool.draw_near(Fraction((3 * i + 5 * j + s) % 7),
-                                  Fraction(1, 2), next(stream))
+    sets = [[tuple(pool.draw_near(_DRAW_TARGETS[(3 * i + 5 * j + s) % 7],
+                                  _DRAW_EPS, next(stream))
                    for s in range(m))
              for j in range(n + 1)]
             for i, n in enumerate(n_list)]

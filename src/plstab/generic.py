@@ -1,15 +1,20 @@
 """Deterministic generic-coordinate draws and a posteriori certification.
 
 True algebraic independence cannot be represented with finite rationals, so
-coordinates are drawn from per-stream cosets q + r_i whose offsets r_i are
-64-bit-entropy rationals derived deterministically from a seed.  Rigor is
-restored per run: every determinant or pivot a computation relied on is
-recorded, as one integer, and certified nonzero after the fact.
+coordinates are drawn from per-stream cosets q + r_i whose offsets are
+r_i = N_i / D: one odd denominator D in (2**62, 2**64) per seed, and a
+64-bit numerator N_i per stream, all derived deterministically from the
+seed.  Every coordinate of a draw then clears over D times a power of two.
+A degeneracy is a nonzero integer polynomial in the numerators, and for a
+fixed D such a polynomial of degree k vanishes at uniform 64-bit numerators
+with probability at most k / 2**64 (Schwartz 1980; Zippel 1979).  Rigor is
+restored per run all the same: every determinant or pivot a computation
+relied on is recorded, as one integer, and certified nonzero after the fact.
 
 Every draw is a pure function of (seed, stream, target, eps).  A pool's
-only state is a memo of its offsets, which it shares with the pools derived
-from it, so it is confined, with those pools, to one task; certificates are
-immutable and freely shareable.
+only state is a memo of its denominators and offsets, which it shares with
+the pools derived from it, so it is confined, with those pools, to one
+task; certificates are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -84,30 +89,36 @@ def _u64(seed: int, tag: str, lo: int, hi: int) -> int:
 class GenericPool:
     """Seeded source of generic rational coordinates.
 
-    Stream i owns the offset r_i, a pure function of (seed, stream) with a
-    64-bit numerator and an odd denominator above 2**62.  Two streams may
-    share an offset: draws on them at the same dyadic point are then equal
-    coordinates, which the distinctness certificate rejects, and any other
-    degeneracy fails the same certificates, so the draw moves on to the next
-    of :func:`regeneration_pools`.  No certified answer rests on distinct
+    A pool of seed s draws one odd denominator D_s in (2**62, 2**64), and
+    stream i owns the offset r_i = N_i / D_s with a 64-bit numerator N_i,
+    a pure function of (s, i); every offset of the pool has a denominator
+    dividing D_s.  Pools of other seeds, derived and regenerated ones
+    included, draw their own D.  Two streams may share a numerator: draws
+    on them at the same dyadic point are then equal coordinates, which the
+    distinctness certificate rejects, and any other degeneracy fails the
+    same certificates, so the draw moves on to the next of
+    :func:`regeneration_pools`.  No certified answer rests on distinct
     offsets.
 
-    A root pool creates a memo of offsets keyed by (seed, stream), a cache
-    of that pure function, which every pool :meth:`derive` and
-    :func:`regeneration_pools` make from it shares, so they belong to one
-    task.  It holds about 270 bytes per (seed, stream) drawn: a verify grid
-    cell draws at most 66 streams per pool (m_max 6, n_max 3) and every cell
-    derives trial t's pool from the same (seed, t), so a grid adds at most
-    about 18 KB per trial pool, however many cells reuse it.
+    A root pool creates a memo of D keyed by seed and of offsets keyed by
+    (seed, stream), a cache of those pure functions, which every pool
+    :meth:`derive` and :func:`regeneration_pools` make from it shares, so
+    they belong to one task.  It holds about 220 bytes per (seed, stream)
+    drawn, the seed's D included (tracemalloc, CPython 3.11): a verify grid
+    cell draws at most 66 streams per pool (m_max 6, n_max 3) and every
+    cell derives trial t's pool from the same (seed, t), so a grid adds at
+    most about 15 KB per trial pool, however many cells reuse it.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._dens: dict[int, int] = {}
         self._memo: dict[tuple[int, int], Fraction] = {}
 
     def _sibling(self, seed: int) -> "GenericPool":
-        """Fresh pool seeded ``seed`` that shares this pool's offset memo."""
+        """Fresh pool seeded ``seed`` that shares this pool's memo."""
         pool = GenericPool(seed)
+        pool._dens = self._dens
         pool._memo = self._memo
         return pool
 
@@ -119,8 +130,11 @@ class GenericPool:
         key = (self.seed, stream)
         r = self._memo.get(key)
         if r is None:
+            den = self._dens.get(self.seed)
+            if den is None:
+                den = self._dens[self.seed] = _u64(
+                    self.seed, "den", 2 ** 62 + 1, 2 ** 64 - 1) | 1
             num = _u64(self.seed, f"num:{stream}:0", 1, 2 ** 64 - 1)
-            den = _u64(self.seed, f"den:{stream}:0", 2 ** 62 + 1, 2 ** 64 - 1) | 1
             r = self._memo[key] = Fraction(num, den)
         return r
 
@@ -172,7 +186,7 @@ class GenericPool:
 def regeneration_pools(pool: GenericPool) -> Iterator[GenericPool]:
     """The pools a certified draw tries in turn: ``pool`` itself, then fresh
     pools seeded ``pool.seed + 1``, ..., up to ``REGEN_ATTEMPTS`` in all,
-    which share ``pool``'s offset memo."""
+    which share ``pool``'s memo and each draw their own denominator."""
     yield pool
     for attempt in range(1, REGEN_ATTEMPTS):
         yield pool._sibling(pool.seed + attempt)

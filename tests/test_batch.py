@@ -110,7 +110,7 @@ def test_verify_draws_are_pinned():
                     digest.update(json.dumps([[[str(x) for x in p] for p in pts]
                                               for pts in sets]).encode())
     assert digest.hexdigest() == (
-        "e959a2ab1a046328ffc158de0c4e7465142732bd6d9de5cbbc47fd54770ddc9f")
+        "6895d30e0d9e769af6a66ee1f4e5c2f53134b06b9cef106d10035d3c3b994888")
 
 
 class _RepeatingPool(GenericPool):

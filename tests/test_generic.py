@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import draw_near_fraction
-from plstab import batch, generic
+from plstab import batch, generic, simplicial
 from plstab.generic import (REGEN_ATTEMPTS, GenericityError, GenericPool,
                             certify, distinctness_transcript,
                             regeneration_pools)
@@ -48,22 +50,20 @@ def test_draw_near_matches_fraction_arithmetic(seed, target, eps, stream):
     assert pool.draw_near(target, eps, stream) == want
 
 
-# Values drawn by the Fraction halving-and-doubling implementation that the
-# integer arithmetic replaced: (target, eps, stream) -> draw from
-# GenericPool(408).  That implementation drew the last row as stream 0's
-# third draw, with its offset term r/2**j shrunk by a further 2**-2 for a
-# per-stream draw counter, at v; the row holds 17 + 4 * (v - 17), the value
-# with the offset term r/2**j alone.
+# Values drawn by GenericPool(408), whose offsets all share the one odd
+# denominator 16439261988980331127 of seed 408: (target, eps, stream) ->
+# draw.  test_draw_near_matches_fraction_arithmetic checks the arithmetic
+# behind them against the Fraction oracle; these pin the offsets too.
 _DRAW_NEAR_GOLDEN = [
-    (F(0), F(1), 3, "6278425918525628575/15692426580070004757"),
-    (F(-7, 3), F(1, 2), 0, "-169484236720034178251/77924436894495170792"),
-    (F(5, 2), F(1, 7), 11, "193402088476149300275/75865150316752102056"),
+    (F(0), F(1), 3, "6278425918525628575/16439261988980331127"),
+    (F(-7, 3), F(1, 2), 0, "-281173375981842586653/131514095911842649016"),
+    (F(5, 2), F(1, 7), 11, "168131832574072356405/65757047955921324508"),
     (F(123456789, 1000), F(1, 2 ** 200), 2,
-     "12770936463794503039578078130072121348231721671767360840467915151682730"
-     "500455029694319/1034445862980812099331214432449893164500797252370411224"
-     "64864327158686350818934784"),
-    (F(-1, 3), F(40), 5, "319607926533925188/12071165510096192977"),
-    (F(17), F(3, 1000), 0, "84785683916436843784791/4987163961247690930688"),
+     "13045370503328219610006907419326692808263689161827659254235113680030"
+     "250859674520016721/10566750203853284739170486136106045013258597841733"
+     "6443557066057177336045274923008"),
+    (F(-1, 3), F(40), 5, "319607926533925188/16439261988980331127"),
+    (F(17), F(3, 1000), 0, "71547564751268499027799/4208451069178964768512"),
 ]
 
 
@@ -121,6 +121,72 @@ def test_derived_pools_differ_but_are_stable():
     assert c1.offset(0) != c2.offset(0)
 
 
+def _denominator(values):
+    """The lcm of the denominators of ``values``."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def test_every_offset_of_a_pool_divides_its_one_odd_denominator():
+    # One odd D in (2**62, 2**64) per seed: the lcm of 40 offsets'
+    # denominators lies in that range, so all of them divide one such D; two
+    # trial pools and the regeneration pools of one of them have four D.
+    root = GenericPool(10)
+    pools = [root.derive(0), root.derive(1),
+             *list(regeneration_pools(root.derive(0)))[1:]]
+    dens = []
+    for pool in pools:
+        d = _denominator(pool.offset(s) for s in range(40))
+        assert d % 2 == 1 and 2 ** 62 < d < 2 ** 64
+        dens.append(d)
+    assert len(set(dens)) == len(pools) == 4
+
+
+def test_a_drawn_point_set_clears_to_one_small_lcm():
+    # Each set clears over its pool's D times a power of two (937 bits when
+    # every stream had its own denominator).
+    sets, cert = batch.draw_point_sets(GenericPool(1).derive(0), (2, 2), 5)
+    assert cert.ok
+    for pts in sets:
+        assert _denominator(x for p in pts for x in p).bit_length() < 128
+
+
+def _count_attempts(monkeypatch, module):
+    """Record how many pools each regeneration loop in ``module`` takes."""
+    attempts = []
+
+    def pools(pool):
+        attempts.append(0)
+        for p in regeneration_pools(pool):
+            attempts[-1] += 1
+            yield p
+
+    monkeypatch.setattr(module, "regeneration_pools", pools)
+    return attempts
+
+
+def test_sweep_trials_are_decided_on_their_first_pool(monkeypatch):
+    attempts = _count_attempts(monkeypatch, batch)
+    cells = [(batch.run_linear_cell, c) for c in batch.linear_cells(5, 2)]
+    cells += [(batch.run_univariate_cell, c)
+              for c in batch.univariate_cells(5, 2)]
+    for seed in (1, 2):
+        root = GenericPool(seed)
+        for run, cell in cells:
+            assert run(cell, 2, root) == []
+    assert attempts == [1] * (2 * 2 * len(cells))
+
+
+def test_roberts_perturb_certifies_on_its_first_pool(monkeypatch):
+    attempts = _count_attempts(monkeypatch, simplicial)
+    rng = random.Random(3131)
+    for i in range(300):
+        k = batch.random_complex(rng, rng.randint(6, 9), 2,
+                                 F(rng.randint(12, 30), 100))
+        theta = batch.random_map(rng, k, rng.randint(3, 5))
+        assert roberts_perturb(k, theta, F(1, 2), GenericPool(i)).certified
+    assert attempts == [1] * 300
+
+
 def _draws(pool, streams):
     """stream -> (offset, first draw near s/3) in the given stream order."""
     return {s: (pool.offset(s), pool.draw_near(F(s, 3), F(1, 5), s))
@@ -143,13 +209,13 @@ def test_pools_from_a_warm_root_draw_what_fresh_pools_draw():
 
 def _share_offset(monkeypatch, chosen, stream, other):
     """Give ``stream`` the offset of ``other`` in every pool whose seed
-    ``chosen`` accepts."""
+    ``chosen`` accepts: the numerator of ``other`` over the pool's one
+    denominator."""
     real = generic._u64
 
     def u64(seed, tag, lo, hi):
-        kind, drawn, index = tag.split(":")
-        if chosen(seed) and drawn == str(stream):
-            tag = f"{kind}:{other}:{index}"
+        if chosen(seed) and tag == f"num:{stream}:0":
+            tag = f"num:{other}:0"
         return real(seed, tag, lo, hi)
 
     monkeypatch.setattr(generic, "_u64", u64)
@@ -173,12 +239,13 @@ def test_a_shared_offset_fails_the_certificate_and_regenerates(monkeypatch):
 
 
 def _count_u64(monkeypatch):
-    """Record the (seed, stream) of every _u64 call from here on."""
+    """Record every _u64 call from here on: (seed, stream) for a stream's
+    numerator, (seed, None) for the seed's denominator."""
     real = generic._u64
     calls = []
 
     def u64(seed, tag, lo, hi):
-        calls.append((seed, int(tag.split(":")[1])))
+        calls.append((seed, None if tag == "den" else int(tag.split(":")[1])))
         return real(seed, tag, lo, hi)
 
     monkeypatch.setattr(generic, "_u64", u64)
@@ -208,7 +275,8 @@ def test_separately_built_pools_share_nothing(monkeypatch):
     calls.clear()
     _draws(GenericPool(9).derive(0), range(5))
     _draws(GenericPool(9), range(5))
-    assert len(calls) == 2 * 10
+    # two pools, each hashing five numerators and its one denominator
+    assert len(calls) == 2 * (5 + 1)
 
 
 def test_eps_must_be_positive():

@@ -165,6 +165,42 @@ def test_case_predicate_matches_bound_arithmetic():
                                 is NonStabCase.CASE_I
 
 
+def test_theorem_2_floor_is_the_case_threshold_for_n_simplexes():
+    # Theorem 2's floor q0 is exactly where the counting inequalities start
+    # to forbid a transversal to n-simplexes: q0 of them are not forbidden
+    # and q0 + 1 are, by case I or case II, in both regimes of every
+    # admissible cell with n <= 4 and m <= 14.
+    cells = 0
+    for n, m in itertools.product(range(5), range(15)):
+        for t, d, T in itertools.combinations_with_replacement(range(m + 1), 3):
+            try:
+                q0 = stab_bound(n, m, d, t, T).floor
+            except ValueError:
+                continue  # not admissible
+            cells += 1
+            assert nonstab_case([n] * q0, m, d, t, T) \
+                is NonStabCase.INCONCLUSIVE
+            assert nonstab_case([n] * (q0 + 1), m, d, t, T) \
+                is not NonStabCase.INCONCLUSIVE
+    assert cells == 12087
+
+
+def test_theorem_2_named_cases():
+    for n in range(5):
+        # Noebeling-Pontryagin: generic maps into m >= 2n+1 are embeddings
+        for m in range(2 * n + 1, 15):
+            assert stab_bound(n, m, 0, 0, m).floor == 1
+        # Hurewicz: point preimages of generic maps into n+1 <= m <= 2n
+        for m in range(n + 1, 2 * n + 1):
+            assert stab_bound(n, m, 0, 0, m).floor == 1 + n // (m - n)
+        # Boltyanski: generic maps into m = nk+n+k are k-regular
+        for k in range(1, 5):
+            m = n * k + n + k
+            assert stab_bound(n, m, k - 1, 0, m).floor == k
+    assert [stab_bound(n, m, 0, 0, m).floor
+            for n, m in ((2, 3), (2, 4), (3, 5))] == [3, 2, 2]
+
+
 # --- membership decisions ----------------------------------------------------
 
 def _vertical_line(x):
