@@ -149,8 +149,6 @@ class GenericPool:
         shrink is found by shifted comparison, and one Fraction is built at
         the end.
         """
-        target = Fraction(target)
-        eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
         # rho = 2**k is the largest power of two <= eps/4 = en/ed; bit

@@ -3,9 +3,9 @@
 A section is the list of convex polytopes cut out of each simplex image by a
 plane, each given by its exact vertex list and named by its source simplex.
 The pieces come from :func:`~plstab.transversal.stabbed_simplexes`, the one
-plane-membership test: a piece's vertices are the points of the minimal
-stabbed faces of its simplex (a vertex of a piece is the one point of the
-piece of its support face), each placed once.
+plane-membership test and face walk: a piece's vertices are the points of
+the minimal stabbed faces it lists for the simplex (each the one point of
+the piece of its support face), each placed once.
 Components of the union (pieces chained by nonempty intersection) make the
 metric predicates decidable: a compact PL set is coverable by disjoint open
 sets of diameter below eps iff every component has diameter below eps, and
@@ -88,16 +88,11 @@ def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     """Pieces with their vertices placed by place(face, lambda): the piece
     of a simplex has one vertex per minimal stabbed face, at that face's
     point, faces by size and then lexicographically."""
-    placed = {f: place(f, lam)
-              for f, lam in stabbed_simplexes(k, g, plane, k.dim).items()}
-    pieces: dict[Simplex, Polytope] = {}
-    for s in k.sorted_simplexes():
-        # distinct: a certified image and the realization are injective on s
-        verts = tuple(placed[f] for size in range(1, len(s) + 1)
-                      for f in itertools.combinations(s, size) if f in placed)
-        if verts:
-            pieces[s] = verts
-    return PlanarSection(tuple(pieces.values()), tuple(pieces), meets_in_faces)
+    points, faces = stabbed_simplexes(k, g, plane, k.dim)
+    placed = {f: place(f, lam) for f, lam in points.items()}
+    # distinct: a certified image and the realization are injective
+    pieces = tuple(tuple(placed[f] for f in fs) for fs in faces.values())
+    return PlanarSection(pieces, tuple(faces), meets_in_faces)
 
 
 def section_of_image(k: SimplicialComplex, g: PLMap,

@@ -7,8 +7,8 @@ s_T axes.  This module provides:
 
 * the exact counting ceiling (:func:`stab_bound`) and case predicate
   (:func:`nonstab_case`);
-* the one plane-membership test (:func:`stabbed_simplexes`): each minimal
-  stabbed simplex with its one point, one exact solve per candidate, no LP;
+* the one plane-membership test and face walk (:func:`stabbed_simplexes`):
+  points and minimal stabbed faces, one exact solve per candidate, no LP;
 * one stab decision (:func:`decide_stab`): the regime rule
   (:func:`stab_regime`) solves the constraint flat (the
   :func:`~plstab.ratmath.hull_rows` outside s_T) once and picks the
@@ -684,10 +684,13 @@ def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
 
 
 def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-                      nmax: int) -> dict[Simplex, Vec]:
+                      nmax: int) -> tuple[dict[Simplex, Vec],
+                                          dict[Simplex, tuple[Simplex, ...]]]:
     """The minimal stabbed simplexes of dimension <= nmax (images meet the
     plane, no proper face's image does), each with the one point of its
-    piece {lambda in the standard simplex : image on plane}.
+    piece {lambda in the standard simplex : image on plane}, and every
+    stabbed simplex up to nmax with its minimal stabbed faces by size and
+    then lexicographically, both in sorted-simplex order.
 
     This is the one plane-membership test, on the map's integer form
     ``g.cleared``: each vertex image p_v as P_v = D_v p_v, and each
@@ -705,7 +708,8 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     system, and those faces are exactly the minimal stabbed ones: a stabbed
     proper face's point, padded with zeros, would solve the system too.
     Faces come before cofaces, so a simplex with a stabbed facet is skipped
-    with no bracket and no solve.
+    with no bracket and no solve; it lists the union of its stabbed facets'
+    faces (each proper face lies in a facet), a minimal one only itself.
     """
     if not g.certified:
         raise ValueError("map must carry an ok genericity certificate")
@@ -731,12 +735,14 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                 below.add(v)
         brackets.append((values, a * dc, above, below))
     points: dict[Simplex, Vec] = {}
-    met: set[Simplex] = set()  # the stabbed simplexes seen so far
+    faces: dict[Simplex, tuple[Simplex, ...]] = {}  # stabbed so far
     for s in k.sorted_simplexes():
         if len(s) - 1 > nmax:
             break
-        if any(s[:i] + s[i + 1:] in met for i in range(len(s))):
-            met.add(s)
+        if any(s[:i] + s[i + 1:] in faces for i in range(len(s))):
+            union = {f for i in range(len(s))
+                     for f in faces.get(s[:i] + s[i + 1:], ())}
+            faces[s] = tuple(sorted(union, key=lambda f: (len(f), f)))
             continue
         rows = [[cleared[v][0] for v in s] + [1]]
         for values, rhs, above, below in brackets:
@@ -748,8 +754,8 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
             if sol is not None and not sol[1] and min(sol[0]) > 0:
                 points[s] = tuple(cleared[v][0] * mu
                                   for v, mu in zip(s, sol[0]))
-                met.add(s)
-    return points
+                faces[s] = (s,)
+    return points, faces
 
 
 def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
@@ -764,7 +770,7 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     image lies on the plane, and the members share no vertex; a failure
     raises RuntimeError.
     """
-    points = stabbed_simplexes(k, g, plane, nmax)
+    points, _ = stabbed_simplexes(k, g, plane, nmax)
     hits = list(points)
     vsets = [set(s) for s in hits]
     adj = [{j for j, b in enumerate(vsets) if j != i and a & b}

@@ -282,7 +282,7 @@ def test_plane_samplers_return_family_members():
         assert p2.family == fam
         # adversarial planes pass through a convex combination of one
         # simplex's vertex images, so they stab at least that simplex
-        assert stabbed_simplexes(k, g, p2, k.dim)
+        assert stabbed_simplexes(k, g, p2, k.dim)[0]
 
 
 def test_random_complex_covers_all_vertices():

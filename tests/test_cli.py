@@ -1284,3 +1284,92 @@ def test_plane_and_map_dimensions_differ_exit_2(capsys, tmp_path):
 def test_cli_error_carries_no_exit_code():
     # main alone picks the exit code, from the type of the error
     assert not hasattr(CliError("x"), "exit_code")
+
+
+_GOOD_FILES = {"k.cx": TWO_EDGES_COMPLEX, "g.map": TWO_EDGES_MAP,
+               "p.json": VERTICAL_HALF, "f.json": PLANE_FAMILY,
+               "s.json": {"sets": [[["0", "0", "0"]], [["5", "0", "0"]]]}}
+_BAD_INPUT_ARGV = {
+    "count": ["count", "--complex", "k.cx", "--map", "g.map",
+              "--plane", "p.json", "--nmax", "1"],
+    "stab": ["stab", "--family", "f.json", "--sets", "s.json"],
+    "bounds": ["bounds", "--n", "-1", "--m", "4", "--d", "1", "--t", "0",
+               "--T", "3"],
+}
+_UNSORTED = "must be sorted and duplicate-free"
+
+
+@pytest.mark.parametrize("verb, at_fault, content, error", [
+    ("count", "k.cx", "v a\nv a\n", "line 2: duplicate vertex 'a'"),
+    ("count", "k.cx", "v a\ns\n", "line 2: empty simplex"),
+    ("count", "g.map", "m 2\nm 2\n", "line 2: duplicate header"),
+    ("count", "g.map", TWO_EDGES_MAP + "p a 1 2\n",
+     "line 6: duplicate point for 'a'"),
+    ("count", "g.map", "# no header\n", "line 1: missing header"),
+    ("count", "p.json", dict(VERTICAL_HALF, St=[2, 2], ST=[1, 2], d=2),
+     f"s_t {_UNSORTED}"),
+    ("count", "p.json", dict(VERTICAL_HALF, ST=[2, 1]), f"s_T {_UNSORTED}"),
+    ("stab", "f.json", dict(PLANE_FAMILY, St=[2, 1]), f"s_t {_UNSORTED}"),
+    ("stab", "f.json", dict(PLANE_FAMILY, ST=[1, 1]), f"s_T {_UNSORTED}"),
+    ("count", "p.json", dict(VERTICAL_HALF, basepoint=["0"]),
+     "basepoint has wrong length"),
+    ("count", "p.json", dict(VERTICAL_HALF, St=[], extra_dirs=[["0"]]),
+     "direction has wrong length"),
+    ("count", "p.json", dict(VERTICAL_HALF, St=[], ST=[1, 2], d=2,
+                             extra_dirs=[["1", "1"], ["2", "2"]]),
+     "direction space has dimension below d"),
+    ("bounds", None, None, "n must be nonnegative"),
+], ids=["duplicate-vertex", "empty-simplex", "duplicate-header",
+        "duplicate-point", "missing-header", "plane-St", "plane-ST",
+        "family-St", "family-ST", "basepoint-length", "direction-length",
+        "dependent-directions", "negative-n"])
+def test_bad_input_exit_2_with_one_report_naming_the_file(
+        capsys, tmp_path, monkeypatch, verb, at_fault, content, error):
+    monkeypatch.chdir(tmp_path)
+    for name, good in _GOOD_FILES.items():
+        write(tmp_path, name, content if name == at_fault else good)
+    code, report = _report(capsys, _BAD_INPUT_ARGV[verb])
+    assert (code, report["error"]) == (
+        2, f"{at_fault}: {error}" if at_fault else error)
+
+
+def test_verify_reports_each_cell_violation_exit_1(capsys, tmp_path,
+                                                   monkeypatch):
+    # a linear decider that answers witness makes every trial a violation
+    monkeypatch.setattr(batch, "stab_exists_linear",
+                        lambda sets, family, flat:
+                        transversal.StabDecision("witness"))
+    grid = write(tmp_path, "grid.json",
+                 {"suites": [{"kind": "linear", "m_max": 3, "n_max": 0}]})
+    code, report = _report(capsys, ["verify", "--grid", grid,
+                                    "--trials", "2", "--seed", "1"])
+    assert code == 1
+    result = report["result"]
+    violations = result["violations"]
+    assert len(violations) == 2 * len(result["cells"]) > 0
+    for got in violations:
+        assert set(got) == {"cell", "trial", "seed", "kind"}
+        assert got["cell"] in result["cells"] and got["trial"] in (0, 1)
+        assert type(got["seed"]) is int
+        assert got["kind"] == "unexpected witness in the exact linear regime"
+
+
+def test_verify_without_an_applicable_draw_exit_3(capsys, tmp_path,
+                                                  monkeypatch):
+    # every certified draw sent to another regime: no trial can be run
+    monkeypatch.setattr(batch, "stab_regime",
+                        lambda sets, family: ("search", None))
+    grid = write(tmp_path, "grid.json",
+                 {"suites": [{"kind": "linear", "m_max": 3, "n_max": 0}]})
+    code, report = _report(capsys, ["verify", "--grid", grid,
+                                    "--trials", "1", "--seed", "1"])
+    assert code == 3
+    assert report["error"].startswith("no applicable certified draw for ")
+
+
+def test_verify_unknown_suite_kind_exit_2(capsys, tmp_path):
+    grid = write(tmp_path, "grid.json", {"suites": [{"kind": "planar"}]})
+    code, report = _report(capsys, ["verify", "--grid", grid,
+                                    "--trials", "1", "--seed", "1"])
+    assert (code, report["error"]) == (
+        2, f"{grid}: unknown suite kind 'planar'")

@@ -143,6 +143,50 @@ def test_image_and_preimage_pieces_match_basic_solution_scan():
             assert [set(p) for p in preimage.pieces] == list(want_pre.values())
 
 
+def test_pieces_of_3_dimensional_complexes_match_basic_solution_scan():
+    # The scan above on 3-dimensional complexes in R^4 and R^5, where a
+    # piece gathers its minimal stabbed faces from up to four facets: each
+    # piece lists its membership polytope's vertices once each, their
+    # support faces by size and then lexicographically.
+    rng = random.Random(31)
+    tetrahedra = 0
+    for trial in range(6):
+        m = 4 + trial % 2
+        k = random_complex(rng, rng.randint(5, 6), 3, F(1, 2))
+        g = roberts_perturb(k, random_map(rng, k, m), F(1, 2),
+                            GenericPool(500 + trial))
+        index = {v: i for i, v in enumerate(k.vertices)}
+        for turn in range(6):
+            fam = _random_family(rng, m)
+            if turn % 2:
+                plane = plane_through(fam, g.images[rng.choice(k.vertices)])
+            else:
+                plane = sample_plane_adversarial(rng, fam, k, g)
+            covs = plane.covectors()
+            want = {}
+            for s in k.sorted_simplexes():
+                rows = [[1] * len(s)] + [
+                    [sum(a * b for a, b in zip(c, g.images[v])) for v in s]
+                    for c, _ in covs]
+                bfs = basic_feasible_solutions(rows, [1] + [r for _, r in covs])
+                if bfs:
+                    want[s] = set(bfs)
+            section = section_of_image(k, g, plane)
+            preimage = preimage_polytopes(k, g, plane)
+            assert list(section.sources) == list(preimage.sources) == list(want)
+            for s, piece, pre in zip(want, section.pieces, preimage.pieces):
+                lams = [tuple(p[index[v]] for v in s) for p in pre]
+                assert len(lams) == len(want[s]) and set(lams) == want[s]
+                supports = [tuple(v for v, w in zip(s, lam) if w)
+                            for lam in lams]
+                assert supports == sorted(supports, key=lambda f: (len(f), f))
+                assert piece == tuple(
+                    tuple(sum(w * g.images[v][i] for w, v in zip(lam, s))
+                          for i in range(m)) for lam in lams)
+                tetrahedra += len(s) == 4 and len(lams) > 1
+    assert tetrahedra > 0
+
+
 # --- components and eps-disjointness ----------------------------------------
 
 def test_eps_disjoint_empty_section():

@@ -333,3 +333,25 @@ def test_the_decision_layer_takes_no_pool():
         found += [f"transversal.py:{node.lineno}" for name in names
                   if name == "GenericPool"]
     assert found == []
+
+
+def test_sections_walk_no_faces():
+    # stabbed_simplexes is the one walk over the faces: it hands each
+    # stabbed simplex its minimal stabbed faces, so sections never sorts
+    # the complex and _section enumerates no subsets of a simplex.
+    path = Path(plstab.__file__).with_name("sections.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def names(root):
+        return [(node.lineno, node.id if isinstance(node, ast.Name)
+                 else node.attr) for node in ast.walk(root)
+                if isinstance(node, (ast.Name, ast.Attribute))]
+
+    assert [line for line, name in names(tree)
+            if name == "sorted_simplexes"] == []
+    section = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_section")
+    subsets = {"itertools", "combinations", "product", "powerset"}
+    assert [line for line, name in names(section) if name in subsets] == []
+    assert [name for _, name in names(section)].count("stabbed_simplexes") == 1

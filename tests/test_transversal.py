@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -227,7 +228,7 @@ def _bary_pieces(k, g, plane):
 def test_image_membership_vertex():
     k, g = _one_edge([0, 5], [3, 1])
     plane = _vertical_line(F(0))
-    assert stabbed_simplexes(k, g, plane, 1) == {("a",): (1,)}
+    assert stabbed_simplexes(k, g, plane, 1)[0] == {("a",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("a", "b"), [(1, 0)])]
 
@@ -235,14 +236,14 @@ def test_image_membership_vertex():
 def test_image_membership_outside_segment():
     # the line x = 5 meets the affine hull of the edge but not the edge
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, _vertical_line(F(5)), 1) == {}
+    assert stabbed_simplexes(k, g, _vertical_line(F(5)), 1)[0] == {}
     assert _bary_pieces(k, g, _vertical_line(F(5))) == []
 
 
 def test_image_membership_midpoint():
     k, g = _one_edge([0, 2], [1, 3])
     plane = _vertical_line(F(1, 2))
-    assert stabbed_simplexes(k, g, plane, 1) == {
+    assert stabbed_simplexes(k, g, plane, 1)[0] == {
         ("a", "b"): (F(1, 2), F(1, 2))}
     assert _bary_pieces(k, g, plane) == [(("a", "b"), [(F(1, 2), F(1, 2))])]
 
@@ -251,7 +252,8 @@ def test_full_space_plane_meets_everything():
     fam = PlaneFamily(2, (), (1, 2), 2)
     plane = plane_through(fam, vec([100, 100]))
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, plane, 1) == {("a",): (1,), ("b",): (1,)}
+    assert stabbed_simplexes(k, g, plane, 1)[0] == {
+        ("a",): (1,), ("b",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("b",), [(1,)]), (("a", "b"), [(1, 0), (0, 1)])]
 
@@ -266,12 +268,37 @@ def test_piece_vertices_come_by_face_size_then_lexicographically():
     assert g.certified
     plane = _vertical_line(F(0))
     half = F(1, 2)
-    assert stabbed_simplexes(k, g, plane, 2) == {
+    assert stabbed_simplexes(k, g, plane, 2)[0] == {
         ("a",): (1,), ("b", "c"): (half, half)}
     assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("a", "b"), [(1, 0)]), (("a", "c"), [(1, 0)]),
         (("b", "c"), [(half, half)]),
         (("a", "b", "c"), [(1, 0, 0), (0, half, half)])]
+
+
+def test_minimal_faces_of_a_coface_come_by_size_then_lexicographically():
+    # The line through the midpoints of edges ad and bc meets the
+    # tetrahedron's other edges nowhere.  Each triangle lists the one of
+    # the two edges it holds; the tetrahedron's first facet, bcd, brings
+    # bc, but its piece lists ad's point first.
+    k = parse_complex("v a\nv b\nv c\nv d\ns a b c d\n")
+    images = {"a": vec([1, 5, 9]), "b": vec([12, 2, 7]), "c": vec([4, 13, 3]),
+              "d": vec([8, 6, 14])}
+    g = certify_map(k, PLMap(3, images))
+    assert g.certified
+    p, q = vec([F(9, 2), F(11, 2), F(23, 2)]), vec([8, F(15, 2), 5])
+    plane = ConcretePlane(PlaneFamily(3, (), (1, 2, 3), 1), p,
+                          (tuple(y - x for x, y in zip(p, q)),))
+    ad, bc = ("a", "d"), ("b", "c")
+    half = (F(1, 2), F(1, 2))
+    assert stabbed_simplexes(k, g, plane, 3) == (
+        {ad: half, bc: half},
+        {ad: (ad,), bc: (bc,), ("a", "b", "c"): (bc,), ("a", "b", "d"): (ad,),
+         ("a", "c", "d"): (ad,), ("b", "c", "d"): (bc,),
+         ("a", "b", "c", "d"): (ad, bc)})
+    image = section_of_image(k, g, plane)
+    assert image.sources[-1] == ("a", "b", "c", "d")
+    assert image.pieces[-1] == (p, q)
 
 
 _FAN = "v o\nv a\nv b\nv c\nv d\ns o a b\ns o b c\ns o d\ns a c\n"
@@ -300,13 +327,13 @@ def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
     at_o = [s for s in k.sorted_simplexes() if "o" in s]
     assert len(at_o) == 7
     plane = ConcretePlane(fam, o, extras)
-    assert stabbed_simplexes(k, g, plane, 2) == {("o",): (1,)}
+    assert stabbed_simplexes(k, g, plane, 2)[0] == {("o",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (s, [tuple(int(v == "o") for v in s)]) for s in at_o]
     nudge = F(1, 10 ** 9)
     off = ConcretePlane(fam, tuple(c - side * step for c, step in
                                    zip(o, (nudge, 2 * nudge))), extras)
-    assert stabbed_simplexes(k, g, off, 2) == {}
+    assert stabbed_simplexes(k, g, off, 2)[0] == {}
     assert _bary_pieces(k, g, off) == []
 
 
@@ -326,7 +353,7 @@ def test_membership_reads_lambda_back_through_each_vertex_scale():
     plane = ConcretePlane(PlaneFamily(3, (), (1, 2, 3), 1), point,
                           (vec([1, F(1, 2), F(2, 3)]),))
     assert [rhs for _, rhs in plane.covectors()] == [F(20, 9), F(83, 54)]
-    assert stabbed_simplexes(k, g, plane, 2) == {
+    assert stabbed_simplexes(k, g, plane, 2)[0] == {
         ("a", "b", "c"): (F(1, 2), F(1, 3), F(1, 6))}
     assert max_disjoint_stabbed(k, g, plane, 2) == (1, (("a", "b", "c"),))
 
@@ -367,7 +394,7 @@ def test_membership_sweep_matches_basic_solution_oracle():
                 want = {s: lam for s, verts in
                         _oracle_pieces(k, g, plane, nmax)
                         for lam in verts if len(verts) == 1 and min(lam) > 0}
-                assert stabbed_simplexes(k, g, plane, nmax) == want
+                assert stabbed_simplexes(k, g, plane, nmax)[0] == want
                 cases += 1
             pieces = _oracle_pieces(k, g, plane, k.dim)
             assert [(s, set(verts)) for s, verts
@@ -435,6 +462,32 @@ def test_linear_feasible_fixture():
     ok, checks = verify_stab_witness(w, sets, _LINE_IN_SPAN_E1)
     assert ok and checks >= 6
     assert w.points == (vec([0, 0, 0]), vec([5, 0, 0]))
+
+
+def test_witness_recheck_rejects_each_broken_condition():
+    # One certified witness broken five ways; each answer counts the
+    # conditions checked up to the failure: three per set, none for the
+    # family and the number of blocks.
+    sets = [[vec([0, 0, 0]), vec([1, 2, 0])], [vec([5, 2, 1]), vec([6, 0, -1])]]
+    fam = _LINE_IN_SPAN_E1
+    w = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam)).witness
+    half = (F(1, 2), F(1, 2))
+    assert w.lambdas == (half, half)
+    assert w.points == (vec([F(1, 2), 1, 0]), vec([F(11, 2), 1, 0]))
+    assert verify_stab_witness(w, sets, fam) == (True, 6)
+    off_plane = ConcretePlane(fam, vec([0, 1, 1]), w.plane.extra_directions)
+    off_point = vec([F(11, 2), 1, 1])
+    broken = {
+        "another family": (w, PlaneFamily(3, (), (1, 2), 1), 0),
+        "a block dropped": (replace(w, lambdas=(half,)), fam, 0),
+        "a block off 1": (replace(w, lambdas=(half, (F(1, 2), F(1, 3)))),
+                          fam, 4),
+        "a point off its combination": (
+            replace(w, points=(w.points[0], off_point)), fam, 5),
+        "the plane off a point": (replace(w, plane=off_plane), fam, 3),
+    }
+    for why, (bad, family, checks) in broken.items():
+        assert verify_stab_witness(bad, sets, family) == (False, checks), why
 
 
 def test_linear_rejects_large_q():
@@ -1175,8 +1228,8 @@ def test_count_rechecks_its_family(monkeypatch):
     real = transversal.stabbed_simplexes
     # a strictly positive point whose image is off the plane: the
     # barycentre of each edge, which keeps the edges minimal
-    monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: {
-        s: (F(1, len(s)),) * len(s) for s in real(*args)})
+    monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: ({
+        s: (F(1, len(s)),) * len(s) for s in real(*args)[0]}, {}))
     with pytest.raises(RuntimeError, match="re-verification"):
         max_disjoint_stabbed(k, g, _vertical_line(F(1, 2)), nmax=1)
     # a family whose members share a vertex: both edges of the path
