@@ -35,8 +35,8 @@ from .generic import GenericityError, GenericPool, _derived_seed
 from .ratmath import format_rational, parse_integer, parse_rational
 from .sections import (component_clusters, compute_components, eps_disjoint,
                        preimage_polytopes, section_of_image)
-from .simplicial import (certify_map, format_complex, format_map,
-                         parse_complex, parse_map, roberts_perturb)
+from .simplicial import (MAX_SIMPLEXES, certify_map, format_complex,
+                         format_map, parse_complex, parse_map, roberts_perturb)
 from .transversal import (SEARCH_BUDGET, _known_keys, decide_stab,
                           family_from_json_dict, max_disjoint_stabbed,
                           plane_from_json_dict, sets_from_json, stab_bound)
@@ -96,22 +96,16 @@ def _cert_summary(cert) -> dict:
 
 
 # gen draws once per simplex of the full complex on its vertices up to its
-# dimension, then closes and writes what it kept.  The slowest admitted
-# request measured on a 2-vCPU VM, --vertices 20 --dim 19 --density 1 (all
-# 2^20 - 1 kept), takes 33 s and 540 MB peak RSS; --vertices 1048576 --dim 0
-# takes 11 s and 406 MB.
-GEN_MAX_SIMPLEXES = 2 ** 20
-
-
+# dimension, so it counts those against the ceiling before it draws.
 def _run_gen(args, inputs) -> tuple[dict, dict, int]:
     if not 0 <= args.density <= 1:
         raise CliError("--density must lie in [0, 1]")
     simplexes = 0
     for size in range(1, min(args.dim + 1, args.vertices) + 1):
         simplexes += math.comb(args.vertices, size)
-        if simplexes > GEN_MAX_SIMPLEXES:
+        if simplexes > MAX_SIMPLEXES:
             raise CliError(f"--vertices {args.vertices} --dim {args.dim} "
-                           f"allow more than {GEN_MAX_SIMPLEXES} simplexes")
+                           f"allow more than {MAX_SIMPLEXES} simplexes")
     rng = random.Random(_derived_seed(args.seed, "gen"))
     k = batch.random_complex(rng, args.vertices, args.dim, args.density)
     result = {

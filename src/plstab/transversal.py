@@ -16,11 +16,11 @@ s_T axes.  This module provides:
   minors, Sturm) or the heuristic search (``not_found`` is never
   evidence); all three return a :class:`StabDecision`, and every witness
   and isolating interval is re-verified;
-* one integer builder of the block differences of the met points, shared
-  by the deciders (:func:`_block_differences`), and on it one stab test at
-  a lambda (:func:`_stabs_at`: the differences have rank at most d-t), the
-  univariate decider's polynomial rows and the search's Gram determinant
-  (:func:`_gram_det`);
+* one integer builder of the block differences of the met points, run
+  once per decision (:func:`_block_differences`: one lcm, one scale), read
+  at a flat point (:func:`_rows_at`) by the one stab test
+  (:func:`_stabs_at`: rank at most d-t) and the search's Gram determinant
+  (:func:`_gram_det`), and along a line by the univariate decider's rows;
 * the exact maximum family of pairwise vertex-disjoint stabbed simplexes
   of a PL image, by branch and bound, re-checked exactly.
 """
@@ -28,7 +28,6 @@ s_T axes.  This module provides:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -191,8 +190,9 @@ def stab_bound(n: int, m: int, d: int, t: int, T: int) -> BoundResult:
     """Exact ceiling on disjoint stabbed sets of dimension <= n, with its floor.
 
     Regime N1 applies when n >= (m-n-T)(d-t) and needs m-n-d >= 1; regime N2
-    applies otherwise and needs m-n-T >= 1.  The tie goes to N1 (the two
-    formulas agree there).
+    applies otherwise, and there m-n-T >= 1 follows from the regime test
+    itself, as n >= 0 and d-t >= 0.  The tie goes to N1 (the two formulas
+    agree there).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -204,8 +204,6 @@ def stab_bound(n: int, m: int, d: int, t: int, T: int) -> BoundResult:
         value = Fraction(d + 1 - t) + Fraction(n + (n + T - m) * (d - t), m - n - d)
         regime = "N1"
     else:
-        if m - n - T < 1:
-            raise ValueError("invalid parameters: m - n - T must be at least 1")
         value = 1 + Fraction(n, m - n - T)
         regime = "N2"
     return BoundResult(value, value.__floor__(), regime)
@@ -330,49 +328,51 @@ def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
 
 
 def _block_differences(point_sets, family, vectors
-                       ) -> list[tuple[int, list[list[int]]]]:
+                       ) -> tuple[int, list[list[list[int]]]]:
     """The differences y_i - y_1 of the met points on the block
-    coordinates, on integers: for each later set i, a positive integer
-    scale S_i and one integer row per stacked vector, the row over S_i
-    being exactly y_i - y_1 at that vector.
+    coordinates, on integers: one positive integer scale S and, for each
+    later set i, one integer row per stacked vector, the row over S being
+    exactly y_i - y_1 at that vector.
 
-    Each set i is cleared once on the block coordinates
-    (:func:`~plstab.ratmath._cleared`), by the lcm E_i of the denominators
-    of its points p_ij there, to the integer points E_i p_ij; the vectors
-    are cleared together, lambda = L / M.  Then y_i = Y_i / (M E_i) with
-    the integer Y_i = sum_j L_ij E_i p_ij, and with G_i = lcm(E_1, E_i) the
-    row is (G_i / E_i) Y_i - (G_i / E_1) Y_1 and S_i = M G_i.  As y_i is
-    linear in lambda, the rows of a sum of the vectors are the same sum of
-    their rows, over the same S_i.
+    All points are cleared together on the block coordinates
+    (:func:`~plstab.ratmath._cleared`), by the one lcm E of their
+    denominators there, to the integer points E p_ij; the vectors are
+    cleared together, lambda = L / M.  Then y_i = Y_i / (M E) with the
+    integer Y_i = sum_j L_ij E p_ij, the row is Y_i - Y_1 and S = M E.  As
+    y_i is linear in lambda, the rows of a sum of the vectors are the same
+    sum of their rows, over the same S.
     """
     coords = [c - 1 for c in family.block]
+    lcm_e, points = _cleared([p[c] for pts in point_sets for c in coords
+                              for p in pts])
     lcm_m, ints = _cleared([x for v in vectors for x in v])
-    size = len(vectors[0])
-    scaled = []  # per set: E_i, and its block columns times E_i
-    for pts in point_sets:
-        e_i, cols = _cleared([p[c] for c in coords for p in pts])
-        n = len(pts)
-        scaled.append((e_i, [cols[k:k + n] for k in range(0, len(cols), n)]))
-    sums = [[[sum(l * x for l, x in zip(block, column)) for column in cols]
-             for block, (_, cols) in zip(
-                 _blocks(point_sets, ints[k:k + size]), scaled)]
+    size, values = len(vectors[0]), iter(points)
+    cols = [[list(itertools.islice(values, len(pts))) for _ in coords]
+            for pts in point_sets]  # per set, its block columns times E
+    sums = [[[sum(l * x for l, x in zip(block, column)) for column in c_i]
+             for block, c_i in zip(_blocks(point_sets, ints[k:k + size]),
+                                   cols)]
             for k in range(0, len(ints), size)]  # the Y_i, per vector
-    (e_1, _), out = scaled[0], []
-    for i, (e_i, _) in enumerate(scaled[1:], 1):
-        g_i = math.lcm(e_1, e_i)
-        a, b = g_i // e_i, g_i // e_1
-        rows = [[a * y - b * y_1 for y, y_1 in zip(ys[i], ys[0])]
-                for ys in sums]
-        out.append((lcm_m * g_i, rows))
-    return out
+    return lcm_m * lcm_e, [[[y - y_1 for y, y_1 in zip(ys[i], ys[0])]
+                            for ys in sums] for i in range(1, len(cols))]
 
 
-def _stabs_at(point_sets, family, lam) -> bool:
+def _rows_at(diffs, u: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """The block differences at the flat point base + sum_k u_k w_k, from
+    the rows of :func:`_block_differences` at (base, w_1, ...): with B the
+    lcm of the denominators of u, the positive scale B S and the integer
+    rows B R_0 + sum_k B u_k R_k, which over B S are exactly y_i - y_1."""
+    scale, per_set = diffs
+    lcm_b, coeffs = _cleared((_ONE, *u))  # B, then B, B u_1, ...
+    return lcm_b * scale, [[sum(c * x for c, x in zip(coeffs, col))
+                            for col in zip(*rows)] for rows in per_set]
+
+
+def _stabs_at(diffs, u: Sequence[Fraction], family) -> bool:
     """The one stab test: a family member meets every hull at the met
-    points of lam exactly when their block differences have rank <= d-t."""
-    rows = [row for _, (row,) in _block_differences(point_sets, family,
-                                                     (lam,))]
-    return mat_rank(rows) <= family.d - family.t
+    points of the flat point u exactly when their block differences
+    (:func:`_rows_at`) have rank <= d-t."""
+    return mat_rank(_rows_at(diffs, u)[1]) <= family.d - family.t
 
 
 def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
@@ -396,7 +396,8 @@ def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
     most d-t; on a point flat the met points are fixed, so the test decides."""
     if flat is None:
         return StabDecision("infeasible")
-    if not _stabs_at(point_sets, family, flat[0]):
+    if not _stabs_at(_block_differences(point_sets, family, flat[:1]), (),
+                     family):
         return StabDecision("no_stab")
     return StabDecision("witness", _witness_from_lambda(point_sets, family,
                                                         flat[0]))
@@ -409,13 +410,14 @@ def _projected_difference_polys(point_sets, family, flat):
     """Rows (y_i - y_1)(s) on the line base + s w restricted to the block
     coordinates, as linear integer polynomials: the integer rows of
     :func:`_block_differences` at the base and at the direction are the two
-    coefficients.  Each row is S_i times the rational one, S_i > 0, so every
+    coefficients.  Each row is S times the rational one, S > 0, so every
     maximal minor is scaled by a positive integer and their primitive gcd
     is unchanged."""
     base_lambda, (direction,) = flat
+    _, per_set = _block_differences(point_sets, family,
+                                    (base_lambda, direction))
     return [[_trimmed([a, b]) for a, b in zip(at_base, along)]
-            for _, (at_base, along) in _block_differences(
-                point_sets, family, (base_lambda, direction))]
+            for at_base, along in per_set]
 
 
 def _isolate(p: list[int]):
@@ -508,21 +510,16 @@ _SNAP_DENOMINATORS = (8, 64, 1024, 32768)
 SEARCH_BUDGET = 500  # objective evaluations, unless the request says otherwise
 
 
-def _gram_det(rows, u: Sequence[Fraction]) -> Fraction:
+def _gram_det(diffs, u: Sequence[Fraction]) -> Fraction:
     """The search objective at u: the Gram determinant of the block
-    differences at base + sum_k u_k w_k, from the rows of
-    :func:`_block_differences` at (base, w_1, ...).
-
-    With B the lcm of the denominators of u, the integer rows
-    B R_0 + sum_k B u_k R_k are B S_i times the differences, so their
-    integer Gram determinant (:func:`~plstab.ratmath._minor`) over
-    prod_i (B S_i)^2 is the exact value over Q.
+    differences at base + sum_k u_k w_k.  The rows of :func:`_rows_at`
+    there are B S times the q-1 differences, so their integer Gram
+    determinant (:func:`~plstab.ratmath._minor`) over (B S)^(2(q-1)) is the
+    exact value over Q.
     """
-    scale, coeffs = _cleared((_ONE, *u))  # B, then B, B u_1, ...
-    at = [[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*vs)]
-          for _, vs in rows]
+    scale, at = _rows_at(diffs, u)
     gram = [[sum(x * y for x, y in zip(r, t)) for t in at] for r in at]
-    return Fraction(_minor(gram), math.prod((s * scale) ** 2 for s, _ in rows))
+    return Fraction(_minor(gram), scale ** (2 * len(at)))
 
 
 class _BudgetSpent(Exception):
@@ -549,19 +546,19 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
         return StabDecision("not_found" if witness is None else "witness",
                             witness, evaluations=evaluations)
 
-    rows = _block_differences(point_sets, family, (flat[0], *flat[1]))
+    diffs = _block_differences(point_sets, family, (flat[0], *flat[1]))
 
     def objective(u) -> Fraction:  # the one place that spends the budget
         nonlocal evaluations
         if evaluations == budget:
             raise _BudgetSpent
         evaluations += 1
-        return _gram_det(rows, u)
+        return _gram_det(diffs, u)
 
     def try_exact(u) -> Optional[StabWitness]:
-        lam = _flat_point(flat, u)
-        if _stabs_at(point_sets, family, lam):
-            return _witness_from_lambda(point_sets, family, lam)
+        if _stabs_at(diffs, u, family):
+            return _witness_from_lambda(point_sets, family,
+                                        _flat_point(flat, u))
         return None
 
     k = len(flat[1])

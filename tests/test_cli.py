@@ -401,8 +401,7 @@ def test_gen_refuses_more_simplexes_than_its_ceiling(capsys, tmp_path,
     # the ceiling is checked before any simplex is drawn, so a stub stands
     # in for the enumeration of the admitted requests
     from plstab import batch
-    from plstab.cli import GEN_MAX_SIMPLEXES
-    from plstab.simplicial import parse_complex
+    from plstab.simplicial import MAX_SIMPLEXES, parse_complex
     drawn = []
     monkeypatch.setattr(batch, "random_complex",
                         lambda rng, v, d, density: drawn.append((v, d))
@@ -411,7 +410,7 @@ def test_gen_refuses_more_simplexes_than_its_ceiling(capsys, tmp_path,
     code, out = run_cli(capsys, ["gen", "--vertices", str(vertices), "--dim",
                                  str(dim), "--density", "1/2",
                                  "--out", str(out_path)])
-    assert GEN_MAX_SIMPLEXES == 2 ** 20
+    assert MAX_SIMPLEXES == 2 ** 20
     if admitted:
         assert (code, drawn) == (0, [(vertices, dim)])
     else:
@@ -420,6 +419,24 @@ def test_gen_refuses_more_simplexes_than_its_ceiling(capsys, tmp_path,
             f"--vertices {vertices} --dim {dim} allow more than 1048576 "
             "simplexes")
         assert not out_path.exists()
+
+
+def test_complex_file_past_the_ceiling_exits_2_at_once(capsys, tmp_path):
+    # one declared simplex on 21 vertices has 2^21 - 1 > 2^20 faces: the
+    # complex is refused before any face is built, so the map and the
+    # plane are never read, and the one report names the file
+    names = [f"v{i}" for i in range(21)]
+    cx = write(tmp_path, "k.cx", "".join(f"v {v}\n" for v in names)
+               + "s " + " ".join(names) + "\n")
+    mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
+    pl = write(tmp_path, "p.json", VERTICAL_HALF)
+    code, out = run_cli(capsys, ["count", "--complex", cx, "--map", mp,
+                                 "--plane", pl, "--nmax", "1"])
+    report = json.loads(out)
+    assert (code, report["exit_code"]) == (2, 2)
+    assert report["error"] == (
+        f"{cx}: a simplex on 21 vertices has more than 1048576 faces")
+    assert list(report["inputs"]) == [cx]
 
 
 def test_perturb_round_trip(capsys, tmp_path):

@@ -11,15 +11,31 @@ from oracles import (det_cofactor, feasible_by_basic_solutions, integer_poly,
                      rank_by_minors, root_in_interval_by_grid, rref_naive,
                      simplex_witness_fraction, sturm_count_euclid)
 from plstab import ratmath
-from plstab.ratmath import (cauchy_root_bound, combination, format_rational,
-                            hull_rows, independent_subset, lp_feasible,
-                            mat_rank, nullspace_basis, parse_rational,
-                            simplest_between, solve_affine, square_free_part,
-                            sturm_count, vec, vec_dot)
+from plstab.ratmath import (as_fraction, cauchy_root_bound, combination,
+                            format_rational, hull_rows, independent_subset,
+                            lp_feasible, mat_rank, nullspace_basis,
+                            parse_rational, simplest_between, solve_affine,
+                            square_free_part, sturm_count, unit_vec, vec,
+                            vec_dot)
 
 F = Fraction
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_fraction("1"), TypeError, "cannot coerce str to Fraction"),
+    (lambda: unit_vec(3, 4), ValueError,
+     "unit vector index 4 out of range 1..3"),
+    (lambda: solve_affine([[F(1), F(0)], [F(0), F(1)]], [F(1)]), ValueError,
+     "rhs length does not match row count"),
+    (lambda: simplest_between(F(1), F(0)), ValueError, "empty interval"),
+], ids=["as-fraction-of-text", "unit-vec-index", "short-rhs",
+        "empty-interval"])
+def test_ratmath_input_checks_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # --- rational text form ---------------------------------------------------

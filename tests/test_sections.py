@@ -210,6 +210,21 @@ def test_eps_disjoint_strictness():
     assert eps_disjoint(part, F(101, 100)) is True
 
 
+_NO_COMPONENTS = ComponentPartition((), (), ())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eps_disjoint(_NO_COMPONENTS, F(0)), "eps must be positive"),
+    (lambda: eps_disjoint(_NO_COMPONENTS, F(-1)), "eps must be positive"),
+    (lambda: component_clusters(_NO_COMPONENTS, 0, F(1)),
+     "need q >= 1 and eps > 0"),
+], ids=["eps-zero", "eps-negative", "q-zero"])
+def test_sections_input_checks_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_components_chain_through_touching_pieces():
     a = (vec([0, 0]), vec([1, 0]))
     b = (vec([1, 0]), vec([2, 0]))  # touches a

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (coords_pairwise_distinct, det_cofactor,
                      full_position_transcript, max_minor_by_subsets)
+from plstab import simplicial
 from plstab.generic import GenericityError, GenericPool
 from plstab.ratmath import dist_sq, lp_feasible, mat_rank, vec, vec_sub
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
@@ -77,6 +78,54 @@ def test_closure_by_enumeration():
         for size in range(1, len(s) + 1):
             for face in itertools.combinations(s, size):
                 assert face in k.simplexes
+
+
+@pytest.mark.parametrize("ceiling, refused", [
+    (6, "a simplex on 3 vertices has more than 6 faces"),
+    (15, "the complex has more than 15 simplexes"),  # after round one, 16
+    (27, "the complex has more than 27 simplexes"),  # after round two, 28
+    (28, None),
+])
+def test_closure_refuses_a_complex_past_the_ceiling(monkeypatch, ceiling,
+                                                    refused):
+    # four disjoint triangles: 4 + 12 simplexes after the first round of
+    # the closure, 28 after the second; a triangle alone has 7 faces
+    monkeypatch.setattr(simplicial, "MAX_SIMPLEXES", ceiling)
+    text = "".join(f"v {v}\n" for v in "abcdefghijkl") + "".join(
+        f"s {' '.join(t)}\n" for t in ("abc", "def", "ghi", "jkl"))
+    if refused is None:
+        assert len(parse_complex(text).simplexes) == 28
+    else:
+        with pytest.raises(ValueError) as info:
+            parse_complex(text)
+        assert str(info.value) == refused
+
+
+_EDGE = SimplicialComplex.from_simplexes(["a", "b"], [["a", "b"]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SimplicialComplex.from_simplexes(["a", "a"], []), ValueError,
+     "duplicate vertex id"),
+    (lambda: SimplicialComplex.from_simplexes(["a"], [["a", "b"]]),
+     ValueError, "unknown vertex id 'b'"),
+    (lambda: SimplicialComplex.from_simplexes(["a", "b"], [["a", "b", "a"]]),
+     ValueError, "duplicate vertex in a simplex"),
+    (lambda: roberts_perturb(_EDGE, PLMap(1, {"a": vec([0]), "b": vec([1])}),
+                             F(0), GenericPool(1)),
+     ValueError, "eps must be positive"),
+    (lambda: roberts_perturb(_EDGE, PLMap(1, {"a": vec([0])}), F(1),
+                             GenericPool(1)),
+     ValueError, "missing vertex 'b'"),
+    (lambda: image_point(PLMap(1, {"a": vec([0]), "b": vec([1])}),
+                         ("a", "b"), [F(1)]),
+     ValueError, "barycentric length does not match simplex size"),
+], ids=["duplicate-id", "unknown-id", "repeated-vertex", "eps",
+        "theta-lacks-a-vertex", "weights-length"])
+def test_simplicial_input_checks_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_unused_vertex_becomes_singleton():

@@ -220,8 +220,8 @@ def test_witness_recheck_shares_no_helper_with_the_deciders():
     # verify_stab_witness re-checks what the deciders build from the
     # constraint flat and the met points, so it computes its own sums.
     calls = _transversal_calls()
-    helpers = {"stab_regime", "_met", "_block_differences", "_stabs_at",
-               "_flat_point"}
+    helpers = {"stab_regime", "_met", "_block_differences", "_rows_at",
+               "_stabs_at", "_flat_point"}
     assert calls["verify_stab_witness"] & helpers == set()
     assert helpers <= calls.keys()
 
@@ -250,16 +250,20 @@ def test_only_stab_regime_solves_the_constraint_flat():
 
 
 def test_one_stab_test_at_a_lambda():
-    # The deciders share one integer difference builder, one rank test and
-    # one flat point: _block_differences alone builds the differences of
-    # the met points, for the rank test, the univariate rows and the search
+    # The deciders share one integer difference builder, one reading of its
+    # rows at a flat point, one rank test and one flat point: each decider
+    # runs _block_differences once, at the flat's base (linear), base and
+    # direction (univariate) or base and basis (search); _rows_at alone
+    # reads those rows at a flat point, for the rank test and the search
     # objective; only _stabs_at takes a rank and only the search objective
     # a determinant; the Fraction met points serve the witness alone; and
-    # the search and the univariate decider reach lambdas on the flat
-    # through _flat_point.
+    # the search and the univariate decider reach the witness's lambda on
+    # the flat through _flat_point.
     assert _callers("_block_differences") == {
-        "_stabs_at", "_projected_difference_polys", "stab_search_general"}
+        "stab_exists_linear", "_projected_difference_polys",
+        "stab_search_general"}
     assert "_cleared" in _transversal_calls()["_block_differences"]
+    assert _callers("_rows_at") == {"_stabs_at", "_gram_det"}
     assert _callers("mat_rank") == {"_stabs_at"}
     assert _callers("_minor") == {"_gram_det"}
     assert _callers("_gram_det") == {"stab_search_general"}

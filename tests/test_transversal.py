@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -424,6 +425,19 @@ def test_membership_rejects_a_plane_of_another_dimension(call):
         call(k, g, plane)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: nonstab_case([1], 3, 1, 2, 3), "need 0 <= t <= d <= T <= m"),
+    (lambda: nonstab_case([], 3, 1, 0, 2), "need at least one set"),
+    (lambda: plane_through(PlaneFamily(3, (), (1, 2, 3), 1), vec([0, 0, 0]),
+                           [vec([1, 0, 0]), vec([0, 1, 0])]),
+     "cannot reach dimension d inside span(s_T)"),
+], ids=["t-above-d", "no-sets", "span-rank-above-d-t"])
+def test_transversal_input_checks_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # --- the regime rule and the exact linear-regime decision ----------------------
 
 _LINE_IN_SPAN_E1 = PlaneFamily(3, (), (1,), 1)
@@ -580,26 +594,30 @@ def _stab_test_cases(draw):
 @given(_stab_test_cases(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_stabs_at_is_the_rank_of_the_block_differences(case, data):
-    # at any stacked lambda and at a point of the constraint flat (the
-    # flat itself when it is a point): the met points' differences on the
+    # built at a stacked lambda and tested there, and built at the
+    # constraint flat's base and basis (the base alone when it is a point)
+    # and tested at a flat point u: the met points' differences on the
     # block coordinates, summed here, have rank at most d-t
     fam, sets = case
     total = sum(len(ps) for ps in sets)
-    lams = [data.draw(st.lists(small_rat, min_size=total, max_size=total))]
+    lam = data.draw(st.lists(small_rat, min_size=total, max_size=total))
+    cases = [(lam, transversal._block_differences(sets, fam, (lam,)), ())]
     flat = stab_regime(sets, fam)[1]
     if flat is not None:
         u = data.draw(st.lists(small_rat, min_size=len(flat[1]),
                                max_size=len(flat[1])))
-        lams.append(transversal._flat_point(flat, u))
-    for lam in lams:
+        cases.append((transversal._flat_point(flat, u),
+                      transversal._block_differences(
+                          sets, fam, (flat[0], *flat[1])), u))
+    for lam, diffs, u in cases:
         ys, start = [], 0
         for ps in sets:
             weights, start = lam[start:start + len(ps)], start + len(ps)
             ys.append([sum((w * p[c - 1] for w, p in zip(weights, ps)), F(0))
                        for c in fam.block])
-        diffs = [[a - b for a, b in zip(y, ys[0])] for y in ys[1:]]
-        assert transversal._stabs_at(sets, fam, lam) == (
-            rank_by_minors(diffs) <= fam.d - fam.t)
+        want = [[a - b for a, b in zip(y, ys[0])] for y in ys[1:]]
+        assert transversal._stabs_at(diffs, u, fam) == (
+            rank_by_minors(want) <= fam.d - fam.t)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -874,10 +892,12 @@ def test_univariate_decision_matches_gram_oracle(case):
 @given(univariate_cases(max_denominator=12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_integer_block_differences_match_the_fraction_oracle(case, data):
-    # points with mixed denominators, so a set's lcm E_i is not each of its
-    # points' D_ij: the builder's rows over S_i are the term-by-term sums,
-    # the search objective is the Gram determinant of those sums, and the
-    # univariate gcd is the one of the oracle rows cleared per row
+    # points with mixed denominators, so the one lcm E is not each point's
+    # own denominator: the builder's rows over its one scale S are the
+    # term-by-term sums, its rows read at a flat point u are those of the
+    # combined lambda, the search objective is the Gram determinant of
+    # those sums, and the univariate gcd is the one of the oracle rows
+    # cleared per row
     family, sets = case
     total = sum(len(ps) for ps in sets)
     rat = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -885,9 +905,10 @@ def test_integer_block_differences_match_the_fraction_oracle(case, data):
                                           max_size=total),
                                  min_size=1, max_size=3))
     got = transversal._block_differences(sets, family, vectors)
-    assert len(got) == len(sets) - 1 and all(s > 0 for s, _ in got)
+    scale, rows = got
+    assert scale > 0 and len(rows) == len(sets) - 1
     for k, lam in enumerate(vectors):
-        assert [[F(x, s) for x in rows[k]] for s, rows in got] == (
+        assert [[F(x, scale) for x in per_set[k]] for per_set in rows] == (
             block_differences_naive(sets, family.block, lam))
     u = data.draw(st.lists(rat, min_size=len(vectors) - 1,
                            max_size=len(vectors) - 1))
@@ -895,6 +916,9 @@ def test_integer_block_differences_match_the_fraction_oracle(case, data):
     for coeff, w in zip(u, vectors[1:]):
         lam = [x + coeff * y for x, y in zip(lam, w)]
     diffs = block_differences_naive(sets, family.block, lam)
+    at_scale, at = transversal._rows_at(got, u)
+    assert at_scale > 0
+    assert [[F(x, at_scale) for x in row] for row in at] == diffs
     gram = [[sum((a * b for a, b in zip(r, t)), F(0)) for t in diffs]
             for r in diffs]
     assert transversal._gram_det(got, u) == det_cofactor(gram)
@@ -1171,6 +1195,46 @@ def test_decide_stab_solves_the_constraint_flat_once(monkeypatch):
         seen.append((got["mode"], got["status"], len(calls)))
     assert seen == [("linear", "witness", 1), ("univariate", "witness", 1),
                     ("search", "witness", 1)]
+
+
+def test_each_decision_builds_the_block_differences_once(monkeypatch):
+    # one build per decision, at the flat's base, base and direction or
+    # base and basis, whatever the number of stab tests the search runs at
+    # its candidates; none on an empty flat
+    builds, tests = [], []
+    build, stabs_at = (transversal._block_differences,
+                       transversal._stabs_at)
+
+    def counting_build(point_sets, family, vectors):
+        got = build(point_sets, family, vectors)
+        builds.append((len(vectors), type(got[0])))
+        return got
+
+    def counting_test(diffs, u, family):
+        tests.append(len(u))
+        return stabs_at(diffs, u, family)
+
+    monkeypatch.setattr(transversal, "_block_differences", counting_build)
+    monkeypatch.setattr(transversal, "_stabs_at", counting_test)
+    cases = [([[vec([0, 0, 0])], [vec([5, 0, 1])]], _PLANE_E1, 0),
+             ([[vec([0, 0, 0])], [vec([5, 0, 0])]], _PLANE_E1, 0),
+             ([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]], _POINT_FAMILY_2D, 0),
+             (_Z_SETS, PlaneFamily(3, (), (1, 2, 3), 1), 500),
+             ([[vec([0, 0]), vec([0, 0])], [vec([1, 1])],
+               [vec([2, 2]), vec([2, 2]), vec([2, 2])]], _POINT_FAMILY_2D, 60)]
+    seen = []
+    for sets, family, budget in cases:
+        builds.clear()
+        tests.clear()
+        got = decide_stab(sets, family, budget, 0)
+        seen.append((got["mode"], got["status"], builds[:], len(tests)))
+    assert seen == [("linear", "infeasible", [], 0),
+                    ("linear", "witness", [(1, int)], 1),
+                    ("univariate", "witness", [(2, int)], 0),
+                    ("search", "witness", [(4, int)], 1),
+                    ("search", "not_found", [(4, int)], 9)]
+    assert list(inspect.signature(stabs_at).parameters) == [
+        "diffs", "u", "family"]
 
 
 # --- counting disjoint stabbed simplexes ------------------------------------
