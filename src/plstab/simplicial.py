@@ -41,15 +41,15 @@ class ParseError(ValueError):
 
 
 # The one ceiling on a complex's size, in simplexes: a complex read from a
-# file or drawn by gen holds at most this many.  The largest admitted gen
-# request measured on a 2-vCPU VM, --vertices 20 --dim 19 --density 1 (all
-# 2^20 - 1 kept), takes 33 s and 540 MB peak RSS; --vertices 1048576 --dim 0
-# takes 11 s and 406 MB.
+# file or drawn by gen holds at most this many.  Measured on a 2-vCPU VM,
+# gen --vertices 20 --dim 19 --density 1 (all 2^20 - 1 kept) takes 11 s and
+# 540 MB peak RSS, and gen --vertices 1048576 --dim 0 takes 3 s and 413 MB.
 MAX_SIMPLEXES = 2 ** 20
 
 
-def _closure(simplexes) -> frozenset[Simplex]:
-    """Every nonempty face of the simplexes, as sorted tuples.
+def _closure(simplexes) -> tuple[frozenset[Simplex], tuple[Simplex, ...]]:
+    """Every nonempty face of the simplexes, as sorted tuples, and the
+    maximal ones (yielded as no round's facet) by size, then vertex ids.
 
     A face expands its facets only in the one round it enters the closure,
     so the work is the closure's size times the largest simplex size.
@@ -61,6 +61,7 @@ def _closure(simplexes) -> frozenset[Simplex]:
     """
     closed: set[Simplex] = set()
     new = {tuple(sorted(s)) for s in simplexes} - {()}
+    maximal = new  # not copied: each round rebinds ``new``
     size = max(map(len, new), default=0)
     if (1 << size) - 1 > MAX_SIMPLEXES:
         raise ValueError(f"a simplex on {size} vertices has more than "
@@ -70,9 +71,12 @@ def _closure(simplexes) -> frozenset[Simplex]:
         if len(closed) > MAX_SIMPLEXES:
             raise ValueError(f"the complex has more than {MAX_SIMPLEXES} "
                              "simplexes")
-        new = {s[:i] + s[i + 1:] for s in new if len(s) > 1
-               for i in range(len(s))} - closed
-    return frozenset(closed)
+        facets = {s[:i] + s[i + 1:] for s in new if len(s) > 1
+                  for i in range(len(s))}
+        maximal -= facets
+        new = facets - closed
+    maximal = tuple(sorted(sorted(maximal), key=len))  # by size, then ids
+    return frozenset(closed), maximal
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class SimplicialComplex:
 
     vertices: tuple[str, ...]
     simplexes: frozenset[Simplex]
+    _maximal: tuple[Simplex, ...] = field(repr=False, compare=False)
 
     @classmethod
     def from_simplexes(cls, vertices: Sequence[str],
@@ -95,27 +100,19 @@ class SimplicialComplex:
                     raise ValueError(f"unknown vertex id {v!r}")
             if len(set(s)) != len(s):
                 raise ValueError("duplicate vertex in a simplex")
-        closed = _closure(list(simplexes) + [(v,) for v in vertices])
-        return cls(vertices, closed)
+        return cls(vertices,
+                   *_closure(list(simplexes) + [(v,) for v in vertices]))
 
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self.simplexes), default=0) - 1
+        return len(self._maximal[-1]) - 1 if self._maximal else -1
 
     def sorted_simplexes(self) -> list[Simplex]:
         return sorted(self.simplexes, key=lambda s: (len(s), s))
 
     def maximal_simplexes(self) -> list[Simplex]:
-        """Simplexes that are no facet of another, in sorted_simplexes order.
-
-        A face-closed complex holds a chain of facets between any simplex
-        and a proper coface, so no proper face is missed.  Only the
-        survivors are sorted.
-        """
-        facets = {s[:i] + s[i + 1:] for s in self.simplexes if len(s) > 1
-                  for i in range(len(s))}
-        return sorted((s for s in self.simplexes if s not in facets),
-                      key=lambda s: (len(s), s))
+        """Simplexes that are no facet of another, by size and vertex ids."""
+        return list(self._maximal)
 
 
 def _records(text: str, kinds: tuple[str, ...]):
@@ -258,13 +255,17 @@ def generic_position_transcript(k: SimplicialComplex, g: PLMap) -> list[int]:
     return transcript
 
 
+def _certified(k: SimplicialComplex, g: PLMap) -> PLMap:
+    """g with its certificate against k; shares g's images and integer form."""
+    return replace(g, certificate=certify(generic_position_transcript(k, g)))
+
+
 def certify_map(k: SimplicialComplex, g: PLMap) -> PLMap:
-    """Recompute the genericity certificate of g against complex k; the
-    result shares g's images and integer form."""
+    """Recompute the genericity certificate of g against complex k."""
     for v in k.vertices:
         if v not in g.images:
             raise ValueError(f"missing vertex {v!r}")
-    return replace(g, certificate=certify(generic_position_transcript(k, g)))
+    return _certified(k, g)
 
 
 def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
@@ -296,10 +297,9 @@ def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
             if dist_sq(point, target) >= eps * eps:
                 raise RuntimeError("perturbation left the eps ball")
             images[v] = point
-        g = PLMap(m, images)
-        cert = certify(generic_position_transcript(k, g))
-        if cert.ok:
-            return replace(g, certificate=cert)
+        g = _certified(k, PLMap(m, images))
+        if g.certified:
+            return g
     raise GenericityError(
         f"certification failed {REGEN_ATTEMPTS} times from seed {pool.seed}")
 

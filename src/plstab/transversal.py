@@ -620,9 +620,10 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
     search with ``budget`` and ``seed``), on the flat it solved, as report
     fields.  ``mode`` names the decider and ``status`` is its answer.  A
     witness comes with its lambdas, plane and met points, any other answer
-    with empty ones and any interval and ``reduced`` polynomial it rests
-    on; a search answer adds its ``evaluations``.  ``certified`` is the
-    re-check of the witness (:func:`verify_stab_witness`) or the interval
+    with empty ones and any interval it rests on; every univariate answer
+    adds its ``reduced`` polynomial, a search answer its ``evaluations``.
+    ``certified`` is the re-check of the witness
+    (:func:`verify_stab_witness`) or the interval
     (:func:`verify_interval_certificate`); ``infeasible`` and ``no_stab``
     are exact decisions, ``not_found`` is not.
     """
@@ -636,6 +637,8 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
     out: dict = {"mode": mode, "status": got.status}
     if got.evaluations is not None:
         out["evaluations"] = got.evaluations
+    if got.reduced is not None:
+        out["reduced"] = [format_rational(c) for c in got.reduced]
     if got.witness is not None:
         ok, checks = verify_stab_witness(got.witness, point_sets, family)
         out.update(certified=ok, conditions_checked=checks,
@@ -653,8 +656,6 @@ def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
                    interval=[format_rational(x) for x in got.interval])
     else:
         out["certified"] = got.status in ("infeasible", "no_stab")
-    if got.reduced is not None:
-        out["reduced"] = [format_rational(c) for c in got.reduced]
     return out
 
 

@@ -52,16 +52,26 @@ def test_parse_comments_and_blank_lines():
 
 
 def test_maximal_simplexes_match_the_quadratic_definition():
+    cases = [
+        ("abc", ["ab", "cba"]),  # a declared edge inside a declared triangle
+        ("abcd", ["bcd", "dcb", "ab"]),  # a triangle declared twice
+        ("abcde", ["bd"]),  # isolated vertices a, c and e
+        ("", []),  # the empty complex
+    ]
     rng = random.Random(41)
     for _ in range(80):
         vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
-        declared = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
-                    for _ in range(rng.randint(0, 6))]
-        k = SimplicialComplex.from_simplexes(vertices, declared)
+        cases.append((vertices, [
+            rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
+            for _ in range(rng.randint(0, 6))]))
+    for vertices, declared in cases:
+        k = SimplicialComplex.from_simplexes(list(vertices),
+                                             [list(s) for s in declared])
         # unused vertices stay as isolated 0-simplexes
         want = [s for s in k.sorted_simplexes()
                 if not any(set(s) < set(t) for t in k.simplexes)]
         assert k.maximal_simplexes() == want
+        assert k.dim == max((len(s) for s in k.simplexes), default=0) - 1
 
 
 def test_round_trip_triangle():
@@ -209,6 +219,17 @@ def test_perturb_regenerates_after_failed_certificate():
     # the successful attempt came from the successor seed
     expected = roberts_perturb(k, theta, F(1), GenericPool(22))
     assert g.images == expected.images
+
+
+def test_perturbed_map_carries_certify_maps_certificate():
+    # one place builds a map's certificate: a perturbed map's, first
+    # attempt or regenerated, is the one certify_map gives its images
+    for k, pool in ((parse_complex("v a\nv b\nv c\nv d\ns a b c\ns c d\n"),
+                     GenericPool(3)),
+                    (parse_complex("v a\nv b\ns a b\n"), _DegeneratePool(21))):
+        g = roberts_perturb(k, _const_map(k, 3), F(1, 2), pool)
+        again = certify_map(k, PLMap(g.m, g.images))
+        assert g.certified and again.certificate == g.certificate
 
 
 def test_perturb_impossible_dimension_exhausts():

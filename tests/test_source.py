@@ -359,3 +359,37 @@ def test_sections_walk_no_faces():
     subsets = {"itertools", "combinations", "product", "powerset"}
     assert [line for line, name in names(section) if name in subsets] == []
     assert [name for _, name in names(section)].count("stabbed_simplexes") == 1
+
+
+def test_one_closure_walk_and_one_map_certificate():
+    # The closure walk records the maximal simplexes, so neither
+    # maximal_simplexes nor dim reads the faces again, and the walk's is
+    # the one facet comprehension; certify_map and roberts_perturb build a
+    # map's certificate through one helper, which nothing else duplicates.
+    path = Path(plstab.__file__).with_name("simplicial.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)}
+
+    def names(body):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(body)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    def callers(callee):
+        return {name for name, body in bodies.items()
+                for node in ast.walk(body) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == callee}
+
+    assert "simplexes" not in names(bodies["maximal_simplexes"])
+    assert "simplexes" not in names(bodies["dim"])
+    facets = [name for name, body in bodies.items()
+              for node in ast.walk(body) if isinstance(node, ast.BinOp)
+              and all(isinstance(side, ast.Subscript)
+                      and isinstance(side.slice, ast.Slice)
+                      for side in (node.left, node.right))]
+    assert facets == ["_closure"]
+    assert callers("certify") == {"_certified"}
+    assert callers("generic_position_transcript") == {"_certified"}
+    assert callers("_certified") == {"certify_map", "roberts_perturb"}

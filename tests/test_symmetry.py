@@ -11,7 +11,11 @@ stab the search found, but it answers a re-checked witness or not_found,
 nothing else.  A count, and the number of pieces and of components of the
 image and the preimage sections, depend neither on the names of the
 vertices nor on one translation or one diagonal rational scaling of the
-coordinates, applied to the map and the plane together.
+coordinates, applied to the map and the plane together.  The metric
+answers of ``section`` and ``cotype`` (the eps test, the largest squared
+diameter and the clusters) do not depend on an isometry that keeps the
+family: a permutation of the coordinates inside s_t, inside s_T minus s_t
+and outside s_T, a sign flip of one coordinate, or a translation.
 """
 
 import random
@@ -21,8 +25,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from plstab.batch import random_complex, sample_plane_adversarial
-from plstab.sections import (compute_components, preimage_polytopes,
-                             section_of_image)
+from plstab.sections import (MAX_CLUSTER_COMPONENTS, component_clusters,
+                             compute_components, eps_disjoint,
+                             preimage_polytopes, section_of_image)
 from plstab.simplicial import PLMap, SimplicialComplex, certify_map
 from plstab.transversal import (ConcretePlane, PlaneFamily, decide_stab,
                                 max_disjoint_stabbed, stab_decide_univariate,
@@ -223,3 +228,94 @@ def test_count_is_invariant_under_relabelling_and_translation(
         tuple(tuple(x * s for x, s in zip(e, scale))
               for e in plane.extra_directions))
     assert _counts(k, g4, scaled) == counts
+
+
+_ANY_FAMILY = st.integers(2, 4).flatmap(_families)
+# a d-plane with d >= m - 1 cuts a 2-simplex image in a segment or more
+_WIDE_FAMILY = _ANY_FAMILY.filter(lambda f: f.d + 1 >= f.m)
+
+
+def _fields(section):
+    """The components of a section, and the report fields it shares."""
+    part = compute_components(section)
+    return part, {"pieces": len(section.pieces),
+                  "components": len(part.components),
+                  "max_diameter_sq": max(part.diameters_sq, default=0)}
+
+
+def _metric_answers(k, g, plane, eps, eps_pre, q):
+    """The section answer at eps and the cotype answer at eps_pre and q,
+    field for field as the CLI reports them."""
+    image, section = _fields(section_of_image(k, g, plane))
+    section["result"] = eps_disjoint(image, eps)
+    preimage, cotype = _fields(preimage_polytopes(k, g, plane))
+    assume(q >= len(preimage.components)
+           or len(preimage.components) <= MAX_CLUSTER_COMPONENTS)
+    clusters = component_clusters(preimage, q, eps_pre)
+    cotype.update(result=clusters is not None, clusters=clusters)
+    return section, cotype
+
+
+def _moved(k, g, plane, point_map, linear_map):
+    """The map and the plane carried by one affine isometry, given by its
+    action on points and on directions; None when the moved map fails
+    certification."""
+    g2 = certify_map(k, PLMap(g.m, {v: point_map(p)
+                                    for v, p in g.images.items()}))
+    if not g2.certified:
+        return None
+    return g2, ConcretePlane(plane.family, point_map(plane.basepoint),
+                             tuple(map(linear_map, plane.extra_directions)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(_ANY_FAMILY, _WIDE_FAMILY), st.integers(4, 7),
+       st.integers(0, 2 ** 32), st.data())
+def test_metric_answers_are_invariant_under_the_family_isometries(
+        family, nv, seed, data):
+    m = family.m
+    rng = random.Random(seed)
+    k = random_complex(rng, nv, 2, F(1, 3))
+    coords = data.draw(st.lists(st.integers(-40, 40), unique=True,
+                                min_size=nv * m, max_size=nv * m))
+    g = certify_map(k, PLMap(m, {
+        v: tuple(map(F, coords[i * m:(i + 1) * m]))
+        for i, v in enumerate(k.vertices)}))
+    assume(g.certified)
+    plane = sample_plane_adversarial(rng, family, k, g)
+    # image coordinates span 80, a preimage at most sqrt(2)
+    eps = data.draw(st.sampled_from([F(1, 2), F(5), F(20), F(60)]))
+    eps_pre = data.draw(st.sampled_from([F(1, 4), F(3, 4), F(5, 4)]))
+    q = data.draw(st.integers(1, 3))
+    answers = _metric_answers(k, g, plane, eps, eps_pre, q)
+
+    # a permutation of the coordinates inside each class of the family
+    classes = [list(family.s_t),
+               [c for c in family.s_T if c not in family.s_t],
+               [c for c in range(1, m + 1) if c not in family.s_T]]
+    target = {}
+    for cls in classes:
+        target.update(zip(cls, data.draw(st.permutations(cls))))
+
+    def permute(p):
+        out = [None] * m
+        for c, x in enumerate(p, start=1):
+            out[target[c] - 1] = x
+        return tuple(out)
+
+    flip = data.draw(st.integers(0, m - 1))
+
+    def flip_sign(p):
+        return tuple(-x if c == flip else x for c, x in enumerate(p))
+
+    shift = data.draw(st.lists(_SHIFTS, min_size=m, max_size=m))
+
+    def translate(p):
+        return tuple(x + s for x, s in zip(p, shift))
+
+    for point_map, linear_map in ((permute, permute), (flip_sign, flip_sign),
+                                  (translate, lambda e: e)):
+        moved = _moved(k, g, plane, point_map, linear_map)
+        assume(moved is not None)  # two coordinates may become equal
+        assert _metric_answers(k, *moved, eps, eps_pre, q) == answers

@@ -524,7 +524,7 @@ def test_linear_rejects_large_q():
     assert got == StabDecision("infeasible")
 
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -889,6 +889,25 @@ def test_univariate_decision_matches_gram_oracle(case):
         assert sturm_count_euclid(got.reduced) == sturm_count_euclid(gram)
 
 
+@given(univariate_cases())
+@example((_POINT_FAMILY_2D, [[vec([0, 0]), vec([2, 2])], [vec([1, 1])]]))
+@settings(max_examples=150, deadline=None)
+def test_every_univariate_report_carries_its_reduced_polynomial(case):
+    # a witness at a rational root reports the gcd too, and its lambda
+    # base + s w on the flat has reduced(s) = 0
+    family, sets = case
+    mode, flat = stab_regime(sets, family)
+    assume(mode == "univariate")
+    got = decide_stab(sets, family, 0, 0)
+    reduced = [Fraction(c) for c in got["reduced"]]
+    assert reduced == list(stab_decide_univariate(sets, family, flat).reduced)
+    if got["status"] == "witness" and "interval" not in got:
+        lam = [Fraction(x) for block in got["lambdas"] for x in block]
+        base, (w,) = flat
+        j = next(j for j, x in enumerate(w) if x)
+        assert poly_eval_naive(reduced, (lam[j] - base[j]) / w[j]) == 0
+
+
 @given(univariate_cases(max_denominator=12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_integer_block_differences_match_the_fraction_oracle(case, data):
@@ -1104,7 +1123,7 @@ _STAB_REPORTS = [
      '["1"]], "mode": "univariate", '
      '"plane": {"ST": [1, 2], "St": [], "basepoint": ["1", "1"], '
      '"d": 0, "extra_dirs": [], "m": 2}, "points": [["1", "1"], ["1", "1"]], '
-     '"status": "witness"}'),
+     '"reduced": ["-1", "2"], "status": "witness"}'),
     ([[vec([0, 0]), vec([2, 2])], [vec([2, 0])]], _POINT_FAMILY_2D, 0,
      '{"certified": true, "conditions_checked": 0, "lambdas": null, '
      '"mode": "univariate", "plane": null, "reduced": ["1"], '
