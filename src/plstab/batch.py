@@ -193,43 +193,32 @@ def _random_extras(rng: random.Random, family: PlaneFamily) -> list[Vec]:
 
 def sample_plane_random(rng: random.Random, family: PlaneFamily,
                         g: PLMap) -> ConcretePlane:
-    """Family member with a basepoint near the image and random directions."""
+    """Family member with a basepoint near the image and random directions;
+    one draw, never retried: :func:`~plstab.transversal.plane_through` gets
+    exactly d-t span vectors inside span(s_T), so it cannot fail."""
     lo = [min(p[c] for p in g.images.values()) for c in range(g.m)]
     hi = [max(p[c] for p in g.images.values()) for c in range(g.m)]
-    for _ in range(32):
-        base = []
-        for c in range(g.m):
-            span = hi[c] - lo[c] + 2
-            base.append(lo[c] - 1 + Fraction(rng.randrange(10 ** 6), 10 ** 6) * span)
-        try:
-            return plane_through(family, vec(base), _random_extras(rng, family))
-        except ValueError:
-            continue
-    raise RuntimeError("could not sample an admissible plane")
+    base = [lo[c] - 1 + Fraction(rng.randrange(10 ** 6), 10 ** 6)
+            * (hi[c] - lo[c] + 2) for c in range(g.m)]
+    return plane_through(family, vec(base), _random_extras(rng, family))
 
 
 def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
                              k: SimplicialComplex, g: PLMap) -> ConcretePlane:
-    """Family member anchored on an image point, directions from image differences."""
+    """Family member anchored on an image point, directions from image
+    differences; one draw, never retried, as in :func:`sample_plane_random`."""
     simplexes = k.sorted_simplexes()
-    for _ in range(32):
-        s = simplexes[rng.randrange(len(simplexes))]
-        weights = [Fraction(rng.randint(0, 3)) for _ in s]
-        if sum(weights) == 0:
-            weights[0] = _ONE
-        total = sum(weights)
-        base = image_point(g, s, [w / total for w in weights])
-        span_vectors = []
-        verts = list(g.images)
-        for _ in range(family.d - family.t):
-            pa, pb = (g.images[v] for v in rng.sample(verts, 2))
-            span_vectors.append(
-                family.embed([pa[j - 1] - pb[j - 1] for j in family.block]))
-        try:
-            return plane_through(family, base, span_vectors)
-        except ValueError:
-            continue
-    raise RuntimeError("could not sample an adversarial plane")
+    s = simplexes[rng.randrange(len(simplexes))]
+    weights = [Fraction(rng.randint(0, 3)) for _ in s]
+    if sum(weights) == 0:
+        weights[0] = _ONE
+    total = sum(weights)
+    base = image_point(g, s, [w / total for w in weights])
+    images = list(g.images.values())
+    pairs = (rng.sample(images, 2) for _ in range(family.d - family.t))
+    return plane_through(family, base, [
+        family.embed([pa[j - 1] - pb[j - 1] for j in family.block])
+        for pa, pb in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 from .generic import (REGEN_ATTEMPTS, GenericityCertificate, GenericityError,
                       GenericPool, certify, distinctness_transcript,
                       regeneration_pools)
-from .ratmath import (_INTEGER_RE, Vec, _cleared, _minor, as_fraction,
-                      combination, dist_sq, format_rational, parse_integer,
-                      parse_rational, vec)
+from .ratmath import (Vec, _cleared, _minor, as_fraction, combination,
+                      dist_sq, format_rational, parse_integer, parse_rational,
+                      vec)
 
 Simplex = tuple[str, ...]
 
@@ -195,9 +195,10 @@ def parse_map(text: str) -> PLMap:
         if kind == "m":
             if m is not None:
                 raise ParseError(lineno, "duplicate header")
-            if len(args) != 1 or not _INTEGER_RE.fullmatch(args[0]):
-                raise ParseError(lineno, "header needs one count")
-            m = parse_integer(args[0])
+            try:
+                (m,) = map(parse_integer, args)
+            except ValueError as exc:
+                raise ParseError(lineno, "header needs one count") from exc
             if m < 1:
                 raise ParseError(lineno, "ambient dimension must be positive")
         else:

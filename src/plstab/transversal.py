@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -51,12 +51,19 @@ _FAMILY_KEYS = ("m", "St", "ST", "d")  # a family's JSON keys
 
 @dataclass(frozen=True)
 class PlaneFamily:
-    """Pattern of d-planes parallel to coordinate planes s_t inside s_T (1-based)."""
+    """Pattern of d-planes parallel to coordinate planes s_t inside s_T (1-based).
+
+    The coordinate partition is recorded once, after the checks: ``block``
+    is s_T minus s_t and ``outside`` every coordinate not in s_T, both
+    1-based and ascending.
+    """
 
     m: int
     s_t: tuple[int, ...]
     s_T: tuple[int, ...]
     d: int
+    block: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    outside: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s_t != tuple(sorted(set(self.s_t))):
@@ -69,6 +76,10 @@ class PlaneFamily:
             raise ValueError("coordinate indices must lie in 1..m")
         if not self.t <= self.d <= self.T <= self.m:
             raise ValueError("need |s_t| <= d <= |s_T| <= m")
+        object.__setattr__(self, "block", tuple(
+            j for j in self.s_T if j not in self.s_t))
+        object.__setattr__(self, "outside", tuple(
+            j for j in range(1, self.m + 1) if j not in self.s_T))
 
     @property
     def t(self) -> int:
@@ -77,11 +88,6 @@ class PlaneFamily:
     @property
     def T(self) -> int:
         return len(self.s_T)
-
-    @property
-    def block(self) -> tuple[int, ...]:
-        """Coordinates of s_T not pinned by s_t."""
-        return tuple(j for j in self.s_T if j not in set(self.s_t))
 
     def embed(self, block_coords: Sequence) -> Vec:
         """The vector of R^m with the given block coordinates, 0 elsewhere."""
@@ -93,8 +99,7 @@ class PlaneFamily:
     def restrict(self, v: Sequence, what: str) -> Vec:
         """The block coordinates of v, which must lie in span(s_T); the
         error names v as ``what``."""
-        in_T = set(self.s_T)
-        if any(v[j - 1] != 0 for j in range(1, self.m + 1) if j not in in_T):
+        if any(v[j - 1] != 0 for j in self.outside):
             raise ValueError(f"{what} leaves span(s_T)")
         return tuple(v[j - 1] for j in self.block)
 
@@ -121,21 +126,11 @@ class ConcretePlane:
         normals = nullspace_basis(restricted, len(fam.block))
         if len(fam.block) - len(normals) != len(restricted):  # rank by nullity
             raise ValueError("direction space has dimension below d")
-        object.__setattr__(self, "_covectors", self._build_covectors(normals))
-
-    def _build_covectors(self, normals: Sequence[Vec]
-                         ) -> tuple[tuple[Vec, Fraction], ...]:
-        fam = self.family
-        out: list[tuple[Vec, Fraction]] = []
-        in_T = set(fam.s_T)
-        for j in range(1, fam.m + 1):
-            if j not in in_T:
-                c = unit_vec(fam.m, j)
-                out.append((c, self.basepoint[j - 1]))
-        for nb in normals:
-            cv = fam.embed(nb)
-            out.append((cv, vec_dot(cv, self.basepoint)))
-        return tuple(out)
+        base = self.basepoint
+        at_block = [base[j - 1] for j in fam.block]
+        object.__setattr__(self, "_covectors", (
+            *((unit_vec(fam.m, j), base[j - 1]) for j in fam.outside),
+            *((fam.embed(nb), vec_dot(nb, at_block)) for nb in normals)))
 
     def covectors(self) -> tuple[tuple[Vec, Fraction], ...]:
         """Implicit form: x on the plane iff c.x = rhs for every (c, rhs).
@@ -157,14 +152,16 @@ def plane_through(family: PlaneFamily, basepoint: Sequence,
 
     Every span vector must already lie in span(s_T); its s_t components are
     projected away, an independent subset is kept, and the direction space is
-    padded with block coordinate axes up to dimension exactly d.
+    padded with block coordinate axes up to dimension exactly d.  The axes
+    alone have rank T-t >= d-t, so the one failure is more than d-t
+    independent span vectors, which d-t of them can never be.
     """
     need = family.d - family.t
     spans = [family.restrict(v, "span vector") for v in span_vectors]
     width = len(family.block)
     candidates = spans + [unit_vec(width, j) for j in range(1, width + 1)]
     chosen = independent_subset(candidates)
-    if sum(i < len(spans) for i in chosen) > need or len(chosen) < need:
+    if sum(i < len(spans) for i in chosen) > need:
         raise ValueError("cannot reach dimension d inside span(s_T)")
     extras = tuple(family.embed(candidates[i]) for i in chosen[:need])
     return ConcretePlane(family, vec(basepoint), extras)
@@ -297,8 +294,8 @@ def stab_regime(point_sets: Sequence[Sequence[Vec]],
     q = d-t+2 and the flat is a line, ``search`` for every other input."""
     if not point_sets or any(not ps for ps in point_sets):
         raise ValueError("need nonempty point sets")
-    flat = solve_affine(*hull_rows(point_sets, [
-        c for c in range(family.m) if c + 1 not in family.s_T]))
+    flat = solve_affine(*hull_rows(point_sets,
+                                   [j - 1 for j in family.outside]))
     q, free = len(point_sets), family.d - family.t
     if flat is None or not flat[1] or q <= free + 1:
         return "linear", flat

@@ -12,17 +12,19 @@ from oracles import coords_pairwise_distinct
 from plstab import batch, transversal
 from plstab.batch import (SUITE_M_MAX, SUITE_N_MAX, SweepCell, _cell_family,
                           _regime_tuples, draw_point_sets, linear_cells,
-                          random_complex, run_grid, run_linear_cell,
-                          run_stab_fixture, sample_plane_adversarial,
-                          sample_plane_random, univariate_cells)
+                          random_complex, random_map, run_grid,
+                          run_linear_cell, run_stab_fixture,
+                          sample_plane_adversarial, sample_plane_random,
+                          univariate_cells)
 from plstab.generic import (GenericityError, GenericPool, _derived_seed,
                             regeneration_pools)
 from plstab.ratmath import hull_rows, solve_affine, vec
 from plstab.simplicial import PLMap, SimplicialComplex, roberts_perturb
 from plstab.transversal import (NonStabCase, PlaneFamily, decide_stab,
-                                nonstab_case, stab_decide_univariate,
-                                stab_exists_linear, stab_regime,
-                                stab_search_general, stabbed_simplexes)
+                                nonstab_case, plane_to_json_dict,
+                                stab_decide_univariate, stab_exists_linear,
+                                stab_regime, stab_search_general,
+                                stabbed_simplexes)
 
 F = Fraction
 
@@ -283,6 +285,32 @@ def test_plane_samplers_return_family_members():
         # adversarial planes pass through a convex combination of one
         # simplex's vertex images, so they stab at least that simplex
         assert stabbed_simplexes(k, g, p2, k.dim)[0]
+
+
+def test_plane_samplers_draw_in_a_pinned_order():
+    # The benchmark corpus and the tests' sampled planes depend on the
+    # samplers' draw order; the digest pins 20 planes over five families,
+    # d = t, T = m and an empty s_T among them, drawn one after another
+    # from one stream.
+    rng = random.Random(35)
+    digest = hashlib.sha256()
+    count = 0
+    for fam in (PlaneFamily(4, (1,), (1, 2, 3), 2),
+                PlaneFamily(3, (), (1, 2, 3), 3),
+                PlaneFamily(5, (2,), (2, 4, 5), 2),
+                PlaneFamily(5, (3,), (1, 3), 1),
+                PlaneFamily(2, (), (), 0)):
+        k = random_complex(rng, 5, 2, F(1, 2))
+        g = random_map(rng, k, fam.m, 4)
+        for _ in range(2):
+            for plane in (sample_plane_random(rng, fam, g),
+                          sample_plane_adversarial(rng, fam, k, g)):
+                assert plane.family == fam
+                digest.update(json.dumps(plane_to_json_dict(plane)).encode())
+                count += 1
+    assert count == 20
+    assert digest.hexdigest() == (
+        "9a3c3dcd37fbc21488dbfd7ac6c9693a417c71e2a82b26f17ec044b6f8e11559")
 
 
 def test_random_complex_covers_all_vertices():

@@ -52,9 +52,11 @@ def test_no_library_module_imports_argparse():
 def test_only_ratmath_reads_digits():
     # One number grammar: argv, map files and JSON read their digits
     # through ratmath.parse_integer and parse_rational alone, so only
-    # ratmath holds a regular expression, and no module asks Python's
-    # Unicode digit predicates, which admit other scripts' digits.
-    regex, predicates = [], []
+    # ratmath holds a regular expression, no other module names its
+    # patterns, and no module asks Python's Unicode digit predicates,
+    # which admit other scripts' digits.
+    patterns = {"_INTEGER_RE", "_RATIONAL_RE"}
+    regex, borrowed, predicates = [], [], []
     for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -64,10 +66,20 @@ def test_only_ratmath_reads_digits():
                            else [node.module or ""])
                 regex += [path.name for module in modules
                           if module.split(".")[0] == "re"]
-            elif (isinstance(node, ast.Attribute) and node.attr in
-                  {"isdigit", "isdecimal", "isnumeric"}):
-                predicates.append(f"{path.name}:{node.lineno} {node.attr}")
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+                if node.attr in {"isdigit", "isdecimal", "isnumeric"}:
+                    predicates.append(f"{path.name}:{node.lineno} {node.attr}")
+            else:
+                continue
+            if path.name != "ratmath.py":
+                borrowed += [f"{path.name}:{node.lineno} {name}"
+                             for name in names if name in patterns]
     assert regex == ["ratmath.py"]
+    assert borrowed == []
     assert predicates == []
 
 
@@ -393,3 +405,21 @@ def test_one_closure_walk_and_one_map_certificate():
     assert callers("certify") == {"_certified"}
     assert callers("generic_position_transcript") == {"_certified"}
     assert callers("_certified") == {"certify_map", "roberts_perturb"}
+
+
+def test_only_the_family_splits_its_coordinates():
+    # A family records its coordinate partition (block and outside) once:
+    # outside PlaneFamily's class body, only family_to_json_dict reads
+    # s_t or s_T, and every other reader takes the recorded partition.
+    found = []
+    for path in sorted(Path(plstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = [(node.lineno, node.end_lineno) for node in tree.body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                   and node.name in {"PlaneFamily", "family_to_json_dict"}]
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in {"s_t", "s_T"}
+                  and not any(a <= node.lineno <= b for a, b in allowed)]
+    assert found == []

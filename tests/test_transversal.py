@@ -530,6 +530,62 @@ from hypothesis import strategies as st
 small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
+@st.composite
+def _spanning_cases(draw):
+    """A random family of R^m, m <= 5, with d = t and T = m each drawn
+    half the time, a basepoint, and exactly d-t span vectors inside
+    span(s_T): free ones, zero ones, ones on s_t alone (zero on the
+    block), repeats and combinations of earlier ones."""
+    m = draw(st.integers(1, 5))
+    s_T = tuple(j for j in range(1, m + 1)
+                if draw(st.booleans()) or draw(st.booleans()))
+    if draw(st.booleans()):
+        s_T = tuple(range(1, m + 1))
+    s_t = tuple(j for j in s_T if draw(st.booleans()))
+    d = len(s_t) if draw(st.booleans()) else draw(
+        st.integers(len(s_t), len(s_T)))
+    fam = PlaneFamily(m, s_t, s_T, d)
+
+    def on(coords):
+        return vec([draw(small_rat) if j in coords else 0
+                    for j in range(1, m + 1)])
+
+    spans = []
+    for _ in range(d - len(s_t)):
+        kind = draw(st.sampled_from(
+            ["free", "zero", "pinned", "repeat", "combination"]))
+        if kind == "zero":
+            spans.append(vec([0] * m))
+        elif kind == "pinned":
+            spans.append(on(s_t))
+        elif kind == "repeat" and spans:
+            spans.append(draw(st.sampled_from(spans)))
+        elif kind == "combination" and spans:
+            a, b = draw(small_rat), draw(small_rat)
+            u, v = draw(st.sampled_from(spans)), draw(st.sampled_from(spans))
+            spans.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        else:
+            spans.append(on(s_T))
+    return fam, on(range(1, m + 1)), spans
+
+
+@given(_spanning_cases())
+@settings(max_examples=200, deadline=None)
+def test_plane_through_takes_any_d_minus_t_span_vectors(case):
+    # the samplers draw once because of this: given exactly d-t vectors
+    # inside span(s_T), dependent or zero ones included, plane_through
+    # returns a member plane through the basepoint that covers each of
+    # them, and the s_t axes
+    fam, base, spans = case
+    plane = plane_through(fam, base, spans)
+    assert plane.family == fam
+    assert len(plane.extra_directions) == fam.d - fam.t
+    assert plane.contains(base)
+    axes = [[int(i == j) for i in range(1, fam.m + 1)] for j in fam.s_t]
+    for v in [*spans, *axes]:
+        assert plane.contains(tuple(x + y for x, y in zip(base, v)))
+
+
 @given(st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3),
                 min_size=1, max_size=5),
        st.sampled_from([PlaneFamily(3, (), (1, 2), 1),
