@@ -10,20 +10,23 @@ the test corpus; the command-line front end uses only random_complex.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import (GenericityError, GenericPool, _derived_seed, certify,
-                      distinctness_transcript, regeneration_pools)
+                      distinctness_transcript_of_numerators,
+                      regeneration_pools)
 from .ratmath import Vec, vec
 from .simplicial import PLMap, SimplicialComplex, image_point
 from .transversal import (SEARCH_BUDGET, ConcretePlane, NonStabCase,
-                          PlaneFamily, _known_keys, _typed, decide_stab,
-                          family_from_json_dict, nonstab_case, plane_through,
-                          sets_from_json, stab_decide_univariate,
-                          stab_exists_linear, stab_regime)
+                          PlaneFamily, PointSets, _known_keys, _typed,
+                          decide_stab, family_from_json_dict, nonstab_case,
+                          plane_through, sets_from_json,
+                          stab_decide_univariate, stab_exists_linear,
+                          stab_regime)
 
 _ONE = Fraction(1)
 
@@ -101,21 +104,30 @@ _DRAW_EPS = Fraction(1, 2)
 
 
 def draw_point_sets(pool: GenericPool, n_list: Sequence[int], m: int
-                    ) -> tuple[list[list[Vec]], "GenericityCertificate"]:
-    """One point set of n_i + 1 points per entry, every coordinate on its own stream.
+                    ) -> tuple[PointSets, "GenericityCertificate"]:
+    """One point set of n_i + 1 points per entry, every coordinate on its own
+    stream, on its integer form.
 
-    The returned certificate records pairwise distinctness of all drawn
-    coordinates as one integer per neighbour pair of their sorted order (see
-    :func:`~plstab.generic.distinctness_transcript`).
+    The integer kernel (:meth:`~plstab.generic.GenericPool.draw_integers`)
+    gives each coordinate as a numerator over its denominator, and the
+    points are built straight over their lcm E, with no Fraction.  The
+    returned certificate records pairwise distinctness of all drawn
+    coordinates as one integer per neighbour pair of their sorted
+    numerators over E (see
+    :func:`~plstab.generic.distinctness_transcript_of_numerators`).
     """
     stream = itertools.count()
-    sets = [[tuple(pool.draw_near(_DRAW_TARGETS[(3 * i + 5 * j + s) % 7],
+    drawn = [[[pool.draw_integers(_DRAW_TARGETS[(3 * i + 5 * j + s) % 7],
                                   _DRAW_EPS, next(stream))
-                   for s in range(m))
-             for j in range(n + 1)]
-            for i, n in enumerate(n_list)]
-    return sets, certify(distinctness_transcript(
-        x for pts in sets for p in pts for x in p))
+               for s in range(m)]
+              for j in range(n + 1)]
+             for i, n in enumerate(n_list)]
+    scale = math.lcm(*[den for pts in drawn for p in pts for _, den in p])
+    points = tuple(tuple(tuple(num * (scale // den) for num, den in p)
+                         for p in pts) for pts in drawn)
+    return PointSets(scale, points), certify(
+        distinctness_transcript_of_numerators(
+            x for pts in points for p in pts for x in p))
 
 
 def _run_cell(cell: SweepCell, trials: int, base_pool: GenericPool, decide,
@@ -215,7 +227,9 @@ def sample_plane_adversarial(rng: random.Random, family: PlaneFamily,
     total = sum(weights)
     base = image_point(g, s, [w / total for w in weights])
     images = list(g.images.values())
-    pairs = (rng.sample(images, 2) for _ in range(family.d - family.t))
+    # a one-vertex map has only zero differences, and draws none
+    pairs = (rng.sample(images, 2) if len(images) > 1 else images * 2
+             for _ in range(family.d - family.t))
     return plane_through(family, base, [
         family.embed([pa[j - 1] - pb[j - 1] for j in family.block])
         for pa, pb in pairs])
@@ -230,7 +244,7 @@ _SUITE_KEYS = ("kind", "m_max", "n_max")
 _GRID_KEYS = ("suites", "fixtures")
 
 
-def _checked_fixture(fixture) -> tuple[PlaneFamily, list[list[Vec]], int]:
+def _checked_fixture(fixture) -> tuple[PlaneFamily, PointSets, int]:
     """The family, sets and budget of the fixture, once it is a JSON object
     with no unknown key, a string ``name`` if any, an ``expect`` that some
     decider answers, a valid ``budget`` and a ``family`` and ``sets`` that
@@ -264,7 +278,7 @@ def run_stab_fixture(fixture: dict, base_pool: GenericPool) -> dict:
 
 
 def _run_checked(fixture: dict, seed: int, family: PlaneFamily,
-                 sets: list[list[Vec]], budget: int) -> dict:
+                 sets: PointSets, budget: int) -> dict:
     """:func:`run_stab_fixture` on what :func:`_checked_fixture` parsed."""
     got = decide_stab(sets, family, budget, seed)
     if "mode" in fixture and fixture["mode"] != got["mode"]:

@@ -5,11 +5,14 @@ coordinates are drawn from per-stream cosets q + r_i whose offsets are
 r_i = N_i / D: one odd denominator D in (2**62, 2**64) per seed, and a
 64-bit numerator N_i per stream, all derived deterministically from the
 seed.  Every coordinate of a draw then clears over D times a power of two.
-A degeneracy is a nonzero integer polynomial in the numerators, and for a
-fixed D such a polynomial of degree k vanishes at uniform 64-bit numerators
-with probability at most k / 2**64 (Schwartz 1980; Zippel 1979).  Rigor is
-restored per run all the same: every determinant or pivot a computation
-relied on is recorded, as one integer, and certified nonzero after the fact.
+One integer kernel (:meth:`GenericPool.draw_integers`) draws a value as
+its numerator and denominator; :meth:`GenericPool.draw_near` is its
+Fraction.  A degeneracy is a nonzero integer polynomial in the numerators,
+and for a fixed D such a polynomial of degree k vanishes at uniform 64-bit
+numerators with probability at most k / 2**64 (Schwartz 1980; Zippel
+1979).  Rigor is restored per run all the same: every determinant or pivot
+a computation relied on is recorded, as one integer, and certified nonzero
+after the fact.
 
 Every draw is a pure function of (seed, stream, target, eps).  A pool's
 only state is a memo of its denominators and offsets, which it shares with
@@ -20,6 +23,7 @@ task; certificates are immutable and freely shareable.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -66,6 +70,18 @@ def distinctness_transcript(values: Iterable[Fraction]) -> list[int]:
         (x.numerator << 160) // x.denominator, x))
     return [a.numerator * b.denominator - b.numerator * a.denominator
             for a, b in zip(ordered, ordered[1:])]
+
+
+def distinctness_transcript_of_numerators(numerators: Iterable[int]
+                                          ) -> list[int]:
+    """The conditions of :func:`distinctness_transcript` for values given
+    as integer numerators over one positive denominator E: the numerators
+    sorted, and the neighbours A, B recorded as A - B.  Each is E / (a.den
+    * b.den) > 0 times the condition of the values a, b, in the same order,
+    so the count and the first zero are the same.
+    """
+    ordered = sorted(numerators)
+    return [a - b for a, b in zip(ordered, ordered[1:])]
 
 
 def _derived_seed(*parts) -> int:
@@ -138,22 +154,27 @@ class GenericPool:
             r = self._memo[key] = Fraction(num, den)
         return r
 
-    def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
-        """A value q + s*r_stream within eps of target, exactly.
+    def draw_integers(self, target: Fraction, eps: Fraction, stream: int
+                      ) -> tuple[int, int]:
+        """The integer draw kernel: the value q + s*r_stream within eps of
+        target, exactly, as its numerator and positive denominator in
+        lowest terms.
 
         q is the dyadic rational nearest target at resolution rho, the
         largest power of two at most eps/4, and the offset copy is shrunk
         by the least 2**-j below eps/2, so the value is a pure function of
         (seed, stream, target, eps).  Everything is integer arithmetic: rho
         comes from bit lengths, the rounding is one floor division, the
-        shrink is found by shifted comparison, and one Fraction is built at
-        the end.
+        shrink is found by shifted comparison, and no Fraction is built.
+        The offset r = rn / rd is in lowest terms and rd is odd, so the
+        value's numerator is prime to rd and only a power of two can cancel.
         """
-        if eps <= 0:
+        en, eps_d = eps.numerator, eps.denominator  # eps_d > 0
+        if en <= 0:
             raise ValueError("eps must be positive")
         # rho = 2**k is the largest power of two <= eps/4 = en/ed; bit
         # lengths give k or k + 1
-        en, ed = eps.numerator, 4 * eps.denominator
+        ed = 4 * eps_d
         k = en.bit_length() - ed.bit_length()
         if (ed << k > en) if k >= 0 else (ed > en << -k):
             k -= 1
@@ -168,17 +189,22 @@ class GenericPool:
         r = self.offset(stream)
         rn, rd = r.numerator, r.denominator
         # least j >= 0 with r / 2**j < eps / 2, i.e. big < small * 2**j
-        big, small = 2 * eps.denominator * rn, en * rd
+        big, small = 2 * eps_d * rn, en * rd
         j = max(0, big.bit_length() - small.bit_length())
         if small << j <= big:
             j += 1
-        # offset term rn / (rd * 2**j)
+        # offset term rn / (rd * 2**j), over the denominator rd * 2**top
         top = max(qe, j)
-        value = Fraction((qn * rd << (top - qe)) + (rn << (top - j)), rd << top)
-        vn, vd = value.numerator, value.denominator
-        if not abs(vn * td - tn * vd) * eps.denominator < en * vd * td:
+        vn = (qn * rd << (top - qe)) + (rn << (top - j))
+        vd = rd << top
+        if not abs(vn * td - tn * vd) * eps_d < en * vd * td:
             raise RuntimeError("drawn value left the eps-neighbourhood of target")
-        return value
+        g = math.gcd(vn, vd)  # a power of two
+        return vn // g, vd // g
+
+    def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
+        """The value of :meth:`draw_integers`, as a Fraction."""
+        return Fraction(*self.draw_integers(target, eps, stream))
 
 
 def regeneration_pools(pool: GenericPool) -> Iterator[GenericPool]:

@@ -23,8 +23,10 @@ by their row scales to get the minor over Q.
 simplex (Bland's rule, on an integer tableau) only when the equality
 system has a nullspace; an inconsistent system or a unique solution
 decides it directly.  :func:`hull_rows` is the one system for a common
-point of hulls over a stacked barycentric lambda, and :func:`combination`
-the one sum sum_j w_j p_j of a lambda block.
+point of hulls over a stacked barycentric lambda: the section LP runs it on
+rational points, the stab constraint flat on the integer points of one lcm,
+straight into :func:`_solve_augmented`.  :func:`combination` is the one sum
+sum_j w_j p_j of a lambda block.
 
 Polynomials have one type: integer coefficient lists in ascending degree,
 the zero polynomial ``[]``.  One primitive pseudo-remainder sequence
@@ -311,20 +313,23 @@ def combination(weights: Sequence[Fraction], points: Sequence[Vec],
                  for c in coords)
 
 
-def hull_rows(point_sets: Sequence[Sequence[Vec]], coords: Sequence[int]
-              ) -> tuple[list[list[Fraction]], list[Fraction]]:
+def hull_rows(point_sets: Sequence[Sequence[Sequence]], coords: Sequence[int]
+              ) -> tuple[list[list], list[int]]:
     """(rows, rhs) over the stacked lambda, a block of weights per set: one
     row per set sums its weights to 1, then y_i[c] - y_1[c] = 0 for each
     later set i and each 0-based c in coords, y_i its :func:`combination`.
     Solved, they ask whether the affine hulls meet on those coordinates;
-    under :func:`lp_feasible`, whether the convex hulls do."""
+    under :func:`lp_feasible`, whether the convex hulls do.  The constants
+    are ints, so integer points give integer rows: the stab flat's solve
+    passes the points E p_ij of one lcm E, whose difference rows are E times
+    those of the p_ij, with the same solutions."""
     q = len(point_sets)
-    rows = [[_ONE if j == i else _ZERO for j, ps in enumerate(point_sets)
+    rows = [[1 if j == i else 0 for j, ps in enumerate(point_sets)
              for _ in ps] for i in range(q)]
-    rows += [[-p[c] if j == 0 else p[c] if j == i else _ZERO
+    rows += [[-p[c] if j == 0 else p[c] if j == i else 0
               for j, ps in enumerate(point_sets) for p in ps]
              for i in range(1, q) for c in coords]
-    return rows, [_ONE] * q + [_ZERO] * (len(rows) - q)
+    return rows, [1] * q + [0] * (len(rows) - q)
 
 
 def _simplex_witness(rows: Sequence[Sequence[Fraction]], rhs: Vec

@@ -3,10 +3,10 @@
 A complex is a face-closed set of sorted vertex-id tuples; a PL map assigns
 each vertex an exact rational point in R^m and is extended affinely on every
 simplex.  A map is immutable and carries its one integer form, each image
-cleared of denominators once when the map is built, which the certificate's
-minors and plane membership share.  The perturbation routine moves every
-vertex image into general position using per-coordinate streams from a
-:class:`~plstab.generic.GenericPool` and certifies the result
+cleared of denominators once, the first time it is read, which the
+certificate's minors and plane membership share.  The perturbation routine
+moves every vertex image into general position using per-coordinate
+streams from a :class:`~plstab.generic.GenericPool` and certifies the result
 (pairwise-distinct coordinates, affinely independent simplex images),
 regenerating from successor seeds on failure.
 
@@ -167,21 +167,25 @@ class PLMap:
 
     ``cleared`` is the map's one integer form: each image p_v as
     (D_v, P_v) with D_v the lcm of its denominators and P_v = D_v p_v
-    (:func:`~plstab.ratmath._cleared`).  It is computed once, when a map is
-    built without it, and the integer paths (the genericity transcript and
-    plane membership) read it; ``images`` is the Fraction view.
+    (:func:`~plstab.ratmath._cleared`).  It is computed once, the first
+    time it is read, so a map that only moves (the input of a perturbation)
+    clears nothing; the integer paths (the genericity transcript and plane
+    membership) read it, and a copy made by ``dataclasses.replace`` shares
+    it.  ``images`` is the Fraction view.
     """
 
     m: int
     images: dict[str, Vec]
     certificate: Optional[GenericityCertificate] = None
-    cleared: Optional[dict[str, tuple[int, list[int]]]] = field(
+    _form: Optional[dict[str, tuple[int, list[int]]]] = field(
         default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.cleared is None:
-            object.__setattr__(self, "cleared", {
+    @property
+    def cleared(self) -> dict[str, tuple[int, list[int]]]:
+        if self._form is None:
+            object.__setattr__(self, "_form", {
                 v: _cleared(p) for v, p in self.images.items()})
+        return self._form
 
     @property
     def certified(self) -> bool:
@@ -257,7 +261,8 @@ def generic_position_transcript(k: SimplicialComplex, g: PLMap) -> list[int]:
 
 
 def _certified(k: SimplicialComplex, g: PLMap) -> PLMap:
-    """g with its certificate against k; shares g's images and integer form."""
+    """g with its certificate against k; shares g's images, and its integer
+    form once the transcript has read it."""
     return replace(g, certificate=certify(generic_position_transcript(k, g)))
 
 

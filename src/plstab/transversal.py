@@ -9,16 +9,20 @@ s_T axes.  This module provides:
   (:func:`nonstab_case`);
 * the one plane-membership test and face walk (:func:`stabbed_simplexes`):
   points and minimal stabbed faces, one exact solve per candidate, no LP;
+* the one integer form of point sets (:class:`PointSets`): the lcm E of
+  all their coordinates' denominators and the integer points E p_ij, which
+  every decider reads; the Fraction view is built only when it is read;
 * one stab decision (:func:`decide_stab`): the regime rule
   (:func:`stab_regime`) solves the constraint flat (the
-  :func:`~plstab.ratmath.hull_rows` outside s_T) once and picks the
-  exact linear decider, the exact univariate decider (gcd of the maximal
-  minors, Sturm) or the heuristic search (``not_found`` is never
-  evidence); all three return a :class:`StabDecision`, and every witness
-  and isolating interval is re-verified;
+  :func:`~plstab.ratmath.hull_rows` outside s_T, run on the integer
+  points) once and picks the exact linear decider, the exact univariate
+  decider (gcd of the maximal minors, Sturm) or the heuristic search
+  (``not_found`` is never evidence); all three return a
+  :class:`StabDecision`, and every witness and isolating interval is
+  re-verified;
 * one integer builder of the block differences of the met points, run
-  once per decision (:func:`_block_differences`: one lcm, one scale), read
-  at a flat point (:func:`_rows_at`) by the one stab test
+  once per decision (:func:`_block_differences`: the integer points, one
+  scale), read at a flat point (:func:`_rows_at`) by the one stab test
   (:func:`_stabs_at`: rank at most d-t) and the search's Gram determinant
   (:func:`_gram_det`), and along a line by the univariate decider's rows;
 * the exact maximum family of pairwise vertex-disjoint stabbed simplexes
@@ -40,8 +44,8 @@ from .ratmath import (Vec, _cleared, _minor, _poly_det, _poly_gcd, _sign_at,
                       cauchy_root_bound, combination, format_rational,
                       hull_rows, independent_subset, mat_rank,
                       nullspace_basis, parse_rational, simplest_between,
-                      solve_affine, square_free_part, sturm_count, unit_vec,
-                      vec, vec_dot, vec_sub)
+                      square_free_part, sturm_count, unit_vec, vec, vec_dot,
+                      vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
@@ -162,7 +166,8 @@ def plane_through(family: PlaneFamily, basepoint: Sequence,
     candidates = spans + [unit_vec(width, j) for j in range(1, width + 1)]
     chosen = independent_subset(candidates)
     if sum(i < len(spans) for i in chosen) > need:
-        raise ValueError("cannot reach dimension d inside span(s_T)")
+        raise ValueError("span vectors have more than d - t independent "
+                         "block directions")
     extras = tuple(family.embed(candidates[i]) for i in chosen[:need])
     return ConcretePlane(family, vec(basepoint), extras)
 
@@ -226,7 +231,53 @@ def nonstab_case(n_list: Sequence[int], m: int, d: int, t: int, T: int) -> NonSt
 
 
 # ---------------------------------------------------------------------------
-# Witnesses, the regime rule and the linear-regime exact decision.
+# Point sets, witnesses, the regime rule and the linear-regime exact decision.
+
+@dataclass(frozen=True)
+class PointSets:
+    """q nonempty sets of points p_ij of R^m on their one integer form.
+
+    ``scale`` is the lcm E of the denominators of all coordinates and
+    ``points`` holds the integer points E p_ij, per set; the form is built
+    once, by :meth:`of` from Fractions or straight from a draw, and every
+    decider reads it.  Indexing and iteration give the Fraction view, one
+    tuple of points per set, built the first time it is read: by a
+    witness's met points, its re-check and tests.
+    """
+
+    scale: int
+    points: tuple[tuple[tuple[int, ...], ...], ...]
+    _view: Optional[tuple[tuple[Vec, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.points or not all(self.points):
+            raise ValueError("need nonempty point sets")
+
+    @classmethod
+    def of(cls, point_sets: Sequence[Sequence[Vec]]) -> "PointSets":
+        """The integer form of rational point sets, cleared by one lcm."""
+        scale, ints = _cleared([x for ps in point_sets for p in ps for x in p])
+        values = iter(ints)
+        return cls(scale, tuple(tuple(tuple(itertools.islice(values, len(p)))
+                                      for p in ps) for ps in point_sets))
+
+    def _fractions(self) -> tuple[tuple[Vec, ...], ...]:
+        if self._view is None:
+            object.__setattr__(self, "_view", tuple(
+                tuple(tuple(Fraction(x, self.scale) for x in p) for p in ps)
+                for ps in self.points))
+        return self._view
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i):
+        return self._fractions()[i]
+
+    def __iter__(self):
+        return iter(self._fractions())
+
 
 @dataclass(frozen=True)
 class StabWitness:
@@ -279,23 +330,24 @@ def verify_stab_witness(witness: StabWitness, point_sets: Sequence[Sequence[Vec]
     return True, checks
 
 
-# A constraint flat as solve_affine returns it: a point and a direction basis.
+# A constraint flat as the solve returns it: a point and a direction basis.
 Flat = Optional[tuple[Vec, tuple[Vec, ...]]]
 
 
-def stab_regime(point_sets: Sequence[Sequence[Vec]],
+def stab_regime(point_sets: PointSets,
                 family: PlaneFamily) -> tuple[str, Flat]:
     """The decider the input selects, by name, and the constraint flat it
     runs on (the one solve of its :func:`~plstab.ratmath.hull_rows` outside
-    s_T, None when empty; every stab decision checks the sets here first):
-    ``linear`` when the flat is empty (a family member's points agree
-    outside s_T, so none meets every hull, whatever q is) or a point (one
-    rank test decides, whatever q is) or q <= d-t+1, ``univariate`` when
-    q = d-t+2 and the flat is a line, ``search`` for every other input."""
-    if not point_sets or any(not ps for ps in point_sets):
-        raise ValueError("need nonempty point sets")
-    flat = solve_affine(*hull_rows(point_sets,
-                                   [j - 1 for j in family.outside]))
+    s_T, None when empty): ``linear`` when the flat is empty (a family
+    member's points agree outside s_T, so none meets every hull, whatever q
+    is) or a point (one rank test decides, whatever q is) or q <= d-t+1,
+    ``univariate`` when q = d-t+2 and the flat is a line, ``search`` for
+    every other input.  The rows are built on the integer points E p_ij,
+    E times the rows of the p_ij: a positive row scale leaves the reduced
+    echelon form, so the flat, unchanged."""
+    rows, rhs = hull_rows(point_sets.points, [j - 1 for j in family.outside])
+    flat = _solve_augmented([row + [b] for row, b in zip(rows, rhs)],
+                            len(rows[0]))
     q, free = len(point_sets), family.d - family.t
     if flat is None or not flat[1] or q <= free + 1:
         return "linear", flat
@@ -310,48 +362,46 @@ def _flat_point(flat: Flat, u: Sequence[Fraction]) -> Vec:
     return combination((_ONE, *u), (base, *basis), range(len(base)))
 
 
-def _blocks(point_sets: Sequence[Sequence[Vec]], lam: Sequence) -> tuple:
+def _blocks(point_sets: PointSets, lam: Sequence) -> tuple:
     """A stacked lambda split into one block of weights per set."""
-    ends = list(itertools.accumulate(len(ps) for ps in point_sets))
+    ends = list(itertools.accumulate(len(ps) for ps in point_sets.points))
     return tuple(lam[a:b] for a, b in zip([0] + ends, ends))
 
 
-def _met(point_sets: Sequence[Sequence[Vec]], lam: Sequence[Fraction],
+def _met(point_sets: PointSets, lam: Sequence[Fraction],
          coords: Sequence[int]) -> list[Vec]:
     """The met points y_i = sum_j lam_ij p_ij of a stacked lambda, at the
-    given 0-based coordinates."""
+    given 0-based coordinates, on the Fraction view."""
     return [combination(w, pts, coords)
             for w, pts in zip(_blocks(point_sets, lam), point_sets)]
 
 
-def _block_differences(point_sets, family, vectors
+def _block_differences(point_sets: PointSets, family, vectors
                        ) -> tuple[int, list[list[list[int]]]]:
     """The differences y_i - y_1 of the met points on the block
     coordinates, on integers: one positive integer scale S and, for each
     later set i, one integer row per stacked vector, the row over S being
     exactly y_i - y_1 at that vector.
 
-    All points are cleared together on the block coordinates
-    (:func:`~plstab.ratmath._cleared`), by the one lcm E of their
-    denominators there, to the integer points E p_ij; the vectors are
-    cleared together, lambda = L / M.  Then y_i = Y_i / (M E) with the
-    integer Y_i = sum_j L_ij E p_ij, the row is Y_i - Y_1 and S = M E.  As
-    y_i is linear in lambda, the rows of a sum of the vectors are the same
-    sum of their rows, over the same S.
+    The points are read on their integer form, E p_ij with the one lcm E
+    (:class:`PointSets`); the vectors are cleared together
+    (:func:`~plstab.ratmath._cleared`), lambda = L / M.  Then
+    y_i = Y_i / (M E) with the integer Y_i = sum_j L_ij E p_ij, the row is
+    Y_i - Y_1 and S = M E.  As y_i is linear in lambda, the rows of a sum
+    of the vectors are the same sum of their rows, over the same S.
     """
     coords = [c - 1 for c in family.block]
-    lcm_e, points = _cleared([p[c] for pts in point_sets for c in coords
-                              for p in pts])
     lcm_m, ints = _cleared([x for v in vectors for x in v])
-    size, values = len(vectors[0]), iter(points)
-    cols = [[list(itertools.islice(values, len(pts))) for _ in coords]
-            for pts in point_sets]  # per set, its block columns times E
+    size = len(vectors[0])
+    cols = [[[p[c] for p in pts] for c in coords]
+            for pts in point_sets.points]  # per set, its block columns times E
     sums = [[[sum(l * x for l, x in zip(block, column)) for column in c_i]
              for block, c_i in zip(_blocks(point_sets, ints[k:k + size]),
                                    cols)]
             for k in range(0, len(ints), size)]  # the Y_i, per vector
-    return lcm_m * lcm_e, [[[y - y_1 for y, y_1 in zip(ys[i], ys[0])]
-                            for ys in sums] for i in range(1, len(cols))]
+    return lcm_m * point_sets.scale, [
+        [[y - y_1 for y, y_1 in zip(ys[i], ys[0])] for ys in sums]
+        for i in range(1, len(cols))]
 
 
 def _rows_at(diffs, u: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
@@ -384,7 +434,7 @@ def _witness_from_lambda(point_sets, family, flat_lambda) -> StabWitness:
     return witness
 
 
-def stab_exists_linear(point_sets: Sequence[Sequence[Vec]],
+def stab_exists_linear(point_sets: PointSets,
                        family: PlaneFamily, flat: Flat) -> StabDecision:
     """Exact decision in the linear regime of :func:`stab_regime`:
     ``infeasible`` on an empty constraint flat, ``no_stab`` unless the stab
@@ -470,7 +520,7 @@ def verify_interval_certificate(reduced: Sequence[int],
             and sturm_count(ps, lo, hi) == 1)
 
 
-def stab_decide_univariate(point_sets: Sequence[Sequence[Vec]],
+def stab_decide_univariate(point_sets: PointSets,
                            family: PlaneFamily, flat: Flat) -> StabDecision:
     """Exact decision for q = d-t+2 sets whose constraint ``flat`` is a line.
 
@@ -523,7 +573,7 @@ class _BudgetSpent(Exception):
     """The search objective was asked for one evaluation past the budget."""
 
 
-def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
+def stab_search_general(point_sets: PointSets, family: PlaneFamily,
                         flat: Flat, budget: int, seed: int) -> StabDecision:
     """Heuristic search for q > d-t+1 sets on a constraint ``flat`` of
     dimension at least one.
@@ -611,7 +661,7 @@ def stab_search_general(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily
 # ---------------------------------------------------------------------------
 # One stab decision, its decider chosen from the input, as report fields.
 
-def decide_stab(point_sets: Sequence[Sequence[Vec]], family: PlaneFamily,
+def decide_stab(point_sets: PointSets, family: PlaneFamily,
                 budget: int, seed: int) -> dict:
     """One stab decision, by the decider :func:`stab_regime` picks (the
     search with ``budget`` and ``seed``), on the flat it solved, as report
@@ -817,17 +867,16 @@ def _rationals(data, what: str) -> Vec:
                  for x in _typed(data, list, what))
 
 
-def sets_from_json(data, m: int) -> list[list[Vec]]:
-    """Point sets from JSON: a nonempty list of nonempty lists of points,
-    each point a list of m rational strings."""
+def sets_from_json(data, m: int) -> PointSets:
+    """Point sets from JSON, on their integer form: a nonempty list of
+    nonempty lists of points, each point a list of m rational strings."""
     sets = [[_rationals(p, "point") for p in _typed(ps, list, "point set")]
             for ps in _typed(data, list, "sets")]
-    if not sets or not all(sets):
-        raise ValueError("need nonempty point sets")
+    form = PointSets.of(sets)  # refuses empty sets first
     for p in itertools.chain.from_iterable(sets):
         if len(p) != m:
             raise ValueError(f"point of length {len(p)}, expected {m}")
-    return sets
+    return form
 
 
 def plane_to_json_dict(p: ConcretePlane) -> dict:

@@ -28,7 +28,7 @@ from plstab.sections import (PlanarSection, component_clusters,
                              polytopes_intersect, preimage_polytopes,
                              section_of_image)
 from plstab.simplicial import image_point, roberts_perturb
-from plstab.transversal import (ConcretePlane, PlaneFamily,
+from plstab.transversal import (ConcretePlane, PlaneFamily, PointSets,
                                 max_disjoint_stabbed, stab_bound,
                                 stab_regime, stab_search_general,
                                 verify_stab_witness)
@@ -77,11 +77,11 @@ def test_univariate_regime_exact():
 
     # handcrafted common transversal: three skew segments met by the z-axis
     fam = PlaneFamily(3, (), (1, 2, 3), 1)
-    sets = [
+    sets = PointSets.of([
         [vec([0, 0, 0]), vec([1, 0, 0])],
         [vec([0, 0, 1]), vec([0, 1, 1])],
         [vec([0, 0, 2]), vec([1, 1, 2])],
-    ]
+    ])
     mode, flat = stab_regime(sets, fam)
     assert mode == "search"
     got = stab_search_general(sets, fam, flat, budget=500, seed=0)

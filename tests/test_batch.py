@@ -20,8 +20,8 @@ from plstab.generic import (GenericityError, GenericPool, _derived_seed,
                             regeneration_pools)
 from plstab.ratmath import hull_rows, solve_affine, vec
 from plstab.simplicial import PLMap, SimplicialComplex, roberts_perturb
-from plstab.transversal import (NonStabCase, PlaneFamily, decide_stab,
-                                nonstab_case, plane_to_json_dict,
+from plstab.transversal import (NonStabCase, PlaneFamily, PointSets,
+                                decide_stab, nonstab_case, plane_to_json_dict,
                                 stab_decide_univariate, stab_exists_linear,
                                 stab_regime, stab_search_general,
                                 stabbed_simplexes)
@@ -84,7 +84,8 @@ def test_cell_enumeration_draws_nothing(monkeypatch):
     def no_draw(self, target, eps, stream):
         raise AssertionError("cell enumeration drew a point")
 
-    monkeypatch.setattr(GenericPool, "draw_near", no_draw)
+    # the integer kernel: every draw, draw_near's included, goes through it
+    monkeypatch.setattr(GenericPool, "draw_integers", no_draw)
     assert len(linear_cells(6, 3)) == 470
     assert len(univariate_cells(6, 3)) == 342
 
@@ -122,8 +123,8 @@ class _RepeatingPool(GenericPool):
         super().__init__(seed)
         self.period = period
 
-    def draw_near(self, target, eps, stream):
-        return F(target) + F(stream % self.period, 16)
+    def draw_integers(self, target, eps, stream):
+        return (F(target) + F(stream % self.period, 16)).as_integer_ratio()
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=3),
@@ -242,7 +243,8 @@ def test_decide_stab_picks_the_decider_from_the_input():
               for m, d, t, T in _regime_tuples(3)]
     cases = [(key, _first_certified_draw(key, n_list, family.m), family)
              for key, n_list, family in cases]
-    cases.append(("empty-flat", [[vec([0, 0, 0])], [vec([1, 0, 1])]],
+    cases.append(("empty-flat",
+                  PointSets.of([[vec([0, 0, 0])], [vec([1, 0, 1])]]),
                   PlaneFamily(3, (), (1,), 0)))
     seen = set()
     for key, sets, family in cases:
@@ -311,6 +313,22 @@ def test_plane_samplers_draw_in_a_pinned_order():
     assert count == 20
     assert digest.hexdigest() == (
         "9a3c3dcd37fbc21488dbfd7ac6c9693a417c71e2a82b26f17ec044b6f8e11559")
+
+
+@pytest.mark.parametrize("fam", [PlaneFamily(3, (), (1, 2), 1),
+                                 PlaneFamily(3, (1,), (1, 2, 3), 3),
+                                 PlaneFamily(2, (), (1, 2), 0)],
+                         ids=["d-above-t", "d-above-t-full", "d-equals-t"])
+def test_adversarial_sampler_takes_a_one_vertex_map(fam):
+    # every image difference of a one-vertex map is zero, so the sampler
+    # hands plane_through d-t zero span vectors and it pads with block axes
+    rng = random.Random(1)
+    k = random_complex(rng, 1, 0, F(1))
+    g = random_map(rng, k, fam.m)
+    plane = sample_plane_adversarial(rng, fam, k, g)
+    assert plane.family == fam
+    assert plane.contains(g.images["v1"])
+    assert len(plane.extra_directions) == fam.d - fam.t
 
 
 def test_random_complex_covers_all_vertices():

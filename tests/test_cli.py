@@ -182,6 +182,34 @@ def test_count_clears_each_vertex_image_once(capsys, tmp_path, monkeypatch):
     assert sorted(cleared) == sorted(images)
 
 
+def test_perturb_clears_no_image_of_its_input_map(capsys, tmp_path,
+                                                  monkeypatch):
+    # a map's integer form is built the first time it is read, and a
+    # perturbation only moves the input images: the triangle's minor reads
+    # the moved images, each cleared once, and no input image is cleared
+    images = {(Fraction(x), Fraction(y), Fraction(z))
+              for x, y, z in ((0, 0, 0), (1, 1, 1), (2, 2, 2))}
+    cleared = []
+    real = ratmath._cleared
+
+    def counted(xs):
+        cleared.append(tuple(xs))
+        return real(xs)
+
+    for module in (ratmath, simplicial, transversal):
+        monkeypatch.setattr(module, "_cleared", counted)
+    cx = write(tmp_path, "k.cx", "v a\nv b\nv c\ns a b c\n")
+    mp = write(tmp_path, "theta.map", "m 3\np a 0 0 0\np b 1 1 1\np c 2 2 2\n")
+    out_path = tmp_path / "g.map"
+    code, _ = run_cli(capsys, ["perturb", "--complex", cx, "--map", mp,
+                               "--eps", "1/10", "--seed", "3",
+                               "--out", str(out_path)])
+    assert code == 0
+    moved = simplicial.parse_map(out_path.read_text()).images
+    assert images.isdisjoint(cleared)
+    assert sorted(cleared) == sorted(moved.values())
+
+
 def test_unknown_verb_exit_2(capsys):
     assert "frobnicate" in _one_parse_error_report(capsys, ["frobnicate"])
 

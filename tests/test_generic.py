@@ -10,10 +10,12 @@ from oracles import draw_near_fraction
 from plstab import batch, generic, simplicial
 from plstab.generic import (REGEN_ATTEMPTS, GenericityError, GenericPool,
                             certify, distinctness_transcript,
+                            distinctness_transcript_of_numerators,
                             regeneration_pools)
 from plstab.ratmath import vec
 from plstab.simplicial import (PLMap, certify_map, parse_complex,
                                roberts_perturb)
+from plstab.transversal import PointSets
 
 F = Fraction
 
@@ -48,6 +50,9 @@ def test_draw_near_matches_fraction_arithmetic(seed, target, eps, stream):
     pool = GenericPool(seed)
     want = draw_near_fraction(target, eps, pool.offset(stream))
     assert pool.draw_near(target, eps, stream) == want
+    # the integer kernel gives the same value, in lowest terms
+    assert pool.draw_integers(target, eps, stream) == (want.numerator,
+                                                       want.denominator)
 
 
 # Values drawn by GenericPool(408), whose offsets all share the one odd
@@ -148,6 +153,49 @@ def test_a_drawn_point_set_clears_to_one_small_lcm():
     assert cert.ok
     for pts in sets:
         assert _denominator(x for p in pts for x in p).bit_length() < 128
+
+
+def test_a_draw_is_its_integer_form_over_the_lcm_of_its_values():
+    # Streams 5 and 19 of this pool have offsets that reduce by 11 and
+    # stream 32 by 121, so the drawn values do not share one denominator:
+    # the form's E is the lcm of all of them, and each integer point is
+    # exactly E times the value draw_near gives on its stream.
+    pool = GenericPool(1).derive(0)
+    den = _denominator(pool.offset(s) for s in range(40))
+    assert [den // pool.offset(s).denominator for s in (5, 19, 32)] == [
+        11, 11, 121]
+    sets, cert = batch.draw_point_sets(pool, (2, 2, 2), 4)  # streams 0..35
+    stream = iter(range(36))
+    want = [[tuple(pool.draw_near(F((3 * i + 5 * j + s) % 7), F(1, 2),
+                                  next(stream)) for s in range(4))
+             for j in range(3)] for i in range(3)]
+    assert [list(ps) for ps in sets] == want
+    values = [x for ps in want for p in ps for x in p]
+    assert sets.scale == _denominator(values)
+    assert [x for ps in sets.points for p in ps for x in p] == [
+        sets.scale * x for x in values]
+    assert PointSets.of(want) == sets
+    # the certificate sorts the numerators over E: a positive multiple of
+    # each condition of the values, so the same count and outcome
+    assert cert.ok
+    assert all(a * b > 0 for a, b in zip(
+        cert.conditions, distinctness_transcript(values), strict=True))
+
+
+def test_a_draw_builds_no_fraction(monkeypatch):
+    pool = GenericPool(1).derive(0)
+    batch.draw_point_sets(pool, (2, 2, 2), 4)  # the offsets, memoised
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    sets, cert = batch.draw_point_sets(pool, (2, 2, 2), 4)
+    assert cert.ok and len(sets.points) == 3
+    assert built == []
 
 
 def _count_attempts(monkeypatch, module):
@@ -328,6 +376,16 @@ _BELOW_KEY_RESOLUTION = F(1, 2 ** 170)  # finer than the key's 2**-160 floor
 
 
 @st.composite
+def _values_over_one_denominator(draw):
+    """Values with mixed denominators, repeats included."""
+    values = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                        max_denominator=12), max_size=10))
+    values += draw(st.lists(st.sampled_from(values), max_size=3)
+                   if values else st.just([]))
+    return draw(st.permutations(values))
+
+
+@st.composite
 def _values(draw):
     value = st.one_of(st.integers(-4, 4),
                       st.fractions(min_value=-4, max_value=4,
@@ -353,3 +411,19 @@ def test_distinctness_transcript_matches_exact_value_sort(values):
     for c, a, b in zip(got, ordered, ordered[1:]):
         assert type(c) is int
         assert F(c, a.denominator * b.denominator) == a - b
+
+
+@given(_values_over_one_denominator())
+@settings(max_examples=200, deadline=None)
+def test_numerator_transcript_scales_the_value_transcript(values):
+    # over one denominator E, each neighbour condition A - B of the sorted
+    # numerators is E / (a.den * b.den) times the value condition of a, b
+    scale = _denominator(values)
+    got = distinctness_transcript_of_numerators(
+        x.numerator * (scale // x.denominator) for x in values)
+    ordered = sorted(values)
+    want = distinctness_transcript(values)
+    assert len(got) == len(want)
+    for c, w, a, b in zip(got, want, ordered, ordered[1:]):
+        assert type(c) is int
+        assert c * a.denominator * b.denominator == w * scale

@@ -261,6 +261,26 @@ def test_only_stab_regime_solves_the_constraint_flat():
             if "not_applicable" in path.read_text(encoding="utf-8")] == []
 
 
+def test_the_deciders_read_one_integer_form_of_the_point_sets():
+    # Point sets are cleared once, into a PointSets, by PointSets.of or
+    # straight from a draw: stab_regime solves the flat's integer rows,
+    # no transversal function solves Fraction rows, the deciders clear
+    # only lambdas, flat points and covectors, never the points again, and
+    # a draw reads the integer kernel, not draw_near's Fraction.
+    calls = _transversal_calls()
+    assert "_solve_augmented" in calls["stab_regime"]
+    assert _callers("solve_affine") == set()
+    assert _callers("_cleared") == {"_block_differences", "_rows_at",
+                                    "stabbed_simplexes"}
+    path = Path(plstab.__file__).with_name("batch.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    draw = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "draw_point_sets")
+    named = {node.attr for node in ast.walk(draw)
+             if isinstance(node, ast.Attribute)}
+    assert "draw_integers" in named and "draw_near" not in named
+
+
 def test_one_stab_test_at_a_lambda():
     # The deciders share one integer difference builder, one reading of its
     # rows at a flat point, one rank test and one flat point: each decider

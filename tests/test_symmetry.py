@@ -29,9 +29,9 @@ from plstab.sections import (MAX_CLUSTER_COMPONENTS, component_clusters,
                              compute_components, eps_disjoint,
                              preimage_polytopes, section_of_image)
 from plstab.simplicial import PLMap, SimplicialComplex, certify_map
-from plstab.transversal import (ConcretePlane, PlaneFamily, decide_stab,
-                                max_disjoint_stabbed, stab_decide_univariate,
-                                stab_regime)
+from plstab.transversal import (ConcretePlane, PlaneFamily, PointSets,
+                                decide_stab, max_disjoint_stabbed,
+                                stab_decide_univariate, stab_regime)
 
 F = Fraction
 _SHIFTS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -90,7 +90,7 @@ def _counts(k, g, plane):
 
 
 def _answer(sets, family):
-    got = decide_stab(sets, family, 500, 0)
+    got = decide_stab(PointSets.of(sets), family, 500, 0)
     return got["mode"], got["status"]
 
 
@@ -121,6 +121,7 @@ def test_univariate_reduced_is_invariant_under_translation(case, data):
     # at each of its lambdas; the gcd of the maximal minors is then the
     # same polynomial, whatever the denominators the shift brings in
     family, sets = case
+    sets = PointSets.of(sets)
     mode, flat = stab_regime(sets, family)
     assume(mode == "univariate")
     got = stab_decide_univariate(sets, family, flat)
@@ -128,6 +129,7 @@ def test_univariate_reduced_is_invariant_under_translation(case, data):
                                max_size=family.m))
     moved = [[tuple(x + s for x, s in zip(p, shift)) for p in ps]
              for ps in sets]
+    moved = PointSets.of(moved)
     mode, flat_moved = stab_regime(moved, family)
     assert (mode, flat_moved) == ("univariate", flat)
     again = stab_decide_univariate(moved, family, flat_moved)
@@ -167,12 +169,12 @@ def test_search_witness_survives_permutation_or_is_not_found(case, data):
     # points, so a permuted input may miss the stab; but it is still a
     # search, and any witness it returns is re-checked
     family, sets = case
-    got = decide_stab(sets, family, 200, 0)
+    got = decide_stab(PointSets.of(sets), family, 200, 0)
     assume(got["mode"] == "search" and got["status"] == "witness")
     assert got["certified"]
     order = data.draw(st.permutations(range(len(sets))))
     permuted = [data.draw(st.permutations(sets[i])) for i in order]
-    again = decide_stab(permuted, family, 200, 0)
+    again = decide_stab(PointSets.of(permuted), family, 200, 0)
     assert again["mode"] == "search"
     assert again["status"] in ("witness", "not_found")
     assert again["certified"] == (again["status"] == "witness")

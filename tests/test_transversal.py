@@ -19,14 +19,15 @@ from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import transversal
 from plstab.generic import GenericPool
-from plstab.ratmath import _sign_at, square_free_part, sturm_count, vec
+from plstab.ratmath import (_sign_at, hull_rows, solve_affine,
+                            square_free_part, sturm_count, vec)
 from plstab.sections import preimage_polytopes, section_of_image
 from plstab.simplicial import (PLMap, SimplicialComplex, certify_map,
                                parse_complex, roberts_perturb)
 from plstab.transversal import (SEARCH_BUDGET, BoundResult, ConcretePlane,
                                 NonStabCase,
-                                PlaneFamily, StabDecision, decide_stab,
-                                family_from_json_dict,
+                                PlaneFamily, PointSets, StabDecision,
+                                decide_stab, family_from_json_dict,
                                 family_to_json_dict, max_disjoint_stabbed,
                                 nonstab_case, plane_from_json_dict,
                                 plane_through, plane_to_json_dict, stab_bound,
@@ -430,7 +431,7 @@ def test_membership_rejects_a_plane_of_another_dimension(call):
     (lambda: nonstab_case([], 3, 1, 0, 2), "need at least one set"),
     (lambda: plane_through(PlaneFamily(3, (), (1, 2, 3), 1), vec([0, 0, 0]),
                            [vec([1, 0, 0]), vec([0, 1, 0])]),
-     "cannot reach dimension d inside span(s_T)"),
+     "span vectors have more than d - t independent block directions"),
 ], ids=["t-above-d", "no-sets", "span-rank-above-d-t"])
 def test_transversal_input_checks_raise(call, message):
     with pytest.raises(ValueError) as info:
@@ -453,7 +454,7 @@ def _flat_in(mode, sets, family):
 
 def test_linear_single_set_always_stabbed():
     fam = PlaneFamily(3, (), (1, 2), 1)
-    sets = [[vec([3, 4, 5]), vec([1, 1, 1])]]
+    sets = PointSets.of([[vec([3, 4, 5]), vec([1, 1, 1])]])
     got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
     assert got.status == "witness"
     w = got.witness
@@ -461,14 +462,14 @@ def test_linear_single_set_always_stabbed():
 
 
 def test_linear_infeasible_fixture():
-    sets = [[vec([0, 0, 0])], [vec([5, 0, 1])]]
+    sets = PointSets.of([[vec([0, 0, 0])], [vec([5, 0, 1])]])
     got = stab_exists_linear(sets, _LINE_IN_SPAN_E1,
                              _flat_in("linear", sets, _LINE_IN_SPAN_E1))
     assert got == StabDecision("infeasible")
 
 
 def test_linear_feasible_fixture():
-    sets = [[vec([0, 0, 0])], [vec([5, 0, 0])]]
+    sets = PointSets.of([[vec([0, 0, 0])], [vec([5, 0, 0])]])
     got = stab_exists_linear(sets, _LINE_IN_SPAN_E1,
                              _flat_in("linear", sets, _LINE_IN_SPAN_E1))
     assert got.status == "witness"
@@ -482,7 +483,8 @@ def test_witness_recheck_rejects_each_broken_condition():
     # One certified witness broken five ways; each answer counts the
     # conditions checked up to the failure: three per set, none for the
     # family and the number of blocks.
-    sets = [[vec([0, 0, 0]), vec([1, 2, 0])], [vec([5, 2, 1]), vec([6, 0, -1])]]
+    sets = PointSets.of([[vec([0, 0, 0]), vec([1, 2, 0])],
+                         [vec([5, 2, 1]), vec([6, 0, -1])]])
     fam = _LINE_IN_SPAN_E1
     w = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam)).witness
     half = (F(1, 2), F(1, 2))
@@ -509,17 +511,19 @@ def test_linear_rejects_large_q():
     # regime; on a point flat or an empty flat the linear decider takes
     # every q, and its answers are exact: on three points, one rank test
     fam = PlaneFamily(2, (), (1, 2), 1)
-    segments = [[vec([0, 0]), vec([1, 0])], [vec([0, 1]), vec([1, 2])],
-                [vec([3, 0]), vec([0, 3])]]
+    segments = PointSets.of([[vec([0, 0]), vec([1, 0])],
+                             [vec([0, 1]), vec([1, 2])],
+                             [vec([3, 0]), vec([0, 3])]])
     assert stab_regime(segments, fam)[0] == "search"
     for sets, want in [([[vec([0, 0])], [vec([1, 1])], [vec([2, 2])]],
                         "witness"),
                        ([[vec([0, 0])], [vec([1, 0])], [vec([0, 1])]],
                         "no_stab")]:
+        sets = PointSets.of(sets)
         got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
         assert got.status == want
     fam = PlaneFamily(2, (), (1,), 1)
-    sets = [[vec([0, 0])], [vec([0, 0])], [vec([0, 1])]]
+    sets = PointSets.of([[vec([0, 0])], [vec([0, 0])], [vec([0, 1])]])
     got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
     assert got == StabDecision("infeasible")
 
@@ -597,7 +601,7 @@ def test_point_flats_are_decided_exactly(points, fam):
     # one point per set fixes every lambda, so the flat is empty or a point
     # at any q: the linear decider answers, as the rank of the block
     # differences says
-    sets = [[vec(p)] for p in points]
+    sets = PointSets.of([[vec(p)] for p in points])
     got = decide_stab(sets, fam, 0, 0)
     outside = [c - 1 for c in range(1, 4) if c not in fam.s_T]
     block = [c - 1 for c in fam.block]
@@ -619,7 +623,7 @@ def test_point_flats_are_decided_exactly(points, fam):
 def test_linear_answers_are_sound(raw_sets):
     # any witness re-verifies exactly; absence means the system is inconsistent
     fam = PlaneFamily(3, (), (1, 2), 1)
-    sets = [[vec(p) for p in ps] for ps in raw_sets]
+    sets = PointSets.of([[vec(p) for p in ps] for ps in raw_sets])
     got = stab_exists_linear(sets, fam, _flat_in("linear", sets, fam))
     assert got.status in ("witness", "infeasible")
     witness = got.witness
@@ -655,6 +659,7 @@ def test_stabs_at_is_the_rank_of_the_block_differences(case, data):
     # and tested at a flat point u: the met points' differences on the
     # block coordinates, summed here, have rank at most d-t
     fam, sets = case
+    sets = PointSets.of(sets)
     total = sum(len(ps) for ps in sets)
     lam = data.draw(st.lists(small_rat, min_size=total, max_size=total))
     cases = [(lam, transversal._block_differences(sets, fam, (lam,)), ())]
@@ -698,6 +703,7 @@ _POINT_FAMILY_2D = PlaneFamily(2, (), (1, 2), 0)
 
 
 def _univariate(sets, family):
+    sets = PointSets.of(sets)
     return stab_decide_univariate(sets, family,
                                   _flat_in("univariate", sets, family))
 
@@ -724,17 +730,19 @@ def test_univariate_not_applicable_wrong_q():
     # q = 1 and q = 3, 4 on a flat that is a point to linear, and q = 3 on
     # a flat of dimension three to the search
     sets = [[vec([0, 0])], [vec([1, 1])], [vec([2, 0])], [vec([3, 1])]]
-    assert [stab_regime(sets[:q], _POINT_FAMILY_2D)[0] for q in (1, 3, 4)] \
-        == ["linear", "linear", "linear"]
-    segments = [[vec([0, 0]), vec([1, 0])], [vec([0, 1]), vec([1, 2])],
-                [vec([3, 0]), vec([0, 3])]]
+    assert [stab_regime(PointSets.of(sets[:q]), _POINT_FAMILY_2D)[0]
+            for q in (1, 3, 4)] == ["linear", "linear", "linear"]
+    segments = PointSets.of([[vec([0, 0]), vec([1, 0])],
+                             [vec([0, 1]), vec([1, 2])],
+                             [vec([3, 0]), vec([0, 3])]])
     mode, flat = stab_regime(segments, _POINT_FAMILY_2D)
     assert (mode, len(flat[1])) == ("search", 3)
 
 
 def test_univariate_not_applicable_flat_dimension():
     # q = 2, but a plane of lambdas: the search decides
-    sets = [[vec([0, 0]), vec([2, 0]), vec([0, 2])], [vec([5, 5])]]
+    sets = PointSets.of([[vec([0, 0]), vec([2, 0]), vec([0, 2])],
+                         [vec([5, 5])]])
     mode, flat = stab_regime(sets, _POINT_FAMILY_2D)
     assert (mode, len(flat[1])) == ("search", 2)
 
@@ -782,6 +790,7 @@ def test_univariate_decision_builds_one_sturm_chain(monkeypatch):
     ]
     seen = []
     for sets, family in cases:
+        sets = PointSets.of(sets)
         flat = _flat_in("univariate", sets, family)
         builds.clear()
         got = stab_decide_univariate(sets, family, flat)
@@ -924,7 +933,8 @@ def univariate_cases(draw, max_denominator=2):
         for pts in sets:
             for p in pts:
                 p[block[-1] - 1] = value
-    return PlaneFamily(m, s_t, s_T, d), [[vec(p) for p in pts] for pts in sets]
+    return PlaneFamily(m, s_t, s_T, d), PointSets.of(
+        [[vec(p) for p in pts] for pts in sets])
 
 
 @given(univariate_cases())
@@ -946,7 +956,8 @@ def test_univariate_decision_matches_gram_oracle(case):
 
 
 @given(univariate_cases())
-@example((_POINT_FAMILY_2D, [[vec([0, 0]), vec([2, 2])], [vec([1, 1])]]))
+@example((_POINT_FAMILY_2D,
+          PointSets.of([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]])))
 @settings(max_examples=150, deadline=None)
 def test_every_univariate_report_carries_its_reduced_polynomial(case):
     # a witness at a rational root reports the gcd too, and its lambda
@@ -1016,15 +1027,68 @@ def test_integer_block_differences_match_the_fraction_oracle(case, data):
         primitive_gcd(minors))
 
 
+@st.composite
+def _mixed_denominator_cases(draw):
+    """A random family of R^m, m <= 4, up to four sets of up to three
+    points whose coordinates have mixed denominators, half the time equal
+    outside s_T across the sets so the flat is not empty, and up to three
+    stacked lambdas."""
+    m = draw(st.integers(1, 4))
+    s_T = tuple(j for j in range(1, m + 1) if draw(st.booleans()))
+    s_t = tuple(j for j in s_T if draw(st.booleans()))
+    fam = PlaneFamily(m, s_t, s_T, draw(st.integers(len(s_t), len(s_T))))
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    point = st.lists(rat, min_size=m, max_size=m)
+    sets = draw(st.lists(st.lists(point, min_size=1, max_size=3),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        shared = draw(point)
+        for p in (p for ps in sets for p in ps):
+            for j in fam.outside:
+                p[j - 1] = shared[j - 1]
+    sets = [[vec(p) for p in ps] for ps in sets]
+    total = sum(len(ps) for ps in sets)
+    vectors = draw(st.lists(st.lists(rat, min_size=total, max_size=total),
+                            min_size=1, max_size=3))
+    return fam, sets, vectors
+
+
+@given(_mixed_denominator_cases())
+@settings(max_examples=200, deadline=None)
+def test_integer_form_decides_as_the_fraction_rows(case):
+    # the deciders read the one integer form E p_ij; on it the flat, and
+    # so the mode, is the solve of the Fraction hull rows, and the block
+    # differences over their scale are the Fraction sums y_i - y_1
+    fam, sets, vectors = case
+    form = PointSets.of(sets)
+    assert [list(ps) for ps in form] == sets
+    assert form.scale == math.lcm(*(x.denominator for ps in sets
+                                     for p in ps for x in p))
+    flat = solve_affine(*hull_rows(sets, [j - 1 for j in fam.outside]))
+    q, free = len(sets), fam.d - fam.t
+    if flat is None or not flat[1] or q <= free + 1:
+        mode = "linear"
+    elif q == free + 2 and len(flat[1]) == 1:
+        mode = "univariate"
+    else:
+        mode = "search"
+    assert stab_regime(form, fam) == (mode, flat)
+    scale, rows = transversal._block_differences(form, fam, vectors)
+    assert scale > 0 and len(rows) == q - 1
+    for k, lam in enumerate(vectors):
+        assert [[F(x, scale) for x in per_set[k]] for per_set in rows] == (
+            block_differences_naive(sets, fam.block, lam))
+
+
 # --- heuristic search -----------------------------------------------------------
 
 def _z_axis_fixture():
     fam = PlaneFamily(3, (), (1, 2, 3), 1)
-    sets = [
+    sets = PointSets.of([
         [vec([0, 0, 0]), vec([1, 0, 0])],
         [vec([0, 0, 1]), vec([0, 1, 1])],
         [vec([0, 0, 2]), vec([1, 1, 2])],
-    ]
+    ])
     return fam, sets
 
 
@@ -1061,8 +1125,8 @@ def test_search_budget_is_an_exact_cap(fam, extra, coords, budget, seed):
     # comes after exactly the budget of evaluations
     q = fam.d - fam.t + 2 + extra
     values = iter(coords)
-    sets = [[vec(next(values) for _ in range(fam.m)) for _ in range(2)]
-            for _ in range(q)]
+    sets = PointSets.of([[vec(next(values) for _ in range(fam.m))
+                          for _ in range(2)] for _ in range(q)])
     mode, flat = stab_regime(sets, fam)
     assert mode == "search"
     got = stab_search_general(sets, fam, flat, budget, seed)
@@ -1077,9 +1141,9 @@ def test_search_path_is_pinned(monkeypatch):
     # every (u, objective) pair of a search that spends its budget of 300
     # on a three-dimensional flat, hashed: a changed descent fails this even
     # when the answer stays not_found
-    sets = [[vec([0, 0, 0]), vec([F(1, 2), F(-1, 3), 1])],
-            [vec([20, F(1, 5), 0]), vec([F(41, 2), 0, F(-1, 7)])],
-            [vec([F(1, 3), 20, F(1, 4)]), vec([0, 21, 0])]]
+    sets = PointSets.of([[vec([0, 0, 0]), vec([F(1, 2), F(-1, 3), 1])],
+                         [vec([20, F(1, 5), 0]), vec([F(41, 2), 0, F(-1, 7)])],
+                         [vec([F(1, 3), 20, F(1, 4)]), vec([0, 21, 0])]])
     fam = PlaneFamily(3, (), (1, 2, 3), 1)
     mode, flat = stab_regime(sets, fam)
     assert (mode, len(flat[1])) == ("search", 3)
@@ -1104,8 +1168,8 @@ def test_default_budget_is_not_overrun():
     # the met points are fixed and collinear: every objective is zero and
     # every rank test fails, so the search spends its whole budget, and
     # not one evaluation more
-    sets = [[vec([0, 0]), vec([0, 0])], [vec([1, 1])],
-            [vec([2, 2]), vec([2, 2]), vec([2, 2])]]
+    sets = PointSets.of([[vec([0, 0]), vec([0, 0])], [vec([1, 1])],
+                         [vec([2, 2]), vec([2, 2]), vec([2, 2])]])
     got = decide_stab(sets, _POINT_FAMILY_2D, SEARCH_BUDGET, 0)
     assert (got["mode"], got["status"], got["evaluations"]) == (
         "search", "not_found", SEARCH_BUDGET)
@@ -1115,7 +1179,7 @@ def test_search_rejects_linear_regime():
     # q <= d-t+1 is decided exactly, whatever the budget: no search runs
     fam = PlaneFamily(3, (), (1, 2), 1)
     for sets in ([[vec([0, 0, 0])]], [[vec([0, 0, 0])], [vec([1, 1, 1])]]):
-        assert decide_stab(sets, fam, 10, 0)["mode"] == "linear"
+        assert decide_stab(PointSets.of(sets), fam, 10, 0)["mode"] == "linear"
 
 
 def test_search_never_emits_false_witness_in_nonstab_regime():
@@ -1133,7 +1197,7 @@ def test_search_never_emits_false_witness_in_nonstab_regime():
                             for _ in range(5)]))
         sets.append(pts)
     assert nonstab_case([1, 1, 1], 5, 1, 0, 1) is NonStabCase.CASE_I
-    got = decide_stab(sets, fam, 400, pool.seed)
+    got = decide_stab(PointSets.of(sets), fam, 400, pool.seed)
     assert (got["mode"], got["status"], got["certified"]) == (
         "linear", "infeasible", True)
 
@@ -1205,7 +1269,7 @@ _STAB_REPORTS = [
          "univariate-root", "no-stab", "isolating-interval",
          "point-flat"])
 def test_stab_report_fields_are_pinned(sets, family, budget, want):
-    got = decide_stab(sets, family, budget, 0)
+    got = decide_stab(PointSets.of(sets), family, budget, 0)
     assert json.dumps(got, sort_keys=True) == want
 
 
@@ -1226,8 +1290,8 @@ _SEARCH = _through_regime(stab_search_general, 10, 0)
 _UNIVARIATE = _through_regime(stab_decide_univariate)
 
 
-# no decider checks the point sets itself: each takes its flat from
-# stab_regime, whose emptiness check comes first
+# no decider checks the point sets itself: the integer form refuses empty
+# ones when it is built, before any decider runs
 @pytest.mark.parametrize("decide, sets", [
     (_LINEAR, []),
     (_LINEAR, [[]]),
@@ -1245,28 +1309,28 @@ _UNIVARIATE = _through_regime(stab_decide_univariate)
         "univariate-wrong-q-one-empty"])
 def test_decider_input_errors(decide, sets):
     with pytest.raises(ValueError) as info:
-        decide(sets, _D0)
+        decide(PointSets.of(sets), _D0)
     assert str(info.value) == "need nonempty point sets"
 
 
 def test_decide_stab_solves_the_constraint_flat_once(monkeypatch):
     # stab_regime solves the flat and the decider it picks runs on it: one
-    # solve_affine per decision, on one input per mode
+    # solve of integer rows per decision, on one input per mode
     calls = []
-    solve = transversal.solve_affine
+    solve = transversal._solve_augmented
 
-    def counting(rows, rhs):
-        calls.append(len(rows))
-        return solve(rows, rhs)
+    def counting(work, ncols):
+        calls.append(len(work))
+        return solve(work, ncols)
 
-    monkeypatch.setattr(transversal, "solve_affine", counting)
+    monkeypatch.setattr(transversal, "_solve_augmented", counting)
     cases = [([[vec([0, 0, 0])], [vec([5, 0, 0])]], _PLANE_E1, 0),
              ([[vec([0, 0]), vec([2, 2])], [vec([1, 1])]], _POINT_FAMILY_2D, 0),
              (_Z_SETS, PlaneFamily(3, (), (1, 2, 3), 1), 500)]
     seen = []
     for sets, family, budget in cases:
         calls.clear()
-        got = decide_stab(sets, family, budget, 0)
+        got = decide_stab(PointSets.of(sets), family, budget, 0)
         seen.append((got["mode"], got["status"], len(calls)))
     assert seen == [("linear", "witness", 1), ("univariate", "witness", 1),
                     ("search", "witness", 1)]
@@ -1301,7 +1365,7 @@ def test_each_decision_builds_the_block_differences_once(monkeypatch):
     for sets, family, budget in cases:
         builds.clear()
         tests.clear()
-        got = decide_stab(sets, family, budget, 0)
+        got = decide_stab(PointSets.of(sets), family, budget, 0)
         seen.append((got["mode"], got["status"], builds[:], len(tests)))
     assert seen == [("linear", "infeasible", [], 0),
                     ("linear", "witness", [(1, int)], 1),
