@@ -12,10 +12,13 @@ One integer pivot, :func:`_pivot` (the fraction-free update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
 Rank, solves and nullspaces come from :func:`_echelon` on
 denominator-cleared integer rows (:func:`_cleared`): a solve
-(:func:`_solve_augmented`, the one entry point for integer rows a caller
+(:func:`_solve_augmented`, the entry point for integer rows a caller
 cleared itself) reads each entry it returns off those rows as that entry
-over its row's pivot.  The one determinant is the last pivot,
-:func:`_minor` on integer rows by forward elimination, which updates only
+over its row's pivot; :func:`_unique_solution` eliminates forward only,
+turning away every inconsistent or underdetermined system there, and hands
+a unique solution as integers over the last pivot by back substitution.
+The one determinant is the last pivot, :func:`_minor` on integer rows by
+forward elimination, which updates only
 the rows below each pivot; a caller that cleared rational rows divides it
 by their row scales to get the minor over Q.
 ``lp_feasible(rows, rhs)`` decides the standard form
@@ -23,10 +26,10 @@ by their row scales to get the minor over Q.
 simplex (Bland's rule, on an integer tableau) only when the equality
 system has a nullspace; an inconsistent system or a unique solution
 decides it directly.  :func:`hull_rows` is the one system for a common
-point of hulls over a stacked barycentric lambda: the section LP runs it on
-rational points, the stab constraint flat on the integer points of one lcm,
-straight into :func:`_solve_augmented`.  :func:`combination` is the one sum
-sum_j w_j p_j of a lambda block.
+point of hulls over a stacked barycentric lambda: the section LP and the
+stab constraint flat both run it on integer points cleared by one lcm, the
+flat straight into :func:`_solve_augmented`.  :func:`combination` is the one
+sum sum_j w_j p_j of a Fraction lambda block.
 
 Polynomials have one type: integer coefficient lists in ascending degree,
 the zero polynomial ``[]``.  One primitive pseudo-remainder sequence
@@ -225,6 +228,35 @@ def _solve_augmented(work: list[list[int]], ncols: int
     return tuple(particular), tuple(basis)
 
 
+def _unique_solution(work: list[list[int]], ncols: int
+                     ) -> Optional[tuple[tuple[int, ...], int]]:
+    """(u, delta) with delta > 0 and x = u / delta the unique solution of
+    an augmented system [A | b] of integer rows, which it eliminates forward
+    in place, or None when the system is inconsistent or has a nullspace.
+
+    Forward elimination decides which: the solution is unique exactly when
+    the pivot columns are the ncols columns of A, so an inconsistent
+    system stops there, with no row above a pivot ever updated.  The last
+    pivot is then the determinant delta of the leading square system, up to
+    sign (as in :func:`_minor`), and delta x is an integer vector (Cramer),
+    so back substitution on the triangular rows divides exactly: pivot row i
+    gives delta x_i = (delta b_i - sum_{j>i} a_ij delta x_j) / a_ii.  That
+    is the augmented column Gauss-Jordan ends with over the same last pivot.
+    """
+    work, pivots = _echelon(work, back=False)
+    if pivots != list(range(ncols)):
+        return None
+    delta = work[ncols - 1][ncols - 1]
+    u = [0] * ncols
+    for i in range(ncols - 1, -1, -1):
+        row = work[i]
+        u[i] = (delta * row[ncols] - sum(row[j] * u[j]
+                                         for j in range(i + 1, ncols))) // row[i]
+    if delta < 0:
+        return tuple(-x for x in u), -delta
+    return tuple(u), delta
+
+
 def solve_affine(rows: Sequence[Sequence[Fraction]], b: Sequence
                  ) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """Solve rows . x = b exactly; the rows must have equal length.
@@ -321,8 +353,9 @@ def hull_rows(point_sets: Sequence[Sequence[Sequence]], coords: Sequence[int]
     Solved, they ask whether the affine hulls meet on those coordinates;
     under :func:`lp_feasible`, whether the convex hulls do.  The constants
     are ints, so integer points give integer rows: the stab flat's solve
-    passes the points E p_ij of one lcm E, whose difference rows are E times
-    those of the p_ij, with the same solutions."""
+    and the section LP pass the points E p_ij of one lcm E, whose
+    difference rows are E times those of the p_ij, with the same
+    solutions."""
     q = len(point_sets)
     rows = [[1 if j == i else 0 for j, ps in enumerate(point_sets)
              for _ in ps] for i in range(q)]

@@ -6,6 +6,21 @@ The pieces come from :func:`~plstab.transversal.stabbed_simplexes`, the one
 plane-membership test and face walk: a piece's vertices are the points of
 the minimal stabbed faces it lists for the simplex (each the one point of
 the piece of its support face), each placed once.
+
+Pieces have one integer form, from the membership solve to the reported
+diameter.  The walk hands a face's point as integers u over one positive
+pivot delta (lambda_v = D_v u_v / delta, with the map's integer form
+``g.cleared`` giving P_v = D_v p_v), so an image vertex is
+sum_v u_v P_v over delta and a preimage vertex holds D_v u_v over delta.
+Each vertex is stored in lowest terms, as (integer vector X, positive
+denominator delta), so equal points are equal tuples and components
+deduplicate vertices by hashing ints.  Squared distances compare
+(delta_b X_a - delta_a X_b)^2 against the other side cross-multiplied, and
+a Fraction is built only for each component's ``diameters_sq`` entry;
+:func:`polytopes_intersect` clears its two vertex lists by one lcm.  The
+Fraction view (``fractions()``) and the ``of`` constructors from Fraction
+vertex lists serve tests and callers that hold Fractions.
+
 Components of the union (pieces chained by nonempty intersection) make the
 metric predicates decidable: a compact PL set is coverable by disjoint open
 sets of diameter below eps iff every component has diameter below eps, and
@@ -27,51 +42,110 @@ their components.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .ratmath import (Vec, as_fraction, combination, dist_sq, hull_rows,
-                      lp_feasible)
+from .ratmath import Vec, _cleared, as_fraction, hull_rows, lp_feasible
 from .simplicial import PLMap, Simplex, SimplicialComplex
 from .transversal import ConcretePlane, stabbed_simplexes
 
-_ZERO = Fraction(0)
-
-Polytope = tuple[Vec, ...]  # vertex list, exact
+Vertex = tuple[tuple[int, ...], int]  # (X, delta): X / delta, lowest terms
+Polytope = tuple[Vertex, ...]  # vertex list, exact
 
 MAX_CLUSTER_COMPONENTS = 12
 
 
+def _vertex(xs: Sequence[int], delta: int) -> Vertex:
+    """The point xs / delta, delta > 0, in lowest terms."""
+    g = math.gcd(delta, *xs)
+    if g == 1:
+        return tuple(xs), delta
+    return tuple(x // g for x in xs), delta // g
+
+
+def _polytope(points: Sequence[Vec]) -> Polytope:
+    """The integer form of a Fraction vertex list."""
+    return tuple(_vertex(xs, scale)
+                 for scale, xs in (_cleared(p) for p in points))
+
+
+def _fractions(points: Sequence[Vertex]) -> tuple[Vec, ...]:
+    return tuple(tuple(Fraction(x, delta) for x in xs) for xs, delta in points)
+
+
 @dataclass(frozen=True)
 class PlanarSection:
-    """Per-simplex intersection polytopes of a plane with a PL image."""
+    """Per-simplex intersection polytopes of a plane with a PL image, each
+    vertex on its integer form (see the module docstring)."""
 
     pieces: tuple[Polytope, ...]
     sources: tuple[Simplex, ...]
     meets_in_faces: bool = False  # pieces of s, s' meet only in piece(s & s')
 
+    @classmethod
+    def of(cls, pieces: Sequence[Sequence[Vec]], sources: Sequence[Simplex],
+           meets_in_faces: bool = False) -> "PlanarSection":
+        """The section of Fraction vertex lists."""
+        return cls(tuple(map(_polytope, pieces)), tuple(sources),
+                   meets_in_faces)
+
+    def fractions(self) -> tuple[tuple[Vec, ...], ...]:
+        """The Fraction view of the pieces, built when it is read."""
+        return tuple(map(_fractions, self.pieces))
+
 
 @dataclass(frozen=True)
 class ComponentPartition:
     """Components as sorted piece indices, with each component's distinct
-    vertices in first-seen order and its squared diameter."""
+    vertices (on their integer form) in first-seen order and its squared
+    diameter."""
 
     components: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[Vec, ...], ...]
+    points: tuple[Polytope, ...]
     diameters_sq: tuple[Fraction, ...]
 
+    @classmethod
+    def of(cls, components: Sequence[tuple[int, ...]],
+           points: Sequence[Sequence[Vec]],
+           diameters_sq: Sequence[Fraction]) -> "ComponentPartition":
+        """The partition of Fraction vertex lists."""
+        return cls(tuple(components), tuple(map(_polytope, points)),
+                   tuple(diameters_sq))
 
-def diameter_sq(points: Sequence[Vec]) -> Fraction:
-    return max((dist_sq(a, b) for a, b in itertools.combinations(points, 2)),
-               default=_ZERO)
+    def fractions(self) -> tuple[tuple[Vec, ...], ...]:
+        """The Fraction view of each component's vertices."""
+        return tuple(map(_fractions, self.points))
+
+
+def _dist_sq(a: Vertex, b: Vertex) -> tuple[int, int]:
+    """|a - b|^2 as (numerator, positive denominator)."""
+    (xa, da), (xb, db) = a, b
+    return (sum((db * x - da * y) ** 2 for x, y in zip(xa, xb, strict=True)),
+            (da * db) ** 2)
+
+
+def diameter_sq(points: Sequence[Vertex]) -> Fraction:
+    """The largest squared distance between two of the points, compared
+    cross-multiplied; its Fraction is the one built."""
+    best, over = 0, 1
+    for a, b in itertools.combinations(points, 2):
+        num, den = _dist_sq(a, b)
+        if num * over > best * den:
+            best, over = num, den
+    return Fraction(best, over)
 
 
 def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
     """Exact nonempty-intersection test between two vertex-listed polytopes:
-    the LP of :func:`~plstab.ratmath.hull_rows` on every coordinate."""
+    the LP of :func:`~plstab.ratmath.hull_rows` on every coordinate, on the
+    integer points of one lcm E of the vertices' denominators."""
     if not p or not q:
         return False
+    scale = math.lcm(*[delta for _, delta in p], *[delta for _, delta in q])
+    p, q = ([[x * (scale // delta) for x in xs] for xs, delta in r]
+            for r in (p, q))
     m = len(p[0])
     # cheap exact bounding-box rejection first
     for c in range(m):
@@ -83,13 +157,14 @@ def polytopes_intersect(p: Polytope, q: Polytope) -> bool:
 
 
 def _section(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-             place: Callable[[Simplex, Vec], Vec],
+             place: Callable[[Simplex, tuple[int, ...]], list[int]],
              meets_in_faces: bool = False) -> PlanarSection:
-    """Pieces with their vertices placed by place(face, lambda): the piece
-    of a simplex has one vertex per minimal stabbed face, at that face's
-    point, faces by size and then lexicographically."""
+    """Pieces with their vertices placed by place(face, u) over delta, for
+    each face's point (u, delta): the piece of a simplex has one vertex per
+    minimal stabbed face, faces by size and then lexicographically."""
     points, faces = stabbed_simplexes(k, g, plane, k.dim)
-    placed = {f: place(f, lam) for f, lam in points.items()}
+    placed = {f: _vertex(place(f, u), delta)
+              for f, (u, delta) in points.items()}
     # distinct: a certified image and the realization are injective
     pieces = tuple(tuple(placed[f] for f in fs) for fs in faces.values())
     return PlanarSection(pieces, tuple(faces), meets_in_faces)
@@ -101,9 +176,13 @@ def section_of_image(k: SimplicialComplex, g: PLMap,
 
     Each piece is the polytope of image points of one simplex lying on the
     plane, listed by its exact vertices; empty intersections are omitted.
+    A vertex sum_v lambda_v p_v is sum_v u_v P_v over delta.
     """
-    def place(s: Simplex, lam: Vec) -> Vec:
-        return combination(lam, [g.images[v] for v in s], range(g.m))
+    cleared = g.cleared
+
+    def place(s: Simplex, u: tuple[int, ...]) -> list[int]:
+        images = [cleared[v][1] for v in s]
+        return [sum(w * p[c] for w, p in zip(u, images)) for c in range(g.m)]
 
     return _section(k, g, plane, place)
 
@@ -180,15 +259,17 @@ def preimage_polytopes(k: SimplicialComplex, g: PLMap,
     spread over the positions of its simplex's vertices.  There the
     realized simplexes of s and s' meet in that of s & s', so their pieces
     meet in piece(s & s') and the section is marked ``meets_in_faces``.
+    A weight lambda_v is D_v u_v over delta.
     """
     index = {v: i for i, v in enumerate(k.vertices)}
     nv = len(k.vertices)
+    cleared = g.cleared
 
-    def place(s: Simplex, lam: Vec) -> Vec:
-        point = [_ZERO] * nv
-        for w, v in zip(lam, s):
-            point[index[v]] = w
-        return tuple(point)
+    def place(s: Simplex, u: tuple[int, ...]) -> list[int]:
+        point = [0] * nv
+        for w, v in zip(u, s):
+            point[index[v]] = cleared[v][0] * w
+        return point
 
     return _section(k, g, plane, place, meets_in_faces=True)
 
@@ -208,6 +289,7 @@ def component_clusters(part: ComponentPartition, q: int,
     if q < 1 or eps <= 0:
         raise ValueError("need q >= 1 and eps > 0")
     eps_sq = eps * eps
+    top, bottom = eps_sq.numerator, eps_sq.denominator
     if any(d > eps_sq for d in part.diameters_sq):
         return None
     ncomp = len(part.components)
@@ -222,8 +304,9 @@ def component_clusters(part: ComponentPartition, q: int,
         """Whether components i and j together have diameter <= eps."""
         got = pair_cache.get((i, j))
         if got is None:
-            got = all(dist_sq(a, b) <= eps_sq
-                      for a in part.points[i] for b in part.points[j])
+            got = all(num * bottom <= top * den
+                      for num, den in (_dist_sq(a, b) for a in part.points[i]
+                                       for b in part.points[j]))
             pair_cache[(i, j)] = got
         return got
 

@@ -8,7 +8,8 @@ s_T axes.  This module provides:
 * the exact counting ceiling (:func:`stab_bound`) and case predicate
   (:func:`nonstab_case`);
 * the one plane-membership test and face walk (:func:`stabbed_simplexes`):
-  points and minimal stabbed faces, one exact solve per candidate, no LP;
+  points, as integers over one pivot, and minimal stabbed faces, one exact
+  solve per candidate, no LP;
 * the one integer form of point sets (:class:`PointSets`): the lcm E of
   all their coordinates' denominators and the integer points E p_ij, which
   every decider reads; the Fraction view is built only when it is read;
@@ -40,7 +41,8 @@ from typing import Optional, Sequence
 
 from .generic import _derived_seed
 from .ratmath import (Vec, _cleared, _minor, _poly_det, _poly_gcd, _sign_at,
-                      _solve_augmented, _sturm_chain, _trimmed, _variations,
+                      _solve_augmented, _sturm_chain, _trimmed,
+                      _unique_solution, _variations,
                       cauchy_root_bound, combination, format_rational,
                       hull_rows, independent_subset, mat_rank,
                       nullspace_basis, parse_rational, simplest_between,
@@ -729,13 +731,15 @@ def _max_independent_set(n: int, adj: list[set[int]]) -> list[int]:
 
 
 def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
-                      nmax: int) -> tuple[dict[Simplex, Vec],
-                                          dict[Simplex, tuple[Simplex, ...]]]:
+                      nmax: int) -> tuple[
+                          dict[Simplex, tuple[tuple[int, ...], int]],
+                          dict[Simplex, tuple[Simplex, ...]]]:
     """The minimal stabbed simplexes of dimension <= nmax (images meet the
     plane, no proper face's image does), each with the one point of its
     piece {lambda in the standard simplex : image on plane}, and every
     stabbed simplex up to nmax with its minimal stabbed faces by size and
-    then lexicographically, both in sorted-simplex order.
+    then lexicographically, both in sorted-simplex order.  A point comes
+    on integers, as (u, delta) with delta > 0 and lambda_v = D_v u_v / delta.
 
     This is the one plane-membership test, on the map's integer form
     ``g.cleared``: each vertex image p_v as P_v = D_v p_v, and each
@@ -746,9 +750,11 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     right-hand side, none on it, cannot meet the plane and is skipped.
     Otherwise its system is written in mu_v = lambda_v / D_v, on integer
     rows: the sum-to-one row [D_v ... | 1], then [b C.P_v ... | a D_c] per
-    covector, solved by :func:`~plstab.ratmath._solve_augmented`.  As every
-    D_v > 0, the lambda system has a unique, strictly positive solution
-    exactly when this one does, and lambda_v = D_v mu_v.  A vertex of a
+    covector, solved by :func:`~plstab.ratmath._unique_solution` as
+    mu = u / delta.  As every D_v > 0, the lambda system has a unique,
+    strictly positive solution exactly when this one does, and
+    lambda_v = D_v mu_v.  Most systems are inconsistent, and forward
+    elimination alone turns them away.  A vertex of a
     piece is the unique, strictly positive solution of its support face's
     system, and those faces are exactly the minimal stabbed ones: a stabbed
     proper face's point, padded with zeros, would solve the system too.
@@ -795,10 +801,9 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                 break
             rows.append([values[v] for v in s] + [rhs])
         else:
-            sol = _solve_augmented(rows, len(s))
-            if sol is not None and not sol[1] and min(sol[0]) > 0:
-                points[s] = tuple(cleared[v][0] * mu
-                                  for v, mu in zip(s, sol[0]))
+            sol = _unique_solution(rows, len(s))
+            if sol is not None and min(sol[0]) > 0:
+                points[s] = sol
                 faces[s] = (s,)
     return points, faces
 
@@ -811,9 +816,9 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     simplexes (:func:`stabbed_simplexes`), max-degree-first with
     cardinality pruning; swapping a stabbed simplex for a minimal stabbed
     face keeps the count.  Before it is returned, the family is re-checked
-    exactly: each member's point is a nonnegative lambda summing to 1 whose
-    image lies on the plane, and the members share no vertex; a failure
-    raises RuntimeError.
+    exactly: each member's point, built as a Fraction lambda here and for
+    the members alone, is nonnegative and sums to 1, its image lies on the
+    plane, and the members share no vertex; a failure raises RuntimeError.
     """
     points, _ = stabbed_simplexes(k, g, plane, nmax)
     hits = list(points)
@@ -822,7 +827,8 @@ def max_disjoint_stabbed(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
            for i, a in enumerate(vsets)]
     family = tuple(hits[i] for i in _max_independent_set(len(hits), adj))
     for s in family:
-        lam = points[s]
+        u, delta = points[s]
+        lam = tuple(Fraction(g.cleared[v][0] * x, delta) for v, x in zip(s, u))
         if (min(lam) < 0 or sum(lam) != 1
                 or not plane.contains(image_point(g, s, lam))):
             raise RuntimeError(f"stabbed simplex {s} failed exact re-verification")

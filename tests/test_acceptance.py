@@ -170,8 +170,9 @@ def test_embedding_regime_injectivity():
             for s1, s2 in itertools.combinations(simplexes, 2):
                 if set(s1) & set(s2):
                     continue
-                img1 = tuple(g.images[v] for v in s1)
-                img2 = tuple(g.images[v] for v in s2)
+                img1, img2 = PlanarSection.of(
+                    [[g.images[v] for v in s] for s in (s1, s2)],
+                    [s1, s2]).pieces
                 assert not polytopes_intersect(img1, img2), (n, m, ci, s1, s2)
             rng = random.Random(seed + 31 * ci)
             for _ in range(25):
@@ -229,7 +230,7 @@ def _named(pieces):
     """A section whose pieces come from pairwise disjoint 0-simplexes, so no
     face incidence joins them."""
     pieces = tuple(pieces)
-    return PlanarSection(pieces, tuple((f"p{i}",) for i in range(len(pieces))))
+    return PlanarSection.of(pieces, [(f"p{i}",) for i in range(len(pieces))])
 
 
 def _cluster_oracle_pass(rng):

@@ -1,8 +1,12 @@
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (basic_feasible_solutions, clusterable_by_partition_scan,
                      components_by_pairwise_lp, feasible_by_basic_solutions)
@@ -10,13 +14,15 @@ from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import sections
 from plstab.generic import GenericPool
-from plstab.ratmath import dist_sq, vec
-from plstab.sections import (ComponentPartition, PlanarSection,
+from plstab.ratmath import combination, dist_sq, vec
+from plstab.sections import (MAX_CLUSTER_COMPONENTS, ComponentPartition,
+                             PlanarSection,
                              component_clusters, compute_components,
                              eps_disjoint, polytopes_intersect,
                              preimage_polytopes, section_of_image)
 from plstab.simplicial import PLMap, certify_map, parse_complex, roberts_perturb
-from plstab.transversal import ConcretePlane, PlaneFamily, plane_through
+from plstab.transversal import (ConcretePlane, PlaneFamily, plane_through,
+                                stabbed_simplexes)
 
 F = Fraction
 
@@ -38,7 +44,12 @@ def _named(pieces):
     """A section whose pieces come from pairwise disjoint 0-simplexes, so no
     face incidence joins them."""
     pieces = tuple(pieces)
-    return PlanarSection(pieces, tuple((f"p{i}",) for i in range(len(pieces))))
+    return PlanarSection.of(pieces, [(f"p{i}",) for i in range(len(pieces))])
+
+
+def _intersect(p, q):
+    """polytopes_intersect on Fraction vertex lists."""
+    return polytopes_intersect(*PlanarSection.of((p, q), [("p",), ("q",)]).pieces)
 
 
 def test_section_empty_when_plane_misses():
@@ -56,7 +67,7 @@ def test_section_of_empty_complex():
 def test_section_triangle_slice_is_segment():
     k, g = _triangle()
     got = section_of_image(k, g, _vertical_line(F(3)))
-    by_source = dict(zip(got.sources, got.pieces))
+    by_source = dict(zip(got.sources, got.fractions()))
     tri = by_source[("a", "b", "c")]
     assert set(tri) == {vec([3, F(7, 2)]), vec([3, 6])}
     # the crossed edges contribute their single crossing points
@@ -70,7 +81,7 @@ def test_section_contains_full_edge_on_plane():
     fam = PlaneFamily(2, (), (1, 2), 1)
     plane = ConcretePlane(fam, g.images["a"], (vec([4, 2]),))  # through a and b
     got = section_of_image(k, g, plane)
-    by_source = dict(zip(got.sources, got.pieces))
+    by_source = dict(zip(got.sources, got.fractions()))
     assert set(by_source[("a", "b")]) == {g.images["a"], g.images["b"]}
 
 
@@ -79,7 +90,7 @@ def test_section_piece_soundness():
     plane = _vertical_line(F(7, 2))
     got = section_of_image(k, g, plane)
     assert got.pieces
-    for piece, source in zip(got.pieces, got.sources):
+    for piece, source in zip(got.fractions(), got.sources):
         for v in piece:
             assert plane.contains(v)
             # inside the source simplex image: solvable convex combination
@@ -139,8 +150,10 @@ def test_image_and_preimage_pieces_match_basic_solution_scan():
             section = section_of_image(k, g, plane)
             preimage = preimage_polytopes(k, g, plane)
             assert list(section.sources) == list(want_image)
-            assert [set(p) for p in section.pieces] == list(want_image.values())
-            assert [set(p) for p in preimage.pieces] == list(want_pre.values())
+            assert [set(p) for p in section.fractions()] == list(
+                want_image.values())
+            assert [set(p) for p in preimage.fractions()] == list(
+                want_pre.values())
 
 
 def test_pieces_of_3_dimensional_complexes_match_basic_solution_scan():
@@ -174,7 +187,8 @@ def test_pieces_of_3_dimensional_complexes_match_basic_solution_scan():
             section = section_of_image(k, g, plane)
             preimage = preimage_polytopes(k, g, plane)
             assert list(section.sources) == list(preimage.sources) == list(want)
-            for s, piece, pre in zip(want, section.pieces, preimage.pieces):
+            for s, piece, pre in zip(want, section.fractions(),
+                                     preimage.fractions()):
                 lams = [tuple(p[index[v]] for v in s) for p in pre]
                 assert len(lams) == len(want[s]) and set(lams) == want[s]
                 supports = [tuple(v for v, w in zip(s, lam) if w)
@@ -210,7 +224,7 @@ def test_eps_disjoint_strictness():
     assert eps_disjoint(part, F(101, 100)) is True
 
 
-_NO_COMPONENTS = ComponentPartition((), (), ())
+_NO_COMPONENTS = ComponentPartition.of((), (), ())
 
 
 @pytest.mark.parametrize("call, message", [
@@ -245,7 +259,7 @@ def test_crossing_images_of_disjoint_edges():
     plane = _vertical_line(F(20, 9))
     image = compute_components(section_of_image(k, g, plane))
     assert image.components == ((0, 1),)
-    assert image.points == ((vec([F(20, 9), F(71, 18)]),),)
+    assert image.fractions() == ((vec([F(20, 9), F(71, 18)]),),)
     preimage = compute_components(preimage_polytopes(k, g, plane))
     assert preimage.components == ((0,), (1,))
     assert preimage.diameters_sq == (F(0), F(0))
@@ -274,9 +288,9 @@ def test_polytopes_intersect():
     a = (vec([0, 0]), vec([2, 2]))
     b = (vec([0, 2]), vec([2, 0]))
     c = (vec([3, 3]), vec([4, 4]))
-    assert polytopes_intersect(a, b) is True
-    assert polytopes_intersect(a, c) is False
-    assert polytopes_intersect((), a) is False
+    assert _intersect(a, b) is True
+    assert _intersect(a, c) is False
+    assert _intersect((), a) is False
 
 
 def _polytope_pairs():
@@ -310,17 +324,22 @@ def _polytope_pairs():
                                          for i, x in enumerate(v)) for v in p)
 
 
+def _meet_by_scan(p, q):
+    """A basic-solution scan of {lambda, mu >= 0 : sum lambda = sum mu = 1,
+    P lambda = Q mu}, with the rows built here."""
+    m = len(p[0])
+    rows = [[F(1)] * len(p) + [F(0)] * len(q),
+            [F(0)] * len(p) + [F(1)] * len(q)]
+    rows += [[v[c] for v in p] + [-w[c] for w in q] for c in range(m)]
+    return feasible_by_basic_solutions(rows, [1, 1] + [0] * m)
+
+
 def test_polytopes_intersect_matches_basic_solution_scan():
-    # Against a basic-solution scan of {lambda, mu >= 0 : sum lambda =
-    # sum mu = 1, P lambda = Q mu}, with the rows built here.
     outcomes = set()
     for kind, p, q in _polytope_pairs():
         m = len(p[0])
-        rows = [[F(1)] * len(p) + [F(0)] * len(q),
-                [F(0)] * len(p) + [F(1)] * len(q)]
-        rows += [[v[c] for v in p] + [-w[c] for w in q] for c in range(m)]
-        want = feasible_by_basic_solutions(rows, [1, 1] + [0] * m)
-        assert polytopes_intersect(p, q) is want
+        want = _meet_by_scan(p, q)
+        assert _intersect(p, q) is want
         assert want is {"touching": True, "nested": True,
                         "disjoint": False}.get(kind, want)
         boxes_meet = all(min(v[c] for v in p) <= max(w[c] for w in q)
@@ -331,13 +350,41 @@ def test_polytopes_intersect_matches_basic_solution_scan():
     assert {("random", True, True), ("random", False, True)} <= outcomes
 
 
+def test_polytopes_intersect_on_one_lcm_of_mixed_denominators():
+    # The integer path clears both vertex lists by one lcm of their
+    # denominators.  Each pair above, moved by one rational affine map
+    # x_c -> a_c x_c + b_c (a_c != 0, its own denominators per coordinate),
+    # keeps the scan's verdict, and the integer test agrees with the scan
+    # on the moved Fraction vertices; the moved vertices carry several
+    # distinct denominators within one polytope.
+    rng = random.Random(62)
+    mixed = 0
+    for _, p, q in _polytope_pairs():
+        m = len(p[0])
+        a = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+             for _ in range(m)]
+        b = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+
+        def moved(poly):
+            return tuple(tuple(a[c] * v[c] + b[c] for c in range(m))
+                         for v in poly)
+
+        mp, mq = moved(p), moved(q)
+        want = _meet_by_scan(p, q)
+        assert _meet_by_scan(mp, mq) is want
+        assert _intersect(mp, mq) is want
+        pieces = PlanarSection.of((mp, mq), [("p",), ("q",)]).pieces
+        mixed += len({delta for piece in pieces for _, delta in piece}) > 1
+    assert mixed > 100
+
+
 # --- preimages ----------------------------------------------------------------
 
 def test_preimage_whole_simplex_on_plane():
     k, g = _triangle()
     fam = PlaneFamily(2, (), (1, 2), 1)
     plane = ConcretePlane(fam, g.images["a"], (vec([4, 2]),))
-    polys = preimage_polytopes(k, g, plane).pieces
+    polys = preimage_polytopes(k, g, plane).fractions()
     # the edge ab maps onto the plane, so its whole reference edge appears
     ref_a = vec([1, 0, 0])
     ref_b = vec([0, 1, 0])
@@ -346,7 +393,7 @@ def test_preimage_whole_simplex_on_plane():
 
 def test_preimage_point_on_edge():
     k, g = _triangle()
-    polys = preimage_polytopes(k, g, _vertical_line(F(3))).pieces
+    polys = preimage_polytopes(k, g, _vertical_line(F(3))).fractions()
     # edge ab is crossed at weight 3/4 a + 1/4 b
     assert any(set(p) == {vec([F(3, 4), F(1, 4), 0])} for p in polys)
 
@@ -406,9 +453,9 @@ def test_cluster_no_limit_when_q_covers_the_components():
 def _point_components(points):
     """The partition of one single-point component per point."""
     points = [vec(p) for p in points]
-    return ComponentPartition(tuple((i,) for i in range(len(points))),
-                              tuple((p,) for p in points),
-                              (F(0),) * len(points))
+    return ComponentPartition.of(tuple((i,) for i in range(len(points))),
+                                 tuple((p,) for p in points),
+                                 (F(0),) * len(points))
 
 
 def test_cluster_singletons_at_scale_when_q_covers_the_components():
@@ -523,7 +570,7 @@ def test_components_match_pairwise_lp_oracle():
         for section in (section_of_image(k, g, plane),
                         preimage_polytopes(k, g, plane)):
             part = compute_components(section)
-            want = components_by_pairwise_lp(section.pieces)
+            want = components_by_pairwise_lp(section.fractions())
             assert (part.components, part.diameters_sq) == want
 
 
@@ -578,3 +625,131 @@ def test_no_lp_joins_two_preimage_pieces(monkeypatch):
         for k, g, plane in _component_corpus():
             compute_components(build(k, g, plane))
     assert calls["preimage"] == 0 and calls["image"] > 0
+
+
+# --- the integer form against Fractions ---------------------------------------
+
+def _reference_sections(k, g, plane):
+    """The image and preimage pieces built on Fractions: each minimal
+    stabbed face's lambda read through the Fraction view of its point
+    (lambda_v = D_v u_v / delta), image vertices by ratmath.combination,
+    preimage vertices by spreading lambda over the realization."""
+    points, faces = stabbed_simplexes(k, g, plane, k.dim)
+    lam = {f: tuple(F(g.cleared[v][0] * x, delta) for v, x in zip(f, u))
+           for f, (u, delta) in points.items()}
+    index = {v: i for i, v in enumerate(k.vertices)}
+    image, realized = {}, {}
+    for f, w in lam.items():
+        image[f] = combination(w, [g.images[v] for v in f], range(g.m))
+        spread = [F(0)] * len(k.vertices)
+        for x, v in zip(w, f):
+            spread[index[v]] = x
+        realized[f] = tuple(spread)
+    return tuple(faces), [tuple(tuple(placed[f] for f in fs)
+                                for fs in faces.values())
+                          for placed in (image, realized)]
+
+
+def _reference_diameter_sq(points):
+    return max((dist_sq(a, b) for a, b in itertools.combinations(points, 2)),
+               default=F(0))
+
+
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 2), m=st.integers(2, 4),
+       adversarial=st.booleans(), q=st.integers(1, 3),
+       eps=st.fractions(min_value=F(1, 20), max_value=4, max_denominator=20))
+@settings(max_examples=100, deadline=None)
+def test_integer_sections_match_a_fraction_reference(seed, n, m, adversarial,
+                                                     q, eps):
+    # A random certified map (n <= 2, m <= 4) cut by a random or an
+    # adversarial plane: the pieces (stored in lowest terms and read
+    # through the Fraction view), the components, each component's distinct
+    # vertices and diameters_sq, and the clusters equal a reference built on
+    # Fractions, with components from the pairwise-LP oracle, vertices
+    # deduplicated by value, diameters by ratmath.dist_sq and
+    # clusterability by the partition scan.
+    rng = random.Random(seed)
+    k = random_complex(rng, rng.randint(3, 7), n, F(rng.randint(2, 6), 10))
+    g = roberts_perturb(k, random_map(rng, k, m, box=4), F(1, 2),
+                        GenericPool(seed))
+    fam = _random_family(rng, m)
+    plane = (sample_plane_adversarial(rng, fam, k, g) if adversarial
+             else sample_plane_random(rng, fam, g))
+    sources, want_pieces = _reference_sections(k, g, plane)
+    eps_sq = eps * eps
+    for build, want in zip((section_of_image, preimage_polytopes),
+                           want_pieces):
+        section = build(k, g, plane)
+        assert section.sources == sources
+        assert section.fractions() == tuple(want)
+        # each vertex in lowest terms over a positive denominator, so that
+        # equal points are equal tuples
+        assert all(delta > 0 and math.gcd(delta, *xs) == 1
+                   for piece in section.pieces for xs, delta in piece)
+        part = compute_components(section)
+        components, diameters = components_by_pairwise_lp(want)
+        points = [tuple(dict.fromkeys(v for i in comp for v in want[i]))
+                  for comp in components]
+        assert part.components == components
+        assert part.fractions() == tuple(points)
+        assert part.diameters_sq == diameters == tuple(
+            map(_reference_diameter_sq, points))
+        if q < len(components) > MAX_CLUSTER_COMPONENTS:
+            continue
+
+        def pair_diam_sq(i, j):
+            return _reference_diameter_sq(points[i] + points[j])
+
+        clusters = component_clusters(part, q, eps)
+        assert (clusters is not None) == clusterable_by_partition_scan(
+            list(range(len(components))), q, eps_sq, pair_diam_sq)
+        if clusters is not None:
+            assert len(clusters) <= q
+            assert sorted(i for c in clusters for i in c) == list(
+                range(len(components)))
+            assert all(pair_diam_sq(i, j) <= eps_sq
+                       for c in clusters for i in c for j in c)
+
+
+def test_sections_build_no_fraction_per_piece_vertex(monkeypatch):
+    # From the membership solve to the diameters the pieces stay on their
+    # integer form: placing the image and preimage pieces builds no
+    # Fraction, components build one per component (its diameters_sq
+    # entry), and clustering builds eps^2 alone, whatever the number of
+    # vertices.  The intersection LPs are not counted.
+    built = []
+    paused = []
+    real = Fraction.__new__
+    real_lp = sections.lp_feasible
+
+    def counting(cls, *args, **kwargs):
+        if not paused:
+            built.append(args)
+        return real(cls, *args, **kwargs)
+
+    def lp_feasible(rows, rhs):
+        paused.append(True)
+        try:
+            return real_lp(rows, rhs)
+        finally:
+            paused.pop()
+
+    corpus = list(itertools.islice(_component_corpus(), 36))
+    eps = F(10 ** 6)  # no component too wide: q = 1 compares every pair
+    monkeypatch.setattr(sections, "lp_feasible", lp_feasible)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    vertices = clustered = 0
+    for k, g, plane in corpus:
+        for build in (section_of_image, preimage_polytopes):
+            section = build(k, g, plane)
+            assert built == []
+            vertices += sum(map(len, section.pieces))
+            part = compute_components(section)
+            assert len(built) == len(part.components)
+            built.clear()
+            if len(part.components) <= MAX_CLUSTER_COMPONENTS:
+                component_clusters(part, 1, eps)
+                assert len(built) == 1
+                built.clear()
+                clustered += len(part.components) > 1
+    assert vertices > 200 and clustered > 5

@@ -224,13 +224,25 @@ def _bary_pieces(k, g, plane):
     section = preimage_polytopes(k, g, plane)
     at = {v: i for i, v in enumerate(k.vertices)}
     return [(s, [tuple(p[at[v]] for v in s) for p in piece])
-            for s, piece in zip(section.sources, section.pieces)]
+            for s, piece in zip(section.sources, section.fractions())]
+
+
+def _lambdas(g, points):
+    """The Fraction view of stabbed_simplexes' points: the point (u, delta)
+    of a simplex is lambda_v = D_v u_v / delta."""
+    return {s: tuple(F(g.cleared[v][0] * x, delta) for v, x in zip(s, u))
+            for s, (u, delta) in points.items()}
+
+
+def _stabbed(k, g, plane, nmax):
+    """The minimal stabbed simplexes, each with its lambda."""
+    return _lambdas(g, stabbed_simplexes(k, g, plane, nmax)[0])
 
 
 def test_image_membership_vertex():
     k, g = _one_edge([0, 5], [3, 1])
     plane = _vertical_line(F(0))
-    assert stabbed_simplexes(k, g, plane, 1)[0] == {("a",): (1,)}
+    assert _stabbed(k, g, plane, 1) == {("a",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("a", "b"), [(1, 0)])]
 
@@ -238,14 +250,14 @@ def test_image_membership_vertex():
 def test_image_membership_outside_segment():
     # the line x = 5 meets the affine hull of the edge but not the edge
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, _vertical_line(F(5)), 1)[0] == {}
+    assert _stabbed(k, g, _vertical_line(F(5)), 1) == {}
     assert _bary_pieces(k, g, _vertical_line(F(5))) == []
 
 
 def test_image_membership_midpoint():
     k, g = _one_edge([0, 2], [1, 3])
     plane = _vertical_line(F(1, 2))
-    assert stabbed_simplexes(k, g, plane, 1)[0] == {
+    assert _stabbed(k, g, plane, 1) == {
         ("a", "b"): (F(1, 2), F(1, 2))}
     assert _bary_pieces(k, g, plane) == [(("a", "b"), [(F(1, 2), F(1, 2))])]
 
@@ -254,7 +266,7 @@ def test_full_space_plane_meets_everything():
     fam = PlaneFamily(2, (), (1, 2), 2)
     plane = plane_through(fam, vec([100, 100]))
     k, g = _one_edge([0, 2], [1, 3])
-    assert stabbed_simplexes(k, g, plane, 1)[0] == {
+    assert _stabbed(k, g, plane, 1) == {
         ("a",): (1,), ("b",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("b",), [(1,)]), (("a", "b"), [(1, 0), (0, 1)])]
@@ -270,7 +282,7 @@ def test_piece_vertices_come_by_face_size_then_lexicographically():
     assert g.certified
     plane = _vertical_line(F(0))
     half = F(1, 2)
-    assert stabbed_simplexes(k, g, plane, 2)[0] == {
+    assert _stabbed(k, g, plane, 2) == {
         ("a",): (1,), ("b", "c"): (half, half)}
     assert _bary_pieces(k, g, plane) == [
         (("a",), [(1,)]), (("a", "b"), [(1, 0)]), (("a", "c"), [(1, 0)]),
@@ -293,14 +305,15 @@ def test_minimal_faces_of_a_coface_come_by_size_then_lexicographically():
                           (tuple(y - x for x, y in zip(p, q)),))
     ad, bc = ("a", "d"), ("b", "c")
     half = (F(1, 2), F(1, 2))
-    assert stabbed_simplexes(k, g, plane, 3) == (
+    points, faces = stabbed_simplexes(k, g, plane, 3)
+    assert (_lambdas(g, points), faces) == (
         {ad: half, bc: half},
         {ad: (ad,), bc: (bc,), ("a", "b", "c"): (bc,), ("a", "b", "d"): (ad,),
          ("a", "c", "d"): (ad,), ("b", "c", "d"): (bc,),
          ("a", "b", "c", "d"): (ad, bc)})
     image = section_of_image(k, g, plane)
     assert image.sources[-1] == ("a", "b", "c", "d")
-    assert image.pieces[-1] == (p, q)
+    assert image.fractions()[-1] == (p, q)
 
 
 _FAN = "v o\nv a\nv b\nv c\nv d\ns o a b\ns o b c\ns o d\ns a c\n"
@@ -329,13 +342,13 @@ def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
     at_o = [s for s in k.sorted_simplexes() if "o" in s]
     assert len(at_o) == 7
     plane = ConcretePlane(fam, o, extras)
-    assert stabbed_simplexes(k, g, plane, 2)[0] == {("o",): (1,)}
+    assert _stabbed(k, g, plane, 2) == {("o",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (s, [tuple(int(v == "o") for v in s)]) for s in at_o]
     nudge = F(1, 10 ** 9)
     off = ConcretePlane(fam, tuple(c - side * step for c, step in
                                    zip(o, (nudge, 2 * nudge))), extras)
-    assert stabbed_simplexes(k, g, off, 2)[0] == {}
+    assert _stabbed(k, g, off, 2) == {}
     assert _bary_pieces(k, g, off) == []
 
 
@@ -355,7 +368,7 @@ def test_membership_reads_lambda_back_through_each_vertex_scale():
     plane = ConcretePlane(PlaneFamily(3, (), (1, 2, 3), 1), point,
                           (vec([1, F(1, 2), F(2, 3)]),))
     assert [rhs for _, rhs in plane.covectors()] == [F(20, 9), F(83, 54)]
-    assert stabbed_simplexes(k, g, plane, 2)[0] == {
+    assert _stabbed(k, g, plane, 2) == {
         ("a", "b", "c"): (F(1, 2), F(1, 3), F(1, 6))}
     assert max_disjoint_stabbed(k, g, plane, 2) == (1, (("a", "b", "c"),))
 
@@ -396,14 +409,14 @@ def test_membership_sweep_matches_basic_solution_oracle():
                 want = {s: lam for s, verts in
                         _oracle_pieces(k, g, plane, nmax)
                         for lam in verts if len(verts) == 1 and min(lam) > 0}
-                assert stabbed_simplexes(k, g, plane, nmax)[0] == want
+                assert _stabbed(k, g, plane, nmax) == want
                 cases += 1
             pieces = _oracle_pieces(k, g, plane, k.dim)
             assert [(s, set(verts)) for s, verts
                     in _bary_pieces(k, g, plane)] == pieces
             image = section_of_image(k, g, plane)
             assert [(s, set(piece)) for s, piece
-                    in zip(image.sources, image.pieces)] == [
+                    in zip(image.sources, image.fractions())] == [
                 (s, {tuple(sum(w * g.images[v][c] for w, v in zip(lam, s))
                            for c in range(m)) for lam in verts})
                 for s, verts in pieces]
@@ -1430,9 +1443,15 @@ def test_count_rechecks_its_family(monkeypatch):
     k, g = _two_edges()
     real = transversal.stabbed_simplexes
     # a strictly positive point whose image is off the plane: the
-    # barycentre of each edge, which keeps the edges minimal
-    monkeypatch.setattr(transversal, "stabbed_simplexes", lambda *args: ({
-        s: (F(1, len(s)),) * len(s) for s in real(*args)[0]}, {}))
+    # barycentre of each edge, which keeps the edges minimal, on the
+    # integer form lambda_v = D_v u_v / delta with delta = |s| lcm(D_v)
+    def barycentres(k, g, *args):
+        scale = {s: math.lcm(*[g.cleared[v][0] for v in s])
+                 for s in real(k, g, *args)[0]}
+        return {s: (tuple(d // g.cleared[v][0] for v in s), len(s) * d)
+                for s, d in scale.items()}, {}
+
+    monkeypatch.setattr(transversal, "stabbed_simplexes", barycentres)
     with pytest.raises(RuntimeError, match="re-verification"):
         max_disjoint_stabbed(k, g, _vertical_line(F(1, 2)), nmax=1)
     # a family whose members share a vertex: both edges of the path
@@ -1457,7 +1476,7 @@ def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
                         GenericPool(16))
     plane = plane_through(PlaneFamily(3, (), (1, 2, 3), 3), vec([0, 0, 0]))
     real = transversal._max_independent_set
-    real_solve = transversal._solve_augmented
+    real_solve = transversal._unique_solution
     solved = []
 
     def packs_the_vertices(n, adj):
@@ -1470,7 +1489,7 @@ def test_count_packs_only_minimal_stabbed_simplexes(monkeypatch):
         return real_solve(rows, ncols)
 
     monkeypatch.setattr(transversal, "_max_independent_set", packs_the_vertices)
-    monkeypatch.setattr(transversal, "_solve_augmented", counted_solve)
+    monkeypatch.setattr(transversal, "_unique_solution", counted_solve)
     count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
     assert count == 16
     assert set(family) == {(v,) for v in names}
