@@ -15,9 +15,10 @@ a computation relied on is recorded, as one integer, and certified nonzero
 after the fact.
 
 Every draw is a pure function of (seed, stream, target, eps).  A pool's
-only state is a memo of its denominators and offsets, which it shares with
-the pools derived from it, so it is confined, with those pools, to one
-task; certificates are immutable and freely shareable.
+only state is a memo of pure functions, its denominators, its offsets and
+its draws, which it shares with the pools derived from it, so a draw is
+computed once per run and then looked up, and the pool is confined, with
+those pools, to one task; certificates are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -116,26 +117,33 @@ class GenericPool:
     :func:`regeneration_pools`.  No certified answer rests on distinct
     offsets.
 
-    A root pool creates a memo of D keyed by seed and of offsets keyed by
-    (seed, stream), a cache of those pure functions, which every pool
-    :meth:`derive` and :func:`regeneration_pools` make from it shares, so
-    they belong to one task.  It holds about 220 bytes per (seed, stream)
-    drawn, the seed's D included (tracemalloc, CPython 3.11): a verify grid
-    cell draws at most 66 streams per pool (m_max 6, n_max 3) and every
-    cell derives trial t's pool from the same (seed, t), so a grid adds at
-    most about 15 KB per trial pool, however many cells reuse it.
+    A root pool creates a memo of D keyed by seed, of offsets keyed by
+    (seed, stream) and of draws keyed by the integers (seed, stream, target
+    numerator and denominator, eps numerator and denominator), a cache of
+    those pure functions, which every pool :meth:`derive` and
+    :func:`regeneration_pools` make from it shares, so they belong to one
+    task.  Every verify grid cell derives trial t's pool from the same
+    (seed, t) and draws each coordinate at one of 7 integer targets, so a
+    grid redraws the same values: at m_max 5, n_max 2 and 2 trials, 418 of
+    8,348 draws are computed and the rest are looked up.  The memo holds
+    about 265 bytes per draw and 220 bytes per (seed, stream), the seed's D
+    included (tracemalloc, CPython 3.11).  At m_max 6, n_max 3 a trial pool
+    memoises 402 draws on 66 streams, so a grid adds at most about 120 KB
+    per trial pool, however many cells reuse it.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._dens: dict[int, int] = {}
         self._memo: dict[tuple[int, int], Fraction] = {}
+        self._draws: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def _sibling(self, seed: int) -> "GenericPool":
         """Fresh pool seeded ``seed`` that shares this pool's memo."""
         pool = GenericPool(seed)
         pool._dens = self._dens
         pool._memo = self._memo
+        pool._draws = self._draws
         return pool
 
     def derive(self, index: int) -> "GenericPool":
@@ -168,8 +176,17 @@ class GenericPool:
         shrink is found by shifted comparison, and no Fraction is built.
         The offset r = rn / rd is in lowest terms and rd is odd, so the
         value's numerator is prime to rd and only a power of two can cancel.
+        The value is computed once per run, checks included, and memoised
+        under integer keys, which a lookup hashes in about a third of the
+        time Fraction keys take; a nonpositive eps is never memoised and
+        raises on every call.
         """
-        en, eps_d = eps.numerator, eps.denominator  # eps_d > 0
+        key = (self.seed, stream, target.numerator, target.denominator,
+               eps.numerator, eps.denominator)
+        drawn = self._draws.get(key)
+        if drawn is not None:
+            return drawn
+        _, _, tn, td, en, eps_d = key  # td, eps_d > 0
         if en <= 0:
             raise ValueError("eps must be positive")
         # rho = 2**k is the largest power of two <= eps/4 = en/ed; bit
@@ -178,7 +195,6 @@ class GenericPool:
         k = en.bit_length() - ed.bit_length()
         if (ed << k > en) if k >= 0 else (ed > en << -k):
             k -= 1
-        tn, td = target.numerator, target.denominator
         # steps = floor(target / rho + 1/2), q = steps * rho = qn / 2**qe
         if k >= 0:
             steps = (2 * tn + (td << k)) // (td << (k + 1))
@@ -200,7 +216,8 @@ class GenericPool:
         if not abs(vn * td - tn * vd) * eps_d < en * vd * td:
             raise RuntimeError("drawn value left the eps-neighbourhood of target")
         g = math.gcd(vn, vd)  # a power of two
-        return vn // g, vd // g
+        drawn = self._draws[key] = vn // g, vd // g
+        return drawn
 
     def draw_near(self, target: Fraction, eps: Fraction, stream: int) -> Fraction:
         """The value of :meth:`draw_integers`, as a Fraction."""

@@ -27,7 +27,8 @@ from plstab.sections import (PlanarSection, component_clusters,
                              compute_components, eps_disjoint,
                              polytopes_intersect, preimage_polytopes,
                              section_of_image)
-from plstab.simplicial import image_point, roberts_perturb
+from plstab.simplicial import (PLMap, certify_map, image_point,
+                               parse_complex, roberts_perturb)
 from plstab.transversal import (ConcretePlane, PlaneFamily, PointSets,
                                 max_disjoint_stabbed, stab_bound,
                                 stab_regime, stab_search_general,
@@ -434,3 +435,32 @@ def test_determinism_and_exit_codes(capsys, tmp_path):
                    "--out", str(tmp_path / "g.map")])
     assert code == 3
     _passed("determinism and exit codes 0/1/2/3 verified on golden commands")
+
+
+# -- 9: a certified map outside Theorem 1's bound --------------------------------
+
+def test_a_certified_triangle_cuts_a_piece_above_theorem_1s_bound():
+    # Theorem 1 bounds dim(g(X) ∩ Π^d) by n + d - m.  The map certificate
+    # (distinct coordinates, independent simplex images) passes this
+    # triangle in R^3, but its plane contains the x1 direction, so the
+    # coordinate line through its centroid in the family m = 3,
+    # St = ST = [1], d = 1 cuts a segment: a piece of dimension 1 against
+    # the bound 2 + 1 - 3 = 0.
+    k = parse_complex("v a\nv b\nv c\ns a b c\n")
+    g = certify_map(k, PLMap(3, {"a": vec([0, 1, 2]), "b": vec([5, 3, 7]),
+                                 "c": vec([11, 9, 22])}))
+    assert g.certified
+    family = PlaneFamily(3, (1,), (1,), 1)
+    centroid = vec([F(16, 3), F(13, 3), F(31, 3)])
+    section = section_of_image(k, g, ConcretePlane(family, centroid, ()))
+    pieces = dict(zip(section.sources, section.fractions()))
+    assert len(pieces) == 3
+    segment = pieces["a", "b", "c"]
+    assert segment == (vec([F(55, 12), F(13, 3), F(31, 3)]),
+                       vec([F(19, 3), F(13, 3), F(31, 3)]))
+    n, d, m = k.dim, family.d, family.m
+    piece_dim = mat_rank([[x - y for x, y in zip(p, segment[0])]
+                          for p in segment[1:]])
+    assert piece_dim == 1 > n + d - m == 0
+    _passed("a certified triangle cuts a segment where Theorem 1 allows a "
+            "point")

@@ -255,6 +255,97 @@ def test_pools_from_a_warm_root_draw_what_fresh_pools_draw():
             assert _draws(pool, reversed(range(14))) == _draws(fresh, range(14))
 
 
+_TARGETS = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+_EPS = st.fractions(min_value=F(1, 1000), max_value=3, max_denominator=1000)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 64),
+       st.integers(min_value=0, max_value=100),
+       st.lists(st.tuples(_TARGETS, _EPS), min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_memoised_draws_are_what_fresh_pools_draw(seed, stream, pairs, rnd):
+    # The draw memo a root shares with the pools it derives is invisible:
+    # warm derived and regenerated pools, asked again in a shuffled order,
+    # draw what a fresh pool of their seed draws, and a nonpositive eps
+    # raises on a stream and target already memoised, on every call.
+    root = GenericPool(seed)
+
+    def pools():
+        return [pool for trial in range(2)
+                for pool in regeneration_pools(root.derive(trial))]
+
+    for pool in pools():
+        for target, eps in pairs:
+            pool.draw_integers(target, eps, stream)
+    again = pairs * 2
+    rnd.shuffle(again)
+    for pool in pools():
+        for target, eps in again:
+            fresh = GenericPool(pool.seed)
+            assert pool.draw_integers(target, eps, stream) == (
+                fresh.draw_integers(target, eps, stream))
+            assert pool.draw_near(target, eps, stream) == (
+                fresh.draw_near(target, eps, stream))
+            for bad in (F(0), -eps, -eps, F(0)):
+                with pytest.raises(ValueError):
+                    pool.draw_integers(target, bad, stream)
+
+
+def _count_evaluations(monkeypatch):
+    """Count draw_integers calls and kernel evaluations from here on: an
+    evaluation reads its stream's offset once, and a memo hit reads none."""
+    counts = {"calls": 0, "evaluations": 0}
+    draw, offset = GenericPool.draw_integers, GenericPool.offset
+
+    def counting_draw(self, target, eps, stream):
+        counts["calls"] += 1
+        return draw(self, target, eps, stream)
+
+    def counting_offset(self, stream):
+        counts["evaluations"] += 1
+        return offset(self, stream)
+
+    monkeypatch.setattr(GenericPool, "draw_integers", counting_draw)
+    monkeypatch.setattr(GenericPool, "offset", counting_offset)
+    return counts
+
+
+def test_a_grid_evaluates_each_distinct_draw_once(monkeypatch):
+    # Every cell derives trial t's pool from the same (seed, t) and draws
+    # at one of 7 integer targets, so the grid of linear and univariate
+    # cells at m_max 5, n_max 2 and 2 trials computes 418 of its 8,348
+    # draws, over 2 pool seeds, and a second run on the same root none.
+    grid = {"suites": [{"kind": kind, "m_max": 5, "n_max": 2}
+                       for kind in ("linear", "univariate")]}
+    counts = _count_evaluations(monkeypatch)
+    root = GenericPool(1)
+    first = batch.run_grid(grid, 2, root)
+    assert counts == {"calls": 8348, "evaluations": 418}
+    assert len(root._draws) == 418
+    assert len({key[0] for key in root._draws}) == 2
+    counts.update(calls=0, evaluations=0)
+    assert batch.run_grid(grid, 2, root) == first
+    assert counts == {"calls": 8348, "evaluations": 0}
+
+
+def test_roberts_perturb_evaluates_each_draw_once(monkeypatch):
+    # One perturbation draws each of its |V| * m coordinates once; a second
+    # one on the same pool looks every draw up and gives the same map.
+    rng = random.Random(3131)
+    k = batch.random_complex(rng, 8, 2, F(1, 4))
+    theta = batch.random_map(rng, k, 4)
+    counts = _count_evaluations(monkeypatch)
+    pool = GenericPool(5)
+    first = roberts_perturb(k, theta, F(1, 2), pool)
+    draws = len(k.vertices) * 4
+    assert counts == {"calls": draws, "evaluations": draws}
+    counts.update(calls=0, evaluations=0)
+    again = roberts_perturb(k, theta, F(1, 2), pool)
+    assert again.images == first.images
+    assert counts == {"calls": draws, "evaluations": 0}
+
+
 def _share_offset(monkeypatch, chosen, stream, other):
     """Give ``stream`` the offset of ``other`` in every pool whose seed
     ``chosen`` accepts: the numerator of ``other`` over the pool's one
