@@ -193,7 +193,8 @@ def random_complex(rng: random.Random, vertices: int, dim: int,
 
 def random_map(rng: random.Random, k: SimplicialComplex, m: int,
                box: int = 8) -> PLMap:
-    return PLMap(m, {v: vec([rng.randint(0, box) for _ in range(m)])
+    """Integer images in [0, box]^m, on their integer form (D_v = 1)."""
+    return PLMap(m, {v: (1, [rng.randint(0, box) for _ in range(m)])
                      for v in k.vertices})
 
 

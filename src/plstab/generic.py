@@ -23,6 +23,7 @@ those pools, to one task; certificates are immutable and freely shareable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -55,31 +56,43 @@ def certify(transcript: Iterable[int]) -> GenericityCertificate:
     return GenericityCertificate(conditions, failed)
 
 
-def distinctness_transcript(values: Iterable[Fraction]) -> list[int]:
-    """Conditions under which all values are pairwise distinct.
+def distinctness_transcript(values: Iterable[tuple[int, int]]) -> list[int]:
+    """Conditions under which all values are pairwise distinct, each value
+    given as an integer numerator over a positive integer denominator, in
+    lowest terms or not.
 
     The values are stably sorted by exact value and the N-1 neighbours
-    a, b are recorded as the integer a.num * b.den - b.num * a.den, zero
-    exactly when a = b: two equal values always sort next to each other, so
+    a/b, c/d are recorded as the integer a * d - c * b, zero exactly when
+    they are equal: two equal values always sort next to each other, so
     the N values are pairwise distinct exactly when no condition is zero.
-    The sort key is ``(floor(x * 2**160), x)``: the integer floor is
-    monotone in x and settles almost every comparison, and values with the
-    same floor fall back to the exact value, so the stable order is the one
-    the exact values alone give.
+    Values in lowest terms give the conditions of the values themselves;
+    any other pair is a positive multiple of its lowest terms, so each
+    condition is a positive multiple of theirs, in the same order.  The sort
+    key is the integer floor(a * 2**160 / b): it is monotone in the value
+    and settles every comparison unless two values share it, which puts
+    them within 2**-160 of each other.  Only then is the sort keyed on the
+    floor and, between values with one floor, on cross-multiplied
+    comparison, so the stable order is the one the exact values alone
+    give.  No denominator common to all the values is formed, which for N
+    values with distinct denominators would grow with N.
     """
-    ordered = sorted(values, key=lambda x: (
-        (x.numerator << 160) // x.denominator, x))
-    return [a.numerator * b.denominator - b.numerator * a.denominator
-            for a, b in zip(ordered, ordered[1:])]
+    values = list(values)
+    floors = [(a << 160) // b for a, b in values]
+    key = floors.__getitem__
+    if len(set(floors)) < len(floors):
+        key = functools.cmp_to_key(lambda i, j: floors[i] - floors[j] or (
+            values[i][0] * values[j][1] - values[j][0] * values[i][1]))
+    ordered = [values[i] for i in sorted(range(len(values)), key=key)]
+    return [a * d - c * b for (a, b), (c, d) in zip(ordered, ordered[1:])]
 
 
 def distinctness_transcript_of_numerators(numerators: Iterable[int]
                                           ) -> list[int]:
     """The conditions of :func:`distinctness_transcript` for values given
     as integer numerators over one positive denominator E: the numerators
-    sorted, and the neighbours A, B recorded as A - B.  Each is E / (a.den
-    * b.den) > 0 times the condition of the values a, b, in the same order,
-    so the count and the first zero are the same.
+    sorted, and the neighbours A, B recorded as A - B.  Each is E / (b * d)
+    > 0 times the condition of the values' lowest terms a/b, c/d, in the
+    same order, so the count and the first zero are the same.
     """
     ordered = sorted(numerators)
     return [a - b for a, b in zip(ordered, ordered[1:])]

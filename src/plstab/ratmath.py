@@ -8,15 +8,24 @@ Matrices are plain sequences of equal-length rows; :func:`mat_rank`,
 :func:`solve_affine` and :func:`lp_feasible` raise ValueError on ragged
 rows.
 
+One digit reader, :func:`parse_ratio`, reads a rational literal as its
+numerator and denominator in lowest terms; :func:`parse_rational` is its
+Fraction.  :func:`_cleared_ratios` clears such pairs as :func:`_cleared`
+clears Fractions, so a vector read from text goes into its integer form
+with no Fraction, and :func:`format_ratio` writes a value back from its
+integers.
+
 One integer pivot, :func:`_pivot` (the fraction-free update
 ``(pv * x - f * y) // prev``), serves both elimination and the simplex.
 Rank, solves and nullspaces come from :func:`_echelon` on
 denominator-cleared integer rows (:func:`_cleared`): a solve
 (:func:`_solve_augmented`, the entry point for integer rows a caller
 cleared itself) reads each entry it returns off those rows as that entry
-over its row's pivot; :func:`_unique_solution` eliminates forward only,
-turning away every inconsistent or underdetermined system there, and hands
-a unique solution as integers over the last pivot by back substitution.
+over its row's pivot, and :func:`_nullspace_normals` a nullspace basis as
+primitive integer normals; :func:`_unique_solution` eliminates forward
+only, turning away every inconsistent or underdetermined system there, and
+hands a unique solution as integers over the last pivot by back
+substitution.
 The one determinant is the last pivot, :func:`_minor` on integer rows by
 forward elimination, which updates only
 the rows below each pivot; a caller that cleared rational rows divides it
@@ -67,8 +76,9 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical rational text form: "-7/3", "5".
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The one digit reader of the canonical rational text form ("-7/3",
+    "5"): its value as (numerator, positive denominator) in lowest terms.
 
     The denominator part is optional and must be a positive decimal integer;
     "1/0" is rejected.  No whitespace, no decimals, no exponents.
@@ -76,14 +86,34 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    if not den:
+        return int(num), 1
+    d = int(den)
+    if d == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return _lowest(int(num), d)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The value of :func:`parse_ratio`, as a Fraction."""
+    return Fraction(*parse_ratio(text))
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def format_rational(x: Fraction) -> str:
     """Inverse of :func:`parse_rational`; omits the denominator when it is 1."""
     return str(x)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """:func:`format_rational` of num / den, den > 0, with no Fraction."""
+    num, den = _lowest(num, den)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def as_fraction(x) -> Fraction:
@@ -106,10 +136,6 @@ def vec_dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), _ZERO)
 
 
-def dist_sq(a: Vec, b: Vec) -> Fraction:
-    return sum(((x - y) ** 2 for x, y in zip(a, b, strict=True)), _ZERO)
-
-
 def unit_vec(m: int, j: int) -> Vec:
     """Standard basis vector e_j of length m, 1-based index."""
     if not 1 <= j <= m:
@@ -124,6 +150,16 @@ def _cleared(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     # list (up to 2,000 per length)
     scale = math.lcm(*[x.denominator for x in xs])
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _cleared_ratios(ratios: Sequence[tuple[int, int]]
+                    ) -> tuple[int, list[int]]:
+    """:func:`_cleared` of values given as (numerator, positive
+    denominator) pairs, which no Fraction has to carry: (D, the values
+    times D as integers), D the lcm of the denominators.  Pairs in lowest
+    terms give exactly the form :func:`_cleared` gives their values."""
+    scale = math.lcm(*[d for _, d in ratios])
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 def _width(rows: Sequence[Sequence]) -> int:
@@ -274,10 +310,33 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], b: Sequence
                              for r, x in zip(rows, b)], ncols)
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Vec, ...]:
-    """Basis of {x : rows . x = 0}: the solve of a zero right-hand side."""
-    return _solve_augmented([_cleared(list(r) + [_ZERO])[1] for r in rows],
-                            ncols)[1]
+def _nullspace_normals(work: list[list[int]], ncols: int
+                       ) -> list[tuple[int, list[int]]]:
+    """Basis of {x : rows . x = 0} for integer rows, which it eliminates in
+    place, on integers: per free column f of their echelon form, in order,
+    (s, N) with N the primitive integer vector that is s > 0 times the
+    basis vector with 1 at f, 0 at the other free columns (the basis of
+    :func:`_solve_augmented`).
+
+    Gauss-Jordan leaves every pivot row with the one last pivot p (1 when
+    there is none) on its pivot, so p at f and -row_r[f] at each pivot
+    column c_r is p times that basis vector; N divides it by its gcd, signed
+    like p.  So N is the vector a :func:`_cleared` of the basis vector
+    gives, and s is N[f], the lcm of its denominators.
+    """
+    work, pivots = _echelon(work)
+    last = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    normals = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = last
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        g = math.gcd(*v) if last > 0 else -math.gcd(*v)
+        normals.append((last // g, [x // g for x in v]))
+    return normals
 
 
 def _minor(work: list[list[int]]) -> int:

@@ -2,13 +2,16 @@
 
 A complex is a face-closed set of sorted vertex-id tuples; a PL map assigns
 each vertex an exact rational point in R^m and is extended affinely on every
-simplex.  A map is immutable and carries its one integer form, each image
-cleared of denominators once, the first time it is read, which the
-certificate's minors and plane membership share.  The perturbation routine
-moves every vertex image into general position using per-coordinate
-streams from a :class:`~plstab.generic.GenericPool` and certifies the result
-(pairwise-distinct coordinates, affinely independent simplex images),
-regenerating from successor seeds on failure.
+simplex.  A map is immutable and is built on its one integer form, each
+image as the lcm of its denominators and the integer point it scales to:
+a map file's digits and the perturbation's integer draws go straight into
+it, and the certificate (which sorts the coordinates and takes the
+simplexes' minors on it) and plane membership read it.  The Fraction
+images are a view, built the first time they are read.  The perturbation
+routine moves every vertex image into general position using
+per-coordinate streams from a :class:`~plstab.generic.GenericPool` and
+certifies the result (pairwise-distinct coordinates, affinely independent
+simplex images), regenerating from successor seeds on failure.
 
 File formats (both UTF-8, line oriented, '#' starts a comment):
 
@@ -27,8 +30,8 @@ from typing import Optional, Sequence
 from .generic import (REGEN_ATTEMPTS, GenericityCertificate, GenericityError,
                       GenericPool, certify, distinctness_transcript,
                       regeneration_pools)
-from .ratmath import (Vec, _cleared, _minor, as_fraction, combination,
-                      dist_sq, format_rational, parse_integer, parse_rational,
+from .ratmath import (Vec, _cleared, _cleared_ratios, _minor, as_fraction,
+                      combination, format_ratio, parse_integer, parse_ratio,
                       vec)
 
 Simplex = tuple[str, ...]
@@ -163,29 +166,44 @@ def format_complex(k: SimplicialComplex) -> str:
 
 @dataclass(frozen=True)
 class PLMap:
-    """Vertex-image assignment into R^m, extended affinely on simplexes.
+    """Vertex-image assignment into R^m, extended affinely on simplexes, on
+    its one integer form.
 
-    ``cleared`` is the map's one integer form: each image p_v as
-    (D_v, P_v) with D_v the lcm of its denominators and P_v = D_v p_v
-    (:func:`~plstab.ratmath._cleared`).  It is computed once, the first
-    time it is read, so a map that only moves (the input of a perturbation)
-    clears nothing; the integer paths (the genericity transcript and plane
-    membership) read it, and a copy made by ``dataclasses.replace`` shares
-    it.  ``images`` is the Fraction view.
+    ``cleared`` holds each image p_v as (D_v, P_v), with D_v the lcm of its
+    denominators and P_v = D_v p_v (:func:`~plstab.ratmath._cleared`).  A
+    map is built on that form: :func:`parse_map` reads it straight from the
+    digits, :func:`roberts_perturb` straight from the integer draws, and
+    :meth:`of` clears Fraction images into it.  The certificate's
+    transcript and plane membership read it, and a copy made by
+    ``dataclasses.replace`` shares it.  ``images`` is the Fraction view,
+    built the first time it is read; :meth:`image` builds one vertex's
+    image, for a re-check that reads only a few.
     """
 
     m: int
-    images: dict[str, Vec]
+    cleared: dict[str, tuple[int, list[int]]]
     certificate: Optional[GenericityCertificate] = None
-    _form: Optional[dict[str, tuple[int, list[int]]]] = field(
-        default=None, repr=False, compare=False)
+    _view: Optional[dict[str, Vec]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, m: int, images: dict[str, Sequence]) -> "PLMap":
+        """The map with the given rational images, on its integer form."""
+        return cls(m, {v: _cleared(p) for v, p in images.items()})
 
     @property
-    def cleared(self) -> dict[str, tuple[int, list[int]]]:
-        if self._form is None:
-            object.__setattr__(self, "_form", {
-                v: _cleared(p) for v, p in self.images.items()})
-        return self._form
+    def images(self) -> dict[str, Vec]:
+        if self._view is None:
+            object.__setattr__(self, "_view", {
+                v: self.image(v) for v in self.cleared})
+        return self._view
+
+    def image(self, v: str) -> Vec:
+        """The image of vertex v, as Fractions."""
+        if self._view is not None:
+            return self._view[v]
+        scale, point = self.cleared[v]
+        return tuple(Fraction(x, scale) for x in point)
 
     @property
     def certified(self) -> bool:
@@ -194,7 +212,7 @@ class PLMap:
 
 def parse_map(text: str) -> PLMap:
     m: Optional[int] = None
-    images: dict[str, Vec] = {}
+    cleared: dict[str, tuple[int, list[int]]] = {}
     for lineno, kind, args in _records(text, ("m", "p")):
         if kind == "m":
             if m is not None:
@@ -210,46 +228,50 @@ def parse_map(text: str) -> PLMap:
                 raise ParseError(lineno, "point before header")
             if len(args) != m + 1:
                 raise ParseError(lineno, f"expected id plus {m} coordinates")
-            if args[0] in images:
+            if args[0] in cleared:
                 raise ParseError(lineno, f"duplicate point for {args[0]!r}")
             try:
-                images[args[0]] = tuple(parse_rational(x) for x in args[1:])
+                cleared[args[0]] = _cleared_ratios(
+                    [parse_ratio(x) for x in args[1:]])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
     if m is None:
         raise ParseError(1, "missing header")
-    return PLMap(m, images)
+    return PLMap(m, cleared)
 
 
 def format_map(g: PLMap) -> str:
     lines = [f"m {g.m}"]
-    for v, point in g.images.items():
-        coords = " ".join(format_rational(x) for x in point)
+    for v, (scale, point) in g.cleared.items():
+        coords = " ".join(format_ratio(x, scale) for x in point)
         lines.append(f"p {v} {coords}")
     return "\n".join(lines) + "\n"
 
 
 def generic_position_transcript(k: SimplicialComplex, g: PLMap) -> list[int]:
-    """Nonvanishing conditions behind the PL map invariants, as integers.
+    """Nonvanishing conditions behind the PL map invariants, as integers,
+    read off the map's integer form ``g.cleared`` (P_v = D_v p_v, D_v the
+    lcm of the denominators of p_v).
 
     First the |V|*m - 1 neighbour conditions of all |V|*m coordinates in
-    sorted order, which certify them pairwise distinct (see
-    :func:`~plstab.generic.distinctness_transcript`).  Then one condition
-    per maximal simplex with at least three vertices, in
+    sorted order, which certify them pairwise distinct: coordinate i of
+    vertex v is the pair (P_vi, D_v), sorted and compared by
+    :func:`~plstab.generic.distinctness_transcript`, so each condition is
+    the positive multiple P_a D_b - P_b D_a of the one the coordinates'
+    lowest terms give, and no lcm over the whole map is formed.  Then one
+    condition per maximal simplex with at least three vertices, in
     ``maximal_simplexes`` order, zero exactly when its image is affinely
     dependent.  The other simplexes need none: distinct coordinates make
     every edge image independent, and an independent simplex makes all of
-    its faces independent.  The minors read the map's integer form
-    ``g.cleared``, P_v = D_v p_v with D_v the lcm of the denominators of
-    p_v, so a simplex v_0 ... v_k has the integer rows
+    its faces independent.  A simplex v_0 ... v_k has the integer rows
     D_0 P_i - D_i P_0 = D_0 D_i (p_i - p_0); the condition is their integer
     minor (:func:`~plstab.ratmath._minor`, the last pivot of their
     elimination), which is prod_i D_0 D_i times the first nonzero maximal
     minor of the edge rows p_i - p_0.
     """
-    transcript = distinctness_transcript(
-        x for v in k.vertices for x in g.images[v])
     cleared = g.cleared
+    transcript = distinctness_transcript(
+        (x, d) for d, p in map(cleared.__getitem__, k.vertices) for x in p)
     for simplex in k.maximal_simplexes():
         if len(simplex) < 3:
             continue
@@ -261,16 +283,19 @@ def generic_position_transcript(k: SimplicialComplex, g: PLMap) -> list[int]:
 
 
 def _certified(k: SimplicialComplex, g: PLMap) -> PLMap:
-    """g with its certificate against k; shares g's images, and its integer
-    form once the transcript has read it."""
+    """g with its certificate against k; shares g's integer form."""
     return replace(g, certificate=certify(generic_position_transcript(k, g)))
+
+
+def _check_vertices(k: SimplicialComplex, g: PLMap) -> None:
+    for v in k.vertices:
+        if v not in g.cleared:
+            raise ValueError(f"missing vertex {v!r}")
 
 
 def certify_map(k: SimplicialComplex, g: PLMap) -> PLMap:
     """Recompute the genericity certificate of g against complex k."""
-    for v in k.vertices:
-        if v not in g.images:
-            raise ValueError(f"missing vertex {v!r}")
+    _check_vertices(k, g)
     return _certified(k, g)
 
 
@@ -279,31 +304,36 @@ def roberts_perturb(k: SimplicialComplex, theta: PLMap, eps: Fraction,
     """Move every vertex image into certified general position, within eps.
 
     Coordinate s of vertex number i (1-based, first-appearance order) is
-    drawn from stream (i-1)*m + s.  The Euclidean distance from each old
-    image to its replacement is verified below eps by exact squared
-    comparison.  On certificate failure the draw is regenerated from seed+1,
-    then seed+2; after that a :class:`GenericityError` is raised.
+    drawn from stream (i-1)*m + s, by the integer kernel
+    (:meth:`~plstab.generic.GenericPool.draw_integers`), and the new image
+    is cleared straight from the drawn numerators and denominators, so the
+    new map is built on its integer form.  The Euclidean distance from each
+    old image to its replacement is verified below eps exactly: with the
+    old image P / D, the new one P' / D' and eps = e / f, the squared
+    distance is sum (D P'_s - D' P_s)^2 / (D D')^2, compared with e^2 / f^2
+    cross-multiplied.  On certificate failure the draw is regenerated from
+    seed+1, then seed+2; after that a :class:`GenericityError` is raised.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     m = theta.m
-    for v in k.vertices:
-        if v not in theta.images:
-            raise ValueError(f"missing vertex {v!r}")
+    _check_vertices(k, theta)
     per_coord = eps / m  # sum of m squares each < (eps/m)^2 stays < eps^2
+    e, f = eps.numerator, eps.denominator
     for attempt_pool in regeneration_pools(pool):
-        images: dict[str, Vec] = {}
+        cleared: dict[str, tuple[int, list[int]]] = {}
         for i, v in enumerate(k.vertices, start=1):
-            target = theta.images[v]
-            point = tuple(
-                attempt_pool.draw_near(target[s - 1], per_coord, (i - 1) * m + s)
-                for s in range(1, m + 1)
-            )
-            if dist_sq(point, target) >= eps * eps:
+            d, target = theta.cleared[v]
+            scale, point = _cleared_ratios([
+                attempt_pool.draw_integers(Fraction(target[s - 1], d),
+                                           per_coord, (i - 1) * m + s)
+                for s in range(1, m + 1)])
+            if sum((d * x - scale * y) ** 2 for x, y in zip(point, target)
+                   ) * f * f >= (e * d * scale) ** 2:
                 raise RuntimeError("perturbation left the eps ball")
-            images[v] = point
-        g = _certified(k, PLMap(m, images))
+            cleared[v] = scale, point
+        g = _certified(k, PLMap(m, cleared))
         if g.certified:
             return g
     raise GenericityError(
@@ -317,5 +347,5 @@ def image_point(g: PLMap, simplex: Simplex, barycentric: Sequence) -> Vec:
         raise ValueError("barycentric length does not match simplex size")
     if sum(weights) != 1:
         raise ValueError("barycentric coordinates must sum to 1")
-    return combination(weights, [g.images[v] for v in simplex], range(g.m))
+    return combination(weights, [g.image(v) for v in simplex], range(g.m))
 

@@ -7,9 +7,14 @@ s_T axes.  This module provides:
 
 * the exact counting ceiling (:func:`stab_bound`) and case predicate
   (:func:`nonstab_case`);
-* the one plane-membership test and face walk (:func:`stabbed_simplexes`):
-  points, as integers over one pivot, and minimal stabbed faces, one exact
-  solve per candidate, no LP;
+* member planes on their integer form (:class:`ConcretePlane`): the
+  basepoint and extra directions as integer vectors, read straight from
+  JSON digits or cleared from Fractions by :meth:`ConcretePlane.of`, and
+  integer covectors built once per plane; the Fraction views are built
+  only when read;
+* the one plane-membership test and face walk (:func:`stabbed_simplexes`),
+  on the map's and the plane's integer forms: points, as integers over one
+  pivot, and minimal stabbed faces, one exact solve per candidate, no LP;
 * the one integer form of point sets (:class:`PointSets`): the lcm E of
   all their coordinates' denominators and the integer points E p_ij, which
   every decider reads; the Fraction view is built only when it is read;
@@ -40,14 +45,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generic import _derived_seed
-from .ratmath import (Vec, _cleared, _minor, _poly_det, _poly_gcd, _sign_at,
+from .ratmath import (Vec, _cleared, _cleared_ratios, _lowest, _minor,
+                      _nullspace_normals, _poly_det, _poly_gcd, _sign_at,
                       _solve_augmented, _sturm_chain, _trimmed,
                       _unique_solution, _variations,
                       cauchy_root_bound, combination, format_rational,
-                      hull_rows, independent_subset, mat_rank,
-                      nullspace_basis, parse_rational, simplest_between,
-                      square_free_part, sturm_count, unit_vec, vec, vec_dot,
-                      vec_sub)
+                      hull_rows, independent_subset, mat_rank, parse_ratio,
+                      parse_rational, simplest_between, square_free_part,
+                      sturm_count, unit_vec, vec, vec_sub)
 from .simplicial import PLMap, Simplex, SimplicialComplex, image_point
 
 _ZERO = Fraction(0)
@@ -95,9 +100,9 @@ class PlaneFamily:
     def T(self) -> int:
         return len(self.s_T)
 
-    def embed(self, block_coords: Sequence) -> Vec:
+    def embed(self, block_coords: Sequence) -> tuple:
         """The vector of R^m with the given block coordinates, 0 elsewhere."""
-        full = [_ZERO] * self.m
+        full = [0] * self.m
         for value, j in zip(block_coords, self.block):
             full[j - 1] = value
         return tuple(full)
@@ -110,46 +115,108 @@ class PlaneFamily:
         return tuple(v[j - 1] for j in self.block)
 
 
+# A vector on its integer form: (D, the integers D x), D > 0 the lcm of the
+# denominators of x (see ratmath._cleared).
+Form = tuple[int, tuple[int, ...]]
+# An integer covector (C, s, a, b): x is on the plane iff C.x = s a / b,
+# with C / s the rational covector, s > 0 the lcm of its denominators, and
+# a / b its right-hand side in lowest terms.
+IntCovector = tuple[tuple[int, ...], int, int, int]
+
+
 @dataclass(frozen=True)
 class ConcretePlane:
-    """A member of a family: basepoint plus d-t extra directions inside span(s_T)."""
+    """A member of a family: basepoint plus d-t extra directions inside
+    span(s_T), on its integer form.
+
+    ``base`` and each of ``extras`` is a vector on its integer form
+    (:data:`Form`): :func:`plane_from_json_dict` reads them straight from
+    the digits, and :meth:`of` clears Fraction vectors into them, for
+    :func:`plane_through` and every other caller.  The integer covectors
+    (:data:`IntCovector`) are built once, at construction: a unit row per
+    coordinate outside s_T, its right-hand side the basepoint's coordinate,
+    then per extra-direction normal on the block (the integer normals of
+    :func:`~plstab.ratmath._nullspace_normals`, each N = s times the basis
+    vector with 1 at its free column) the embedded N, with right-hand side
+    N.B / (s D) for the basepoint's block coordinates B / D.  Each is
+    exactly the cleared form of a covector of the rational nullspace basis,
+    so membership (:func:`stabbed_simplexes`) reads them and clears
+    nothing.  ``basepoint``, ``extra_directions`` and :meth:`covectors` are
+    the Fraction views; the covectors are built the first time
+    :meth:`contains` reads them.
+    """
 
     family: PlaneFamily
-    basepoint: Vec
-    extra_directions: tuple[Vec, ...]
+    base: Form
+    extras: tuple[Form, ...]
+    integer_covectors: tuple[IntCovector, ...] = field(
+        init=False, repr=False, compare=False)
+    _covectors: Optional[tuple[tuple[Vec, Fraction], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fam = self.family
-        if len(self.basepoint) != fam.m:
+        scale, base = self.base
+        if len(base) != fam.m:
             raise ValueError("basepoint has wrong length")
-        if len(self.extra_directions) != fam.d - fam.t:
+        if len(self.extras) != fam.d - fam.t:
             raise ValueError("need exactly d - t extra directions")
         restricted = []
-        for v in self.extra_directions:
+        for _, v in self.extras:
             if len(v) != fam.m:
                 raise ValueError("direction has wrong length")
             restricted.append(fam.restrict(v, "extra direction"))
-        normals = nullspace_basis(restricted, len(fam.block))
+        normals = _nullspace_normals(restricted, len(fam.block))
         if len(fam.block) - len(normals) != len(restricted):  # rank by nullity
             raise ValueError("direction space has dimension below d")
-        base = self.basepoint
         at_block = [base[j - 1] for j in fam.block]
-        object.__setattr__(self, "_covectors", (
-            *((unit_vec(fam.m, j), base[j - 1]) for j in fam.outside),
-            *((fam.embed(nb), vec_dot(nb, at_block)) for nb in normals)))
+        object.__setattr__(self, "integer_covectors", (
+            *((tuple(int(i == j) for i in range(1, fam.m + 1)), 1,
+               *_lowest(base[j - 1], scale)) for j in fam.outside),
+            *((fam.embed(n), s,
+               *_lowest(sum(x * y for x, y in zip(n, at_block)), s * scale))
+              for s, n in normals)))
+
+    @classmethod
+    def of(cls, family: PlaneFamily, basepoint: Sequence,
+           extra_directions: Sequence[Sequence] = ()) -> "ConcretePlane":
+        """The member through a rational basepoint with the given rational
+        extra directions, each vector cleared into its integer form."""
+        base, *extras = ((scale, tuple(ints)) for scale, ints in
+                         map(_cleared, (basepoint, *extra_directions)))
+        return cls(family, base, tuple(extras))
+
+    @property
+    def basepoint(self) -> Vec:
+        scale, base = self.base
+        return tuple(Fraction(x, scale) for x in base)
+
+    @property
+    def extra_directions(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(x, scale) for x in v)
+                     for scale, v in self.extras)
 
     def covectors(self) -> tuple[tuple[Vec, Fraction], ...]:
         """Implicit form: x on the plane iff c.x = rhs for every (c, rhs).
 
         Pure coordinate equalities (indices outside s_T) come first, then
-        the block equalities annihilating the extra directions.  Computed
-        once at construction.
+        the block equalities annihilating the extra directions: the
+        Fractions of the integer covectors, built the first time they are
+        read, every zero entry the one Fraction 0.
         """
+        if self._covectors is None:
+            object.__setattr__(self, "_covectors", tuple(
+                (tuple(Fraction(x, s) if x else _ZERO for x in row),
+                 Fraction(a, b))
+                for row, s, a, b in self.integer_covectors))
         return self._covectors
 
     def contains(self, point: Sequence) -> bool:
+        """Whether the point is on the plane, on the Fraction covectors;
+        a zero coefficient adds nothing, so its term is skipped."""
         p = vec(point)
-        return all(vec_dot(c, p) == rhs for c, rhs in self.covectors())
+        return all(sum((x * y for x, y in zip(c, p, strict=True) if x),
+                       _ZERO) == rhs for c, rhs in self.covectors())
 
 
 def plane_through(family: PlaneFamily, basepoint: Sequence,
@@ -160,7 +227,8 @@ def plane_through(family: PlaneFamily, basepoint: Sequence,
     projected away, an independent subset is kept, and the direction space is
     padded with block coordinate axes up to dimension exactly d.  The axes
     alone have rank T-t >= d-t, so the one failure is more than d-t
-    independent span vectors, which d-t of them can never be.
+    independent span vectors, which d-t of them can never be.  The plane is
+    built by :meth:`ConcretePlane.of`, the one path from Fractions.
     """
     need = family.d - family.t
     spans = [family.restrict(v, "span vector") for v in span_vectors]
@@ -171,7 +239,7 @@ def plane_through(family: PlaneFamily, basepoint: Sequence,
         raise ValueError("span vectors have more than d - t independent "
                          "block directions")
     extras = tuple(family.embed(candidates[i]) for i in chosen[:need])
-    return ConcretePlane(family, vec(basepoint), extras)
+    return ConcretePlane.of(family, vec(basepoint), extras)
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +810,10 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
     on integers, as (u, delta) with delta > 0 and lambda_v = D_v u_v / delta.
 
     This is the one plane-membership test, on the map's integer form
-    ``g.cleared``: each vertex image p_v as P_v = D_v p_v, and each
-    covector c, cleared once per plane, as C = D_c c (see
-    :func:`~plstab.ratmath._cleared`).  With a covector's right-hand side
+    ``g.cleared``: each vertex image p_v as P_v = D_v p_v, and the plane's
+    integer covectors, built once with the plane: each covector c as
+    C = D_c c (see :func:`~plstab.ratmath._cleared`), so nothing is cleared
+    here.  With a covector's right-hand side
     a/b, a vertex's side of the plane is the sign of b C.P_v - a D_c D_v.
     A simplex whose vertices all lie on one side of some covector's
     right-hand side, none on it, cannot meet the plane and is skipped.
@@ -769,22 +838,21 @@ def stabbed_simplexes(k: SimplicialComplex, g: PLMap, plane: ConcretePlane,
                          f"map in {g.m}")
     cleared = g.cleared
     brackets: list[tuple[dict[str, int], int, set[str], set[str]]] = []
-    for c, rhs in plane.covectors():
-        dc, ints = _cleared(c)
-        nz = [(i, x) for i, x in enumerate(ints) if x]
-        a, b = rhs.numerator, rhs.denominator
+    for row, dc, a, b in plane.integer_covectors:
+        nz = [(i, x) for i, x in enumerate(row) if x]
+        rhs = a * dc
         values: dict[str, int] = {}
         above: set[str] = set()
         below: set[str] = set()
         for v, (dv, pv) in cleared.items():
             value = b * sum(x * pv[i] for i, x in nz)
             values[v] = value
-            side = value - a * dc * dv
+            side = value - rhs * dv
             if side > 0:
                 above.add(v)
             elif side < 0:
                 below.add(v)
-        brackets.append((values, a * dc, above, below))
+        brackets.append((values, rhs, above, below))
     points: dict[Simplex, Vec] = {}
     faces: dict[Simplex, tuple[Simplex, ...]] = {}  # stabbed so far
     for s in k.sorted_simplexes():
@@ -867,16 +935,25 @@ def family_from_json_dict(data: dict) -> PlaneFamily:
     return PlaneFamily(m, s_t, s_T, _typed(data["d"], int, "d"))
 
 
-def _rationals(data, what: str) -> Vec:
-    """The one reader of a JSON list of rational strings."""
-    return tuple(parse_rational(_typed(x, str, f"{what} coordinate"))
-                 for x in _typed(data, list, what))
+def _literals(data, what: str):
+    """The one reader of a JSON list of rational strings: its strings, each
+    checked as it is read."""
+    return (_typed(x, str, f"{what} coordinate")
+            for x in _typed(data, list, what))
+
+
+def _form(data, what: str) -> Form:
+    """A JSON list of rational strings, read straight into its integer form."""
+    scale, ints = _cleared_ratios([parse_ratio(x)
+                                   for x in _literals(data, what)])
+    return scale, tuple(ints)
 
 
 def sets_from_json(data, m: int) -> PointSets:
     """Point sets from JSON, on their integer form: a nonempty list of
     nonempty lists of points, each point a list of m rational strings."""
-    sets = [[_rationals(p, "point") for p in _typed(ps, list, "point set")]
+    sets = [[tuple(map(parse_rational, _literals(p, "point")))
+             for p in _typed(ps, list, "point set")]
             for ps in _typed(data, list, "sets")]
     form = PointSets.of(sets)  # refuses empty sets first
     for p in itertools.chain.from_iterable(sets):
@@ -896,7 +973,7 @@ def plane_to_json_dict(p: ConcretePlane) -> dict:
 def plane_from_json_dict(data: dict) -> ConcretePlane:
     _known_keys(data, (*_FAMILY_KEYS, "basepoint", "extra_dirs"), "plane")
     family = family_from_json_dict({key: data[key] for key in _FAMILY_KEYS})
-    basepoint = _rationals(data["basepoint"], "basepoint")
-    extras = tuple(_rationals(row, "extra_dirs") for row in
+    base = _form(data["basepoint"], "basepoint")
+    extras = tuple(_form(row, "extra_dirs") for row in
                    _typed(data.get("extra_dirs", []), list, "extra_dirs"))
-    return ConcretePlane(family, basepoint, extras)
+    return ConcretePlane(family, base, extras)

@@ -1,19 +1,19 @@
 """Brute-force oracles used to cross-check the fast implementations.
 
 Everything here is deliberately naive: cofactor determinants (over every
-column subset, for maximal minors), all-pairs comparison for
-distinctness, the full genericity transcript of a PL map (every face
-checked, implied conditions included), minor enumeration for rank,
-textbook Fraction Gauss-Jordan for reduced row echelon forms, Cramer's
-rule and basic-solution enumeration for LP feasibility and polytope
-vertices, a Fraction simplex tableau for LP witnesses, schoolbook
-polynomial products, Euclidean Sturm chains and gcds, term-by-term sums
-for the block differences of met points, the Gram determinant for the
-univariate stabbing decision, subset scans for maximum disjoint families,
-all-pairs intersection tests for section components, Bell-number partition
-scans for clustering, and grid sampling for component diameters.  None
-of it shares code with the paths it checks, and none of it imports
-``plstab``.
+column subset, for maximal minors), term-by-term squared distances,
+all-pairs comparison for distinctness, the full genericity transcript of a
+PL map (every face checked, implied conditions included), minor
+enumeration for rank, textbook Fraction Gauss-Jordan for reduced row
+echelon forms, Cramer's rule and basic-solution enumeration for LP
+feasibility and polytope vertices, a Fraction simplex tableau for LP
+witnesses, schoolbook polynomial products, Euclidean Sturm chains and
+gcds, term-by-term sums for the block differences of met points, the Gram
+determinant for the univariate stabbing decision, subset scans for maximum
+disjoint families, all-pairs intersection tests for section components,
+Bell-number partition scans for clustering, and grid sampling for
+component diameters.  None of it shares code with the paths it checks, and
+none of it imports ``plstab``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ def max_minor_by_subsets(rows):
         if minor != 0:
             return abs(minor)
     return Fraction(0)
+
+
+def dist_sq(a, b):
+    """Squared Euclidean distance of two rational points, term by term."""
+    if len(a) != len(b):
+        raise ValueError("points of different lengths")
+    return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
 
 
 def coords_pairwise_distinct(values):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (clusterable_by_partition_scan,
+from oracles import (clusterable_by_partition_scan, dist_sq,
                      feasible_by_basic_solutions, max_independent_bitmask,
                      membership_rows, rank_by_minors)
 from plstab.batch import (linear_cells, random_complex, random_map,
@@ -22,7 +22,7 @@ from plstab.batch import (linear_cells, random_complex, random_map,
                           univariate_cells)
 from plstab.cli import main
 from plstab.generic import GenericPool
-from plstab.ratmath import dist_sq, mat_rank, vec
+from plstab.ratmath import mat_rank, vec
 from plstab.sections import (PlanarSection, component_clusters,
                              compute_components, eps_disjoint,
                              polytopes_intersect, preimage_polytopes,
@@ -178,7 +178,7 @@ def test_embedding_regime_injectivity():
             rng = random.Random(seed + 31 * ci)
             for _ in range(25):
                 point = _on_image_point(rng, k, g)
-                plane = ConcretePlane(point_family, point, ())
+                plane = ConcretePlane.of(point_family, point, ())
                 part = compute_components(preimage_polytopes(k, g, plane))
                 assert len(part.components) == 1
             complexes_checked += 1
@@ -207,7 +207,7 @@ def _counting_oracle_pass(rng):
                            F(rng.randint(20, 45), 100))
         theta = random_map(rng, k, 2, box=6)
         g = roberts_perturb(k, theta, F(1, 3), GenericPool(60000 + attempt))
-        plane = ConcretePlane(fam, vec([F(rng.randint(2, 10), 2), 0]), ())
+        plane = ConcretePlane.of(fam, vec([F(rng.randint(2, 10), 2), 0]), ())
         # every stabbed simplex, by the oracle: packing them gives the count
         hits = [s for s in k.sorted_simplexes() if feasible_by_basic_solutions(
             *membership_rows(s, g.images, plane.covectors()))]
@@ -447,12 +447,12 @@ def test_a_certified_triangle_cuts_a_piece_above_theorem_1s_bound():
     # St = ST = [1], d = 1 cuts a segment: a piece of dimension 1 against
     # the bound 2 + 1 - 3 = 0.
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    g = certify_map(k, PLMap(3, {"a": vec([0, 1, 2]), "b": vec([5, 3, 7]),
-                                 "c": vec([11, 9, 22])}))
+    g = certify_map(k, PLMap.of(3, {"a": vec([0, 1, 2]), "b": vec([5, 3, 7]),
+                                    "c": vec([11, 9, 22])}))
     assert g.certified
     family = PlaneFamily(3, (1,), (1,), 1)
     centroid = vec([F(16, 3), F(13, 3), F(31, 3)])
-    section = section_of_image(k, g, ConcretePlane(family, centroid, ()))
+    section = section_of_image(k, g, ConcretePlane.of(family, centroid, ()))
     pieces = dict(zip(section.sources, section.fractions()))
     assert len(pieces) == 3
     segment = pieces["a", "b", "c"]

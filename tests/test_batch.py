@@ -275,8 +275,8 @@ def test_decide_stab_picks_the_decider_from_the_input():
 def test_plane_samplers_return_family_members():
     rng = random.Random(2)
     k = random_complex(rng, 6, 2, F(1, 3))
-    theta = PLMap(4, {v: vec([rng.randint(0, 6) for _ in range(4)])
-                      for v in k.vertices})
+    theta = PLMap.of(4, {v: vec([rng.randint(0, 6) for _ in range(4)])
+                         for v in k.vertices})
     g = roberts_perturb(k, theta, F(1, 2), GenericPool(5))
     fam = PlaneFamily(4, (1,), (1, 2, 3), 2)
     for _ in range(5):

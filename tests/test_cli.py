@@ -158,46 +158,57 @@ def test_map_header_is_an_integer_literal(capsys, tmp_path, header, error):
         assert (code, report["error"]) == (2, f"{mp}: {error}")
 
 
-def test_count_clears_each_vertex_image_once(capsys, tmp_path, monkeypatch):
-    # the map's one integer form: the certificate's minor of the triangle
-    # and the plane membership both read the images cleared at parse time
-    images = {tuple(map(Fraction, line.split()[2:]))
-              for line in TWO_EDGES_MAP.splitlines()[1:]}
+def _count_clearings(monkeypatch, keep=lambda values: True):
+    """Record each clearing of a vector into its integer form, from
+    Fractions (``_cleared``) or from numerator and denominator pairs, as
+    the digits and the draws give them (``_cleared_ratios``), with its
+    values as Fractions."""
     cleared = []
-    real = ratmath._cleared
+    real, real_ratios = ratmath._cleared, ratmath._cleared_ratios
 
-    def counted(xs):
-        if tuple(xs) in images:
-            cleared.append(tuple(xs))
+    def from_fractions(xs):
+        if keep(tuple(xs)):
+            cleared.append(("fractions", tuple(xs)))
         return real(xs)
 
+    def from_ratios(ratios):
+        values = tuple(Fraction(n, d) for n, d in ratios)
+        if keep(values):
+            cleared.append(("ratios", values))
+        return real_ratios(ratios)
+
     for module in (ratmath, simplicial, transversal):
-        monkeypatch.setattr(module, "_cleared", counted)
+        monkeypatch.setattr(module, "_cleared", from_fractions)
+        monkeypatch.setattr(module, "_cleared_ratios", from_ratios)
+    return cleared
+
+
+def test_count_clears_each_vertex_image_once(capsys, tmp_path, monkeypatch):
+    # the map's one integer form, read straight from the digits: each image
+    # is cleared once, at parse time, and never from Fractions; the
+    # certificate's minor of the triangle and the plane membership both
+    # read that form
+    images = {tuple(map(Fraction, line.split()[2:]))
+              for line in TWO_EDGES_MAP.splitlines()[1:]}
+    cleared = _count_clearings(monkeypatch, images.__contains__)
     cx = write(tmp_path, "k.cx", "v a\nv b\nv c\nv d\ns a b c\ns c d\n")
     mp = write(tmp_path, "g.map", TWO_EDGES_MAP)
     pl = write(tmp_path, "p.json", VERTICAL_HALF)
     code, report = _report(capsys, ["count", "--complex", cx, "--map", mp,
                                     "--plane", pl, "--nmax", "2"])
     assert (code, report["result"]["count"]) == (0, 2)
-    assert sorted(cleared) == sorted(images)
+    assert sorted(cleared) == sorted(("ratios", p) for p in images)
 
 
-def test_perturb_clears_no_image_of_its_input_map(capsys, tmp_path,
-                                                  monkeypatch):
-    # a map's integer form is built the first time it is read, and a
-    # perturbation only moves the input images: the triangle's minor reads
-    # the moved images, each cleared once, and no input image is cleared
+def test_perturb_clears_each_image_once_from_digits_or_draws(
+        capsys, tmp_path, monkeypatch):
+    # a perturbation reads its input images straight from the digits and
+    # draws each moved image as integers, so no image is cleared from
+    # Fractions: each input image is cleared once, at parse time, and each
+    # moved one, which the triangle's minor reads, once from its draws
     images = {(Fraction(x), Fraction(y), Fraction(z))
               for x, y, z in ((0, 0, 0), (1, 1, 1), (2, 2, 2))}
-    cleared = []
-    real = ratmath._cleared
-
-    def counted(xs):
-        cleared.append(tuple(xs))
-        return real(xs)
-
-    for module in (ratmath, simplicial, transversal):
-        monkeypatch.setattr(module, "_cleared", counted)
+    cleared = _count_clearings(monkeypatch)
     cx = write(tmp_path, "k.cx", "v a\nv b\nv c\ns a b c\n")
     mp = write(tmp_path, "theta.map", "m 3\np a 0 0 0\np b 1 1 1\np c 2 2 2\n")
     out_path = tmp_path / "g.map"
@@ -205,9 +216,11 @@ def test_perturb_clears_no_image_of_its_input_map(capsys, tmp_path,
                                "--eps", "1/10", "--seed", "3",
                                "--out", str(out_path)])
     assert code == 0
+    got = list(cleared)
     moved = simplicial.parse_map(out_path.read_text()).images
-    assert images.isdisjoint(cleared)
-    assert sorted(cleared) == sorted(moved.values())
+    assert images.isdisjoint(moved.values())
+    assert got[:3] == [("ratios", p) for p in sorted(images)]
+    assert sorted(got[3:]) == sorted(("ratios", p) for p in moved.values())
 
 
 def test_unknown_verb_exit_2(capsys):

@@ -131,6 +131,12 @@ def _denominator(values):
     return math.lcm(*(v.denominator for v in values))
 
 
+def _ratios(values):
+    """The values as (numerator, denominator) pairs in lowest terms, the
+    form the distinctness transcript reads."""
+    return [F(v).as_integer_ratio() for v in values]
+
+
 def test_every_offset_of_a_pool_divides_its_one_odd_denominator():
     # One odd D in (2**62, 2**64) per seed: the lcm of 40 offsets'
     # denominators lies in that range, so all of them divide one such D; two
@@ -179,7 +185,8 @@ def test_a_draw_is_its_integer_form_over_the_lcm_of_its_values():
     # each condition of the values, so the same count and outcome
     assert cert.ok
     assert all(a * b > 0 for a, b in zip(
-        cert.conditions, distinctness_transcript(values), strict=True))
+        cert.conditions, distinctness_transcript(_ratios(values)),
+        strict=True))
 
 
 def test_a_draw_builds_no_fraction(monkeypatch):
@@ -364,7 +371,7 @@ def test_a_shared_offset_fails_the_certificate_and_regenerates(monkeypatch):
     # Both vertices have the target (0, 0), so streams 1 (a[1]) and 3 (b[1])
     # on one offset draw equal coordinates: the map comes from seed 22.
     k = parse_complex("v a\nv b\ns a b\n")
-    theta = PLMap(2, {"a": vec([0, 0]), "b": vec([0, 0])})
+    theta = PLMap.of(2, {"a": vec([0, 0]), "b": vec([0, 0])})
     want = roberts_perturb(k, theta, F(1), GenericPool(22))
     _share_offset(monkeypatch, lambda seed: seed == 21, 3, 1)
     pool = GenericPool(21)
@@ -444,18 +451,18 @@ def test_certify_soundness_rescan():
 def test_distinctness_transcript_neighbours_in_sorted_order():
     # sorted: -1/2 < 0 < 1 == 1, and the neighbours a, b give
     # a.num * b.den - b.num * a.den
-    got = distinctness_transcript([F(1), F(0), F(1), F(-1, 2)])
+    got = distinctness_transcript(_ratios([F(1), F(0), F(1), F(-1, 2)]))
     assert got == [-1, -1, 0]
     assert certify(got).failed_index == 2
-    assert distinctness_transcript([F(3)]) == []
+    assert distinctness_transcript([(3, 1)]) == []
     assert distinctness_transcript([]) == []
 
 
 def test_every_condition_is_an_int():
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    g = certify_map(k, PLMap(2, {"a": vec([F(1, 3), F(2, 5)]),
-                                 "b": vec([F(3, 2), 3]),
-                                 "c": vec([4, F(1, 7)])}))
+    g = certify_map(k, PLMap.of(2, {"a": vec([F(1, 3), F(2, 5)]),
+                                    "b": vec([F(3, 2), 3]),
+                                    "c": vec([4, F(1, 7)])}))
     assert g.certified
     _, cert = batch.draw_point_sets(GenericPool(4), [1, 2], 3)
     for conditions in (g.certificate.conditions, cert.conditions):
@@ -497,7 +504,7 @@ def test_distinctness_transcript_matches_exact_value_sort(values):
     # integers: the integer-first sort key gives the order of the exact
     # values, and each neighbour condition is a - b over its denominators
     ordered = sorted(values)
-    got = distinctness_transcript(values)
+    got = distinctness_transcript(_ratios(values))
     assert len(got) == max(len(values) - 1, 0)
     for c, a, b in zip(got, ordered, ordered[1:]):
         assert type(c) is int
@@ -513,7 +520,7 @@ def test_numerator_transcript_scales_the_value_transcript(values):
     got = distinctness_transcript_of_numerators(
         x.numerator * (scale // x.denominator) for x in values)
     ordered = sorted(values)
-    want = distinctness_transcript(values)
+    want = distinctness_transcript(_ratios(values))
     assert len(got) == len(want)
     for c, w, a, b in zip(got, want, ordered, ordered[1:]):
         assert type(c) is int

@@ -13,12 +13,19 @@ from oracles import (det_cofactor, feasible_by_basic_solutions, integer_poly,
 from plstab import ratmath
 from plstab.ratmath import (as_fraction, cauchy_root_bound, combination,
                             format_rational, hull_rows, independent_subset,
-                            lp_feasible, mat_rank, nullspace_basis,
-                            parse_rational, simplest_between, solve_affine,
-                            square_free_part, sturm_count, unit_vec, vec,
-                            vec_dot)
+                            lp_feasible, mat_rank, parse_rational,
+                            simplest_between, solve_affine, square_free_part,
+                            sturm_count, unit_vec, vec, vec_dot)
 
 F = Fraction
+
+
+def nullspace_basis(rows, ncols):
+    """The rational nullspace basis, read off the integer normals (s, N) of
+    the cleared rows as N / s: 1 at each free column, 0 at the others."""
+    return tuple(tuple(F(x, s) for x in normal)
+                 for s, normal in ratmath._nullspace_normals(
+                     [ratmath._cleared(row)[1] for row in rows], ncols))
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 

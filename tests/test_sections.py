@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (basic_feasible_solutions, clusterable_by_partition_scan,
-                     components_by_pairwise_lp, feasible_by_basic_solutions)
+                     components_by_pairwise_lp, dist_sq,
+                     feasible_by_basic_solutions)
 from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import sections
 from plstab.generic import GenericPool
-from plstab.ratmath import combination, dist_sq, vec
+from plstab.ratmath import combination, vec
 from plstab.sections import (MAX_CLUSTER_COMPONENTS, ComponentPartition,
                              PlanarSection,
                              component_clusters, compute_components,
@@ -29,15 +30,15 @@ F = Fraction
 
 def _triangle():
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    g = certify_map(k, PLMap(2, {"a": vec([2, 3]), "b": vec([6, 5]),
-                                 "c": vec([4, 9])}))
+    g = certify_map(k, PLMap.of(2, {"a": vec([2, 3]), "b": vec([6, 5]),
+                                    "c": vec([4, 9])}))
     assert g.certified
     return k, g
 
 
 def _vertical_line(x):
     fam = PlaneFamily(2, (2,), (2,), 1)
-    return ConcretePlane(fam, vec([x, 0]), ())
+    return ConcretePlane.of(fam, vec([x, 0]), ())
 
 
 def _named(pieces):
@@ -60,7 +61,7 @@ def test_section_empty_when_plane_misses():
 
 def test_section_of_empty_complex():
     k = parse_complex("")
-    g = certify_map(k, PLMap(2, {}))
+    g = certify_map(k, PLMap.of(2, {}))
     assert section_of_image(k, g, _vertical_line(F(3))).pieces == ()
 
 
@@ -79,7 +80,8 @@ def test_section_triangle_slice_is_segment():
 def test_section_contains_full_edge_on_plane():
     k, g = _triangle()
     fam = PlaneFamily(2, (), (1, 2), 1)
-    plane = ConcretePlane(fam, g.images["a"], (vec([4, 2]),))  # through a and b
+    # through a and b
+    plane = ConcretePlane.of(fam, g.images["a"], (vec([4, 2]),))
     got = section_of_image(k, g, plane)
     by_source = dict(zip(got.sources, got.fractions()))
     assert set(by_source[("a", "b")]) == {g.images["a"], g.images["b"]}
@@ -253,8 +255,8 @@ def test_crossing_images_of_disjoint_edges():
     # line through the crossing cuts the image in one point, whose preimage
     # is one point on each edge.
     k = parse_complex("v a\nv b\nv c\nv d\ns a b\ns c d\n")
-    g = certify_map(k, PLMap(2, {"a": vec([0, 2]), "b": vec([8, 9]),
-                                 "c": vec([1, 7]), "d": vec([5, -3])}))
+    g = certify_map(k, PLMap.of(2, {"a": vec([0, 2]), "b": vec([8, 9]),
+                                    "c": vec([1, 7]), "d": vec([5, -3])}))
     assert g.certified
     plane = _vertical_line(F(20, 9))
     image = compute_components(section_of_image(k, g, plane))
@@ -269,8 +271,8 @@ def test_triangles_joined_through_a_shared_stabbed_edge():
     # abc lies above the image of ab and abd below it, so the two triangle
     # pieces meet only in the piece of ab.
     k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns a b d\n")
-    g = certify_map(k, PLMap(2, {"a": vec([0, 2]), "b": vec([4, 3]),
-                                 "c": vec([1, 7]), "d": vec([5, -6])}))
+    g = certify_map(k, PLMap.of(2, {"a": vec([0, 2]), "b": vec([4, 3]),
+                                    "c": vec([1, 7]), "d": vec([5, -6])}))
     assert g.certified
     plane = _vertical_line(F(2))
     section = section_of_image(k, g, plane)
@@ -383,7 +385,7 @@ def test_polytopes_intersect_on_one_lcm_of_mixed_denominators():
 def test_preimage_whole_simplex_on_plane():
     k, g = _triangle()
     fam = PlaneFamily(2, (), (1, 2), 1)
-    plane = ConcretePlane(fam, g.images["a"], (vec([4, 2]),))
+    plane = ConcretePlane.of(fam, g.images["a"], (vec([4, 2]),))
     polys = preimage_polytopes(k, g, plane).fractions()
     # the edge ab maps onto the plane, so its whole reference edge appears
     ref_a = vec([1, 0, 0])
@@ -506,7 +508,7 @@ def test_point_preimage_components_within_bound():
             s = simplexes[rng.randrange(len(simplexes))]
             w = [F(rng.randint(1, 3)) for _ in s]
             point = image_point(g, s, [x / sum(w) for x in w])
-            plane = ConcretePlane(fam, point, ())
+            plane = ConcretePlane.of(fam, point, ())
             part = compute_components(preimage_polytopes(k, g, plane))
             assert 1 <= len(part.components) <= ceiling
 

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (coords_pairwise_distinct, det_cofactor,
+from oracles import (coords_pairwise_distinct, det_cofactor, dist_sq,
                      full_position_transcript, max_minor_by_subsets)
 from plstab import simplicial
-from plstab.generic import GenericityError, GenericPool
-from plstab.ratmath import dist_sq, lp_feasible, mat_rank, vec, vec_sub
+from plstab.generic import (GenericityError, GenericPool, certify,
+                            distinctness_transcript)
+from plstab.ratmath import (_cleared, lp_feasible, mat_rank, parse_ratio,
+                            parse_rational, vec, vec_sub)
 from plstab.simplicial import (ParseError, PLMap, SimplicialComplex,
                                certify_map, format_complex, format_map,
                                generic_position_transcript, image_point,
@@ -121,13 +123,14 @@ _EDGE = SimplicialComplex.from_simplexes(["a", "b"], [["a", "b"]])
      ValueError, "unknown vertex id 'b'"),
     (lambda: SimplicialComplex.from_simplexes(["a", "b"], [["a", "b", "a"]]),
      ValueError, "duplicate vertex in a simplex"),
-    (lambda: roberts_perturb(_EDGE, PLMap(1, {"a": vec([0]), "b": vec([1])}),
+    (lambda: roberts_perturb(_EDGE,
+                             PLMap.of(1, {"a": vec([0]), "b": vec([1])}),
                              F(0), GenericPool(1)),
      ValueError, "eps must be positive"),
-    (lambda: roberts_perturb(_EDGE, PLMap(1, {"a": vec([0])}), F(1),
+    (lambda: roberts_perturb(_EDGE, PLMap.of(1, {"a": vec([0])}), F(1),
                              GenericPool(1)),
      ValueError, "missing vertex 'b'"),
-    (lambda: image_point(PLMap(1, {"a": vec([0]), "b": vec([1])}),
+    (lambda: image_point(PLMap.of(1, {"a": vec([0]), "b": vec([1])}),
                          ("a", "b"), [F(1)]),
      ValueError, "barycentric length does not match simplex size"),
 ], ids=["duplicate-id", "unknown-id", "repeated-vertex", "eps",
@@ -158,10 +161,46 @@ def test_map_round_trip_and_errors():
     assert err.value.line == 2
 
 
+def _literal(sign, num, pad, den, den_pad):
+    """A rational literal: sign, zero padding and an optional denominator
+    (None for an integer literal), never reduced."""
+    text = f"{sign}{'0' * pad}{num}"
+    return text if den is None else f"{text}/{'0' * den_pad}{den}"
+
+
+_LITERALS = st.builds(
+    _literal, st.sampled_from(["", "-", "+"]),
+    st.one_of(st.integers(0, 12), st.integers(0, 10 ** 300)),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(1, 12), st.integers(1, 10 ** 200)),
+    st.integers(0, 2))
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(_LITERALS, min_size=m, max_size=m), min_size=1, max_size=4)))
+@settings(max_examples=300, deadline=None)
+@example([["-0", "6/4", "+007/0010"], ["0", "-6/4", "10" * 120 + "/3"]])
+def test_map_parse_builds_the_integer_form_from_the_digits(rows):
+    # signs, -0, zero padding, unreduced and huge literals: the form read
+    # straight from the digits is the clearing of the values Python's own
+    # Fraction parser reads, and the Fraction view is those values
+    text = f"m {len(rows[0])}\n" + "".join(
+        f"p v{i} {' '.join(row)}\n" for i, row in enumerate(rows))
+    values = {f"v{i}": tuple(map(F, row)) for i, row in enumerate(rows)}
+    g = parse_map(text)
+    assert g.cleared == {v: _cleared(p) for v, p in values.items()}
+    assert g.images == values
+    assert [g.image(v) for v in values] == list(values.values())
+    for row in rows:
+        for x in row:
+            assert parse_ratio(x) == F(x).as_integer_ratio()
+            assert parse_rational(x) == F(x)
+
+
 # --- perturbation -----------------------------------------------------------
 
 def _const_map(k, m, value=F(0)):
-    return PLMap(m, {v: tuple(value for _ in range(m)) for v in k.vertices})
+    return PLMap.of(m, {v: tuple(value for _ in range(m)) for v in k.vertices})
 
 
 def test_perturb_three_isolated_vertices():
@@ -176,8 +215,8 @@ def test_perturb_three_isolated_vertices():
 
 def test_perturb_collinear_triangle_becomes_independent():
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    theta = PLMap(3, {"a": vec([0, 0, 0]), "b": vec([1, 1, 1]),
-                      "c": vec([2, 2, 2])})
+    theta = PLMap.of(3, {"a": vec([0, 0, 0]), "b": vec([1, 1, 1]),
+                         "c": vec([2, 2, 2])})
     g = roberts_perturb(k, theta, F(1, 10), GenericPool(4))
     assert g.certified
     diffs = [vec_sub(g.images["b"], g.images["a"]),
@@ -196,8 +235,8 @@ def test_perturb_deterministic():
 
 def test_perturb_proximity_exact():
     k = parse_complex("v a\nv b\nv c\ns a b\ns b c\n")
-    theta = PLMap(3, {"a": vec([5, 0, 0]), "b": vec([0, 5, 0]),
-                      "c": vec([0, 0, 5])})
+    theta = PLMap.of(3, {"a": vec([5, 0, 0]), "b": vec([0, 5, 0]),
+                         "c": vec([0, 0, 5])})
     eps = F(1, 7)
     g = roberts_perturb(k, theta, eps, GenericPool(12))
     for v in k.vertices:
@@ -207,8 +246,8 @@ def test_perturb_proximity_exact():
 class _DegeneratePool(GenericPool):
     """Returns the target itself, so the first attempt cannot certify."""
 
-    def draw_near(self, target, eps, stream):
-        return F(target)
+    def draw_integers(self, target, eps, stream):
+        return F(target).as_integer_ratio()
 
 
 def test_perturb_regenerates_after_failed_certificate():
@@ -221,6 +260,35 @@ def test_perturb_regenerates_after_failed_certificate():
     assert g.images == expected.images
 
 
+class _SharePool(GenericPool):
+    """Draws target + share * eps exactly, a share per stream, whatever the
+    eps-neighbourhood the kernel keeps to."""
+
+    def __init__(self, seed, shares):
+        super().__init__(seed)
+        self.shares = shares
+
+    def draw_integers(self, target, eps, stream):
+        return (F(target) + self.shares[stream] * eps).as_integer_ratio()
+
+
+def test_perturb_checks_the_eps_ball_exactly():
+    # m = 2 draws each coordinate at eps / 2 times its share, so an image
+    # moves by eps / 2 * sqrt(share_1^2 + share_2^2): inside the ball for
+    # shares 1.4 and 1.39 (squares 3.8921 < 4), on or past it for 1.42
+    # and 1.41 (4.0045), and on it for 2 and 0
+    k = parse_complex("v a\nv b\ns a b\n")
+    theta = PLMap.of(2, {"a": vec([0, 0]), "b": vec([1, 3])})
+    eps = F(2, 7)
+    inside = {1: F(140, 100), 2: F(139, 100), 3: F(138, 100), 4: F(137, 100)}
+    g = roberts_perturb(k, theta, eps, _SharePool(0, inside))
+    assert g.certified
+    assert all(dist_sq(g.images[v], theta.images[v]) < eps * eps for v in "ab")
+    for shares in ({1: F(142, 100), 2: F(141, 100)}, {1: F(2), 2: F(0)}):
+        with pytest.raises(RuntimeError, match="left the eps ball"):
+            roberts_perturb(k, theta, eps, _SharePool(0, shares))
+
+
 def test_perturbed_map_carries_certify_maps_certificate():
     # one place builds a map's certificate: a perturbed map's, first
     # attempt or regenerated, is the one certify_map gives its images
@@ -228,7 +296,7 @@ def test_perturbed_map_carries_certify_maps_certificate():
                      GenericPool(3)),
                     (parse_complex("v a\nv b\ns a b\n"), _DegeneratePool(21))):
         g = roberts_perturb(k, _const_map(k, 3), F(1, 2), pool)
-        again = certify_map(k, PLMap(g.m, g.images))
+        again = certify_map(k, PLMap.of(g.m, g.images))
         assert g.certified and again.certificate == g.certificate
 
 
@@ -241,9 +309,10 @@ def test_perturb_impossible_dimension_exhausts():
 
 def test_certify_map_detects_degeneracy():
     k = parse_complex("v a\nv b\ns a b\n")
-    bad = PLMap(2, {"a": vec([0, 1]), "b": vec([0, 2])})  # repeated coordinate 0
+    # repeated coordinate 0
+    bad = PLMap.of(2, {"a": vec([0, 1]), "b": vec([0, 2])})
     assert not certify_map(k, bad).certified
-    good = PLMap(2, {"a": vec([1, 2]), "b": vec([3, 4])})
+    good = PLMap.of(2, {"a": vec([1, 2]), "b": vec([3, 4])})
     assert certify_map(k, good).certified
 
 
@@ -251,8 +320,8 @@ def test_map_keeps_one_integer_form():
     # each image cleared once, when the map is built: certify_map hands the
     # same form on, and the map's fields cannot be rebound
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    g = PLMap(2, {"a": vec([F(1, 2), F(2, 3)]), "b": vec([3, F(5, 4)]),
-                  "c": vec([F(-7, 6), F(1, 9)])})
+    g = PLMap.of(2, {"a": vec([F(1, 2), F(2, 3)]), "b": vec([3, F(5, 4)]),
+                     "c": vec([F(-7, 6), F(1, 9)])})
     assert g.cleared == {"a": (6, [3, 4]), "b": (4, [12, 5]),
                          "c": (18, [-21, 2])}
     got = certify_map(k, g)
@@ -271,7 +340,7 @@ def test_transcript_size_is_linear_in_coordinates():
     k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns c d\n")
     images = {v: vec([F(3 * i + s, 7 + i + s) for s in range(3)])
               for i, v in enumerate(k.vertices)}
-    g = PLMap(3, images)
+    g = PLMap.of(3, images)
     transcript = generic_position_transcript(k, g)
     assert len(transcript) == (12 - 1) + 1
     assert certify_map(k, g).certified
@@ -309,7 +378,7 @@ def _maps_with_ties(draw):
     for a, s, b, t in ties:
         coords[b][t] = coords[a][s]
     k = SimplicialComplex.from_simplexes(names, simplexes)
-    return k, PLMap(m, {v: tuple(c) for v, c in zip(names, coords)})
+    return k, PLMap.of(m, {v: tuple(c) for v, c in zip(names, coords)})
 
 
 def _scaled_minors(k, images):
@@ -351,14 +420,88 @@ def test_certify_map_matches_oracles(case):
     assert certify_map(k, g).certified == expected
 
 
+def _assert_positive_multiples(transcript, reference):
+    """Same length and first zero, and each condition a positive integer
+    multiple of the reference's."""
+    assert len(transcript) == len(reference)
+    assert certify(transcript).failed_index == certify(reference).failed_index
+    for c, w in zip(transcript, reference):
+        assert type(c) is int
+        assert (c == 0) if w == 0 else (c % w == 0 and c // w > 0)
+
+
+def _value_pairs(k, g):
+    """The coordinates' lowest terms, in vertex order."""
+    return [x.as_integer_ratio() for v in k.vertices for x in g.images[v]]
+
+
+_BELOW_KEY_RESOLUTION = F(1, 2 ** 170)  # finer than the sort key's 2**-160
+
+
+@st.composite
+def _maps_with_close_values(draw):
+    """Images on several vertices whose coordinates repeat one small set of
+    values, over different vertex denominators, and copies of them nudged
+    by less than 2**-160."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    pool = draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=12),
+                         min_size=1, max_size=4))
+    value = st.one_of(
+        st.sampled_from(pool),
+        st.builds(lambda x, j: x + j * _BELOW_KEY_RESOLUTION,
+                  st.sampled_from(pool), st.integers(-3, 3)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=50))
+    names = [f"v{i}" for i in range(n)]
+    images = {v: tuple(draw(value) for _ in range(m)) for v in names}
+    return SimplicialComplex.from_simplexes(names, []), PLMap.of(m, images)
+
+
+@given(_maps_with_close_values())
+@settings(max_examples=300, deadline=None)
+def test_map_certificate_sorts_the_integer_form_as_the_values(case):
+    # each coordinate as (P_vi, D_v), in lowest terms or not: the same
+    # order, count and first zero as the values' own lowest terms, each
+    # condition a positive multiple of theirs
+    k, g = case
+    _assert_positive_multiples(generic_position_transcript(k, g),
+                               distinctness_transcript(_value_pairs(k, g)))
+
+
+def test_map_certificate_on_equal_and_close_values():
+    # 1/2 and 2/4 on different vertices are the pairs (3, 6) and (5, 10)
+    # of their vertices' forms, and are found equal; 1/3 and 1/3 + 2**-200
+    # share their sort key's floor, so the cross-multiplied tie-break
+    # orders them, the larger written first
+    k = parse_complex("v a\nv b\nv c\nv d\n")
+    close = F(1, 3) + F(1, 2 ** 200)
+    g = certify_map(k, parse_map(
+        "m 2\np a 1/2 2/3\np b 2/4 1/5\n"
+        f"p c {close} 7\np d 1/3 11/2\n"))
+    assert g.cleared["a"] == (6, [3, 4]) and g.cleared["b"] == (10, [5, 2])
+    floors = {(p[0] << 160) // d for d, p in (g.cleared["c"], g.cleared["d"])}
+    assert len(floors) == 1
+    transcript = generic_position_transcript(k, g)
+    _assert_positive_multiples(transcript,
+                               distinctness_transcript(_value_pairs(k, g)))
+    assert not g.certified and transcript.count(0) == 1
+    # without the repeated 1/2 the close pair is told apart
+    g2 = certify_map(k, parse_map(
+        "m 2\np a 1/2 2/3\np b 3/4 1/5\n"
+        f"p c {close} 7\np d 1/3 11/2\n"))
+    assert g2.certified
+    _assert_positive_multiples(generic_position_transcript(k, g2),
+                               distinctness_transcript(_value_pairs(k, g2)))
+
+
 def test_certify_map_records_an_exact_zero_minor():
     # a, b and c lie on y = 2x and d does not, with every coordinate
     # distinct: the triangle abc is the first zero of the transcript
     k = parse_complex("v a\nv b\nv c\nv d\ns a b c\ns b c d\n")
-    g = certify_map(k, PLMap(2, {"a": vec([F(1, 3), F(2, 3)]),
-                                 "b": vec([F(3, 2), 3]),
-                                 "c": vec([F(5, 7), F(10, 7)]),
-                                 "d": vec([4, F(1, 5)])}))
+    g = certify_map(k, PLMap.of(2, {"a": vec([F(1, 3), F(2, 3)]),
+                                    "b": vec([F(3, 2), 3]),
+                                    "c": vec([F(5, 7), F(10, 7)]),
+                                    "d": vec([4, F(1, 5)])}))
     conditions = g.certificate.conditions
     # 4 * 2 - 1 coordinate conditions, then the maximal triangles abc bcd;
     # the edges are implied by the distinct coordinates
@@ -387,12 +530,12 @@ def _small_integer_maps(draw):
                          unique=draw(st.booleans())))
     images = {v: vec(flat[i * m:(i + 1) * m]) for i, v in enumerate(names)}
     return (SimplicialComplex.from_simplexes(names, declared),
-            PLMap(m, images), declared)
+            PLMap.of(m, images), declared)
 
 
 @given(_small_integer_maps())
 @example((SimplicialComplex.from_simplexes(("a", "b", "c"), [("a", "b", "c")]),
-          PLMap(2, {"a": vec([1, 2]), "b": vec([3, 6]), "c": vec([4, 8])}),
+          PLMap.of(2, {"a": vec([1, 2]), "b": vec([3, 6]), "c": vec([4, 8])}),
           [("a", "b", "c")]))  # distinct coordinates, collinear images
 @settings(max_examples=300, deadline=None)
 def test_certify_map_matches_the_full_transcript(case):
@@ -408,23 +551,23 @@ def test_certify_map_matches_the_full_transcript(case):
 
 def test_image_point_vertex():
     k = parse_complex("v a\nv b\ns a b\n")
-    g = PLMap(2, {"a": vec([1, 2]), "b": vec([3, 5])})
+    g = PLMap.of(2, {"a": vec([1, 2]), "b": vec([3, 5])})
     assert image_point(g, ("a", "b"), [1, 0]) == vec([1, 2])
 
 
 def test_image_point_midpoint():
-    g = PLMap(2, {"a": vec([1, 2]), "b": vec([3, 5])})
+    g = PLMap.of(2, {"a": vec([1, 2]), "b": vec([3, 5])})
     assert image_point(g, ("a", "b"), [F(1, 2), F(1, 2)]) == vec([2, F(7, 2)])
 
 
 def test_image_point_barycenter():
-    g = PLMap(2, {"a": vec([0, 0]), "b": vec([3, 0]), "c": vec([0, 3])})
+    g = PLMap.of(2, {"a": vec([0, 0]), "b": vec([3, 0]), "c": vec([0, 3])})
     assert image_point(g, ("a", "b", "c"),
                        [F(1, 3)] * 3) == vec([1, 1])
 
 
 def test_image_point_validates():
-    g = PLMap(1, {"a": vec([0]), "b": vec([1])})
+    g = PLMap.of(1, {"a": vec([0]), "b": vec([1])})
     with pytest.raises(ValueError):
         image_point(g, ("a", "b"), [F(1, 2), F(1, 4)])
 
@@ -452,8 +595,8 @@ def test_disjointness_matches_geometry_on_random_complexes():
             maximal.append(rng.sample(names, size))
         k = SimplicialComplex.from_simplexes(names, maximal)
         m = 2 * k.dim + 1
-        theta = PLMap(m, {v: tuple(F(rng.randint(0, 8)) for _ in range(m))
-                          for v in names})
+        theta = PLMap.of(m, {v: tuple(F(rng.randint(0, 8)) for _ in range(m))
+                             for v in names})
         g = roberts_perturb(k, theta, F(1, 5), GenericPool(trial))
         simp = k.sorted_simplexes()
         for s1, s2 in itertools.combinations(simp, 2):

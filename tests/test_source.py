@@ -133,11 +133,12 @@ def test_no_float_in_library():
 
 # Entry points README documents; the benchmark and the tests call them.  A
 # method is named with its class: the Fraction constructors and views of
-# the section's integer form.
+# the section's integer form, and the Fraction view of the integer draw.
 _ENTRY_POINTS = {"image_point", "random_map", "sample_plane_random",
                  "sample_plane_adversarial", "run_stab_fixture",
                  "PlanarSection.of", "PlanarSection.fractions",
-                 "ComponentPartition.of", "ComponentPartition.fractions"}
+                 "ComponentPartition.of", "ComponentPartition.fractions",
+                 "GenericPool.draw_near"}
 
 
 def test_every_public_library_function_has_a_caller():
@@ -270,13 +271,13 @@ def test_the_deciders_read_one_integer_form_of_the_point_sets():
     # Point sets are cleared once, into a PointSets, by PointSets.of or
     # straight from a draw: stab_regime solves the flat's integer rows,
     # no transversal function solves Fraction rows, the deciders clear
-    # only lambdas, flat points and covectors, never the points again, and
-    # a draw reads the integer kernel, not draw_near's Fraction.
+    # only lambdas and flat points, never the points again, membership
+    # reads the covectors a plane clears once when it is built, and a
+    # draw reads the integer kernel, not draw_near's Fraction.
     calls = _transversal_calls()
     assert "_solve_augmented" in calls["stab_regime"]
     assert _callers("solve_affine") == set()
-    assert _callers("_cleared") == {"_block_differences", "_rows_at",
-                                    "stabbed_simplexes"}
+    assert _callers("_cleared") == {"_block_differences", "_rows_at"}
     path = Path(plstab.__file__).with_name("batch.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     draw = next(node for node in tree.body if isinstance(node, ast.FunctionDef)

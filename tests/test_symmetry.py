@@ -11,7 +11,8 @@ stab the search found, but it answers a re-checked witness or not_found,
 nothing else.  A count, and the number of pieces and of components of the
 image and the preimage sections, depend neither on the names of the
 vertices nor on one translation or one diagonal rational scaling of the
-coordinates, applied to the map and the plane together.  The metric
+coordinates, or one linear map that keeps span(s_t) and span(s_T),
+applied to the map and the plane together.  The metric
 answers of ``section`` and ``cotype`` (the eps test, the largest squared
 diameter and the clusters) do not depend on an isometry that keeps the
 family: a permutation of the coordinates inside s_t, inside s_T minus s_t
@@ -24,7 +25,9 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from plstab.batch import random_complex, sample_plane_adversarial
+from plstab.batch import (random_complex, sample_plane_adversarial,
+                          sample_plane_random)
+from plstab.ratmath import mat_rank
 from plstab.sections import (MAX_CLUSTER_COMPONENTS, component_clusters,
                              compute_components, eps_disjoint,
                              preimage_polytopes, section_of_image)
@@ -191,7 +194,7 @@ def test_count_is_invariant_under_relabelling_and_translation(
     k = random_complex(rng, nv, 2, F(1, 3))
     coords = data.draw(st.lists(st.integers(-40, 40), unique=True,
                                 min_size=nv * m, max_size=nv * m))
-    g = certify_map(k, PLMap(m, {
+    g = certify_map(k, PLMap.of(m, {
         v: tuple(map(F, coords[i * m:(i + 1) * m]))
         for i, v in enumerate(k.vertices)}))
     assume(g.certified)
@@ -203,33 +206,96 @@ def test_count_is_invariant_under_relabelling_and_translation(
     k2 = SimplicialComplex.from_simplexes(
         [rename[v] for v in k.vertices],
         [[rename[v] for v in s] for s in k.maximal_simplexes()])
-    g2 = certify_map(k2, PLMap(m, {rename[v]: p
-                                   for v, p in g.images.items()}))
+    g2 = certify_map(k2, PLMap.of(m, {rename[v]: p
+                                      for v, p in g.images.items()}))
     assert g2.certified
     assert _counts(k2, g2, plane) == counts
 
     shift = data.draw(st.lists(_SHIFTS, min_size=m, max_size=m))
-    g3 = certify_map(k, PLMap(m, {
+    g3 = certify_map(k, PLMap.of(m, {
         v: tuple(x + s for x, s in zip(p, shift))
         for v, p in g.images.items()}))
     assume(g3.certified)  # a shift can make two coordinates equal
-    moved = ConcretePlane(family,
-                          tuple(x + s for x, s in zip(plane.basepoint, shift)),
-                          plane.extra_directions)
+    moved = ConcretePlane.of(
+        family, tuple(x + s for x, s in zip(plane.basepoint, shift)),
+        plane.extra_directions)
     assert _counts(k, g3, moved) == counts
 
     # x_j -> s_j x_j with nonzero rational s_j: a linear automorphism of
     # the family that changes the denominators of every image
     scale = data.draw(st.lists(_SCALES, min_size=m, max_size=m))
-    g4 = certify_map(k, PLMap(m, {
+    g4 = certify_map(k, PLMap.of(m, {
         v: tuple(x * s for x, s in zip(p, scale))
         for v, p in g.images.items()}))
     assume(g4.certified)  # a scaling can make two coordinates equal
-    scaled = ConcretePlane(
+    scaled = ConcretePlane.of(
         family, tuple(x * s for x, s in zip(plane.basepoint, scale)),
         tuple(tuple(x * s for x, s in zip(e, scale))
-              for e in plane.extra_directions))
+                 for e in plane.extra_directions))
     assert _counts(k, g4, scaled) == counts
+
+
+def _block_triangular(rng, family):
+    """Rows of a random invertible rational matrix A with
+    A span(s_t) = span(s_t) and A span(s_T) = span(s_T): entry (i, j) is
+    nonzero only when coordinate i's class (s_t, then s_T minus s_t, then
+    the rest) is at most j's, so in that order A is block upper
+    triangular, and it is drawn until its rank is m."""
+    m = family.m
+    rank = {j: 0 if j in family.s_t else 1 if j in family.s_T else 2
+            for j in range(1, m + 1)}
+    while True:
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 11))
+                 if rank[i] <= rank[j] else F(0) for j in range(1, m + 1)]
+                for i in range(1, m + 1)]
+        if mat_rank(rows) == m:
+            return rows
+
+
+def test_counts_are_invariant_under_block_triangular_maps():
+    # A linear A that keeps span(s_t) and span(s_T) carries a member
+    # plane of the family, through b with directions e, to the member
+    # through A b with directions A e, and the image of every simplex with
+    # it: the count and the numbers of pieces and components of both
+    # sections stay.  A draw whose moved map fails certification (two
+    # coordinates or a simplex made degenerate) is skipped and counted.
+    rng = random.Random(39)
+    checked = skipped = 0
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        s_T = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, m))))
+        s_t = tuple(sorted(rng.sample(s_T, rng.randint(0, len(s_T)))))
+        # extra directions wherever the family allows them, so that A moves
+        # them too
+        family = PlaneFamily(m, s_t, s_T, rng.randint(
+            min(len(s_t) + 1, len(s_T)), len(s_T)))
+        k = random_complex(rng, rng.randint(4, 7), 2, F(1, 3))
+        coords = rng.sample(range(-40, 41), len(k.vertices) * m)
+        g = certify_map(k, PLMap.of(m, {
+            v: tuple(map(F, coords[i * m:(i + 1) * m]))
+            for i, v in enumerate(k.vertices)}))
+        if not g.certified:
+            continue
+        plane = (sample_plane_adversarial(rng, family, k, g)
+                 if rng.random() < 0.7
+                 else sample_plane_random(rng, family, g))
+        a = _block_triangular(rng, family)
+
+        def apply(p):
+            return tuple(sum((x * y for x, y in zip(row, p)), F(0))
+                         for row in a)
+
+        moved = certify_map(k, PLMap.of(m, {v: apply(p)
+                                               for v, p in g.images.items()}))
+        if not moved.certified:
+            skipped += 1
+            continue
+        moved_plane = ConcretePlane.of(
+            family, apply(plane.basepoint),
+            tuple(map(apply, plane.extra_directions)))
+        assert _counts(k, moved, moved_plane) == _counts(k, g, plane)
+        checked += 1
+    assert checked >= 50 and skipped <= 5
 
 
 _ANY_FAMILY = st.integers(2, 4).flatmap(_families)
@@ -262,12 +328,12 @@ def _moved(k, g, plane, point_map, linear_map):
     """The map and the plane carried by one affine isometry, given by its
     action on points and on directions; None when the moved map fails
     certification."""
-    g2 = certify_map(k, PLMap(g.m, {v: point_map(p)
-                                    for v, p in g.images.items()}))
+    g2 = certify_map(k, PLMap.of(g.m, {v: point_map(p)
+                                       for v, p in g.images.items()}))
     if not g2.certified:
         return None
-    return g2, ConcretePlane(plane.family, point_map(plane.basepoint),
-                             tuple(map(linear_map, plane.extra_directions)))
+    return g2, ConcretePlane.of(plane.family, point_map(plane.basepoint),
+                                tuple(map(linear_map, plane.extra_directions)))
 
 
 @settings(max_examples=60, deadline=None,
@@ -281,7 +347,7 @@ def test_metric_answers_are_invariant_under_the_family_isometries(
     k = random_complex(rng, nv, 2, F(1, 3))
     coords = data.draw(st.lists(st.integers(-40, 40), unique=True,
                                 min_size=nv * m, max_size=nv * m))
-    g = certify_map(k, PLMap(m, {
+    g = certify_map(k, PLMap.of(m, {
         v: tuple(map(F, coords[i * m:(i + 1) * m]))
         for i, v in enumerate(k.vertices)}))
     assume(g.certified)

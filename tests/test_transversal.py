@@ -19,11 +19,12 @@ from plstab.batch import (random_complex, random_map, sample_plane_adversarial,
                           sample_plane_random)
 from plstab import transversal
 from plstab.generic import GenericPool
-from plstab.ratmath import (_sign_at, hull_rows, solve_affine,
-                            square_free_part, sturm_count, vec)
+from plstab.ratmath import (_cleared, _sign_at, hull_rows, solve_affine,
+                            square_free_part, sturm_count, unit_vec, vec)
 from plstab.sections import preimage_polytopes, section_of_image
 from plstab.simplicial import (PLMap, SimplicialComplex, certify_map,
-                               parse_complex, roberts_perturb)
+                               format_complex, format_map, parse_complex,
+                               parse_map, roberts_perturb)
 from plstab.transversal import (SEARCH_BUDGET, BoundResult, ConcretePlane,
                                 NonStabCase,
                                 PlaneFamily, PointSets, StabDecision,
@@ -54,20 +55,92 @@ def test_family_validation():
 
 def test_concrete_plane_validation():
     fam = PlaneFamily(3, (), (1, 2), 1)
-    ConcretePlane(fam, vec([0, 0, 0]), (vec([1, 2, 0]),))
+    ConcretePlane.of(fam, vec([0, 0, 0]), (vec([1, 2, 0]),))
     with pytest.raises(ValueError):
-        ConcretePlane(fam, vec([0, 0, 0]), (vec([1, 0, 1]),))  # leaves span(s_T)
+        # leaves span(s_T)
+        ConcretePlane.of(fam, vec([0, 0, 0]), (vec([1, 0, 1]),))
     with pytest.raises(ValueError):
-        ConcretePlane(fam, vec([0, 0, 0]), ())  # wrong direction count
+        ConcretePlane.of(fam, vec([0, 0, 0]), ())  # wrong direction count
 
 
 def test_plane_membership_via_covectors():
     fam = PlaneFamily(3, (1,), (1, 2, 3), 2)
-    plane = ConcretePlane(fam, vec([0, 1, 1]), (vec([0, 1, 1]),))
+    plane = ConcretePlane.of(fam, vec([0, 1, 1]), (vec([0, 1, 1]),))
     assert plane.contains(vec([7, 1, 1]))
     assert plane.contains(vec([7, 3, 3]))
     assert not plane.contains(vec([7, 3, 2]))
     assert len(plane.covectors()) == 1  # codimension m - d
+
+
+def _rational_covectors(plane):
+    """The covectors built on Fractions: a unit covector per coordinate
+    outside s_T, then the solve's rational nullspace basis of the extra
+    directions on the block, embedded, with the basepoint's values."""
+    fam = plane.family
+    base = plane.basepoint
+    rows = [fam.restrict(e, "extra direction")
+            for e in plane.extra_directions]
+    width = len(fam.block)
+    basis = (solve_affine(rows, [0] * len(rows))[1] if rows
+             else [unit_vec(width, j) for j in range(1, width + 1)])
+    at_block = [base[j - 1] for j in fam.block]
+    return ([(unit_vec(fam.m, j), base[j - 1]) for j in fam.outside]
+            + [(fam.embed(nb), sum(x * y for x, y in zip(nb, at_block)))
+               for nb in basis])
+
+
+def test_integer_covectors_clear_the_rational_ones():
+    # the plane's integer covectors are the cleared rational covectors,
+    # right-hand sides in lowest terms, and the Fraction view is them
+    rng = random.Random(5)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        s_T = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, m))))
+        s_t = tuple(sorted(rng.sample(s_T, rng.randint(0, len(s_T)))))
+        fam = PlaneFamily(m, s_t, s_T, rng.randint(len(s_t), len(s_T)))
+        spans = [fam.embed([F(rng.randint(-4, 4), rng.randint(1, 6))
+                            for _ in fam.block])
+                 for _ in range(rng.randint(0, fam.d - fam.t))]
+        base = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(m)]
+        plane = plane_through(fam, base, spans)
+        want = _rational_covectors(plane)
+        assert plane.covectors() == tuple(want)
+        assert [(_cleared(c)[0], tuple(_cleared(c)[1]), rhs.numerator,
+                 rhs.denominator) for c, rhs in want] == [
+            (s, row, a, b) for row, s, a, b in plane.integer_covectors]
+
+
+def test_a_load_builds_no_fraction(monkeypatch):
+    # A count, section or cotype request loads its map and its plane on
+    # their integer forms: parse_map, certify_map, plane_from_json_dict and
+    # stabbed_simplexes build no Fraction, for planes with and without
+    # extra directions, and the membership walk still finds their stabs.
+    rng = random.Random(7)
+    k = random_complex(rng, 7, 2, F(1, 2))
+    g = roberts_perturb(k, random_map(rng, k, 3), F(1, 2), GenericPool(3))
+    complex_text, map_text = format_complex(k), format_map(g)
+    planes = [plane_to_json_dict(sample_plane_adversarial(
+        rng, PlaneFamily(3, s_t, s_T, d), k, g))
+        for s_t, s_T, d in (((), (1, 2, 3), 1), ((1,), (1, 2), 1),
+                            ((), (1, 2, 3), 2))]
+    assert [len(data["extra_dirs"]) for data in planes] == [1, 0, 2]
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    hits = []
+    for data in planes:
+        k2 = parse_complex(complex_text)
+        g2 = certify_map(k2, parse_map(map_text))
+        plane = plane_from_json_dict(data)
+        hits.append(len(stabbed_simplexes(k2, g2, plane, 2)[0]))
+    monkeypatch.undo()
+    assert built == []
+    assert g2.certified and all(hits)
 
 
 def test_plane_through_pads_dimension():
@@ -79,7 +152,7 @@ def test_plane_through_pads_dimension():
 
 def test_plane_json_round_trip():
     fam = PlaneFamily(3, (2,), (1, 2), 2)
-    plane = ConcretePlane(fam, vec([F(1, 2), 0, 3]), (vec([1, -1, 0]),))
+    plane = ConcretePlane.of(fam, vec([F(1, 2), 0, 3]), (vec([1, -1, 0]),))
     again = plane_from_json_dict(plane_to_json_dict(plane))
     assert again == plane
     assert family_from_json_dict(family_to_json_dict(fam)) == fam
@@ -208,12 +281,12 @@ def test_theorem_2_named_cases():
 
 def _vertical_line(x):
     fam = PlaneFamily(2, (2,), (2,), 1)
-    return ConcretePlane(fam, vec([x, 0]), ())
+    return ConcretePlane.of(fam, vec([x, 0]), ())
 
 
 def _one_edge(a, b):
     k = parse_complex("v a\nv b\ns a b\n")
-    g = certify_map(k, PLMap(len(a), {"a": vec(a), "b": vec(b)}))
+    g = certify_map(k, PLMap.of(len(a), {"a": vec(a), "b": vec(b)}))
     assert g.certified  # every coordinate differs from every other
     return k, g
 
@@ -277,8 +350,8 @@ def test_piece_vertices_come_by_face_size_then_lexicographically():
     # minimal stabbed simplexes, and the triangle's piece lists a's point
     # before bc's, each padded into the triangle's coordinates
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    g = certify_map(k, PLMap(2, {"a": vec([0, 5]), "b": vec([-3, 1]),
-                                 "c": vec([3, 2])}))
+    g = certify_map(k, PLMap.of(2, {"a": vec([0, 5]), "b": vec([-3, 1]),
+                                    "c": vec([3, 2])}))
     assert g.certified
     plane = _vertical_line(F(0))
     half = F(1, 2)
@@ -298,11 +371,11 @@ def test_minimal_faces_of_a_coface_come_by_size_then_lexicographically():
     k = parse_complex("v a\nv b\nv c\nv d\ns a b c d\n")
     images = {"a": vec([1, 5, 9]), "b": vec([12, 2, 7]), "c": vec([4, 13, 3]),
               "d": vec([8, 6, 14])}
-    g = certify_map(k, PLMap(3, images))
+    g = certify_map(k, PLMap.of(3, images))
     assert g.certified
     p, q = vec([F(9, 2), F(11, 2), F(23, 2)]), vec([8, F(15, 2), 5])
-    plane = ConcretePlane(PlaneFamily(3, (), (1, 2, 3), 1), p,
-                          (tuple(y - x for x, y in zip(p, q)),))
+    plane = ConcretePlane.of(PlaneFamily(3, (), (1, 2, 3), 1), p,
+                             (tuple(y - x for x, y in zip(p, q)),))
     ad, bc = ("a", "d"), ("b", "c")
     half = (F(1, 2), F(1, 2))
     points, faces = stabbed_simplexes(k, g, plane, 3)
@@ -335,19 +408,19 @@ def test_bracket_keeps_a_vertex_on_the_plane(fam, extras, side):
     # simplex once the plane moves off o.
     k = parse_complex(_FAN)
     o = vec(_FAN_IMAGES["o"])
-    g = certify_map(k, PLMap(2, {
+    g = certify_map(k, PLMap.of(2, {
         v: tuple(c + side * (x - c) for x, c in zip(vec(p), o))
         for v, p in _FAN_IMAGES.items()}))
     assert g.certified
     at_o = [s for s in k.sorted_simplexes() if "o" in s]
     assert len(at_o) == 7
-    plane = ConcretePlane(fam, o, extras)
+    plane = ConcretePlane.of(fam, o, extras)
     assert _stabbed(k, g, plane, 2) == {("o",): (1,)}
     assert _bary_pieces(k, g, plane) == [
         (s, [tuple(int(v == "o") for v in s)]) for s in at_o]
     nudge = F(1, 10 ** 9)
-    off = ConcretePlane(fam, tuple(c - side * step for c, step in
-                                   zip(o, (nudge, 2 * nudge))), extras)
+    off = ConcretePlane.of(fam, tuple(c - side * step for c, step in
+                                      zip(o, (nudge, 2 * nudge))), extras)
     assert _stabbed(k, g, off, 2) == {}
     assert _bary_pieces(k, g, off) == []
 
@@ -359,14 +432,14 @@ def test_membership_reads_lambda_back_through_each_vertex_scale():
     # sides 20/9 and 83/54.  The solve runs in mu_v = lambda_v / D_v, so
     # every vertex must be scaled back by its own D_v.
     k = parse_complex("v a\nv b\nv c\ns a b c\n")
-    g = certify_map(k, PLMap(3, {"a": vec([1, 5, 2]),
-                                 "b": vec([F(9, 2), F(3, 2), F(7, 2)]),
-                                 "c": vec([F(-4, 3), F(2, 3), F(10, 3)])}))
+    g = certify_map(k, PLMap.of(3, {"a": vec([1, 5, 2]),
+                                    "b": vec([F(9, 2), F(3, 2), F(7, 2)]),
+                                    "c": vec([F(-4, 3), F(2, 3), F(10, 3)])}))
     assert g.certified
     assert [d for d, _ in g.cleared.values()] == [1, 2, 3]
     point = vec([F(16, 9), F(28, 9), F(49, 18)])
-    plane = ConcretePlane(PlaneFamily(3, (), (1, 2, 3), 1), point,
-                          (vec([1, F(1, 2), F(2, 3)]),))
+    plane = ConcretePlane.of(PlaneFamily(3, (), (1, 2, 3), 1), point,
+                             (vec([1, F(1, 2), F(2, 3)]),))
     assert [rhs for _, rhs in plane.covectors()] == [F(20, 9), F(83, 54)]
     assert _stabbed(k, g, plane, 2) == {
         ("a", "b", "c"): (F(1, 2), F(1, 3), F(1, 6))}
@@ -504,7 +577,7 @@ def test_witness_recheck_rejects_each_broken_condition():
     assert w.lambdas == (half, half)
     assert w.points == (vec([F(1, 2), 1, 0]), vec([F(11, 2), 1, 0]))
     assert verify_stab_witness(w, sets, fam) == (True, 6)
-    off_plane = ConcretePlane(fam, vec([0, 1, 1]), w.plane.extra_directions)
+    off_plane = ConcretePlane.of(fam, vec([0, 1, 1]), w.plane.extra_directions)
     off_point = vec([F(11, 2), 1, 1])
     broken = {
         "another family": (w, PlaneFamily(3, (), (1, 2), 1), 0),
@@ -1393,7 +1466,7 @@ def test_each_decision_builds_the_block_differences_once(monkeypatch):
 
 def _two_edges():
     k = parse_complex("v a\nv b\nv c\nv d\ns a b\ns c d\n")
-    g = certify_map(k, PLMap(2, {
+    g = certify_map(k, PLMap.of(2, {
         "a": vec([F(1, 101), F(1, 7)]),
         "b": vec([F(102, 101), F(1, 9)]),
         "c": vec([F(2, 101), F(8, 7)]),
@@ -1430,7 +1503,7 @@ def _path():
     """The path a-b-c in R^2, both edges cut by the line x = 1/2 and no
     vertex on it."""
     k = parse_complex("v a\nv b\nv c\ns a b\ns b c\n")
-    g = certify_map(k, PLMap(2, {
+    g = certify_map(k, PLMap.of(2, {
         "a": vec([F(1, 101), F(1, 7)]),
         "b": vec([F(102, 101), F(1, 9)]),
         "c": vec([F(2, 101), F(8, 7)]),
@@ -1504,8 +1577,8 @@ def test_count_matches_subset_enumeration():
         maximal = [rng.sample(names, rng.randint(1, 3))
                    for _ in range(rng.randint(2, 5))]
         k = SimplicialComplex.from_simplexes(names, maximal)
-        theta = PLMap(2, {v: vec([rng.randint(0, 6), rng.randint(0, 6)])
-                          for v in names})
+        theta = PLMap.of(2, {v: vec([rng.randint(0, 6), rng.randint(0, 6)])
+                             for v in names})
         g = roberts_perturb(k, theta, F(1, 3), GenericPool(trial + 100))
         plane = _vertical_line(F(rng.randint(0, 12), 2))
         count, family = max_disjoint_stabbed(k, g, plane, nmax=2)
@@ -1557,6 +1630,6 @@ def test_max_independent_set_keeps_the_recursive_search_order():
 
 def test_count_requires_certificate():
     k = parse_complex("v a\ns a\n")
-    g = PLMap(2, {"a": vec([0, 0])})
+    g = PLMap.of(2, {"a": vec([0, 0])})
     with pytest.raises(ValueError):
         max_disjoint_stabbed(k, g, _vertical_line(F(0)), 1)
